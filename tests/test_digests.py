@@ -1,0 +1,144 @@
+"""Pinned output digests.
+
+Every file a golden run lists in its manifest, and the raw bytes of the
+path and tail-process kernels on two-dimensional chains, are pinned by
+SHA-256. A change that keeps stream consumption and arithmetic order
+leaves every digest here unchanged; a change that alters which draws are
+made re-pins them and says so.
+"""
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from heavytail import models, randkit
+from heavytail.cli import parse_config, run
+from heavytail.randkit import TailLaw, derive_stream
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+SEED = 20260823
+
+RUN_DIGESTS = {
+    "golden_cluster.cfg": {
+        "cluster.csv": "757e42412411d11e267e6086b5e009de"
+                       "4c98ffdd0c581d6f70e417e067b04b43",
+        "summary.json": "7602ddb8a55190fc61350198203da97b"
+                        "32ac9cd2eea144d526b162baa58eb2f9",
+    },
+    "golden_regen.cfg": {
+        "cycles.csv": "1c2797b0df44cebff1b39fa6b03d5586"
+                      "2fea212abef5ad5425da6e27c180965b",
+        "summary.json": "a8e36b8ec8a2a01c421fd28a7bc0a995"
+                        "729d968086888761370cf61f51551284",
+    },
+    "golden_simulate.cfg": {
+        "path.csv": "e273971a48cebac2865297396da1a424"
+                    "dab75dca693d27344c1e3490d07960a8",
+        "summary.json": "ae96d09281759c484f315eab462ace9f"
+                        "eae65c778ef4754a710cad13db29cbec",
+    },
+    "golden_cluster_kesten.cfg": {
+        "cluster.csv": "46a6af39f8823a3a50d22fb82b1aca1c"
+                       "4beb7f597deb72669f60b580dec27058",
+        "summary.json": "d4e3b1fa8d6d8ebe3e21eead923b7435"
+                        "f2493a5d28a0bedef3aaa3dd93e49a98",
+    },
+    "golden_stable_garch.cfg": {
+        "stable_cf.csv": "2f1a6269350abd228fefbf79db00b982"
+                         "719a496e20c335f6b50a49cc706ff65e",
+        "summary.json": "c2ffeced4bdde09926fa44595f216abd"
+                        "5d715ff8494e08e7a1557f2f5f235187",
+    },
+    "golden_drift_garch.cfg": {
+        "drift.csv": "40dcdbddd096732aa98748ae7697ad9e"
+                     "9f53584035d3f06c4dea09dd4f9ff6fe",
+        "summary.json": "fe8bab0f3dff677a5c9115df0489ee56"
+                        "f6fc89b2e022177e645b4353e8881127",
+    },
+    "golden_drift_var1.cfg": {
+        "drift.csv": "f22b4eaf877006cf97bf154d3b0869f3"
+                     "a9ab8b93e3bfe6cd56d5dd74d4886e73",
+        "summary.json": "b0d47c716da516fc71fb77da585e3521"
+                        "77602736a906b76796670e8f9584ba3e",
+    },
+    "golden_report_garch.cfg": {
+        "report.csv": "2fc1d56227a855bad9ae1c1ad179b35a"
+                      "20b6e31cc2af15becd43ea2080236499",
+        "summary.json": "38ed3e52f1015331cb172f9dbccdd5d1"
+                        "cc2047f311ab71ec9a53c0ace4598d04",
+    },
+    "golden_ldp_var1.cfg": {
+        "ldp.csv": "969e9faf32f24ae72c746ecf3b00c5aca"
+                   "98072d1687ffe735bd76f1e572ce245",
+        "summary.json": "17c986e543abaa6e05427f55daaceea2"
+                        "1e98c2ddba727ed1d437299c42a5b81a",
+    },
+}
+
+KERNEL_DIGESTS = {
+    "var1_dim2": {
+        "path": "e7f1643bcb0c1ae0d430e2664fd26e5c"
+                "e63a3f8939692029b78863a01598a3d3",
+        "tail_process": "9c89e253171ed05967991004cb8c010e"
+                        "4b43fc1372b3c85ff79a61a3090afedd",
+    },
+    "kesten_dim2": {
+        "path": "57db81881a242760af9ff83c862bdeddc"
+                "9e73f27aa75cc39b0906c3c007ff7ce",
+        "tail_process": "49dc5e85f1f4c891a86fca85959a9808"
+                        "c6d43f33136dd01e1304079b045208cb",
+    },
+}
+
+_B_LAW = TailLaw(randkit.PARETO, alpha=1.5)
+
+
+def _kesten_multipliers(stream, size):
+    return 0.6 * stream.rng.random((size, 2, 2))
+
+
+def _kesten_additives(stream, size):
+    return randkit.sample_law(stream, _B_LAW, 2 * size).reshape(size, 2)
+
+
+def _kernel_spec(name):
+    if name == "var1_dim2":
+        return models.Var1Spec(
+            2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+            a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+            weights=np.array([1.0, 2.0]))
+    return models.KestenSpec(2, a_sampler=_kesten_multipliers,
+                             b_sampler=_kesten_additives, alpha_hint=1.5)
+
+
+def _check(label, got, want):
+    assert got == want, f"{label}: sha256 {got} != pinned {want}"
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_golden_run_digests(tmp_path, name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
+    got = {f["name"]: f["sha256"] for f in manifest.files}
+    want = RUN_DIGESTS[name]
+    assert sorted(got) == sorted(want), \
+        f"{name}: wrote {sorted(got)}, pinned {sorted(want)}"
+    for fname, digest in want.items():
+        _check(f"{name}/{fname}", got[fname], digest)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))
+def test_two_dimensional_kernel_digests(name):
+    spec = _kernel_spec(name)
+    path = models.simulate_path(spec, 300, 50, derive_stream(SEED, 11))
+    theta, radii = models.sample_tail_process_batch(
+        spec, 8, 200, derive_stream(SEED, 12))
+    assert path.values.shape == (300, 2)
+    assert theta.shape == (200, 9, 2)
+    want = KERNEL_DIGESTS[name]
+    _check(f"{name}/path", hashlib.sha256(path.values.tobytes()).hexdigest(),
+           want["path"])
+    _check(f"{name}/tail_process",
+           hashlib.sha256(theta.tobytes() + radii.tobytes()).hexdigest(),
+           want["tail_process"])
