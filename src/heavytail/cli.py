@@ -405,43 +405,33 @@ def _cmd_simulate(config, spec, writer, threads):
 def _cmd_cluster_index(config, spec, writer, threads):
     alpha = models.model_alpha(spec)
     theta = Direction([config.get("theta")])
+    tail_theta = spec.tail_direction(theta)
     horizon = config.get("horizon")
     replicas = config.get("replicas")
-    k_trunc = config.get("k_trunc")
-    ests = [cluster.cluster_index_tail_process(
-        spec, _cluster_direction(spec, theta), alpha, horizon, replicas,
-        _stream(config, "cluster_tail"))]
-    if isinstance(spec, (models.Var1Spec, models.KestenSpec)):
-        ests.append(cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed")))
-    ests.append(cluster.telescoping_difference(
-        spec, _cluster_direction(spec, theta), alpha, k_trunc, replicas,
-        _stream(config, "cluster_telescoping")))
-    ests.append(cluster.extremal_index(
-        spec, _cluster_direction(spec, theta), alpha, horizon, replicas,
-        _stream(config, "extremal")))
-    labels = ["cluster_tail_process"] \
-        + (["cluster_closed_form"]
-           if len(ests) == 4 else []) \
-        + ["telescoping", "extremal_index"]
+    ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "cluster_tail"))}
+    stages = ["cluster_tail"]
+    if spec.has_closed_form:
+        ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
+            spec, theta, replicas, _stream(config, "cluster_closed"))
+        stages.append("cluster_closed")
+    ests["telescoping"] = cluster.telescoping_difference(
+        spec, tail_theta, alpha, config.get("k_trunc"), replicas,
+        _stream(config, "cluster_telescoping"))
+    ests["extremal_index"] = cluster.extremal_index(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "extremal"))
+    stages += ["cluster_telescoping", "extremal"]
     rows = [(lab, e.route, e.value, e.std_error, e.plug_in_se, e.horizon,
-             e.replicas) for lab, e in zip(labels, ests)]
+             e.replicas) for lab, e in ests.items()]
     writer.csv("cluster.csv",
                ["quantity", "route", "value", "std_error", "plug_in_se",
                 "horizon", "replicas"], rows)
     summary = {"alpha": alpha, "theta": theta}
-    for lab, e in zip(labels, ests):
+    for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
-    streams = {k: STREAMS[k] for k in
-               ("cluster_tail", "cluster_closed", "cluster_telescoping",
-                "extremal")}
-    return summary, streams
-
-
-def _cluster_direction(spec, theta):
-    if isinstance(spec, models.Garch11Spec):
-        return Direction([0.0, theta.theta[0]])
-    return theta
+    return summary, {k: STREAMS[k] for k in stages}
 
 
 def _cmd_ldp_scan(config, spec, writer, threads):
@@ -487,13 +477,7 @@ def _cmd_drift_check(config, spec, writer, threads):
         alpha = models.model_alpha(spec)
     except HeavytailError:
         pass
-    # keep p strictly below the tail index so the fitted moments exist
-    if isinstance(spec, models.Garch11Spec):
-        p = 0.4 * (alpha or 2.0)
-        grid = [np.array([x, x]) for x in np.geomspace(0.5, 32.0, 7)]
-    else:
-        p = min(0.8 * (alpha or 1.25), 1.0)
-        grid = [np.array([x]) for x in np.geomspace(0.5, 32.0, 7)]
+    p, grid = spec.drift_setup(alpha)
     rep = models.drift_margin(spec, p, 1, grid, _stream(config, "drift"))
     rows = list(zip(rep.grid_v, rep.response_v))
     writer.csv("drift.csv", ["v_state", "v_next_mean"], rows)
@@ -546,34 +530,33 @@ def _cmd_regen_check(config, spec, writer, threads):
 def _cmd_report(config, spec, writer, threads):
     alpha = models.model_alpha(spec)
     theta = Direction([config.get("theta")])
+    tail_theta = spec.tail_direction(theta)
     horizon = config.get("horizon")
     replicas = config.get("replicas")
     rows = [("tail_index", alpha, 0.0)]
     est = cluster.cluster_index_tail_process(
-        spec, _cluster_direction(spec, theta), alpha, horizon, replicas,
+        spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "cluster_tail"))
     rows.append(("cluster_index_tail_process", est.value, est.std_error))
     summary = {"alpha": alpha, "theta": theta,
                "cluster_index": {"value": est.value,
                                  "std_error": est.std_error}}
-    if isinstance(spec, (models.Var1Spec, models.KestenSpec)):
+    stages = ["cluster_tail", "extremal"]
+    if spec.has_closed_form:
         cf = cluster.closed_form_cluster_index(
             spec, theta, replicas, _stream(config, "cluster_closed"))
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
+        stages.append("cluster_closed")
     ext = cluster.extremal_index(
-        spec, _cluster_direction(spec, theta), alpha, horizon, replicas,
+        spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "extremal"))
     rows.append(("extremal_index", ext.value, ext.std_error))
     summary["extremal_index"] = {"value": ext.value,
                                  "std_error": ext.std_error}
     writer.csv("report.csv", ["quantity", "value", "std_error"], rows)
-    streams = {k: STREAMS[k] for k in
-               ("cluster_tail", "cluster_closed", "extremal")
-               if k != "cluster_closed"
-               or isinstance(spec, (models.Var1Spec, models.KestenSpec))}
-    return summary, streams
+    return summary, {k: STREAMS[k] for k in stages}
 
 
 _HANDLERS = {

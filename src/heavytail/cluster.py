@@ -8,19 +8,16 @@ import math
 
 import numpy as np
 
-from .errors import (ParameterError, SingularDrawError, UnsupportedCaseError)
+from .errors import ParameterError
 from . import models
 from .randkit import RngStream
 
 ROUTE_TAIL_PROCESS = "tail_process"
-ROUTE_LDP_RATIO = "ldp_ratio"
 ROUTE_CLOSED_FORM = "closed_form"
 ROUTE_TELESCOPING = "telescoping"
-_ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_LDP_RATIO, ROUTE_CLOSED_FORM,
-           ROUTE_TELESCOPING)
+_ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING)
 
 _CHUNK = 1 << 16
-_AUX_BURN = 256
 _MATCH_TOL = 1e-9
 
 
@@ -138,8 +135,7 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 def _resolve_sampler(sampler):
     """Accept either a model spec or a callable
     (horizon, replicas, stream) -> theta array (or (theta, radii))."""
-    if isinstance(sampler, (models.Var1Spec, models.KestenSpec,
-                            models.Garch11Spec)):
+    if isinstance(sampler, models.ModelSpec):
         def draw(horizon, replicas, stream):
             theta, _ = models.sample_tail_process_batch(
                 sampler, horizon, replicas, stream)
@@ -210,20 +206,30 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
+def _mc_route(sampler, reduce_paths, theta: Direction, alpha: float,
+              horizon: int, replicas: int, stream: RngStream, route: str,
+              horizon_name: str = "horizon",
+              least_horizon: int = 0) -> ClusterIndexEstimate:
+    """Shared argument checks of the Monte Carlo routes, then the chunked
+    functional."""
+    if horizon < least_horizon:
+        raise ParameterError(
+            f"{horizon_name} must be at least {least_horizon}")
+    if replicas < 100:
+        raise ParameterError("replicas must be at least 100")
+    if not alpha > 0:
+        raise ParameterError("alpha must be positive")
+    return _mc_functional(_resolve_sampler(sampler), reduce_paths, theta,
+                          alpha, horizon, replicas, stream, route)
+
+
 def cluster_index_tail_process(sampler, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
                                stream: RngStream) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    if replicas < 100:
-        raise ParameterError("replicas must be at least 100")
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    draw = _resolve_sampler(sampler)
-    return _mc_functional(draw, _sum_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS)
+    return _mc_route(sampler, _sum_difference, theta, alpha, horizon,
+                     replicas, stream, ROUTE_TAIL_PROCESS)
 
 
 def telescoping_difference(sampler, theta: Direction, alpha: float, k: int,
@@ -231,30 +237,17 @@ def telescoping_difference(sampler, theta: Direction, alpha: float, k: int,
                            stream: RngStream) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    if replicas < 100:
-        raise ParameterError("replicas must be at least 100")
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    draw = _resolve_sampler(sampler)
-    return _mc_functional(draw, _sum_difference, theta, alpha, k,
-                          replicas, stream, ROUTE_TELESCOPING)
+    return _mc_route(sampler, _sum_difference, theta, alpha, k, replicas,
+                     stream, ROUTE_TELESCOPING, horizon_name="k",
+                     least_horizon=1)
 
 
 def extremal_index(sampler, theta: Direction, alpha: float, horizon: int,
                    replicas: int, stream: RngStream) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
-    if replicas < 100:
-        raise ParameterError("replicas must be at least 100")
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    draw = _resolve_sampler(sampler)
-    return _mc_functional(draw, _sup_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS)
+    return _mc_route(sampler, _sup_difference, theta, alpha, horizon,
+                     replicas, stream, ROUTE_TAIL_PROCESS)
 
 
 # ---------------------------------------------------------------------------
@@ -263,60 +256,21 @@ def extremal_index(sampler, theta: Direction, alpha: float, horizon: int,
 
 def closed_form_cluster_index(spec, theta: Direction, replicas: int,
                               stream: RngStream) -> ClusterIndexEstimate:
-    """Model-specific closed form, Monte Carlo only over (A, Theta_0).
+    """Model-specific closed form, Monte Carlo only over Theta_0 (and the
+    recurrence's multipliers).
 
     Linear model: E[(theta'(I-A)^{-1} Theta_0)_+^alpha
                     - (theta'A(I-A)^{-1} Theta_0)_+^alpha].
     Scalar/matrix recurrence: E[(theta'(W+I) Theta_0)_+^alpha
                                 - (theta'W Theta_0)_+^alpha] with W the
     stationary solution of W_k = (W_{k-1} + I) A_k, run in for a fixed
-    number of steps.
+    number of steps. Other models raise UnsupportedCaseError.
     """
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     alpha = models.model_alpha(spec)
-    tv = theta.vector
-    angles = models.sample_exceedance_angles(
-        spec, replicas, stream.substream(0x0A))
-    if isinstance(spec, models.Var1Spec):
-        if theta.dim != spec.dim:
-            raise ParameterError("direction dimension mismatch")
-        if spec.a_matrix is not None:
-            lead, lag, skipped = _var1_coefficients(
-                [spec.a_matrix], tv, spec.dim)
-            if skipped:
-                raise SingularDrawError("(I - A) is singular")
-            u = angles @ lead[0]
-            w = angles @ lag[0]
-        else:
-            mats = [spec.draw_matrix(stream.substream(0x0B))
-                    for _ in range(replicas)]
-            lead, lag, skipped = _var1_coefficients(mats, tv, spec.dim)
-            if skipped > 0.01 * replicas:
-                raise SingularDrawError(
-                    f"{skipped} of {replicas} draws had singular (I - A)")
-            keep = [i for i in range(replicas) if lead[i] is not None]
-            u = np.array([angles[i] @ lead[i] for i in keep])
-            w = np.array([angles[i] @ lag[i] for i in keep])
-        vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
-        horizon = 0
-    elif isinstance(spec, models.KestenSpec):
-        if theta.dim != spec.dim:
-            raise ParameterError("direction dimension mismatch")
-        w_mat = _kesten_aux_chain(spec, replicas, stream.substream(0x0C))
-        if spec.dim == 1:
-            w = w_mat * angles[:, 0] * tv[0]
-            u = (w_mat + 1.0) * angles[:, 0] * tv[0]
-        else:
-            u = np.einsum("j,rjk,rk->r", tv,
-                          w_mat + np.eye(spec.dim), angles)
-            w = np.einsum("j,rjk,rk->r", tv, w_mat, angles)
-        vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
-        horizon = _AUX_BURN
-    else:
-        raise UnsupportedCaseError(
-            "closed form available for the linear and recurrence models "
-            "only")
+    u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream)
+    vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
     mean = float(np.mean(vals))
     if vals.size > 1:
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
@@ -326,45 +280,3 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
     return ClusterIndexEstimate(value=mean, std_error=se,
                                 route=ROUTE_CLOSED_FORM, horizon=horizon,
                                 replicas=replicas, plug_in_se=se_plug)
-
-
-def _var1_coefficients(mats, tv, dim):
-    """Per matrix: (I-A)^{-T} theta and A^T (I-A)^{-T} theta, or None for
-    (numerically) singular I-A."""
-    lead, lag, skipped = [], [], 0
-    eye = np.eye(dim)
-    for a in mats:
-        m = eye - a
-        try:
-            cond_bad = np.linalg.cond(m) > 1e12
-        except np.linalg.LinAlgError:
-            cond_bad = True
-        if cond_bad:
-            lead.append(None)
-            lag.append(None)
-            skipped += 1
-            continue
-        x = np.linalg.solve(m.T, tv)
-        lead.append(x)
-        lag.append(a.T @ x)
-    return lead, lag, skipped
-
-
-def _kesten_aux_chain(spec: models.KestenSpec, replicas: int,
-                      stream: RngStream):
-    """Independent stationary draws of W = sum_{t>=1} A_1 ... A_t via the
-    recursion W_k = (W_{k-1} + I) A_k run for a fixed number of steps."""
-    steps = _AUX_BURN
-    if spec.dim == 1:
-        a = spec.draw_multipliers(stream, replicas * steps).reshape(
-            replicas, steps)
-        w = np.zeros(replicas)
-        for t in range(steps):
-            w = (w + 1.0) * a[:, t]
-        return w
-    w = np.zeros((replicas, spec.dim, spec.dim))
-    eye = np.eye(spec.dim)
-    for t in range(steps):
-        mats = spec.draw_multipliers(stream, replicas)
-        w = np.einsum("rij,rjk->rik", w + eye, mats)
-    return w

@@ -169,12 +169,6 @@ def _map_chunks(fn, n_chunks: int, threads: int):
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _default_burn(spec) -> int:
-    if isinstance(spec, models.Var1Spec):
-        return 512
-    return 2048
-
-
 def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
                  threads: int) -> np.ndarray:
     """(reps,) draws of S_n for a scalar-observable model, simulated in
@@ -246,23 +240,12 @@ def _a_n_for(spec, n: int, stream: RngStream) -> float:
     return math.sqrt(lo * hi)
 
 
-def _scalar_direction_requirements(spec, theta: Direction):
-    """Map a scalar observable direction (+/-1) to the tail-process
-    direction: identity for scalar chains, the X coordinate (0, s) for
-    the volatility recursion."""
-    if isinstance(spec, models.Garch11Spec):
-        if theta.dim == 1:
-            return Direction([0.0, theta.theta[0]])
-        return theta
-    return theta
-
-
 def _b_pair_for(spec, theta: Direction, stream: RngStream,
                 replicas: int = 50_000, horizon: int = 64):
     """(b(theta), b(-theta)) via the closed form when available, else the
     tail-process route."""
-    th = _scalar_direction_requirements(spec, theta)
-    if isinstance(spec, (models.Var1Spec, models.KestenSpec)):
+    th = spec.tail_direction(theta)
+    if spec.has_closed_form:
         up = cluster.closed_form_cluster_index(
             spec, th, replicas, stream.substream(0xB0))
         dn = cluster.closed_form_cluster_index(
@@ -310,7 +293,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
             if not math.isclose(bp, bm, rel_tol=1e-6, abs_tol=1e-9):
                 raise UnsupportedCaseError(
                     "alpha = 1 requires a symmetric model")
-    burn = _default_burn(spec) if burn_in is None else burn_in
+    burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), burn,
                         threads)
     mu, centering = _sum_centering(spec, n, alpha, stream)
@@ -364,7 +347,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
     surv, denom_kind = _survival_fn(spec, stream)
     mu, centering = _sum_centering(spec, n, alpha, stream)
-    burn = _default_burn(spec) if burn_in is None else burn_in
+    burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,
                         threads)
     sign = theta.theta[0]
@@ -372,10 +355,11 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     counts = (proj[:, None] > xs[None, :]).sum(axis=0).astype(float)
     short = np.flatnonzero(counts < 50)
     if short.size:
-        j = int(short[0])
+        points = ", ".join(f"x={xs[j]:.6g} ({int(counts[j])})"
+                           for j in short)
         raise WidenRError(
-            f"only {int(counts[j])} exceedances at grid point "
-            f"x={xs[j]:.6g} (need 50); widen the replica budget")
+            f"fewer than 50 exceedances at {short.size} grid point(s): "
+            f"{points}; widen the replica budget")
     denom = n * np.asarray(surv(xs), dtype=float)
     ratios = counts / reps / denom
     p_hat = counts / reps

@@ -1,6 +1,10 @@
 """Model families: linear autoregression, stochastic recurrence (Kesten),
 GARCH(1,1); their path simulators, spectral-tail-process samplers,
 moment-equation tail indices, and drift-condition diagnostics.
+
+Each family is a spec class that answers, for itself, the questions every
+route asks of a model (``ModelSpec``). The module-level functions keep the
+shared argument checks and delegate to the spec.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ from scipy.signal import lfilter
 from scipy.special import roots_hermite
 
 from .errors import (DivergenceError, NoRootError, ParameterError,
+                     SingularDrawError, UnsupportedCaseError,
                      UnsupportedLawError)
 from . import randkit
 from .randkit import RngStream, TailLaw, derive_stream, sample_law
@@ -22,9 +27,13 @@ _ANGLE_CHILD = 0x7A17
 _RADIUS_CHILD = 0x7A18
 _PILOT_STREAM_ID = 0x7A19
 _FIXED_MC_SEED = 0x5EED0FF1CE
+# substreams of the closed-form cluster index: Theta_0 draws, auxiliary chain
+_CLOSED_ANGLES = 0x0A
+_CLOSED_AUX = 0x0C
 
 _BLOWUP = 1e280
 _SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
+_AUX_BURN = 256  # steps of the recurrence's auxiliary chain W
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -34,11 +43,74 @@ _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
 # model specifications
 
 
+class ModelSpec:
+    """What every route needs from a model family.
+
+    A family provides ``dim`` (the dimension of the observable X_t) and
+    the methods ``tail_index()``, ``paths(n, burn_in, replicas, stream)``
+    returning (replicas, n, dim) stationary-regime paths,
+    ``tail_process(horizon, replicas, stream, alpha)`` returning
+    (replicas, horizon+1, d) spectral-tail-process angles, and
+    ``conditional_states(y, m, reps, stream)`` for the drift fit. The
+    defaults below cover the common case.
+    """
+
+    has_closed_form = False
+    default_burn = 2048  # warm-up of the limit-theorem scans
+
+    def theta0(self, replicas: int, stream: RngStream) -> np.ndarray:
+        """(replicas, d) draws of the exceedance angle Theta_0: the exact
+        two-point law for scalar chains, the pilot exceedance angles
+        otherwise."""
+        if self.dim == 1:
+            p_up, _ = self.theta0_two_point()
+            if p_up == 1.0:
+                return np.ones((replicas, 1))
+            signs = np.where(stream.rng.random(replicas) < p_up, 1.0, -1.0)
+            return signs[:, None]
+        atoms = _angular_atoms(self, stream.master_seed)
+        idx = stream.rng.integers(0, atoms.shape[0], replicas)
+        return atoms[idx]
+
+    def theta0_two_point(self) -> tuple[float, float]:
+        """P(Theta_0 = +1), P(Theta_0 = -1) for a scalar chain."""
+        raise UnsupportedCaseError(
+            f"no two-point Theta_0 law for {type(self).__name__}")
+
+    def closed_form_terms(self, tv: np.ndarray, replicas: int,
+                          stream: RngStream):
+        """(u, w, horizon): per-replica projections whose positive parts
+        give the closed-form cluster index E[u_+^alpha - w_+^alpha]."""
+        raise UnsupportedCaseError(
+            "closed form available for the linear and recurrence models "
+            "only")
+
+    def stationary_mean(self):
+        """Exact stationary mean vector, when available; None otherwise."""
+        return None
+
+    def tail_constant(self):
+        """(c, alpha, scale) with P(|X| > x) ~ c (x/scale)^(-alpha), when
+        the stationary tail follows analytically; None otherwise."""
+        return None
+
+    def tail_direction(self, theta):
+        """Tail-process direction that observes the scalar direction
+        ``theta`` of X."""
+        return theta
+
+    def drift_setup(self, alpha):
+        """(p, grid) for the drift check given the tail index ``alpha``
+        (None when unknown): p stays strictly below it so the fitted
+        moments exist."""
+        p = min(0.8 * (alpha or 1.25), 1.0)
+        return p, [np.full(self.dim, x) for x in np.geomspace(0.5, 32.0, 7)]
+
+
 @dataclass(eq=False)
-class Var1Spec:
+class Var1Spec(ModelSpec):
     """Linear recursion X_t = A X_{t-1} + Z_t with a fixed coefficient
-    matrix, or a matrix drawn once per path from ``a_sampler`` (a mixture of
-    fixed-coefficient chains, keeping the closed-form index well defined).
+    matrix A.
 
     ``innovation`` applies per coordinate, scaled by ``weights``.
     """
@@ -46,33 +118,23 @@ class Var1Spec:
     dim: int
     innovation: TailLaw
     a_matrix: np.ndarray | float | None = None
-    a_sampler: object = None
     weights: np.ndarray | None = None
+
+    has_closed_form = True
+    default_burn = 512
 
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("dim must be at least 1")
-        if (self.a_matrix is None) == (self.a_sampler is None):
+        if self.a_matrix is None:
+            raise ParameterError("a_matrix is required")
+        a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
+        if a.shape != (self.dim, self.dim):
+            raise ParameterError(f"a_matrix must be {self.dim}x{self.dim}")
+        self.a_matrix = a
+        if _spectral_radius(a) >= 1.0:
             raise ParameterError(
-                "exactly one of a_matrix / a_sampler is required")
-        if self.a_matrix is not None:
-            a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
-            if a.shape != (self.dim, self.dim):
-                raise ParameterError(
-                    f"a_matrix must be {self.dim}x{self.dim}")
-            self.a_matrix = a
-            if _spectral_radius(a) >= 1.0:
-                raise ParameterError(
-                    "spectral radius of a_matrix must be below 1")
-        else:
-            check = derive_stream(_FIXED_MC_SEED, 0x1A)
-            for _ in range(32):
-                a = np.atleast_2d(np.asarray(self.a_sampler(check),
-                                             dtype=float))
-                if _spectral_radius(a) >= 1.0:
-                    raise ParameterError(
-                        "a_sampler produced a matrix with spectral "
-                        "radius >= 1")
+                "spectral radius of a_matrix must be below 1")
         if self.weights is None:
             self.weights = np.ones(self.dim)
         else:
@@ -83,14 +145,116 @@ class Var1Spec:
                 raise ParameterError("weights must be positive")
         self._angular_cache = {}
 
-    def draw_matrix(self, stream: RngStream) -> np.ndarray:
-        if self.a_matrix is not None:
-            return self.a_matrix
-        return np.atleast_2d(np.asarray(self.a_sampler(stream), dtype=float))
+    def tail_index(self) -> float:
+        law = self.innovation
+        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
+            return law.alpha
+        if law.family == randkit.STABLE and law.alpha < 2:
+            return law.alpha
+        raise UnsupportedLawError(
+            "tail index requires a regularly varying innovation law")
+
+    def paths(self, n, burn_in, replicas, stream):
+        d = self.dim
+        total = n + burn_in
+        if d == 1:
+            a = float(self.a_matrix[0, 0])
+            z = sample_law(stream, self.innovation,
+                           replicas * total).reshape(replicas, total)
+            z *= self.weights[0]
+            x = lfilter([1.0], [1.0, -a], z, axis=1)
+            x = x[:, burn_in:]
+            _check_finite(x, "spectral radius below 1")
+            return x[..., None]
+        out = np.empty((replicas, n, d))
+        for r in range(replicas):
+            z = sample_law(stream, self.innovation,
+                           total * d).reshape(total, d) * self.weights
+            x = np.zeros(d)
+            for t in range(total):
+                x = self.a_matrix @ x + z[t]
+                if t >= burn_in:
+                    out[r, t - burn_in] = x
+            _check_finite(out[r], "spectral radius below 1")
+        return out
+
+    def theta0_two_point(self):
+        """Exact from the innovation tail balance and the moving-average
+        coefficients."""
+        alpha = tail_index(self)
+        p_up, p_dn = _tail_balance(self.innovation)
+        a = float(self.a_matrix[0, 0])
+        j = np.arange(_SERIES_TERMS)
+        c = a ** j
+        w_up = float(np.sum(np.clip(c, 0, None) ** alpha) * p_up
+                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_dn)
+        w_dn = float(np.sum(np.clip(c, 0, None) ** alpha) * p_dn
+                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_up)
+        tot = w_up + w_dn
+        return w_up / tot, w_dn / tot
+
+    def tail_process(self, horizon, replicas, stream, alpha):
+        theta = np.empty((replicas, horizon + 1, self.dim))
+        cur = self.theta0(replicas, stream)
+        theta[:, 0] = cur
+        for t in range(1, horizon + 1):
+            cur = cur @ self.a_matrix.T
+            theta[:, t] = cur
+        return theta
+
+    def closed_form_terms(self, tv, replicas, stream):
+        """u = theta'(I-A)^{-1} Theta_0 and w = theta'A(I-A)^{-1} Theta_0;
+        no auxiliary chain (horizon 0)."""
+        if tv.size != self.dim:
+            raise ParameterError("direction dimension mismatch")
+        angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
+        m = np.eye(self.dim) - self.a_matrix
+        try:
+            singular = np.linalg.cond(m) > 1e12
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            raise SingularDrawError("(I - A) is singular")
+        lead = np.linalg.solve(m.T, tv)
+        lag = self.a_matrix.T @ lead
+        return angles @ lead, angles @ lag, 0
+
+    def stationary_mean(self):
+        try:
+            mz = randkit.law_mean(self.innovation)
+        except (ParameterError, UnsupportedLawError):
+            return None
+        if not math.isfinite(mz):
+            return None
+        rhs = mz * self.weights
+        return np.linalg.solve(np.eye(self.dim) - self.a_matrix, rhs)
+
+    def tail_constant(self):
+        if self.dim != 1:
+            return None
+        law = self.innovation
+        a = abs(float(self.a_matrix[0, 0]))
+        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
+            base = 1.0
+        elif law.family == randkit.STABLE and law.alpha < 2:
+            base = randkit.stable_tail_constant(law.alpha)
+        else:
+            return None
+        alpha = law.alpha
+        return base / (1.0 - a ** alpha), alpha, law.scale * self.weights[0]
+
+    def conditional_states(self, y, m, reps, stream):
+        d = self.dim
+        cur = np.tile(y, (reps, 1))
+        for _ in range(m):
+            z = sample_law(stream, self.innovation,
+                           reps * d).reshape(reps, d) * self.weights
+            cur = cur @ self.a_matrix.T + z
+        return cur
 
 
 @dataclass(eq=False)
-class KestenSpec:
+class KestenSpec(ModelSpec):
     """Stochastic recurrence X_t = A_t X_{t-1} + B_t.
 
     Scalar case: ``a_law`` / ``b_law`` are univariate laws (A > 0 required
@@ -105,6 +269,8 @@ class KestenSpec:
     a_sampler: object = None
     b_sampler: object = None
     alpha_hint: float | None = None
+
+    has_closed_form = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -132,11 +298,136 @@ class KestenSpec:
             return sample_law(stream, self.b_law, size)
         return np.asarray(self.b_sampler(stream, size), dtype=float)
 
+    def tail_index(self) -> float:
+        if self.dim != 1:
+            raise UnsupportedLawError(
+                "moment equation implemented for the scalar recursion only")
+        return _solve_moment_equation(
+            lambda k: _law_moment(self.a_law, k) - 1.0)
+
+    def paths(self, n, burn_in, replicas, stream):
+        total = n + burn_in
+        if self.dim == 1:
+            a = self.draw_multipliers(stream, replicas * total).reshape(
+                replicas, total)
+            b = self.draw_additives(stream, replicas * total).reshape(
+                replicas, total)
+            x = np.zeros(replicas)
+            out = np.empty((replicas, n))
+            for t in range(total):
+                x = a[:, t] * x + b[:, t]
+                if t >= burn_in:
+                    out[:, t - burn_in] = x
+            _check_finite(out, "negative log-mean of the multiplier law")
+            return out[..., None]
+        out = np.empty((replicas, n, self.dim))
+        for r in range(replicas):
+            mats = self.draw_multipliers(stream, total)
+            adds = self.draw_additives(stream, total)
+            x = np.zeros(self.dim)
+            for t in range(total):
+                x = mats[t] @ x + adds[t]
+                if t >= burn_in:
+                    out[r, t - burn_in] = x
+            _check_finite(out[r], "negative top Lyapunov exponent")
+        return out
+
+    def theta0_two_point(self):
+        """From the sign structure of the additive term."""
+        fam = self.b_law.family
+        if fam in _POSITIVE_FAMILIES:
+            return 1.0, 0.0
+        if fam in _SYMMETRIC_FAMILIES or (
+                fam == randkit.STABLE and self.b_law.skew == 0.0):
+            return 0.5, 0.5
+        raise UnsupportedLawError(
+            "no exact exceedance-angle law for this additive family")
+
+    def tail_process(self, horizon, replicas, stream, alpha):
+        theta = np.empty((replicas, horizon + 1, self.dim))
+        theta0 = self.theta0(replicas, stream)
+        theta[:, 0] = theta0
+        if self.dim == 1:
+            mults = self.draw_multipliers(
+                stream, replicas * horizon).reshape(replicas, horizon) \
+                if horizon else np.empty((replicas, 0))
+            theta[:, 1:, 0] = np.cumprod(mults, axis=1) * theta0
+            return theta
+        cur = theta0
+        for t in range(1, horizon + 1):
+            mats = self.draw_multipliers(stream, replicas)
+            cur = np.einsum("rij,rj->ri", mats, cur)
+            theta[:, t] = cur
+        return theta
+
+    def closed_form_terms(self, tv, replicas, stream):
+        """u = theta'(W+I) Theta_0 and w = theta'W Theta_0, with W the
+        stationary solution of W_k = (W_{k-1} + I) A_k run in for a fixed
+        number of steps (the returned horizon)."""
+        if tv.size != self.dim:
+            raise ParameterError("direction dimension mismatch")
+        angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
+        w_mat = self._aux_chain(replicas, stream.substream(_CLOSED_AUX))
+        if self.dim == 1:
+            w = w_mat * angles[:, 0] * tv[0]
+            u = (w_mat + 1.0) * angles[:, 0] * tv[0]
+        else:
+            u = np.einsum("j,rjk,rk->r", tv,
+                          w_mat + np.eye(self.dim), angles)
+            w = np.einsum("j,rjk,rk->r", tv, w_mat, angles)
+        return u, w, _AUX_BURN
+
+    def _aux_chain(self, replicas: int, stream: RngStream):
+        """Independent stationary draws of W = sum_{t>=1} A_1 ... A_t via
+        the recursion W_k = (W_{k-1} + I) A_k run for a fixed number of
+        steps."""
+        steps = _AUX_BURN
+        if self.dim == 1:
+            a = self.draw_multipliers(stream, replicas * steps).reshape(
+                replicas, steps)
+            w = np.zeros(replicas)
+            for t in range(steps):
+                w = (w + 1.0) * a[:, t]
+            return w
+        w = np.zeros((replicas, self.dim, self.dim))
+        eye = np.eye(self.dim)
+        for t in range(steps):
+            mats = self.draw_multipliers(stream, replicas)
+            w = np.einsum("rij,rjk->rik", w + eye, mats)
+        return w
+
+    def stationary_mean(self):
+        if self.dim != 1:
+            return None
+        try:
+            ma = _law_moment(self.a_law, 1.0)
+            mb = randkit.law_mean(self.b_law)
+        except (ParameterError, UnsupportedLawError):
+            return None
+        if not (math.isfinite(ma) and math.isfinite(mb)) or ma >= 1.0:
+            return None
+        return np.array([mb / (1.0 - ma)])
+
+    def conditional_states(self, y, m, reps, stream):
+        if self.dim != 1:
+            raise ParameterError(
+                "conditional simulation implemented for the scalar "
+                "recursion only")
+        cur = np.full(reps, float(y[0]))
+        for _ in range(m):
+            a = self.draw_multipliers(stream, reps)
+            b = self.draw_additives(stream, reps)
+            cur = a * cur + b
+        return cur[:, None]
+
 
 @dataclass(eq=False)
-class Garch11Spec:
+class Garch11Spec(ModelSpec):
     """Volatility recursion sigma_t^2 = alpha0 + sigma_{t-1}^2
     (alpha1 Z_{t-1}^2 + beta1), observable X_t = sigma_t Z_t.
+
+    The observable is scalar (``dim`` 1); the tail process lives on the
+    pair (sigma, X) and the drift state is (X, sigma).
 
     ``z_law`` must be standard Gaussian (mean 0, variance 1); other
     innovation laws are not supported by the moment-equation and
@@ -149,6 +440,8 @@ class Garch11Spec:
     z_law: TailLaw = field(
         default_factory=lambda: TailLaw(randkit.GAUSSIAN))
 
+    dim = 1
+
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "beta1"):
             if not getattr(self, name) > 0:
@@ -160,6 +453,88 @@ class Garch11Spec:
             raise ParameterError(
                 "E log(alpha1 Z^2 + beta1) must be negative (stationarity)")
         self._tilt_cache = {}
+
+    def tail_index(self) -> float:
+        return _solve_moment_equation(
+            lambda k: _garch_power_moment(self.alpha1, self.beta1, k) - 1.0)
+
+    def paths(self, n, burn_in, replicas, stream):
+        total = n + burn_in
+        z = stream.rng.standard_normal((replicas, total))
+        a0, a1, b1 = self.alpha0, self.alpha1, self.beta1
+        if a1 + b1 < 1.0:
+            s2 = np.full(replicas, a0 / (1.0 - a1 - b1))
+        else:
+            s2 = np.full(replicas, a0)
+        out = np.empty((replicas, n))
+        for t in range(total):
+            x = np.sqrt(s2) * z[:, t]
+            if t >= burn_in:
+                out[:, t - burn_in] = x
+            s2 = a0 + s2 * (a1 * z[:, t] ** 2 + b1)
+        _check_finite(out, "negative log-mean of the volatility multiplier")
+        return out[..., None]
+
+    def _tilted_z0(self, alpha: float, replicas: int,
+                   stream: RngStream) -> np.ndarray:
+        """Size-biased time-zero innovations with density proportional to
+        (1 + z^2)^(alpha/2) exp(-z^2/2), by inverse-CDF table lookup."""
+        key = round(alpha, 12)
+        if key not in self._tilt_cache:
+            z = np.linspace(-16.0, 16.0, 2 ** 14 + 1)
+            logw = 0.5 * alpha * np.log1p(z ** 2) - 0.5 * z ** 2
+            w = np.exp(logw - logw.max())
+            cdf = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1])
+                                                   * 0.5 * np.diff(z))])
+            cdf /= cdf[-1]
+            # strictly increasing for interpolation
+            keep = np.concatenate([[True], np.diff(cdf) > 0])
+            self._tilt_cache[key] = (cdf[keep], z[keep])
+        cdf, z = self._tilt_cache[key]
+        u = stream.rng.random(replicas)
+        return np.interp(u, cdf, z)
+
+    def tail_process(self, horizon, replicas, stream, alpha):
+        z0 = self._tilted_z0(alpha, replicas, stream)
+        z_rest = stream.rng.standard_normal((replicas, horizon))
+        z_all = np.concatenate([z0[:, None], z_rest], axis=1)
+        mults = self.alpha1 * z_all[:, :horizon] ** 2 + self.beta1
+        pi = np.cumprod(mults, axis=1) if horizon else \
+            np.empty((replicas, 0))
+        s0 = np.sqrt(1.0 + z0 ** 2)
+        theta = np.empty((replicas, horizon + 1, 2))
+        theta[:, 0, 0] = 1.0 / s0
+        theta[:, 0, 1] = z0 / s0
+        if horizon:
+            root = np.sqrt(pi) / s0[:, None]
+            theta[:, 1:, 0] = root
+            theta[:, 1:, 1] = root * z_all[:, 1:]
+        return theta
+
+    def stationary_mean(self):
+        return np.zeros(1)
+
+    def tail_direction(self, theta):
+        """X is the second coordinate of the tail process (sigma, X)."""
+        if theta.dim == 1:
+            from .cluster import Direction
+            return Direction([0.0, theta.theta[0]])
+        return theta
+
+    def drift_setup(self, alpha):
+        p = 0.4 * (alpha or 2.0)
+        return p, [np.array([x, x]) for x in np.geomspace(0.5, 32.0, 7)]
+
+    def conditional_states(self, y, m, reps, stream):
+        # state (X_t, sigma_t); sigma'^2 = alpha0 + alpha1 x^2 + beta1 s^2
+        if y.shape != (2,):
+            raise ParameterError("recursion state is (x, sigma)")
+        x = np.full(reps, float(y[0]))
+        s2 = np.full(reps, float(y[1]) ** 2)
+        for _ in range(m):
+            s2 = self.alpha0 + self.alpha1 * x ** 2 + self.beta1 * s2
+            x = np.sqrt(s2) * stream.rng.standard_normal(reps)
+        return np.column_stack([x, np.sqrt(s2)])
 
 
 @dataclass
@@ -345,184 +720,11 @@ def _tail_balance(law: TailLaw) -> tuple[float, float]:
         f"{law.family} is not regularly varying: no tail balance")
 
 
-# ---------------------------------------------------------------------------
-# path simulation
-
-
-def simulate_path(spec, n: int, burn_in: int, stream: RngStream) -> PathMatrix:
-    """Stationary-regime sample of length n after discarding burn_in."""
-    if n < 0 or burn_in < 0:
-        raise ParameterError("n and burn_in must be nonnegative")
-    if isinstance(spec, Var1Spec):
-        values = _var1_paths(spec, n, burn_in, 1, stream)[0]
-    elif isinstance(spec, KestenSpec):
-        if spec.dim == 1:
-            values = _kesten_scalar_paths(spec, n, burn_in, 1, stream)[0]
-            values = values[:, None]
-        else:
-            values = _kesten_vector_path(spec, n, burn_in, stream)
-    elif isinstance(spec, Garch11Spec):
-        values = _garch_paths(spec, n, burn_in, 1, stream)[0][:, None]
-    else:
-        raise ParameterError(f"unsupported spec type {type(spec).__name__}")
-    values = values.reshape(n, -1)
-    return PathMatrix(values, burn_in, stream.stream_id)
-
-
-def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
-                         stream: RngStream) -> np.ndarray:
-    """(replicas, n) observable paths for scalar models; used by the
-    limit-theorem scans. Rows are independent paths."""
-    if replicas < 0:
-        raise ParameterError("replicas must be nonnegative")
-    if isinstance(spec, Var1Spec):
-        if spec.dim != 1:
-            raise ParameterError("batch path simulation is scalar-only")
-        return _var1_paths(spec, n, burn_in, replicas, stream)[..., 0]
-    if isinstance(spec, KestenSpec):
-        if spec.dim != 1:
-            raise ParameterError("batch path simulation is scalar-only")
-        return _kesten_scalar_paths(spec, n, burn_in, replicas, stream)
-    if isinstance(spec, Garch11Spec):
-        return _garch_paths(spec, n, burn_in, replicas, stream)
-    raise ParameterError(f"unsupported spec type {type(spec).__name__}")
-
-
-def _var1_paths(spec: Var1Spec, n: int, burn_in: int, replicas: int,
-                stream: RngStream) -> np.ndarray:
-    d = spec.dim
-    total = n + burn_in
-    if d == 1:
-        a = float(spec.draw_matrix(stream)[0, 0]) if spec.a_matrix is None \
-            else float(spec.a_matrix[0, 0])
-        z = sample_law(stream, spec.innovation,
-                       replicas * total).reshape(replicas, total)
-        z *= spec.weights[0]
-        if spec.a_matrix is None:
-            # one coefficient per path
-            out = np.empty_like(z)
-            coeffs = [a] + [float(spec.draw_matrix(stream)[0, 0])
-                            for _ in range(replicas - 1)]
-            for r in range(replicas):
-                out[r] = lfilter([1.0], [1.0, -coeffs[r]], z[r])
-            x = out
-        else:
-            x = lfilter([1.0], [1.0, -a], z, axis=1)
-        x = x[:, burn_in:]
-        _check_finite(x, "spectral radius below 1")
-        return x[..., None]
-    out = np.empty((replicas, n, d))
-    for r in range(replicas):
-        a = spec.draw_matrix(stream)
-        z = sample_law(stream, spec.innovation,
-                       total * d).reshape(total, d) * spec.weights
-        x = np.zeros(d)
-        for t in range(total):
-            x = a @ x + z[t]
-            if t >= burn_in:
-                out[r, t - burn_in] = x
-        _check_finite(out[r], "spectral radius below 1")
-    return out
-
-
-def _kesten_scalar_paths(spec: KestenSpec, n: int, burn_in: int,
-                         replicas: int, stream: RngStream) -> np.ndarray:
-    total = n + burn_in
-    a = spec.draw_multipliers(stream, replicas * total).reshape(
-        replicas, total)
-    b = spec.draw_additives(stream, replicas * total).reshape(
-        replicas, total)
-    x = np.zeros(replicas)
-    out = np.empty((replicas, n))
-    for t in range(total):
-        x = a[:, t] * x + b[:, t]
-        if t >= burn_in:
-            out[:, t - burn_in] = x
-    _check_finite(out, "negative log-mean of the multiplier law")
-    return out
-
-
-def _kesten_vector_path(spec: KestenSpec, n: int, burn_in: int,
-                        stream: RngStream) -> np.ndarray:
-    total = n + burn_in
-    mats = spec.draw_multipliers(stream, total)
-    adds = spec.draw_additives(stream, total)
-    x = np.zeros(spec.dim)
-    out = np.empty((n, spec.dim))
-    for t in range(total):
-        x = mats[t] @ x + adds[t]
-        if t >= burn_in:
-            out[t - burn_in] = x
-    _check_finite(out, "negative top Lyapunov exponent")
-    return out
-
-
-def _garch_paths(spec: Garch11Spec, n: int, burn_in: int, replicas: int,
-                 stream: RngStream) -> np.ndarray:
-    total = n + burn_in
-    z = stream.rng.standard_normal((replicas, total))
-    a0, a1, b1 = spec.alpha0, spec.alpha1, spec.beta1
-    if a1 + b1 < 1.0:
-        s2 = np.full(replicas, a0 / (1.0 - a1 - b1))
-    else:
-        s2 = np.full(replicas, a0)
-    out = np.empty((replicas, n))
-    for t in range(total):
-        x = np.sqrt(s2) * z[:, t]
-        if t >= burn_in:
-            out[:, t - burn_in] = x
-        s2 = a0 + s2 * (a1 * z[:, t] ** 2 + b1)
-    _check_finite(out, "negative log-mean of the volatility multiplier")
-    return out
-
-
 def _check_finite(x: np.ndarray, invariant: str) -> None:
     if x.size and (not np.all(np.isfinite(x))
                    or np.max(np.abs(x)) > _BLOWUP):
         raise DivergenceError(
             f"simulated recursion diverged; failed invariant: {invariant}")
-
-
-# ---------------------------------------------------------------------------
-# spectral tail process
-
-
-def tail_index(spec) -> float:
-    """Tail index of the stationary law.
-
-    Linear model: inherited from the innovation law. Scalar recurrence /
-    GARCH: unique positive root of the multiplier moment equation, found
-    by bracketing bisection (absolute tolerance well below 1e-8).
-    """
-    if isinstance(spec, Var1Spec):
-        law = spec.innovation
-        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
-            return law.alpha
-        if law.family == randkit.STABLE and law.alpha < 2:
-            return law.alpha
-        raise UnsupportedLawError(
-            "tail index requires a regularly varying innovation law")
-    if isinstance(spec, KestenSpec):
-        if spec.dim != 1:
-            raise UnsupportedLawError(
-                "moment equation implemented for the scalar recursion only")
-        fn = lambda k: _law_moment(spec.a_law, k) - 1.0
-        return _solve_moment_equation(fn)
-    if isinstance(spec, Garch11Spec):
-        fn = lambda k: _garch_power_moment(spec.alpha1, spec.beta1, k) - 1.0
-        return _solve_moment_equation(fn)
-    raise ParameterError(f"unsupported spec type {type(spec).__name__}")
-
-
-def model_alpha(spec) -> float:
-    """Tail index for downstream sampling: the declared ``alpha_hint``
-    when the spec carries one, else the moment-equation root."""
-    hint = getattr(spec, "alpha_hint", None)
-    if hint is not None:
-        if not hint > 0:
-            raise ParameterError("alpha_hint must be positive")
-        return float(hint)
-    return tail_index(spec)
 
 
 def _solve_moment_equation(fn) -> float:
@@ -547,37 +749,6 @@ def _solve_moment_equation(fn) -> float:
                       f"{hi / 2})")
 
 
-def _theta0_two_point(spec) -> tuple[float, float]:
-    """P(Theta_0 = +1), P(Theta_0 = -1) for scalar models.
-
-    Exact from the innovation tail balance and the moving-average
-    coefficients (linear model), or from the sign structure of the
-    additive term (scalar recurrence).
-    """
-    if isinstance(spec, Var1Spec):
-        alpha = tail_index(spec)
-        p_up, p_dn = _tail_balance(spec.innovation)
-        a = float(spec.a_matrix[0, 0])
-        j = np.arange(_SERIES_TERMS)
-        c = a ** j
-        w_up = float(np.sum(np.clip(c, 0, None) ** alpha) * p_up
-                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_dn)
-        w_dn = float(np.sum(np.clip(c, 0, None) ** alpha) * p_dn
-                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_up)
-        tot = w_up + w_dn
-        return w_up / tot, w_dn / tot
-    if isinstance(spec, KestenSpec):
-        fam = spec.b_law.family
-        if fam in _POSITIVE_FAMILIES:
-            return 1.0, 0.0
-        if fam in _SYMMETRIC_FAMILIES or (
-                fam == randkit.STABLE and spec.b_law.skew == 0.0):
-            return 0.5, 0.5
-        raise UnsupportedLawError(
-            "no exact exceedance-angle law for this additive family")
-    raise ParameterError("two-point angle only for scalar models")
-
-
 def _angular_atoms(spec, master_seed: int, pilot_n: int = 200_000,
                    pilot_q: float = 0.999) -> np.ndarray:
     """Empirical exceedance angles from a pilot stationary run (the
@@ -597,48 +768,52 @@ def _angular_atoms(spec, master_seed: int, pilot_n: int = 200_000,
     return cache[key]
 
 
-def _sample_theta0(spec, replicas: int, stream: RngStream) -> np.ndarray:
-    """(replicas, d) draws of the exceedance angle Theta_0."""
-    dim = spec.dim
-    if dim == 1:
-        if isinstance(spec, Var1Spec) and spec.a_matrix is None:
-            # random-coefficient chain: no exact two-point law; use the
-            # pilot exceedance angles (signs, for d = 1)
-            atoms = _angular_atoms(spec, stream.master_seed)
-            idx = stream.rng.integers(0, atoms.shape[0], replicas)
-            return atoms[idx]
-        p_up, _ = _theta0_two_point(spec)
-        if p_up == 1.0:
-            return np.ones((replicas, 1))
-        signs = np.where(stream.rng.random(replicas) < p_up, 1.0, -1.0)
-        return signs[:, None]
-    atoms = _angular_atoms(spec, stream.master_seed)
-    idx = stream.rng.integers(0, atoms.shape[0], replicas)
-    return atoms[idx]
+# ---------------------------------------------------------------------------
+# path simulation
 
 
-def _tilted_z0_table(spec: Garch11Spec, alpha: float):
-    """Inverse CDF table for the size-biased time-zero innovation with
-    density proportional to (1 + z^2)^(alpha/2) exp(-z^2/2)."""
-    key = round(alpha, 12)
-    if key not in spec._tilt_cache:
-        z = np.linspace(-16.0, 16.0, 2 ** 14 + 1)
-        logw = 0.5 * alpha * np.log1p(z ** 2) - 0.5 * z ** 2
-        w = np.exp(logw - logw.max())
-        cdf = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1])
-                                               * 0.5 * np.diff(z))])
-        cdf /= cdf[-1]
-        # strictly increasing for interpolation
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        spec._tilt_cache[key] = (cdf[keep], z[keep])
-    return spec._tilt_cache[key]
+def simulate_path(spec, n: int, burn_in: int, stream: RngStream) -> PathMatrix:
+    """Stationary-regime sample of length n after discarding burn_in."""
+    if n < 0 or burn_in < 0:
+        raise ParameterError("n and burn_in must be nonnegative")
+    values = spec.paths(n, burn_in, 1, stream)[0]
+    return PathMatrix(values, burn_in, stream.stream_id)
 
 
-def _sample_tilted_z0(spec: Garch11Spec, alpha: float, replicas: int,
-                      stream: RngStream) -> np.ndarray:
-    cdf, z = _tilted_z0_table(spec, alpha)
-    u = stream.rng.random(replicas)
-    return np.interp(u, cdf, z)
+def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
+                         stream: RngStream) -> np.ndarray:
+    """(replicas, n) observable paths for scalar models; used by the
+    limit-theorem scans. Rows are independent paths."""
+    if replicas < 0:
+        raise ParameterError("replicas must be nonnegative")
+    if spec.dim != 1:
+        raise ParameterError("batch path simulation is scalar-only")
+    return spec.paths(n, burn_in, replicas, stream)[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# spectral tail process
+
+
+def tail_index(spec) -> float:
+    """Tail index of the stationary law.
+
+    Linear model: inherited from the innovation law. Scalar recurrence /
+    GARCH: unique positive root of the multiplier moment equation, found
+    by bracketing bisection (absolute tolerance well below 1e-8).
+    """
+    return spec.tail_index()
+
+
+def model_alpha(spec) -> float:
+    """Tail index for downstream sampling: the declared ``alpha_hint``
+    when the spec carries one, else the moment-equation root."""
+    hint = getattr(spec, "alpha_hint", None)
+    if hint is not None:
+        if not hint > 0:
+            raise ParameterError("alpha_hint must be positive")
+        return float(hint)
+    return tail_index(spec)
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
@@ -656,68 +831,7 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
     radius = stream.substream(_RADIUS_CHILD)
     alpha = model_alpha(spec)
     radii = randkit.sample_pareto(radius, alpha, replicas)
-    t_len = horizon + 1
-
-    if isinstance(spec, Var1Spec):
-        theta0 = _sample_theta0(spec, replicas, angle)
-        d = spec.dim
-        if spec.a_matrix is not None:
-            a = spec.a_matrix
-            theta = np.empty((replicas, t_len, d))
-            cur = theta0
-            theta[:, 0] = cur
-            for t in range(1, t_len):
-                cur = cur @ a.T
-                theta[:, t] = cur
-        else:
-            theta = np.empty((replicas, t_len, d))
-            theta[:, 0] = theta0
-            mats = np.stack([spec.draw_matrix(angle)
-                             for _ in range(replicas)])
-            cur = theta0
-            for t in range(1, t_len):
-                cur = np.einsum("rij,rj->ri", mats, cur)
-                theta[:, t] = cur
-        return theta, radii
-
-    if isinstance(spec, KestenSpec):
-        theta0 = _sample_theta0(spec, replicas, angle)
-        if spec.dim == 1:
-            mults = spec.draw_multipliers(
-                angle, replicas * horizon).reshape(replicas, horizon) \
-                if horizon else np.empty((replicas, 0))
-            pi = np.cumprod(mults, axis=1)
-            theta = np.empty((replicas, t_len, 1))
-            theta[:, 0] = theta0
-            theta[:, 1:, 0] = pi * theta0
-            return theta, radii
-        theta = np.empty((replicas, t_len, spec.dim))
-        theta[:, 0] = theta0
-        cur = theta0
-        for t in range(1, t_len):
-            mats = spec.draw_multipliers(angle, replicas)
-            cur = np.einsum("rij,rj->ri", mats, cur)
-            theta[:, t] = cur
-        return theta, radii
-
-    if isinstance(spec, Garch11Spec):
-        z0 = _sample_tilted_z0(spec, alpha, replicas, angle)
-        z_rest = angle.rng.standard_normal((replicas, horizon))
-        z_all = np.concatenate([z0[:, None], z_rest], axis=1)
-        mults = spec.alpha1 * z_all[:, :horizon] ** 2 + spec.beta1
-        pi = np.cumprod(mults, axis=1) if horizon else \
-            np.empty((replicas, 0))
-        s0 = np.sqrt(1.0 + z0 ** 2)
-        theta = np.empty((replicas, t_len, 2))
-        theta[:, 0, 0] = 1.0 / s0
-        theta[:, 0, 1] = z0 / s0
-        if horizon:
-            root = np.sqrt(pi) / s0[:, None]
-            theta[:, 1:, 0] = root
-            theta[:, 1:, 1] = root * z_all[:, 1:]
-        return theta, radii
-
-    raise ParameterError(f"unsupported spec type {type(spec).__name__}")
+    return spec.tail_process(horizon, replicas, angle, alpha), radii
 
 
 def sample_tail_process(spec, horizon: int,
@@ -734,7 +848,7 @@ def sample_exceedance_angles(spec, replicas: int,
     empirical angles otherwise."""
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    return _sample_theta0(spec, replicas, stream)
+    return spec.theta0(replicas, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -744,45 +858,12 @@ def sample_exceedance_angles(spec, replicas: int,
 def stationary_tail_constant(spec):
     """(c, alpha, scale) with P(|X| > x) ~ c (x/scale)^(-alpha), when the
     stationary tail follows analytically; None otherwise."""
-    if isinstance(spec, Var1Spec) and spec.dim == 1 \
-            and spec.a_matrix is not None:
-        law = spec.innovation
-        a = abs(float(spec.a_matrix[0, 0]))
-        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
-            base = 1.0
-        elif law.family == randkit.STABLE and law.alpha < 2:
-            base = randkit.stable_tail_constant(law.alpha)
-        else:
-            return None
-        alpha = law.alpha
-        return base / (1.0 - a ** alpha), alpha, \
-            law.scale * spec.weights[0]
-    return None
+    return spec.tail_constant()
 
 
 def stationary_mean(spec):
     """Exact stationary mean vector, when available; None otherwise."""
-    if isinstance(spec, Var1Spec) and spec.a_matrix is not None:
-        try:
-            mz = randkit.law_mean(spec.innovation)
-        except (ParameterError, UnsupportedLawError):
-            return None
-        if not math.isfinite(mz):
-            return None
-        rhs = mz * spec.weights
-        return np.linalg.solve(np.eye(spec.dim) - spec.a_matrix, rhs)
-    if isinstance(spec, Garch11Spec):
-        return np.zeros(1)
-    if isinstance(spec, KestenSpec) and spec.dim == 1:
-        try:
-            ma = _law_moment(spec.a_law, 1.0)
-            mb = randkit.law_mean(spec.b_law)
-        except (ParameterError, UnsupportedLawError):
-            return None
-        if not (math.isfinite(ma) and math.isfinite(mb)) or ma >= 1.0:
-            return None
-        return np.array([mb / (1.0 - ma)])
-    return None
+    return spec.stationary_mean()
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +884,7 @@ def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
     v_state = np.array([np.linalg.norm(g) ** p for g in grid])
     v_next = np.empty(len(grid))
     for i, y in enumerate(grid):
-        nxt = _conditional_states(spec, y, m, reps_per_state, stream)
+        nxt = spec.conditional_states(y, m, reps_per_state, stream)
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(
                 "conditional simulation diverged from grid state "
@@ -827,42 +908,6 @@ def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
                        grid_v=v_state, response_v=v_next)
 
 
-def _conditional_states(spec, y: np.ndarray, m: int, reps: int,
-                        stream: RngStream) -> np.ndarray:
-    """reps draws of the chain state m steps after starting at y."""
-    if isinstance(spec, Var1Spec):
-        d = spec.dim
-        cur = np.tile(y, (reps, 1))
-        for _ in range(m):
-            z = sample_law(stream, spec.innovation,
-                           reps * d).reshape(reps, d) * spec.weights
-            if spec.a_matrix is not None:
-                cur = cur @ spec.a_matrix.T + z
-            else:
-                mats = np.stack([spec.draw_matrix(stream)
-                                 for _ in range(reps)])
-                cur = np.einsum("rij,rj->ri", mats, cur) + z
-        return cur
-    if isinstance(spec, KestenSpec) and spec.dim == 1:
-        cur = np.full(reps, float(y[0]))
-        for _ in range(m):
-            a = spec.draw_multipliers(stream, reps)
-            b = spec.draw_additives(stream, reps)
-            cur = a * cur + b
-        return cur[:, None]
-    if isinstance(spec, Garch11Spec):
-        # state (X_t, sigma_t); sigma'^2 = alpha0 + alpha1 x^2 + beta1 s^2
-        if y.shape != (2,):
-            raise ParameterError("recursion state is (x, sigma)")
-        x = np.full(reps, float(y[0]))
-        s2 = np.full(reps, float(y[1]) ** 2)
-        for _ in range(m):
-            s2 = spec.alpha0 + spec.alpha1 * x ** 2 + spec.beta1 * s2
-            x = np.sqrt(s2) * stream.rng.standard_normal(reps)
-        return np.column_stack([x, np.sqrt(s2)])
-    raise ParameterError(f"unsupported spec type {type(spec).__name__}")
-
-
 def acf_functional_path(spec, lag_max: int, n: int,
                         stream: RngStream) -> PathMatrix:
     """Path of the lag products (X_t X_{t-1}, ..., X_t X_{t-h}) with the
@@ -871,11 +916,8 @@ def acf_functional_path(spec, lag_max: int, n: int,
         raise ParameterError("lag_max must be nonnegative")
     if n <= lag_max:
         raise ParameterError("n must exceed lag_max")
-    if isinstance(spec, (Garch11Spec, KestenSpec, Var1Spec)):
-        if isinstance(spec, (KestenSpec, Var1Spec)) and spec.dim != 1:
-            raise ParameterError("lag-product functional is scalar-only")
-    else:
-        raise ParameterError(f"unsupported spec type {type(spec).__name__}")
+    if spec.dim != 1:
+        raise ParameterError("lag-product functional is scalar-only")
     burn = 1000
     x = simulate_path(spec, n, burn, stream).values[:, 0]
     h = lag_max

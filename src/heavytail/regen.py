@@ -115,7 +115,7 @@ class KacReport:
 
 def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
                            stream: RngStream = None) -> MinorizationSpec:
-    """Split construction for the scalar fixed-coefficient linear chain.
+    """Split construction for the scalar linear chain.
 
     Gaussian innovations (any |a| < 1): over {|x| <= M} the transition
     density is bounded below by g(y) = phi((|y| + |a|M)/s)/s, giving
@@ -125,11 +125,9 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
     g(y) = f_Z(y + aM) on {y >= s + aM}, epsilon = ((s + 2aM)/s)^(-alpha),
     nu sampled by shifting a truncated Pareto draw.
     """
-    if not isinstance(spec, models.Var1Spec) or spec.dim != 1 \
-            or spec.a_matrix is None:
+    if not isinstance(spec, models.Var1Spec) or spec.dim != 1:
         raise UnsupportedCaseError(
-            "split construction implemented for the scalar "
-            "fixed-coefficient linear chain")
+            "split construction implemented for the scalar linear chain")
     a = float(spec.a_matrix[0, 0])
     law = spec.innovation
     scale = law.scale * float(spec.weights[0])
@@ -321,11 +319,9 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
 
 
 def _fast_var1_loop(spec, minorization):
-    """Specialized harvest loop for the scalar fixed-coefficient linear
-    chain with Gaussian or Pareto innovations (pooled draws, scalar
-    math)."""
-    if not (isinstance(spec, models.Var1Spec) and spec.dim == 1
-            and spec.a_matrix is not None):
+    """Specialized harvest loop for the scalar linear chain with Gaussian
+    or Pareto innovations (pooled draws, scalar math)."""
+    if not (isinstance(spec, models.Var1Spec) and spec.dim == 1):
         return None
     law = spec.innovation
     if law.family not in (randkit.GAUSSIAN, randkit.PARETO):

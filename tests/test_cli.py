@@ -206,6 +206,15 @@ class TestMain:
         assert main(["stable-check", "--config", cfg]) == 3
         assert "numeric-regime error" in capsys.readouterr().err
 
+    def test_regen_check_on_recurrence_exit_two(self, tmp_path, capsys):
+        cfg = self._write(
+            tmp_path,
+            "command = regen-check\nmodel = kesten\nseed = 5\nn = 1000\n"
+            f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["regen-check", "--config", cfg]) == 2
+        assert "scalar linear chain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
         missing = str(tmp_path / "no-such-file.cfg")
         assert main(["simulate", "--config", missing]) == 2

@@ -17,7 +17,7 @@ from heavytail.cluster import (ClusterIndexEstimate, Direction,
                                closed_form_cluster_index,
                                cluster_index_tail_process, extremal_index,
                                nu_alpha, telescoping_difference)
-from heavytail.errors import ParameterError
+from heavytail.errors import ParameterError, UnsupportedCaseError
 from heavytail.randkit import TailLaw, derive_stream
 
 B_TARGET = 2.0 ** 1.5 - 1.0
@@ -77,6 +77,14 @@ class TestClosedForm:
         est = closed_form_cluster_index(spec, Direction([1.0]), 4000,
                                         derive_stream(41, 4))
         assert abs(est.value - B_TARGET) < 1e-8
+
+
+    def test_volatility_recursion_has_no_closed_form(self,
+                                                     garch_benchmark):
+        assert not garch_benchmark.has_closed_form
+        with pytest.raises(UnsupportedCaseError):
+            closed_form_cluster_index(garch_benchmark, Direction([0.0, 1.0]),
+                                      1000, derive_stream(10, 9))
 
 
 class TestTailProcessRoute:

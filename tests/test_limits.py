@@ -153,6 +153,15 @@ class TestLdp:
         with pytest.raises(WidenRError):
             ldp_scan(iid_pareto08, PLUS, 100, 500, derive_stream(52, 2))
 
+    def test_widen_names_every_short_point(self, iid_pareto08):
+        b_n, c_n = ldp_region(0.8, 100)
+        xs = np.geomspace(b_n, c_n, 13)[1:]
+        with pytest.raises(WidenRError) as err:
+            ldp_scan(iid_pareto08, PLUS, 100, 500, derive_stream(52, 2))
+        message = str(err.value)
+        for x in xs[-2:]:
+            assert f"x={x:.6g} (" in message
+
     def test_explicit_region_is_respected(self, iid_pareto08):
         b_n, _ = ldp_region(0.8, 100)
         res = ldp_scan(iid_pareto08, PLUS, 100, 50_000,

@@ -82,13 +82,9 @@ class TestSpecValidation:
             models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
                             a_matrix=np.array([[1.01]]))
 
-    def test_var1_requires_exactly_one_coefficient_source(self):
-        law = TailLaw(randkit.PARETO, alpha=1.5)
+    def test_var1_requires_a_matrix(self):
         with pytest.raises(ParameterError):
-            models.Var1Spec(1, law)
-        with pytest.raises(ParameterError):
-            models.Var1Spec(1, law, a_matrix=np.array([[0.5]]),
-                            a_sampler=lambda s: np.array([[0.5]]))
+            models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5))
 
     def test_garch_requires_negative_log_moment(self):
         with pytest.raises(HeavytailError):
@@ -148,6 +144,14 @@ class TestSimulatePath:
         batch = models.simulate_paths_batch(ar_pareto15, 64, 16, 5,
                                             derive_stream(4, 4))
         assert batch.shape == (5, 64)
+
+    def test_scalar_only_kernels_reject_two_dimensional_chain(self):
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.eye(2) * 0.5)
+        with pytest.raises(ParameterError):
+            models.simulate_paths_batch(spec, 64, 16, 5, derive_stream(4, 5))
+        with pytest.raises(ParameterError):
+            models.acf_functional_path(spec, 2, 100, derive_stream(4, 6))
 
 
 class TestTailProcess:
