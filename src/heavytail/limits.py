@@ -198,46 +198,28 @@ def _sum_centering(spec, n: int, alpha: float, stream: RngStream):
     return float(pilot.values[:, 0].mean()), "sample"
 
 
-def _survival_fn(spec, stream: RngStream):
-    """P(|X| > x) for the stationary law: analytic power tail when
-    available, else a Hill fit on a pilot run."""
+def _power_tail(spec, stream: RngStream):
+    """(c, alpha, scale, kind) with P(|X| > x) ~ c (x / scale)^(-alpha)
+    for the stationary law: the analytic power tail when available, else
+    a Hill fit on a pilot run (c = k/n above the threshold)."""
     analytic = models.stationary_tail_constant(spec)
     if analytic is not None:
         c, alpha, scale = analytic
-
-        def surv(x):
-            return c * (np.asarray(x, dtype=float) / scale) ** (-alpha)
-        return surv, "analytic"
+        return c, alpha, scale, "analytic"
     pilot = models.simulate_path(
         spec, _PILOT_N, _PILOT_BURN,
         randkit.derive_stream(stream.master_seed, _PILOT_STREAM_ID + 1))
     x = np.abs(pilot.values[:, 0])
     k = tailstats.default_hill_k(x.size)
     fit = tailstats.hill_estimate(x, k)
-    frac = k / x.size
-
-    def surv(xq):
-        return frac * (np.asarray(xq, dtype=float)
-                       / fit.threshold) ** (-fit.alpha_hat)
-    return surv, "hill"
+    return k / x.size, fit.alpha_hat, fit.threshold, "hill"
 
 
 def _a_n_for(spec, n: int, stream: RngStream) -> float:
-    """Normalizing a_n with n P(|X| > a_n) = 1 for the stationary law."""
-    analytic = models.stationary_tail_constant(spec)
-    if analytic is not None:
-        c, alpha, scale = analytic
-        return scale * (n * c) ** (1.0 / alpha)
-    surv, _ = _survival_fn(spec, stream)
-    # invert the fitted power tail
-    lo, hi = 1e-6, 1e18
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if n * float(surv(mid)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    """Normalizing a_n with n P(|X| > a_n) = 1 for the stationary law,
+    by inverting the (analytic or fitted) power tail."""
+    c, alpha, scale, _ = _power_tail(spec, stream)
+    return scale * (n * c) ** (1.0 / alpha)
 
 
 def _b_pair_for(spec, theta: Direction, stream: RngStream,
@@ -345,7 +327,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
-    surv, denom_kind = _survival_fn(spec, stream)
+    c, alpha_tail, scale, _ = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, n, alpha, stream)
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,
@@ -360,7 +342,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
         raise WidenRError(
             f"fewer than 50 exceedances at {short.size} grid point(s): "
             f"{points}; widen the replica budget")
-    denom = n * np.asarray(surv(xs), dtype=float)
+    denom = n * (c * (xs / scale) ** (-alpha_tail))
     ratios = counts / reps / denom
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom

@@ -45,10 +45,10 @@ RUN_DIGESTS = {
                         "f2493a5d28a0bedef3aaa3dd93e49a98",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "2f1a6269350abd228fefbf79db00b982"
-                         "719a496e20c335f6b50a49cc706ff65e",
-        "summary.json": "c2ffeced4bdde09926fa44595f216abd"
-                        "5d715ff8494e08e7a1557f2f5f235187",
+        "stable_cf.csv": "1ed4e7f7903fcb025809605e152319ef"
+                         "627204021724963951e65c4a62e9dbaf",
+        "summary.json": "5d6e3cd5c90b7962670b1e50493cd77b"
+                        "ad437149206e7435b638ec8289ed2080",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "40dcdbddd096732aa98748ae7697ad9e"
