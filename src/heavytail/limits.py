@@ -357,8 +357,10 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
 
 
 def gaussian_sigma(blocks) -> GaussianCltReport:
-    """Long-run covariance: cycle-sum second moment over the mean cycle
-    length, cross-checked against non-overlapping batch means."""
+    """Long-run covariance: second moment of the centred cycle sums
+    S_i - mu_hat L_i (mu_hat = sum S / sum L, the regenerative mean) over
+    the mean cycle length, cross-checked against non-overlapping batch
+    means."""
     sums = np.atleast_2d(np.asarray(blocks.block_sums, dtype=float))
     k = sums.shape[0]
     if k < 30:
@@ -366,7 +368,8 @@ def gaussian_sigma(blocks) -> GaussianCltReport:
             f"{k} complete cycles; need at least 30")
     lengths = np.diff(np.asarray(blocks.cycle_starts, dtype=float))
     mean_len = float(np.mean(lengths))
-    sigma_hat = (sums.T @ sums) / k / mean_len
+    resid = sums - np.outer(lengths, sums.sum(axis=0) / lengths.sum())
+    sigma_hat = (resid.T @ resid) / k / mean_len
     path = np.atleast_2d(np.asarray(blocks.path, dtype=float))
     if path.shape[0] < path.shape[1]:
         path = path.T

@@ -29,8 +29,8 @@ RUN_DIGESTS = {
     "golden_regen.cfg": {
         "cycles.csv": "1c2797b0df44cebff1b39fa6b03d5586"
                       "2fea212abef5ad5425da6e27c180965b",
-        "summary.json": "a8e36b8ec8a2a01c421fd28a7bc0a995"
-                        "729d968086888761370cf61f51551284",
+        "summary.json": "579142ddb3080d67ff2f08eaa8c4d630"
+                        "83eb6405e4b63219c5a05a86d479cf12",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"

@@ -200,6 +200,16 @@ class TestGaussianSigma:
         assert rep.rel_gap < 0.10
         assert rep.n_cycles == blocks.n_cycles
 
+    def test_iid_pareto_blocks_recover_centred_variance(self):
+        # Pareto(5) has mean 5/4 and variance 5/48; uncentred cycle sums
+        # would give the second moment 5/3 instead
+        law = TailLaw(randkit.PARETO, alpha=5.0)
+        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        blocks = regen.harvest_blocks(spec, regen.make_iid_minorization(law),
+                                      200_000, derive_stream(53, 5))
+        rep = gaussian_sigma(blocks)
+        assert abs(rep.sigma_hat[0, 0] - 5.0 / 48.0) / (5.0 / 48.0) < 0.10
+
     def test_dependent_chain_matches_analytic_long_run(self, ar_gauss):
         # long-run variance of the a = 1/2 Gaussian chain:
         # (1/(1-a))^2 = 4
