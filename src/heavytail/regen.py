@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .errors import (InsufficientCyclesError, MinorizationInvalidError,
@@ -13,7 +14,6 @@ from .errors import (InsufficientCyclesError, MinorizationInvalidError,
 from . import models, randkit, tailstats
 from .randkit import RngStream, TailLaw
 
-_POOL = 1 << 20
 _REJECT_GUARD = 1_000_000
 _SQRT2 = math.sqrt(2.0)
 
@@ -25,15 +25,18 @@ def _phibar(t: float) -> float:
 
 @dataclass
 class MinorizationSpec:
-    """Minorization p(x, .) >= epsilon nu(.) for x in the small set,
-    together with the model transition itself (sampler and density) so
-    the split chain can be run without further model knowledge.
+    """Minorization p(x, .) >= epsilon nu(.) for x in the small set
+    {|x| <= m_bound}, together with the model transition itself.
 
-    ``m_bound`` is the half-width M of the small set {|x| <= M}; when it
-    was chosen by the pilot-quantile heuristic, ``heuristic`` is True.
+    ``nu_sampler`` draws the regeneration law; ``transition_sampler``
+    draws one step of the chain (used by ``split_step``). The densities
+    ``transition_density(x, y)`` and ``nu_density(y)`` accept arrays;
+    the harvest marks regenerations with probability
+    epsilon nu(y) / p(x, y), and needs neither when epsilon is 1 (an
+    atom). When ``m_bound`` was chosen by the pilot-quantile heuristic,
+    ``heuristic`` is True.
     """
 
-    small_set: object
     epsilon: float
     nu_sampler: object
     transition_sampler: object = None
@@ -143,9 +146,6 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
     if not m_bound > 0:
         raise ParameterError("m_bound must be positive")
 
-    def small_set(x):
-        return abs(float(x)) <= m_bound
-
     if law.family == randkit.GAUSSIAN:
         c = abs(a) * m_bound
         pb = _phibar(c / scale)
@@ -161,13 +161,13 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
                 stream.rng.standard_normal())
 
         def transition_density(x, y):
-            z = (float(y) - a * float(x)) / scale
-            return math.exp(-0.5 * z * z) / (scale * math.sqrt(2 * math.pi))
+            z = (y - a * x) / scale
+            return np.exp(-0.5 * z * z) / (scale * math.sqrt(2 * math.pi))
 
         def nu_density(y):
-            t = (abs(float(y)) + c) / scale
+            t = (np.abs(y) + c) / scale
             # the two-sided bound integrates to eps; nu = bound / eps
-            return math.exp(-0.5 * t * t) / (
+            return np.exp(-0.5 * t * t) / (
                 scale * math.sqrt(2 * math.pi)) / eps
     elif law.family == randkit.PARETO:
         if a < 0:
@@ -187,23 +187,21 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
             return a * float(x) + scale * u ** (-1.0 / alpha)
 
         def transition_density(x, y):
-            z = float(y) - a * float(x)
-            if z < scale:
-                return 0.0
-            return alpha / scale * (z / scale) ** (-alpha - 1.0)
+            z = y - a * x
+            return np.where(z < scale, 0.0, alpha / scale * (
+                np.maximum(z, scale) / scale) ** (-alpha - 1.0))
 
         def nu_density(y):
-            z = float(y) + c
-            if float(y) < scale + c:
-                return 0.0
-            return alpha / scale * (z / scale) ** (-alpha - 1.0) / eps
+            z = np.maximum(y + c, lo)
+            return np.where(y < scale + c, 0.0, alpha / scale * (
+                z / scale) ** (-alpha - 1.0) / eps)
     else:
         raise UnsupportedCaseError(
             f"no split construction for {law.family} innovations")
     if not 0.0 < eps <= 1.0:
         raise MinorizationInvalidError(
             f"derived epsilon {eps:.3g} outside (0, 1]")
-    return MinorizationSpec(small_set=small_set, epsilon=eps,
+    return MinorizationSpec(epsilon=eps,
                             nu_sampler=nu_sampler,
                             transition_sampler=transition_sampler,
                             transition_density=transition_density,
@@ -214,20 +212,14 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
 def make_iid_minorization(law: TailLaw) -> MinorizationSpec:
     """Whole-space atom for an iid chain: epsilon = 1, nu = the law
     itself; every step regenerates and cycles have length 1."""
-    def small_set(x):
-        return True
-
     def nu_sampler(stream):
         return float(randkit.sample_law(stream, law, 1)[0])
 
     def transition_sampler(x, stream):
         return nu_sampler(stream)
 
-    return MinorizationSpec(small_set=small_set, epsilon=1.0,
-                            nu_sampler=nu_sampler,
-                            transition_sampler=transition_sampler,
-                            transition_density=None, nu_density=None,
-                            m_bound=math.inf, heuristic=False)
+    return MinorizationSpec(epsilon=1.0, nu_sampler=nu_sampler,
+                            transition_sampler=transition_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +231,7 @@ def split_step(state, minorization: MinorizationSpec, stream: RngStream):
     probability epsilon on the small set, else draw from the residual
     kernel by rejection against the minorizing bound."""
     eps = minorization.epsilon
-    if minorization.small_set(state):
+    if abs(state) <= minorization.m_bound:
         if float(stream.rng.random()) < eps:
             return minorization.nu_sampler(stream), True
         if minorization.transition_density is None \
@@ -262,147 +254,51 @@ def split_step(state, minorization: MinorizationSpec, stream: RngStream):
     return minorization.transition_sampler(state, stream), False
 
 
-class _Bookkeeper:
-    """Chronological segment bookkeeping shared by the harvest loops."""
-
-    def __init__(self):
-        self.starts = []
-        self.blocks = []
-        self.head = None
-        self.seg = 0.0
-        self.total = 0.0
-
-    def step(self, t, x, regenerated):
-        if regenerated:
-            if self.head is None:
-                self.head = self.seg
-            else:
-                self.blocks.append(self.seg)
-            self.total += self.seg
-            self.starts.append(t)
-            self.seg = 0.0
-        self.seg += x
-
-    def finish(self, n, path):
-        self.total += self.seg
-        if not self.starts:
-            raise NoCyclesError(
-                "no regenerations observed; increase n or epsilon")
-        head = 0.0 if self.head is None else self.head
-        return RegenBlocks(cycle_starts=np.array(self.starts),
-                           block_sums=np.array(self.blocks).reshape(-1, 1),
-                           head_sum=np.array([head]),
-                           tail_sum=np.array([self.seg]),
-                           total=np.array([self.total]),
-                           path=path.reshape(-1, 1), n=n)
-
-
 def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
                    stream: RngStream) -> RegenBlocks:
-    """Run the split chain n steps from a regeneration (the first state
-    is a nu draw) and record the block decomposition of S_n."""
+    """Simulate the scalar linear chain n steps from a regeneration (the
+    first state is a nu draw) and mark regenerations retrospectively
+    (Mykland, Tierney & Yu 1995): after a small-set state x_t, time t+1
+    regenerates with probability epsilon nu(x_{t+1}) / p(x_t, x_{t+1}).
+    The split chain built this way has the law of Nummelin's, so the
+    cycles between regenerations are iid. Records the block
+    decomposition of S_n."""
+    if not (isinstance(spec, models.Var1Spec) and spec.dim == 1):
+        raise UnsupportedCaseError(
+            "regeneration harvest implemented for the scalar linear chain")
     if n < 1:
         raise ParameterError("n must be at least 1")
-    fast = _fast_var1_loop(spec, minorization)
-    if fast is not None:
-        return fast(n, stream)
-    book = _Bookkeeper()
-    path = np.empty(n)
-    x = minorization.nu_sampler(stream)
-    book.step(0, float(x), True)
-    path[0] = x
-    for t in range(1, n):
-        x, regen = split_step(x, minorization, stream)
-        book.step(t, float(x), regen)
-        path[t] = x
-    return book.finish(n, path)
-
-
-def _fast_var1_loop(spec, minorization):
-    """Specialized harvest loop for the scalar linear chain with Gaussian
-    or Pareto innovations (pooled draws, scalar math)."""
-    if not (isinstance(spec, models.Var1Spec) and spec.dim == 1):
-        return None
-    law = spec.innovation
-    if law.family not in (randkit.GAUSSIAN, randkit.PARETO):
-        return None
-    if not math.isfinite(minorization.m_bound):
-        return None
     a = float(spec.a_matrix[0, 0])
-    scale = law.scale * float(spec.weights[0])
-    m_bound = minorization.m_bound
+    x0 = float(minorization.nu_sampler(stream))
+    z = spec.weights[0] * randkit.sample_law(stream, spec.innovation, n - 1)
+    path = lfilter([1.0], [1.0, -a], np.concatenate(([x0], z)))
+    u = stream.rng.random(n - 1)
+    t = np.flatnonzero(np.abs(path[:-1]) <= minorization.m_bound)
     eps = minorization.epsilon
-    nu_sampler = minorization.nu_sampler
-    gaussian = law.family == randkit.GAUSSIAN
-    if not gaussian and a < 0:
-        return None
-    c = abs(a) * m_bound
-    inv_alpha = 0.0 if gaussian else 1.0 / law.alpha
-    neg_ap1 = 0.0 if gaussian else -(law.alpha + 1.0)
-
-    def run(n, stream):
-        rng = stream.rng
-        pool_u = rng.random(_POOL)
-        pool_z = rng.standard_normal(_POOL) if gaussian else \
-            (1.0 - rng.random(_POOL)) ** (-inv_alpha)
-        iu = iz = 0
-        exp_ = math.exp
-        path = np.empty(n)
-        book = _Bookkeeper()
-        x = float(nu_sampler(stream))
-        book.step(0, x, True)
-        path[0] = x
-        for t in range(1, n):
-            if -m_bound <= x <= m_bound:
-                if iu == _POOL:
-                    pool_u = rng.random(_POOL)
-                    iu = 0
-                if pool_u[iu] < eps:
-                    iu += 1
-                    x = float(nu_sampler(stream))
-                    book.step(t, x, True)
-                    path[t] = x
-                    continue
-                iu += 1
-                ax = a * x
-                for _ in range(_REJECT_GUARD):
-                    if iz == _POOL:
-                        pool_z = rng.standard_normal(_POOL) if gaussian \
-                            else (1.0 - rng.random(_POOL)) ** (-inv_alpha)
-                        iz = 0
-                    z = pool_z[iz]
-                    iz += 1
-                    y = ax + scale * z
-                    if gaussian:
-                        t2 = (abs(y) + c) / scale
-                        ratio = exp_(0.5 * (z * z - t2 * t2))
-                    else:
-                        ratio = ((y + c) / (scale * z)) ** neg_ap1 \
-                            if y >= scale + c else 0.0
-                    if iu == _POOL:
-                        pool_u = rng.random(_POOL)
-                        iu = 0
-                    accept = pool_u[iu] >= ratio
-                    iu += 1
-                    if accept:
-                        x = y
-                        break
-                else:
-                    raise MinorizationInvalidError(
-                        "residual rejection did not accept within "
-                        f"{_REJECT_GUARD} proposals")
-            else:
-                if iz == _POOL:
-                    pool_z = rng.standard_normal(_POOL) if gaussian \
-                        else (1.0 - rng.random(_POOL)) ** (-inv_alpha)
-                    iz = 0
-                x = a * x + scale * pool_z[iz]
-                iz += 1
-            book.step(t, x, False)
-            path[t] = x
-        return book.finish(n, path)
-
-    return run
+    if eps == 1.0:
+        ratio = 1.0
+    else:
+        x, y = path[t], path[t + 1]
+        p = minorization.transition_density(x, y)
+        g = eps * minorization.nu_density(y)
+        bad = np.flatnonzero((p <= 0.0) | (g > p * (1.0 + 1e-9)))
+        if bad.size:
+            i = bad[0]
+            raise MinorizationInvalidError(
+                f"minorizing bound exceeds the transition density at "
+                f"{bad.size} small-set step(s), first x={x[i]:.6g} -> "
+                f"y={y[i]:.6g}; epsilon too large for this small set")
+        ratio = g / p
+    starts = np.concatenate(([0], t[u[t] < ratio] + 1))
+    segments = np.add.reduceat(path, starts)
+    # S_n as a chronological left fold of head (empty: the chain starts
+    # at a regeneration), complete blocks and tail
+    total = np.add.accumulate(np.concatenate(([0.0], segments)))[-1]
+    return RegenBlocks(cycle_starts=starts,
+                       block_sums=segments[:-1].reshape(-1, 1),
+                       head_sum=np.array([0.0]),
+                       tail_sum=segments[-1:], total=np.array([total]),
+                       path=path.reshape(-1, 1), n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "1c2797b0df44cebff1b39fa6b03d5586"
-                      "2fea212abef5ad5425da6e27c180965b",
-        "summary.json": "579142ddb3080d67ff2f08eaa8c4d630"
-                        "83eb6405e4b63219c5a05a86d479cf12",
+        "cycles.csv": "96efd7ea20de78ec6dc1668e8ce32c76"
+                      "501a6937bf4da7b1260a459e3e5abedd",
+        "summary.json": "a2228a7fb6bebb042cfa039ad903d819"
+                        "336a2a88d5e17ba481f5239bbc02d359",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"

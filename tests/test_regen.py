@@ -26,6 +26,20 @@ def gauss_mino(ar_gauss):
 
 
 @pytest.fixture
+def bad_mino():
+    """Gaussian a = 1/2 chain on {|x| <= 1} with epsilon far above the
+    true minorization mass: eps nu(y) exceeds p(x, y) near y = 0."""
+    return MinorizationSpec(
+        epsilon=0.5,
+        nu_sampler=lambda stream: float(stream.rng.normal()),
+        transition_sampler=lambda x, stream: 0.5 * x
+        + float(stream.rng.normal()),
+        transition_density=lambda x, y: stats.norm.pdf(y - 0.5 * x),
+        nu_density=lambda y: stats.norm.pdf(y) * 5.0,
+        m_bound=1.0, heuristic=False)
+
+
+@pytest.fixture
 def pareto_chain():
     return models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.8),
                            a_matrix=np.array([[0.5]]))
@@ -88,22 +102,13 @@ class TestSplitStepFidelity:
                        / 20_000.0)
         assert abs(p_hat - gauss_mino.epsilon) < 4 * se
 
-    def test_invalid_split_detected(self):
+    def test_invalid_split_detected(self, bad_mino):
         # epsilon far above the true minorization mass: the residual
         # density goes negative and the rejection sampler reports it
-        bad = MinorizationSpec(
-            small_set=lambda x: abs(x) <= 1.0,
-            epsilon=0.5,
-            nu_sampler=lambda stream: float(stream.rng.normal()),
-            transition_sampler=lambda x, stream: 0.5 * x
-            + float(stream.rng.normal()),
-            transition_density=lambda x, y: stats.norm.pdf(y - 0.5 * x),
-            nu_density=lambda y: stats.norm.pdf(y) * 5.0,
-            m_bound=1.0, heuristic=False)
         st = derive_stream(61, 5)
         with pytest.raises(MinorizationInvalidError):
             for _ in range(200):
-                split_step(0.0, bad, st)
+                split_step(0.0, bad_mino, st)
 
 
 class TestHarvest:
@@ -137,6 +142,33 @@ class TestHarvest:
                                 derive_stream(62, 4))
         assert np.array_equal(blocks.reconstruct_total(), blocks.total)
         assert blocks.n_cycles > 1000
+
+    def test_invalid_split_detected(self, ar_gauss, bad_mino):
+        with pytest.raises(MinorizationInvalidError, match="x="):
+            harvest_blocks(ar_gauss, bad_mino, 10_000,
+                           derive_stream(62, 6))
+
+    def test_regeneration_share_on_small_set(self, ar_gauss, gauss_mino):
+        # after a small-set state the next step regenerates with
+        # probability epsilon, whatever the state
+        blocks = harvest_blocks(ar_gauss, gauss_mino, 200_000,
+                                derive_stream(62, 7))
+        x = blocks.path[:, 0]
+        regenerated = np.zeros(x.size, dtype=bool)
+        regenerated[blocks.cycle_starts] = True
+        on_set = np.abs(x[:-1]) <= gauss_mino.m_bound
+        hits = regenerated[1:][on_set]
+        eps = gauss_mino.epsilon
+        se = math.sqrt(eps * (1 - eps) / hits.size)
+        assert abs(hits.mean() - eps) < 4 * se
+        # regenerations only ever follow a small-set state
+        assert not regenerated[1:][~on_set].any()
+
+    def test_unsupported_spec_rejected(self, kesten_lognormal,
+                                       gauss_mino):
+        with pytest.raises(UnsupportedCaseError):
+            harvest_blocks(kesten_lognormal, gauss_mino, 1000,
+                           derive_stream(62, 8))
 
     def test_determinism(self, ar_gauss, gauss_mino):
         b1 = harvest_blocks(ar_gauss, gauss_mino, 20_000,
