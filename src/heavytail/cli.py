@@ -393,7 +393,7 @@ def _cmd_simulate(config, spec, writer, threads):
     if burn is None:
         burn = 1000
     path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
-    rows = [(t, *path.values[t]) for t in range(n)]
+    rows = ((t, *path.values[t]) for t in range(n))
     d = path.values.shape[1]
     writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(d)], rows)
     summary = {"n": n, "burn_in": burn,
@@ -504,8 +504,8 @@ def _cmd_regen_check(config, spec, writer, threads):
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
     starts = blocks.cycle_starts
     lengths = blocks.cycle_lengths()
-    rows = [(i, int(starts[i]), int(lengths[i]), blocks.block_sums[i, 0])
-            for i in range(blocks.n_cycles)]
+    rows = ((i, int(starts[i]), int(lengths[i]), blocks.block_sums[i, 0])
+            for i in range(blocks.n_cycles))
     writer.csv("cycles.csv", ["cycle", "start", "length", "block_sum"],
                rows)
     summary = {"n": config.get("n"), "n_cycles": blocks.n_cycles,
