@@ -89,13 +89,11 @@ class RegenBlocks:
         return np.diff(self.cycle_starts)
 
     def reconstruct_total(self) -> np.ndarray:
-        """Refold head + blocks + tail in chronological order."""
-        acc = np.zeros_like(self.head_sum)
-        acc = acc + self.head_sum
-        for i in range(self.block_sums.shape[0]):
-            acc = acc + self.block_sums[i]
-        acc = acc + self.tail_sum
-        return acc
+        """Refold head + blocks + tail in chronological order (a left
+        fold from zero)."""
+        pieces = np.vstack([np.zeros_like(self.head_sum), self.head_sum,
+                            self.block_sums, self.tail_sum])
+        return np.add.accumulate(pieces, axis=0)[-1]
 
 
 @dataclass

@@ -118,6 +118,18 @@ class TestHarvest:
         assert np.array_equal(blocks.reconstruct_total(), blocks.total)
         assert blocks.n == 100_000
         assert blocks.path.shape == (100_000, 1)
+        # two columns: the refold matches a row-by-row loop bit for bit
+        two = regen.RegenBlocks(
+            cycle_starts=blocks.cycle_starts,
+            block_sums=np.hstack([blocks.block_sums,
+                                  blocks.block_sums ** 2]),
+            head_sum=np.array([0.25, -1.5]),
+            tail_sum=np.array([blocks.tail_sum[0], 3.0]),
+            total=np.zeros(2), path=blocks.path, n=blocks.n)
+        acc = np.zeros(2) + two.head_sum
+        for row in two.block_sums:
+            acc = acc + row
+        assert np.array_equal(two.reconstruct_total(), acc + two.tail_sum)
 
     def test_total_equals_path_sum_to_float_tolerance(self, ar_gauss,
                                                       gauss_mino):
