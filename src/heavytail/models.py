@@ -9,6 +9,7 @@ shared argument checks and delegate to the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -644,11 +645,7 @@ def _law_log_mean(law: TailLaw) -> float:
     if law.family == randkit.PARETO:
         # log X ~ scale shift + Exp(alpha)
         return math.log(law.scale) + 1.0 / law.alpha
-    stream = derive_stream(_FIXED_MC_SEED, 0x1B)
-    draws = sample_law(stream, law, 200_000)
-    if np.any(draws <= 0):
-        raise ParameterError("multiplier law must be positive")
-    return float(np.mean(np.log(draws)))
+    return float(np.mean(np.log(_moment_draws(law))))
 
 
 def _lyapunov_exponent(spec: KestenSpec) -> float:
@@ -669,17 +666,22 @@ def _lyapunov_exponent(spec: KestenSpec) -> float:
     return acc / steps
 
 
+@functools.lru_cache(maxsize=4)
+def _moment_draws(law: TailLaw) -> np.ndarray:
+    """1e6 fixed draws of a positive multiplier law for its moments."""
+    draws = sample_law(derive_stream(_FIXED_MC_SEED, 0x1D), law, 1_000_000)
+    if np.any(draws <= 0):
+        raise ParameterError("multiplier law must be positive")
+    return draws
+
+
 def _law_moment(law: TailLaw, kappa: float) -> float:
     """E A^kappa for a positive multiplier law."""
     if law.family == randkit.LOGNORMAL:
         return math.exp(kappa * law.mu + kappa ** 2 * law.sigma ** 2 / 2.0)
-    stream = derive_stream(_FIXED_MC_SEED, 0x1D)
-    draws = sample_law(stream, law, 1_000_000)
-    if np.any(draws <= 0):
-        raise ParameterError("multiplier law must be positive")
     with np.errstate(over="raise"):
         try:
-            return float(np.mean(draws ** kappa))
+            return float(np.mean(_moment_draws(law) ** kappa))
         except FloatingPointError:
             return math.inf
 
