@@ -167,16 +167,16 @@ class Var1Spec(ModelSpec):
             x = x[:, burn_in:]
             _check_finite(x, "spectral radius below 1")
             return x[..., None]
+        z = sample_law(stream, self.innovation, replicas * total
+                       * d).reshape(replicas, total, d) * self.weights
         out = np.empty((replicas, n, d))
-        for r in range(replicas):
-            z = sample_law(stream, self.innovation,
-                           total * d).reshape(total, d) * self.weights
-            x = np.zeros(d)
-            for t in range(total):
-                x = self.a_matrix @ x + z[t]
-                if t >= burn_in:
-                    out[r, t - burn_in] = x
-            _check_finite(out[r], "spectral radius below 1")
+        x = np.zeros((replicas, d, 1))
+        for t in range(total):
+            # a matrix-vector product per replica: bits fixed per replica
+            x = np.matmul(self.a_matrix, x) + z[:, t, :, None]
+            if t >= burn_in:
+                out[:, t - burn_in] = x[..., 0]
+        _check_finite(out, "spectral radius below 1")
         return out
 
     def theta0_two_point(self):
@@ -321,16 +321,18 @@ class KestenSpec(ModelSpec):
                     out[:, t - burn_in] = x
             _check_finite(out, "negative log-mean of the multiplier law")
             return out[..., None]
-        out = np.empty((replicas, n, self.dim))
-        for r in range(replicas):
-            mats = self.draw_multipliers(stream, total)
-            adds = self.draw_additives(stream, total)
-            x = np.zeros(self.dim)
-            for t in range(total):
-                x = mats[t] @ x + adds[t]
-                if t >= burn_in:
-                    out[r, t - burn_in] = x
-            _check_finite(out[r], "negative top Lyapunov exponent")
+        d = self.dim
+        mats = self.draw_multipliers(stream, replicas * total).reshape(
+            replicas, total, d, d)
+        adds = self.draw_additives(stream, replicas * total).reshape(
+            replicas, total, d)
+        out = np.empty((replicas, n, d))
+        x = np.zeros((replicas, d, 1))
+        for t in range(total):
+            x = np.matmul(mats[:, t], x) + adds[:, t, :, None]
+            if t >= burn_in:
+                out[:, t - burn_in] = x[..., 0]
+        _check_finite(out, "negative top Lyapunov exponent")
         return out
 
     def theta0_two_point(self):

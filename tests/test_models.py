@@ -145,6 +145,17 @@ class TestSimulatePath:
                                             derive_stream(4, 4))
         assert batch.shape == (5, 64)
 
+    def test_replica_rows_match_single_paths(self):
+        # Pareto innovations take one uniform per draw, so row 0 of a
+        # 3-replica batch consumes exactly the draws of a single path
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+                               weights=np.array([1.0, 2.0]))
+        rows = spec.paths(300, 50, 3, derive_stream(4, 7))
+        single = models.simulate_path(spec, 300, 50, derive_stream(4, 7))
+        assert rows.shape == (3, 300, 2)
+        assert np.array_equal(rows[0], single.values)
+
     def test_scalar_only_kernels_reject_two_dimensional_chain(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)
