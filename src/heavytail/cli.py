@@ -41,7 +41,6 @@ STREAMS = {
     "stable": 7,
     "drift": 8,
     "regen": 9,
-    "minorization_pilot": 10,
 }
 
 # key tables: name -> (kind, description). Kind controls parsing.
@@ -494,11 +493,10 @@ def _cmd_regen_check(config, spec, writer, threads):
     if not isinstance(spec, models.Var1Spec):
         raise ParameterError(
             "regen-check drives the scalar linear chain")
+    stream = _stream(config, "regen")
     mino = regen.make_var1_minorization(
-        spec, m_bound=config.get("m_bound"),
-        stream=_stream(config, "minorization_pilot"))
-    blocks = regen.harvest_blocks(spec, mino, config.get("n"),
-                                  _stream(config, "regen"))
+        spec, m_bound=config.get("m_bound"), stream=stream)
+    blocks = regen.harvest_blocks(spec, mino, config.get("n"), stream)
     exact = bool(np.array_equal(blocks.reconstruct_total(), blocks.total))
     pi_c = regen.stationary_small_set_mass(blocks.path, mino.m_bound)
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
@@ -522,9 +520,7 @@ def _cmd_regen_check(config, spec, writer, threads):
             "sigma_hat": rep.sigma_hat[0, 0],
             "batch_sigma": rep.batch_sigma[0, 0],
             "rel_gap": rep.rel_gap}
-    streams = {"regen": STREAMS["regen"],
-               "minorization_pilot": STREAMS["minorization_pilot"]}
-    return summary, streams
+    return summary, {"regen": STREAMS["regen"]}
 
 
 def _cmd_report(config, spec, writer, threads):
@@ -589,6 +585,10 @@ def run(config: ExperimentConfig, out_dir: str = None,
     except Exception:
         writer.rollback()
         raise
+    # the spec caches its stationary pilot under the masked master seed
+    pilot = derive_stream(config.seed, models._PILOT_STREAM_ID)
+    if pilot.master_seed in spec._pilot_cache:
+        streams["pilot"] = pilot.stream_id
     runtime = time.time() - start
     files = [{"name": os.path.basename(p), "sha256": _digest(p)}
              for p in writer.paths]

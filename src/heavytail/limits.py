@@ -18,9 +18,6 @@ from .randkit import RngStream
 CF_GRID = np.linspace(-3.0, 3.0, 61)
 
 _PATH_CHUNK_BUDGET = 1 << 22  # floats per simulated chunk
-_PILOT_N = 200_000
-_PILOT_BURN = 2_000
-_PILOT_STREAM_ID = 0x11D07
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +189,19 @@ def _sum_centering(spec, n: int, alpha: float, stream: RngStream):
     mean = models.stationary_mean(spec)
     if mean is not None:
         return float(np.asarray(mean).ravel()[0]), "analytic"
-    pilot = models.simulate_path(
-        spec, _PILOT_N, _PILOT_BURN,
-        randkit.derive_stream(stream.master_seed, _PILOT_STREAM_ID))
-    return float(pilot.values[:, 0].mean()), "sample"
+    pilot = models.stationary_pilot(spec, stream.master_seed)
+    return float(pilot[:, 0].mean()), "sample"
 
 
 def _power_tail(spec, stream: RngStream):
     """(c, alpha, scale, kind) with P(|X| > x) ~ c (x / scale)^(-alpha)
     for the stationary law: the analytic power tail when available, else
-    a Hill fit on a pilot run (c = k/n above the threshold)."""
+    a Hill fit on the stationary pilot (c = k/n above the threshold)."""
     analytic = models.stationary_tail_constant(spec)
     if analytic is not None:
         c, alpha, scale = analytic
         return c, alpha, scale, "analytic"
-    pilot = models.simulate_path(
-        spec, _PILOT_N, _PILOT_BURN,
-        randkit.derive_stream(stream.master_seed, _PILOT_STREAM_ID + 1))
-    x = np.abs(pilot.values[:, 0])
+    x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])
     k = tailstats.default_hill_k(x.size)
     fit = tailstats.hill_estimate(x, k)
     return k / x.size, fit.alpha_hat, fit.threshold, "hill"

@@ -144,7 +144,7 @@ class Var1Spec(ModelSpec):
                 raise ParameterError("weights must have length dim")
             if np.any(self.weights <= 0):
                 raise ParameterError("weights must be positive")
-        self._angular_cache = {}
+        self._pilot_cache = {}
 
     def tail_index(self) -> float:
         law = self.innovation
@@ -287,7 +287,7 @@ class KestenSpec(ModelSpec):
             raise ParameterError(
                 "multiplier law must have negative log-mean "
                 "(contraction on average)")
-        self._angular_cache = {}
+        self._pilot_cache = {}
 
     def draw_multipliers(self, stream: RngStream, size: int) -> np.ndarray:
         if self.dim == 1:
@@ -456,6 +456,7 @@ class Garch11Spec(ModelSpec):
             raise ParameterError(
                 "E log(alpha1 Z^2 + beta1) must be negative (stationarity)")
         self._tilt_cache = {}
+        self._pilot_cache = {}
 
     def tail_index(self) -> float:
         return _solve_moment_equation(
@@ -753,27 +754,32 @@ def _solve_moment_equation(fn) -> float:
                       f"{hi / 2})")
 
 
-def _angular_atoms(spec, master_seed: int, pilot_n: int = 200_000,
-                   pilot_q: float = 0.999) -> np.ndarray:
-    """Empirical exceedance angles from a pilot stationary run (the
-    renormalized top (1 - pilot_q) rows by norm)."""
-    key = (master_seed, pilot_n, pilot_q)
-    cache = spec._angular_cache
-    if key not in cache:
-        pilot = simulate_path(spec, pilot_n, 2_000,
-                              derive_stream(master_seed, _PILOT_STREAM_ID))
-        x = pilot.values
-        norms = np.linalg.norm(x, axis=1)
-        cut = np.quantile(norms, pilot_q)
-        rows = x[norms > cut]
-        if rows.shape[0] < 10:
-            raise ParameterError("pilot produced too few exceedances")
-        cache[key] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return cache[key]
+def _angular_atoms(spec, master_seed: int) -> np.ndarray:
+    """Empirical exceedance angles: the renormalized top 0.1 % rows by
+    norm of the stationary pilot."""
+    x = stationary_pilot(spec, master_seed)
+    norms = np.linalg.norm(x, axis=1)
+    rows = x[norms > np.quantile(norms, 0.999)]
+    if rows.shape[0] < 10:
+        raise ParameterError("pilot produced too few exceedances")
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # path simulation
+
+
+def stationary_pilot(spec, master_seed: int) -> np.ndarray:
+    """(200_000, dim) stationary sample behind every pilot estimate (the
+    fitted tail, the sample mean, the exceedance angles, the small set):
+    100 independent paths of 2,000 steps after the spec's default
+    burn-in, stacked, cached once per spec and master seed."""
+    stream = derive_stream(master_seed, _PILOT_STREAM_ID)
+    cache = spec._pilot_cache
+    if stream.master_seed not in cache:
+        paths = spec.paths(2_000, spec.default_burn, 100, stream)
+        cache[stream.master_seed] = paths.reshape(-1, spec.dim)
+    return cache[stream.master_seed]
 
 
 def simulate_path(spec, n: int, burn_in: int, stream: RngStream) -> PathMatrix:

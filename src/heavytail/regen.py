@@ -133,10 +133,9 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
     law = spec.innovation
     scale = law.scale * float(spec.weights[0])
     if m_bound is None:
-        if stream is None:
-            stream = randkit.derive_stream(0x511, 0)
-        pilot = models.simulate_path(spec, 100_000, 1_000, stream)
-        m_bound = float(np.quantile(np.abs(pilot.values[:, 0]), 0.995))
+        seed = 0x511 if stream is None else stream.master_seed
+        pilot = models.stationary_pilot(spec, seed)
+        m_bound = float(np.quantile(np.abs(pilot[:, 0]), 0.995))
         heuristic = True
     else:
         heuristic = False

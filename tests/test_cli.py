@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heavytail import cli
+from heavytail import cli, models
 from heavytail.cli import build_spec, main, parse_config, run
 from heavytail.errors import ConfigError
 
@@ -162,6 +162,24 @@ class TestRun:
         with pytest.raises(Exception):
             run(cfg, out_dir=str(target))
         assert not target.exists() or list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("name, extra, seed, pilot", [
+        ("golden_regen.cfg", "", None, True),
+        ("golden_regen.cfg", "m_bound = 2.0\n", None, False),
+        ("golden_stable_garch.cfg", "", -20260823, True),
+        ("golden_ldp_var1.cfg", "", None, False),
+    ])
+    def test_manifest_names_the_pilot(self, tmp_path, name, extra, seed,
+                                      pilot):
+        with open(os.path.join(GOLDEN, name)) as fh:
+            cfg = parse_config(fh.read() + extra, seed_override=seed)
+        manifest = run(cfg, out_dir=str(tmp_path))
+        assert ("pilot" in manifest.streams) == pilot
+        if pilot:
+            assert manifest.streams["pilot"] == models._PILOT_STREAM_ID
+        with open(tmp_path / "manifest.json") as fh:
+            assert json.load(fh)["streams"] == manifest.streams
+        assert "manifest.json" not in {f["name"] for f in manifest.files}
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg_text = ("command = ldp-scan\nmodel = var1\nseed = 5\n"

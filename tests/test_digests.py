@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "96efd7ea20de78ec6dc1668e8ce32c76"
-                      "501a6937bf4da7b1260a459e3e5abedd",
-        "summary.json": "a2228a7fb6bebb042cfa039ad903d819"
-                        "336a2a88d5e17ba481f5239bbc02d359",
+        "cycles.csv": "4889809534efd08d2c80e6e8031ca8fa"
+                      "441870d8906d613dc4d397f07e5436fd",
+        "summary.json": "6f50ba011cf5d68c71fb41848ee1467d"
+                        "d13c031a99fc005bd93db874d8df3a18",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"
@@ -45,10 +45,10 @@ RUN_DIGESTS = {
                         "f2493a5d28a0bedef3aaa3dd93e49a98",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "1ed4e7f7903fcb025809605e152319ef"
-                         "627204021724963951e65c4a62e9dbaf",
-        "summary.json": "5d6e3cd5c90b7962670b1e50493cd77b"
-                        "ad437149206e7435b638ec8289ed2080",
+        "stable_cf.csv": "95366bb0638bdf905670beb4e33ff3b2"
+                         "ad35f962e419ebc7cbfaada3e1ce731c",
+        "summary.json": "9a7ff15fbed9bd418ab6caae0af75cb4"
+                        "659cc0f6723e8dc440e5ce946c4e5e54",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "40dcdbddd096732aa98748ae7697ad9e"
@@ -80,14 +80,14 @@ KERNEL_DIGESTS = {
     "var1_dim2": {
         "path": "e7f1643bcb0c1ae0d430e2664fd26e5c"
                 "e63a3f8939692029b78863a01598a3d3",
-        "tail_process": "9c89e253171ed05967991004cb8c010e"
-                        "4b43fc1372b3c85ff79a61a3090afedd",
+        "tail_process": "e6a1b2adced66fcace4147ddfe4723da"
+                        "8024d16c8108fb863413ff7e982815ff",
     },
     "kesten_dim2": {
         "path": "57db81881a242760af9ff83c862bdeddc"
                 "9e73f27aa75cc39b0906c3c007ff7ce",
-        "tail_process": "49dc5e85f1f4c891a86fca85959a9808"
-                        "c6d43f33136dd01e1304079b045208cb",
+        "tail_process": "b34bafa3f8850803842cff434858c509"
+                        "98b6e02e0c062461ffa5b8ae437d5269",
     },
 }
 

@@ -156,6 +156,16 @@ class TestSimulatePath:
         assert rows.shape == (3, 300, 2)
         assert np.array_equal(rows[0], single.values)
 
+    def test_stationary_pilot_is_cached(self, ar_pareto15):
+        first = models.stationary_pilot(ar_pareto15, 11)
+        assert first.shape == (200_000, 1)
+
+        def no_resimulation(*args):
+            raise AssertionError("pilot simulated twice")
+
+        ar_pareto15.paths = no_resimulation
+        assert models.stationary_pilot(ar_pareto15, 11) is first
+
     def test_scalar_only_kernels_reject_two_dimensional_chain(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)
