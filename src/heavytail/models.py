@@ -675,6 +675,7 @@ def _moment_draws(law: TailLaw) -> np.ndarray:
     draws = sample_law(derive_stream(_FIXED_MC_SEED, 0x1D), law, 1_000_000)
     if np.any(draws <= 0):
         raise ParameterError("multiplier law must be positive")
+    draws.flags.writeable = False  # shared by every caller
     return draws
 
 
@@ -770,15 +771,15 @@ def _angular_atoms(spec, master_seed: int) -> np.ndarray:
 
 
 def stationary_pilot(spec, master_seed: int) -> np.ndarray:
-    """(200_000, dim) stationary sample behind every pilot estimate (the
-    fitted tail, the sample mean, the exceedance angles, the small set):
-    100 independent paths of 2,000 steps after the spec's default
-    burn-in, stacked, cached once per spec and master seed."""
+    """Read-only (200_000, dim) stationary sample behind every pilot
+    estimate: 100 independent paths of 2,000 steps after the spec's
+    default burn-in, stacked, cached once per spec and master seed."""
     stream = derive_stream(master_seed, _PILOT_STREAM_ID)
     cache = spec._pilot_cache
     if stream.master_seed not in cache:
         paths = spec.paths(2_000, spec.default_burn, 100, stream)
         cache[stream.master_seed] = paths.reshape(-1, spec.dim)
+        cache[stream.master_seed].flags.writeable = False
     return cache[stream.master_seed]
 
 

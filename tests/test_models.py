@@ -159,6 +159,7 @@ class TestSimulatePath:
     def test_stationary_pilot_is_cached(self, ar_pareto15):
         first = models.stationary_pilot(ar_pareto15, 11)
         assert first.shape == (200_000, 1)
+        assert not first.flags.writeable
 
         def no_resimulation(*args):
             raise AssertionError("pilot simulated twice")
