@@ -58,14 +58,12 @@ _GLOBAL_KEYS = {
     "grid_size": ("posint", "scan grid size"),
     "region_eps": ("posfloat", "epsilon in the scan region exponent"),
     "k_trunc": ("posint", "truncation lag for the telescoping route"),
-    "quantile": ("unitfloat", "exceedance quantile"),
     "theta": ("pm1", "scalar direction (+1 or -1)"),
     "m_bound": ("posfloat", "small-set half-width M"),
 }
 _MODEL_KEYS = {
     "var1": {
         "a": ("float", "fixed autoregressive coefficient"),
-        "dim": ("posint", "state dimension (CLI supports 1)"),
         "innovation": ("choice:" + ",".join(_INNOVATIONS),
                        "innovation family"),
         "alpha": ("posfloat", "innovation tail index"),
@@ -98,9 +96,7 @@ _DEFAULTS = {
     "grid_size": 12,
     "region_eps": 0.1,
     "k_trunc": 20,
-    "quantile": 0.99,
     "theta": 1.0,
-    "dim": 1,
     "innovation": randkit.PARETO,
     "alpha": 1.5,
     "scale": 1.0,
@@ -177,9 +173,6 @@ def _parse_value(kind, key, raw, line, problems):
         return None
     if kind == "posfloat" and not value > 0:
         problems.append(f"line {line}: {key} must be positive")
-        return None
-    if kind == "unitfloat" and not 0 < value < 1:
-        problems.append(f"line {line}: {key} must lie in (0, 1)")
         return None
     if kind == "pm1" and value not in (1.0, -1.0):
         problems.append(f"line {line}: {key} must be +1 or -1")
@@ -258,9 +251,11 @@ def parse_config(text: str, command_override: str = None,
                     f"missing required key for model {model_raw!r}: {key}")
     if command in _REQUIRED_N and "n" not in values:
         problems.append(f"missing required key for {command}: n")
+    if command == "regen-check" and model_raw in MODELS \
+            and model_raw != "var1":
+        problems.append(
+            "regen-check drives the scalar linear chain: model = var1")
     if model_raw == "var1":
-        if values.get("dim", 1) != 1:
-            problems.append("the CLI drives the scalar chain only: dim = 1")
         a = values.get("a")
         if a is not None and abs(a) >= 1:
             problems.append("a must satisfy |a| < 1 (contraction)")
@@ -304,14 +299,17 @@ def build_spec(config: ExperimentConfig):
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+_CSV_BLOCK = 4096  # rows formatted at a time
+
+
+def _formatter(column: np.ndarray):
+    """Text of one cell: 17 significant digits for floats, true/false for
+    booleans, str otherwise."""
+    if column.dtype.kind == "f":
+        return "%.17g".__mod__
+    if column.dtype.kind == "b":
+        return lambda v: "true" if v else "false"
+    return str
 
 
 def _jsonable(obj):
@@ -340,12 +338,18 @@ class _Writer:
         self.paths = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def csv(self, name, header, rows):
+    def csv(self, name, header, columns):
+        """Write equal-length columns, formatted column by column a block
+        of rows at a time, so no whole column is ever held as text."""
+        columns = [np.asarray(c) for c in columns]
+        fmts = [_formatter(c) for c in columns]
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo in range(0, len(columns[0]), _CSV_BLOCK):
+                cells = [map(f, c[lo:lo + _CSV_BLOCK].tolist())
+                         for f, c in zip(fmts, columns)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         self.paths.append(path)
         return path
 
@@ -392,9 +396,9 @@ def _cmd_simulate(config, spec, writer, threads):
     if burn is None:
         burn = 1000
     path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
-    rows = ((t, *path.values[t]) for t in range(n))
     d = path.values.shape[1]
-    writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(d)], rows)
+    writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(d)],
+               [np.arange(n), *path.values.T])
     summary = {"n": n, "burn_in": burn,
                "mean": path.values.mean(axis=0),
                "sd": path.values.std(axis=0, ddof=1) if n > 1 else 0.0}
@@ -422,11 +426,11 @@ def _cmd_cluster_index(config, spec, writer, threads):
         spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "extremal"))
     stages += ["cluster_telescoping", "extremal"]
-    rows = [(lab, e.route, e.value, e.std_error, e.plug_in_se, e.horizon,
-             e.replicas) for lab, e in ests.items()]
-    writer.csv("cluster.csv",
-               ["quantity", "route", "value", "std_error", "plug_in_se",
-                "horizon", "replicas"], rows)
+    fields = ("route", "value", "std_error", "plug_in_se", "horizon",
+              "replicas")
+    writer.csv("cluster.csv", ["quantity", *fields],
+               [list(ests), *([getattr(e, f) for e in ests.values()]
+                              for f in fields)])
     summary = {"alpha": alpha, "theta": theta}
     for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
@@ -442,9 +446,8 @@ def _cmd_ldp_scan(config, spec, writer, threads):
                           eps=config.get("region_eps"),
                           burn_in=config.get("burn_in"),
                           threads=threads)
-    rows = list(zip(res.xs, res.ratios, res.ratio_ses,
-                    res.counts.astype(int)))
-    writer.csv("ldp.csv", ["x", "ratio", "ratio_se", "exceedances"], rows)
+    writer.csv("ldp.csv", ["x", "ratio", "ratio_se", "exceedances"],
+               [res.xs, res.ratios, res.ratio_ses, res.counts.astype(int)])
     summary = {"n": res.n, "theta": res.theta, "target": res.target,
                "sup_dev": res.sup_dev, "b_n": res.b_n, "c_n": res.c_n,
                "centering": res.centering}
@@ -459,11 +462,14 @@ def _cmd_stable_check(config, spec, writer, threads):
                                burn_in=config.get("burn_in"),
                                threads=threads)
     c = cmps[0]
-    rows = [(x, e.real, e.imag, t.real, t.imag, abs(e - t))
-            for x, e, t in zip(c.grid, c.empirical, c.theoretical)]
+    gap = c.empirical - c.theoretical
+    # np.hypot matches the scalar complex abs bit for bit; np.abs does not
     writer.csv("stable_cf.csv",
                ["x", "empirical_re", "empirical_im", "theoretical_re",
-                "theoretical_im", "abs_gap"], rows)
+                "theoretical_im", "abs_gap"],
+               [c.grid, c.empirical.real, c.empirical.imag,
+                c.theoretical.real, c.theoretical.imag,
+                np.hypot(gap.real, gap.imag)])
     summary = {"sup_abs_gap": c.sup_abs_gap, "mc_band": c.mc_band,
                "passed": c.sup_abs_gap <= c.mc_band,
                "centering": c.centering, "theta": theta}
@@ -478,8 +484,8 @@ def _cmd_drift_check(config, spec, writer, threads):
         pass
     p, grid = spec.drift_setup(alpha)
     rep = models.drift_margin(spec, p, 1, grid, _stream(config, "drift"))
-    rows = list(zip(rep.grid_v, rep.response_v))
-    writer.csv("drift.csv", ["v_state", "v_next_mean"], rows)
+    writer.csv("drift.csv", ["v_state", "v_next_mean"],
+               [rep.grid_v, rep.response_v])
     summary = {"p": rep.p, "m": rep.m, "beta_hat": rep.beta_hat,
                "beta_se": rep.beta_se, "intercept": rep.intercept,
                "passed": rep.passed}
@@ -490,9 +496,6 @@ def _cmd_drift_check(config, spec, writer, threads):
 
 
 def _cmd_regen_check(config, spec, writer, threads):
-    if not isinstance(spec, models.Var1Spec):
-        raise ParameterError(
-            "regen-check drives the scalar linear chain")
     stream = _stream(config, "regen")
     mino = regen.make_var1_minorization(
         spec, m_bound=config.get("m_bound"), stream=stream)
@@ -500,12 +503,10 @@ def _cmd_regen_check(config, spec, writer, threads):
     exact = bool(np.array_equal(blocks.reconstruct_total(), blocks.total))
     pi_c = regen.stationary_small_set_mass(blocks.path, mino.m_bound)
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
-    starts = blocks.cycle_starts
-    lengths = blocks.cycle_lengths()
-    rows = ((i, int(starts[i]), int(lengths[i]), blocks.block_sums[i, 0])
-            for i in range(blocks.n_cycles))
+    k = blocks.n_cycles
     writer.csv("cycles.csv", ["cycle", "start", "length", "block_sum"],
-               rows)
+               [np.arange(k), blocks.cycle_starts[:k],
+                blocks.cycle_lengths(), blocks.block_sums[:k, 0]])
     summary = {"n": config.get("n"), "n_cycles": blocks.n_cycles,
                "epsilon": mino.epsilon, "m_bound": mino.m_bound,
                "m_heuristic": mino.heuristic,
@@ -551,7 +552,8 @@ def _cmd_report(config, spec, writer, threads):
     rows.append(("extremal_index", ext.value, ext.std_error))
     summary["extremal_index"] = {"value": ext.value,
                                  "std_error": ext.std_error}
-    writer.csv("report.csv", ["quantity", "value", "std_error"], rows)
+    writer.csv("report.csv", ["quantity", "value", "std_error"],
+               list(zip(*rows)))
     return summary, {k: STREAMS[k] for k in stages}
 
 

@@ -132,29 +132,11 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 # Monte Carlo routes over tail-process draws
 
 
-def _resolve_sampler(sampler):
-    """Accept either a model spec or a callable
-    (horizon, replicas, stream) -> theta array (or (theta, radii))."""
-    if isinstance(sampler, models.ModelSpec):
-        def draw(horizon, replicas, stream):
-            theta, _ = models.sample_tail_process_batch(
-                sampler, horizon, replicas, stream)
-            return theta
-        return draw
-    if callable(sampler):
-        def draw(horizon, replicas, stream):
-            out = sampler(horizon, replicas, stream)
-            if isinstance(out, tuple):
-                out = out[0]
-            return np.asarray(out, dtype=float)
-        return draw
-    raise ParameterError("sampler must be a model spec or a callable")
-
-
-def _mc_functional(draw, reduce_paths, theta: Direction, alpha: float,
+def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
                    horizon: int, replicas: int, stream: RngStream,
                    route: str) -> ClusterIndexEstimate:
-    """Chunked fixed-order accumulation of a per-path functional."""
+    """Chunked fixed-order accumulation of a per-path functional of the
+    spec's tail-process draws."""
     tv = theta.vector
     total = 0.0
     total_sq = 0.0
@@ -162,11 +144,8 @@ def _mc_functional(draw, reduce_paths, theta: Direction, alpha: float,
     chunk_id = 0
     while done < replicas:
         take = min(_CHUNK, replicas - done)
-        paths = draw(horizon, take, stream.substream(chunk_id))
-        if paths.ndim != 3 or paths.shape[0] != take \
-                or paths.shape[1] != horizon + 1:
-            raise ParameterError(
-                "sampler must return (replicas, horizon+1, d) paths")
+        paths, _ = models.sample_tail_process_batch(
+            spec, horizon, take, stream.substream(chunk_id))
         if paths.shape[2] != theta.dim:
             raise ParameterError("direction dimension mismatch")
         proj = paths @ tv
@@ -206,7 +185,7 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
-def _mc_route(sampler, reduce_paths, theta: Direction, alpha: float,
+def _mc_route(spec, reduce_paths, theta: Direction, alpha: float,
               horizon: int, replicas: int, stream: RngStream, route: str,
               horizon_name: str = "horizon",
               least_horizon: int = 0) -> ClusterIndexEstimate:
@@ -219,34 +198,34 @@ def _mc_route(sampler, reduce_paths, theta: Direction, alpha: float,
         raise ParameterError("replicas must be at least 100")
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
-    return _mc_functional(_resolve_sampler(sampler), reduce_paths, theta,
-                          alpha, horizon, replicas, stream, route)
+    return _mc_functional(spec, reduce_paths, theta, alpha, horizon,
+                          replicas, stream, route)
 
 
-def cluster_index_tail_process(sampler, theta: Direction, alpha: float,
+def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
                                stream: RngStream) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_route(sampler, _sum_difference, theta, alpha, horizon,
+    return _mc_route(spec, _sum_difference, theta, alpha, horizon,
                      replicas, stream, ROUTE_TAIL_PROCESS)
 
 
-def telescoping_difference(sampler, theta: Direction, alpha: float, k: int,
+def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
                            replicas: int,
                            stream: RngStream) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
-    return _mc_route(sampler, _sum_difference, theta, alpha, k, replicas,
+    return _mc_route(spec, _sum_difference, theta, alpha, k, replicas,
                      stream, ROUTE_TELESCOPING, horizon_name="k",
                      least_horizon=1)
 
 
-def extremal_index(sampler, theta: Direction, alpha: float, horizon: int,
+def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
                    replicas: int, stream: RngStream) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
-    return _mc_route(sampler, _sup_difference, theta, alpha, horizon,
+    return _mc_route(spec, _sup_difference, theta, alpha, horizon,
                      replicas, stream, ROUTE_TAIL_PROCESS)
 
 

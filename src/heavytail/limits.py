@@ -194,23 +194,22 @@ def _sum_centering(spec, n: int, alpha: float, stream: RngStream):
 
 
 def _power_tail(spec, stream: RngStream):
-    """(c, alpha, scale, kind) with P(|X| > x) ~ c (x / scale)^(-alpha)
-    for the stationary law: the analytic power tail when available, else
-    a Hill fit on the stationary pilot (c = k/n above the threshold)."""
+    """(c, alpha, scale) with P(|X| > x) ~ c (x / scale)^(-alpha) for the
+    stationary law: the analytic power tail when available, else a Hill
+    fit on the stationary pilot (c = k/n above the threshold)."""
     analytic = models.stationary_tail_constant(spec)
     if analytic is not None:
-        c, alpha, scale = analytic
-        return c, alpha, scale, "analytic"
+        return analytic
     x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])
     k = tailstats.default_hill_k(x.size)
     fit = tailstats.hill_estimate(x, k)
-    return k / x.size, fit.alpha_hat, fit.threshold, "hill"
+    return k / x.size, fit.alpha_hat, fit.threshold
 
 
 def _a_n_for(spec, n: int, stream: RngStream) -> float:
     """Normalizing a_n with n P(|X| > a_n) = 1 for the stationary law,
     by inverting the (analytic or fitted) power tail."""
-    c, alpha, scale, _ = _power_tail(spec, stream)
+    c, alpha, scale = _power_tail(spec, stream)
     return scale * (n * c) ** (1.0 / alpha)
 
 
@@ -319,7 +318,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
-    c, alpha_tail, scale, _ = _power_tail(spec, stream)
+    c, alpha_tail, scale = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, n, alpha, stream)
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,

@@ -8,7 +8,7 @@ shared argument checks and delegate to the spec.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import math
 
@@ -19,7 +19,7 @@ from scipy.special import roots_hermite
 from .errors import (DivergenceError, NoRootError, ParameterError,
                      SingularDrawError, UnsupportedCaseError,
                      UnsupportedLawError)
-from . import randkit
+from . import randkit, tailstats
 from .randkit import RngStream, TailLaw, derive_stream, sample_law
 
 # child-stream tags: keep tail-process angle, radius and pilot draws on
@@ -59,24 +59,23 @@ class ModelSpec:
     has_closed_form = False
     default_burn = 2048  # warm-up of the limit-theorem scans
 
-    def theta0(self, replicas: int, stream: RngStream) -> np.ndarray:
-        """(replicas, d) draws of the exceedance angle Theta_0: the exact
-        two-point law for scalar chains, the pilot exceedance angles
-        otherwise."""
-        if self.dim == 1:
-            p_up, _ = self.theta0_two_point()
-            if p_up == 1.0:
-                return np.ones((replicas, 1))
-            signs = np.where(stream.rng.random(replicas) < p_up, 1.0, -1.0)
-            return signs[:, None]
-        atoms = _angular_atoms(self, stream.master_seed)
-        idx = stream.rng.integers(0, atoms.shape[0], replicas)
-        return atoms[idx]
-
-    def theta0_two_point(self) -> tuple[float, float]:
-        """P(Theta_0 = +1), P(Theta_0 = -1) for a scalar chain."""
+    def theta0_law(self, master_seed: int) -> tailstats.AngularMeasure:
+        """Law of the exceedance angle Theta_0, a discrete measure on the
+        unit sphere (``master_seed`` keys a pilot where one is needed)."""
         raise UnsupportedCaseError(
-            f"no two-point Theta_0 law for {type(self).__name__}")
+            f"no Theta_0 law for {type(self).__name__}")
+
+    def theta0(self, replicas: int, stream: RngStream) -> np.ndarray:
+        """(replicas, d) draws of Theta_0 from ``theta0_law``: one uniform
+        per replica inverts the CDF over the atoms in the law's order; a
+        one-atom law takes no draws."""
+        atoms, weights = self.theta0_law(stream.master_seed).as_arrays()
+        if weights.size == 1:
+            return np.repeat(atoms, replicas, axis=0)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        idx = np.searchsorted(cdf, stream.rng.random(replicas), side="right")
+        return atoms[np.minimum(idx, weights.size - 1)]
 
     def closed_form_terms(self, tv: np.ndarray, replicas: int,
                           stream: RngStream):
@@ -179,20 +178,30 @@ class Var1Spec(ModelSpec):
         _check_finite(out, "spectral radius below 1")
         return out
 
-    def theta0_two_point(self):
-        """Exact from the innovation tail balance and the moving-average
-        coefficients."""
+    def theta0_law(self, master_seed):
+        """Exact: one big innovation at lag j in coordinate i puts Theta_0
+        at +-A^j w_i e_i / |A^j w_i e_i| with weight p+- |A^j w_i e_i|^alpha
+        (Davis & Resnick 1985). Terms below 1e-17 of the largest weight are
+        dropped."""
         alpha = tail_index(self)
         p_up, p_dn = _tail_balance(self.innovation)
-        a = float(self.a_matrix[0, 0])
-        j = np.arange(_SERIES_TERMS)
-        c = a ** j
-        w_up = float(np.sum(np.clip(c, 0, None) ** alpha) * p_up
-                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_dn)
-        w_dn = float(np.sum(np.clip(c, 0, None) ** alpha) * p_dn
-                     + np.sum(np.clip(-c, 0, None) ** alpha) * p_up)
-        tot = w_up + w_dn
-        return w_up / tot, w_dn / tot
+        powers = [np.diag(self.weights)]
+        for _ in range(1, _SERIES_TERMS):
+            powers.append(self.a_matrix @ powers[-1])
+        # rows in (j, i, sign) order: A^j w_i e_i is column i of A^j W
+        cols = np.stack(powers).transpose(0, 2, 1).reshape(-1, self.dim)
+        vecs = np.stack([cols, -cols], axis=1).reshape(-1, self.dim)
+        balance = np.tile([p_up, p_dn], cols.shape[0])
+        # divide by the largest entry before the norm: the square of an
+        # entry below 1e-154 underflows, and the atom would leave the sphere
+        big = np.abs(vecs).max(axis=1)
+        live = big > 0
+        units = vecs[live] / big[live, None]
+        norms = np.linalg.norm(units, axis=1)
+        weights = balance[live] * (big[live] * norms) ** alpha
+        keep = weights >= 1e-17 * weights.max()
+        return tailstats.merged_measure(
+            units[keep] / norms[keep, None], weights[keep])
 
     def tail_process(self, horizon, replicas, stream, alpha):
         theta = np.empty((replicas, horizon + 1, self.dim))
@@ -335,14 +344,18 @@ class KestenSpec(ModelSpec):
         _check_finite(out, "negative top Lyapunov exponent")
         return out
 
-    def theta0_two_point(self):
-        """From the sign structure of the additive term."""
+    def theta0_law(self, master_seed):
+        """The sign law of the additive term for the scalar recursion; the
+        angles of the top 0.1 % of the stationary pilot otherwise."""
+        if self.dim > 1:
+            pilot = stationary_pilot(self, master_seed)
+            return tailstats.angular_measure(pilot, pilot.shape[0] // 1000)
         fam = self.b_law.family
         if fam in _POSITIVE_FAMILIES:
-            return 1.0, 0.0
+            return tailstats.AngularMeasure([(1.0, 1.0)])
         if fam in _SYMMETRIC_FAMILIES or (
                 fam == randkit.STABLE and self.b_law.skew == 0.0):
-            return 0.5, 0.5
+            return tailstats.AngularMeasure([(1.0, 0.5), (-1.0, 0.5)])
         raise UnsupportedLawError(
             "no exact exceedance-angle law for this additive family")
 
@@ -429,19 +442,14 @@ class Garch11Spec(ModelSpec):
     """Volatility recursion sigma_t^2 = alpha0 + sigma_{t-1}^2
     (alpha1 Z_{t-1}^2 + beta1), observable X_t = sigma_t Z_t.
 
-    The observable is scalar (``dim`` 1); the tail process lives on the
-    pair (sigma, X) and the drift state is (X, sigma).
-
-    ``z_law`` must be standard Gaussian (mean 0, variance 1); other
-    innovation laws are not supported by the moment-equation and
-    tail-process machinery here.
+    The innovations Z_t are standard Gaussian. The observable is scalar
+    (``dim`` 1); the tail process lives on the pair (sigma, X) and the
+    drift state is (X, sigma).
     """
 
     alpha0: float
     alpha1: float
     beta1: float
-    z_law: TailLaw = field(
-        default_factory=lambda: TailLaw(randkit.GAUSSIAN))
 
     dim = 1
 
@@ -449,9 +457,6 @@ class Garch11Spec(ModelSpec):
         for name in ("alpha0", "alpha1", "beta1"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
-        if self.z_law.family != randkit.GAUSSIAN or self.z_law.scale != 1.0:
-            raise UnsupportedLawError(
-                "z_law must be standard Gaussian (mean 0, variance 1)")
         if _garch_log_moment(self.alpha1, self.beta1) >= 0.0:
             raise ParameterError(
                 "E log(alpha1 Z^2 + beta1) must be negative (stationarity)")
@@ -755,17 +760,6 @@ def _solve_moment_equation(fn) -> float:
                       f"{hi / 2})")
 
 
-def _angular_atoms(spec, master_seed: int) -> np.ndarray:
-    """Empirical exceedance angles: the renormalized top 0.1 % rows by
-    norm of the stationary pilot."""
-    x = stationary_pilot(spec, master_seed)
-    norms = np.linalg.norm(x, axis=1)
-    rows = x[norms > np.quantile(norms, 0.999)]
-    if rows.shape[0] < 10:
-        raise ParameterError("pilot produced too few exceedances")
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # path simulation
 
@@ -855,8 +849,7 @@ def sample_tail_process(spec, horizon: int,
 def sample_exceedance_angles(spec, replicas: int,
                              stream: RngStream) -> np.ndarray:
     """(replicas, d) draws from the model's exceedance-angle law (the law
-    of Theta_0): exact two-point law for scalar models, pilot-based
-    empirical angles otherwise."""
+    of Theta_0, ``spec.theta0_law``)."""
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     return spec.theta0(replicas, stream)

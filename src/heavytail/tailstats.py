@@ -175,12 +175,19 @@ def angular_measure(vectors, k: int) -> AngularMeasure:
     if norms[top[-1]] <= 0.0:
         raise DegenerateSampleError("zero-norm vector among the top k")
     units = x[top] / norms[top][:, None]
+    return merged_measure(units, np.ones(k))
+
+
+def merged_measure(units, weights) -> AngularMeasure:
+    """Law with mass ``weights`` at the unit rows ``units``: rows equal to
+    12 decimals are merged in first-seen order, mass normalized to 1."""
     buckets = {}
-    for row in units:
+    for row, w in zip(units, weights):
         key = tuple(np.round(row, 12))
         if key in buckets:
-            buckets[key][1] += 1.0
+            buckets[key][1] += w
         else:
-            buckets[key] = [row, 1.0]
-    atoms = [(vec, cnt / k) for vec, cnt in buckets.values()]
+            buckets[key] = [row, w]
+    total = float(np.sum(weights))
+    atoms = [(vec, w / total) for vec, w in buckets.values()]
     return AngularMeasure(atoms=atoms, total=1.0)

@@ -39,7 +39,7 @@ class TestParseConfig:
         assert cfg.get("replicas") == 1000
         assert cfg.get("horizon") == 10
         # defaulted key
-        assert cfg.get("quantile") == 0.99
+        assert cfg.get("k_trunc") == 20
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# heading\n\n" + BASE + "\n# trailing\n")

@@ -70,6 +70,30 @@ class TestClosedForm:
                                             derive_stream(41, 3))
             assert abs(est.value - B_TARGET / 2.0) <= 4.0 * est.std_error
 
+    def test_diagonal_linear_chain_matches_exact_index(self):
+        # A = diag(a1, a2), Pareto innovations: Theta_0 = e_i with
+        # probability c_i / (c1 + c2), c_i = 1 / (1 - a_i^alpha), and
+        # only e1 contributes along e1
+        alpha, a1, a2 = 1.5, 0.5, 0.3
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=alpha),
+                               a_matrix=np.diag([a1, a2]))
+        c1, c2 = 1.0 / (1.0 - a1 ** alpha), 1.0 / (1.0 - a2 ** alpha)
+        exact = c1 / (c1 + c2) * ((1.0 - a1) ** -alpha
+                                  - (a1 / (1.0 - a1)) ** alpha)
+        est = closed_form_cluster_index(spec, Direction([1.0, 0.0]),
+                                        200_000, derive_stream(7, 3))
+        assert abs(est.value - exact) <= 3.0 * est.std_error
+
+    def test_two_dimensional_linear_chain_reads_no_pilot(self):
+        spec = models.Var1Spec(2, TailLaw(randkit.SYMMETRIC_PARETO,
+                                          alpha=1.5),
+                               a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
+        theta = Direction([1.0, 1.0])
+        closed_form_cluster_index(spec, theta, 1000, derive_stream(41, 5))
+        cluster_index_tail_process(spec, theta, 1.5, 10, 1000,
+                                   derive_stream(41, 6))
+        assert spec._pilot_cache == {}
+
     def test_recurrence_with_half_multiplier(self):
         # A = 1/2 exactly reproduces the linear-chain target through the
         # auxiliary-series closed form
@@ -96,15 +120,10 @@ class TestTailProcessRoute:
         assert est.horizon == 40
         assert est.replicas == 100_000
 
-    def test_callable_sampler_iid_gives_one(self):
+    def test_callable_sampler_iid_gives_one(self, iid_pareto08):
         # tail process of an iid sequence: Theta_0 = 1, zero afterwards
-        def draw(horizon, replicas, stream):
-            out = np.zeros((replicas, horizon + 1, 1))
-            out[:, 0, 0] = 1.0
-            return out
-
-        est = cluster_index_tail_process(draw, Direction([1.0]), 0.8, 10,
-                                         1000, derive_stream(42, 2))
+        est = cluster_index_tail_process(iid_pareto08, Direction([1.0]), 0.8,
+                                         10, 1000, derive_stream(42, 2))
         assert est.value == 1.0
         assert est.std_error == 0.0
 
@@ -154,13 +173,8 @@ class TestExtremalIndex:
                              derive_stream(44, int(alpha)))
         assert abs(est.value - (1.0 - 0.5 ** alpha)) < 1e-12
 
-    def test_iid_case_is_one(self):
-        def draw(horizon, replicas, stream):
-            out = np.zeros((replicas, horizon + 1, 1))
-            out[:, 0, 0] = 1.0
-            return out
-
-        est = extremal_index(draw, Direction([1.0]), 0.8, 10, 500,
+    def test_iid_case_is_one(self, iid_pareto08):
+        est = extremal_index(iid_pareto08, Direction([1.0]), 0.8, 10, 500,
                              derive_stream(44, 9))
         assert est.value == 1.0
 

@@ -80,14 +80,14 @@ KERNEL_DIGESTS = {
     "var1_dim2": {
         "path": "e7f1643bcb0c1ae0d430e2664fd26e5c"
                 "e63a3f8939692029b78863a01598a3d3",
-        "tail_process": "e6a1b2adced66fcace4147ddfe4723da"
-                        "8024d16c8108fb863413ff7e982815ff",
+        "tail_process": "a2ef79a77da7b85e159869a56954c613"
+                        "5652d8f4a6c676e984d07c815e5ca372",
     },
     "kesten_dim2": {
         "path": "57db81881a242760af9ff83c862bdeddc"
                 "9e73f27aa75cc39b0906c3c007ff7ce",
-        "tail_process": "b34bafa3f8850803842cff434858c509"
-                        "98b6e02e0c062461ffa5b8ae437d5269",
+        "tail_process": "b7832b637bc85dc8159ea727f9c5a74b"
+                        "215116f6dc38d760abe841c2fca48758",
     },
 }
 

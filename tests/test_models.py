@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from heavytail import models, randkit
-from heavytail.errors import (HeavytailError, NoRootError, ParameterError)
+from heavytail.errors import (HeavytailError, NoRootError, ParameterError,
+                              UnsupportedCaseError)
 from heavytail.randkit import TailLaw, derive_stream
 
 
@@ -236,6 +237,57 @@ class TestExceedanceAngles:
                                               derive_stream(7, 2))
         frac = (ang[:, 0] > 0).mean()
         assert abs(frac - 0.5) < 0.02
+
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    @pytest.mark.parametrize("family", [randkit.PARETO,
+                                        randkit.SYMMETRIC_PARETO])
+    def test_scalar_linear_chain_two_point_law(self, a, family):
+        # one big innovation at lag j lands on sign(a^j) times its own
+        # sign, with weight |a|^(j alpha)
+        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
+                               a_matrix=np.array([[a]]))
+        p_pos = 1.0 if family == randkit.PARETO else 0.5
+        r = abs(a) ** 1.5
+        even = p_pos if a > 0 else (p_pos + (1.0 - p_pos) * r) / (1.0 + r)
+        law = spec.theta0_law(0)
+        assert abs(law.weight_at([1.0]) - even) < 1e-12
+        assert abs(law.weight_at([-1.0]) - (1.0 - even)) < 1e-12
+
+    def test_heavy_tail_with_fast_decay_stays_on_sphere(self):
+        # alpha = 0.1 keeps terms with |a^j| near 1e-160, whose squares
+        # underflow
+        for a in (np.array([[0.1]]), np.diag([0.5, 0.1])):
+            spec = models.Var1Spec(a.shape[0],
+                                   TailLaw(randkit.PARETO, alpha=0.1),
+                                   a_matrix=a)
+            vecs, weights = spec.theta0_law(0).as_arrays()
+            assert np.array_equal(vecs, np.eye(a.shape[0]))
+            assert abs(weights.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("family, p_up", [(randkit.PARETO, 1.0),
+                                              (randkit.GAUSSIAN, 0.5)])
+    def test_scalar_recurrence_sign_law(self, family, p_up):
+        spec = models.KestenSpec(
+            1, a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
+            b_law=TailLaw(family, alpha=10.0))
+        law = spec.theta0_law(0)
+        assert law.weight_at([1.0]) == p_up
+        assert law.weight_at([-1.0]) == 1.0 - p_up
+
+    def test_scalar_draws_keep_u_below_p_up(self):
+        # the CDF inversion keeps the draws u < P(Theta_0 = +1)
+        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.array([[-0.5]]))
+        p_up = spec.theta0_law(0).weight_at([1.0])
+        ang = models.sample_exceedance_angles(spec, 5000,
+                                              derive_stream(7, 3))
+        u = derive_stream(7, 3).rng.random(5000)
+        assert np.array_equal(ang[:, 0], np.where(u < p_up, 1.0, -1.0))
+
+    def test_volatility_recursion_has_no_theta0_law(self, garch_benchmark):
+        with pytest.raises(UnsupportedCaseError):
+            models.sample_exceedance_angles(garch_benchmark, 10,
+                                            derive_stream(7, 4))
 
 
 class TestDrift:
