@@ -124,10 +124,11 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.values.get(key, _DEFAULTS.get(key, default))
 
-    def echo(self) -> dict:
+    def echo(self, threads: int) -> dict:
+        """The config as run, with the thread count the run used."""
         out = {"command": self.command, "model": self.model,
                "seed": self.seed, "out_dir": self.out_dir,
-               "threads": self.threads or 1}
+               "threads": threads}
         out.update({k: v for k, v in sorted(self.values.items())})
         return out
 
@@ -289,7 +290,7 @@ def build_spec(config: ExperimentConfig):
                             scale=config.get("b_scale"))
         else:
             b_law = TailLaw(randkit.GAUSSIAN, scale=config.get("b_scale"))
-        return models.KestenSpec(1, a_law=a_law, b_law=b_law,
+        return models.KestenSpec(a_law=a_law, b_law=b_law,
                                  alpha_hint=config.get("alpha_hint"))
     return models.Garch11Spec(config.get("alpha0"), config.get("alpha1"),
                               config.get("beta1"))
@@ -574,6 +575,8 @@ def run(config: ExperimentConfig, out_dir: str = None,
     manifest.json. Partial outputs are removed on failure."""
     out = out_dir or config.out_dir
     threads = threads if threads is not None else (config.threads or 1)
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
     spec = build_spec(config)
     writer = _Writer(out)
     start = time.time()
@@ -594,7 +597,7 @@ def run(config: ExperimentConfig, out_dir: str = None,
     runtime = time.time() - start
     files = [{"name": os.path.basename(p), "sha256": _digest(p)}
              for p in writer.paths]
-    manifest = RunManifest(command=config.command, config=config.echo(),
+    manifest = RunManifest(command=config.command, config=config.echo(threads),
                            files=files,
                            versions={"heavytail": __version__,
                                      "numpy": np.__version__,
@@ -639,8 +642,8 @@ def main(argv=None) -> int:
             try:
                 threads = int(env)
             except ValueError:
-                print("error: HEAVYTAIL_THREADS must be an integer",
-                      file=sys.stderr)
+                print("error: HEAVYTAIL_THREADS must be an integer, "
+                      f"got {env!r}", file=sys.stderr)
                 return 2
     try:
         config = parse_config(text, command_override=args.command,

@@ -240,9 +240,9 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
 
     Linear model: E[(theta'(I-A)^{-1} Theta_0)_+^alpha
                     - (theta'A(I-A)^{-1} Theta_0)_+^alpha].
-    Scalar/matrix recurrence: E[(theta'(W+I) Theta_0)_+^alpha
-                                - (theta'W Theta_0)_+^alpha] with W the
-    stationary solution of W_k = (W_{k-1} + I) A_k, run in for a fixed
+    Scalar recurrence: E[(theta (W+1) Theta_0)_+^alpha
+                         - (theta W Theta_0)_+^alpha] with W the
+    stationary solution of W_k = (W_{k-1} + 1) A_k, run in for a fixed
     number of steps. Other models raise UnsupportedCaseError.
     """
     if replicas < 1:

@@ -186,7 +186,7 @@ def _sum_centering(spec, n: int, alpha: float, stream: RngStream):
     """(per-step mean, label) used to center S_n when alpha > 1."""
     if alpha <= 1.0:
         return 0.0, "none"
-    mean = models.stationary_mean(spec)
+    mean = spec.stationary_mean()
     if mean is not None:
         return float(np.asarray(mean).ravel()[0]), "analytic"
     pilot = models.stationary_pilot(spec, stream.master_seed)
@@ -197,7 +197,7 @@ def _power_tail(spec, stream: RngStream):
     """(c, alpha, scale) with P(|X| > x) ~ c (x / scale)^(-alpha) for the
     stationary law: the analytic power tail when available, else a Hill
     fit on the stationary pilot (c = k/n above the threshold)."""
-    analytic = models.stationary_tail_constant(spec)
+    analytic = spec.tail_constant()
     if analytic is not None:
         return analytic
     x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])

@@ -1,6 +1,6 @@
-"""Model families: linear autoregression, stochastic recurrence (Kesten),
-GARCH(1,1); their path simulators, spectral-tail-process samplers,
-moment-equation tail indices, and drift-condition diagnostics.
+"""Model families: linear autoregression, scalar stochastic recurrence
+(Kesten), GARCH(1,1); their path simulators, spectral-tail-process
+samplers, moment-equation tail indices, and drift-condition diagnostics.
 
 Each family is a spec class that answers, for itself, the questions every
 route asks of a model (``ModelSpec``). The module-level functions keep the
@@ -59,9 +59,9 @@ class ModelSpec:
     has_closed_form = False
     default_burn = 2048  # warm-up of the limit-theorem scans
 
-    def theta0_law(self, master_seed: int) -> tailstats.AngularMeasure:
+    def theta0_law(self) -> tailstats.AngularMeasure:
         """Law of the exceedance angle Theta_0, a discrete measure on the
-        unit sphere (``master_seed`` keys a pilot where one is needed)."""
+        unit sphere."""
         raise UnsupportedCaseError(
             f"no Theta_0 law for {type(self).__name__}")
 
@@ -69,7 +69,7 @@ class ModelSpec:
         """(replicas, d) draws of Theta_0 from ``theta0_law``: one uniform
         per replica inverts the CDF over the atoms in the law's order; a
         one-atom law takes no draws."""
-        atoms, weights = self.theta0_law(stream.master_seed).as_arrays()
+        atoms, weights = self.theta0_law().as_arrays()
         if weights.size == 1:
             return np.repeat(atoms, replicas, axis=0)
         cdf = np.cumsum(weights)
@@ -178,7 +178,7 @@ class Var1Spec(ModelSpec):
         _check_finite(out, "spectral radius below 1")
         return out
 
-    def theta0_law(self, master_seed):
+    def theta0_law(self):
         """Exact: one big innovation at lag j in coordinate i puts Theta_0
         at +-A^j w_i e_i / |A^j w_i e_i| with weight p+- |A^j w_i e_i|^alpha
         (Davis & Resnick 1985). Terms below 1e-17 of the largest weight are
@@ -265,91 +265,47 @@ class Var1Spec(ModelSpec):
 
 @dataclass(eq=False)
 class KestenSpec(ModelSpec):
-    """Stochastic recurrence X_t = A_t X_{t-1} + B_t.
+    """Scalar stochastic recurrence X_t = A_t X_{t-1} + B_t with iid
+    multipliers from ``a_law`` (A > 0, required for the moment equation)
+    and additive terms from ``b_law``."""
 
-    Scalar case: ``a_law`` / ``b_law`` are univariate laws (A > 0 required
-    for the moment equation). For dim > 1 supply samplers:
-    ``a_sampler(stream, size) -> (size, d, d)``,
-    ``b_sampler(stream, size) -> (size, d)``.
-    """
-
-    dim: int
     a_law: TailLaw | None = None
     b_law: TailLaw | None = None
-    a_sampler: object = None
-    b_sampler: object = None
     alpha_hint: float | None = None
 
+    dim = 1
     has_closed_form = True
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("dim must be at least 1")
-        if self.dim == 1:
-            if self.a_law is None or self.b_law is None:
-                raise ParameterError("scalar recursion needs a_law and b_law")
-        else:
-            if self.a_sampler is None or self.b_sampler is None:
-                raise ParameterError(
-                    "dim > 1 recursion needs a_sampler and b_sampler")
-        if _lyapunov_exponent(self) >= 0.0:
+        if self.a_law is None or self.b_law is None:
+            raise ParameterError("the recursion needs a_law and b_law")
+        if _law_log_mean(self.a_law) >= 0.0:
             raise ParameterError(
                 "multiplier law must have negative log-mean "
                 "(contraction on average)")
         self._pilot_cache = {}
 
-    def draw_multipliers(self, stream: RngStream, size: int) -> np.ndarray:
-        if self.dim == 1:
-            return sample_law(stream, self.a_law, size)
-        return np.asarray(self.a_sampler(stream, size), dtype=float)
-
-    def draw_additives(self, stream: RngStream, size: int) -> np.ndarray:
-        if self.dim == 1:
-            return sample_law(stream, self.b_law, size)
-        return np.asarray(self.b_sampler(stream, size), dtype=float)
-
     def tail_index(self) -> float:
-        if self.dim != 1:
-            raise UnsupportedLawError(
-                "moment equation implemented for the scalar recursion only")
         return _solve_moment_equation(
             lambda k: _law_moment(self.a_law, k) - 1.0)
 
     def paths(self, n, burn_in, replicas, stream):
         total = n + burn_in
-        if self.dim == 1:
-            a = self.draw_multipliers(stream, replicas * total).reshape(
-                replicas, total)
-            b = self.draw_additives(stream, replicas * total).reshape(
-                replicas, total)
-            x = np.zeros(replicas)
-            out = np.empty((replicas, n))
-            for t in range(total):
-                x = a[:, t] * x + b[:, t]
-                if t >= burn_in:
-                    out[:, t - burn_in] = x
-            _check_finite(out, "negative log-mean of the multiplier law")
-            return out[..., None]
-        d = self.dim
-        mats = self.draw_multipliers(stream, replicas * total).reshape(
-            replicas, total, d, d)
-        adds = self.draw_additives(stream, replicas * total).reshape(
-            replicas, total, d)
-        out = np.empty((replicas, n, d))
-        x = np.zeros((replicas, d, 1))
+        a = sample_law(stream, self.a_law, replicas * total).reshape(
+            replicas, total)
+        b = sample_law(stream, self.b_law, replicas * total).reshape(
+            replicas, total)
+        x = np.zeros(replicas)
+        out = np.empty((replicas, n))
         for t in range(total):
-            x = np.matmul(mats[:, t], x) + adds[:, t, :, None]
+            x = a[:, t] * x + b[:, t]
             if t >= burn_in:
-                out[:, t - burn_in] = x[..., 0]
-        _check_finite(out, "negative top Lyapunov exponent")
-        return out
+                out[:, t - burn_in] = x
+        _check_finite(out, "negative log-mean of the multiplier law")
+        return out[..., None]
 
-    def theta0_law(self, master_seed):
-        """The sign law of the additive term for the scalar recursion; the
-        angles of the top 0.1 % of the stationary pilot otherwise."""
-        if self.dim > 1:
-            pilot = stationary_pilot(self, master_seed)
-            return tailstats.angular_measure(pilot, pilot.shape[0] // 1000)
+    def theta0_law(self):
+        """The sign law of the additive term."""
         fam = self.b_law.family
         if fam in _POSITIVE_FAMILIES:
             return tailstats.AngularMeasure([(1.0, 1.0)])
@@ -360,61 +316,32 @@ class KestenSpec(ModelSpec):
             "no exact exceedance-angle law for this additive family")
 
     def tail_process(self, horizon, replicas, stream, alpha):
-        theta = np.empty((replicas, horizon + 1, self.dim))
+        theta = np.empty((replicas, horizon + 1, 1))
         theta0 = self.theta0(replicas, stream)
         theta[:, 0] = theta0
-        if self.dim == 1:
-            mults = self.draw_multipliers(
-                stream, replicas * horizon).reshape(replicas, horizon) \
-                if horizon else np.empty((replicas, 0))
-            theta[:, 1:, 0] = np.cumprod(mults, axis=1) * theta0
-            return theta
-        cur = theta0
-        for t in range(1, horizon + 1):
-            mats = self.draw_multipliers(stream, replicas)
-            cur = np.einsum("rij,rj->ri", mats, cur)
-            theta[:, t] = cur
+        mults = sample_law(stream, self.a_law, replicas * horizon).reshape(
+            replicas, horizon) if horizon else np.empty((replicas, 0))
+        theta[:, 1:, 0] = np.cumprod(mults, axis=1) * theta0
         return theta
 
     def closed_form_terms(self, tv, replicas, stream):
-        """u = theta'(W+I) Theta_0 and w = theta'W Theta_0, with W the
-        stationary solution of W_k = (W_{k-1} + I) A_k run in for a fixed
-        number of steps (the returned horizon)."""
-        if tv.size != self.dim:
+        """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
+        W = sum_{t>=1} A_1 ... A_t drawn independently per replica by the
+        recursion W_k = (W_{k-1} + 1) A_k run for a fixed number of steps
+        (the returned horizon)."""
+        if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
-        w_mat = self._aux_chain(replicas, stream.substream(_CLOSED_AUX))
-        if self.dim == 1:
-            w = w_mat * angles[:, 0] * tv[0]
-            u = (w_mat + 1.0) * angles[:, 0] * tv[0]
-        else:
-            u = np.einsum("j,rjk,rk->r", tv,
-                          w_mat + np.eye(self.dim), angles)
-            w = np.einsum("j,rjk,rk->r", tv, w_mat, angles)
+        a = sample_law(stream.substream(_CLOSED_AUX), self.a_law,
+                       replicas * _AUX_BURN).reshape(replicas, _AUX_BURN)
+        aux = np.zeros(replicas)
+        for t in range(_AUX_BURN):
+            aux = (aux + 1.0) * a[:, t]
+        w = aux * angles[:, 0] * tv[0]
+        u = (aux + 1.0) * angles[:, 0] * tv[0]
         return u, w, _AUX_BURN
 
-    def _aux_chain(self, replicas: int, stream: RngStream):
-        """Independent stationary draws of W = sum_{t>=1} A_1 ... A_t via
-        the recursion W_k = (W_{k-1} + I) A_k run for a fixed number of
-        steps."""
-        steps = _AUX_BURN
-        if self.dim == 1:
-            a = self.draw_multipliers(stream, replicas * steps).reshape(
-                replicas, steps)
-            w = np.zeros(replicas)
-            for t in range(steps):
-                w = (w + 1.0) * a[:, t]
-            return w
-        w = np.zeros((replicas, self.dim, self.dim))
-        eye = np.eye(self.dim)
-        for t in range(steps):
-            mats = self.draw_multipliers(stream, replicas)
-            w = np.einsum("rij,rjk->rik", w + eye, mats)
-        return w
-
     def stationary_mean(self):
-        if self.dim != 1:
-            return None
         try:
             ma = _law_moment(self.a_law, 1.0)
             mb = randkit.law_mean(self.b_law)
@@ -425,14 +352,10 @@ class KestenSpec(ModelSpec):
         return np.array([mb / (1.0 - ma)])
 
     def conditional_states(self, y, m, reps, stream):
-        if self.dim != 1:
-            raise ParameterError(
-                "conditional simulation implemented for the scalar "
-                "recursion only")
         cur = np.full(reps, float(y[0]))
         for _ in range(m):
-            a = self.draw_multipliers(stream, reps)
-            b = self.draw_additives(stream, reps)
+            a = sample_law(stream, self.a_law, reps)
+            b = sample_law(stream, self.b_law, reps)
             cur = a * cur + b
         return cur[:, None]
 
@@ -656,24 +579,6 @@ def _law_log_mean(law: TailLaw) -> float:
     return float(np.mean(np.log(_moment_draws(law))))
 
 
-def _lyapunov_exponent(spec: KestenSpec) -> float:
-    if spec.dim == 1:
-        return _law_log_mean(spec.a_law)
-    stream = derive_stream(_FIXED_MC_SEED, 0x1C)
-    v = np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
-    acc = 0.0
-    steps = 2000
-    mats = spec.draw_multipliers(stream, steps)
-    for t in range(steps):
-        v = mats[t] @ v
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            return -math.inf
-        acc += math.log(nrm)
-        v /= nrm
-    return acc / steps
-
-
 @functools.lru_cache(maxsize=4)
 def _moment_draws(law: TailLaw) -> np.ndarray:
     """1e6 fixed draws of a positive multiplier law for its moments."""
@@ -853,21 +758,6 @@ def sample_exceedance_angles(spec, replicas: int,
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     return spec.theta0(replicas, stream)
-
-
-# ---------------------------------------------------------------------------
-# analytic stationary-law facts (used for scan denominators and centering)
-
-
-def stationary_tail_constant(spec):
-    """(c, alpha, scale) with P(|X| > x) ~ c (x/scale)^(-alpha), when the
-    stationary tail follows analytically; None otherwise."""
-    return spec.tail_constant()
-
-
-def stationary_mean(spec):
-    """Exact stationary mean vector, when available; None otherwise."""
-    return spec.stationary_mean()
 
 
 # ---------------------------------------------------------------------------

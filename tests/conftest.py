@@ -54,7 +54,6 @@ def kesten_lognormal():
     """Scalar recurrence with lognormal multiplier, log-variance 0.5."""
     import math
     return models.KestenSpec(
-        1,
         a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)),
         b_law=TailLaw(randkit.PARETO, alpha=10.0))
 

@@ -141,8 +141,7 @@ def test_criterion_04_garch_tail_index():
 
 def test_criterion_05_kesten_tail_index():
     spec = models.KestenSpec(
-        1, a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
-                         sigma=math.sqrt(0.5)),
+        a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)),
         b_law=TailLaw(randkit.PARETO, alpha=10.0))
     kappa = models.tail_index(spec)
     ok = abs(kappa - 2.0) < 1e-6

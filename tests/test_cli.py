@@ -242,14 +242,32 @@ class TestMain:
         cfg = self._write(tmp_path, "model = var1\nseed = 1\na = 0.5\n")
         assert main(["frobnicate", "--config", cfg]) == 2
 
+    _SIMULATE = ("command = simulate\nmodel = var1\nseed = 5\na = 0.5\n"
+                 "innovation = pareto\nalpha = 1.5\nn = 30\n")
+
+    @pytest.mark.parametrize("value", ["many", "0", "-7"])
     def test_env_threads_must_be_integer(self, tmp_path, capsys,
-                                         monkeypatch):
-        cfg = self._write(
-            tmp_path,
-            "command = simulate\nmodel = var1\nseed = 5\na = 0.5\n"
-            "innovation = pareto\nalpha = 1.5\nn = 30\n")
-        monkeypatch.setenv("HEAVYTAIL_THREADS", "many")
+                                         monkeypatch, value):
+        cfg = self._write(tmp_path, self._SIMULATE
+                          + f"out_dir = {tmp_path / 'out'}\n")
+        monkeypatch.setenv("HEAVYTAIL_THREADS", value)
         assert main(["simulate", "--config", cfg]) == 2
+        assert value in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_must_be_positive(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, self._SIMULATE
+                          + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
+        assert "got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_echoes_threads_used(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._write(tmp_path, self._SIMULATE + f"out_dir = {out}\n")
+        assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["config"]["threads"] == 2
 
 
 class TestGoldenConfigs:

@@ -27,7 +27,7 @@ def near_degenerate_half_spec(alpha_hint=1.5):
     """Scalar recurrence whose multiplier is concentrated at 1/2 (the
     moment equation then has no root, so the index is declared)."""
     return models.KestenSpec(
-        1, a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5), sigma=1e-9),
+        a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5), sigma=1e-9),
         b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=alpha_hint)
 
 
@@ -84,14 +84,20 @@ class TestClosedForm:
                                         200_000, derive_stream(7, 3))
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
-    def test_two_dimensional_linear_chain_reads_no_pilot(self):
-        spec = models.Var1Spec(2, TailLaw(randkit.SYMMETRIC_PARETO,
-                                          alpha=1.5),
-                               a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
-        theta = Direction([1.0, 1.0])
+    @pytest.mark.parametrize("name", ["var1_dim2", "kesten_lognormal"])
+    def test_exact_theta0_law_reads_no_pilot(self, request, name):
+        # the 2-d linear chain and the scalar recurrence: both Theta_0
+        # laws are exact, so neither cluster route draws the pilot
+        if name == "var1_dim2":
+            spec = models.Var1Spec(
+                2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+                a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
+        else:
+            spec = request.getfixturevalue(name)
+        theta = Direction(np.ones(spec.dim))
         closed_form_cluster_index(spec, theta, 1000, derive_stream(41, 5))
-        cluster_index_tail_process(spec, theta, 1.5, 10, 1000,
-                                   derive_stream(41, 6))
+        cluster_index_tail_process(spec, theta, models.model_alpha(spec), 10,
+                                   1000, derive_stream(41, 6))
         assert spec._pilot_cache == {}
 
     def test_recurrence_with_half_multiplier(self):

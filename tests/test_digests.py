@@ -1,7 +1,7 @@
 """Pinned output digests.
 
 Every file a golden run lists in its manifest, and the raw bytes of the
-path and tail-process kernels on two-dimensional chains, are pinned by
+path and tail-process kernels on a two-dimensional chain, are pinned by
 SHA-256. A change that keeps stream consumption and arithmetic order
 leaves every digest here unchanged; a change that alters which draws are
 made re-pins them and says so.
@@ -83,33 +83,14 @@ KERNEL_DIGESTS = {
         "tail_process": "a2ef79a77da7b85e159869a56954c613"
                         "5652d8f4a6c676e984d07c815e5ca372",
     },
-    "kesten_dim2": {
-        "path": "57db81881a242760af9ff83c862bdeddc"
-                "9e73f27aa75cc39b0906c3c007ff7ce",
-        "tail_process": "b7832b637bc85dc8159ea727f9c5a74b"
-                        "215116f6dc38d760abe841c2fca48758",
-    },
 }
 
-_B_LAW = TailLaw(randkit.PARETO, alpha=1.5)
-
-
-def _kesten_multipliers(stream, size):
-    return 0.6 * stream.rng.random((size, 2, 2))
-
-
-def _kesten_additives(stream, size):
-    return randkit.sample_law(stream, _B_LAW, 2 * size).reshape(size, 2)
-
-
-def _kernel_spec(name):
-    if name == "var1_dim2":
-        return models.Var1Spec(
-            2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-            a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-            weights=np.array([1.0, 2.0]))
-    return models.KestenSpec(2, a_sampler=_kesten_multipliers,
-                             b_sampler=_kesten_additives, alpha_hint=1.5)
+_KERNEL_SPECS = {
+    "var1_dim2": lambda: models.Var1Spec(
+        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+        weights=np.array([1.0, 2.0])),
+}
 
 
 def _check(label, got, want):
@@ -130,7 +111,7 @@ def test_golden_run_digests(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))
 def test_two_dimensional_kernel_digests(name):
-    spec = _kernel_spec(name)
+    spec = _KERNEL_SPECS[name]()
     path = models.simulate_path(spec, 300, 50, derive_stream(SEED, 11))
     theta, radii = models.sample_tail_process_batch(
         spec, 8, 200, derive_stream(SEED, 12))

@@ -43,7 +43,7 @@ class TestTailIndex:
 
     def test_kesten_lognormal_other_variance(self):
         spec = models.KestenSpec(
-            1, a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
             b_law=TailLaw(randkit.PARETO, alpha=10.0))
         assert abs(models.tail_index(spec)
                    - lognormal_root(-0.5, 0.25)) < 1e-6
@@ -52,24 +52,24 @@ class TestTailIndex:
         # Pareto multiplier, scale sqrt(0.8), index 10:
         # E A^2 = 0.8 * 10/8 = 1 exactly, so the root is 2
         spec = models.KestenSpec(
-            1, a_law=TailLaw(randkit.PARETO, alpha=10.0,
-                             scale=math.sqrt(0.8)),
+            a_law=TailLaw(randkit.PARETO, alpha=10.0,
+                          scale=math.sqrt(0.8)),
             b_law=TailLaw(randkit.PARETO, alpha=10.0))
         assert abs(models.tail_index(spec) - 2.0) < 0.02
 
     def test_degenerate_multiplier_has_no_root(self):
         # A concentrated at 0.5: E A^k = 0.5^k never reaches 1
         spec = models.KestenSpec(
-            1, a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
-                             sigma=1e-9),
+            a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
+                          sigma=1e-9),
             b_law=TailLaw(randkit.PARETO, alpha=10.0))
         with pytest.raises(NoRootError):
             models.tail_index(spec)
 
     def test_model_alpha_honors_hint(self):
         spec = models.KestenSpec(
-            1, a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
-                             sigma=1e-9),
+            a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
+                          sigma=1e-9),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.5)
         assert models.model_alpha(spec) == 1.5
 
@@ -95,10 +95,15 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             models.Garch11Spec(0.0, 0.1, 0.8)
 
+    def test_kesten_requires_both_laws(self):
+        with pytest.raises(ParameterError):
+            models.KestenSpec(a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
+                                            sigma=0.5))
+
     def test_kesten_requires_negative_lyapunov(self):
         with pytest.raises(HeavytailError):
             models.KestenSpec(
-                1, a_law=TailLaw(randkit.LOGNORMAL, mu=0.5, sigma=0.5),
+                a_law=TailLaw(randkit.LOGNORMAL, mu=0.5, sigma=0.5),
                 b_law=TailLaw(randkit.PARETO, alpha=10.0))
 
 
@@ -130,7 +135,7 @@ class TestSimulatePath:
                                     derive_stream(4, 2))
         target = eb / (1.0 - ea)
         assert abs(path.values.mean() - target) / target < 0.05
-        assert abs(models.stationary_mean(kesten_lognormal)[0]
+        assert abs(kesten_lognormal.stationary_mean()[0]
                    - target) < 1e-12
 
     def test_garch_paths_are_finite_and_volatile(self, garch_benchmark):
@@ -249,7 +254,7 @@ class TestExceedanceAngles:
         p_pos = 1.0 if family == randkit.PARETO else 0.5
         r = abs(a) ** 1.5
         even = p_pos if a > 0 else (p_pos + (1.0 - p_pos) * r) / (1.0 + r)
-        law = spec.theta0_law(0)
+        law = spec.theta0_law()
         assert abs(law.weight_at([1.0]) - even) < 1e-12
         assert abs(law.weight_at([-1.0]) - (1.0 - even)) < 1e-12
 
@@ -260,7 +265,7 @@ class TestExceedanceAngles:
             spec = models.Var1Spec(a.shape[0],
                                    TailLaw(randkit.PARETO, alpha=0.1),
                                    a_matrix=a)
-            vecs, weights = spec.theta0_law(0).as_arrays()
+            vecs, weights = spec.theta0_law().as_arrays()
             assert np.array_equal(vecs, np.eye(a.shape[0]))
             assert abs(weights.sum() - 1.0) < 1e-12
 
@@ -268,9 +273,9 @@ class TestExceedanceAngles:
                                               (randkit.GAUSSIAN, 0.5)])
     def test_scalar_recurrence_sign_law(self, family, p_up):
         spec = models.KestenSpec(
-            1, a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
             b_law=TailLaw(family, alpha=10.0))
-        law = spec.theta0_law(0)
+        law = spec.theta0_law()
         assert law.weight_at([1.0]) == p_up
         assert law.weight_at([-1.0]) == 1.0 - p_up
 
@@ -278,7 +283,7 @@ class TestExceedanceAngles:
         # the CDF inversion keeps the draws u < P(Theta_0 = +1)
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[-0.5]]))
-        p_up = spec.theta0_law(0).weight_at([1.0])
+        p_up = spec.theta0_law().weight_at([1.0])
         ang = models.sample_exceedance_angles(spec, 5000,
                                               derive_stream(7, 3))
         u = derive_stream(7, 3).rng.random(5000)
@@ -309,7 +314,7 @@ class TestDrift:
 
 class TestStationaryTail:
     def test_linear_chain_tail_constant(self, ar_pareto15):
-        c, alpha, scale = models.stationary_tail_constant(ar_pareto15)
+        c, alpha, scale = ar_pareto15.tail_constant()
         assert alpha == 1.5
         assert scale == 1.0
         assert abs(c - 1.0 / (1.0 - 0.5 ** 1.5)) < 1e-14
@@ -319,7 +324,7 @@ class TestStationaryTail:
         # the iid binomial rate, so the band is generous; a wrong
         # constant (e.g. dropping the geometric factor, a 55% shift)
         # still fails it decisively
-        c, alpha, scale = models.stationary_tail_constant(ar_pareto15)
+        c, alpha, scale = ar_pareto15.tail_constant()
         path = models.simulate_path(ar_pareto15, 1_000_000, 1000,
                                     derive_stream(8, 2))
         x = np.abs(path.values[:, 0])
