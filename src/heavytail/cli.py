@@ -407,7 +407,7 @@ def _cmd_simulate(config, spec, writer, threads):
 
 
 def _cmd_cluster_index(config, spec, writer, threads):
-    alpha = models.model_alpha(spec)
+    alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
     tail_theta = spec.tail_direction(theta)
     horizon = config.get("horizon")
@@ -480,7 +480,7 @@ def _cmd_stable_check(config, spec, writer, threads):
 def _cmd_drift_check(config, spec, writer, threads):
     alpha = None
     try:
-        alpha = models.model_alpha(spec)
+        alpha = models.tail_index(spec)
     except HeavytailError:
         pass
     p, grid = spec.drift_setup(alpha)
@@ -526,7 +526,7 @@ def _cmd_regen_check(config, spec, writer, threads):
 
 
 def _cmd_report(config, spec, writer, threads):
-    alpha = models.model_alpha(spec)
+    alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
     tail_theta = spec.tail_direction(theta)
     horizon = config.get("horizon")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import OutOfRegimeError, ParameterError
 from . import models
 from .randkit import RngStream
 
@@ -56,7 +56,9 @@ class ClusterIndexEstimate:
 
     ``std_error`` is the unbiased (ddof=1) standard error of the mean,
     which coincides with the delete-one jackknife for a sample mean;
-    ``plug_in_se`` is the ddof=0 variant.
+    ``plug_in_se`` is the ddof=0 variant. A non-finite value or standard
+    error (a tail index too large for double precision) is out of
+    regime.
     """
 
     value: float
@@ -71,6 +73,10 @@ class ClusterIndexEstimate:
             raise ParameterError(f"unknown route {self.route!r}")
         if self.std_error < 0 or self.plug_in_se < 0:
             raise ParameterError("standard errors must be nonnegative")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise OutOfRegimeError(
+                f"{self.route} cluster index is not finite (value "
+                f"{self.value}, standard error {self.std_error})")
 
 
 @dataclass
@@ -157,10 +163,7 @@ def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
     mean = total / replicas
     var1 = max(total_sq / replicas - mean * mean, 0.0)
     se_plug = math.sqrt(var1 / replicas)
-    if replicas > 1:
-        se = math.sqrt(var1 * replicas / (replicas - 1) / replicas)
-    else:
-        se = math.inf
+    se = math.sqrt(var1 * replicas / (replicas - 1) / replicas)
     return ClusterIndexEstimate(value=mean, std_error=se, route=route,
                                 horizon=horizon, replicas=replicas,
                                 plug_in_se=se_plug)
@@ -247,7 +250,7 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
     """
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    alpha = models.model_alpha(spec)
+    alpha = models.tail_index(spec)
     u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream)
     vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
     mean = float(np.mean(vals))

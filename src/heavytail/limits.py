@@ -27,12 +27,13 @@ _PATH_CHUNK_BUDGET = 1 << 22  # floats per simulated chunk
 @dataclass
 class StableLawParams:
     """Direction-indexed pairs (b(theta), b(-theta)) defining the stable
-    limit's characteristic function, plus the tail constant."""
+    limit's characteristic function, plus the tail constant ``c_alpha``
+    derived from alpha."""
 
     alpha: float
     pairs: dict
-    c_alpha: float = None
     degenerate_directions: list = field(default_factory=list)
+    c_alpha: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -49,12 +50,7 @@ class StableLawParams:
                     self.degenerate_directions:
                 self.degenerate_directions.append(direction)
         self.pairs = store
-        expected = randkit.stable_tail_constant(self.alpha)
-        if self.c_alpha is None:
-            self.c_alpha = expected
-        elif not math.isclose(self.c_alpha, expected, rel_tol=1e-12):
-            raise ParameterError(
-                "c_alpha inconsistent with the tail-constant formula")
+        self.c_alpha = randkit.stable_tail_constant(self.alpha)
 
     def pair_at(self, theta: Direction):
         if not isinstance(theta, Direction):
@@ -182,15 +178,17 @@ def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
     return np.concatenate(_map_chunks(one, n_chunks, threads))
 
 
-def _sum_centering(spec, n: int, alpha: float, stream: RngStream):
-    """(per-step mean, label) used to center S_n when alpha > 1."""
+def _sum_centering(spec, alpha: float):
+    """(per-step mean, label) used to center S_n: the exact stationary
+    mean when alpha > 1, none otherwise."""
     if alpha <= 1.0:
         return 0.0, "none"
     mean = spec.stationary_mean()
-    if mean is not None:
-        return float(np.asarray(mean).ravel()[0]), "analytic"
-    pilot = models.stationary_pilot(spec, stream.master_seed)
-    return float(pilot[:, 0].mean()), "sample"
+    if mean is None:
+        raise OutOfRegimeError(
+            f"alpha = {alpha:.4g} > 1 needs the stationary mean to center "
+            f"S_n, and the {type(spec).__name__} mean is infinite")
+    return float(np.asarray(mean).ravel()[0]), "analytic"
 
 
 def _power_tail(spec, stream: RngStream):
@@ -213,24 +211,23 @@ def _a_n_for(spec, n: int, stream: RngStream) -> float:
     return scale * (n * c) ** (1.0 / alpha)
 
 
-def _b_pair_for(spec, theta: Direction, stream: RngStream,
-                replicas: int = 50_000, horizon: int = 64):
-    """(b(theta), b(-theta)) via the closed form when available, else the
-    tail-process route."""
-    th = spec.tail_direction(theta)
+def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
+          replicas: int = 50_000, horizon: int = 64) -> float:
+    """b at the tail-process direction ``th``, clipped at 0: the closed
+    form when available, else the tail-process route."""
     if spec.has_closed_form:
-        up = cluster.closed_form_cluster_index(
-            spec, th, replicas, stream.substream(0xB0))
-        dn = cluster.closed_form_cluster_index(
-            spec, th.negated(), replicas, stream.substream(0xB1))
+        est = cluster.closed_form_cluster_index(spec, th, replicas, stream)
     else:
-        alpha = models.model_alpha(spec)
-        up = cluster.cluster_index_tail_process(
-            spec, th, alpha, horizon, replicas, stream.substream(0xB0))
-        dn = cluster.cluster_index_tail_process(
-            spec, th.negated(), alpha, horizon, replicas,
-            stream.substream(0xB1))
-    return (max(up.value, 0.0), max(dn.value, 0.0)), (up, dn)
+        est = cluster.cluster_index_tail_process(
+            spec, th, alpha, horizon, replicas, stream)
+    return max(est.value, 0.0)
+
+
+def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream):
+    """(b(theta), b(-theta)) on substreams 0xB0 and 0xB1."""
+    th = spec.tail_direction(theta)
+    return (_b_at(spec, th, alpha, stream.substream(0xB0)),
+            _b_at(spec, th.negated(), alpha, stream.substream(0xB1)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
     the fixed grid; one CfComparison per direction."""
     if n < 1 or reps < 1:
         raise ParameterError("n and reps must be positive")
-    alpha = models.model_alpha(spec)
+    alpha = models.tail_index(spec)
     if not 0 < alpha < 2:
         raise OutOfRegimeError(
             f"stable regime needs alpha in (0, 2); got {alpha:.4g}")
@@ -257,8 +254,8 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
     if params is None:
         pairs = {}
         for i, th in enumerate(theta_grid):
-            pair, _ = _b_pair_for(spec, th, stream.substream(0xC0 + i))
-            pairs[th] = pair
+            pairs[th] = _b_pair_for(spec, th, alpha,
+                                    stream.substream(0xC0 + i))
         params = StableLawParams(alpha=alpha, pairs=pairs)
     if alpha == 1.0:
         for th in theta_grid:
@@ -269,7 +266,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), burn,
                         threads)
-    mu, centering = _sum_centering(spec, n, alpha, stream)
+    mu, centering = _sum_centering(spec, alpha)
     a_n = _a_n_for(spec, n, stream)
     y = (sums - n * mu) / a_n
     out = []
@@ -312,14 +309,14 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
             "must be +1 or -1")
     if grid_size < 1:
         raise ParameterError("grid_size must be at least 1")
-    alpha = models.model_alpha(spec)
+    alpha = models.tail_index(spec)
     b_n, c_n = ldp_region(alpha, n, eps) if region is None else \
         (float(region[0]), float(region[1]))
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
     c, alpha_tail, scale = _power_tail(spec, stream)
-    mu, centering = _sum_centering(spec, n, alpha, stream)
+    mu, centering = _sum_centering(spec, alpha)
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,
                         threads)
@@ -338,8 +335,8 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
     if target is None:
-        (bp, _), _ = _b_pair_for(spec, theta, stream.substream(0xC9))
-        target = bp
+        target = _b_at(spec, spec.tail_direction(theta), alpha,
+                       stream.substream(0xC9).substream(0xB0))
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,
                          target=float(target), sup_dev=sup_dev,

@@ -9,7 +9,6 @@ shared argument checks and delegate to the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from .randkit import RngStream, TailLaw, derive_stream, sample_law
 _ANGLE_CHILD = 0x7A17
 _RADIUS_CHILD = 0x7A18
 _PILOT_STREAM_ID = 0x7A19
-_FIXED_MC_SEED = 0x5EED0FF1CE
 # substreams of the closed-form cluster index: Theta_0 draws, auxiliary chain
 _CLOSED_ANGLES = 0x0A
 _CLOSED_AUX = 0x0C
@@ -94,6 +92,13 @@ class ModelSpec:
         the stationary tail follows analytically; None otherwise."""
         return None
 
+    def linear_step(self):
+        """(a, innovation, weight) of the scalar linear chain
+        X_t = a X_{t-1} + weight Z_t with Z_t from ``innovation``."""
+        raise UnsupportedCaseError(
+            f"{type(self).__name__} of dimension {self.dim} is not the "
+            "scalar linear chain")
+
     def tail_direction(self, theta):
         """Tail-process direction that observes the scalar direction
         ``theta`` of X."""
@@ -146,13 +151,7 @@ class Var1Spec(ModelSpec):
         self._pilot_cache = {}
 
     def tail_index(self) -> float:
-        law = self.innovation
-        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
-            return law.alpha
-        if law.family == randkit.STABLE and law.alpha < 2:
-            return law.alpha
-        raise UnsupportedLawError(
-            "tail index requires a regularly varying innovation law")
+        return randkit.power_tail(self.innovation)[1]
 
     def paths(self, n, burn_in, replicas, stream):
         d = self.dim
@@ -184,7 +183,7 @@ class Var1Spec(ModelSpec):
         (Davis & Resnick 1985). Terms below 1e-17 of the largest weight are
         dropped."""
         alpha = tail_index(self)
-        p_up, p_dn = _tail_balance(self.innovation)
+        p_up, p_dn = randkit.tail_balance(self.innovation)
         powers = [np.diag(self.weights)]
         for _ in range(1, _SERIES_TERMS):
             powers.append(self.a_matrix @ powers[-1])
@@ -242,16 +241,19 @@ class Var1Spec(ModelSpec):
     def tail_constant(self):
         if self.dim != 1:
             return None
-        law = self.innovation
-        a = abs(float(self.a_matrix[0, 0]))
-        if law.family in (randkit.PARETO, randkit.SYMMETRIC_PARETO):
-            base = 1.0
-        elif law.family == randkit.STABLE and law.alpha < 2:
-            base = randkit.stable_tail_constant(law.alpha)
-        else:
+        try:
+            base, alpha = randkit.power_tail(self.innovation)
+        except UnsupportedLawError:
             return None
-        alpha = law.alpha
-        return base / (1.0 - a ** alpha), alpha, law.scale * self.weights[0]
+        a = abs(float(self.a_matrix[0, 0]))
+        return (base / (1.0 - a ** alpha), alpha,
+                self.innovation.scale * self.weights[0])
+
+    def linear_step(self):
+        if self.dim != 1:
+            return super().linear_step()
+        return (float(self.a_matrix[0, 0]), self.innovation,
+                float(self.weights[0]))
 
     def conditional_states(self, y, m, reps, stream):
         d = self.dim
@@ -266,8 +268,10 @@ class Var1Spec(ModelSpec):
 @dataclass(eq=False)
 class KestenSpec(ModelSpec):
     """Scalar stochastic recurrence X_t = A_t X_{t-1} + B_t with iid
-    multipliers from ``a_law`` (A > 0, required for the moment equation)
-    and additive terms from ``b_law``."""
+    multipliers from ``a_law`` (Pareto or lognormal, so the moment
+    equation E A^kappa = 1 is exact) and additive terms from ``b_law``.
+    A positive ``alpha_hint`` is the declared tail index and replaces the
+    moment-equation root."""
 
     a_law: TailLaw | None = None
     b_law: TailLaw | None = None
@@ -279,15 +283,23 @@ class KestenSpec(ModelSpec):
     def __post_init__(self):
         if self.a_law is None or self.b_law is None:
             raise ParameterError("the recursion needs a_law and b_law")
-        if _law_log_mean(self.a_law) >= 0.0:
+        if self.a_law.family not in _POSITIVE_FAMILIES:
+            raise ParameterError(
+                f"multiplier law must be pareto or lognormal, got "
+                f"{self.a_law.family}")
+        if self.alpha_hint is not None and not self.alpha_hint > 0:
+            raise ParameterError("alpha_hint must be positive")
+        if randkit.law_log_mean(self.a_law) >= 0.0:
             raise ParameterError(
                 "multiplier law must have negative log-mean "
                 "(contraction on average)")
         self._pilot_cache = {}
 
     def tail_index(self) -> float:
+        if self.alpha_hint is not None:
+            return float(self.alpha_hint)
         return _solve_moment_equation(
-            lambda k: _law_moment(self.a_law, k) - 1.0)
+            lambda k: randkit.law_moment(self.a_law, k) - 1.0)
 
     def paths(self, n, burn_in, replicas, stream):
         total = n + burn_in
@@ -342,14 +354,12 @@ class KestenSpec(ModelSpec):
         return u, w, _AUX_BURN
 
     def stationary_mean(self):
+        ma = randkit.law_moment(self.a_law, 1.0)
         try:
-            ma = _law_moment(self.a_law, 1.0)
             mb = randkit.law_mean(self.b_law)
         except (ParameterError, UnsupportedLawError):
             return None
-        if not (math.isfinite(ma) and math.isfinite(mb)) or ma >= 1.0:
-            return None
-        return np.array([mb / (1.0 - ma)])
+        return np.array([mb / (1.0 - ma)]) if ma < 1.0 else None
 
     def conditional_states(self, y, m, reps, stream):
         cur = np.full(reps, float(y[0]))
@@ -569,73 +579,6 @@ def _garch_power_moment(a1: float, b1: float, kappa: float) -> float:
     return float(np.sum(_GH_W * (a1 * _GH_Z ** 2 + b1) ** (kappa / 2.0)))
 
 
-def _law_log_mean(law: TailLaw) -> float:
-    """E log A for a positive multiplier law."""
-    if law.family == randkit.LOGNORMAL:
-        return law.mu
-    if law.family == randkit.PARETO:
-        # log X ~ scale shift + Exp(alpha)
-        return math.log(law.scale) + 1.0 / law.alpha
-    return float(np.mean(np.log(_moment_draws(law))))
-
-
-@functools.lru_cache(maxsize=4)
-def _moment_draws(law: TailLaw) -> np.ndarray:
-    """1e6 fixed draws of a positive multiplier law for its moments."""
-    draws = sample_law(derive_stream(_FIXED_MC_SEED, 0x1D), law, 1_000_000)
-    if np.any(draws <= 0):
-        raise ParameterError("multiplier law must be positive")
-    draws.flags.writeable = False  # shared by every caller
-    return draws
-
-
-def _law_moment(law: TailLaw, kappa: float) -> float:
-    """E A^kappa for a positive multiplier law."""
-    if law.family == randkit.LOGNORMAL:
-        return math.exp(kappa * law.mu + kappa ** 2 * law.sigma ** 2 / 2.0)
-    with np.errstate(over="raise"):
-        try:
-            return float(np.mean(_moment_draws(law) ** kappa))
-        except FloatingPointError:
-            return math.inf
-
-
-def _bisect_root(fn, lo: float, hi: float, tol: float = 2e-12) -> float:
-    """Bracketing bisection; fn(lo) <= 0 <= fn(hi) assumed checked."""
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    if fn(hi) == 0.0:
-        return hi
-    for _ in range(256):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if not math.isfinite(fmid):
-            raise NoRootError("moment non-finite inside the bracket")
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _tail_balance(law: TailLaw) -> tuple[float, float]:
-    """Limit split (P(X>x), P(X<-x)) / P(|X|>x) for a regularly varying
-    innovation law."""
-    if law.family == randkit.PARETO:
-        return 1.0, 0.0
-    if law.family == randkit.SYMMETRIC_PARETO:
-        return 0.5, 0.5
-    if law.family == randkit.STABLE and law.alpha < 2:
-        return (1.0 + law.skew) / 2.0, (1.0 - law.skew) / 2.0
-    raise UnsupportedLawError(
-        f"{law.family} is not regularly varying: no tail balance")
-
-
 def _check_finite(x: np.ndarray, invariant: str) -> None:
     if x.size and (not np.all(np.isfinite(x))
                    or np.max(np.abs(x)) > _BLOWUP):
@@ -643,26 +586,45 @@ def _check_finite(x: np.ndarray, invariant: str) -> None:
             f"simulated recursion diverged; failed invariant: {invariant}")
 
 
-def _solve_moment_equation(fn) -> float:
+def _solve_moment_equation(fn, tol: float = 2e-12) -> float:
+    """Positive root of fn (a moment minus 1, below 0 near 0): double the
+    bracket end from 1 until fn >= 0, then bisect. A diverging moment
+    (+inf) counts as above 1; an undefined one (nan) raises."""
     lo = 1e-6
     flo = fn(lo)
-    if not math.isfinite(flo):
-        raise NoRootError("moment non-finite at the lower bracket end")
+    if math.isnan(flo):
+        raise NoRootError("moment undefined at the lower bracket end")
     if flo >= 0.0:
         raise NoRootError(
             "moment function not below 1 near zero; no admissible root")
     hi = 1.0
     for _ in range(12):
         fhi = fn(hi)
-        if not math.isfinite(fhi):
-            raise NoRootError(
-                f"moment non-finite at bracket end kappa={hi}")
+        if math.isnan(fhi):
+            raise NoRootError(f"moment undefined at bracket end kappa={hi}")
         if fhi >= 0.0:
-            return _bisect_root(fn, lo, hi)
-        lo, flo = hi, fhi
+            break
+        lo = hi
         hi *= 2.0
-    raise NoRootError("no sign change on the expanded bracket (kappa <= "
-                      f"{hi / 2})")
+    else:
+        raise NoRootError("no sign change on the expanded bracket (kappa "
+                          f"<= {hi / 2})")
+    if fhi == 0.0:
+        return hi
+    for _ in range(256):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if math.isnan(fmid):
+            raise NoRootError("moment undefined inside the bracket")
+        if fmid == 0.0:
+            return mid
+        if fmid < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -708,22 +670,12 @@ def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
 def tail_index(spec) -> float:
     """Tail index of the stationary law.
 
-    Linear model: inherited from the innovation law. Scalar recurrence /
-    GARCH: unique positive root of the multiplier moment equation, found
-    by bracketing bisection (absolute tolerance well below 1e-8).
+    Linear model: inherited from the innovation law. Scalar recurrence:
+    the declared ``alpha_hint`` when set, else (as for GARCH) the unique
+    positive root of the multiplier moment equation, found by bracketing
+    bisection (absolute tolerance well below 1e-8).
     """
     return spec.tail_index()
-
-
-def model_alpha(spec) -> float:
-    """Tail index for downstream sampling: the declared ``alpha_hint``
-    when the spec carries one, else the moment-equation root."""
-    hint = getattr(spec, "alpha_hint", None)
-    if hint is not None:
-        if not hint > 0:
-            raise ParameterError("alpha_hint must be positive")
-        return float(hint)
-    return tail_index(spec)
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
@@ -739,7 +691,7 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
         raise ParameterError("replicas must be at least 1")
     angle = stream.substream(_ANGLE_CHILD)
     radius = stream.substream(_RADIUS_CHILD)
-    alpha = model_alpha(spec)
+    alpha = tail_index(spec)
     radii = randkit.sample_pareto(radius, alpha, replicas)
     return spec.tail_process(horizon, replicas, angle, alpha), radii
 

@@ -194,56 +194,82 @@ def stable_tail_constant(alpha: float) -> float:
     return (1 - alpha) / (_gamma(2 - alpha) * math.cos(math.pi * alpha / 2))
 
 
-def law_survival(law: TailLaw, x) -> np.ndarray:
-    """Analytic P(|X| > x) for the power-tailed families.
-
-    Exact for the Pareto families; the regular-variation equivalent
-    C_alpha (x/scale)^(-alpha) for stable with alpha < 2.
-    """
-    x = np.asarray(x, dtype=float)
+def power_tail(law: TailLaw) -> tuple[float, float]:
+    """(c, alpha) with P(|X| > x) ~ c (x/scale)^(-alpha): the one table
+    of regularly varying families (Pareto: exact with c = 1; stable with
+    alpha < 2: c = C_alpha)."""
     if law.family in (PARETO, SYMMETRIC_PARETO):
-        return np.minimum(1.0, (x / law.scale) ** (-law.alpha))
+        return 1.0, law.alpha
     if law.family == STABLE and law.alpha < 2:
-        c = stable_tail_constant(law.alpha)
-        return np.minimum(1.0, c * (x / law.scale) ** (-law.alpha))
+        return stable_tail_constant(law.alpha), law.alpha
     raise UnsupportedLawError(
-        f"{law.family} has no analytic power tail")
+        f"{law.family} (alpha {law.alpha:g}) is not regularly varying: "
+        "no power tail")
+
+
+def tail_balance(law: TailLaw) -> tuple[float, float]:
+    """Limit split (P(X>x), P(X<-x)) / P(|X|>x) for a regularly varying
+    law."""
+    if law.family == PARETO:
+        return 1.0, 0.0
+    if law.family == SYMMETRIC_PARETO:
+        return 0.5, 0.5
+    power_tail(law)  # raises unless the law is stable with alpha < 2
+    return (1.0 + law.skew) / 2.0, (1.0 - law.skew) / 2.0
+
+
+def law_survival(law: TailLaw, x) -> np.ndarray:
+    """P(|X| > x) from the power tail: exact for the Pareto families, the
+    regular-variation equivalent for stable with alpha < 2."""
+    c, alpha = power_tail(law)
+    x = np.asarray(x, dtype=float)
+    return np.minimum(1.0, c * (x / law.scale) ** (-alpha))
 
 
 def law_mean(law: TailLaw) -> float:
-    """Exact mean of the innovation law (where defined and finite)."""
-    if law.family == PARETO:
-        if law.alpha <= 1:
-            raise ParameterError("pareto mean requires alpha > 1")
-        return law.scale * law.alpha / (law.alpha - 1.0)
-    if law.family == SYMMETRIC_PARETO:
-        if law.alpha <= 1:
-            raise ParameterError("mean requires alpha > 1")
-        return 0.0
-    if law.family == GAUSSIAN:
-        return 0.0
-    if law.family == STABLE:
-        if law.alpha <= 1:
-            raise ParameterError("stable mean requires alpha > 1")
-        # location parameter is 0 in the parameterization used here
-        return 0.0
+    """Exact mean of the law (where defined and finite)."""
+    if law.family in (PARETO, LOGNORMAL):
+        mean = law_moment(law, 1.0)
+        if mean == math.inf:
+            raise ParameterError(f"{law.family} mean is infinite")
+        return mean
+    if law.family != GAUSSIAN and law.alpha <= 1:
+        raise ParameterError(f"{law.family} mean requires alpha > 1")
+    # symmetric laws, and stable with location 0 in the parameterization
+    # used here
+    return 0.0
+
+
+def law_log_mean(law: TailLaw) -> float:
+    """E log X for the positive families (lognormal and Pareto)."""
     if law.family == LOGNORMAL:
-        return math.exp(law.mu + law.sigma ** 2 / 2)
-    raise UnsupportedLawError(law.family)
+        return law.mu
+    if law.family == PARETO:
+        # log X ~ log scale + Exp(alpha)
+        return math.log(law.scale) + 1.0 / law.alpha
+    raise UnsupportedLawError(f"{law.family} is not a positive family")
+
+
+def law_moment(law: TailLaw, kappa: float) -> float:
+    """E X^kappa (kappa >= 0) for the positive families: Pareto
+    alpha scale^kappa / (alpha - kappa), lognormal
+    exp(kappa mu + kappa^2 sigma^2 / 2); +inf where the moment diverges
+    or overflows a double."""
+    try:
+        if law.family == LOGNORMAL:
+            return math.exp(kappa * law.mu + kappa ** 2 * law.sigma ** 2 / 2.0)
+        if law.family == PARETO:
+            if kappa >= law.alpha:
+                return math.inf
+            return law.alpha * law.scale ** kappa / (law.alpha - kappa)
+    except OverflowError:
+        return math.inf
+    raise UnsupportedLawError(f"{law.family} is not a positive family")
 
 
 def quantile_tail(law: TailLaw, n: int) -> float:
-    """a_n solving n P(|X| > a_n) = 1 for laws with an invertible
-    analytic (power) tail."""
+    """a_n solving n P(|X| > a_n) = 1 by inverting the power tail."""
     if n < 1:
         raise ParameterError("n must be at least 1")
-    if law.family in (PARETO, SYMMETRIC_PARETO):
-        return law.scale * float(n) ** (1.0 / law.alpha)
-    if law.family == STABLE:
-        if law.alpha >= 2:
-            raise UnsupportedLawError(
-                "stable with alpha = 2 is Gaussian: no power tail")
-        c = stable_tail_constant(law.alpha)
-        return law.scale * (n * c) ** (1.0 / law.alpha)
-    raise UnsupportedLawError(
-        f"{law.family} tail is not invertible (not regularly varying)")
+    c, alpha = power_tail(law)
+    return law.scale * (n * c) ** (1.0 / alpha)

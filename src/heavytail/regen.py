@@ -114,7 +114,7 @@ class KacReport:
 # minorization constructors
 
 
-def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
+def make_var1_minorization(spec, m_bound: float = None,
                            stream: RngStream = None) -> MinorizationSpec:
     """Split construction for the scalar linear chain.
 
@@ -126,12 +126,8 @@ def make_var1_minorization(spec: models.Var1Spec, m_bound: float = None,
     g(y) = f_Z(y + aM) on {y >= s + aM}, epsilon = ((s + 2aM)/s)^(-alpha),
     nu sampled by shifting a truncated Pareto draw.
     """
-    if not isinstance(spec, models.Var1Spec) or spec.dim != 1:
-        raise UnsupportedCaseError(
-            "split construction implemented for the scalar linear chain")
-    a = float(spec.a_matrix[0, 0])
-    law = spec.innovation
-    scale = law.scale * float(spec.weights[0])
+    a, law, weight = spec.linear_step()
+    scale = law.scale * weight
     if m_bound is None:
         seed = 0x511 if stream is None else stream.master_seed
         pilot = models.stationary_pilot(spec, seed)
@@ -260,14 +256,11 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
     The split chain built this way has the law of Nummelin's, so the
     cycles between regenerations are iid. Records the block
     decomposition of S_n."""
-    if not (isinstance(spec, models.Var1Spec) and spec.dim == 1):
-        raise UnsupportedCaseError(
-            "regeneration harvest implemented for the scalar linear chain")
+    a, law, weight = spec.linear_step()
     if n < 1:
         raise ParameterError("n must be at least 1")
-    a = float(spec.a_matrix[0, 0])
     x0 = float(minorization.nu_sampler(stream))
-    z = spec.weights[0] * randkit.sample_law(stream, spec.innovation, n - 1)
+    z = weight * randkit.sample_law(stream, law, n - 1)
     path = lfilter([1.0], [1.0, -a], np.concatenate(([x0], z)))
     u = stream.rng.random(n - 1)
     t = np.flatnonzero(np.abs(path[:-1]) <= minorization.m_bound)

@@ -224,6 +224,21 @@ class TestMain:
         assert main(["stable-check", "--config", cfg]) == 3
         assert "numeric-regime error" in capsys.readouterr().err
 
+    def test_huge_tail_index_exit_three_names_route(self, tmp_path,
+                                                    capsys):
+        # log-variance 0.0009 puts the tail index at 1111: the functional
+        # overflows a double and the first route reports it
+        cfg = self._write(
+            tmp_path,
+            "command = cluster-index\nmodel = kesten\nseed = 5\n"
+            "a_mu = -0.5\na_sigma2 = 0.0009\nreplicas = 1000\n"
+            f"horizon = 10\nout_dir = {tmp_path / 'out'}\n")
+        with np.errstate(all="ignore"):
+            assert main(["cluster-index", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "OutOfRegimeError" in err and "tail_process" in err
+        assert not (tmp_path / "out").exists()
+
     def test_regen_check_on_recurrence_exit_two(self, tmp_path, capsys):
         cfg = self._write(
             tmp_path,
@@ -268,6 +283,19 @@ class TestMain:
         assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["config"]["threads"] == 2
+
+
+class TestReport:
+    def test_linear_chain_closed_form_row(self, tmp_path):
+        # a = 1/2, Pareto(1.5): b(+1) = 2^1.5 - 1, and the closed form
+        # is exact (one Theta_0 atom, no auxiliary chain)
+        run(parse_config(BASE.replace("cluster-index", "report")),
+            out_dir=str(tmp_path))
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        values = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:]}
+        assert values["tail_index"] == 1.5
+        assert abs(values["cluster_index_closed_form"]
+                   - (2.0 ** 1.5 - 1.0)) < 1e-9
 
 
 class TestGoldenConfigs:

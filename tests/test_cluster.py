@@ -17,7 +17,8 @@ from heavytail.cluster import (ClusterIndexEstimate, Direction,
                                closed_form_cluster_index,
                                cluster_index_tail_process, extremal_index,
                                nu_alpha, telescoping_difference)
-from heavytail.errors import ParameterError, UnsupportedCaseError
+from heavytail.errors import (OutOfRegimeError, ParameterError,
+                              UnsupportedCaseError)
 from heavytail.randkit import TailLaw, derive_stream
 
 B_TARGET = 2.0 ** 1.5 - 1.0
@@ -96,7 +97,7 @@ class TestClosedForm:
             spec = request.getfixturevalue(name)
         theta = Direction(np.ones(spec.dim))
         closed_form_cluster_index(spec, theta, 1000, derive_stream(41, 5))
-        cluster_index_tail_process(spec, theta, models.model_alpha(spec), 10,
+        cluster_index_tail_process(spec, theta, models.tail_index(spec), 10,
                                    1000, derive_stream(41, 6))
         assert spec._pilot_cache == {}
 
@@ -193,6 +194,14 @@ class TestEstimateContainer:
     def test_negative_errors_rejected(self):
         with pytest.raises(ParameterError):
             ClusterIndexEstimate(1.0, -0.1, cluster.ROUTE_TAIL_PROCESS,
+                                 10, 100)
+
+    @pytest.mark.parametrize("value, se", [(math.nan, 0.1),
+                                           (math.inf, 0.1),
+                                           (1.0, math.inf)])
+    def test_non_finite_estimate_is_out_of_regime(self, value, se):
+        with pytest.raises(OutOfRegimeError, match="telescoping"):
+            ClusterIndexEstimate(value, se, cluster.ROUTE_TELESCOPING,
                                  10, 100)
 
 

@@ -59,9 +59,7 @@ class TestStableCf:
         assert val.imag == 0.0
         assert abs(val - math.exp(-2.0 * (math.pi / 2.0) * 1.4)) < 1e-14
 
-    def test_c_alpha_validation(self):
-        with pytest.raises(ParameterError):
-            StableLawParams(1.5, {PLUS: (1.0, 0.0)}, c_alpha=0.123)
+    def test_c_alpha_is_the_formula(self):
         auto = StableLawParams(1.5, {PLUS: (1.0, 0.0)})
         assert np.isclose(auto.c_alpha,
                           randkit.stable_tail_constant(1.5), rtol=1e-15)
@@ -121,6 +119,15 @@ class TestStableCheck:
     def test_gaussian_innovations_rejected(self, ar_gauss):
         with pytest.raises((OutOfRegimeError, Exception)):
             stable_check(ar_gauss, [PLUS], 100, 100, derive_stream(51, 3))
+
+    def test_infinite_mean_cannot_center(self):
+        # alpha 1.5 from the multiplier, but Pareto(0.9) additive terms
+        # have no mean: S_n has no centring
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=0.9))
+        with pytest.raises(OutOfRegimeError, match="mean is infinite"):
+            limits._sum_centering(spec, models.tail_index(spec))
 
     def test_thread_count_does_not_change_values(self, ar_sympareto15):
         a = stable_check(ar_sympareto15, [PLUS], 300, 600,

@@ -48,14 +48,23 @@ class TestTailIndex:
         assert abs(models.tail_index(spec)
                    - lognormal_root(-0.5, 0.25)) < 1e-6
 
-    def test_non_lognormal_multiplier_uses_monte_carlo_moments(self):
+    def test_pareto_multiplier_root_is_exact(self):
         # Pareto multiplier, scale sqrt(0.8), index 10:
         # E A^2 = 0.8 * 10/8 = 1 exactly, so the root is 2
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.PARETO, alpha=10.0,
                           scale=math.sqrt(0.8)),
             b_law=TailLaw(randkit.PARETO, alpha=10.0))
-        assert abs(models.tail_index(spec) - 2.0) < 0.02
+        assert abs(models.tail_index(spec) - 2.0) < 1e-9
+
+    def test_overflowing_lognormal_moment_counts_as_above_one(self):
+        # log-variance 0.0009: the bracket reaches kappa = 2048, where
+        # E A^kappa = exp(863) overflows a double; the root is 1/0.0009
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.03),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        assert abs(models.tail_index(spec) - lognormal_root(-0.5, 0.0009)) \
+            < 1e-6
 
     def test_degenerate_multiplier_has_no_root(self):
         # A concentrated at 0.5: E A^k = 0.5^k never reaches 1
@@ -66,12 +75,12 @@ class TestTailIndex:
         with pytest.raises(NoRootError):
             models.tail_index(spec)
 
-    def test_model_alpha_honors_hint(self):
+    def test_tail_index_honors_hint(self):
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
                           sigma=1e-9),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.5)
-        assert models.model_alpha(spec) == 1.5
+        assert models.tail_index(spec) == 1.5
 
     def test_var1_tail_index_is_innovation_index(self, ar_pareto15):
         assert models.tail_index(ar_pareto15) == 1.5
@@ -99,6 +108,20 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             models.KestenSpec(a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
                                             sigma=0.5))
+
+    @pytest.mark.parametrize("a_law", [
+        TailLaw(randkit.STABLE, alpha=0.7, skew=1.0),
+        TailLaw(randkit.GAUSSIAN)])
+    def test_kesten_multiplier_must_be_pareto_or_lognormal(self, a_law):
+        with pytest.raises(ParameterError, match="pareto or lognormal"):
+            models.KestenSpec(a_law=a_law,
+                              b_law=TailLaw(randkit.PARETO, alpha=10.0))
+
+    def test_kesten_rejects_nonpositive_hint(self):
+        with pytest.raises(ParameterError, match="alpha_hint"):
+            models.KestenSpec(
+                a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
+                b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=0.0)
 
     def test_kesten_requires_negative_lyapunov(self):
         with pytest.raises(HeavytailError):
@@ -304,6 +327,16 @@ class TestDrift:
         assert abs(rep.beta_hat - 0.5) < 0.05
         assert rep.horizon_for() >= 1
         assert rep.burn_in_hint() >= 1
+
+    def test_recurrence_margin_matches_multiplier_mean(self,
+                                                        kesten_lognormal):
+        # p = 1 and A, B > 0: E|A y + B| = E A y + E B exactly, so the
+        # fitted slope is E A = exp(-1/2 + 1/4)
+        grid = [np.array([x]) for x in np.geomspace(0.5, 32.0, 7)]
+        rep = models.drift_margin(kesten_lognormal, 1.0, 1, grid,
+                                  derive_stream(8, 2))
+        assert abs(rep.beta_hat - math.exp(-0.25)) < 0.05
+        assert rep.passed
 
     def test_horizon_for_tolerance_frozen(self):
         # smallest T with 0.5^T / 0.5 < 1e-4 is 15

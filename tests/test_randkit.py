@@ -199,6 +199,48 @@ class TestLawSummaries:
             quantile_tail(TailLaw(randkit.LOGNORMAL), 100)
 
 
+class TestLawFacts:
+    def test_power_tail_table(self):
+        assert randkit.power_tail(TailLaw(randkit.PARETO, alpha=2.5)) \
+            == (1.0, 2.5)
+        assert randkit.power_tail(
+            TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.7)) == (1.0, 0.7)
+        assert randkit.power_tail(TailLaw(randkit.STABLE, alpha=1.5)) \
+            == (stable_tail_constant(1.5), 1.5)
+        for law in (TailLaw(randkit.STABLE, alpha=2.0),
+                    TailLaw(randkit.LOGNORMAL), TailLaw(randkit.GAUSSIAN)):
+            with pytest.raises(UnsupportedLawError):
+                randkit.power_tail(law)
+
+    def test_tail_balance(self):
+        assert randkit.tail_balance(TailLaw(randkit.PARETO)) == (1.0, 0.0)
+        assert randkit.tail_balance(
+            TailLaw(randkit.SYMMETRIC_PARETO)) == (0.5, 0.5)
+        assert randkit.tail_balance(
+            TailLaw(randkit.STABLE, alpha=1.2, skew=0.5)) == (0.75, 0.25)
+        with pytest.raises(UnsupportedLawError):
+            randkit.tail_balance(TailLaw(randkit.STABLE, alpha=2.0))
+
+    def test_log_mean_matches_draws(self):
+        for law in (TailLaw(randkit.PARETO, alpha=4.0, scale=0.5),
+                    TailLaw(randkit.LOGNORMAL, mu=-0.3, sigma=0.8)):
+            x = sample_law(derive_stream(3, 4), law, 200_000)
+            assert abs(np.log(x).mean() - randkit.law_log_mean(law)) < 0.01
+        with pytest.raises(UnsupportedLawError):
+            randkit.law_log_mean(TailLaw(randkit.GAUSSIAN))
+
+    def test_moment_closed_forms(self):
+        law = TailLaw(randkit.PARETO, alpha=10.0, scale=math.sqrt(0.8))
+        assert abs(randkit.law_moment(law, 2.0) - 1.0) < 1e-15
+        assert randkit.law_moment(law, 10.0) == math.inf
+        ln = TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=1.0)
+        assert randkit.law_moment(ln, 1.0) == law_mean(ln) == 1.0
+        # exp(-0.5 k + k^2/2) overflows a double at k = 40
+        assert randkit.law_moment(ln, 40.0) == math.inf
+        with pytest.raises(UnsupportedLawError):
+            randkit.law_moment(TailLaw(randkit.STABLE, alpha=1.5), 1.0)
+
+
 def test_sample_law_dispatch_shapes(stream):
     for law in (TailLaw(randkit.PARETO, alpha=1.0),
                 TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.0),
