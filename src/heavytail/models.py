@@ -33,6 +33,7 @@ _CLOSED_AUX = 0x0C
 _BLOWUP = 1e280
 _SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
 _AUX_BURN = 256  # steps of the recurrence's auxiliary chain W
+_AUX_BLOCK = 8192  # auxiliary-chain replicas drawn and run at a time
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -344,11 +345,18 @@ class KestenSpec(ModelSpec):
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
-        a = sample_law(stream.substream(_CLOSED_AUX), self.a_law,
-                       replicas * _AUX_BURN).reshape(replicas, _AUX_BURN)
-        aux = np.zeros(replicas)
-        for t in range(_AUX_BURN):
-            aux = (aux + 1.0) * a[:, t]
+        # each row reads only its own draws: drawing and running the rows
+        # in blocks, in order, gives the one-shot bits in bounded memory
+        aux_stream = stream.substream(_CLOSED_AUX)
+        aux = np.empty(replicas)
+        for lo in range(0, replicas, _AUX_BLOCK):
+            m = min(_AUX_BLOCK, replicas - lo)
+            a = sample_law(aux_stream, self.a_law,
+                           m * _AUX_BURN).reshape(m, _AUX_BURN)
+            chain = np.zeros(m)
+            for t in range(_AUX_BURN):
+                chain = (chain + 1.0) * a[:, t]
+            aux[lo:lo + m] = chain
         w = aux * angles[:, 0] * tv[0]
         u = (aux + 1.0) * angles[:, 0] * tv[0]
         return u, w, _AUX_BURN

@@ -109,6 +109,23 @@ class TestClosedForm:
                                         derive_stream(41, 4))
         assert abs(est.value - B_TARGET) < 1e-8
 
+    def test_blocked_auxiliary_chain_matches_one_shot_draw(
+            self, kesten_lognormal):
+        # two and a half blocks against the whole multiplier matrix at once
+        spec = kesten_lognormal
+        replicas = 2 * models._AUX_BLOCK + models._AUX_BLOCK // 2
+        stream = derive_stream(41, 7)
+        u, w, _ = spec.closed_form_terms(np.array([1.0]), replicas, stream)
+        angles = spec.theta0(replicas,
+                             stream.substream(models._CLOSED_ANGLES))
+        a = randkit.sample_law(stream.substream(models._CLOSED_AUX),
+                               spec.a_law, replicas * models._AUX_BURN)
+        a = a.reshape(replicas, models._AUX_BURN)
+        aux = np.zeros(replicas)
+        for t in range(models._AUX_BURN):
+            aux = (aux + 1.0) * a[:, t]
+        assert w.tobytes() == (aux * angles[:, 0] * 1.0).tobytes()
+        assert u.tobytes() == ((aux + 1.0) * angles[:, 0] * 1.0).tobytes()
 
     def test_volatility_recursion_has_no_closed_form(self,
                                                      garch_benchmark):
