@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import roots_hermite
 
 from .errors import (DivergenceError, NoRootError, ParameterError,
@@ -162,8 +161,7 @@ class Var1Spec(ModelSpec):
             z = sample_law(stream, self.innovation,
                            replicas * total).reshape(replicas, total)
             z *= self.weights[0]
-            x = lfilter([1.0], [1.0, -a], z, axis=1)
-            x = x[:, burn_in:]
+            x = _ar1(z, a)[:, burn_in:]
             _check_finite(x, "spectral radius below 1")
             return x[..., None]
         z = sample_law(stream, self.innovation, replicas * total
@@ -567,6 +565,29 @@ def horizon_for_tolerance(beta: float, tol: float = 1e-4,
 
 def _spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _ar1(z: np.ndarray, a: float) -> np.ndarray:
+    """x_t = a x_{t-1} + z_t along the last axis of a 2-d array, from
+    x_{-1} = 0. The T steps are cut into blocks of about sqrt(T): the
+    recursion runs along every block at once from a zero start, then the
+    true end of each block is carried into the next (a^(j+1) times the
+    previous block's end reaches offset j)."""
+    rows, t = z.shape
+    if t == 0:
+        return np.array(z, dtype=float)
+    width = math.isqrt(t - 1) + 1
+    blocks = -(-t // width)
+    y = np.zeros((rows, blocks, width))
+    y.reshape(rows, -1)[:, :t] = z
+    for j in range(1, width):
+        y[:, :, j] += a * y[:, :, j - 1]
+    ends = y[:, :, -1].copy()
+    step = a ** width
+    for k in range(1, blocks):
+        ends[:, k] += step * ends[:, k - 1]
+    y[:, 1:] += ends[:, :-1, None] * a ** np.arange(1, width + 1)
+    return y.reshape(rows, -1)[:, :t]
 
 
 def _gh_nodes():

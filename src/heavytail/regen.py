@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .errors import (InsufficientCyclesError, MinorizationInvalidError,
@@ -261,7 +260,7 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
         raise ParameterError("n must be at least 1")
     x0 = float(minorization.nu_sampler(stream))
     z = weight * randkit.sample_law(stream, law, n - 1)
-    path = lfilter([1.0], [1.0, -a], np.concatenate(([x0], z)))
+    path = models._ar1(np.concatenate(([x0], z))[None], a)[0]
     u = stream.rng.random(n - 1)
     t = np.flatnonzero(np.abs(path[:-1]) <= minorization.m_bound)
     eps = minorization.epsilon

@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "4889809534efd08d2c80e6e8031ca8fa"
-                      "441870d8906d613dc4d397f07e5436fd",
-        "summary.json": "6f50ba011cf5d68c71fb41848ee1467d"
-                        "d13c031a99fc005bd93db874d8df3a18",
+        "cycles.csv": "f961fcbdf3c675e6c23ae396d54b6f7d"
+                      "d7afb38b252a9579020ca5a7c07807ba",
+        "summary.json": "38012878344c2c954d81157c42c3e7bc"
+                        "5b6ec0497ea75c23e29456b216d71e36",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"

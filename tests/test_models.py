@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.signal import lfilter
 
 from heavytail import models, randkit
 from heavytail.errors import (HeavytailError, NoRootError, ParameterError,
@@ -203,6 +204,23 @@ class TestSimulatePath:
             models.simulate_paths_batch(spec, 64, 16, 5, derive_stream(4, 5))
         with pytest.raises(ParameterError):
             models.acf_functional_path(spec, 2, 100, derive_stream(4, 6))
+
+
+class TestAr1Kernel:
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.95, 0.999])
+    @pytest.mark.parametrize("steps, rows", [
+        (1, 1), (1, 100), (7, 1), (7, 100), (2512, 1), (2512, 100),
+        (500_000, 1)])
+    def test_matches_lfilter(self, a, steps, rows):
+        # the blocked scan reorders the additions: compare within a few
+        # ulps of the largest value, never bit for bit
+        law = TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5)
+        z = randkit.sample_law(derive_stream(4, 8), law,
+                               rows * steps).reshape(rows, steps)
+        ref = lfilter([1.0], [1.0, -a], z, axis=1)
+        got = models._ar1(z, a)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestTailProcess:
