@@ -164,16 +164,14 @@ def _map_chunks(fn, n_chunks: int, threads: int):
 
 def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
                  threads: int) -> np.ndarray:
-    """(reps,) draws of S_n for a scalar-observable model, simulated in
-    fixed-size chunks on disjoint substreams."""
+    """(reps,) draws of S_n for a scalar-observable model, from
+    ``spec.sums`` in fixed-size chunks on disjoint substreams."""
     chunk = max(1, _PATH_CHUNK_BUDGET // max(n + burn, 1))
     n_chunks = (reps + chunk - 1) // chunk
     sizes = [min(chunk, reps - i * chunk) for i in range(n_chunks)]
 
     def one(i):
-        paths = models.simulate_paths_batch(spec, n, burn, sizes[i],
-                                            stream.substream(i))
-        return paths.sum(axis=1)
+        return spec.sums(n, burn, sizes[i], stream.substream(i))
 
     return np.concatenate(_map_chunks(one, n_chunks, threads))
 

@@ -47,7 +47,8 @@ class ModelSpec:
 
     A family provides ``dim`` (the dimension of the observable X_t) and
     the methods ``tail_index()``, ``paths(n, burn_in, replicas, stream)``
-    returning (replicas, n, dim) stationary-regime paths,
+    returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
+    same call reduced to the (replicas,) partial sums S_n),
     ``tail_process(horizon, replicas, stream, alpha)`` returning
     (replicas, horizon+1, d) spectral-tail-process angles, and
     ``conditional_states(y, m, reps, stream)`` for the drift fit. The
@@ -56,6 +57,13 @@ class ModelSpec:
 
     has_closed_form = False
     default_burn = 2048  # warm-up of the limit-theorem scans
+
+    def sums(self, n, burn_in, replicas, stream):
+        """(replicas,) partial sums S_n of the scalar observable over the
+        n steps after ``burn_in``, on the draws of ``paths``."""
+        if self.dim != 1:
+            raise ParameterError("path sums are scalar-only")
+        return self.paths(n, burn_in, replicas, stream)[..., 0].sum(axis=1)
 
     def theta0_law(self) -> tailstats.AngularMeasure:
         """Law of the exceedance angle Theta_0, a discrete measure on the
@@ -117,7 +125,9 @@ class Var1Spec(ModelSpec):
     """Linear recursion X_t = A X_{t-1} + Z_t with a fixed coefficient
     matrix A.
 
-    ``innovation`` applies per coordinate, scaled by ``weights``.
+    ``innovation`` applies per coordinate, scaled by ``weights``. The
+    default burn-in is the smallest b with ||A^b||_2 <= 2^-53: a path
+    started at zero has then forgotten its start to double precision.
     """
 
     dim: int
@@ -126,7 +136,6 @@ class Var1Spec(ModelSpec):
     weights: np.ndarray | None = None
 
     has_closed_form = True
-    default_burn = 512
 
     def __post_init__(self):
         if self.dim < 1:
@@ -140,6 +149,7 @@ class Var1Spec(ModelSpec):
         if _spectral_radius(a) >= 1.0:
             raise ParameterError(
                 "spectral radius of a_matrix must be below 1")
+        self.default_burn = _contraction_burn(a)
         if self.weights is None:
             self.weights = np.ones(self.dim)
         else:
@@ -175,6 +185,27 @@ class Var1Spec(ModelSpec):
                 out[:, t - burn_in] = x[..., 0]
         _check_finite(out, "spectral radius below 1")
         return out
+
+    def sums(self, n, burn_in, replicas, stream):
+        """Scalar chain: S_n as one weighted sum of the innovations, on the
+        draws of ``paths``. Z_s enters every observed X_t with t >= s as
+        a^(t-s) Z_s, so its weight is a geometric sum: a^(burn-s)
+        (1-a^n)/(1-a) for a burn-in step, (1-a^(n+burn-s))/(1-a) for an
+        observed one. ``einsum`` keeps each row's bits independent of the
+        batch shape, which a BLAS matrix-vector product does not."""
+        if self.dim != 1:
+            return super().sums(n, burn_in, replicas, stream)
+        a = float(self.a_matrix[0, 0])
+        total = n + burn_in
+        z = sample_law(stream, self.innovation,
+                       replicas * total).reshape(replicas, total)
+        head = a ** np.arange(burn_in, 0, -1) * (1.0 - a ** n)
+        tail = 1.0 - a ** np.arange(n, 0, -1)
+        w = np.concatenate([head, tail]) * (self.weights[0] / (1.0 - a))
+        sums = np.einsum("ij,j->i", z, w)
+        # a finite sum of finite weights proves every term finite
+        _check_finite(sums, "spectral radius below 1")
+        return sums
 
     def theta0_law(self):
         """Exact: one big innovation at lag j in coordinate i puts Theta_0
@@ -565,6 +596,27 @@ def horizon_for_tolerance(beta: float, tol: float = 1e-4,
 
 def _spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _contraction_burn(a: np.ndarray) -> int:
+    """Smallest b >= 1 with ||A^b||_2 <= 2^-53 (spectral radius below 1).
+    A scalar inverts |a|^b in closed form, then steps to the boundary."""
+    tol = 2.0 ** -53
+    if a.shape == (1, 1):
+        r = abs(float(a[0, 0]))
+        if r <= tol:
+            return 1
+        b = max(1, math.ceil(math.log(tol) / math.log(r)))
+        while r ** b > tol:
+            b += 1
+        while b > 1 and r ** (b - 1) <= tol:
+            b -= 1
+        return b
+    power, b = a, 1
+    while np.linalg.norm(power, 2) > tol:
+        power = a @ power
+        b += 1
+    return b
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "f961fcbdf3c675e6c23ae396d54b6f7d"
-                      "d7afb38b252a9579020ca5a7c07807ba",
-        "summary.json": "38012878344c2c954d81157c42c3e7bc"
-                        "5b6ec0497ea75c23e29456b216d71e36",
+        "cycles.csv": "b7bb2f0ec8f7a3ddc87addffd23fa738"
+                      "841be866b4a47608c995d36e306cc42e",
+        "summary.json": "1cbacbcdbaf7d452d1b1aba87b13d4cb"
+                        "2e2d72cf0876b95c80cc96e9b3ce48e6",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"
@@ -69,10 +69,10 @@ RUN_DIGESTS = {
                         "cc2047f311ab71ec9a53c0ace4598d04",
     },
     "golden_ldp_var1.cfg": {
-        "ldp.csv": "969e9faf32f24ae72c746ecf3b00c5aca"
-                   "98072d1687ffe735bd76f1e572ce245",
-        "summary.json": "17c986e543abaa6e05427f55daaceea2"
-                        "1e98c2ddba727ed1d437299c42a5b81a",
+        "ldp.csv": "8139e53d06461758ae638408ea8e8f2d9"
+                   "5014a819c17d11869967ae27e33360c",
+        "summary.json": "ed4c3da355a37b852419a5ae2529efee"
+                        "a07d56c665953242f3de498003999976",
     },
 }
 

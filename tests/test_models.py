@@ -223,6 +223,54 @@ class TestAr1Kernel:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestPathFreeSums:
+    @pytest.mark.parametrize("a, family", [
+        (0.5, randkit.PARETO), (0.0, randkit.PARETO),
+        (-0.9, randkit.SYMMETRIC_PARETO), (0.999, randkit.PARETO)])
+    def test_weighted_sum_matches_path_sum(self, a, family):
+        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
+                               a_matrix=np.array([[a]]),
+                               weights=np.array([2.0]))
+        got = spec.sums(400, 60, 50, derive_stream(4, 9))
+        paths = spec.paths(400, 60, 50, derive_stream(4, 9))[..., 0]
+        # relative to the sum of |X_t|, the scale of the rounding of either
+        # order of summation (signed terms can cancel to near zero)
+        scale = np.abs(paths).sum(axis=1)
+        assert got.shape == (50,)
+        assert np.max(np.abs(got - paths.sum(axis=1)) / scale) <= 1e-13
+
+    def test_rows_do_not_depend_on_the_batch(self, ar_pareto15):
+        three = ar_pareto15.sums(1000, 53, 3, derive_stream(4, 10))
+        one = ar_pareto15.sums(1000, 53, 1, derive_stream(4, 10))
+        assert three[:1].tobytes() == one.tobytes()
+
+    def test_recurrence_keeps_the_path_sum(self, kesten_lognormal):
+        got = kesten_lognormal.sums(200, 30, 4, derive_stream(4, 11))
+        ref = kesten_lognormal.paths(200, 30, 4, derive_stream(4, 11))
+        assert got.tobytes() == ref[..., 0].sum(axis=1).tobytes()
+
+    def test_sums_are_scalar_only(self):
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.eye(2) * 0.5)
+        with pytest.raises(ParameterError):
+            spec.sums(64, 16, 5, derive_stream(4, 12))
+
+    @pytest.mark.parametrize("a_matrix, burn", [
+        ([[0.5]], 53), ([[0.0]], 1), ([[-0.9]], 349),
+        ([[0.5, 0.0], [0.0, 0.3]], 53)])
+    def test_default_burn_from_the_contraction_rate(self, a_matrix, burn):
+        a = np.array(a_matrix)
+        spec = models.Var1Spec(a.shape[0],
+                               TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=a)
+        assert spec.default_burn == burn
+        norm = np.linalg.norm(np.linalg.matrix_power(a, burn), 2)
+        assert norm <= 2.0 ** -53
+        if burn > 1:
+            assert np.linalg.norm(np.linalg.matrix_power(a, burn - 1),
+                                  2) > 2.0 ** -53
+
+
 class TestTailProcess:
     def test_var1_rows_are_exact_powers(self, ar_pareto15):
         theta, radii = models.sample_tail_process_batch(
