@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__, cluster, limits, models, randkit, regen
 from .cluster import Direction
@@ -601,7 +600,6 @@ def run(config: ExperimentConfig, out_dir: str = None,
                            files=files,
                            versions={"heavytail": __version__,
                                      "numpy": np.__version__,
-                                     "scipy": scipy.__version__,
                                      "python": sys.version.split()[0]},
                            runtime_s=runtime, streams=streams,
                            out_dir=out)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import (DivergenceError, NoRootError, ParameterError,
                      SingularDrawError, UnsupportedCaseError,
@@ -643,7 +642,7 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
 
 
 def _gh_nodes():
-    nodes, weights = roots_hermite(128)
+    nodes, weights = np.polynomial.hermite.hermgauss(128)
     return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import ParameterError, UnsupportedLawError
 
@@ -191,7 +190,8 @@ def stable_tail_constant(alpha: float) -> float:
         raise ParameterError("tail constant defined for 0 < alpha < 2")
     if alpha == 1.0:
         return 2.0 / math.pi
-    return (1 - alpha) / (_gamma(2 - alpha) * math.cos(math.pi * alpha / 2))
+    return (1 - alpha) / (math.gamma(2 - alpha)
+                          * math.cos(math.pi * alpha / 2))
 
 
 def power_tail(law: TailLaw) -> tuple[float, float]:

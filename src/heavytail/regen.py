@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (InsufficientCyclesError, MinorizationInvalidError,
                      NoCyclesError, ParameterError, UnsupportedCaseError)
@@ -15,6 +15,7 @@ from .randkit import RngStream, TailLaw
 
 _REJECT_GUARD = 1_000_000
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 def _phibar(t: float) -> float:
@@ -144,8 +145,9 @@ def make_var1_minorization(spec, m_bound: float = None,
         eps = 2.0 * pb
 
         def nu_sampler(stream):
+            # (1 - u) lies in (0, 1], so the quantile is always finite
             u = float(stream.rng.random())
-            y = scale * float(ndtri(1.0 - u * pb)) - c
+            y = -scale * _STD_NORMAL.inv_cdf((1.0 - u) * pb) - c
             return y if stream.rng.random() < 0.5 else -y
 
         def transition_sampler(x, stream):

@@ -309,3 +309,45 @@ class TestGoldenConfigs:
         m2 = run(parse_config(text), out_dir=d2)
         assert [f["sha256"] for f in m1.files] \
             == [f["sha256"] for f in m2.files]
+
+
+# one small config per command; the runtime must get through every one
+# of them without importing scipy (a test-only dependency)
+_NO_SCIPY_RUNS = """
+import os, sys
+from heavytail import cli
+configs = [
+    "command = ldp-scan\\nmodel = var1\\na = 0.5\\nn = 20\\nreps = 60000\\n"
+    "grid_size = 2\\nregion_eps = 0.01",
+    "command = stable-check\\nmodel = var1\\na = 0.5\\nn = 50\\nreps = 200",
+    "command = stable-check\\nmodel = garch11\\nalpha0 = 0.05\\n"
+    "alpha1 = 0.5\\nbeta1 = 0.55\\nn = 50\\nreps = 200",
+    "command = cluster-index\\nmodel = kesten\\nreplicas = 500\\n"
+    "horizon = 5\\nk_trunc = 5",
+    "command = regen-check\\nmodel = var1\\na = 0.5\\n"
+    "innovation = gaussian\\nn = 5000",
+    "command = drift-check\\nmodel = garch11\\nalpha0 = 0.05\\n"
+    "alpha1 = 0.1\\nbeta1 = 0.85",
+    "command = report\\nmodel = var1\\na = 0.5\\nreplicas = 500\\n"
+    "horizon = 5",
+    "command = simulate\\nmodel = var1\\na = 0.5\\nn = 100",
+]
+for i, text in enumerate(configs):
+    cli.run(cli.parse_config(text + "\\nseed = 3\\n"),
+            out_dir=os.path.join(sys.argv[1], str(i)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUNS,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert sorted(os.listdir(tmp_path)) == [str(i) for i in range(8)]

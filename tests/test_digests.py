@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "b7bb2f0ec8f7a3ddc87addffd23fa738"
-                      "841be866b4a47608c995d36e306cc42e",
-        "summary.json": "1cbacbcdbaf7d452d1b1aba87b13d4cb"
-                        "2e2d72cf0876b95c80cc96e9b3ce48e6",
+        "cycles.csv": "071da5f6d559fec09f24a211b680aa55"
+                      "4c2bc55cdf172dce028b88c944e0ee1f",
+        "summary.json": "bbbe4972b66a849b5c3f651b4300fe7c"
+                        "963738580a49829cc53b471e4a5c1663",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"
@@ -45,10 +45,10 @@ RUN_DIGESTS = {
                         "f2493a5d28a0bedef3aaa3dd93e49a98",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "95366bb0638bdf905670beb4e33ff3b2"
-                         "ad35f962e419ebc7cbfaada3e1ce731c",
-        "summary.json": "9a7ff15fbed9bd418ab6caae0af75cb4"
-                        "659cc0f6723e8dc440e5ce946c4e5e54",
+        "stable_cf.csv": "e7ad259b3c09a182e557ce4ea2bb2d48"
+                         "ba5fa71d723a88e0d30a7cf08c4018d3",
+        "summary.json": "68416388ce4b447a4cef209132940e79"
+                        "9e2edf4a80a8b0b9b873a6b8cd2aa7e6",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "40dcdbddd096732aa98748ae7697ad9e"

@@ -5,6 +5,7 @@ Kernel-fidelity oracles compare split-chain transitions against the
 closed-form conditional law of the underlying chain.
 """
 import math
+import types
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ class TestMinorizationConstruction:
         assert mino.heuristic
         assert mino.m_bound > 0
         assert 0 < mino.epsilon < 1
+
+    def test_gaussian_nu_draw_is_finite_at_a_zero_uniform(self, ar_gauss):
+        # rng.random() can return exactly 0.0; the nu quantile must stay
+        # finite there (it is the edge |y| = 0 of nu's support)
+        stub = types.SimpleNamespace(
+            rng=types.SimpleNamespace(random=lambda: 0.0))
+        mino = make_var1_minorization(ar_gauss, m_bound=2.0)
+        y = mino.nu_sampler(stub)
+        assert math.isfinite(y) and abs(y) < 1e-12
+
+    def test_gaussian_nu_draws_follow_nu(self, ar_gauss):
+        # nu has density phi((|y| + c)/s) / eps: P(|Y| > t) =
+        # Phibar((t + c)/s) / Phibar(c/s), with c = |a| M and s = 1
+        mino = make_var1_minorization(ar_gauss, m_bound=2.0)
+        stream = derive_stream(61, 9)
+        y = np.array([mino.nu_sampler(stream) for _ in range(4000)])
+        cdf = lambda t: 1.0 - stats.norm.sf(t + 1.0) / stats.norm.sf(1.0)
+        assert stats.kstest(np.abs(y), cdf).pvalue > 0.01
+        assert abs(np.mean(y > 0) - 0.5) < 4 * 0.5 / math.sqrt(y.size)
 
     def test_unsupported_specs_rejected(self, garch_benchmark):
         with pytest.raises(UnsupportedCaseError):
