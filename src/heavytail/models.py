@@ -625,12 +625,11 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     true end of each block is carried into the next (a^(j+1) times the
     previous block's end reaches offset j)."""
     rows, t = z.shape
-    if t == 0:
-        return np.array(z, dtype=float)
-    width = math.isqrt(t - 1) + 1
+    width = math.isqrt(max(t - 1, 0)) + 1
     blocks = -(-t // width)
     y = np.zeros((rows, blocks, width))
-    y.reshape(rows, -1)[:, :t] = z
+    flat = y.reshape(rows, blocks * width)  # a view of y
+    flat[:, :t] = z
     for j in range(1, width):
         y[:, :, j] += a * y[:, :, j - 1]
     ends = y[:, :, -1].copy()
@@ -638,7 +637,7 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     for k in range(1, blocks):
         ends[:, k] += step * ends[:, k - 1]
     y[:, 1:] += ends[:, :-1, None] * a ** np.arange(1, width + 1)
-    return y.reshape(rows, -1)[:, :t]
+    return flat[:, :t]
 
 
 def _gh_nodes():

@@ -222,6 +222,11 @@ class TestAr1Kernel:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_input(self, shape):
+        # simulate_paths_batch accepts zero replicas; paths may be empty
+        assert models._ar1(np.zeros(shape), 0.5).shape == shape
+
 
 class TestPathFreeSums:
     @pytest.mark.parametrize("a, family", [
