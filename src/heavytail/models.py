@@ -599,19 +599,13 @@ def _spectral_radius(a: np.ndarray) -> float:
 
 def _contraction_burn(a: np.ndarray) -> int:
     """Smallest b >= 1 with ||A^b||_2 <= 2^-53 (spectral radius below 1).
-    A scalar inverts |a|^b in closed form, then steps to the boundary."""
+    ||A^b||_2 >= rho(A)^b, so no b below log(2^-53) / log(rho) qualifies:
+    start one step short of that bound and step up."""
     tol = 2.0 ** -53
-    if a.shape == (1, 1):
-        r = abs(float(a[0, 0]))
-        if r <= tol:
-            return 1
-        b = max(1, math.ceil(math.log(tol) / math.log(r)))
-        while r ** b > tol:
-            b += 1
-        while b > 1 and r ** (b - 1) <= tol:
-            b -= 1
-        return b
-    power, b = a, 1
+    rho = _spectral_radius(a)
+    b = 1 if rho == 0.0 else max(
+        1, math.ceil(math.log(tol) / math.log(rho)) - 1)
+    power = np.linalg.matrix_power(a, b)
     while np.linalg.norm(power, 2) > tol:
         power = a @ power
         b += 1
@@ -620,23 +614,22 @@ def _contraction_burn(a: np.ndarray) -> int:
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     """x_t = a x_{t-1} + z_t along the last axis of a 2-d array, from
-    x_{-1} = 0. The T steps are cut into blocks of about sqrt(T): the
-    recursion runs along every block at once from a zero start, then the
-    true end of each block is carried into the next (a^(j+1) times the
-    previous block's end reaches offset j)."""
+    x_{-1} = 0. The T steps are cut into blocks of about T^(1/3): the
+    recursion runs along every block at once from a zero start. The true
+    block ends follow the same recursion with coefficient a^width, so one
+    recursive call finds them, and a^(j+1) times the previous block's end
+    completes offset j."""
     rows, t = z.shape
-    width = math.isqrt(max(t - 1, 0)) + 1
+    width = max(1, round(t ** (1.0 / 3.0)))
     blocks = -(-t // width)
     y = np.zeros((rows, blocks, width))
     flat = y.reshape(rows, blocks * width)  # a view of y
     flat[:, :t] = z
     for j in range(1, width):
         y[:, :, j] += a * y[:, :, j - 1]
-    ends = y[:, :, -1].copy()
-    step = a ** width
-    for k in range(1, blocks):
-        ends[:, k] += step * ends[:, k - 1]
-    y[:, 1:] += ends[:, :-1, None] * a ** np.arange(1, width + 1)
+    if blocks > 1:
+        ends = _ar1(y[:, :-1, -1], a ** width)
+        y[:, 1:] += ends[:, :, None] * a ** np.arange(1, width + 1)
     return flat[:, :t]
 
 

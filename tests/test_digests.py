@@ -27,10 +27,10 @@ RUN_DIGESTS = {
                         "32ac9cd2eea144d526b162baa58eb2f9",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "071da5f6d559fec09f24a211b680aa55"
-                      "4c2bc55cdf172dce028b88c944e0ee1f",
-        "summary.json": "bbbe4972b66a849b5c3f651b4300fe7c"
-                        "963738580a49829cc53b471e4a5c1663",
+        "cycles.csv": "dfd990a5979d76261e19396ede7030e1"
+                      "1006248d5769d35e2ff529844afd7949",
+        "summary.json": "bbfd25fab46f4e5cdba5527d48b0567a"
+                        "03f04ab61754cbf2ae34b175d24410c8",
     },
     "golden_simulate.cfg": {
         "path.csv": "e273971a48cebac2865297396da1a424"

@@ -262,7 +262,10 @@ class TestPathFreeSums:
 
     @pytest.mark.parametrize("a_matrix, burn", [
         ([[0.5]], 53), ([[0.0]], 1), ([[-0.9]], 349),
-        ([[0.5, 0.0], [0.0, 0.3]], 53)])
+        ([[0.5, 0.0], [0.0, 0.3]], 53),
+        # non-normal: ||A^b|| stays above rho^b, so the scan steps past
+        # the spectral-radius bound (349)
+        ([[0.9, 1.0], [0.0, 0.9]], 407)])
     def test_default_burn_from_the_contraction_rate(self, a_matrix, burn):
         a = np.array(a_matrix)
         spec = models.Var1Spec(a.shape[0],
