@@ -16,7 +16,6 @@ from .errors import (
     DivergenceError,
     HeavytailError,
     InsufficientCyclesError,
-    InsufficientExceedancesError,
     MinorizationInvalidError,
     NoCyclesError,
     NoRootError,
@@ -33,23 +32,16 @@ from .models import (
     Garch11Spec,
     KestenSpec,
     ModelSpec,
-    PathMatrix,
-    TailProcessPath,
     Var1Spec,
-    acf_functional_path,
     drift_margin,
-    sample_tail_process,
     simulate_path,
     tail_index,
 )
 from .tailstats import (
     AngularMeasure,
-    EmpiricalTailProcess,
     TailFit,
     angular_measure,
-    empirical_tail_process,
     hill_estimate,
-    normalizing_sequence,
 )
 from .cluster import (
     ClusterIndexEstimate,
@@ -90,13 +82,11 @@ __all__ = [
     "Direction",
     "DivergenceError",
     "DriftReport",
-    "EmpiricalTailProcess",
     "ExperimentConfig",
     "Garch11Spec",
     "GaussianCltReport",
     "HeavytailError",
     "InsufficientCyclesError",
-    "InsufficientExceedancesError",
     "KestenSpec",
     "LdpScanResult",
     "LimitMeasureEvaluator",
@@ -107,7 +97,6 @@ __all__ = [
     "NoRootError",
     "OutOfRegimeError",
     "ParameterError",
-    "PathMatrix",
     "RegenBlocks",
     "RngStream",
     "RunManifest",
@@ -115,30 +104,25 @@ __all__ = [
     "StableLawParams",
     "TailFit",
     "TailLaw",
-    "TailProcessPath",
     "UnsupportedCaseError",
     "UnsupportedLawError",
     "Var1Spec",
     "WidenRError",
-    "acf_functional_path",
     "angular_measure",
     "block_spectral_measure",
     "closed_form_cluster_index",
     "cluster_index_tail_process",
     "derive_stream",
     "drift_margin",
-    "empirical_tail_process",
     "extremal_index",
     "gaussian_sigma",
     "harvest_blocks",
     "hill_estimate",
     "kac_check",
     "ldp_scan",
-    "normalizing_sequence",
     "nu_alpha",
     "parse_config",
     "run",
-    "sample_tail_process",
     "simulate_path",
     "split_step",
     "stable_cf",

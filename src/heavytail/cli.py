@@ -165,6 +165,9 @@ def _parse_value(kind, key, raw, line, problems):
     except ValueError:
         problems.append(f"line {line}: {key} is not a number (got {raw!r})")
         return None
+    if not math.isfinite(value):
+        problems.append(f"line {line}: {key} must be finite (got {raw!r})")
+        return None
     if kind == "posint" and value < 1:
         problems.append(f"line {line}: {key} must be a positive integer")
         return None
@@ -392,16 +395,12 @@ def _stream(config, stage):
 
 def _cmd_simulate(config, spec, writer, threads):
     n = config.get("n")
-    burn = config.get("burn_in")
-    if burn is None:
-        burn = 1000
+    burn = config.get("burn_in", spec.default_burn)
     path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
-    d = path.values.shape[1]
-    writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(d)],
-               [np.arange(n), *path.values.T])
-    summary = {"n": n, "burn_in": burn,
-               "mean": path.values.mean(axis=0),
-               "sd": path.values.std(axis=0, ddof=1) if n > 1 else 0.0}
+    writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(path.shape[1])],
+               [np.arange(n), *path.T])
+    summary = {"n": n, "burn_in": burn, "mean": path.mean(axis=0),
+               "sd": path.std(axis=0, ddof=1) if n > 1 else 0.0}
     return summary, {"simulate": STREAMS["simulate"]}
 
 

@@ -140,9 +140,18 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 
 def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
                    horizon: int, replicas: int, stream: RngStream,
-                   route: str) -> ClusterIndexEstimate:
-    """Chunked fixed-order accumulation of a per-path functional of the
-    spec's tail-process draws."""
+                   route: str, horizon_name: str = "horizon",
+                   least_horizon: int = 0) -> ClusterIndexEstimate:
+    """Shared argument checks of the Monte Carlo routes, then chunked
+    fixed-order accumulation of a per-path functional of the spec's
+    tail-process draws."""
+    if horizon < least_horizon:
+        raise ParameterError(
+            f"{horizon_name} must be at least {least_horizon}")
+    if replicas < 100:
+        raise ParameterError("replicas must be at least 100")
+    if not alpha > 0:
+        raise ParameterError("alpha must be positive")
     tv = theta.vector
     total = 0.0
     total_sq = 0.0
@@ -150,7 +159,7 @@ def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
     chunk_id = 0
     while done < replicas:
         take = min(_CHUNK, replicas - done)
-        paths, _ = models.sample_tail_process_batch(
+        paths = models.sample_tail_process_batch(
             spec, horizon, take, stream.substream(chunk_id))
         if paths.shape[2] != theta.dim:
             raise ParameterError("direction dimension mismatch")
@@ -188,30 +197,13 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
-def _mc_route(spec, reduce_paths, theta: Direction, alpha: float,
-              horizon: int, replicas: int, stream: RngStream, route: str,
-              horizon_name: str = "horizon",
-              least_horizon: int = 0) -> ClusterIndexEstimate:
-    """Shared argument checks of the Monte Carlo routes, then the chunked
-    functional."""
-    if horizon < least_horizon:
-        raise ParameterError(
-            f"{horizon_name} must be at least {least_horizon}")
-    if replicas < 100:
-        raise ParameterError("replicas must be at least 100")
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    return _mc_functional(spec, reduce_paths, theta, alpha, horizon,
-                          replicas, stream, route)
-
-
 def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
                                stream: RngStream) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_route(spec, _sum_difference, theta, alpha, horizon,
-                     replicas, stream, ROUTE_TAIL_PROCESS)
+    return _mc_functional(spec, _sum_difference, theta, alpha, horizon,
+                          replicas, stream, ROUTE_TAIL_PROCESS)
 
 
 def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
@@ -219,17 +211,17 @@ def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
                            stream: RngStream) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
-    return _mc_route(spec, _sum_difference, theta, alpha, k, replicas,
-                     stream, ROUTE_TELESCOPING, horizon_name="k",
-                     least_horizon=1)
+    return _mc_functional(spec, _sum_difference, theta, alpha, k, replicas,
+                          stream, ROUTE_TELESCOPING, horizon_name="k",
+                          least_horizon=1)
 
 
 def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
                    replicas: int, stream: RngStream) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
-    return _mc_route(spec, _sup_difference, theta, alpha, horizon,
-                     replicas, stream, ROUTE_TAIL_PROCESS)
+    return _mc_functional(spec, _sup_difference, theta, alpha, horizon,
+                          replicas, stream, ROUTE_TAIL_PROCESS)
 
 
 # ---------------------------------------------------------------------------

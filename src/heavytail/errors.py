@@ -36,10 +36,6 @@ class NoRootError(HeavytailError):
     bracket, or the expectation was non-finite at a bracket end."""
 
 
-class InsufficientExceedancesError(HeavytailError):
-    """Fewer exceedances above the threshold than the estimator requires."""
-
-
 class InsufficientCyclesError(HeavytailError):
     """Fewer complete regeneration cycles than the statistic requires."""
 

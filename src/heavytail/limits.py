@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (InsufficientCyclesError, OutOfRegimeError,
                      ParameterError, UnsupportedCaseError, WidenRError)
 from . import cluster, models, randkit, tailstats
-from .cluster import ClusterIndexEstimate, Direction
+from .cluster import Direction
 from .randkit import RngStream
 
 CF_GRID = np.linspace(-3.0, 3.0, 61)
@@ -32,7 +32,6 @@ class StableLawParams:
 
     alpha: float
     pairs: dict
-    degenerate_directions: list = field(default_factory=list)
     c_alpha: float = field(init=False)
 
     def __post_init__(self):
@@ -46,9 +45,6 @@ class StableLawParams:
             if bp < 0 or bm < 0:
                 raise ParameterError("b values must be nonnegative")
             store[direction] = (bp, bm)
-            if bp + bm == 0.0 and direction not in \
-                    self.degenerate_directions:
-                self.degenerate_directions.append(direction)
         self.pairs = store
         self.c_alpha = randkit.stable_tail_constant(self.alpha)
 
@@ -373,33 +369,3 @@ def gaussian_sigma(blocks) -> GaussianCltReport:
     return GaussianCltReport(sigma_hat=sigma_hat, batch_sigma=batch_sigma,
                              rel_gap=rel_gap, n_cycles=k,
                              mean_cycle_len=mean_len)
-
-
-# ---------------------------------------------------------------------------
-# integral representation of the limit CF (cross-check, alpha < 1)
-
-
-def cf_integral_logpsi(sigma0, sigma1, alpha: float, v: float,
-                       u_lo: float = -20.0, u_hi: float = 30.0,
-                       points: int = 8193) -> complex:
-    """log psi(v) = integral_0^inf E[e^{i v x S0} - e^{i v x S1}]
-    alpha x^{-alpha-1} dx, computed on a log grid with an analytic
-    small-x correction. S0, S1 are draws (or constants) of the summed
-    tail-process projections with and without the time-zero term."""
-    if not 0 < alpha < 1:
-        raise ParameterError("integral representation requires alpha < 1")
-    if not v > 0:
-        raise ParameterError("v must be positive")
-    s0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
-    s1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    u = np.linspace(u_lo, u_hi, points)
-    x = np.exp(u)
-    diff = np.exp(1j * v * np.outer(x, s0)).mean(axis=1) \
-        - np.exp(1j * v * np.outer(x, s1)).mean(axis=1)
-    integrand = diff * alpha * x ** (-alpha)  # includes the du Jacobian
-    val = complex(np.trapezoid(integrand, u))
-    # small-x head: integrand ~ i v E(S0 - S1) alpha x^{-alpha}
-    x_lo = math.exp(u_lo)
-    head = 1j * v * float(np.mean(s0) - np.mean(s1)) \
-        * alpha / (1.0 - alpha) * x_lo ** (1.0 - alpha)
-    return val + head

@@ -19,10 +19,8 @@ from .errors import (DivergenceError, NoRootError, ParameterError,
 from . import randkit, tailstats
 from .randkit import RngStream, TailLaw, derive_stream, sample_law
 
-# child-stream tags: keep tail-process angle, radius and pilot draws on
-# separate streams so the radius is independent of the angles by construction
+# child-stream tags: tail-process angles and the stationary pilot
 _ANGLE_CHILD = 0x7A17
-_RADIUS_CHILD = 0x7A18
 _PILOT_STREAM_ID = 0x7A19
 # substreams of the closed-form cluster index: Theta_0 draws, auxiliary chain
 _CLOSED_ANGLES = 0x0A
@@ -516,38 +514,6 @@ class Garch11Spec(ModelSpec):
 
 
 @dataclass
-class PathMatrix:
-    """A simulated stationary-regime path: n rows, one column per
-    coordinate of the observable."""
-
-    values: np.ndarray
-    burn_in_used: int
-    stream_id: int
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            raise ParameterError("path contains non-finite entries")
-
-
-@dataclass
-class TailProcessPath:
-    """One realization (Theta_0, ..., Theta_T) of the spectral tail
-    process, with the independent unit-scale Pareto radius |Y_0|."""
-
-    theta: np.ndarray
-    pareto_radius: float
-
-    def __post_init__(self):
-        self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
-        norm0 = float(np.linalg.norm(self.theta[0]))
-        if abs(norm0 - 1.0) > 1e-9:
-            raise ParameterError("Theta_0 must have unit norm")
-        if self.pareto_radius < 1.0:
-            raise ParameterError("pareto_radius must be at least 1")
-
-
-@dataclass
 class DriftReport:
     """Fitted one-step (or m-step) drift inequality
     E(V(next) | state) <= beta V(state) + b with V = |.|^p."""
@@ -716,12 +682,12 @@ def stationary_pilot(spec, master_seed: int) -> np.ndarray:
     return cache[stream.master_seed]
 
 
-def simulate_path(spec, n: int, burn_in: int, stream: RngStream) -> PathMatrix:
-    """Stationary-regime sample of length n after discarding burn_in."""
+def simulate_path(spec, n: int, burn_in: int,
+                  stream: RngStream) -> np.ndarray:
+    """(n, dim) stationary-regime sample after discarding burn_in."""
     if n < 0 or burn_in < 0:
         raise ParameterError("n and burn_in must be nonnegative")
-    values = spec.paths(n, burn_in, 1, stream)[0]
-    return PathMatrix(values, burn_in, stream.stream_id)
+    return spec.paths(n, burn_in, 1, stream)[0]
 
 
 def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
@@ -751,41 +717,20 @@ def tail_index(spec) -> float:
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream):
-    """(replicas, horizon+1, d) tail-process angles and (replicas,) radii.
-
-    The radius stream is derived separately from the angle stream so the
-    Pareto radius is independent of the angular path by construction.
-    """
+                              stream: RngStream) -> np.ndarray:
+    """(replicas, horizon+1, d) spectral-tail-process angles
+    (Theta_0, ..., Theta_T), drawn on the stream's angle child."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    angle = stream.substream(_ANGLE_CHILD)
-    radius = stream.substream(_RADIUS_CHILD)
-    alpha = tail_index(spec)
-    radii = randkit.sample_pareto(radius, alpha, replicas)
-    return spec.tail_process(horizon, replicas, angle, alpha), radii
-
-
-def sample_tail_process(spec, horizon: int,
-                        stream: RngStream) -> TailProcessPath:
-    """One tail-process realization built from the model's closed form."""
-    theta, radii = sample_tail_process_batch(spec, horizon, 1, stream)
-    return TailProcessPath(theta[0], float(radii[0]))
-
-
-def sample_exceedance_angles(spec, replicas: int,
-                             stream: RngStream) -> np.ndarray:
-    """(replicas, d) draws from the model's exceedance-angle law (the law
-    of Theta_0, ``spec.theta0_law``)."""
-    if replicas < 1:
-        raise ParameterError("replicas must be at least 1")
-    return spec.theta0(replicas, stream)
+    return spec.tail_process(horizon, replicas,
+                             stream.substream(_ANGLE_CHILD),
+                             tail_index(spec))
 
 
 # ---------------------------------------------------------------------------
-# drift diagnostics and the lag-product functional
+# drift diagnostics
 
 
 def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
@@ -824,21 +769,3 @@ def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
     return DriftReport(p=p, m=m, beta_hat=beta_hat, beta_se=beta_se,
                        intercept=intercept, passed=passed,
                        grid_v=v_state, response_v=v_next)
-
-
-def acf_functional_path(spec, lag_max: int, n: int,
-                        stream: RngStream) -> PathMatrix:
-    """Path of the lag products (X_t X_{t-1}, ..., X_t X_{t-h}) with the
-    squares X_t^2 as the final column (the only column when h = 0)."""
-    if lag_max < 0:
-        raise ParameterError("lag_max must be nonnegative")
-    if n <= lag_max:
-        raise ParameterError("n must exceed lag_max")
-    if spec.dim != 1:
-        raise ParameterError("lag-product functional is scalar-only")
-    burn = 1000
-    x = simulate_path(spec, n, burn, stream).values[:, 0]
-    h = lag_max
-    cols = [x[h:] * x[h - s:n - s] for s in range(1, h + 1)]
-    cols.append(x[h:] ** 2)
-    return PathMatrix(np.column_stack(cols), burn, stream.stream_id)

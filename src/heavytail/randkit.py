@@ -51,15 +51,6 @@ class RngStream:
         words = self.rng.bit_generator.state["state"]["counter"]
         return sum(int(w) << (64 * i) for i, w in enumerate(words))
 
-    def clone(self) -> "RngStream":
-        """Value copy: the clone replays the identical future sequence."""
-        bg = np.random.Philox(key=np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64],
-            dtype=np.uint64))
-        bg.state = self.rng.bit_generator.state
-        return RngStream(self.master_seed, self.stream_id,
-                         np.random.Generator(bg))
-
     def substream(self, child_id: int) -> "RngStream":
         """Derive an independent child stream with a mixed-in id.
 
@@ -265,11 +256,3 @@ def law_moment(law: TailLaw, kappa: float) -> float:
     except OverflowError:
         return math.inf
     raise UnsupportedLawError(f"{law.family} is not a positive family")
-
-
-def quantile_tail(law: TailLaw, n: int) -> float:
-    """a_n solving n P(|X| > a_n) = 1 by inverting the power tail."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    c, alpha = power_tail(law)
-    return law.scale * (n * c) ** (1.0 / alpha)

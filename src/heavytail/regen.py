@@ -334,6 +334,5 @@ def block_spectral_measure(blocks: RegenBlocks,
 
 def stationary_small_set_mass(path, m_bound: float) -> float:
     """Empirical stationary mass of {|x| <= M} from a path."""
-    values = np.atleast_2d(np.asarray(
-        getattr(path, "values", path), dtype=float))
+    values = np.atleast_2d(np.asarray(path, dtype=float))
     return float((np.linalg.norm(values, axis=1) <= m_bound).mean())

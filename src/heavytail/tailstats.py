@@ -1,5 +1,5 @@
-"""Nonparametric tail machinery: Hill estimation, normalizing sequences,
-the empirical tail process, and empirical angular measures."""
+"""Nonparametric tail machinery: Hill estimation and empirical angular
+measures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,9 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateSampleError, InsufficientExceedancesError,
-                     ParameterError)
-from .randkit import TailLaw, quantile_tail
+from .errors import DegenerateSampleError, ParameterError
 
 
 @dataclass
@@ -31,33 +29,10 @@ class TailFit:
 
 
 @dataclass
-class EmpiricalTailProcess:
-    """Conditional forward profiles X_{t+s}/|X_t| averaged over the
-    exceedance times t of |X_t| above ``threshold``."""
-
-    horizon: int
-    mean_profile: np.ndarray
-    se_profile: np.ndarray
-    exceedance_count: int
-    threshold: float
-
-    def __post_init__(self):
-        self.mean_profile = np.atleast_2d(
-            np.asarray(self.mean_profile, dtype=float))
-        self.se_profile = np.atleast_2d(
-            np.asarray(self.se_profile, dtype=float))
-        if self.exceedance_count < 1:
-            raise ParameterError("exceedance_count must be at least 1")
-        if self.mean_profile.shape[0] != self.horizon + 1:
-            raise ParameterError("profile must have horizon+1 rows")
-
-
-@dataclass
 class AngularMeasure:
     """Discrete distribution on the unit sphere: list of (atom, weight)."""
 
     atoms: list
-    total: float = 1.0
 
     def __post_init__(self):
         cleaned = []
@@ -69,8 +44,6 @@ class AngularMeasure:
                 raise ParameterError("atoms must lie on the unit sphere")
             cleaned.append((v, float(w)))
         self.atoms = cleaned
-        if not self.total > 0:
-            raise ParameterError("total mass must be positive")
 
     def weight_at(self, direction) -> float:
         """Aggregated weight of atoms within 1e-9 of ``direction``."""
@@ -115,54 +88,6 @@ def default_hill_k(n: int) -> int:
     return max(2, int(math.isqrt(n)))
 
 
-def normalizing_sequence(source, n: int) -> float:
-    """a_n with n P(|X| > a_n) ~ 1: analytic inversion for a TailLaw,
-    else the empirical (1 - 1/n)-quantile of |samples|."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    if isinstance(source, TailLaw):
-        return quantile_tail(source, n)
-    x = np.abs(np.asarray(source, dtype=float).ravel())
-    if n > x.size:
-        raise ParameterError(
-            f"n={n} exceeds the sample size {x.size} in empirical mode")
-    return float(np.quantile(x, 1.0 - 1.0 / n, method="higher"))
-
-
-def empirical_tail_process(path, quantile: float,
-                           horizon: int) -> EmpiricalTailProcess:
-    """Average the forward windows X_{t+s}/|X_t| over times t where |X_t|
-    exceeds its empirical ``quantile``; windows truncated at the path end
-    are not used."""
-    values = np.atleast_2d(np.asarray(
-        getattr(path, "values", path), dtype=float))
-    n, d = values.shape
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
-    if n <= horizon:
-        raise ParameterError("path length must exceed the horizon")
-    if not 0.0 < quantile < 1.0:
-        raise ParameterError("quantile must lie in (0, 1)")
-    norms = np.linalg.norm(values, axis=1)
-    threshold = float(np.quantile(norms, quantile))
-    usable = norms[: n - horizon] > threshold
-    idx = np.flatnonzero(usable)
-    count = idx.size
-    if count < 30:
-        raise InsufficientExceedancesError(
-            f"only {count} exceedances above the {quantile}-quantile; "
-            "need at least 30")
-    windows = np.stack([values[idx + s] for s in range(horizon + 1)],
-                       axis=1)
-    windows = windows / norms[idx][:, None, None]
-    mean_profile = windows.mean(axis=0)
-    se_profile = windows.std(axis=0, ddof=1) / math.sqrt(count)
-    return EmpiricalTailProcess(horizon=horizon, mean_profile=mean_profile,
-                                se_profile=se_profile,
-                                exceedance_count=count,
-                                threshold=threshold)
-
-
 def angular_measure(vectors, k: int) -> AngularMeasure:
     """Empirical law of X/|X| over the k largest-by-norm rows, with atoms
     closer than 1e-12 aggregated and mass normalized to 1."""
@@ -190,4 +115,4 @@ def merged_measure(units, weights) -> AngularMeasure:
             buckets[key] = [row, w]
     total = float(np.sum(weights))
     atoms = [(vec, w / total) for vec, w in buckets.values()]
-    return AngularMeasure(atoms=atoms, total=1.0)
+    return AngularMeasure(atoms=atoms)

@@ -263,8 +263,7 @@ def test_criterion_10_invariant_battery(tmp_path):
     low = _ar_spec(0.8)
     est = cluster_index_tail_process(low, PLUS, 0.8, 24, 5000,
                                      derive_stream(SEED, 1003))
-    ang = models.sample_exceedance_angles(low, 5000,
-                                          derive_stream(SEED, 1004))
+    ang = low.theta0(5000, derive_stream(SEED, 1004))
     bound = float(np.mean(np.maximum(ang[:, 0], 0.0) ** 0.8))
     checks["upper_bound"] = est.value <= bound + 3 * est.std_error + 1e-12
     digests = []

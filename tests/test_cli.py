@@ -148,8 +148,9 @@ class TestRun:
         from heavytail import models, randkit
         from heavytail.randkit import derive_stream
         spec = build_spec(cfg)
-        path = models.simulate_path(spec, 20, 1000, derive_stream(5, 1))
-        for row, want in zip(rows, path.values[:, 0]):
+        path = models.simulate_path(spec, 20, spec.default_burn,
+                                    derive_stream(5, 1))
+        for row, want in zip(rows, path[:, 0]):
             assert float(row.split(",")[1]) == want
 
     def test_failure_removes_partial_outputs(self, tmp_path):
@@ -237,6 +238,20 @@ class TestMain:
             assert main(["cluster-index", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "OutOfRegimeError" in err and "tail_process" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("ldp-scan", "model = var1\na = nan\nn = 100\n", "a"),
+        ("cluster-index", "model = kesten\na_mu = nan\n", "a_mu"),
+        ("simulate", "model = var1\na = 0.5\nscale = inf\nn = 30\n",
+         "scale"),
+    ])
+    def test_non_finite_value_exit_two_names_key(self, tmp_path, capsys,
+                                                 command, body, key):
+        cfg = self._write(tmp_path, f"seed = 5\n{body}"
+                          f"out_dir = {tmp_path / 'out'}\n")
+        assert main([command, "--config", cfg]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_regen_check_on_recurrence_exit_two(self, tmp_path, capsys):

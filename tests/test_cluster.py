@@ -262,7 +262,6 @@ class TestUpperBoundProperty:
         est = cluster_index_tail_process(iid_pareto08, Direction([1.0]),
                                          0.8, 20, 2000,
                                          derive_stream(45, 1))
-        angles = models.sample_exceedance_angles(iid_pareto08, 2000,
-                                                 derive_stream(45, 2))
+        angles = iid_pareto08.theta0(2000, derive_stream(45, 2))
         bound = np.maximum(angles[:, 0], 0.0) ** 0.8
         assert est.value <= bound.mean() + 3 * est.std_error + 1e-12

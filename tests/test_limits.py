@@ -1,9 +1,8 @@
 """Stable characteristic functions, CF comparisons, large-deviation
 ratio scans, and the regenerative Gaussian limit.
 
-CF oracles: the one-sided alpha=1/2 case has the closed value
-exp(-sqrt(pi/2) |x|^(1/2) (1 - i sign x)); the integral representation of
-log psi must agree with the parametric form for alpha < 1.
+CF oracle: the one-sided alpha=1/2 case has the closed value
+exp(-sqrt(pi/2) |x|^(1/2) (1 - i sign x)).
 """
 import cmath
 import math
@@ -16,9 +15,8 @@ from heavytail.cluster import Direction
 from heavytail.errors import (InsufficientCyclesError, OutOfRegimeError,
                               ParameterError, UnsupportedCaseError,
                               WidenRError)
-from heavytail.limits import (StableLawParams, cf_integral_logpsi,
-                              gaussian_sigma, ldp_region, ldp_scan,
-                              stable_cf, stable_check)
+from heavytail.limits import (StableLawParams, gaussian_sigma, ldp_region,
+                              ldp_scan, stable_cf, stable_check)
 from heavytail.randkit import TailLaw, derive_stream
 
 PLUS = Direction([1.0])
@@ -64,39 +62,6 @@ class TestStableCf:
         assert np.isclose(auto.c_alpha,
                           randkit.stable_tail_constant(1.5), rtol=1e-15)
 
-    def test_degenerate_pair_recorded(self):
-        params = StableLawParams(1.5, {PLUS: (0.0, 0.0)})
-        assert params.degenerate_directions == [PLUS]
-
-
-class TestCfIntegral:
-    def test_matches_parametric_form_one_sided(self):
-        # iid one-sided case: S0 = 1, S1 = 0
-        alpha = 0.5
-        params = StableLawParams(alpha, {PLUS: (1.0, 0.0)})
-        for v in (0.5, 1.0, 2.0):
-            got = cf_integral_logpsi(np.array([1.0]), np.array([0.0]),
-                                     alpha, v)
-            expect = cmath.log(stable_cf(params, PLUS, v))
-            assert abs(got - expect) < 5e-3
-
-    def test_linear_chain_mixture(self):
-        # S0 = 2, S1 = 1 reproduces b(+1) = 2^a - 1 in the exponent;
-        # compare after exponentiating (the integral returns the
-        # continuous log, not the principal branch)
-        alpha = 0.8
-        params = StableLawParams(
-            alpha, {PLUS: (2.0 ** alpha - 1.0, 0.0)})
-        got = cf_integral_logpsi(np.array([2.0]), np.array([1.0]),
-                                 alpha, 1.0)
-        assert abs(cmath.exp(got) - stable_cf(params, PLUS, 1.0)) < 2e-3
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            cf_integral_logpsi([1.0], [0.0], 1.5, 1.0)
-        with pytest.raises(ParameterError):
-            cf_integral_logpsi([1.0], [0.0], 0.5, -1.0)
-
 
 class TestStableCheck:
     def test_iid_stable_sums_match_their_own_law(self):
@@ -119,6 +84,18 @@ class TestStableCheck:
     def test_gaussian_innovations_rejected(self, ar_gauss):
         with pytest.raises((OutOfRegimeError, Exception)):
             stable_check(ar_gauss, [PLUS], 100, 100, derive_stream(51, 3))
+
+    def test_a_n_inverts_the_power_tail(self):
+        # on an iid chain a_n solves n P(|X| > a_n) = 1 for the
+        # innovation law itself: exactly for Pareto, to rounding for stable
+        iid = np.array([[0.0]])
+        pareto = TailLaw(randkit.PARETO, alpha=2.0, scale=3.0)
+        spec = models.Var1Spec(1, pareto, a_matrix=iid)
+        assert limits._a_n_for(spec, 100, derive_stream(51, 4)) == 30.0
+        law = TailLaw(randkit.STABLE, alpha=1.5)
+        spec = models.Var1Spec(1, law, a_matrix=iid)
+        a_n = limits._a_n_for(spec, 1000, derive_stream(51, 4))
+        assert abs(1000 * float(randkit.law_survival(law, a_n)) - 1.0) < 1e-9
 
     def test_infinite_mean_cannot_center(self):
         # alpha 1.5 from the multiplier, but Pareto(0.9) additive terms

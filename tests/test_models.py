@@ -137,19 +137,19 @@ class TestSimulatePath:
                                   derive_stream(1, 1))
         p2 = models.simulate_path(ar_pareto15, 500, 100,
                                   derive_stream(1, 1))
-        assert p1.values.shape == (500, 1)
-        assert np.array_equal(p1.values, p2.values)
+        assert p1.shape == (500, 1)
+        assert np.array_equal(p1, p2)
 
     def test_burn_in_changes_start(self, ar_pareto15):
         p1 = models.simulate_path(ar_pareto15, 50, 0, derive_stream(1, 1))
         p2 = models.simulate_path(ar_pareto15, 50, 10, derive_stream(1, 1))
-        assert not np.array_equal(p1.values, p2.values)
+        assert not np.array_equal(p1, p2)
 
     def test_gaussian_stationary_variance(self, ar_gauss):
         # stationary variance of the a=0.5 Gaussian chain is 1/(1-a^2)
         path = models.simulate_path(ar_gauss, 200_000, 1000,
                                     derive_stream(4, 1))
-        assert abs(path.values.var() - 4.0 / 3.0) < 0.05
+        assert abs(path.var() - 4.0 / 3.0) < 0.05
 
     def test_kesten_stationary_mean(self, kesten_lognormal):
         # E X = E B / (1 - E A)
@@ -158,14 +158,14 @@ class TestSimulatePath:
         path = models.simulate_path(kesten_lognormal, 400_000, 1000,
                                     derive_stream(4, 2))
         target = eb / (1.0 - ea)
-        assert abs(path.values.mean() - target) / target < 0.05
+        assert abs(path.mean() - target) / target < 0.05
         assert abs(kesten_lognormal.stationary_mean()[0]
                    - target) < 1e-12
 
     def test_garch_paths_are_finite_and_volatile(self, garch_benchmark):
         path = models.simulate_path(garch_benchmark, 20_000, 500,
                                     derive_stream(4, 3))
-        x = path.values[:, 0]
+        x = path[:, 0]
         assert np.isfinite(x).all()
         # unconditional variance alpha0/(1 - a1 - b1)
         assert abs(x.var() - 0.05 / 0.05) < 0.25
@@ -184,7 +184,7 @@ class TestSimulatePath:
         rows = spec.paths(300, 50, 3, derive_stream(4, 7))
         single = models.simulate_path(spec, 300, 50, derive_stream(4, 7))
         assert rows.shape == (3, 300, 2)
-        assert np.array_equal(rows[0], single.values)
+        assert np.array_equal(rows[0], single)
 
     def test_stationary_pilot_is_cached(self, ar_pareto15):
         first = models.stationary_pilot(ar_pareto15, 11)
@@ -202,8 +202,6 @@ class TestSimulatePath:
                                a_matrix=np.eye(2) * 0.5)
         with pytest.raises(ParameterError):
             models.simulate_paths_batch(spec, 64, 16, 5, derive_stream(4, 5))
-        with pytest.raises(ParameterError):
-            models.acf_functional_path(spec, 2, 100, derive_stream(4, 6))
 
 
 class TestAr1Kernel:
@@ -281,33 +279,26 @@ class TestPathFreeSums:
 
 class TestTailProcess:
     def test_var1_rows_are_exact_powers(self, ar_pareto15):
-        theta, radii = models.sample_tail_process_batch(
+        theta = models.sample_tail_process_batch(
             ar_pareto15, 12, 256, derive_stream(6, 1))
         expect = 0.5 ** np.arange(13)
         for row in theta[:, :, 0]:
             assert np.array_equal(row, expect)
-        assert (radii >= 1.0).all()
 
     def test_symmetric_innovation_mixes_signs(self, ar_sympareto15):
-        theta, _ = models.sample_tail_process_batch(
+        theta = models.sample_tail_process_batch(
             ar_sympareto15, 4, 4000, derive_stream(6, 2))
         first = theta[:, 0, 0]
         assert set(np.unique(first)) == {-1.0, 1.0}
         assert abs(first.mean()) < 0.06
 
     def test_unit_modulus_at_time_zero(self, garch_benchmark):
-        theta, radii = models.sample_tail_process_batch(
+        theta = models.sample_tail_process_batch(
             garch_benchmark, 8, 2000, derive_stream(6, 3))
         norms = np.linalg.norm(theta[:, 0, :], axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
         assert theta.shape == (2000, 9, 2)
         assert (theta[:, 0, 0] > 0).all()
-        assert (radii >= 1.0).all()
-
-    def test_single_draw_wrapper(self, ar_pareto15):
-        tp = models.sample_tail_process(ar_pareto15, 6, derive_stream(6, 4))
-        assert tp.theta.shape == (7, 1)
-        assert tp.pareto_radius >= 1.0
 
     def test_garch_tilted_angle_moment(self, garch_benchmark):
         # E h(Theta_0) under the size-biased angle law, h = second
@@ -322,7 +313,7 @@ class TestTailProcess:
                    * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
                    -16, 16, limit=200)[0]
         target = num / den
-        theta, _ = models.sample_tail_process_batch(
+        theta = models.sample_tail_process_batch(
             garch_benchmark, 0, 200_000, derive_stream(6, 5))
         emp = (theta[:, 0, 1] ** 2).mean()
         assert abs(emp - target) < 0.005
@@ -330,13 +321,11 @@ class TestTailProcess:
 
 class TestExceedanceAngles:
     def test_pareto_innovation_is_plus_one(self, ar_pareto15):
-        ang = models.sample_exceedance_angles(ar_pareto15, 500,
-                                              derive_stream(7, 1))
+        ang = ar_pareto15.theta0(500, derive_stream(7, 1))
         assert np.array_equal(ang, np.ones((500, 1)))
 
     def test_symmetric_innovation_is_half_half(self, ar_sympareto15):
-        ang = models.sample_exceedance_angles(ar_sympareto15, 20_000,
-                                              derive_stream(7, 2))
+        ang = ar_sympareto15.theta0(20_000, derive_stream(7, 2))
         frac = (ang[:, 0] > 0).mean()
         assert abs(frac - 0.5) < 0.02
 
@@ -381,15 +370,13 @@ class TestExceedanceAngles:
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[-0.5]]))
         p_up = spec.theta0_law().weight_at([1.0])
-        ang = models.sample_exceedance_angles(spec, 5000,
-                                              derive_stream(7, 3))
+        ang = spec.theta0(5000, derive_stream(7, 3))
         u = derive_stream(7, 3).rng.random(5000)
         assert np.array_equal(ang[:, 0], np.where(u < p_up, 1.0, -1.0))
 
     def test_volatility_recursion_has_no_theta0_law(self, garch_benchmark):
         with pytest.raises(UnsupportedCaseError):
-            models.sample_exceedance_angles(garch_benchmark, 10,
-                                            derive_stream(7, 4))
+            garch_benchmark.theta0(10, derive_stream(7, 4))
 
 
 class TestDrift:
@@ -434,25 +421,8 @@ class TestStationaryTail:
         c, alpha, scale = ar_pareto15.tail_constant()
         path = models.simulate_path(ar_pareto15, 1_000_000, 1000,
                                     derive_stream(8, 2))
-        x = np.abs(path.values[:, 0])
+        x = np.abs(path[:, 0])
         for q in (100.0, 250.0):
             emp = (x > q).mean()
             theo = c * (q / scale) ** -alpha
             assert abs(emp - theo) / theo < 0.20
-
-
-class TestAcfFunctional:
-    def test_shape_and_squares_column(self, ar_gauss):
-        # the first lag_max rows have no full lag window and are dropped
-        path = models.acf_functional_path(ar_gauss, 2, 5000,
-                                          derive_stream(9, 1))
-        assert path.values.shape == (4998, 3)
-        assert (path.values[:, -1] >= 0).all()
-
-    def test_lag_one_ratio_recovers_coefficient(self, ar_gauss):
-        # for the centered linear chain, E X_t X_{t-1} / E X_t^2 = a
-        path = models.acf_functional_path(ar_gauss, 1, 200_000,
-                                          derive_stream(9, 2))
-        lag1 = path.values[:, 0].mean()
-        sq = path.values[:, 1].mean()
-        assert abs(lag1 / sq - 0.5) < 0.02

@@ -131,8 +131,7 @@ class TestClusterIndexSignAndBounds:
                                a_matrix=np.array([[0.5]]))
         est = cluster_index_tail_process(spec, PLUS, alpha, 24, 4000,
                                          derive_stream(73, int(10 * alpha)))
-        ang = models.sample_exceedance_angles(spec, 4000,
-                                              derive_stream(73, 50))
+        ang = spec.theta0(4000, derive_stream(73, 50))
         bound = np.maximum(ang[:, 0], 0.0) ** alpha
         assert est.value <= bound.mean() + 3.0 * est.std_error + 1e-12
 
@@ -143,14 +142,14 @@ class TestSeedDeterminism:
                                a_matrix=np.array([[0.5]]))
         p1 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
         p2 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
-        assert np.array_equal(p1.values, p2.values)
+        assert np.array_equal(p1, p2)
 
     def test_different_master_seed_differs(self):
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[0.5]]))
         p1 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
         p2 = models.simulate_path(spec, 200, 50, derive_stream(75, 1))
-        assert not np.array_equal(p1.values, p2.values)
+        assert not np.array_equal(p1, p2)
 
     def test_estimator_determinism_across_repeat_calls(self):
         spec = models.Var1Spec(1, TailLaw(randkit.SYMMETRIC_PARETO,

@@ -1,5 +1,4 @@
-"""Tail statistics: Hill fits, normalizing sequences, empirical tail
-processes, angular measures.
+"""Tail statistics: Hill fits and angular measures.
 
 Hill oracles use exact Pareto order-statistic identities and iid Pareto
 samples whose index is known by construction.
@@ -9,13 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from heavytail import models, randkit, tailstats
-from heavytail.errors import (DegenerateSampleError,
-                              InsufficientExceedancesError, ParameterError)
-from heavytail.randkit import TailLaw, derive_stream
+from heavytail import randkit, tailstats
+from heavytail.errors import DegenerateSampleError, ParameterError
+from heavytail.randkit import derive_stream
 from heavytail.tailstats import (angular_measure, default_hill_k,
-                                 empirical_tail_process, hill_estimate,
-                                 normalizing_sequence)
+                                 hill_estimate)
 
 
 class TestHill:
@@ -71,49 +68,11 @@ class TestHill:
         assert default_hill_k(10_000) == 100
 
 
-class TestNormalizingSequence:
-    def test_analytic_law_inversion(self):
-        law = TailLaw(randkit.PARETO, alpha=2.0, scale=3.0)
-        assert normalizing_sequence(law, 100) == 30.0
-
-    def test_empirical_quantile_on_integers(self):
-        x = np.arange(1.0, 101.0)
-        assert normalizing_sequence(x, 100) == 100.0
-
-    def test_empirical_requires_enough_samples(self):
-        with pytest.raises(ParameterError):
-            normalizing_sequence(np.ones(10), 100)
-
-
-class TestEmpiricalTailProcess:
-    def test_linear_chain_profile_matches_powers(self, ar_pareto15):
-        # over high-threshold windows the mean forward profile of
-        # X_{t+s}/|X_t| approaches a^s plus a vanishing remainder
-        path = models.simulate_path(ar_pareto15, 400_000, 1000,
-                                    derive_stream(32, 1))
-        etp = empirical_tail_process(path, 0.999, 6)
-        prof = etp.mean_profile[:, 0]
-        assert np.isclose(prof[0], 1.0, atol=1e-12)
-        for s in (1, 2, 3):
-            assert abs(prof[s] - 0.5 ** s) < 0.12
-        assert etp.exceedance_count >= 30
-        assert etp.se_profile.shape == etp.mean_profile.shape
-
-    def test_insufficient_exceedances(self):
-        path = np.ones((50, 1))
-        with pytest.raises((InsufficientExceedancesError, ParameterError)):
-            empirical_tail_process(path, 0.999, 5)
-
-    def test_horizon_domain(self):
-        with pytest.raises(ParameterError):
-            empirical_tail_process(np.ones((10, 1)), 0.9, 20)
-
-
 class TestAngularMeasure:
     def test_scalar_signs_become_two_atoms(self):
         x = np.array([5.0, -4.0, 3.0, -2.0, 1.0, -0.5])[:, None]
         meas = angular_measure(x, 4)
-        assert np.isclose(meas.total, 1.0)
+        assert np.isclose(meas.as_arrays()[1].sum(), 1.0)
         assert np.isclose(meas.weight_at([1.0]), 0.5)
         assert np.isclose(meas.weight_at([-1.0]), 0.5)
 
