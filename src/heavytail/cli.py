@@ -412,18 +412,19 @@ def _cmd_cluster_index(config, spec, writer, threads):
     replicas = config.get("replicas")
     ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
         spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"))}
+        _stream(config, "cluster_tail"), threads)}
     stages = ["cluster_tail"]
     if spec.has_closed_form:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed"))
+            spec, theta, replicas, _stream(config, "cluster_closed"),
+            threads)
         stages.append("cluster_closed")
     ests["telescoping"] = cluster.telescoping_difference(
         spec, tail_theta, alpha, config.get("k_trunc"), replicas,
-        _stream(config, "cluster_telescoping"))
+        _stream(config, "cluster_telescoping"), threads)
     ests["extremal_index"] = cluster.extremal_index(
         spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"))
+        _stream(config, "extremal"), threads)
     stages += ["cluster_telescoping", "extremal"]
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
@@ -532,7 +533,7 @@ def _cmd_report(config, spec, writer, threads):
     rows = [("tail_index", alpha, 0.0)]
     est = cluster.cluster_index_tail_process(
         spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"))
+        _stream(config, "cluster_tail"), threads)
     rows.append(("cluster_index_tail_process", est.value, est.std_error))
     summary = {"alpha": alpha, "theta": theta,
                "cluster_index": {"value": est.value,
@@ -540,14 +541,15 @@ def _cmd_report(config, spec, writer, threads):
     stages = ["cluster_tail", "extremal"]
     if spec.has_closed_form:
         cf = cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed"))
+            spec, theta, replicas, _stream(config, "cluster_closed"),
+            threads)
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
         stages.append("cluster_closed")
     ext = cluster.extremal_index(
         spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"))
+        _stream(config, "extremal"), threads)
     rows.append(("extremal_index", ext.value, ext.std_error))
     summary["extremal_index"] = {"value": ext.value,
                                  "std_error": ext.std_error}

@@ -3,6 +3,7 @@ tail process, closed-form model evaluations, truncated (telescoping)
 differences, and the half-space limit measure they determine."""
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import math
 
@@ -17,7 +18,7 @@ ROUTE_CLOSED_FORM = "closed_form"
 ROUTE_TELESCOPING = "telescoping"
 _ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING)
 
-_CHUNK = 1 << 16
+_CHUNK = 8192  # tail-process replicas per chunk, whatever the thread count
 _MATCH_TOL = 1e-9
 
 
@@ -135,16 +136,51 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 
 
 # ---------------------------------------------------------------------------
+# chunked evaluation
+
+
+def _map_chunks(fn, n_chunks: int, threads: int):
+    """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
+    returned in index order so reductions are schedule-independent."""
+    if threads <= 1 or n_chunks <= 1:
+        return [fn(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n_chunks)))
+
+
+def _moments(vals: np.ndarray):
+    """(n, mean, M2) of one chunk, M2 the sum of squared deviations."""
+    mean = float(np.mean(vals))
+    dev = vals - mean
+    return vals.size, mean, float(np.dot(dev, dev))
+
+
+def _merge_moments(parts):
+    """Fold per-chunk (n, mean, M2) in index order by the pairwise update
+    of Chan, Golub & LeVeque (1983), which keeps the digits that
+    sum(x^2) - n mean^2 cancels away when the mean is large."""
+    n, mean, m2 = parts[0]
+    for nb, mb, m2b in parts[1:]:
+        total = n + nb
+        delta = mb - mean
+        mean += delta * nb / total
+        m2 += m2b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo routes over tail-process draws
 
 
 def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
                    horizon: int, replicas: int, stream: RngStream,
-                   route: str, horizon_name: str = "horizon",
+                   route: str, threads: int = 1,
+                   horizon_name: str = "horizon",
                    least_horizon: int = 0) -> ClusterIndexEstimate:
-    """Shared argument checks of the Monte Carlo routes, then chunked
-    fixed-order accumulation of a per-path functional of the spec's
-    tail-process draws."""
+    """Shared argument checks of the Monte Carlo routes, then a per-path
+    functional of the spec's tail-process draws, reduced per fixed-size
+    chunk to (n, mean, M2) and merged in chunk order."""
     if horizon < least_horizon:
         raise ParameterError(
             f"{horizon_name} must be at least {least_horizon}")
@@ -153,26 +189,20 @@ def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     tv = theta.vector
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < replicas:
-        take = min(_CHUNK, replicas - done)
+    spec_alpha = models.tail_index(spec)
+
+    def one(i):
+        take = min(_CHUNK, replicas - i * _CHUNK)
         paths = models.sample_tail_process_batch(
-            spec, horizon, take, stream.substream(chunk_id))
+            spec, horizon, take, stream.substream(i), spec_alpha)
         if paths.shape[2] != theta.dim:
             raise ParameterError("direction dimension mismatch")
-        proj = paths @ tv
-        vals = reduce_paths(proj, alpha)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += take
-        chunk_id += 1
-    mean = total / replicas
-    var1 = max(total_sq / replicas - mean * mean, 0.0)
-    se_plug = math.sqrt(var1 / replicas)
-    se = math.sqrt(var1 * replicas / (replicas - 1) / replicas)
+        return _moments(reduce_paths(paths @ tv, alpha))
+
+    n_chunks = -(-replicas // _CHUNK)
+    _, mean, m2 = _merge_moments(_map_chunks(one, n_chunks, threads))
+    se_plug = math.sqrt(m2) / replicas
+    se = math.sqrt(m2 / (replicas - 1) / replicas)
     return ClusterIndexEstimate(value=mean, std_error=se, route=route,
                                 horizon=horizon, replicas=replicas,
                                 plug_in_se=se_plug)
@@ -199,29 +229,31 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
 
 def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
-                               stream: RngStream) -> ClusterIndexEstimate:
+                               stream: RngStream,
+                               threads: int = 1) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
     return _mc_functional(spec, _sum_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS)
+                          replicas, stream, ROUTE_TAIL_PROCESS, threads)
 
 
 def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
-                           replicas: int,
-                           stream: RngStream) -> ClusterIndexEstimate:
+                           replicas: int, stream: RngStream,
+                           threads: int = 1) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
     return _mc_functional(spec, _sum_difference, theta, alpha, k, replicas,
-                          stream, ROUTE_TELESCOPING, horizon_name="k",
-                          least_horizon=1)
+                          stream, ROUTE_TELESCOPING, threads,
+                          horizon_name="k", least_horizon=1)
 
 
 def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
-                   replicas: int, stream: RngStream) -> ClusterIndexEstimate:
+                   replicas: int, stream: RngStream,
+                   threads: int = 1) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
     return _mc_functional(spec, _sup_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS)
+                          replicas, stream, ROUTE_TAIL_PROCESS, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +261,8 @@ def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
 
 
 def closed_form_cluster_index(spec, theta: Direction, replicas: int,
-                              stream: RngStream) -> ClusterIndexEstimate:
+                              stream: RngStream,
+                              threads: int = 1) -> ClusterIndexEstimate:
     """Model-specific closed form, Monte Carlo only over Theta_0 (and the
     recurrence's multipliers).
 
@@ -243,7 +276,8 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     alpha = models.tail_index(spec)
-    u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream)
+    u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream,
+                                           threads)
     vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
     mean = float(np.mean(vals))
     if vals.size > 1:

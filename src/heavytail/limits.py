@@ -3,7 +3,6 @@ CLT for normalized sums, the precise large-deviation ratio scan, and the
 Gaussian CLT over regenerative cycles."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import math
 
@@ -149,15 +148,6 @@ class GaussianCltReport:
 # shared simulation plumbing
 
 
-def _map_chunks(fn, n_chunks: int, threads: int):
-    """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
-    returned in index order so reductions are schedule-independent."""
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
 def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
                  threads: int) -> np.ndarray:
     """(reps,) draws of S_n for a scalar-observable model, from
@@ -169,7 +159,7 @@ def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
     def one(i):
         return spec.sums(n, burn, sizes[i], stream.substream(i))
 
-    return np.concatenate(_map_chunks(one, n_chunks, threads))
+    return np.concatenate(cluster._map_chunks(one, n_chunks, threads))
 
 
 def _sum_centering(spec, alpha: float):
@@ -206,22 +196,27 @@ def _a_n_for(spec, n: int, stream: RngStream) -> float:
 
 
 def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
-          replicas: int = 50_000, horizon: int = 64) -> float:
+          replicas: int = 50_000, horizon: int = 64,
+          threads: int = 1) -> float:
     """b at the tail-process direction ``th``, clipped at 0: the closed
     form when available, else the tail-process route."""
     if spec.has_closed_form:
-        est = cluster.closed_form_cluster_index(spec, th, replicas, stream)
+        est = cluster.closed_form_cluster_index(spec, th, replicas, stream,
+                                                threads)
     else:
         est = cluster.cluster_index_tail_process(
-            spec, th, alpha, horizon, replicas, stream)
+            spec, th, alpha, horizon, replicas, stream, threads)
     return max(est.value, 0.0)
 
 
-def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream):
+def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
+                threads: int = 1):
     """(b(theta), b(-theta)) on substreams 0xB0 and 0xB1."""
     th = spec.tail_direction(theta)
-    return (_b_at(spec, th, alpha, stream.substream(0xB0)),
-            _b_at(spec, th.negated(), alpha, stream.substream(0xB1)))
+    return (_b_at(spec, th, alpha, stream.substream(0xB0),
+                  threads=threads),
+            _b_at(spec, th.negated(), alpha, stream.substream(0xB1),
+                  threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
         pairs = {}
         for i, th in enumerate(theta_grid):
             pairs[th] = _b_pair_for(spec, th, alpha,
-                                    stream.substream(0xC0 + i))
+                                    stream.substream(0xC0 + i), threads)
         params = StableLawParams(alpha=alpha, pairs=pairs)
     if alpha == 1.0:
         for th in theta_grid:
@@ -330,7 +325,8 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
     if target is None:
         target = _b_at(spec, spec.tail_direction(theta), alpha,
-                       stream.substream(0xC9).substream(0xB0))
+                       stream.substream(0xC9).substream(0xB0),
+                       threads=threads)
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,
                          target=float(target), sup_dev=sup_dev,

@@ -29,7 +29,7 @@ _CLOSED_AUX = 0x0C
 _BLOWUP = 1e280
 _SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
 _AUX_BURN = 256  # steps of the recurrence's auxiliary chain W
-_AUX_BLOCK = 8192  # auxiliary-chain replicas drawn and run at a time
+_AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -81,9 +81,10 @@ class ModelSpec:
         return atoms[np.minimum(idx, weights.size - 1)]
 
     def closed_form_terms(self, tv: np.ndarray, replicas: int,
-                          stream: RngStream):
+                          stream: RngStream, threads: int = 1):
         """(u, w, horizon): per-replica projections whose positive parts
-        give the closed-form cluster index E[u_+^alpha - w_+^alpha]."""
+        give the closed-form cluster index E[u_+^alpha - w_+^alpha];
+        ``threads`` workers share any blocked work, with the same bits."""
         raise UnsupportedCaseError(
             "closed form available for the linear and recurrence models "
             "only")
@@ -238,7 +239,7 @@ class Var1Spec(ModelSpec):
             theta[:, t] = cur
         return theta
 
-    def closed_form_terms(self, tv, replicas, stream):
+    def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta'(I-A)^{-1} Theta_0 and w = theta'A(I-A)^{-1} Theta_0;
         no auxiliary chain (horizon 0)."""
         if tv.size != self.dim:
@@ -363,26 +364,31 @@ class KestenSpec(ModelSpec):
         theta[:, 1:, 0] = np.cumprod(mults, axis=1) * theta0
         return theta
 
-    def closed_form_terms(self, tv, replicas, stream):
+    def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
         W = sum_{t>=1} A_1 ... A_t drawn independently per replica by the
         recursion W_k = (W_{k-1} + 1) A_k run for a fixed number of steps
         (the returned horizon)."""
+        from .cluster import _map_chunks  # cluster imports this module
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
-        # each row reads only its own draws: drawing and running the rows
-        # in blocks, in order, gives the one-shot bits in bounded memory
         aux_stream = stream.substream(_CLOSED_AUX)
-        aux = np.empty(replicas)
-        for lo in range(0, replicas, _AUX_BLOCK):
-            m = min(_AUX_BLOCK, replicas - lo)
-            a = sample_law(aux_stream, self.a_law,
-                           m * _AUX_BURN).reshape(m, _AUX_BURN)
+
+        def block(i):
+            # block i of the chain reads substream i alone, so the blocks
+            # run in any order, on any number of threads, with one result
+            m = min(_AUX_BLOCK, replicas - i * _AUX_BLOCK)
+            a = sample_law(aux_stream.substream(i), self.a_law,
+                           _AUX_BURN * m).reshape(_AUX_BURN, m)
             chain = np.zeros(m)
-            for t in range(_AUX_BURN):
-                chain = (chain + 1.0) * a[:, t]
-            aux[lo:lo + m] = chain
+            for step in a:  # row t holds step t of every replica
+                chain += 1.0
+                chain *= step
+            return chain
+
+        n_blocks = -(-replicas // _AUX_BLOCK)
+        aux = np.concatenate(_map_chunks(block, n_blocks, threads))
         w = aux * angles[:, 0] * tv[0]
         u = (aux + 1.0) * angles[:, 0] * tv[0]
         return u, w, _AUX_BURN
@@ -717,16 +723,19 @@ def tail_index(spec) -> float:
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream) -> np.ndarray:
+                              stream: RngStream,
+                              alpha: float = None) -> np.ndarray:
     """(replicas, horizon+1, d) spectral-tail-process angles
-    (Theta_0, ..., Theta_T), drawn on the stream's angle child."""
+    (Theta_0, ..., Theta_T), drawn on the stream's angle child. ``alpha``
+    is the spec's tail index, solved here when not given."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
+    if alpha is None:
+        alpha = tail_index(spec)
     return spec.tail_process(horizon, replicas,
-                             stream.substream(_ANGLE_CHILD),
-                             tail_index(spec))
+                             stream.substream(_ANGLE_CHILD), alpha)
 
 
 # ---------------------------------------------------------------------------

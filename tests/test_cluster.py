@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from heavytail import cluster, models, randkit
+from heavytail import cluster, limits, models, randkit
 from heavytail.cluster import (ClusterIndexEstimate, Direction,
                                LimitMeasureEvaluator,
                                closed_form_cluster_index,
@@ -109,23 +109,30 @@ class TestClosedForm:
                                         derive_stream(41, 4))
         assert abs(est.value - B_TARGET) < 1e-8
 
-    def test_blocked_auxiliary_chain_matches_one_shot_draw(
+    def test_auxiliary_block_matches_one_shot_chain_on_its_substream(
             self, kesten_lognormal):
-        # two and a half blocks against the whole multiplier matrix at once
+        # two full blocks and a half one; block i is the 256-step chain
+        # drawn at once on substream i of the auxiliary stream
         spec = kesten_lognormal
-        replicas = 2 * models._AUX_BLOCK + models._AUX_BLOCK // 2
+        block = models._AUX_BLOCK
+        replicas = 2 * block + block // 2
         stream = derive_stream(41, 7)
         u, w, _ = spec.closed_form_terms(np.array([1.0]), replicas, stream)
         angles = spec.theta0(replicas,
                              stream.substream(models._CLOSED_ANGLES))
-        a = randkit.sample_law(stream.substream(models._CLOSED_AUX),
-                               spec.a_law, replicas * models._AUX_BURN)
-        a = a.reshape(replicas, models._AUX_BURN)
-        aux = np.zeros(replicas)
-        for t in range(models._AUX_BURN):
-            aux = (aux + 1.0) * a[:, t]
-        assert w.tobytes() == (aux * angles[:, 0] * 1.0).tobytes()
-        assert u.tobytes() == ((aux + 1.0) * angles[:, 0] * 1.0).tobytes()
+        aux_stream = stream.substream(models._CLOSED_AUX)
+        for i, lo in enumerate(range(0, replicas, block)):
+            m = min(block, replicas - lo)
+            a = randkit.sample_law(aux_stream.substream(i), spec.a_law,
+                                   models._AUX_BURN * m)
+            a = a.reshape(models._AUX_BURN, m)
+            aux = np.zeros(m)
+            for t in range(models._AUX_BURN):
+                aux = (aux + 1.0) * a[t]
+            theta0 = angles[lo:lo + m, 0]
+            assert w[lo:lo + m].tobytes() == (aux * theta0 * 1.0).tobytes()
+            assert u[lo:lo + m].tobytes() \
+                == ((aux + 1.0) * theta0 * 1.0).tobytes()
 
     def test_volatility_recursion_has_no_closed_form(self,
                                                      garch_benchmark):
@@ -156,15 +163,69 @@ class TestTailProcessRoute:
             cluster_index_tail_process(ar_pareto15, Direction([1.0]), 1.5,
                                        10, 50, derive_stream(42, 3))
 
-    def test_chunking_does_not_change_result(self, ar_pareto15):
-        # replicas straddling the chunk boundary reduce identically to a
-        # fresh run with the same stream key
-        n = (1 << 16) + 500
-        e1 = cluster_index_tail_process(ar_pareto15, Direction([1.0]), 1.5,
-                                        8, n, derive_stream(42, 4))
-        e2 = cluster_index_tail_process(ar_pareto15, Direction([1.0]), 1.5,
-                                        8, n, derive_stream(42, 4))
-        assert e1.value == e2.value and e1.std_error == e2.std_error
+
+
+class TestThreads:
+    """Every route reduces fixed-size chunks in index order, so its
+    estimate has the same bits on any number of threads."""
+
+    # several full chunks and a partial one, for every chunked stage
+    REPLICAS = 2 * cluster._CHUNK + 500
+
+    @pytest.mark.parametrize("route", ["tail_process", "closed_form",
+                                       "telescoping", "extremal"])
+    def test_routes_identical_on_one_and_two_threads(self,
+                                                     kesten_lognormal,
+                                                     route):
+        spec, th = kesten_lognormal, Direction([1.0])
+        alpha = models.tail_index(spec)
+        calls = {
+            "tail_process": lambda s, t: cluster_index_tail_process(
+                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+            "closed_form": lambda s, t: closed_form_cluster_index(
+                spec, th, self.REPLICAS, s, threads=t),
+            "telescoping": lambda s, t: telescoping_difference(
+                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+            "extremal": lambda s, t: extremal_index(
+                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+        }
+        one, two = (calls[route](derive_stream(42, 4), t) for t in (1, 2))
+        assert one.std_error > 0
+        for name in ("value", "std_error", "plug_in_se"):
+            assert getattr(one, name) == getattr(two, name)
+
+    @pytest.mark.parametrize("fixture", ["kesten_lognormal",
+                                         "garch_benchmark"])
+    def test_b_at_identical_on_one_and_two_threads(self, request, fixture):
+        spec = request.getfixturevalue(fixture)
+        th = spec.tail_direction(Direction([1.0]))
+        alpha = models.tail_index(spec)
+        one, two = (limits._b_at(spec, th, alpha, derive_stream(42, 5),
+                                 replicas=self.REPLICAS, horizon=8,
+                                 threads=t) for t in (1, 2))
+        assert one == two
+
+
+class TestMergedMoments:
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_merge_matches_numpy_over_all_values(self, offset):
+        # at offset 1e8, sum(x^2) - n mean^2 cancels every significant
+        # digit of the unit variance; the pairwise merge keeps them
+        rng = np.random.default_rng(3)
+        sizes = [8192, 8192, 1, 500, 3000]
+        chunks = [offset + rng.standard_normal(k) for k in sizes]
+        n, mean, m2 = cluster._merge_moments(
+            [cluster._moments(c) for c in chunks])
+        every = np.concatenate(chunks)
+        assert n == every.size
+        assert mean == pytest.approx(np.mean(every), rel=1e-15)
+        assert m2 / (n - 1) == pytest.approx(np.var(every, ddof=1),
+                                             rel=1e-9)
+
+    def test_single_chunk_is_its_own_moments(self):
+        vals = np.arange(10.0)
+        assert cluster._merge_moments([cluster._moments(vals)]) \
+            == (10, 4.5, 82.5)
 
 
 class TestTelescoping:

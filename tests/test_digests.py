@@ -21,10 +21,10 @@ SEED = 20260823
 
 RUN_DIGESTS = {
     "golden_cluster.cfg": {
-        "cluster.csv": "757e42412411d11e267e6086b5e009de"
-                       "4c98ffdd0c581d6f70e417e067b04b43",
-        "summary.json": "7602ddb8a55190fc61350198203da97b"
-                        "32ac9cd2eea144d526b162baa58eb2f9",
+        "cluster.csv": "ce0807153fbff7ead7df6464df98fc64"
+                       "9c5cec4b166f24083168c1026adaebff",
+        "summary.json": "cb4eeae42dcd90f4ff054099a2ffe24b"
+                        "8a35783494e85fd2d285265b645fb4af",
     },
     "golden_regen.cfg": {
         "cycles.csv": "dfd990a5979d76261e19396ede7030e1"
@@ -39,16 +39,16 @@ RUN_DIGESTS = {
                         "eae65c778ef4754a710cad13db29cbec",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "46a6af39f8823a3a50d22fb82b1aca1c"
-                       "4beb7f597deb72669f60b580dec27058",
-        "summary.json": "d4e3b1fa8d6d8ebe3e21eead923b7435"
-                        "f2493a5d28a0bedef3aaa3dd93e49a98",
+        "cluster.csv": "0a7e0523e7ab422f3a3a83302c880baf"
+                       "baf818a7c328e63ffb8ae86a040d1a86",
+        "summary.json": "78562f85ae9c10902d4d67e5abe69193"
+                        "3f7011c296eec27a1ff627eb21a0beb2",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "e7ad259b3c09a182e557ce4ea2bb2d48"
-                         "ba5fa71d723a88e0d30a7cf08c4018d3",
-        "summary.json": "68416388ce4b447a4cef209132940e79"
-                        "9e2edf4a80a8b0b9b873a6b8cd2aa7e6",
+        "stable_cf.csv": "6bdf488b71af42b6aab1ac0e31eb9855"
+                         "ae821bb61b799944547e30c309570cc1",
+        "summary.json": "b9948962de10a8402b77ea8d467d7621"
+                        "0df9c5c0fbd08e24d8c4b7d02f556588",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "40dcdbddd096732aa98748ae7697ad9e"
@@ -63,10 +63,10 @@ RUN_DIGESTS = {
                         "77602736a906b76796670e8f9584ba3e",
     },
     "golden_report_garch.cfg": {
-        "report.csv": "2fc1d56227a855bad9ae1c1ad179b35a"
-                      "20b6e31cc2af15becd43ea2080236499",
-        "summary.json": "38ed3e52f1015331cb172f9dbccdd5d1"
-                        "cc2047f311ab71ec9a53c0ace4598d04",
+        "report.csv": "74baeec1abf4952ab7b5353cc679de64"
+                      "a4a7109890e8f0b057fc9c6bbb65c182",
+        "summary.json": "f397037e51ab876501090785709116b7"
+                        "b0c0a594d6727d50adebd55ae4a1abb6",
     },
     "golden_ldp_var1.cfg": {
         "ldp.csv": "8139e53d06461758ae638408ea8e8f2d9"
