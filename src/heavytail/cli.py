@@ -247,12 +247,13 @@ def parse_config(text: str, command_override: str = None,
         problems.append(
             "missing required key: seed (wall-clock seeding is not "
             "supported)")
+    # a key that is present but rejected has been reported already
     if model_raw in _REQUIRED_MODEL_KEYS:
         for key in _REQUIRED_MODEL_KEYS[model_raw]:
-            if key not in values:
+            if key not in entries:
                 problems.append(
                     f"missing required key for model {model_raw!r}: {key}")
-    if command in _REQUIRED_N and "n" not in values:
+    if command in _REQUIRED_N and "n" not in entries:
         problems.append(f"missing required key for {command}: n")
     if command == "regen-check" and model_raw in MODELS \
             and model_raw != "var1":

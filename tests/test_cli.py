@@ -254,6 +254,17 @@ class TestMain:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_rejected_required_key_reported_once(self, tmp_path, capsys):
+        # a required key with a rejected value is not also missing
+        with open(os.path.join(GOLDEN, "golden_ldp_var1.cfg")) as fh:
+            text = fh.read().replace("a = 0.5", "a = nan")
+        cfg = self._write(tmp_path, text + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["ldp-scan", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: line 5: a must be finite "
+                         "(got 'nan')"]
+        assert not (tmp_path / "out").exists()
+
     def test_regen_check_on_recurrence_exit_two(self, tmp_path, capsys):
         cfg = self._write(
             tmp_path,
