@@ -723,17 +723,14 @@ def tail_index(spec) -> float:
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream,
-                              alpha: float = None) -> np.ndarray:
+                              stream: RngStream, alpha: float) -> np.ndarray:
     """(replicas, horizon+1, d) spectral-tail-process angles
-    (Theta_0, ..., Theta_T), drawn on the stream's angle child. ``alpha``
-    is the spec's tail index, solved here when not given."""
+    (Theta_0, ..., Theta_T), drawn on the stream's angle child; ``alpha``
+    is the spec's tail index, solved once by the caller."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    if alpha is None:
-        alpha = tail_index(spec)
     return spec.tail_process(horizon, replicas,
                              stream.substream(_ANGLE_CHILD), alpha)
 

@@ -114,7 +114,7 @@ def test_two_dimensional_kernel_digests(name):
     spec = _KERNEL_SPECS[name]()
     path = models.simulate_path(spec, 300, 50, derive_stream(SEED, 11))
     theta = models.sample_tail_process_batch(
-        spec, 8, 200, derive_stream(SEED, 12))
+        spec, 8, 200, derive_stream(SEED, 12), models.tail_index(spec))
     assert path.shape == (300, 2)
     assert theta.shape == (200, 9, 2)
     want = KERNEL_DIGESTS[name]

@@ -280,21 +280,24 @@ class TestPathFreeSums:
 class TestTailProcess:
     def test_var1_rows_are_exact_powers(self, ar_pareto15):
         theta = models.sample_tail_process_batch(
-            ar_pareto15, 12, 256, derive_stream(6, 1))
+            ar_pareto15, 12, 256, derive_stream(6, 1),
+            models.tail_index(ar_pareto15))
         expect = 0.5 ** np.arange(13)
         for row in theta[:, :, 0]:
             assert np.array_equal(row, expect)
 
     def test_symmetric_innovation_mixes_signs(self, ar_sympareto15):
         theta = models.sample_tail_process_batch(
-            ar_sympareto15, 4, 4000, derive_stream(6, 2))
+            ar_sympareto15, 4, 4000, derive_stream(6, 2),
+            models.tail_index(ar_sympareto15))
         first = theta[:, 0, 0]
         assert set(np.unique(first)) == {-1.0, 1.0}
         assert abs(first.mean()) < 0.06
 
     def test_unit_modulus_at_time_zero(self, garch_benchmark):
         theta = models.sample_tail_process_batch(
-            garch_benchmark, 8, 2000, derive_stream(6, 3))
+            garch_benchmark, 8, 2000, derive_stream(6, 3),
+            models.tail_index(garch_benchmark))
         norms = np.linalg.norm(theta[:, 0, :], axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
         assert theta.shape == (2000, 9, 2)
@@ -314,7 +317,7 @@ class TestTailProcess:
                    -16, 16, limit=200)[0]
         target = num / den
         theta = models.sample_tail_process_batch(
-            garch_benchmark, 0, 200_000, derive_stream(6, 5))
+            garch_benchmark, 0, 200_000, derive_stream(6, 5), alpha)
         emp = (theta[:, 0, 1] ** 2).mean()
         assert abs(emp - target) < 0.005
 
