@@ -4,6 +4,7 @@ differences, and the half-space limit measure they determine."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+import contextvars
 from dataclasses import dataclass, field
 import math
 
@@ -141,11 +142,15 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 
 def _map_chunks(fn, n_chunks: int, threads: int):
     """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
-    returned in index order so reductions are schedule-independent."""
+    returned in index order so reductions are schedule-independent. Each
+    call runs in a copy of the caller's context, which carries its numpy
+    floating-point error state."""
     if threads <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
+    ctx = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        return list(pool.map(lambda i: ctx.copy().run(fn, i),
+                             range(n_chunks)))
 
 
 def _moments(vals: np.ndarray):

@@ -206,6 +206,15 @@ class TestThreads:
         assert one == two
 
 
+    def test_workers_keep_the_callers_error_state(self):
+        def overflow(i):
+            return np.float64(1e308) * 10.0
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                cluster._map_chunks(overflow, 2, 2)
+
+
 class TestMergedMoments:
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     def test_merge_matches_numpy_over_all_values(self, offset):
