@@ -180,7 +180,7 @@ def _merge_moments(parts):
 
 def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
                    horizon: int, replicas: int, stream: RngStream,
-                   route: str, threads: int = 1,
+                   route: str, threads: int,
                    horizon_name: str = "horizon",
                    least_horizon: int = 0) -> ClusterIndexEstimate:
     """Shared argument checks of the Monte Carlo routes, then a per-path
