@@ -164,7 +164,6 @@ class TestTailProcessRoute:
                                        10, 50, derive_stream(42, 3))
 
 
-
 class TestThreads:
     """Every route reduces fixed-size chunks in index order, so its
     estimate has the same bits on any number of threads."""
@@ -204,7 +203,6 @@ class TestThreads:
                                  replicas=self.REPLICAS, horizon=8,
                                  threads=t) for t in (1, 2))
         assert one == two
-
 
     def test_workers_keep_the_callers_error_state(self):
         def overflow(i):
