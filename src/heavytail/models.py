@@ -357,11 +357,11 @@ class KestenSpec(ModelSpec):
 
     def tail_process(self, horizon, replicas, stream, alpha):
         theta = np.empty((replicas, horizon + 1, 1))
-        theta0 = self.theta0(replicas, stream)
-        theta[:, 0] = theta0
+        theta[:, 0] = theta0 = self.theta0(replicas, stream)
         mults = sample_law(stream, self.a_law, replicas * horizon).reshape(
             replicas, horizon) if horizon else np.empty((replicas, 0))
-        theta[:, 1:, 0] = np.cumprod(mults, axis=1) * theta0
+        np.cumprod(mults, axis=1, out=theta[:, 1:, 0])
+        theta[:, 1:, 0] *= theta0
         return theta
 
     def closed_form_terms(self, tv, replicas, stream, threads=1):

@@ -166,7 +166,10 @@ def sample_law(stream: RngStream, law: TailLaw, n: int) -> np.ndarray:
     if law.family == STABLE:
         return law.scale * sample_stable(stream, law.alpha, law.skew, n)
     if law.family == LOGNORMAL:
-        return np.exp(law.mu + law.sigma * rng.standard_normal(n))
+        x = rng.standard_normal(n)  # one buffer: scale, shift, exp in place
+        x *= law.sigma
+        x += law.mu
+        return np.exp(x, out=x)
     if law.family == GAUSSIAN:
         return law.scale * rng.standard_normal(n)
     raise UnsupportedLawError(law.family)

@@ -322,6 +322,28 @@ class TestTailProcess:
         assert abs(emp - target) < 0.005
 
 
+    @pytest.mark.parametrize("b_law", [
+        TailLaw(randkit.PARETO, alpha=10.0),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0)])
+    @pytest.mark.parametrize("horizon", [0, 12])
+    def test_kesten_batch_matches_cumprod_assembly(self, b_law, horizon):
+        # one-atom and two-atom Theta_0 laws: the in-place cumulative
+        # product gives the bytes of cumprod(A) * Theta_0 on one stream
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
+            b_law=b_law)
+        replicas = 3000
+        got = spec.tail_process(horizon, replicas, derive_stream(6, 6),
+                                spec.tail_index())
+        stream = derive_stream(6, 6)
+        theta0 = spec.theta0(replicas, stream)
+        mults = randkit.sample_law(stream, spec.a_law, replicas * horizon)
+        want = np.empty((replicas, horizon + 1, 1))
+        want[:, 0] = theta0
+        want[:, 1:, 0] = np.cumprod(mults.reshape(replicas, horizon),
+                                    axis=1) * theta0
+        assert got.tobytes() == want.tobytes()
+
 class TestExceedanceAngles:
     def test_pareto_innovation_is_plus_one(self, ar_pareto15):
         ang = ar_pareto15.theta0(500, derive_stream(7, 1))

@@ -176,6 +176,14 @@ class TestLawSummaries:
         x = sample_law(derive_stream(2, 2), law, 200_000)
         assert abs(x.mean() - law_mean(law)) < 0.02
 
+    def test_lognormal_draws_are_exp_of_scaled_normals(self):
+        # the in-place scale, shift and exp give the bytes of the
+        # one-expression form on the same stream
+        law = TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0)
+        got = sample_law(derive_stream(2, 3), law, 10_001)
+        z = derive_stream(2, 3).rng.standard_normal(10_001)
+        assert got.tobytes() == np.exp(law.mu + law.sigma * z).tobytes()
+
     def test_survival_exact_for_pareto(self):
         law = TailLaw(randkit.PARETO, alpha=2.0, scale=3.0)
         assert law_survival(law, 6.0) == 0.25
