@@ -9,6 +9,7 @@ shared argument checks and delegate to the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ _CLOSED_AUX = 0x0C
 
 _BLOWUP = 1e280
 _SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
-_AUX_BURN = 256  # steps of the recurrence's auxiliary chain W
 _AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
@@ -329,6 +329,11 @@ class KestenSpec(ModelSpec):
         return _solve_moment_equation(
             lambda k: randkit.law_moment(self.a_law, k) - 1.0)
 
+    @functools.cached_property
+    def aux_horizon(self) -> int:
+        """Steps of the closed form's auxiliary chain, set on first use."""
+        return _aux_horizon(self.a_law, self.tail_index())
+
     def paths(self, n, burn_in, replicas, stream):
         total = n + burn_in
         a = sample_law(stream, self.a_law, replicas * total).reshape(
@@ -367,20 +372,21 @@ class KestenSpec(ModelSpec):
     def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
         W = sum_{t>=1} A_1 ... A_t drawn independently per replica by the
-        recursion W_k = (W_{k-1} + 1) A_k run for a fixed number of steps
+        recursion W_k = (W_{k-1} + 1) A_k run for ``aux_horizon`` steps
         (the returned horizon)."""
         from .cluster import _map_chunks  # cluster imports this module
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
         aux_stream = stream.substream(_CLOSED_AUX)
+        k = self.aux_horizon
 
         def block(i):
             # block i of the chain reads substream i alone, so the blocks
             # run in any order, on any number of threads, with one result
             m = min(_AUX_BLOCK, replicas - i * _AUX_BLOCK)
             a = sample_law(aux_stream.substream(i), self.a_law,
-                           _AUX_BURN * m).reshape(_AUX_BURN, m)
+                           k * m).reshape(k, m)
             chain = np.zeros(m)
             for step in a:  # row t holds step t of every replica
                 chain += 1.0
@@ -391,7 +397,7 @@ class KestenSpec(ModelSpec):
         aux = np.concatenate(_map_chunks(block, n_blocks, threads))
         w = aux * angles[:, 0] * tv[0]
         u = (aux + 1.0) * angles[:, 0] * tv[0]
-        return u, w, _AUX_BURN
+        return u, w, k
 
     def stationary_mean(self):
         ma = randkit.law_moment(self.a_law, 1.0)
@@ -582,6 +588,22 @@ def _contraction_burn(a: np.ndarray) -> int:
         power = a @ power
         b += 1
     return b
+
+
+def _aux_horizon(a_law: TailLaw, alpha: float) -> int:
+    """Smallest K >= 1 with rho^K <= 2^-53, rho = min E A^s over s in
+    (0, 1] and [alpha - 1, alpha], or s = 1 for alpha > 2 (range empty).
+    There g(w) = (w+1)^alpha - w^alpha is s-Hoelder and (x+y)^s <= x^s +
+    y^s, so a K-step chain moves E g(W) by at most C rho^K E W^s. A grid
+    minimum with both ends can only overstate rho and lengthen K."""
+    lo, hi = min(max(alpha - 1.0, 0.0), 1.0), min(alpha, 1.0)
+    rho = min(randkit.law_moment(a_law, s) for s in np.linspace(lo, hi, 1025))
+    if not rho < 1.0:
+        raise ParameterError(f"no s in [{lo:g}, {hi:g}] with E A^s < 1")
+    k = max(1, math.ceil(53 * math.log(2.0) / -math.log(rho)) - 1)
+    while rho ** k > 2.0 ** -53:
+        k += 1
+    return k
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

@@ -111,23 +111,27 @@ class TestClosedForm:
 
     def test_auxiliary_block_matches_one_shot_chain_on_its_substream(
             self, kesten_lognormal):
-        # two full blocks and a half one; block i is the 256-step chain
-        # drawn at once on substream i of the auxiliary stream
+        # two full blocks and a half one; block i is the chain of the
+        # spec's horizon drawn at once on substream i of the auxiliary
+        # stream
         spec = kesten_lognormal
+        k = spec.aux_horizon
         block = models._AUX_BLOCK
         replicas = 2 * block + block // 2
         stream = derive_stream(41, 7)
-        u, w, _ = spec.closed_form_terms(np.array([1.0]), replicas, stream)
+        u, w, horizon = spec.closed_form_terms(np.array([1.0]), replicas,
+                                               stream)
+        assert horizon == k
         angles = spec.theta0(replicas,
                              stream.substream(models._CLOSED_ANGLES))
         aux_stream = stream.substream(models._CLOSED_AUX)
         for i, lo in enumerate(range(0, replicas, block)):
             m = min(block, replicas - lo)
             a = randkit.sample_law(aux_stream.substream(i), spec.a_law,
-                                   models._AUX_BURN * m)
-            a = a.reshape(models._AUX_BURN, m)
+                                   k * m)
+            a = a.reshape(k, m)
             aux = np.zeros(m)
-            for t in range(models._AUX_BURN):
+            for t in range(k):
                 aux = (aux + 1.0) * a[t]
             theta0 = angles[lo:lo + m, 0]
             assert w[lo:lo + m].tobytes() == (aux * theta0 * 1.0).tobytes()
@@ -141,6 +145,84 @@ class TestClosedForm:
             closed_form_cluster_index(garch_benchmark, Direction([0.0, 1.0]),
                                       1000, derive_stream(10, 9))
 
+
+def _aux_chain(a):
+    """W after running W_k = (W_{k-1} + 1) A_k down the rows of a."""
+    w = np.zeros(a.shape[1])
+    for row in a:
+        w += 1.0
+        w *= row
+    return w
+
+
+_HORIZON_SPECS = {
+    "bench_lognormal": lambda: models.KestenSpec(
+        a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+        b_law=TailLaw(randkit.PARETO, alpha=10.0)),
+    "kesten_lognormal": lambda: models.KestenSpec(
+        a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)),
+        b_law=TailLaw(randkit.PARETO, alpha=10.0)),
+    "near_degenerate_half": near_degenerate_half_spec,
+    "pareto_multiplier": lambda: models.KestenSpec(
+        a_law=TailLaw(randkit.PARETO, alpha=2.0, scale=0.2),
+        b_law=TailLaw(randkit.PARETO, alpha=10.0)),
+}
+
+
+class TestAuxiliaryHorizon:
+    @pytest.mark.parametrize("name, horizon", [
+        # rho = E A^0.75 = exp(-9/32), at the interior minimum s = 3/4
+        ("bench_lognormal", 131),
+        # alpha = 2 leaves s = 1 alone: rho = E A = exp(-1/4)
+        ("kesten_lognormal", 147),
+        # rho = E A = 1/2 at the end s = 1 of [1/2, 1]
+        ("near_degenerate_half", 53),
+        # rho = E A = 2 * 0.2 / (2 - 1) = 0.4
+        ("pareto_multiplier", 41)])
+    def test_horizon_from_contraction_rate(self, name, horizon):
+        spec = _HORIZON_SPECS[name]()
+        assert spec.aux_horizon == horizon
+        *_, got = spec.closed_form_terms(np.array([1.0]), 10,
+                                         derive_stream(41, 8))
+        assert got == horizon
+
+    def test_tail_index_above_two_takes_s_one(self):
+        # [alpha - 1, alpha] misses (0, 1]: rho = E A = exp(-1/4) again
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=3.0)
+        assert spec.aux_horizon == 147
+
+    def test_no_contraction_on_the_range_is_rejected(self):
+        # moment root 1/2, declared index 1.8: E A^s > 1 on [0.8, 1]
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(2.0)),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.8)
+        with pytest.raises(ParameterError, match="E A"):
+            closed_form_cluster_index(spec, Direction([1.0]), 10,
+                                      derive_stream(41, 9))
+
+    @pytest.mark.parametrize("name, rel_tol", [
+        ("bench_lognormal", 0.0),
+        ("kesten_lognormal", 0.0),
+        # the multiplier is 1/2 on every step, so the dropped tail is
+        # 2^-53 of W: an ulp or two, not nothing
+        ("near_degenerate_half", 1e-12),
+        ("pareto_multiplier", 1e-12)])
+    def test_cut_chain_matches_long_chain(self, name, rel_tol):
+        # on the same 512-step draws, the chain run on the last K rows
+        # only (the K steps nearest W's first term) against all 512
+        spec = _HORIZON_SPECS[name]()
+        k = spec.aux_horizon
+        stream = derive_stream(41, 10)
+        for i in range(8):
+            a = randkit.sample_law(stream.substream(i), spec.a_law,
+                                   512 * 4096).reshape(512, 4096)
+            full, cut = _aux_chain(a), _aux_chain(a[-k:])
+            if rel_tol == 0.0:
+                assert full.tobytes() == cut.tobytes()
+            else:
+                assert np.max(np.abs(cut - full) / full) <= rel_tol
 
 class TestTailProcessRoute:
     def test_matches_closed_form(self, ar_pareto15):

@@ -39,10 +39,10 @@ RUN_DIGESTS = {
                         "eae65c778ef4754a710cad13db29cbec",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "0a7e0523e7ab422f3a3a83302c880baf"
-                       "baf818a7c328e63ffb8ae86a040d1a86",
-        "summary.json": "78562f85ae9c10902d4d67e5abe69193"
-                        "3f7011c296eec27a1ff627eb21a0beb2",
+        "cluster.csv": "603f32444bda8fc062bfe3088675658b"
+                       "fdb4c6aab1b7ebd647f3354cb456cf44",
+        "summary.json": "a68b47ea9e8cbed89dc74b040ab6e9e0"
+                        "b32382ef159ed466e0c1c99d685d922f",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "6bdf488b71af42b6aab1ac0e31eb9855"
