@@ -275,8 +275,8 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
                     - (theta'A(I-A)^{-1} Theta_0)_+^alpha].
     Scalar recurrence: E[(theta (W+1) Theta_0)_+^alpha
                          - (theta W Theta_0)_+^alpha] with W the
-    stationary solution of W_k = (W_{k-1} + 1) A_k, run in for a fixed
-    number of steps. Other models raise UnsupportedCaseError.
+    stationary solution of W_k = (W_{k-1} + 1) A_k, run for the spec's
+    ``aux_horizon`` steps. Other models raise UnsupportedCaseError.
     """
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
