@@ -129,10 +129,7 @@ class TestClosedForm:
             m = min(block, replicas - lo)
             a = randkit.sample_law(aux_stream.substream(i), spec.a_law,
                                    k * m)
-            a = a.reshape(k, m)
-            aux = np.zeros(m)
-            for t in range(k):
-                aux = (aux + 1.0) * a[t]
+            aux = _aux_chain(a.reshape(k, m))
             theta0 = angles[lo:lo + m, 0]
             assert w[lo:lo + m].tobytes() == (aux * theta0 * 1.0).tobytes()
             assert u[lo:lo + m].tobytes() \
