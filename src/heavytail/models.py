@@ -593,9 +593,9 @@ def _contraction_burn(a: np.ndarray) -> int:
 def _aux_horizon(a_law: TailLaw, alpha: float) -> int:
     """Smallest K >= 1 with rho^K <= 2^-53, rho = min E A^s over s in
     (0, 1] and [alpha - 1, alpha], or s = 1 for alpha > 2 (range empty).
-    There g(w) = (w+1)^alpha - w^alpha is s-Hoelder and (x+y)^s <= x^s +
-    y^s, so a K-step chain moves E g(W) by at most C rho^K E W^s. A grid
-    minimum with both ends can only overstate rho and lengthen K."""
+    There (x+y)^s <= x^s + y^s and g(w) = (w+1)^alpha - w^alpha is
+    s-Hoelder, so a K-step chain moves E g(W) by at most C rho^K E W^s.
+    A grid minimum with both ends can only overstate rho and lengthen K."""
     lo, hi = min(max(alpha - 1.0, 0.0), 1.0), min(alpha, 1.0)
     rho = min(randkit.law_moment(a_law, s) for s in np.linspace(lo, hi, 1025))
     if not rho < 1.0:

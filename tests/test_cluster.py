@@ -221,6 +221,7 @@ class TestAuxiliaryHorizon:
             else:
                 assert np.max(np.abs(cut - full) / full) <= rel_tol
 
+
 class TestTailProcessRoute:
     def test_matches_closed_form(self, ar_pareto15):
         est = cluster_index_tail_process(ar_pareto15, Direction([1.0]),

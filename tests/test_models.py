@@ -321,7 +321,6 @@ class TestTailProcess:
         emp = (theta[:, 0, 1] ** 2).mean()
         assert abs(emp - target) < 0.005
 
-
     @pytest.mark.parametrize("b_law", [
         TailLaw(randkit.PARETO, alpha=10.0),
         TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0)])
@@ -343,6 +342,7 @@ class TestTailProcess:
         want[:, 1:, 0] = np.cumprod(mults.reshape(replicas, horizon),
                                     axis=1) * theta0
         assert got.tobytes() == want.tobytes()
+
 
 class TestExceedanceAngles:
     def test_pareto_innovation_is_plus_one(self, ar_pareto15):
