@@ -106,25 +106,22 @@ class TailLaw:
             raise ParameterError("lognormal sigma must be positive")
 
 
-def pareto_from_uniform(u, alpha: float):
-    """Exact inversion X = u^(-1/alpha): survival(X) = u."""
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    return np.asarray(u, dtype=float) ** (-1.0 / alpha)
-
-
 def sample_pareto(stream: RngStream, alpha: float, n: int) -> np.ndarray:
     """n unit-scale Pareto(alpha) draws by exact inversion.
 
     Uses the closed uniform 1 - U in (0, 1] so the sampler never divides
-    by zero; survival of each draw equals 1 - U exactly.
+    by zero; survival of each draw equals 1 - U exactly. One buffer: the
+    uniforms become the draws in place. ``**=`` keeps numpy's scalar-power
+    fast paths, so the bytes are those of ``(1 - U) ** (-1 / alpha)``.
     """
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    u = 1.0 - stream.rng.random(n)
-    return pareto_from_uniform(u, alpha)
+    u = stream.rng.random(n)
+    np.subtract(1.0, u, out=u)
+    u **= -1.0 / alpha
+    return u
 
 
 def sample_stable(stream: RngStream, alpha: float, beta: float,
@@ -157,21 +154,25 @@ def sample_law(stream: RngStream, law: TailLaw, n: int) -> np.ndarray:
     if n < 0:
         raise ParameterError("n must be nonnegative")
     rng = stream.rng
-    if law.family == PARETO:
-        return law.scale * sample_pareto(stream, law.alpha, n)
-    if law.family == SYMMETRIC_PARETO:
-        mag = law.scale * sample_pareto(stream, law.alpha, n)
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return sign * mag
+    # one buffer per draw: every family but the stable one transforms its
+    # variates in place
+    if law.family in (PARETO, SYMMETRIC_PARETO):
+        x = sample_pareto(stream, law.alpha, n)
+        x *= law.scale
+        if law.family == SYMMETRIC_PARETO:
+            np.negative(x, out=x, where=rng.random(n) < 0.5)
+        return x
     if law.family == STABLE:
         return law.scale * sample_stable(stream, law.alpha, law.skew, n)
     if law.family == LOGNORMAL:
-        x = rng.standard_normal(n)  # one buffer: scale, shift, exp in place
+        x = rng.standard_normal(n)
         x *= law.sigma
         x += law.mu
         return np.exp(x, out=x)
     if law.family == GAUSSIAN:
-        return law.scale * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        x *= law.scale
+        return x
     raise UnsupportedLawError(law.family)
 
 

@@ -5,6 +5,7 @@ Pareto survival) or characteristic functions, never against the sampler
 itself.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from scipy import stats
 from heavytail import randkit
 from heavytail.errors import ParameterError, UnsupportedLawError
 from heavytail.randkit import (RngStream, TailLaw, derive_stream,
-                               law_mean, law_survival, pareto_from_uniform,
-                               sample_law, sample_pareto, sample_stable,
+                               law_mean, law_survival, sample_law,
+                               sample_pareto, sample_stable,
                                stable_tail_constant)
 
 
@@ -76,9 +77,9 @@ class TestTailLaw:
 
 class TestPareto:
     def test_inversion_identity(self):
-        # survival of u^(-1/alpha) is u exactly
-        u = np.array([1e-12, 1e-6, 0.25, 0.5, 0.999])
-        x = pareto_from_uniform(u, 1.7)
+        # survival of each draw is the closed uniform 1 - U of a twin stream
+        x = sample_pareto(derive_stream(4, 4), 1.7, 1000)
+        u = 1.0 - derive_stream(4, 4).rng.random(1000)
         assert np.allclose(x ** (-1.7), u, rtol=1e-12)
 
     def test_draws_respect_support_and_tail(self, stream):
@@ -97,6 +98,43 @@ class TestPareto:
         a = sample_law(s1, TailLaw(randkit.PARETO, alpha=1.5, scale=1.0), 50)
         b = sample_law(s2, TailLaw(randkit.PARETO, alpha=1.5, scale=7.0), 50)
         assert np.allclose(7.0 * a, b, rtol=1e-15)
+
+
+def _expression_form(rng, law, n):
+    """The samplers as one expression each, with a temporary per step."""
+    if law.family == randkit.GAUSSIAN:
+        return law.scale * rng.standard_normal(n)
+    mag = law.scale * (1.0 - rng.random(n)) ** (-1.0 / law.alpha)
+    if law.family == randkit.PARETO:
+        return mag
+    return np.where(rng.random(n) < 0.5, -1.0, 1.0) * mag
+
+
+class TestInPlaceSamplers:
+    @pytest.mark.parametrize("law", [
+        TailLaw(randkit.PARETO, alpha=1.5, scale=2.5),
+        TailLaw(randkit.PARETO, alpha=1.0, scale=0.3),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5, scale=7.0),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.5),
+        TailLaw(randkit.GAUSSIAN, scale=3.0),
+    ], ids=lambda law: f"{law.family}-{law.alpha:g}")
+    def test_bytes_of_the_expression_form(self, law):
+        got = sample_law(derive_stream(6, 1), law, 10_001)
+        want = _expression_form(derive_stream(6, 1).rng, law, 10_001)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pareto_peak_memory_is_one_buffer(self):
+        n = 1_000_000
+        law = TailLaw(randkit.PARETO, alpha=1.5, scale=2.0)
+        stream = derive_stream(6, 2)
+        tracemalloc.start()
+        try:
+            x = sample_law(stream, law, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes == 8 * n
+        assert peak < 1.1 * 8 * n
 
 
 class TestStable:
