@@ -446,22 +446,46 @@ class Garch11Spec(ModelSpec):
         return _solve_moment_equation(
             lambda k: _garch_power_moment(self.alpha1, self.beta1, k) - 1.0)
 
-    def paths(self, n, burn_in, replicas, stream):
-        total = n + burn_in
-        z = stream.rng.standard_normal((replicas, total))
+    def _observed(self, n, burn_in, replicas, stream):
+        """Yield the (replicas,) observables X_t of the n steps after
+        ``burn_in``, in one buffer that the next step overwrites. Each step
+        draws one row of normals, so the draws are those of a time-major
+        (n + burn_in, replicas) matrix and no more than one row is held."""
         a0, a1, b1 = self.alpha0, self.alpha1, self.beta1
         if a1 + b1 < 1.0:
             s2 = np.full(replicas, a0 / (1.0 - a1 - b1))
         else:
             s2 = np.full(replicas, a0)
-        out = np.empty((replicas, n))
-        for t in range(total):
-            x = np.sqrt(s2) * z[:, t]
+        x = np.empty(replicas)
+        for t in range(n + burn_in):
+            z = stream.rng.standard_normal(replicas)
             if t >= burn_in:
-                out[:, t - burn_in] = x
-            s2 = a0 + s2 * (a1 * z[:, t] ** 2 + b1)
+                np.sqrt(s2, out=x)
+                x *= z
+                yield x
+            # s2 <- a0 + s2 (a1 z^2 + b1), in place
+            np.square(z, out=z)
+            z *= a1
+            z += b1
+            s2 *= z
+            s2 += a0
+
+    def paths(self, n, burn_in, replicas, stream):
+        out = np.empty((n, replicas))
+        for t, x in enumerate(self._observed(n, burn_in, replicas, stream)):
+            out[t] = x
         _check_finite(out, "negative log-mean of the volatility multiplier")
-        return out[..., None]
+        return out.T[..., None]
+
+    def sums(self, n, burn_in, replicas, stream):
+        """S_n accumulated step by step on the draws of ``paths``, with no
+        path array."""
+        sums = np.zeros(replicas)
+        for x in self._observed(n, burn_in, replicas, stream):
+            sums += x
+        # a non-finite step leaves its row's sum non-finite
+        _check_finite(sums, "negative log-mean of the volatility multiplier")
+        return sums
 
     def _tilted_z0(self, alpha: float, replicas: int,
                    stream: RngStream) -> np.ndarray:

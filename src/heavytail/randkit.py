@@ -1,8 +1,12 @@
 """Reproducible random streams and heavy-tailed samplers.
 
-Streams are counter-based (Philox): the output sequence is a pure function of
-(master_seed, stream_id, counter), so parallel work can be assigned disjoint
-stream ids and reduced in any fixed order without affecting results.
+Streams are SFC64 generators seeded by numpy's SeedSequence over
+(master_seed, stream_id): the output sequence is a pure function of that
+key and of the number of words drawn, so parallel work can be assigned
+distinct stream ids and reduced in any fixed order without affecting
+results. Distinct keys give non-overlapping streams with overwhelming
+probability (SeedSequence hashes the key into a 192-bit start state), not
+by construction as a counter-based generator would.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedLawError
 
 _MASK64 = (1 << 64) - 1
+_SFC64_SEEDED_COUNT = 13  # SFC64 seeding runs 12 rounds past a count of 1
 
 PARETO = "pareto"
 SYMMETRIC_PARETO = "symmetric_pareto"
@@ -33,12 +38,12 @@ def _splitmix64(z: int) -> int:
 
 @dataclass
 class RngStream:
-    """A counter-based random stream keyed by (master_seed, stream_id).
+    """A random stream keyed by (master_seed, stream_id).
 
     The same key reproduces the identical sequence on every platform;
-    distinct stream ids give independent streams by construction of the
-    Philox keying. ``rng`` is a numpy Generator over the keyed Philox
-    bit generator.
+    distinct keys give independent streams with overwhelming probability.
+    ``rng`` is a numpy Generator over an SFC64 bit generator seeded by
+    ``SeedSequence([master_seed, stream_id])``.
     """
 
     master_seed: int
@@ -47,9 +52,10 @@ class RngStream:
 
     @property
     def counter(self) -> int:
-        """Current 256-bit block counter of the underlying generator."""
-        words = self.rng.bit_generator.state["state"]["counter"]
-        return sum(int(w) << (64 * i) for i, w in enumerate(words))
+        """Number of 64-bit words drawn so far: SFC64's fourth state word
+        counts its outputs, and seeding leaves it at 13."""
+        word = int(self.rng.bit_generator.state["state"]["state"][3])
+        return (word - _SFC64_SEEDED_COUNT) & _MASK64
 
     def substream(self, child_id: int) -> "RngStream":
         """Derive an independent child stream with a mixed-in id.
@@ -64,11 +70,9 @@ class RngStream:
 
 def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     """Create the stream keyed by (master_seed, stream_id), counter at 0."""
-    key = np.array([master_seed & _MASK64, stream_id & _MASK64],
-                   dtype=np.uint64)
-    bg = np.random.Philox(key=key)
-    return RngStream(master_seed & _MASK64, stream_id & _MASK64,
-                     np.random.Generator(bg))
+    key = [master_seed & _MASK64, stream_id & _MASK64]
+    bg = np.random.SFC64(np.random.SeedSequence(key))
+    return RngStream(key[0], key[1], np.random.Generator(bg))
 
 
 @dataclass(frozen=True)

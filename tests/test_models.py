@@ -252,6 +252,17 @@ class TestPathFreeSums:
         ref = kesten_lognormal.paths(200, 30, 4, derive_stream(4, 11))
         assert got.tobytes() == ref[..., 0].sum(axis=1).tobytes()
 
+    @pytest.mark.parametrize("params", [(0.05, 0.5, 0.55), (0.05, 0.1, 0.85)])
+    def test_volatility_sums_keep_the_path_sum(self, params):
+        spec = models.Garch11Spec(*params)
+        got = spec.sums(400, 60, 50, derive_stream(4, 13))
+        paths = spec.paths(400, 60, 50, derive_stream(4, 13))[..., 0]
+        # a step-by-step sum against numpy's pairwise one, relative to the
+        # sum of |X_t|
+        scale = np.abs(paths).sum(axis=1)
+        assert got.shape == (50,)
+        assert np.max(np.abs(got - paths.sum(axis=1)) / scale) <= 1e-12
+
     def test_sums_are_scalar_only(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)

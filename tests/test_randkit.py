@@ -36,10 +36,13 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     def test_counter_advances(self):
+        # the counter is the number of 64-bit words drawn
         s = derive_stream(5, 5)
-        c0 = s.counter
+        assert s.counter == 0
         s.rng.random(1024)
-        assert s.counter > c0
+        assert s.counter == 1024
+        s.rng.random(7)
+        assert s.counter == 1031
 
     def test_substream_is_schedule_invariant(self):
         # deriving child k before or after other draws gives the same child
