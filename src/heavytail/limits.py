@@ -16,7 +16,10 @@ from .randkit import RngStream
 
 CF_GRID = np.linspace(-3.0, 3.0, 61)
 
-_PATH_CHUNK_BUDGET = 1 << 22  # floats per simulated chunk
+# replicas per path-sum chunk are this many floats over the path length:
+# the chunk -> substream map, and so the digests, rest on it; the sums
+# hold one cache-sized block of a chunk, not the chunk
+_PATH_CHUNK_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ _CLOSED_AUX = 0x0C
 _BLOWUP = 1e280
 _SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
 _AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
+# path sums draw and reduce in blocks that stay in a core's L2 cache
+_SUM_BLOCK = 1 << 16  # floats of linear-chain innovations per block
+_RECURSION_BLOCK = 256  # recurrence replicas per block
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -45,8 +48,8 @@ class ModelSpec:
     A family provides ``dim`` (the dimension of the observable X_t) and
     the methods ``tail_index()``, ``paths(n, burn_in, replicas, stream)``
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
-    same call reduced to the (replicas,) partial sums S_n),
-    ``tail_process(horizon, replicas, stream, alpha)`` returning
+    (replicas,) partial sums S_n of a scalar observable on the same
+    draws), ``tail_process(horizon, replicas, stream, alpha)`` returning
     (replicas, horizon+1, d) spectral-tail-process angles, and
     ``conditional_states(y, m, reps, stream)`` for the drift fit. The
     defaults below cover the common case.
@@ -54,13 +57,6 @@ class ModelSpec:
 
     has_closed_form = False
     default_burn = 2048  # warm-up of the limit-theorem scans
-
-    def sums(self, n, burn_in, replicas, stream):
-        """(replicas,) partial sums S_n of the scalar observable over the
-        n steps after ``burn_in``, on the draws of ``paths``."""
-        if self.dim != 1:
-            raise ParameterError("path sums are scalar-only")
-        return self.paths(n, burn_in, replicas, stream)[..., 0].sum(axis=1)
 
     def theta0_law(self) -> tailstats.AngularMeasure:
         """Law of the exceedance angle Theta_0, a discrete measure on the
@@ -189,18 +185,24 @@ class Var1Spec(ModelSpec):
         draws of ``paths``. Z_s enters every observed X_t with t >= s as
         a^(t-s) Z_s, so its weight is a geometric sum: a^(burn-s)
         (1-a^n)/(1-a) for a burn-in step, (1-a^(n+burn-s))/(1-a) for an
-        observed one. ``einsum`` keeps each row's bits independent of the
-        batch shape, which a BLAS matrix-vector product does not."""
+        observed one. The innovations are drawn and reduced one
+        cache-sized block of about ``_SUM_BLOCK`` floats at a time, so the
+        sums never hold the draws of the whole batch. ``einsum`` keeps each
+        row's bits independent of the shape of a batch of two rows or more
+        (a BLAS matrix-vector product does not), so a block holds two rows
+        at least (see ``_row_blocks``)."""
         if self.dim != 1:
-            return super().sums(n, burn_in, replicas, stream)
+            raise ParameterError("path sums are scalar-only")
         a = float(self.a_matrix[0, 0])
         total = n + burn_in
-        z = sample_law(stream, self.innovation,
-                       replicas * total).reshape(replicas, total)
         head = a ** np.arange(burn_in, 0, -1) * (1.0 - a ** n)
         tail = 1.0 - a ** np.arange(n, 0, -1)
         w = np.concatenate([head, tail]) * (self.weights[0] / (1.0 - a))
-        sums = np.einsum("ij,j->i", z, w)
+        sums = np.empty(replicas)
+        rows = max(2, _SUM_BLOCK // max(total, 1))
+        for lo, z in _row_blocks(stream, self.innovation, replicas, total,
+                                 rows):
+            np.einsum("ij,j->i", z, w, out=sums[lo:lo + len(z)])
         # a finite sum of finite weights proves every term finite
         _check_finite(sums, "spectral radius below 1")
         return sums
@@ -340,14 +342,32 @@ class KestenSpec(ModelSpec):
             replicas, total)
         b = sample_law(stream, self.b_law, replicas * total).reshape(
             replicas, total)
-        x = np.zeros(replicas)
         out = np.empty((replicas, n))
-        for t in range(total):
-            x = a[:, t] * x + b[:, t]
-            if t >= burn_in:
-                out[:, t - burn_in] = x
+        _recurse(a, b, out)
         _check_finite(out, "negative log-mean of the multiplier law")
         return out[..., None]
+
+    def sums(self, n, burn_in, replicas, stream):
+        """S_n on the draws of ``paths``, holding the path of one block of
+        ``_RECURSION_BLOCK`` replicas at a time. The stream holds every
+        multiplier before the first additive term, so the multipliers are
+        drawn whole and the additive terms by block (see ``_row_blocks``).
+        Each block's rows are summed as ``paths(...).sum(axis=1)`` sums
+        them, so the bytes are the same."""
+        total = n + burn_in
+        a = sample_law(stream, self.a_law, replicas * total).reshape(
+            replicas, total)
+        sums = np.empty(replicas)
+        # a block holds one extra replica when a lone one ends the batch
+        out = np.empty((min(replicas, _RECURSION_BLOCK + 1), n))
+        for lo, b in _row_blocks(stream, self.b_law, replicas, total,
+                                 _RECURSION_BLOCK):
+            m = len(b)
+            _recurse(a[lo:lo + m], b, out[:m])
+            _check_finite(out[:m], "negative log-mean of the multiplier law")
+            out[:m].sum(axis=1, out=sums[lo:lo + m])
+            del b  # free this block's draws before the next is drawn
+        return sums
 
     def theta0_law(self):
         """The sign law of the additive term."""
@@ -507,20 +527,26 @@ class Garch11Spec(ModelSpec):
         return np.interp(u, cdf, z)
 
     def tail_process(self, horizon, replicas, stream, alpha):
+        """(Theta_t) = (sigma_t, X_t) / |(sigma_0, X_0)|, built in the
+        output: sigma_t^2 / sigma_0^2 is the running product of
+        a1 Z_s^2 + b1 over s < t, and X_t = sigma_t Z_t."""
         z0 = self._tilted_z0(alpha, replicas, stream)
-        z_rest = stream.rng.standard_normal((replicas, horizon))
-        z_all = np.concatenate([z0[:, None], z_rest], axis=1)
-        mults = self.alpha1 * z_all[:, :horizon] ** 2 + self.beta1
-        pi = np.cumprod(mults, axis=1) if horizon else \
-            np.empty((replicas, 0))
         s0 = np.sqrt(1.0 + z0 ** 2)
         theta = np.empty((replicas, horizon + 1, 2))
         theta[:, 0, 0] = 1.0 / s0
         theta[:, 0, 1] = z0 / s0
         if horizon:
-            root = np.sqrt(pi) / s0[:, None]
-            theta[:, 1:, 0] = root
-            theta[:, 1:, 1] = root * z_all[:, 1:]
+            sigma, x = theta[:, 1:, 0], theta[:, 1:, 1]
+            x[...] = stream.rng.standard_normal((replicas, horizon))
+            sigma[:, 0] = z0
+            sigma[:, 1:] = x[:, :-1]
+            np.square(sigma, out=sigma)
+            sigma *= self.alpha1
+            sigma += self.beta1
+            np.cumprod(sigma, axis=1, out=sigma)
+            np.sqrt(sigma, out=sigma)
+            sigma /= s0[:, None]
+            x *= sigma
         return theta
 
     def stationary_mean(self):
@@ -593,6 +619,44 @@ def horizon_for_tolerance(beta: float, tol: float = 1e-4,
 
 # ---------------------------------------------------------------------------
 # internal helpers
+
+
+def _row_blocks(stream: RngStream, law: TailLaw, replicas: int, total: int,
+                rows: int):
+    """Yield (lo, z): z holds the (m, total) draws of replicas lo .. lo+m-1,
+    in blocks of ``rows`` replicas, with the bytes of one
+    ``sample_law(stream, law, replicas * total)`` call. A law whose draws
+    split (``randkit.draws_split``) is drawn block by block; any other is
+    drawn whole and sliced. A lone last replica joins the block before it:
+    ``einsum`` reduces a one-row operand whose row is longer than numpy's
+    8,192-element buffer along another path, with other bits."""
+    bounds = list(range(0, replicas, rows))
+    if len(bounds) > 1 and replicas - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(replicas)
+    whole = None
+    if not randkit.draws_split(law):
+        whole = sample_law(stream, law, replicas * total).reshape(
+            replicas, total)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if whole is None:
+            yield lo, sample_law(stream, law, (hi - lo) * total).reshape(
+                hi - lo, total)
+        else:
+            yield lo, whole[lo:hi]
+
+
+def _recurse(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Run x_t = a_t x_{t-1} + b_t from x = 0 along the rows of the
+    (replicas, total) draws a and b, writing the last n steps of each row
+    into the (replicas, n) ``out``."""
+    burn_in = a.shape[1] - out.shape[1]
+    x = np.zeros(len(out))
+    for t in range(a.shape[1]):
+        x *= a[:, t]
+        x += b[:, t]
+        if t >= burn_in:
+            out[:, t - burn_in] = x
 
 
 def _spectral_radius(a: np.ndarray) -> float:

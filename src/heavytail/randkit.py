@@ -180,6 +180,14 @@ def sample_law(stream: RngStream, law: TailLaw, n: int) -> np.ndarray:
     raise UnsupportedLawError(law.family)
 
 
+def draws_split(law: TailLaw) -> bool:
+    """True when n draws of ``law`` read the stream one variate at a time,
+    so k then n - k draws on one stream give the bytes of n draws. The
+    symmetric Pareto law reads its signs after all its magnitudes and the
+    stable law its exponentials after all its angles, so they do not."""
+    return law.family in (PARETO, LOGNORMAL, GAUSSIAN)
+
+
 def stable_tail_constant(alpha: float) -> float:
     """C_alpha = (1-alpha)/(Gamma(2-alpha) cos(pi alpha/2)); C_1 = 2/pi.
 

@@ -4,6 +4,7 @@ Tail-index targets come from closed forms (quadratic log-moment roots,
 exact unit moments) or an independent quadrature/Brent root.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,37 @@ class TestAr1Kernel:
         assert models._ar1(np.zeros(shape), 0.5).shape == shape
 
 
+def one_shot_var1_sums(spec, n, burn_in, replicas, stream):
+    """The scalar linear chain's S_n from one draw of every innovation
+    and one einsum over all replicas."""
+    a = float(spec.a_matrix[0, 0])
+    total = n + burn_in
+    z = randkit.sample_law(stream, spec.innovation,
+                           replicas * total).reshape(replicas, total)
+    head = a ** np.arange(burn_in, 0, -1) * (1.0 - a ** n)
+    tail = 1.0 - a ** np.arange(n, 0, -1)
+    w = np.concatenate([head, tail]) * (spec.weights[0] / (1.0 - a))
+    return np.einsum("ij,j->i", z, w)
+
+
+def expression_garch_tail_process(spec, horizon, replicas, stream, alpha):
+    """GARCH(1,1) tail-process batch from whole-array expressions, with
+    the running product of the volatility multipliers as its own array."""
+    z0 = spec._tilted_z0(alpha, replicas, stream)
+    z_rest = stream.rng.standard_normal((replicas, horizon))
+    z_all = np.concatenate([z0[:, None], z_rest], axis=1)
+    mults = spec.alpha1 * z_all[:, :horizon] ** 2 + spec.beta1
+    pi = np.cumprod(mults, axis=1)
+    s0 = np.sqrt(1.0 + z0 ** 2)
+    theta = np.empty((replicas, horizon + 1, 2))
+    theta[:, 0, 0] = 1.0 / s0
+    theta[:, 0, 1] = z0 / s0
+    root = np.sqrt(pi) / s0[:, None]
+    theta[:, 1:, 0] = root
+    theta[:, 1:, 1] = root * z_all[:, 1:]
+    return theta
+
+
 class TestPathFreeSums:
     @pytest.mark.parametrize("a, family", [
         (0.5, randkit.PARETO), (0.0, randkit.PARETO),
@@ -247,10 +279,46 @@ class TestPathFreeSums:
         one = ar_pareto15.sums(1000, 53, 1, derive_stream(4, 10))
         assert three[:1].tobytes() == one.tobytes()
 
+    # scalar linear chain, 1,000 observed steps after its 53-step burn-in:
+    # 62 replicas per block; a 9,053-step row (longer than numpy's
+    # 8,192-element buffer) gives 7 per block and 8 ends on a lone replica
+    @pytest.mark.parametrize("family", [randkit.PARETO,
+                                        randkit.SYMMETRIC_PARETO])
+    @pytest.mark.parametrize("n, replicas", [
+        (1000, 0), (1000, 1), (1000, 61), (1000, 63), (1000, 3983),
+        (9000, 8)])
+    def test_blocked_sums_keep_the_one_shot_bytes(self, family, n,
+                                                  replicas):
+        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
+                               a_matrix=np.array([[0.5]]))
+        got = spec.sums(n, 53, replicas, derive_stream(4, 14))
+        want = one_shot_var1_sums(spec, n, 53, replicas,
+                                  derive_stream(4, 14))
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocked_sums_hold_one_block(self, ar_pareto15):
+        # one 3,983 x 1,053 scan chunk is 33.5 MB of innovations
+        tracemalloc.start()
+        try:
+            ar_pareto15.sums(1000, 53, 3983, derive_stream(4, 15))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_recurrence_keeps_the_path_sum(self, kesten_lognormal):
-        got = kesten_lognormal.sums(200, 30, 4, derive_stream(4, 11))
-        ref = kesten_lognormal.paths(200, 30, 4, derive_stream(4, 11))
-        assert got.tobytes() == ref[..., 0].sum(axis=1).tobytes()
+        # additive terms drawn by block (Pareto) and whole (symmetric
+        # Pareto); 256 replicas per block, so 513 ends on a lone replica
+        # and 600 crosses two block edges
+        signed = models.KestenSpec(
+            a_law=kesten_lognormal.a_law,
+            b_law=TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0))
+        for spec in (kesten_lognormal, signed):
+            for n, burn_in, replicas in [(200, 30, 4), (40, 10, 513),
+                                         (40, 10, 600)]:
+                got = spec.sums(n, burn_in, replicas, derive_stream(4, 11))
+                ref = spec.paths(n, burn_in, replicas, derive_stream(4, 11))
+                assert got.tobytes() == ref[..., 0].sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("params", [(0.05, 0.5, 0.55), (0.05, 0.1, 0.85)])
     def test_volatility_sums_keep_the_path_sum(self, params):
@@ -331,6 +399,25 @@ class TestTailProcess:
             garch_benchmark, 0, 200_000, derive_stream(6, 5), alpha)
         emp = (theta[:, 0, 1] ** 2).mean()
         assert abs(emp - target) < 0.005
+
+    @pytest.mark.parametrize("horizon", [0, 1, 64])
+    def test_garch_batch_matches_expression_form(self, horizon):
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        alpha = spec.tail_index()
+        got = spec.tail_process(horizon, 3000, derive_stream(6, 7), alpha)
+        want = expression_garch_tail_process(spec, horizon, 3000,
+                                             derive_stream(6, 7), alpha)
+        assert got.tobytes() == want.tobytes()
+
+    def test_garch_batch_is_built_in_its_output(self, garch_benchmark):
+        # the 8,192 x 65 x 2 output is 8.5 MB; the normals add 4.2 MB
+        tracemalloc.start()
+        try:
+            garch_benchmark.tail_process(64, 8192, derive_stream(6, 8), 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("b_law", [
         TailLaw(randkit.PARETO, alpha=10.0),
