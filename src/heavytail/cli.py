@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, cluster, limits, models, randkit, regen
-from .cluster import Direction
+from . import cluster, limits, models, randkit, regen
 from .errors import (ConfigError, HeavytailError, ParameterError)
 from .randkit import TailLaw, derive_stream
+from .tailstats import Direction
+
+__version__ = "0.1.0"  # the package version, echoed in every manifest
 
 COMMANDS = ("simulate", "cluster-index", "ldp-scan", "stable-check",
             "drift-check", "regen-check", "report")

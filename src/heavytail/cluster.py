@@ -3,16 +3,15 @@ tail process, closed-form model evaluations, truncated (telescoping)
 differences, and the half-space limit measure they determine."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-import contextvars
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .errors import OutOfRegimeError, ParameterError
-from . import models
+from . import models, randkit
 from .randkit import RngStream
+from .tailstats import Direction
 
 ROUTE_TAIL_PROCESS = "tail_process"
 ROUTE_CLOSED_FORM = "closed_form"
@@ -21,34 +20,6 @@ _ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING)
 
 _CHUNK = 8192  # tail-process replicas per chunk, whatever the thread count
 _MATCH_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on the sphere; any nonzero vector is normalized at
-    construction."""
-
-    theta: tuple
-
-    def __init__(self, theta):
-        v = np.atleast_1d(np.asarray(theta, dtype=float))
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0 or not np.all(np.isfinite(v)):
-            raise ParameterError("direction must be a finite nonzero vector")
-        if abs(nrm - 1.0) > 1e-12:
-            v = v / nrm
-        object.__setattr__(self, "theta", tuple(float(c) for c in v))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.theta)
-
-    @property
-    def dim(self) -> int:
-        return len(self.theta)
-
-    def negated(self) -> "Direction":
-        return Direction([-c for c in self.theta])
 
 
 @dataclass
@@ -140,19 +111,6 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 # chunked evaluation
 
 
-def _map_chunks(fn, n_chunks: int, threads: int):
-    """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
-    returned in index order so reductions are schedule-independent. Each
-    call runs in a copy of the caller's context, which carries its numpy
-    floating-point error state."""
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    ctx = contextvars.copy_context()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: ctx.copy().run(fn, i),
-                             range(n_chunks)))
-
-
 def _moments(vals: np.ndarray):
     """(n, mean, M2) of one chunk, M2 the sum of squared deviations."""
     mean = float(np.mean(vals))
@@ -205,7 +163,7 @@ def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
         return _moments(reduce_paths(paths @ tv, alpha))
 
     n_chunks = -(-replicas // _CHUNK)
-    _, mean, m2 = _merge_moments(_map_chunks(one, n_chunks, threads))
+    _, mean, m2 = _merge_moments(randkit._map_chunks(one, n_chunks, threads))
     se_plug = math.sqrt(m2) / replicas
     se = math.sqrt(m2 / (replicas - 1) / replicas)
     return ClusterIndexEstimate(value=mean, std_error=se, route=route,

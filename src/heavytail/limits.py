@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (InsufficientCyclesError, OutOfRegimeError,
                      ParameterError, UnsupportedCaseError, WidenRError)
 from . import cluster, models, randkit, tailstats
-from .cluster import Direction
+from .tailstats import Direction
 from .randkit import RngStream
 
 CF_GRID = np.linspace(-3.0, 3.0, 61)
@@ -162,7 +162,7 @@ def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
     def one(i):
         return spec.sums(n, burn, sizes[i], stream.substream(i))
 
-    return np.concatenate(cluster._map_chunks(one, n_chunks, threads))
+    return np.concatenate(randkit._map_chunks(one, n_chunks, threads))
 
 
 def _sum_centering(spec, alpha: float):

@@ -28,7 +28,6 @@ _CLOSED_ANGLES = 0x0A
 _CLOSED_AUX = 0x0C
 
 _BLOWUP = 1e280
-_SERIES_TERMS = 400  # geometric coefficient sums, converged for rho < 1
 _AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
 # path sums draw and reduce in blocks that stay in a core's L2 cache
 _SUM_BLOCK = 1 << 16  # floats of linear-chain innovations per block
@@ -50,13 +49,14 @@ class ModelSpec:
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
     (replicas,) partial sums S_n of a scalar observable on the same
     draws), ``tail_process(horizon, replicas, stream, alpha)`` returning
-    (replicas, horizon+1, d) spectral-tail-process angles, and
-    ``conditional_states(y, m, reps, stream)`` for the drift fit. The
-    defaults below cover the common case.
+    (replicas, horizon+1, d) spectral-tail-process angles,
+    ``conditional_states(y, m, reps, stream)`` for the drift fit, and
+    ``default_burn``, the warm-up of the pilot and the limit-theorem
+    scans, derived from the family's own contraction rate. The defaults
+    below cover the common case.
     """
 
     has_closed_form = False
-    default_burn = 2048  # warm-up of the limit-theorem scans
 
     def theta0_law(self) -> tailstats.AngularMeasure:
         """Law of the exceedance angle Theta_0, a discrete measure on the
@@ -211,11 +211,15 @@ class Var1Spec(ModelSpec):
         """Exact: one big innovation at lag j in coordinate i puts Theta_0
         at +-A^j w_i e_i / |A^j w_i e_i| with weight p+- |A^j w_i e_i|^alpha
         (Davis & Resnick 1985). Terms below 1e-17 of the largest weight are
-        dropped."""
+        dropped. The series stops before the first lag J with
+        ||A^J||_2^alpha <= 1e-17: a lag j >= J weighs at most
+        1e-17 ||A^(j-J)||_2^alpha of the largest weight, so none passes
+        when ||A^k||_2 <= 1 for every k."""
         alpha = tail_index(self)
         p_up, p_dn = randkit.tail_balance(self.innovation)
         powers = [np.diag(self.weights)]
-        for _ in range(1, _SERIES_TERMS):
+        for _ in range(1, _contraction_burn(self.a_matrix,
+                                            10.0 ** (-17.0 / alpha))):
             powers.append(self.a_matrix @ powers[-1])
         # rows in (j, i, sign) order: A^j w_i e_i is column i of A^j W
         cols = np.stack(powers).transpose(0, 2, 1).reshape(-1, self.dim)
@@ -331,42 +335,58 @@ class KestenSpec(ModelSpec):
         return _solve_moment_equation(
             lambda k: randkit.law_moment(self.a_law, k) - 1.0)
 
+    def _a_moment(self, s: float) -> float:
+        return randkit.law_moment(self.a_law, s)
+
     @functools.cached_property
     def aux_horizon(self) -> int:
-        """Steps of the closed form's auxiliary chain, set on first use."""
-        return _aux_horizon(self.a_law, self.tail_index())
+        """Steps of the closed form's auxiliary chain, set on first use:
+        the moment horizon over s in (0, 1] and [alpha - 1, alpha], or
+        s = 1 for alpha > 2 (range empty). There (x+y)^s <= x^s + y^s and
+        g(w) = (w+1)^alpha - w^alpha is s-Hoelder, so a K-step chain moves
+        E g(W) by at most C rho^K E W^s."""
+        alpha = self.tail_index()
+        return _moment_horizon(self._a_moment,
+                               min(max(alpha - 1.0, 0.0), 1.0),
+                               min(alpha, 1.0))
+
+    @functools.cached_property
+    def default_burn(self) -> int:
+        """Warm-up, set on first use: the moment horizon over s in
+        (0, min(1, alpha)], where E|X|^s is finite. A path started at 0
+        differs from the stationary one on the same draws by
+        A_1 ... A_T X_0, whose s-th moment is (E A^s)^T E|X_0|^s."""
+        return _moment_horizon(self._a_moment, 0.0,
+                               min(self.tail_index(), 1.0))
+
+    def _blocks(self, n, burn_in, replicas, stream):
+        """Yield (lo, x): the (m, n) observed steps of replicas lo .. lo+m-1,
+        ``_RECURSION_BLOCK`` replicas at a time, in one buffer that the
+        next block overwrites. Each block draws its multipliers, then its
+        additive terms, so no more than one block's draws are held."""
+        total = n + burn_in
+        out = np.empty((min(replicas, _RECURSION_BLOCK), n))
+        for lo in range(0, replicas, _RECURSION_BLOCK):
+            m = min(_RECURSION_BLOCK, replicas - lo)
+            a = sample_law(stream, self.a_law, m * total).reshape(m, total)
+            b = sample_law(stream, self.b_law, m * total).reshape(m, total)
+            _recurse(a, b, out[:m])
+            del a, b  # free this block's draws before the next is drawn
+            _check_finite(out[:m], "negative log-mean of the multiplier law")
+            yield lo, out[:m]
 
     def paths(self, n, burn_in, replicas, stream):
-        total = n + burn_in
-        a = sample_law(stream, self.a_law, replicas * total).reshape(
-            replicas, total)
-        b = sample_law(stream, self.b_law, replicas * total).reshape(
-            replicas, total)
         out = np.empty((replicas, n))
-        _recurse(a, b, out)
-        _check_finite(out, "negative log-mean of the multiplier law")
+        for lo, x in self._blocks(n, burn_in, replicas, stream):
+            out[lo:lo + len(x)] = x
         return out[..., None]
 
     def sums(self, n, burn_in, replicas, stream):
-        """S_n on the draws of ``paths``, holding the path of one block of
-        ``_RECURSION_BLOCK`` replicas at a time. The stream holds every
-        multiplier before the first additive term, so the multipliers are
-        drawn whole and the additive terms by block (see ``_row_blocks``).
-        Each block's rows are summed as ``paths(...).sum(axis=1)`` sums
-        them, so the bytes are the same."""
-        total = n + burn_in
-        a = sample_law(stream, self.a_law, replicas * total).reshape(
-            replicas, total)
+        """S_n on the draws of ``paths``, each block's rows summed as
+        ``paths(...).sum(axis=1)`` sums them, so the bytes are the same."""
         sums = np.empty(replicas)
-        # a block holds one extra replica when a lone one ends the batch
-        out = np.empty((min(replicas, _RECURSION_BLOCK + 1), n))
-        for lo, b in _row_blocks(stream, self.b_law, replicas, total,
-                                 _RECURSION_BLOCK):
-            m = len(b)
-            _recurse(a[lo:lo + m], b, out[:m])
-            _check_finite(out[:m], "negative log-mean of the multiplier law")
-            out[:m].sum(axis=1, out=sums[lo:lo + m])
-            del b  # free this block's draws before the next is drawn
+        for lo, x in self._blocks(n, burn_in, replicas, stream):
+            x.sum(axis=1, out=sums[lo:lo + len(x)])
         return sums
 
     def theta0_law(self):
@@ -394,7 +414,6 @@ class KestenSpec(ModelSpec):
         W = sum_{t>=1} A_1 ... A_t drawn independently per replica by the
         recursion W_k = (W_{k-1} + 1) A_k run for ``aux_horizon`` steps
         (the returned horizon)."""
-        from .cluster import _map_chunks  # cluster imports this module
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
@@ -414,7 +433,7 @@ class KestenSpec(ModelSpec):
             return chain
 
         n_blocks = -(-replicas // _AUX_BLOCK)
-        aux = np.concatenate(_map_chunks(block, n_blocks, threads))
+        aux = np.concatenate(randkit._map_chunks(block, n_blocks, threads))
         w = aux * angles[:, 0] * tv[0]
         u = (aux + 1.0) * angles[:, 0] * tv[0]
         return u, w, k
@@ -465,6 +484,16 @@ class Garch11Spec(ModelSpec):
     def tail_index(self) -> float:
         return _solve_moment_equation(
             lambda k: _garch_power_moment(self.alpha1, self.beta1, k) - 1.0)
+
+    @functools.cached_property
+    def default_burn(self) -> int:
+        """Warm-up, set on first use: sigma_t^2 moves by the product of
+        A = alpha1 Z^2 + beta1, so X_t moves by its square root; the
+        moment horizon of E A^(s/2) over s in (0, min(1, kappa)], where
+        E|X|^s is finite."""
+        return _moment_horizon(
+            lambda s: _garch_power_moment(self.alpha1, self.beta1, s),
+            0.0, min(self.tail_index(), 1.0))
 
     def _observed(self, n, burn_in, replicas, stream):
         """Yield the (replicas,) observables X_t of the n steps after
@@ -555,8 +584,7 @@ class Garch11Spec(ModelSpec):
     def tail_direction(self, theta):
         """X is the second coordinate of the tail process (sigma, X)."""
         if theta.dim == 1:
-            from .cluster import Direction
-            return Direction([0.0, theta.theta[0]])
+            return tailstats.Direction([0.0, theta.theta[0]])
         return theta
 
     def drift_setup(self, alpha):
@@ -663,11 +691,10 @@ def _spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def _contraction_burn(a: np.ndarray) -> int:
-    """Smallest b >= 1 with ||A^b||_2 <= 2^-53 (spectral radius below 1).
-    ||A^b||_2 >= rho(A)^b, so no b below log(2^-53) / log(rho) qualifies:
+def _contraction_burn(a: np.ndarray, tol: float = 2.0 ** -53) -> int:
+    """Smallest b >= 1 with ||A^b||_2 <= tol (spectral radius below 1).
+    ||A^b||_2 >= rho(A)^b, so no b below log(tol) / log(rho) qualifies:
     start one step short of that bound and step up."""
-    tol = 2.0 ** -53
     rho = _spectral_radius(a)
     b = 1 if rho == 0.0 else max(
         1, math.ceil(math.log(tol) / math.log(rho)) - 1)
@@ -678,14 +705,11 @@ def _contraction_burn(a: np.ndarray) -> int:
     return b
 
 
-def _aux_horizon(a_law: TailLaw, alpha: float) -> int:
-    """Smallest K >= 1 with rho^K <= 2^-53, rho = min E A^s over s in
-    (0, 1] and [alpha - 1, alpha], or s = 1 for alpha > 2 (range empty).
-    There (x+y)^s <= x^s + y^s and g(w) = (w+1)^alpha - w^alpha is
-    s-Hoelder, so a K-step chain moves E g(W) by at most C rho^K E W^s.
+def _moment_horizon(moment, lo: float, hi: float) -> int:
+    """Smallest K >= 1 with rho^K <= 2^-53, rho the least ``moment(s)``
+    (E A^s of a chain's multiplier A) on a 1,025-point grid of [lo, hi].
     A grid minimum with both ends can only overstate rho and lengthen K."""
-    lo, hi = min(max(alpha - 1.0, 0.0), 1.0), min(alpha, 1.0)
-    rho = min(randkit.law_moment(a_law, s) for s in np.linspace(lo, hi, 1025))
+    rho = min(moment(s) for s in np.linspace(lo, hi, 1025))
     if not rho < 1.0:
         raise ParameterError(f"no s in [{lo:g}, {hi:g}] with E A^s < 1")
     k = max(1, math.ceil(53 * math.log(2.0) / -math.log(rho)) - 1)

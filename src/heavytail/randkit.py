@@ -10,6 +10,8 @@ by construction as a counter-based generator would.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+import contextvars
 from dataclasses import dataclass, field
 import math
 
@@ -73,6 +75,20 @@ def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     key = [master_seed & _MASK64, stream_id & _MASK64]
     bg = np.random.SFC64(np.random.SeedSequence(key))
     return RngStream(key[0], key[1], np.random.Generator(bg))
+
+
+def _map_chunks(fn, n_chunks: int, threads: int):
+    """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
+    returned in index order so reductions are schedule-independent (chunk
+    i draws on its own substream i). Each call runs in a copy of the
+    caller's context, which carries its numpy floating-point error
+    state."""
+    if threads <= 1 or n_chunks <= 1:
+        return [fn(i) for i in range(n_chunks)]
+    ctx = contextvars.copy_context()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda i: ctx.copy().run(fn, i),
+                             range(n_chunks)))
 
 
 @dataclass(frozen=True)

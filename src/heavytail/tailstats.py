@@ -1,5 +1,5 @@
-"""Nonparametric tail machinery: Hill estimation and empirical angular
-measures."""
+"""Nonparametric tail machinery: Hill estimation, empirical angular
+measures, and directions on the unit sphere."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,6 +8,34 @@ import math
 import numpy as np
 
 from .errors import DegenerateSampleError, ParameterError
+
+
+@dataclass(frozen=True)
+class Direction:
+    """A unit vector on the sphere; any nonzero vector is normalized at
+    construction."""
+
+    theta: tuple
+
+    def __init__(self, theta):
+        v = np.atleast_1d(np.asarray(theta, dtype=float))
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0 or not np.all(np.isfinite(v)):
+            raise ParameterError("direction must be a finite nonzero vector")
+        if abs(nrm - 1.0) > 1e-12:
+            v = v / nrm
+        object.__setattr__(self, "theta", tuple(float(c) for c in v))
+
+    @property
+    def vector(self) -> np.ndarray:
+        return np.array(self.theta)
+
+    @property
+    def dim(self) -> int:
+        return len(self.theta)
+
+    def negated(self) -> "Direction":
+        return Direction([-c for c in self.theta])
 
 
 @dataclass

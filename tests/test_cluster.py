@@ -290,7 +290,7 @@ class TestThreads:
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                cluster._map_chunks(overflow, 2, 2)
+                randkit._map_chunks(overflow, 2, 2)
 
 
 class TestMergedMoments:

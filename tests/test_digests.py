@@ -45,10 +45,10 @@ RUN_DIGESTS = {
                         "877ab760fa8ef376113ca67bbfee7f75",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "987494fc38eb65377782435b6b598f8f"
-                         "1383d787427c2ea444a72cb41e9e8e1a",
-        "summary.json": "31cf6d0aae1e58500e9276d05f36f5ab"
-                        "e561035c76b4c4aa45511c7c36ccd1bb",
+        "stable_cf.csv": "723c38cd4eabe87394f352e566f0320d"
+                         "f25f9a53f7f1fc7a23103ed43b416ac5",
+        "summary.json": "e6e89469de6f6e608bbbc75d7d37844e"
+                        "970e60e56a09dff308fe8279b85c9025",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"

@@ -320,6 +320,35 @@ class TestPathFreeSums:
                 ref = spec.paths(n, burn_in, replicas, derive_stream(4, 11))
                 assert got.tobytes() == ref[..., 0].sum(axis=1).tobytes()
 
+    def test_recurrence_blocks_draw_multipliers_then_additive_terms(
+            self, kesten_lognormal):
+        # 300 replicas: a block of 256, then one of 44; each block reads
+        # its multipliers, then its additive terms, off the one stream
+        spec = kesten_lognormal
+        n, burn_in = 30, 20
+        got = spec.paths(n, burn_in, 300, derive_stream(4, 16))[..., 0]
+        twin = derive_stream(4, 16)
+        for lo, m in [(0, 256), (256, 44)]:
+            a, b = (randkit.sample_law(twin, law, m * (n + burn_in)).reshape(
+                m, n + burn_in) for law in (spec.a_law, spec.b_law))
+            want = np.empty((m, n))
+            models._recurse(a, b, want)
+            assert got[lo:lo + m].tobytes() == want.tobytes()
+
+    def test_recurrence_sums_hold_one_block(self):
+        # one 1,036 x 4,048 scan chunk on the bench law is 33.5 MB of
+        # multipliers and as much of additive terms
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        tracemalloc.start()
+        try:
+            spec.sums(2000, 2048, 1036, derive_stream(4, 17))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
     @pytest.mark.parametrize("params", [(0.05, 0.5, 0.55), (0.05, 0.1, 0.85)])
     def test_volatility_sums_keep_the_path_sum(self, params):
         spec = models.Garch11Spec(*params)
@@ -354,6 +383,72 @@ class TestPathFreeSums:
         if burn > 1:
             assert np.linalg.norm(np.linalg.matrix_power(a, burn - 1),
                                   2) > 2.0 ** -53
+
+
+BENCH_KESTEN = dict(a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+                    b_law=TailLaw(randkit.PARETO, alpha=10.0))
+
+
+class TestWarmUp:
+    """Every family's default burn-in is the smallest K with
+    rho^K <= 2^-53, rho the least moment of its multiplier where the
+    stationary law has that moment."""
+
+    def test_model_spec_sets_no_shared_burn_in(self):
+        assert not hasattr(models.ModelSpec, "default_burn")
+
+    @pytest.mark.parametrize("a_law, burn", [
+        # rho = E A^0.75 = exp(-9/32) on the bench law (alpha 1.5)
+        (BENCH_KESTEN["a_law"], 131),
+        # alpha = 2: rho = E A = exp(-1/4) at s = 1
+        (TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)), 147)])
+    def test_recurrence_burn_in(self, a_law, burn):
+        spec = models.KestenSpec(a_law=a_law,
+                                 b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        assert spec.default_burn == burn
+        assert spec.aux_horizon == burn
+
+    @pytest.mark.parametrize("params, burn", [
+        # rho = min_s E A^(s/2) = 0.98229 near s = 0.72 (kappa 1.40)
+        ((0.05, 0.5, 0.55), 2057),
+        # the report default (kappa 9.07): the least moment on (0, 1]
+        ((0.05, 0.1, 0.85), 1312)])
+    def test_volatility_burn_in(self, params, burn):
+        assert models.Garch11Spec(*params).default_burn == burn
+
+    @pytest.mark.parametrize("moment, lo, hi", [
+        (lambda s: 0.5, 0.0, 1.0),
+        (lambda s: 2.0 ** -53, 0.0, 1.0),
+        (lambda s: math.exp(-0.75 * s + s * s / 2.0), 0.0, 1.0),
+        (lambda s: math.exp(-0.5 * s + s * s / 4.0), 0.0, 1.0),
+        (lambda s: models._garch_power_moment(0.5, 0.55, s), 0.0, 1.0),
+        (lambda s: 1.0 - 1e-3 * s, 0.25, 0.5)])
+    def test_horizon_is_the_least_that_contracts(self, moment, lo, hi):
+        k = models._moment_horizon(moment, lo, hi)
+        rho = min(moment(s) for s in np.linspace(lo, hi, 1025))
+        assert k >= 1
+        assert rho ** k <= 2.0 ** -53 < rho ** (k - 1)
+
+    def test_no_contraction_is_rejected(self):
+        with pytest.raises(ParameterError, match="E A"):
+            models._moment_horizon(lambda s: 1.0 + s, 0.0, 1.0)
+
+    def test_recurrence_pilot_runs_the_burn_in(self, monkeypatch):
+        # Pareto multipliers and additive terms take one word per draw
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.PARETO, alpha=2.0, scale=0.2),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        streams = []
+
+        def recorded(master_seed, stream_id):
+            streams.append(derive_stream(master_seed, stream_id))
+            return streams[-1]
+
+        monkeypatch.setattr(models, "derive_stream", recorded)
+        pilot = models.stationary_pilot(spec, 5)
+        assert pilot.shape == (200_000, 1)
+        assert spec.default_burn == 41
+        assert streams[0].counter == 2 * 100 * (2000 + spec.default_burn)
 
 
 class TestTailProcess:
@@ -477,6 +572,17 @@ class TestExceedanceAngles:
             vecs, weights = spec.theta0_law().as_arrays()
             assert np.array_equal(vecs, np.eye(a.shape[0]))
             assert abs(weights.sum() - 1.0) < 1e-12
+
+    def test_near_unit_root_keeps_the_whole_series(self):
+        # diagonal A: coordinate i carries S_i = sum_j a_i^(j alpha)
+        # = 1 / (1 - a_i^alpha); at a_1 = 0.99 the series needs about
+        # 2,600 lags before its terms fall below 1e-17
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.diag([0.99, 0.5]))
+        s1, s2 = (1.0 / (1.0 - a ** 1.5) for a in (0.99, 0.5))
+        law = spec.theta0_law()
+        assert abs(law.weight_at([1.0, 0.0]) - s1 / (s1 + s2)) < 1e-12
+        assert abs(law.weight_at([0.0, 1.0]) - s2 / (s1 + s2)) < 1e-12
 
     @pytest.mark.parametrize("family, p_up", [(randkit.PARETO, 1.0),
                                               (randkit.GAUSSIAN, 0.5)])
