@@ -214,12 +214,15 @@ class Var1Spec(ModelSpec):
         dropped. The series stops before the first lag J with
         ||A^J||_2^alpha <= 1e-17: a lag j >= J weighs at most
         1e-17 ||A^(j-J)||_2^alpha of the largest weight, so none passes
-        when ||A^k||_2 <= 1 for every k."""
+        when ||A^k||_2 <= 1 for every k. Below alpha = 0.055 that bound
+        underflows, and the least subnormal takes its place: past it A^j
+        is zero to double precision."""
         alpha = tail_index(self)
         p_up, p_dn = randkit.tail_balance(self.innovation)
+        cut = _contraction_burn(self.a_matrix,
+                                max(10.0 ** (-17.0 / alpha), 5e-324))
         powers = [np.diag(self.weights)]
-        for _ in range(1, _contraction_burn(self.a_matrix,
-                                            10.0 ** (-17.0 / alpha))):
+        for _ in range(1, cut):
             powers.append(self.a_matrix @ powers[-1])
         # rows in (j, i, sign) order: A^j w_i e_i is column i of A^j W
         cols = np.stack(powers).transpose(0, 2, 1).reshape(-1, self.dim)
@@ -707,7 +710,8 @@ def _contraction_burn(a: np.ndarray, tol: float = 2.0 ** -53) -> int:
 
 def _moment_horizon(moment, lo: float, hi: float) -> int:
     """Smallest K >= 1 with rho^K <= 2^-53, rho the least ``moment(s)``
-    (E A^s of a chain's multiplier A) on a 1,025-point grid of [lo, hi].
+    on a 1,025-point grid of [lo, hi]: the s-th moment of the factor by
+    which one step shrinks the gap between two paths on the same draws.
     A grid minimum with both ends can only overstate rho and lengthen K."""
     rho = min(moment(s) for s in np.linspace(lo, hi, 1025))
     if not rho < 1.0:

@@ -573,13 +573,18 @@ class TestExceedanceAngles:
             assert np.array_equal(vecs, np.eye(a.shape[0]))
             assert abs(weights.sum() - 1.0) < 1e-12
 
-    def test_near_unit_root_keeps_the_whole_series(self):
+    @pytest.mark.parametrize("diag, alpha", [
+        # the series needs about 2,600 lags before its terms fall below
+        # 1e-17 of the largest
+        ((0.99, 0.5), 1.5),
+        # 10^(-17 / alpha) underflows: the cut falls where 0.5^j does
+        ((0.5, 0.1), 0.05)])
+    def test_diagonal_chain_keeps_the_whole_series(self, diag, alpha):
         # diagonal A: coordinate i carries S_i = sum_j a_i^(j alpha)
-        # = 1 / (1 - a_i^alpha); at a_1 = 0.99 the series needs about
-        # 2,600 lags before its terms fall below 1e-17
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
-                               a_matrix=np.diag([0.99, 0.5]))
-        s1, s2 = (1.0 / (1.0 - a ** 1.5) for a in (0.99, 0.5))
+        # = 1 / (1 - a_i^alpha)
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=alpha),
+                               a_matrix=np.diag(diag))
+        s1, s2 = (1.0 / (1.0 - a ** alpha) for a in diag)
         law = spec.theta0_law()
         assert abs(law.weight_at([1.0, 0.0]) - s1 / (s1 + s2)) < 1e-12
         assert abs(law.weight_at([0.0, 1.0]) - s2 / (s1 + s2)) < 1e-12
