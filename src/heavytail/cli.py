@@ -37,7 +37,6 @@ STREAMS = {
     "cluster_tail": 2,
     "cluster_closed": 3,
     "cluster_telescoping": 4,
-    "extremal": 5,
     "ldp": 6,
     "stable": 7,
     "drift": 8,
@@ -308,14 +307,14 @@ def build_spec(config: ExperimentConfig):
 _CSV_BLOCK = 4096  # rows formatted at a time
 
 
-def _formatter(column: np.ndarray):
-    """Text of one cell: 17 significant digits for floats, true/false for
-    booleans, str otherwise."""
+def _cells(column: np.ndarray):
+    """(format, values) of one column: floats take 17 significant digits,
+    booleans become true/false, and anything else its str."""
     if column.dtype.kind == "f":
-        return "%.17g".__mod__
+        return "%.17g", column.tolist()
     if column.dtype.kind == "b":
-        return lambda v: "true" if v else "false"
-    return str
+        return "%s", ["true" if v else "false" for v in column.tolist()]
+    return "%s", column.tolist()
 
 
 def _jsonable(obj):
@@ -345,17 +344,23 @@ class _Writer:
         os.makedirs(out_dir, exist_ok=True)
 
     def csv(self, name, header, columns):
-        """Write equal-length columns, formatted column by column a block
-        of rows at a time, so no whole column is ever held as text."""
+        """Write equal-length columns a block of rows at a time, so no
+        whole column is ever held as text. A block is one ``%`` call: the
+        row format repeated once per row, over the block's values
+        interleaved row by row."""
         columns = [np.asarray(c) for c in columns]
-        fmts = [_formatter(c) for c in columns]
+        width = len(columns)
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for lo in range(0, len(columns[0]), _CSV_BLOCK):
-                cells = [map(f, c[lo:lo + _CSV_BLOCK].tolist())
-                         for f, c in zip(fmts, columns)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                fmts, cols = zip(*(_cells(c[lo:lo + _CSV_BLOCK])
+                                   for c in columns))
+                rows = len(cols[0])
+                flat = [None] * (rows * width)
+                for j, values in enumerate(cols):
+                    flat[j::width] = values
+                fh.write((",".join(fmts) + "\n") * rows % tuple(flat))
         self.paths.append(path)
         return path
 
@@ -407,15 +412,26 @@ def _cmd_simulate(config, spec, writer, threads):
     return summary, {"simulate": STREAMS["simulate"]}
 
 
+def _tail_and_extremal(config, spec, alpha, threads):
+    """The tail-process cluster index and the extremal index (its sup
+    version), reduced from one tail-process batch on the cluster_tail
+    stream."""
+    tail_theta = spec.tail_direction(Direction([config.get("theta")]))
+    return cluster._mc_functional(
+        spec, [(tail_theta, cluster._sum_difference,
+                cluster.ROUTE_TAIL_PROCESS),
+               (tail_theta, cluster._sup_difference,
+                cluster.ROUTE_TAIL_PROCESS)],
+        alpha, config.get("horizon"), config.get("replicas"),
+        _stream(config, "cluster_tail"), threads)
+
+
 def _cmd_cluster_index(config, spec, writer, threads):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
-    tail_theta = spec.tail_direction(theta)
-    horizon = config.get("horizon")
     replicas = config.get("replicas")
-    ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"), threads)}
+    tail, extremal = _tail_and_extremal(config, spec, alpha, threads)
+    ests = {"cluster_tail_process": tail}
     stages = ["cluster_tail"]
     if spec.has_closed_form:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
@@ -423,12 +439,10 @@ def _cmd_cluster_index(config, spec, writer, threads):
             threads)
         stages.append("cluster_closed")
     ests["telescoping"] = cluster.telescoping_difference(
-        spec, tail_theta, alpha, config.get("k_trunc"), replicas,
-        _stream(config, "cluster_telescoping"), threads)
-    ests["extremal_index"] = cluster.extremal_index(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"), threads)
-    stages += ["cluster_telescoping", "extremal"]
+        spec, spec.tail_direction(theta), alpha, config.get("k_trunc"),
+        replicas, _stream(config, "cluster_telescoping"), threads)
+    ests["extremal_index"] = extremal
+    stages.append("cluster_telescoping")
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],
@@ -530,29 +544,21 @@ def _cmd_regen_check(config, spec, writer, threads):
 def _cmd_report(config, spec, writer, threads):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
-    tail_theta = spec.tail_direction(theta)
-    horizon = config.get("horizon")
-    replicas = config.get("replicas")
     rows = [("tail_index", alpha, 0.0)]
-    est = cluster.cluster_index_tail_process(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"), threads)
+    est, ext = _tail_and_extremal(config, spec, alpha, threads)
     rows.append(("cluster_index_tail_process", est.value, est.std_error))
     summary = {"alpha": alpha, "theta": theta,
                "cluster_index": {"value": est.value,
                                  "std_error": est.std_error}}
-    stages = ["cluster_tail", "extremal"]
+    stages = ["cluster_tail"]
     if spec.has_closed_form:
         cf = cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed"),
-            threads)
+            spec, theta, config.get("replicas"),
+            _stream(config, "cluster_closed"), threads)
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
         stages.append("cluster_closed")
-    ext = cluster.extremal_index(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"), threads)
     rows.append(("extremal_index", ext.value, ext.std_error))
     summary["extremal_index"] = {"value": ext.value,
                                  "std_error": ext.std_error}

@@ -136,14 +136,18 @@ def _merge_moments(parts):
 # Monte Carlo routes over tail-process draws
 
 
-def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
-                   horizon: int, replicas: int, stream: RngStream,
-                   route: str, threads: int,
+def _mc_functional(spec, functionals, alpha: float, horizon: int,
+                   replicas: int, stream: RngStream, threads: int,
                    horizon_name: str = "horizon",
-                   least_horizon: int = 0) -> ClusterIndexEstimate:
-    """Shared argument checks of the Monte Carlo routes, then a per-path
-    functional of the spec's tail-process draws, reduced per fixed-size
-    chunk to (n, mean, M2) and merged in chunk order."""
+                   least_horizon: int = 0) -> list:
+    """Shared argument checks of the Monte Carlo routes, then per-path
+    functionals of one batch of the spec's tail-process draws.
+    ``functionals`` lists (theta, reduce_paths, route): each projects the
+    batch on its theta and reduces it per fixed-size chunk to
+    (n, mean, M2), merged in chunk order. The tail process does not depend
+    on theta, so every functional reads the same draws, and each estimate
+    has the bits it would have alone on the same stream. One estimate per
+    functional, in order."""
     if horizon < least_horizon:
         raise ParameterError(
             f"{horizon_name} must be at least {least_horizon}")
@@ -151,24 +155,31 @@ def _mc_functional(spec, reduce_paths, theta: Direction, alpha: float,
         raise ParameterError("replicas must be at least 100")
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
-    tv = theta.vector
     spec_alpha = models.tail_index(spec)
 
     def one(i):
         take = min(_CHUNK, replicas - i * _CHUNK)
         paths = models.sample_tail_process_batch(
             spec, horizon, take, stream.substream(i), spec_alpha)
-        if paths.shape[2] != theta.dim:
-            raise ParameterError("direction dimension mismatch")
-        return _moments(reduce_paths(paths @ tv, alpha))
+        parts = []
+        for theta, reduce_paths, _ in functionals:
+            if paths.shape[2] != theta.dim:
+                raise ParameterError("direction dimension mismatch")
+            parts.append(_moments(reduce_paths(paths @ theta.vector, alpha)))
+        return parts
 
     n_chunks = -(-replicas // _CHUNK)
-    _, mean, m2 = _merge_moments(randkit._map_chunks(one, n_chunks, threads))
-    se_plug = math.sqrt(m2) / replicas
-    se = math.sqrt(m2 / (replicas - 1) / replicas)
-    return ClusterIndexEstimate(value=mean, std_error=se, route=route,
-                                horizon=horizon, replicas=replicas,
-                                plug_in_se=se_plug)
+    chunks = randkit._map_chunks(one, n_chunks, threads)
+    out = []
+    for j, (_, _, route) in enumerate(functionals):
+        _, mean, m2 = _merge_moments([parts[j] for parts in chunks])
+        se_plug = math.sqrt(m2) / replicas
+        se = math.sqrt(m2 / (replicas - 1) / replicas)
+        out.append(ClusterIndexEstimate(value=mean, std_error=se,
+                                        route=route, horizon=horizon,
+                                        replicas=replicas,
+                                        plug_in_se=se_plug))
+    return out
 
 
 def _sum_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
@@ -196,8 +207,8 @@ def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                threads: int = 1) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_functional(spec, _sum_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS, threads)
+    return _mc_functional(spec, [(theta, _sum_difference, ROUTE_TAIL_PROCESS)],
+                          alpha, horizon, replicas, stream, threads)[0]
 
 
 def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
@@ -205,9 +216,9 @@ def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
                            threads: int = 1) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
-    return _mc_functional(spec, _sum_difference, theta, alpha, k, replicas,
-                          stream, ROUTE_TELESCOPING, threads,
-                          horizon_name="k", least_horizon=1)
+    return _mc_functional(spec, [(theta, _sum_difference, ROUTE_TELESCOPING)],
+                          alpha, k, replicas, stream, threads,
+                          horizon_name="k", least_horizon=1)[0]
 
 
 def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
@@ -215,8 +226,8 @@ def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
                    threads: int = 1) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
-    return _mc_functional(spec, _sup_difference, theta, alpha, horizon,
-                          replicas, stream, ROUTE_TAIL_PROCESS, threads)
+    return _mc_functional(spec, [(theta, _sup_difference, ROUTE_TAIL_PROCESS)],
+                          alpha, horizon, replicas, stream, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +249,16 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
     """
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    alpha = models.tail_index(spec)
     u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream,
                                            threads)
+    return _closed_form_estimate(spec, u, w, horizon)
+
+
+def _closed_form_estimate(spec, u: np.ndarray, w: np.ndarray,
+                          horizon: int) -> ClusterIndexEstimate:
+    """Mean and standard errors of u_+^alpha - w_+^alpha over the
+    replicas of ``spec.closed_form_terms``."""
+    alpha = models.tail_index(spec)
     vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
     mean = float(np.mean(vals))
     if vals.size > 1:
@@ -250,4 +268,4 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
         se = se_plug = 0.0
     return ClusterIndexEstimate(value=mean, std_error=se,
                                 route=ROUTE_CLOSED_FORM, horizon=horizon,
-                                replicas=replicas, plug_in_se=se_plug)
+                                replicas=vals.size, plug_in_se=se_plug)

@@ -213,13 +213,26 @@ def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
 
 
 def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
-                threads: int = 1):
-    """(b(theta), b(-theta)) on substreams 0xB0 and 0xB1."""
+                threads: int = 1, replicas: int = 50_000,
+                horizon: int = 64):
+    """(b(theta), b(-theta)), each clipped at 0, from one batch of draws
+    on substream 0xB0, by the route ``_b_at`` takes. The closed form's
+    projections u and w are linear in the direction, so (-u, -w) from the
+    same call gives b(-theta); a tail-process batch does not depend on the
+    direction, so one batch is reduced along theta and -theta."""
     th = spec.tail_direction(theta)
-    return (_b_at(spec, th, alpha, stream.substream(0xB0),
-                  threads=threads),
-            _b_at(spec, th.negated(), alpha, stream.substream(0xB1),
-                  threads=threads))
+    stream = stream.substream(0xB0)
+    if spec.has_closed_form:
+        u, w, k = spec.closed_form_terms(th.vector, replicas, stream,
+                                         threads)
+        ests = (cluster._closed_form_estimate(spec, u, w, k),
+                cluster._closed_form_estimate(spec, -u, -w, k))
+    else:
+        ests = cluster._mc_functional(
+            spec, [(d, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS)
+                   for d in (th, th.negated())],
+            alpha, horizon, replicas, stream, threads)
+    return tuple(max(e.value, 0.0) for e in ests)
 
 
 # ---------------------------------------------------------------------------

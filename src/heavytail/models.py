@@ -32,6 +32,7 @@ _AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
 # path sums draw and reduce in blocks that stay in a core's L2 cache
 _SUM_BLOCK = 1 << 16  # floats of linear-chain innovations per block
 _RECURSION_BLOCK = 256  # recurrence replicas per block
+_STEP_BLOCK = 64  # volatility-recursion steps drawn per block
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -64,11 +65,18 @@ class ModelSpec:
         raise UnsupportedCaseError(
             f"no Theta_0 law for {type(self).__name__}")
 
+    @functools.cached_property
+    def _theta0_atoms(self):
+        """(atoms, weights) of ``theta0_law``, built on first use: the law
+        depends on the spec alone, and the routes draw Theta_0 once per
+        chunk."""
+        return self.theta0_law().as_arrays()
+
     def theta0(self, replicas: int, stream: RngStream) -> np.ndarray:
         """(replicas, d) draws of Theta_0 from ``theta0_law``: one uniform
         per replica inverts the CDF over the atoms in the law's order; a
         one-atom law takes no draws."""
-        atoms, weights = self.theta0_law().as_arrays()
+        atoms, weights = self._theta0_atoms
         if weights.size == 1:
             return np.repeat(atoms, replicas, axis=0)
         cdf = np.cumsum(weights)
@@ -499,42 +507,57 @@ class Garch11Spec(ModelSpec):
             0.0, min(self.tail_index(), 1.0))
 
     def _observed(self, n, burn_in, replicas, stream):
-        """Yield the (replicas,) observables X_t of the n steps after
-        ``burn_in``, in one buffer that the next step overwrites. Each step
-        draws one row of normals, so the draws are those of a time-major
-        (n + burn_in, replicas) matrix and no more than one row is held."""
+        """Yield the observables X_t of the n steps after ``burn_in`` as
+        (m, replicas) blocks of consecutive steps, in buffers that the next
+        block overwrites. The draws are those of a time-major
+        (n + burn_in, replicas) matrix of normals, taken ``_STEP_BLOCK``
+        rows per call. A block forms its multipliers a1 z^2 + b1 at once;
+        the recursion s2 <- s2 (a1 z^2 + b1) + a0 then costs two numpy
+        calls a step, with the bits of the step-by-step form, and the
+        square root and the product with z run once a block."""
         a0, a1, b1 = self.alpha0, self.alpha1, self.beta1
-        if a1 + b1 < 1.0:
-            s2 = np.full(replicas, a0 / (1.0 - a1 - b1))
-        else:
-            s2 = np.full(replicas, a0)
-        x = np.empty(replicas)
-        for t in range(n + burn_in):
-            z = stream.rng.standard_normal(replicas)
-            if t >= burn_in:
-                np.sqrt(s2, out=x)
-                x *= z
+        rows = max(1, min(_STEP_BLOCK, n + burn_in))
+        z = np.empty((rows, replicas))
+        mult = np.empty((rows, replicas))
+        # s2[j] is sigma^2 at step j of the block, s2[rows] the carry
+        s2 = np.empty((rows + 1, replicas))
+        s2[0] = a0 / (1.0 - a1 - b1) if a1 + b1 < 1.0 else a0
+        for t0 in range(0, n + burn_in, rows):
+            k = min(rows, n + burn_in - t0)
+            stream.rng.standard_normal(out=z[:k])
+            np.square(z[:k], out=mult[:k])
+            mult[:k] *= a1
+            mult[:k] += b1
+            for j in range(k):
+                np.multiply(s2[j], mult[j], out=s2[j + 1])
+                s2[j + 1] += a0
+            skip = max(0, burn_in - t0)
+            if skip < k:
+                # the multipliers are spent: their rows take X_t
+                x = mult[skip:k]
+                np.sqrt(s2[skip:k], out=x)
+                x *= z[skip:k]
                 yield x
-            # s2 <- a0 + s2 (a1 z^2 + b1), in place
-            np.square(z, out=z)
-            z *= a1
-            z += b1
-            s2 *= z
-            s2 += a0
+            s2[0] = s2[k]
 
     def paths(self, n, burn_in, replicas, stream):
         out = np.empty((n, replicas))
-        for t, x in enumerate(self._observed(n, burn_in, replicas, stream)):
-            out[t] = x
+        t = 0
+        for x in self._observed(n, burn_in, replicas, stream):
+            out[t:t + len(x)] = x
+            t += len(x)
         _check_finite(out, "negative log-mean of the volatility multiplier")
         return out.T[..., None]
 
     def sums(self, n, burn_in, replicas, stream):
         """S_n accumulated step by step on the draws of ``paths``, with no
-        path array."""
+        path array. Rows are added one at a time, in step order: a column
+        sum of a one-replica block would take numpy's pairwise route, with
+        other bits."""
         sums = np.zeros(replicas)
         for x in self._observed(n, burn_in, replicas, stream):
-            sums += x
+            for row in x:
+                sums += row
         # a non-finite step leaves its row's sum non-finite
         _check_finite(sums, "negative log-mean of the volatility multiplier")
         return sums

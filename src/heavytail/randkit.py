@@ -241,14 +241,6 @@ def tail_balance(law: TailLaw) -> tuple[float, float]:
     return (1.0 + law.skew) / 2.0, (1.0 - law.skew) / 2.0
 
 
-def law_survival(law: TailLaw, x) -> np.ndarray:
-    """P(|X| > x) from the power tail: exact for the Pareto families, the
-    regular-variation equivalent for stable with alpha < 2."""
-    c, alpha = power_tail(law)
-    x = np.asarray(x, dtype=float)
-    return np.minimum(1.0, c * (x / law.scale) ** (-alpha))
-
-
 def law_mean(law: TailLaw) -> float:
     """Exact mean of the law (where defined and finite)."""
     if law.family in (PARETO, LOGNORMAL):

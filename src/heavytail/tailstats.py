@@ -73,12 +73,6 @@ class AngularMeasure:
             cleaned.append((v, float(w)))
         self.atoms = cleaned
 
-    def weight_at(self, direction) -> float:
-        """Aggregated weight of atoms within 1e-9 of ``direction``."""
-        d = np.atleast_1d(np.asarray(direction, dtype=float))
-        return sum(w for v, w in self.atoms
-                   if np.linalg.norm(v - d) <= 1e-9)
-
     def as_arrays(self):
         vecs = np.array([v for v, _ in self.atoms])
         ws = np.array([w for _, w in self.atoms])

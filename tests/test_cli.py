@@ -196,6 +196,43 @@ class TestRun:
         assert c1 == c2
 
 
+def per_cell_csv(header, columns):
+    """CSV text formatted one cell at a time: 17 significant digits for
+    floats, true/false for booleans, str otherwise."""
+    def cell(kind, v):
+        if kind == "f":
+            return "%.17g" % v
+        if kind == "b":
+            return "true" if v else "false"
+        return str(v)
+
+    columns = [np.asarray(c) for c in columns]
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(cell(c.dtype.kind, c[i].item())
+                              for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsv:
+    # 4,096 rows a block: one row, one short block, one full block and
+    # one row over
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4097])
+    def test_blocks_match_per_cell_text(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(
+            -300, 300, rows)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0]
+        floats[:len(specials)] = specials[:rows]
+        columns = [floats, rng.integers(-10 ** 12, 10 ** 12, rows),
+                   rng.random(rows) < 0.5,
+                   np.array([f"q{i}" for i in range(rows)], dtype=str)]
+        header = ["x", "n", "flag", "name"]
+        path = cli._Writer(str(tmp_path)).csv("t.csv", header, columns)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == per_cell_csv(header, columns)
+
+
 class TestMain:
     def _write(self, tmp_path, text):
         p = tmp_path / "exp.cfg"

@@ -284,6 +284,18 @@ class TestThreads:
                                  threads=t) for t in (1, 2))
         assert one == two
 
+    @pytest.mark.parametrize("fixture", ["kesten_lognormal",
+                                         "garch_benchmark"])
+    def test_b_pair_identical_on_one_and_two_threads(self, request,
+                                                     fixture):
+        spec = request.getfixturevalue(fixture)
+        alpha = models.tail_index(spec)
+        one, two = (limits._b_pair_for(spec, Direction([1.0]), alpha,
+                                       derive_stream(42, 5), threads=t,
+                                       replicas=self.REPLICAS, horizon=8)
+                    for t in (1, 2))
+        assert one == two
+
     def test_workers_keep_the_callers_error_state(self):
         def overflow(i):
             return np.float64(1e308) * 10.0
@@ -291,6 +303,57 @@ class TestThreads:
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 randkit._map_chunks(overflow, 2, 2)
+
+
+class TestSharedBatch:
+    """One tail-process batch serves several functionals; each estimate
+    keeps the bits of its route run alone on the same stream."""
+
+    REPLICAS = 2 * cluster._CHUNK + 500
+
+    def test_each_functional_keeps_its_route_bytes(self, kesten_lognormal):
+        spec, th = kesten_lognormal, Direction([1.0])
+        alpha = models.tail_index(spec)
+        shared = cluster._mc_functional(
+            spec, [(th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
+                   (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
+            alpha, 8, self.REPLICAS, derive_stream(42, 6), 1)
+        alone = [route(spec, th, alpha, 8, self.REPLICAS,
+                       derive_stream(42, 6))
+                 for route in (cluster_index_tail_process, extremal_index)]
+        assert shared == alone
+
+    @pytest.mark.parametrize("fixture", ["garch_benchmark",
+                                         "kesten_lognormal",
+                                         "ar_sympareto15"])
+    def test_b_pair_is_b_at_both_signs_on_one_substream(self, request,
+                                                        fixture):
+        # the tail-process route (GARCH) and the closed form (the others)
+        # give b(-theta) from the draws of b(theta), on substream 0xB0
+        spec = request.getfixturevalue(fixture)
+        alpha = models.tail_index(spec)
+        stream = derive_stream(42, 7)
+        pair = limits._b_pair_for(spec, Direction([1.0]), alpha, stream,
+                                  replicas=self.REPLICAS, horizon=8)
+        th = spec.tail_direction(Direction([1.0]))
+        want = tuple(limits._b_at(spec, d, alpha, stream.substream(0xB0),
+                                  replicas=self.REPLICAS, horizon=8)
+                     for d in (th, th.negated()))
+        assert pair == want
+
+    def test_theta0_law_is_built_once_per_spec(self, ar_sympareto15,
+                                               monkeypatch):
+        spec = ar_sympareto15
+        builds = []
+        law = spec.theta0_law
+        monkeypatch.setattr(spec, "theta0_law",
+                            lambda: builds.append(1) or law())
+        # three chunks of tail-process draws, then the closed form
+        cluster_index_tail_process(spec, Direction([1.0]), 1.5, 4,
+                                   self.REPLICAS, derive_stream(42, 8))
+        closed_form_cluster_index(spec, Direction([1.0]), 500,
+                                  derive_stream(42, 9))
+        assert len(builds) == 1
 
 
 class TestMergedMoments:

@@ -7,12 +7,13 @@ leaves every digest here unchanged; a change that alters which draws are
 made re-pins them and says so.
 """
 import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
-from heavytail import models, randkit
+from heavytail import cli, models, randkit
 from heavytail.cli import parse_config, run
 from heavytail.randkit import TailLaw, derive_stream
 
@@ -39,16 +40,16 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "f18bb61d6a589aa941b59b8b34c6de95"
-                       "3bc295b98d862f6bf98733ef7ba51611",
-        "summary.json": "81189bedbc108445b7a3cd7b5f58c016"
-                        "877ab760fa8ef376113ca67bbfee7f75",
+        "cluster.csv": "71e404e36bf2b7cb0923e1fc31d77594"
+                       "058dcc053feffad8f2a6094e3e90a433",
+        "summary.json": "0735744eed2a35cc5522a5548bd996fa"
+                        "f39232ff8e936fa3ec8b12d23d60cfac",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "723c38cd4eabe87394f352e566f0320d"
-                         "f25f9a53f7f1fc7a23103ed43b416ac5",
-        "summary.json": "e6e89469de6f6e608bbbc75d7d37844e"
-                        "970e60e56a09dff308fe8279b85c9025",
+        "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"
+                         "8af27566704e67168dbe9b5b08e86da1",
+        "summary.json": "4eca78646fc0815035e12d22c8cb3e70"
+                        "7f4127b6aec2a670869972a8d2cab976",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"
@@ -63,10 +64,10 @@ RUN_DIGESTS = {
                         "c45af8c1ad5c5a0d2de879352ec93582",
     },
     "golden_report_garch.cfg": {
-        "report.csv": "c8e0c84f614a98aa5ea0f7b8fd5a0af0"
-                      "535fe14d0ea88c1f2bad51c56f217f23",
-        "summary.json": "195e7adeef8dac24167844ad69716ae6"
-                        "f4a2de93285037232823d60c793ea35e",
+        "report.csv": "cfea9dd0a1821a67f208ba4bb24be08e"
+                      "72e18490246168ac4c13fd931ff9de9c",
+        "summary.json": "9593c86c518a12240cc079de66f0ff60"
+                        "bca2f468a9599510d9c610fe09eab430",
     },
     "golden_ldp_var1.cfg": {
         "ldp.csv": "d1b4d1c469a3c9a78ab12cade9dddbf3"
@@ -108,16 +109,43 @@ def test_raw_stream_digest():
            STREAM_DIGEST)
 
 
+_RUNS = {}
+
+
+def _golden_run(name, tmp_path_factory):
+    """Output directory of one golden run, run once per session."""
+    if name not in _RUNS:
+        out = tmp_path_factory.mktemp(name.replace(".", "_"))
+        with open(os.path.join(GOLDEN, name)) as fh:
+            run(parse_config(fh.read()), out_dir=str(out))
+        _RUNS[name] = out
+    return _RUNS[name]
+
+
+def _manifest(name, tmp_path_factory):
+    with open(_golden_run(name, tmp_path_factory) / "manifest.json") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
-def test_golden_run_digests(tmp_path, name):
-    with open(os.path.join(GOLDEN, name)) as fh:
-        manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
-    got = {f["name"]: f["sha256"] for f in manifest.files}
+def test_golden_run_digests(tmp_path_factory, name):
+    manifest = _manifest(name, tmp_path_factory)
+    got = {f["name"]: f["sha256"] for f in manifest["files"]}
     want = RUN_DIGESTS[name]
     assert sorted(got) == sorted(want), \
         f"{name}: wrote {sorted(got)}, pinned {sorted(want)}"
     for fname, digest in want.items():
         _check(f"{name}/{fname}", got[fname], digest)
+
+
+def test_every_stream_reaches_a_golden_manifest(tmp_path_factory):
+    # the golden configs cover all seven commands: a stage id that no
+    # golden run names is a stream nothing draws from
+    named = set()
+    for name in sorted(RUN_DIGESTS):
+        named.update(_manifest(name, tmp_path_factory)["streams"].items())
+    missing = set(cli.STREAMS.items()) - named
+    assert not missing, f"stream ids no golden run names: {missing}"
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))

@@ -18,6 +18,13 @@ from heavytail.errors import (HeavytailError, NoRootError, ParameterError,
 from heavytail.randkit import TailLaw, derive_stream
 
 
+def mass_at(law, direction):
+    # total weight of the atoms within 1e-9 of the direction
+    atoms, weights = law.as_arrays()
+    near = np.linalg.norm(atoms - np.asarray(direction), axis=1) <= 1e-9
+    return weights[near].sum()
+
+
 def lognormal_root(mu, sigma2):
     # E A^k = exp(k mu + k^2 sigma2 / 2) = 1 at k = -2 mu / sigma2
     return -2.0 * mu / sigma2
@@ -240,6 +247,22 @@ def one_shot_var1_sums(spec, n, burn_in, replicas, stream):
     return np.einsum("ij,j->i", z, w)
 
 
+def stepwise_garch_paths(spec, n, burn_in, replicas, stream):
+    """(n, replicas) GARCH(1,1) observables drawn and updated one step at
+    a time: one row of normals per step, X_t = sqrt(s2) z, then
+    s2 <- s2 (z^2 a1 + b1) + a0."""
+    a0, a1, b1 = spec.alpha0, spec.alpha1, spec.beta1
+    start = a0 / (1.0 - a1 - b1) if a1 + b1 < 1.0 else a0
+    s2 = np.full(replicas, start)
+    out = np.empty((n, replicas))
+    for t in range(n + burn_in):
+        z = stream.rng.standard_normal(replicas)
+        if t >= burn_in:
+            out[t - burn_in] = np.sqrt(s2) * z
+        s2 = s2 * (z ** 2 * a1 + b1) + a0
+    return out
+
+
 def expression_garch_tail_process(spec, horizon, replicas, stream, alpha):
     """GARCH(1,1) tail-process batch from whole-array expressions, with
     the running product of the volatility multipliers as its own array."""
@@ -359,6 +382,38 @@ class TestPathFreeSums:
         scale = np.abs(paths).sum(axis=1)
         assert got.shape == (50,)
         assert np.max(np.abs(got - paths.sum(axis=1)) / scale) <= 1e-12
+
+    # 64 steps a block: 137 steps end mid-block, burn-in 37 ends inside
+    # the first block, 69 inside the second, 64 on its edge
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 100, 1033])
+    @pytest.mark.parametrize("n, burn_in", [
+        (100, 37), (100, 0), (68, 69), (130, 64), (5, 0)])
+    def test_volatility_blocks_keep_the_stepwise_bytes(self, replicas, n,
+                                                       burn_in):
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        want = stepwise_garch_paths(spec, n, burn_in, replicas,
+                                    derive_stream(4, 18))
+        got = spec.paths(n, burn_in, replicas, derive_stream(4, 18))
+        assert got.shape == (replicas, n, 1)
+        assert got[..., 0].T.tobytes() == want.tobytes()
+        # the sums add the rows of the same path in step order
+        total = np.zeros(replicas)
+        for row in want:
+            total += row
+        sums = spec.sums(n, burn_in, replicas, derive_stream(4, 18))
+        assert sums.tobytes() == total.tobytes()
+
+    def test_volatility_sums_hold_one_block(self):
+        # one 1,033 x 4,057 scan chunk of the bench GARCH law is 33.5 MB
+        # of normals; the sums hold three 64-step blocks
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        tracemalloc.start()
+        try:
+            spec.sums(2000, 2057, 1033, derive_stream(4, 19))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_sums_are_scalar_only(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
@@ -559,8 +614,8 @@ class TestExceedanceAngles:
         r = abs(a) ** 1.5
         even = p_pos if a > 0 else (p_pos + (1.0 - p_pos) * r) / (1.0 + r)
         law = spec.theta0_law()
-        assert abs(law.weight_at([1.0]) - even) < 1e-12
-        assert abs(law.weight_at([-1.0]) - (1.0 - even)) < 1e-12
+        assert abs(mass_at(law, [1.0]) - even) < 1e-12
+        assert abs(mass_at(law, [-1.0]) - (1.0 - even)) < 1e-12
 
     def test_heavy_tail_with_fast_decay_stays_on_sphere(self):
         # alpha = 0.1 keeps terms with |a^j| near 1e-160, whose squares
@@ -586,8 +641,8 @@ class TestExceedanceAngles:
                                a_matrix=np.diag(diag))
         s1, s2 = (1.0 / (1.0 - a ** alpha) for a in diag)
         law = spec.theta0_law()
-        assert abs(law.weight_at([1.0, 0.0]) - s1 / (s1 + s2)) < 1e-12
-        assert abs(law.weight_at([0.0, 1.0]) - s2 / (s1 + s2)) < 1e-12
+        assert abs(mass_at(law, [1.0, 0.0]) - s1 / (s1 + s2)) < 1e-12
+        assert abs(mass_at(law, [0.0, 1.0]) - s2 / (s1 + s2)) < 1e-12
 
     @pytest.mark.parametrize("family, p_up", [(randkit.PARETO, 1.0),
                                               (randkit.GAUSSIAN, 0.5)])
@@ -596,14 +651,14 @@ class TestExceedanceAngles:
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
             b_law=TailLaw(family, alpha=10.0))
         law = spec.theta0_law()
-        assert law.weight_at([1.0]) == p_up
-        assert law.weight_at([-1.0]) == 1.0 - p_up
+        assert mass_at(law, [1.0]) == p_up
+        assert mass_at(law, [-1.0]) == 1.0 - p_up
 
     def test_scalar_draws_keep_u_below_p_up(self):
         # the CDF inversion keeps the draws u < P(Theta_0 = +1)
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[-0.5]]))
-        p_up = spec.theta0_law().weight_at([1.0])
+        p_up = mass_at(spec.theta0_law(), [1.0])
         ang = spec.theta0(5000, derive_stream(7, 3))
         u = derive_stream(7, 3).rng.random(5000)
         assert np.array_equal(ang[:, 0], np.where(u < p_up, 1.0, -1.0))
