@@ -37,6 +37,7 @@ STREAMS = {
     "cluster_tail": 2,
     "cluster_closed": 3,
     "cluster_telescoping": 4,
+    "extremal": 5,
     "ldp": 6,
     "stable": 7,
     "drift": 8,
@@ -412,26 +413,15 @@ def _cmd_simulate(config, spec, writer, threads):
     return summary, {"simulate": STREAMS["simulate"]}
 
 
-def _tail_and_extremal(config, spec, alpha, threads):
-    """The tail-process cluster index and the extremal index (its sup
-    version), reduced from one tail-process batch on the cluster_tail
-    stream."""
-    tail_theta = spec.tail_direction(Direction([config.get("theta")]))
-    return cluster._mc_functional(
-        spec, [(tail_theta, cluster._sum_difference,
-                cluster.ROUTE_TAIL_PROCESS),
-               (tail_theta, cluster._sup_difference,
-                cluster.ROUTE_TAIL_PROCESS)],
-        alpha, config.get("horizon"), config.get("replicas"),
-        _stream(config, "cluster_tail"), threads)
-
-
 def _cmd_cluster_index(config, spec, writer, threads):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
+    tail_theta = spec.tail_direction(theta)
+    horizon = config.get("horizon")
     replicas = config.get("replicas")
-    tail, extremal = _tail_and_extremal(config, spec, alpha, threads)
-    ests = {"cluster_tail_process": tail}
+    ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "cluster_tail"), threads)}
     stages = ["cluster_tail"]
     if spec.has_closed_form:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
@@ -439,10 +429,12 @@ def _cmd_cluster_index(config, spec, writer, threads):
             threads)
         stages.append("cluster_closed")
     ests["telescoping"] = cluster.telescoping_difference(
-        spec, spec.tail_direction(theta), alpha, config.get("k_trunc"),
-        replicas, _stream(config, "cluster_telescoping"), threads)
-    ests["extremal_index"] = extremal
-    stages.append("cluster_telescoping")
+        spec, tail_theta, alpha, config.get("k_trunc"), replicas,
+        _stream(config, "cluster_telescoping"), threads)
+    ests["extremal_index"] = cluster.extremal_index(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "extremal"), threads)
+    stages += ["cluster_telescoping", "extremal"]
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],
@@ -544,21 +536,29 @@ def _cmd_regen_check(config, spec, writer, threads):
 def _cmd_report(config, spec, writer, threads):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
+    tail_theta = spec.tail_direction(theta)
+    horizon = config.get("horizon")
+    replicas = config.get("replicas")
     rows = [("tail_index", alpha, 0.0)]
-    est, ext = _tail_and_extremal(config, spec, alpha, threads)
+    est = cluster.cluster_index_tail_process(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "cluster_tail"), threads)
     rows.append(("cluster_index_tail_process", est.value, est.std_error))
     summary = {"alpha": alpha, "theta": theta,
                "cluster_index": {"value": est.value,
                                  "std_error": est.std_error}}
-    stages = ["cluster_tail"]
+    stages = ["cluster_tail", "extremal"]
     if spec.has_closed_form:
         cf = cluster.closed_form_cluster_index(
-            spec, theta, config.get("replicas"),
-            _stream(config, "cluster_closed"), threads)
+            spec, theta, replicas, _stream(config, "cluster_closed"),
+            threads)
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
         stages.append("cluster_closed")
+    ext = cluster.extremal_index(
+        spec, tail_theta, alpha, horizon, replicas,
+        _stream(config, "extremal"), threads)
     rows.append(("extremal_index", ext.value, ext.std_error))
     summary["extremal_index"] = {"value": ext.value,
                                  "std_error": ext.std_error}

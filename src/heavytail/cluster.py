@@ -201,14 +201,32 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
+def _check_signs(signs):
+    if not signs or any(s not in (1, -1) for s in signs):
+        raise ParameterError(f"signs must be a nonempty list of +1 and -1 "
+                             f"(got {signs!r})")
+
+
 def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
-                               stream: RngStream,
-                               threads: int = 1) -> ClusterIndexEstimate:
+                               stream: RngStream, threads: int = 1,
+                               signs=None):
     """Monte Carlo cluster index: mean over tail-process draws of
-    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_functional(spec, [(theta, _sum_difference, ROUTE_TAIL_PROCESS)],
-                          alpha, horizon, replicas, stream, threads)[0]
+    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha.
+
+    With ``signs`` (a list of +1 and -1) it returns a list: the estimate
+    at s * theta for each s, all reduced from one batch of draws. The tail
+    process does not depend on the direction, so each has the bits of the
+    call at s * theta alone on the same stream."""
+    if signs is None:
+        thetas = [theta]
+    else:
+        _check_signs(signs)
+        thetas = [theta if s == 1 else theta.negated() for s in signs]
+    ests = _mc_functional(
+        spec, [(th, _sum_difference, ROUTE_TAIL_PROCESS) for th in thetas],
+        alpha, horizon, replicas, stream, threads)
+    return ests[0] if signs is None else ests
 
 
 def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
@@ -235,8 +253,8 @@ def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
 
 
 def closed_form_cluster_index(spec, theta: Direction, replicas: int,
-                              stream: RngStream,
-                              threads: int = 1) -> ClusterIndexEstimate:
+                              stream: RngStream, threads: int = 1,
+                              signs=None):
     """Model-specific closed form, Monte Carlo only over Theta_0 (and the
     recurrence's multipliers).
 
@@ -246,12 +264,22 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
                          - (theta W Theta_0)_+^alpha] with W the
     stationary solution of W_k = (W_{k-1} + 1) A_k, run for the spec's
     ``aux_horizon`` steps. Other models raise UnsupportedCaseError.
+
+    With ``signs`` (a list of +1 and -1) it returns a list: the estimate
+    at s * theta for each s, from one ``closed_form_terms`` call. Its
+    projections u and w are linear in theta and negation is exact, so
+    (s u, s w) are the bits of the terms at s * theta.
     """
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
+    if signs is not None:
+        _check_signs(signs)
     u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream,
                                            threads)
-    return _closed_form_estimate(spec, u, w, horizon)
+    if signs is None:
+        return _closed_form_estimate(spec, u, w, horizon)
+    return [_closed_form_estimate(spec, s * u, s * w, horizon)
+            for s in signs]
 
 
 def _closed_form_estimate(spec, u: np.ndarray, w: np.ndarray,

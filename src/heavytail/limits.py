@@ -198,40 +198,32 @@ def _a_n_for(spec, n: int, stream: RngStream) -> float:
     return scale * (n * c) ** (1.0 / alpha)
 
 
-def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
-          replicas: int = 50_000, horizon: int = 64,
-          threads: int = 1) -> float:
-    """b at the tail-process direction ``th``, clipped at 0: the closed
-    form when available, else the tail-process route."""
+def _b_route(spec, th: Direction, alpha: float, stream: RngStream,
+             threads: int = 1, signs=None, replicas: int = 50_000,
+             horizon: int = 64):
+    """Estimate of b at the tail-process direction ``th`` (a list, one per
+    sign, with ``signs``): the closed form when available, else the
+    tail-process route."""
     if spec.has_closed_form:
-        est = cluster.closed_form_cluster_index(spec, th, replicas, stream,
-                                                threads)
-    else:
-        est = cluster.cluster_index_tail_process(
-            spec, th, alpha, horizon, replicas, stream, threads)
-    return max(est.value, 0.0)
+        return cluster.closed_form_cluster_index(spec, th, replicas, stream,
+                                                 threads, signs=signs)
+    return cluster.cluster_index_tail_process(
+        spec, th, alpha, horizon, replicas, stream, threads, signs=signs)
+
+
+def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
+          threads: int = 1) -> float:
+    """b at the tail-process direction ``th``, clipped at 0."""
+    return max(_b_route(spec, th, alpha, stream, threads).value, 0.0)
 
 
 def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
-                threads: int = 1, replicas: int = 50_000,
-                horizon: int = 64):
-    """(b(theta), b(-theta)), each clipped at 0, from one batch of draws
-    on substream 0xB0, by the route ``_b_at`` takes. The closed form's
-    projections u and w are linear in the direction, so (-u, -w) from the
-    same call gives b(-theta); a tail-process batch does not depend on the
-    direction, so one batch is reduced along theta and -theta."""
-    th = spec.tail_direction(theta)
-    stream = stream.substream(0xB0)
-    if spec.has_closed_form:
-        u, w, k = spec.closed_form_terms(th.vector, replicas, stream,
-                                         threads)
-        ests = (cluster._closed_form_estimate(spec, u, w, k),
-                cluster._closed_form_estimate(spec, -u, -w, k))
-    else:
-        ests = cluster._mc_functional(
-            spec, [(d, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS)
-                   for d in (th, th.negated())],
-            alpha, horizon, replicas, stream, threads)
+                threads: int = 1):
+    """(b(theta), b(-theta)), each clipped at 0, from one draw on substream
+    0xB0: one tail-process batch reduced along theta and -theta, or one
+    closed-form call whose terms are negated for -theta."""
+    ests = _b_route(spec, spec.tail_direction(theta), alpha,
+                    stream.substream(0xB0), threads, signs=(1, -1))
     return tuple(max(e.value, 0.0) for e in ests)
 
 

@@ -279,9 +279,9 @@ class TestThreads:
         spec = request.getfixturevalue(fixture)
         th = spec.tail_direction(Direction([1.0]))
         alpha = models.tail_index(spec)
-        one, two = (limits._b_at(spec, th, alpha, derive_stream(42, 5),
-                                 replicas=self.REPLICAS, horizon=8,
-                                 threads=t) for t in (1, 2))
+        one, two = (limits._b_route(spec, th, alpha, derive_stream(42, 5),
+                                    t, replicas=self.REPLICAS, horizon=8)
+                    for t in (1, 2))
         assert one == two
 
     @pytest.mark.parametrize("fixture", ["kesten_lognormal",
@@ -289,10 +289,11 @@ class TestThreads:
     def test_b_pair_identical_on_one_and_two_threads(self, request,
                                                      fixture):
         spec = request.getfixturevalue(fixture)
+        th = spec.tail_direction(Direction([1.0]))
         alpha = models.tail_index(spec)
-        one, two = (limits._b_pair_for(spec, Direction([1.0]), alpha,
-                                       derive_stream(42, 5), threads=t,
-                                       replicas=self.REPLICAS, horizon=8)
+        one, two = (limits._b_route(spec, th, alpha, derive_stream(42, 5),
+                                    t, signs=(1, -1),
+                                    replicas=self.REPLICAS, horizon=8)
                     for t in (1, 2))
         assert one == two
 
@@ -326,20 +327,31 @@ class TestSharedBatch:
     @pytest.mark.parametrize("fixture", ["garch_benchmark",
                                          "kesten_lognormal",
                                          "ar_sympareto15"])
-    def test_b_pair_is_b_at_both_signs_on_one_substream(self, request,
-                                                        fixture):
+    def test_signed_estimates_are_the_calls_at_each_sign(self, request,
+                                                         fixture):
         # the tail-process route (GARCH) and the closed form (the others)
-        # give b(-theta) from the draws of b(theta), on substream 0xB0
+        # give b(-theta) from the draws of b(theta)
         spec = request.getfixturevalue(fixture)
         alpha = models.tail_index(spec)
-        stream = derive_stream(42, 7)
-        pair = limits._b_pair_for(spec, Direction([1.0]), alpha, stream,
-                                  replicas=self.REPLICAS, horizon=8)
         th = spec.tail_direction(Direction([1.0]))
-        want = tuple(limits._b_at(spec, d, alpha, stream.substream(0xB0),
-                                  replicas=self.REPLICAS, horizon=8)
-                     for d in (th, th.negated()))
-        assert pair == want
+        stream = derive_stream(42, 7).substream(0xB0)
+        pair = limits._b_route(spec, th, alpha, stream, signs=(1, -1),
+                               replicas=self.REPLICAS, horizon=8)
+        alone = [limits._b_route(spec, d, alpha, stream,
+                                 replicas=self.REPLICAS, horizon=8)
+                 for d in (th, th.negated())]
+        assert pair == alone
+
+    def test_signs_must_be_plus_or_minus_one(self, kesten_lognormal):
+        for signs in ((), (1, 2), (0,)):
+            with pytest.raises(ParameterError):
+                cluster_index_tail_process(
+                    kesten_lognormal, Direction([1.0]), 1.5, 8,
+                    self.REPLICAS, derive_stream(42, 7), signs=signs)
+            with pytest.raises(ParameterError):
+                closed_form_cluster_index(
+                    kesten_lognormal, Direction([1.0]), 100,
+                    derive_stream(42, 7), signs=signs)
 
     def test_theta0_law_is_built_once_per_spec(self, ar_sympareto15,
                                                monkeypatch):

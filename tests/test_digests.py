@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "71e404e36bf2b7cb0923e1fc31d77594"
-                       "058dcc053feffad8f2a6094e3e90a433",
-        "summary.json": "0735744eed2a35cc5522a5548bd996fa"
-                        "f39232ff8e936fa3ec8b12d23d60cfac",
+        "cluster.csv": "f18bb61d6a589aa941b59b8b34c6de95"
+                       "3bc295b98d862f6bf98733ef7ba51611",
+        "summary.json": "81189bedbc108445b7a3cd7b5f58c016"
+                        "877ab760fa8ef376113ca67bbfee7f75",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"
@@ -64,10 +64,10 @@ RUN_DIGESTS = {
                         "c45af8c1ad5c5a0d2de879352ec93582",
     },
     "golden_report_garch.cfg": {
-        "report.csv": "cfea9dd0a1821a67f208ba4bb24be08e"
-                      "72e18490246168ac4c13fd931ff9de9c",
-        "summary.json": "9593c86c518a12240cc079de66f0ff60"
-                        "bca2f468a9599510d9c610fe09eab430",
+        "report.csv": "c8e0c84f614a98aa5ea0f7b8fd5a0af0"
+                      "535fe14d0ea88c1f2bad51c56f217f23",
+        "summary.json": "195e7adeef8dac24167844ad69716ae6"
+                        "f4a2de93285037232823d60c793ea35e",
     },
     "golden_ldp_var1.cfg": {
         "ldp.csv": "d1b4d1c469a3c9a78ab12cade9dddbf3"
