@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/config error, 3 numeric-regime error.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -618,6 +617,8 @@ def run(config: ExperimentConfig, out_dir: str = None,
 
 
 def main(argv=None) -> int:
+    import argparse  # the console entry point alone parses arguments
+
     parser = argparse.ArgumentParser(
         prog="heavytail",
         description="Monte Carlo laboratory for cluster indices, stable "

@@ -4,6 +4,7 @@ differences, and the half-space limit measure they determine."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -142,12 +143,13 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
                    least_horizon: int = 0) -> list:
     """Shared argument checks of the Monte Carlo routes, then per-path
     functionals of one batch of the spec's tail-process draws.
-    ``functionals`` lists (theta, reduce_paths, route): each projects the
-    batch on its theta and reduces it per fixed-size chunk to
-    (n, mean, M2), merged in chunk order. The tail process does not depend
-    on theta, so every functional reads the same draws, and each estimate
-    has the bits it would have alone on the same stream. One estimate per
-    functional, in order."""
+    ``functionals`` lists (theta, reduce_paths, route). Each fixed-size
+    chunk is drawn and reduced block by block in ``models``: a block's
+    projection on theta goes straight to reduce_paths, and the chunk's
+    per-path values to (n, mean, M2), merged in chunk order. The tail
+    process does not depend on theta, so every functional reads the same
+    draws, and each estimate has the bits it would have alone on the same
+    stream. One estimate per functional, in order."""
     if horizon < least_horizon:
         raise ParameterError(
             f"{horizon_name} must be at least {least_horizon}")
@@ -156,17 +158,14 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     spec_alpha = models.tail_index(spec)
+    reducers = [(theta.vector, functools.partial(reduce_paths, alpha=alpha))
+                for theta, reduce_paths, _ in functionals]
 
     def one(i):
         take = min(_CHUNK, replicas - i * _CHUNK)
-        paths = models.sample_tail_process_batch(
-            spec, horizon, take, stream.substream(i), spec_alpha)
-        parts = []
-        for theta, reduce_paths, _ in functionals:
-            if paths.shape[2] != theta.dim:
-                raise ParameterError("direction dimension mismatch")
-            parts.append(_moments(reduce_paths(paths @ theta.vector, alpha)))
-        return parts
+        vals = models.sample_tail_process_batch(
+            spec, horizon, take, stream.substream(i), spec_alpha, reducers)
+        return [_moments(v) for v in vals]
 
     n_chunks = -(-replicas // _CHUNK)
     chunks = randkit._map_chunks(one, n_chunks, threads)

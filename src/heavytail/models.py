@@ -29,10 +29,12 @@ _CLOSED_AUX = 0x0C
 
 _BLOWUP = 1e280
 _AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
-# path sums draw and reduce in blocks that stay in a core's L2 cache
-_SUM_BLOCK = 1 << 16  # floats of linear-chain innovations per block
+# path sums, tail processes and the auxiliary chain draw and reduce in
+# blocks that stay in a core's L2 cache
+_SUM_BLOCK = 1 << 16  # floats of draws per block: linear-chain sums, aux chain
 _RECURSION_BLOCK = 256  # recurrence replicas per block
 _STEP_BLOCK = 64  # volatility-recursion steps drawn per block
+_TAIL_BLOCK = 512  # tail-process replicas per block
 
 _POSITIVE_FAMILIES = (randkit.PARETO, randkit.LOGNORMAL)
 _SYMMETRIC_FAMILIES = (randkit.SYMMETRIC_PARETO, randkit.GAUSSIAN)
@@ -49,15 +51,30 @@ class ModelSpec:
     the methods ``tail_index()``, ``paths(n, burn_in, replicas, stream)``
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
     (replicas,) partial sums S_n of a scalar observable on the same
-    draws), ``tail_process(horizon, replicas, stream, alpha)`` returning
-    (replicas, horizon+1, d) spectral-tail-process angles,
+    draws), ``tail_process(horizon, replicas, stream, alpha, tvs)``,
     ``conditional_states(y, m, reps, stream)`` for the drift fit, and
     ``default_burn``, the warm-up of the pilot and the limit-theorem
     scans, derived from the family's own contraction rate. The defaults
     below cover the common case.
+
+    ``tail_process`` yields the spectral tail process (Theta_0, ...,
+    Theta_T) of ``replicas`` paths in blocks of at most ``_TAIL_BLOCK``
+    consecutive replicas, in replica order. It draws Theta_0 for all
+    replicas first and the rest block by block, with the bytes of one
+    draw over all of them. For a block of m replicas it yields one array
+    per entry of ``tvs``: the (m, horizon+1) projection theta'Theta_t of
+    a direction vector theta, with the bits of the matrix product of the
+    block's (m, horizon+1, d) angles with theta, or for None those
+    angles themselves. No array spans more than one block, apart from
+    Theta_0. ``tail_dim`` is d.
     """
 
     has_closed_form = False
+
+    @property
+    def tail_dim(self) -> int:
+        """Dimension d of the tail process: that of X by default."""
+        return self.dim
 
     def theta0_law(self) -> tailstats.AngularMeasure:
         """Law of the exceedance angle Theta_0, a discrete measure on the
@@ -247,14 +264,19 @@ class Var1Spec(ModelSpec):
         return tailstats.merged_measure(
             units[keep] / norms[keep, None], weights[keep])
 
-    def tail_process(self, horizon, replicas, stream, alpha):
-        theta = np.empty((replicas, horizon + 1, self.dim))
-        cur = self.theta0(replicas, stream)
-        theta[:, 0] = cur
-        for t in range(1, horizon + 1):
-            cur = cur @ self.a_matrix.T
-            theta[:, t] = cur
-        return theta
+    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+        """Theta_t = A^t Theta_0, one matrix product a step on each
+        block's rows. A product of two rows or more has the bits of the
+        whole chunk's (a lone row is never a block of its own)."""
+        starts = self.theta0(replicas, stream)
+        for lo, hi in _block_bounds(replicas):
+            cur = starts[lo:hi]
+            theta = np.empty((hi - lo, horizon + 1, self.dim))
+            theta[:, 0] = cur
+            for t in range(1, horizon + 1):
+                cur = cur @ self.a_matrix.T
+                theta[:, t] = cur
+            yield [theta if tv is None else theta @ tv for tv in tvs]
 
     def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta'(I-A)^{-1} Theta_0 and w = theta'A(I-A)^{-1} Theta_0;
@@ -346,7 +368,7 @@ class KestenSpec(ModelSpec):
         return _solve_moment_equation(
             lambda k: randkit.law_moment(self.a_law, k) - 1.0)
 
-    def _a_moment(self, s: float) -> float:
+    def _a_moment(self, s):
         return randkit.law_moment(self.a_law, s)
 
     @functools.cached_property
@@ -411,14 +433,22 @@ class KestenSpec(ModelSpec):
         raise UnsupportedLawError(
             "no exact exceedance-angle law for this additive family")
 
-    def tail_process(self, horizon, replicas, stream, alpha):
-        theta = np.empty((replicas, horizon + 1, 1))
-        theta[:, 0] = theta0 = self.theta0(replicas, stream)
-        mults = sample_law(stream, self.a_law, replicas * horizon).reshape(
-            replicas, horizon) if horizon else np.empty((replicas, 0))
-        np.cumprod(mults, axis=1, out=theta[:, 1:, 0])
-        theta[:, 1:, 0] *= theta0
-        return theta
+    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+        """Theta_t = A_1 ... A_t Theta_0: each block's multipliers (a law
+        whose draws split) run their cumulative product in the block's
+        output. A projection is one product with theta, the bits of the
+        one-term matrix product."""
+        starts = self.theta0(replicas, stream)[:, 0]
+        for lo, hi in _block_bounds(replicas):
+            start = starts[lo:hi]
+            m = hi - lo
+            theta = np.empty((m, horizon + 1))
+            theta[:, 0] = start
+            mults = sample_law(stream, self.a_law, m * horizon)
+            np.cumprod(mults.reshape(m, horizon), axis=1, out=theta[:, 1:])
+            theta[:, 1:] *= start[:, None]
+            yield [theta[..., None] if tv is None else theta * tv[0]
+                   for tv in tvs]
 
     def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
@@ -433,14 +463,18 @@ class KestenSpec(ModelSpec):
 
         def block(i):
             # block i of the chain reads substream i alone, so the blocks
-            # run in any order, on any number of threads, with one result
+            # run in any order, on any number of threads, with one result;
+            # its (k, m) time-major multipliers are drawn a cache-sized
+            # slab of rows at a time (the law's draws split)
             m = min(_AUX_BLOCK, replicas - i * _AUX_BLOCK)
-            a = sample_law(aux_stream.substream(i), self.a_law,
-                           k * m).reshape(k, m)
+            sub = aux_stream.substream(i)
+            rows = max(1, _SUM_BLOCK // m)
             chain = np.zeros(m)
-            for step in a:  # row t holds step t of every replica
-                chain += 1.0
-                chain *= step
+            for t0 in range(0, k, rows):
+                slab = sample_law(sub, self.a_law, min(rows, k - t0) * m)
+                for step in slab.reshape(-1, m):  # step t of every replica
+                    chain += 1.0
+                    chain *= step
             return chain
 
         n_blocks = -(-replicas // _AUX_BLOCK)
@@ -481,6 +515,7 @@ class Garch11Spec(ModelSpec):
     beta1: float
 
     dim = 1
+    tail_dim = 2
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "beta1"):
@@ -581,28 +616,45 @@ class Garch11Spec(ModelSpec):
         u = stream.rng.random(replicas)
         return np.interp(u, cdf, z)
 
-    def tail_process(self, horizon, replicas, stream, alpha):
-        """(Theta_t) = (sigma_t, X_t) / |(sigma_0, X_0)|, built in the
-        output: sigma_t^2 / sigma_0^2 is the running product of
-        a1 Z_s^2 + b1 over s < t, and X_t = sigma_t Z_t."""
+    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+        """(Theta_t) = (sigma_t, X_t) / |(sigma_0, X_0)|: sigma_t^2 /
+        sigma_0^2 is the running product of a1 Z_s^2 + b1 over s < t, and
+        X_t = sigma_t Z_t. Each block builds sigma in place over its
+        multipliers, then X. A direction with no sigma weight (the CLI's
+        theta = (0, +-1)) projects X alone: 0 sigma + X is X exactly, so
+        the (sigma, X) pairs are formed only for other directions."""
+        def project(sigma, x, tv):
+            if tv is not None and tv[0] == 0.0:
+                return x * tv[1]
+            pairs = np.stack([sigma, x], axis=-1)
+            return pairs if tv is None else pairs @ tv
+
         z0 = self._tilted_z0(alpha, replicas, stream)
         s0 = np.sqrt(1.0 + z0 ** 2)
-        theta = np.empty((replicas, horizon + 1, 2))
-        theta[:, 0, 0] = 1.0 / s0
-        theta[:, 0, 1] = z0 / s0
-        if horizon:
-            sigma, x = theta[:, 1:, 0], theta[:, 1:, 1]
-            x[...] = stream.rng.standard_normal((replicas, horizon))
-            sigma[:, 0] = z0
-            sigma[:, 1:] = x[:, :-1]
-            np.square(sigma, out=sigma)
-            sigma *= self.alpha1
-            sigma += self.beta1
-            np.cumprod(sigma, axis=1, out=sigma)
-            np.sqrt(sigma, out=sigma)
-            sigma /= s0[:, None]
-            x *= sigma
-        return theta
+        # one set of buffers that each block overwrites
+        rows = min(replicas, _TAIL_BLOCK + 1)
+        normals = np.empty((rows, horizon))
+        sigmas = np.empty((rows, horizon + 1))
+        xs = np.empty((rows, horizon + 1))
+        for lo, hi in _block_bounds(replicas):
+            zb, sb = z0[lo:hi], s0[lo:hi]
+            m = hi - lo
+            sigma, x = sigmas[:m], xs[:m]
+            sigma[:, 0] = 1.0 / sb
+            x[:, 0] = zb / sb
+            if horizon:
+                z = stream.rng.standard_normal(out=normals[:m])
+                mult = sigma[:, 1:]
+                mult[:, 0] = zb
+                mult[:, 1:] = z[:, :-1]
+                np.square(mult, out=mult)
+                mult *= self.alpha1
+                mult += self.beta1
+                np.cumprod(mult, axis=1, out=mult)
+                np.sqrt(mult, out=mult)
+                mult /= sb[:, None]
+                np.multiply(z, mult, out=x[:, 1:])
+            yield [project(sigma, x, tv) for tv in tvs]
 
     def stationary_mean(self):
         return np.zeros(1)
@@ -675,24 +727,29 @@ def horizon_for_tolerance(beta: float, tol: float = 1e-4,
 # internal helpers
 
 
-def _row_blocks(stream: RngStream, law: TailLaw, replicas: int, total: int,
-                rows: int):
-    """Yield (lo, z): z holds the (m, total) draws of replicas lo .. lo+m-1,
-    in blocks of ``rows`` replicas, with the bytes of one
-    ``sample_law(stream, law, replicas * total)`` call. A law whose draws
-    split (``randkit.draws_split``) is drawn block by block; any other is
-    drawn whole and sliced. A lone last replica joins the block before it:
-    ``einsum`` reduces a one-row operand whose row is longer than numpy's
-    8,192-element buffer along another path, with other bits."""
+def _block_bounds(replicas: int, rows: int = _TAIL_BLOCK):
+    """(lo, hi) of consecutive blocks of ``rows`` replicas, a lone last
+    replica joining the block before it: numpy takes another route for a
+    one-row operand (``einsum`` past its 8,192-element buffer, ``matmul``
+    through BLAS), with other bits."""
     bounds = list(range(0, replicas, rows))
     if len(bounds) > 1 and replicas - bounds[-1] == 1:
         bounds.pop()
-    bounds.append(replicas)
+    return list(zip(bounds, bounds[1:] + [replicas]))
+
+
+def _row_blocks(stream: RngStream, law: TailLaw, replicas: int, total: int,
+                rows: int):
+    """Yield (lo, z): z holds the (m, total) draws of replicas lo .. lo+m-1,
+    in the blocks of ``_block_bounds``, with the bytes of one
+    ``sample_law(stream, law, replicas * total)`` call. A law whose draws
+    split (``randkit.draws_split``) is drawn block by block; any other is
+    drawn whole and sliced."""
     whole = None
     if not randkit.draws_split(law):
         whole = sample_law(stream, law, replicas * total).reshape(
             replicas, total)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _block_bounds(replicas, rows):
         if whole is None:
             yield lo, sample_law(stream, law, (hi - lo) * total).reshape(
                 hi - lo, total)
@@ -732,11 +789,12 @@ def _contraction_burn(a: np.ndarray, tol: float = 2.0 ** -53) -> int:
 
 
 def _moment_horizon(moment, lo: float, hi: float) -> int:
-    """Smallest K >= 1 with rho^K <= 2^-53, rho the least ``moment(s)``
-    on a 1,025-point grid of [lo, hi]: the s-th moment of the factor by
-    which one step shrinks the gap between two paths on the same draws.
-    A grid minimum with both ends can only overstate rho and lengthen K."""
-    rho = min(moment(s) for s in np.linspace(lo, hi, 1025))
+    """Smallest K >= 1 with rho^K <= 2^-53, rho the least of ``moment``
+    on a 1,025-point grid of [lo, hi], evaluated in one call on the grid
+    array: the s-th moment of the factor by which one step shrinks the
+    gap between two paths on the same draws. A grid minimum with both
+    ends can only overstate rho and lengthen K."""
+    rho = float(np.min(moment(np.linspace(lo, hi, 1025))))
     if not rho < 1.0:
         raise ParameterError(f"no s in [{lo:g}, {hi:g}] with E A^s < 1")
     k = max(1, math.ceil(53 * math.log(2.0) / -math.log(rho)) - 1)
@@ -766,22 +824,33 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     return flat[:, :t]
 
 
+@functools.cache
 def _gh_nodes():
+    """Read-only nodes and weights of the 128-point Gauss-Hermite rule for
+    standard Gaussian Z, built on first use: only GARCH specs read them."""
     nodes, weights = np.polynomial.hermite.hermgauss(128)
-    return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
-
-
-_GH_Z, _GH_W = _gh_nodes()
+    table = math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _garch_log_moment(a1: float, b1: float) -> float:
     """E log(a1 Z^2 + b1) for standard Gaussian Z (Gauss-Hermite)."""
-    return float(np.sum(_GH_W * np.log(a1 * _GH_Z ** 2 + b1)))
+    z, w = _gh_nodes()
+    return float(np.sum(w * np.log(a1 * z ** 2 + b1)))
 
 
-def _garch_power_moment(a1: float, b1: float, kappa: float) -> float:
-    """E (a1 Z^2 + b1)^(kappa/2) for standard Gaussian Z."""
-    return float(np.sum(_GH_W * (a1 * _GH_Z ** 2 + b1) ** (kappa / 2.0)))
+def _garch_power_moment(a1: float, b1: float, kappa):
+    """E (a1 Z^2 + b1)^(kappa/2) for standard Gaussian Z. An array of
+    kappa gives one moment per entry, the row sums of one (kappa, node)
+    table; a float keeps numpy's scalar-power fast paths."""
+    z, w = _gh_nodes()
+    base = a1 * z ** 2 + b1
+    if np.ndim(kappa):
+        return np.sum(w * base ** (np.asarray(kappa)[:, None] / 2.0),
+                      axis=1)
+    return float(np.sum(w * base ** (kappa / 2.0)))
 
 
 def _check_finite(x: np.ndarray, invariant: str) -> None:
@@ -884,16 +953,37 @@ def tail_index(spec) -> float:
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream, alpha: float) -> np.ndarray:
-    """(replicas, horizon+1, d) spectral-tail-process angles
-    (Theta_0, ..., Theta_T), drawn on the stream's angle child; ``alpha``
-    is the spec's tail index, solved once by the caller."""
+                              stream: RngStream, alpha: float,
+                              functionals=None):
+    """Spectral-tail-process angles (Theta_0, ..., Theta_T) of
+    ``replicas`` paths, drawn on the stream's angle child in blocks of
+    ``_TAIL_BLOCK`` replicas (``ModelSpec``); ``alpha`` is the spec's tail
+    index, solved once by the caller.
+
+    Without ``functionals``, the (replicas, horizon+1, d) angles. With a
+    list of (tv, reduce), each block's (m, horizon+1) projection
+    tv'Theta_t goes to ``reduce``, which returns the block's (m,)
+    per-path values; the result is one (replicas,) value array per item,
+    and no array of the whole batch is held."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    return spec.tail_process(horizon, replicas,
-                             stream.substream(_ANGLE_CHILD), alpha)
+    items = [(None, None)] if functionals is None else functionals
+    if any(tv is not None and tv.size != spec.tail_dim for tv, _ in items):
+        raise ParameterError("direction dimension mismatch")
+    outs = [np.empty((replicas, horizon + 1, spec.tail_dim) if reduce is None
+                     else replicas) for _, reduce in items]
+    lo = 0
+    for rows in spec.tail_process(horizon, replicas,
+                                  stream.substream(_ANGLE_CHILD), alpha,
+                                  [tv for tv, _ in items]):
+        m = len(rows[0])
+        for out, (_, reduce), row in zip(outs, items, rows):
+            out[lo:lo + m] = row if reduce is None else reduce(row)
+        lo += m
+        del rows, row  # free this block's projections before the next
+    return outs[0] if functionals is None else outs
 
 
 # ---------------------------------------------------------------------------

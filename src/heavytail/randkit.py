@@ -265,11 +265,21 @@ def law_log_mean(law: TailLaw) -> float:
     raise UnsupportedLawError(f"{law.family} is not a positive family")
 
 
-def law_moment(law: TailLaw, kappa: float) -> float:
+def law_moment(law: TailLaw, kappa):
     """E X^kappa (kappa >= 0) for the positive families: Pareto
     alpha scale^kappa / (alpha - kappa), lognormal
     exp(kappa mu + kappa^2 sigma^2 / 2); +inf where the moment diverges
-    or overflows a double."""
+    or overflows a double. An array of kappa gives the moments entry by
+    entry in one numpy call; a float goes through ``math``."""
+    if np.ndim(kappa):
+        k = np.asarray(kappa, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            if law.family == LOGNORMAL:
+                return np.exp(k * law.mu + k ** 2 * law.sigma ** 2 / 2.0)
+            if law.family == PARETO:
+                return np.where(k < law.alpha, law.alpha * law.scale ** k
+                                / (law.alpha - k), np.inf)
+        raise UnsupportedLawError(f"{law.family} is not a positive family")
     try:
         if law.family == LOGNORMAL:
             return math.exp(kappa * law.mu + kappa ** 2 * law.sigma ** 2 / 2.0)

@@ -5,7 +5,11 @@ quietly drop that layer's metrics; this test fails on it instead."""
 import importlib.util
 import os
 
-from heavytail import cli, models
+import pytest
+
+from heavytail import cli, cluster, models
+from heavytail.randkit import derive_stream
+from heavytail.tailstats import Direction
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                       "tracer.py")
@@ -26,3 +30,42 @@ def test_every_traced_name_exists():
     finally:
         t.uninstall()
     assert (cli.run, models.simulate_path) == originals
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fixture", ["kesten_lognormal", "garch_benchmark"])
+def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
+                                                        threads):
+    # models.tail_process_s and models.tail_process_cells are read off the
+    # calls of sample_tail_process_batch: every Monte Carlo cluster route
+    # makes one per chunk, with the chunk's replicas and horizon, inside
+    # the route's span
+    spec = request.getfixturevalue(fixture)
+    theta = spec.tail_direction(Direction([1.0]))
+    alpha = models.tail_index(spec)
+    replicas, horizon = 2 * cluster._CHUNK + 500, 8
+    routes = {
+        "tail_process": lambda stream: cluster.cluster_index_tail_process(
+            spec, theta, alpha, horizon, replicas, stream, threads),
+        "signed": lambda stream: cluster.cluster_index_tail_process(
+            spec, theta, alpha, horizon, replicas, stream, threads,
+            signs=(1, -1)),
+        "telescoping": lambda stream: cluster.telescoping_difference(
+            spec, theta, alpha, horizon, replicas, stream, threads),
+        "extremal": lambda stream: cluster.extremal_index(
+            spec, theta, alpha, horizon, replicas, stream, threads),
+    }
+    chunks = [cluster._CHUNK, cluster._CHUNK, 500]
+    for name, route in routes.items():
+        t = _load_tracer().Tracer()
+        assert t.install() == []
+        try:
+            route(derive_stream(3, 4))
+        finally:
+            t.uninstall()
+        (top,) = [s for s in t.spans if s.parent is None]
+        batches = [s for s in t.spans
+                   if s.name == "models.sample_tail_process_batch"]
+        assert sorted(s.meta["cells"] for s in batches) == sorted(
+            take * (horizon + 1) for take in chunks), name
+        assert all(s.parent is top and s.end > s.start for s in batches)

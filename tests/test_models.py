@@ -12,10 +12,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from heavytail import models, randkit
+from heavytail import cluster, models, randkit
 from heavytail.errors import (HeavytailError, NoRootError, ParameterError,
                               UnsupportedCaseError)
 from heavytail.randkit import TailLaw, derive_stream
+from heavytail.tailstats import Direction
 
 
 def mass_at(law, direction):
@@ -281,6 +282,39 @@ def expression_garch_tail_process(spec, horizon, replicas, stream, alpha):
     return theta
 
 
+def cumprod_kesten_tail_process(spec, horizon, replicas, stream):
+    """Scalar-recurrence tail-process batch assembled whole: Theta_0, then
+    cumprod of every multiplier at once, times Theta_0."""
+    theta0 = spec.theta0(replicas, stream)
+    mults = randkit.sample_law(stream, spec.a_law, replicas * horizon)
+    theta = np.empty((replicas, horizon + 1, 1))
+    theta[:, 0] = theta0
+    theta[:, 1:, 0] = np.cumprod(mults.reshape(replicas, horizon),
+                                 axis=1) * theta0
+    return theta
+
+
+def matmul_var1_tail_process(spec, horizon, replicas, stream):
+    """Linear-chain tail-process batch: one matrix product a step on the
+    rows of the whole batch."""
+    theta = np.empty((replicas, horizon + 1, spec.dim))
+    cur = theta[:, 0] = spec.theta0(replicas, stream)
+    for t in range(1, horizon + 1):
+        cur = cur @ spec.a_matrix.T
+        theta[:, t] = cur
+    return theta
+
+
+def angle_stream(master_seed, stream_id, chunk=None):
+    """The stream a tail-process batch draws on: the angle child of
+    ``derive_stream(master_seed, stream_id)``, or of its substream
+    ``chunk``."""
+    stream = derive_stream(master_seed, stream_id)
+    if chunk is not None:
+        stream = stream.substream(chunk)
+    return stream.substream(models._ANGLE_CHILD)
+
+
 class TestPathFreeSums:
     @pytest.mark.parametrize("a, family", [
         (0.5, randkit.PARETO), (0.0, randkit.PARETO),
@@ -474,15 +508,35 @@ class TestWarmUp:
     @pytest.mark.parametrize("moment, lo, hi", [
         (lambda s: 0.5, 0.0, 1.0),
         (lambda s: 2.0 ** -53, 0.0, 1.0),
-        (lambda s: math.exp(-0.75 * s + s * s / 2.0), 0.0, 1.0),
-        (lambda s: math.exp(-0.5 * s + s * s / 4.0), 0.0, 1.0),
+        (lambda s: np.exp(-0.75 * s + s * s / 2.0), 0.0, 1.0),
+        (lambda s: np.exp(-0.5 * s + s * s / 4.0), 0.0, 1.0),
         (lambda s: models._garch_power_moment(0.5, 0.55, s), 0.0, 1.0),
         (lambda s: 1.0 - 1e-3 * s, 0.25, 0.5)])
     def test_horizon_is_the_least_that_contracts(self, moment, lo, hi):
         k = models._moment_horizon(moment, lo, hi)
-        rho = min(moment(s) for s in np.linspace(lo, hi, 1025))
+        rho = float(np.min(moment(np.linspace(lo, hi, 1025))))
         assert k >= 1
         assert rho ** k <= 2.0 ** -53 < rho ** (k - 1)
+
+    @pytest.mark.parametrize("moment, lo, hi", [
+        # the bench and report GARCH laws, and the Kesten laws over the
+        # ranges of their warm-up and of their auxiliary chain
+        (lambda s: models._garch_power_moment(0.5, 0.55, s), 0.0, 1.0),
+        (lambda s: models._garch_power_moment(0.1, 0.85, s), 0.0, 1.0),
+        (lambda s: randkit.law_moment(BENCH_KESTEN["a_law"], s), 0.0, 0.75),
+        (lambda s: randkit.law_moment(BENCH_KESTEN["a_law"], s), 0.5, 1.0),
+        (lambda s: randkit.law_moment(
+            TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)), s),
+         0.0, 1.0),
+        (lambda s: randkit.law_moment(
+            TailLaw(randkit.PARETO, alpha=2.0, scale=0.2), s), 0.0, 1.0)])
+    def test_grid_minimum_is_the_pointwise_minimum(self, moment, lo, hi):
+        # one array call over the grid against one call per point; numpy's
+        # array exp and power may round an entry differently, and the
+        # horizon reads the minimum alone
+        grid = np.linspace(lo, hi, 1025)
+        pointwise = min(moment(s) for s in grid)
+        assert float(np.min(moment(grid))) == pointwise
 
     def test_no_contraction_is_rejected(self):
         with pytest.raises(ParameterError, match="E A"):
@@ -554,20 +608,24 @@ class TestTailProcess:
     def test_garch_batch_matches_expression_form(self, horizon):
         spec = models.Garch11Spec(0.05, 0.5, 0.55)
         alpha = spec.tail_index()
-        got = spec.tail_process(horizon, 3000, derive_stream(6, 7), alpha)
+        got = models.sample_tail_process_batch(spec, horizon, 3000,
+                                               derive_stream(6, 7), alpha)
         want = expression_garch_tail_process(spec, horizon, 3000,
-                                             derive_stream(6, 7), alpha)
+                                             angle_stream(6, 7), alpha)
         assert got.tobytes() == want.tobytes()
 
     def test_garch_batch_is_built_in_its_output(self, garch_benchmark):
-        # the 8,192 x 65 x 2 output is 8.5 MB; the normals add 4.2 MB
+        # the 8,192 x 65 x 2 output is 8.5 MB; the tilted-angle table's
+        # build and one 512-replica block (normals, sigma, X and their
+        # pairs) add about 2.2 MB
         tracemalloc.start()
         try:
-            garch_benchmark.tail_process(64, 8192, derive_stream(6, 8), 2.0)
+            models.sample_tail_process_batch(garch_benchmark, 64, 8192,
+                                             derive_stream(6, 8), 2.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 12e6
 
     @pytest.mark.parametrize("b_law", [
         TailLaw(randkit.PARETO, alpha=10.0),
@@ -580,16 +638,126 @@ class TestTailProcess:
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
             b_law=b_law)
         replicas = 3000
-        got = spec.tail_process(horizon, replicas, derive_stream(6, 6),
-                                spec.tail_index())
-        stream = derive_stream(6, 6)
-        theta0 = spec.theta0(replicas, stream)
-        mults = randkit.sample_law(stream, spec.a_law, replicas * horizon)
-        want = np.empty((replicas, horizon + 1, 1))
-        want[:, 0] = theta0
-        want[:, 1:, 0] = np.cumprod(mults.reshape(replicas, horizon),
-                                    axis=1) * theta0
+        got = models.sample_tail_process_batch(spec, horizon, replicas,
+                                               derive_stream(6, 6),
+                                               spec.tail_index())
+        want = cumprod_kesten_tail_process(spec, horizon, replicas,
+                                           angle_stream(6, 6))
         assert got.tobytes() == want.tobytes()
+
+
+def _sum_values(proj, alpha=1.4):
+    return cluster._sum_difference(proj, alpha)
+
+
+def _sup_values(proj, alpha=1.4):
+    return cluster._sup_difference(proj, alpha)
+
+
+# each family with its whole-batch reference and a direction
+BLOCKED_FAMILIES = {
+    "var1_1d": (lambda: models.Var1Spec(
+        1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[-0.7]])), matmul_var1_tail_process, [1.0]),
+    "var1_2d": (lambda: models.Var1Spec(
+        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+        weights=np.array([1.0, 2.0])), matmul_var1_tail_process,
+        [0.6, -0.8]),
+    "kesten": (lambda: models.KestenSpec(
+        a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+        b_law=TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0)),
+        cumprod_kesten_tail_process, [1.0]),
+    "garch": (lambda: models.Garch11Spec(0.05, 0.5, 0.55),
+              lambda spec, horizon, replicas, stream:
+              expression_garch_tail_process(spec, horizon, replicas, stream,
+                                            spec.tail_index()),
+              [0.0, 1.0]),
+    "garch_sigma": (lambda: models.Garch11Spec(0.05, 0.1, 0.85),
+                    lambda spec, horizon, replicas, stream:
+                    expression_garch_tail_process(
+                        spec, horizon, replicas, stream, spec.tail_index()),
+                    [0.6, 0.8]),
+}
+
+
+class TestBlockedTailProcess:
+    """Routes draw and reduce each chunk in blocks of ``_TAIL_BLOCK``
+    replicas; every value keeps the bytes of the whole-chunk batch
+    projected on theta by a matrix product."""
+
+    BLOCK = models._TAIL_BLOCK
+
+    @pytest.mark.parametrize("family", sorted(BLOCKED_FAMILIES))
+    @pytest.mark.parametrize("horizon", [0, 1, 64])
+    @pytest.mark.parametrize("replicas", [100, BLOCK - 1, BLOCK + 1,
+                                          8192, 8193])
+    def test_values_and_angles_match_the_whole_chunk(self, family, horizon,
+                                                     replicas):
+        make, whole, tv = BLOCKED_FAMILIES[family]
+        spec, tv = make(), np.array(tv)
+        alpha = spec.tail_index()
+        ref = whole(spec, horizon, replicas, angle_stream(6, 20))
+        got = models.sample_tail_process_batch(
+            spec, horizon, replicas, derive_stream(6, 20), alpha,
+            [(tv, _sum_values), (-tv, _sum_values), (tv, _sup_values)])
+        want = [_sum_values(ref @ tv), _sum_values(ref @ -tv),
+                _sup_values(ref @ tv)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        angles = models.sample_tail_process_batch(
+            spec, horizon, replicas, derive_stream(6, 20), alpha)
+        assert angles.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(BLOCKED_FAMILIES))
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("horizon", [0, 1, 64])
+    def test_signed_route_matches_whole_chunk_moments(self, family,
+                                                      threads, horizon):
+        # three chunks, the last partial: each chunk's (n, mean, M2) from
+        # the whole-chunk values, merged in chunk order
+        make, whole, tv = BLOCKED_FAMILIES[family]
+        spec = make()
+        theta = Direction(tv)
+        alpha = spec.tail_index()
+        replicas = 2 * cluster._CHUNK + self.BLOCK + 1
+        got = cluster.cluster_index_tail_process(
+            spec, theta, 1.4, horizon, replicas, derive_stream(6, 21),
+            threads=threads, signs=(1, -1))
+        for est, sign in zip(got, (1, -1)):
+            parts = []
+            for i, lo in enumerate(range(0, replicas, cluster._CHUNK)):
+                take = min(cluster._CHUNK, replicas - lo)
+                ref = whole(spec, horizon, take, angle_stream(6, 21, i))
+                parts.append(cluster._moments(
+                    _sum_values(ref @ (sign * theta.vector))))
+            _, mean, m2 = cluster._merge_moments(parts)
+            assert (est.value, est.std_error, est.plug_in_se) == (
+                mean, math.sqrt(m2 / (replicas - 1) / replicas),
+                math.sqrt(m2) / replicas)
+        assert alpha > 0
+
+    def test_garch_route_chunk_holds_blocks(self, garch_benchmark):
+        # one 8,192-replica, 64-step route chunk along both signs: the
+        # whole batch would be 8.5 MB and its projections 4.3 MB each
+        alpha = garch_benchmark.tail_index()
+        garch_benchmark._tilted_z0(alpha, 1, derive_stream(6, 22))
+        tv = np.array([0.0, 1.0])
+        tracemalloc.start()
+        try:
+            models.sample_tail_process_batch(
+                garch_benchmark, 64, 8192, derive_stream(6, 22), alpha,
+                [(tv, _sum_values), (-tv, _sum_values)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_direction_of_the_wrong_dimension_is_rejected(
+            self, garch_benchmark):
+        with pytest.raises(ParameterError, match="dimension"):
+            models.sample_tail_process_batch(
+                garch_benchmark, 4, 100, derive_stream(6, 23), 2.0,
+                [(np.array([1.0]), _sum_values)])
 
 
 class TestExceedanceAngles:
