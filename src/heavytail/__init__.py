@@ -15,7 +15,6 @@ from .errors import (
     HeavytailError,
     InsufficientCyclesError,
     MinorizationInvalidError,
-    NoCyclesError,
     NoRootError,
     OutOfRegimeError,
     ParameterError,
@@ -36,10 +35,8 @@ from .models import (
     tail_index,
 )
 from .tailstats import (
-    AngularMeasure,
     Direction,
     TailFit,
-    angular_measure,
     hill_estimate,
 )
 from .cluster import (
@@ -64,7 +61,6 @@ from .limits import (
 from .regen import (
     MinorizationSpec,
     RegenBlocks,
-    block_spectral_measure,
     harvest_blocks,
     kac_check,
     split_step,
@@ -72,7 +68,6 @@ from .regen import (
 from .cli import ExperimentConfig, RunManifest, __version__, parse_config, run
 
 __all__ = [
-    "AngularMeasure",
     "CfComparison",
     "ClusterIndexEstimate",
     "ConfigError",
@@ -91,7 +86,6 @@ __all__ = [
     "MinorizationInvalidError",
     "MinorizationSpec",
     "ModelSpec",
-    "NoCyclesError",
     "NoRootError",
     "OutOfRegimeError",
     "ParameterError",
@@ -106,8 +100,6 @@ __all__ = [
     "UnsupportedLawError",
     "Var1Spec",
     "WidenRError",
-    "angular_measure",
-    "block_spectral_measure",
     "closed_form_cluster_index",
     "cluster_index_tail_process",
     "derive_stream",

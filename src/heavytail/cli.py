@@ -498,8 +498,7 @@ def _cmd_drift_check(config, spec, writer, threads):
                "beta_se": rep.beta_se, "intercept": rep.intercept,
                "passed": rep.passed}
     if rep.passed:
-        summary["suggested_horizon"] = rep.horizon_for()
-        summary["suggested_burn_in"] = rep.burn_in_hint()
+        summary["suggested_burn_in"] = spec.default_burn
     return summary, {"drift": STREAMS["drift"]}
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import OutOfRegimeError, ParameterError
 from . import models, randkit
 from .randkit import RngStream
-from .tailstats import Direction
+from .tailstats import Direction, lookup_direction
 
 ROUTE_TAIL_PROCESS = "tail_process"
 ROUTE_CLOSED_FORM = "closed_form"
@@ -20,7 +20,6 @@ ROUTE_TELESCOPING = "telescoping"
 _ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING)
 
 _CHUNK = 8192  # tail-process replicas per chunk, whatever the thread count
-_MATCH_TOL = 1e-9
 
 
 @dataclass
@@ -88,16 +87,7 @@ class LimitMeasureEvaluator:
                         self.flagged_directions.append(direction)
 
     def b_at(self, theta: Direction) -> float:
-        if not isinstance(theta, Direction):
-            theta = Direction(theta)
-        if theta in self.b_values:
-            return self.b_values[theta]
-        tv = theta.vector
-        for direction, value in self.b_values.items():
-            if np.linalg.norm(direction.vector - tv) <= _MATCH_TOL:
-                return value
-        raise ParameterError(
-            "direction not present in the stored half-space values")
+        return lookup_direction(self.b_values, theta, "b(theta)")
 
 
 def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,

@@ -40,10 +40,6 @@ class InsufficientCyclesError(HeavytailError):
     """Fewer complete regeneration cycles than the statistic requires."""
 
 
-class NoCyclesError(HeavytailError):
-    """No regeneration occurred in the simulated span."""
-
-
 class MinorizationInvalidError(HeavytailError):
     """Residual-kernel rejection exceeded its iteration guard: the split
     parameters do not minorize this transition kernel."""

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (InsufficientCyclesError, OutOfRegimeError,
                      ParameterError, UnsupportedCaseError, WidenRError)
 from . import cluster, models, randkit, tailstats
-from .tailstats import Direction
+from .tailstats import Direction, lookup_direction
 from .randkit import RngStream
 
 CF_GRID = np.linspace(-3.0, 3.0, 61)
@@ -51,15 +51,7 @@ class StableLawParams:
         self.c_alpha = randkit.stable_tail_constant(self.alpha)
 
     def pair_at(self, theta: Direction):
-        if not isinstance(theta, Direction):
-            theta = Direction(theta)
-        if theta in self.pairs:
-            return self.pairs[theta]
-        tv = theta.vector
-        for direction, pair in self.pairs.items():
-            if np.linalg.norm(direction.vector - tv) <= 1e-9:
-                return pair
-        raise ParameterError("direction not present in the stored pairs")
+        return lookup_direction(self.pairs, theta, "(b(theta), b(-theta))")
 
 
 def stable_cf(params: StableLawParams, theta: Direction, x: float) -> complex:
@@ -269,7 +261,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
     out = []
     for th in theta_grid:
         proj = th.theta[0] * y
-        emp = np.exp(1j * np.outer(CF_GRID, proj)).mean(axis=1)
+        emp = np.array([np.exp(1j * (x * proj)).mean() for x in CF_GRID])
         theo = np.array([stable_cf(params, th, float(x)) for x in CF_GRID])
         gap = float(np.max(np.abs(emp - theo)))
         out.append(CfComparison(grid=CF_GRID.copy(), empirical=emp,

@@ -76,18 +76,18 @@ class ModelSpec:
         """Dimension d of the tail process: that of X by default."""
         return self.dim
 
-    def theta0_law(self) -> tailstats.AngularMeasure:
+    def theta0_law(self):
         """Law of the exceedance angle Theta_0, a discrete measure on the
-        unit sphere."""
+        unit sphere: (atoms, weights), the (k, d) unit atoms and their k
+        masses, which sum to 1."""
         raise UnsupportedCaseError(
             f"no Theta_0 law for {type(self).__name__}")
 
     @functools.cached_property
     def _theta0_atoms(self):
-        """(atoms, weights) of ``theta0_law``, built on first use: the law
-        depends on the spec alone, and the routes draw Theta_0 once per
-        chunk."""
-        return self.theta0_law().as_arrays()
+        """``theta0_law``, built on first use: the law depends on the spec
+        alone, and the routes draw Theta_0 once per chunk."""
+        return self.theta0_law()
 
     def theta0(self, replicas: int, stream: RngStream) -> np.ndarray:
         """(replicas, d) draws of Theta_0 from ``theta0_law``: one uniform
@@ -261,8 +261,18 @@ class Var1Spec(ModelSpec):
         norms = np.linalg.norm(units, axis=1)
         weights = balance[live] * (big[live] * norms) ** alpha
         keep = weights >= 1e-17 * weights.max()
-        return tailstats.merged_measure(
-            units[keep] / norms[keep, None], weights[keep])
+        weights = weights[keep]
+        # atoms equal to 12 decimals merge, in first-seen order
+        merged = {}
+        for row, w in zip(units[keep] / norms[keep, None], weights):
+            key = tuple(np.round(row, 12))
+            if key in merged:
+                merged[key][1] += w
+            else:
+                merged[key] = [row, w]
+        atoms = np.array([row for row, _ in merged.values()])
+        mass = np.array([w for _, w in merged.values()])
+        return atoms, mass / np.sum(weights)
 
     def tail_process(self, horizon, replicas, stream, alpha, tvs):
         """Theta_t = A^t Theta_0, one matrix product a step on each
@@ -426,10 +436,10 @@ class KestenSpec(ModelSpec):
         """The sign law of the additive term."""
         fam = self.b_law.family
         if fam in _POSITIVE_FAMILIES:
-            return tailstats.AngularMeasure([(1.0, 1.0)])
+            return np.ones((1, 1)), np.ones(1)
         if fam in _SYMMETRIC_FAMILIES or (
                 fam == randkit.STABLE and self.b_law.skew == 0.0):
-            return tailstats.AngularMeasure([(1.0, 0.5), (-1.0, 0.5)])
+            return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
         raise UnsupportedLawError(
             "no exact exceedance-angle law for this additive family")
 
@@ -694,33 +704,6 @@ class DriftReport:
     passed: bool
     grid_v: np.ndarray
     response_v: np.ndarray
-
-    def horizon_for(self, tol: float = 1e-4, c: float = 1.0) -> int:
-        """Smallest T with c beta^T / (1 - beta) below tol."""
-        return horizon_for_tolerance(self.beta_hat, tol=tol, c=c)
-
-    def burn_in_hint(self) -> int:
-        """Default warm-up: 10 / (1 - beta)."""
-        b = min(self.beta_hat, 0.999)
-        return int(math.ceil(10.0 / (1.0 - b)))
-
-
-def horizon_for_tolerance(beta: float, tol: float = 1e-4,
-                          c: float = 1.0) -> int:
-    """Smallest T with c beta^T / (1 - beta) < tol (geometric residual)."""
-    if not 0 < beta < 1:
-        raise ParameterError("beta must lie in (0, 1)")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    t = math.log(tol * (1.0 - beta) / c) / math.log(beta)
-    k = max(1, int(math.ceil(t)))
-    # the log inversion can land exactly on (or just off) the boundary;
-    # enforce strictness and minimality directly
-    while c * beta ** k / (1.0 - beta) >= tol:
-        k += 1
-    while k > 1 and c * beta ** (k - 1) / (1.0 - beta) < tol:
-        k -= 1
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Nummelin splitting, regenerative block harvesting, and cycle-level
-consistency checks (Kac identity, block angular measure)."""
+consistency checks (Kac identity)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,8 +9,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (InsufficientCyclesError, MinorizationInvalidError,
-                     NoCyclesError, ParameterError, UnsupportedCaseError)
-from . import models, randkit, tailstats
+                     ParameterError, UnsupportedCaseError)
+from . import models, randkit
 from .randkit import RngStream, TailLaw
 
 _REJECT_GUARD = 1_000_000
@@ -322,14 +322,6 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
     return KacReport(mean_length=mean_len, expected_length=expected,
                      se=se, z_score=float(z), passed=abs(z) <= 3.0,
                      geometric_rate=rate, n_cycles=k)
-
-
-def block_spectral_measure(blocks: RegenBlocks,
-                           k: int) -> tailstats.AngularMeasure:
-    """Angular measure of the k largest complete-cycle sums."""
-    if blocks.n_cycles < 1:
-        raise NoCyclesError("no complete cycles")
-    return tailstats.angular_measure(blocks.block_sums, k)
 
 
 def stationary_small_set_mass(path, m_bound: float) -> float:

@@ -1,5 +1,5 @@
-"""Nonparametric tail machinery: Hill estimation, empirical angular
-measures, and directions on the unit sphere."""
+"""Nonparametric tail machinery: Hill estimation and directions on the
+unit sphere."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -38,6 +38,23 @@ class Direction:
         return Direction([-c for c in self.theta])
 
 
+def lookup_direction(table: dict, theta, what: str):
+    """The value ``table``, keyed by Direction, holds at ``theta`` (any
+    nonzero vector): its exact key, else the first key within 1e-9 of
+    it. ``what`` names the values in the error."""
+    if not isinstance(theta, Direction):
+        theta = Direction(theta)
+    if theta in table:
+        return table[theta]
+    tv = theta.vector
+    for direction, value in table.items():
+        if np.linalg.norm(direction.vector - tv) <= 1e-9:
+            return value
+    stored = ", ".join(str(list(d.theta)) for d in table) or "none"
+    raise ParameterError(f"direction {list(theta.theta)} has no stored "
+                         f"{what}; stored directions: {stored}")
+
+
 @dataclass
 class TailFit:
     """Hill fit of a tail index with its 95% asymptotic band."""
@@ -54,29 +71,6 @@ class TailFit:
 
     def overlaps(self, other: "TailFit") -> bool:
         return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
-
-
-@dataclass
-class AngularMeasure:
-    """Discrete distribution on the unit sphere: list of (atom, weight)."""
-
-    atoms: list
-
-    def __post_init__(self):
-        cleaned = []
-        for vec, w in self.atoms:
-            v = np.atleast_1d(np.asarray(vec, dtype=float))
-            if w < 0:
-                raise ParameterError("weights must be nonnegative")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ParameterError("atoms must lie on the unit sphere")
-            cleaned.append((v, float(w)))
-        self.atoms = cleaned
-
-    def as_arrays(self):
-        vecs = np.array([v for v, _ in self.atoms])
-        ws = np.array([w for _, w in self.atoms])
-        return vecs, ws
 
 
 def hill_estimate(samples, k: int) -> TailFit:
@@ -108,33 +102,3 @@ def hill_estimate(samples, k: int) -> TailFit:
 def default_hill_k(n: int) -> int:
     """Default exceedance count for Hill fits: floor(sqrt(n))."""
     return max(2, int(math.isqrt(n)))
-
-
-def angular_measure(vectors, k: int) -> AngularMeasure:
-    """Empirical law of X/|X| over the k largest-by-norm rows, with atoms
-    closer than 1e-12 aggregated and mass normalized to 1."""
-    x = np.atleast_2d(np.asarray(vectors, dtype=float))
-    m = x.shape[0]
-    if not (1 <= k <= m):
-        raise ParameterError(f"k must satisfy 1 <= k <= m (got k={k}, m={m})")
-    norms = np.linalg.norm(x, axis=1)
-    top = np.argsort(norms)[::-1][:k]
-    if norms[top[-1]] <= 0.0:
-        raise DegenerateSampleError("zero-norm vector among the top k")
-    units = x[top] / norms[top][:, None]
-    return merged_measure(units, np.ones(k))
-
-
-def merged_measure(units, weights) -> AngularMeasure:
-    """Law with mass ``weights`` at the unit rows ``units``: rows equal to
-    12 decimals are merged in first-seen order, mass normalized to 1."""
-    buckets = {}
-    for row, w in zip(units, weights):
-        key = tuple(np.round(row, 12))
-        if key in buckets:
-            buckets[key][1] += w
-        else:
-            buckets[key] = [row, w]
-    total = float(np.sum(weights))
-    atoms = [(vec, w / total) for vec, w in buckets.values()]
-    return AngularMeasure(atoms=atoms)

@@ -311,6 +311,20 @@ class TestMain:
         assert "scalar linear chain" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_drift_check_on_iid_chain_exit_zero(self, tmp_path):
+        # a = 0 has no drift to fit: on this seed beta_hat is below 0,
+        # and the passing check still writes its summary
+        out = tmp_path / "out"
+        cfg = self._write(
+            tmp_path,
+            "command = drift-check\nmodel = var1\nseed = 4\na = 0.0\n"
+            f"innovation = pareto\nalpha = 1.5\nout_dir = {out}\n")
+        assert main(["drift-check", "--config", cfg]) == 0
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["beta_hat"] < 0 and summary["passed"]
+        assert summary["suggested_burn_in"] == 1
+
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
         missing = str(tmp_path / "no-such-file.cfg")
         assert main(["simulate", "--config", missing]) == 2

@@ -60,8 +60,8 @@ RUN_DIGESTS = {
     "golden_drift_var1.cfg": {
         "drift.csv": "77e2e3747da27e79393697acb799dc3d"
                      "aa268113cae4ac23e1bf2665a3baf6eb",
-        "summary.json": "df57bb2b5792d963b325e405c038347d"
-                        "c45af8c1ad5c5a0d2de879352ec93582",
+        "summary.json": "999ec625497d1014f67bf32aef1138a1"
+                        "10a8c97de782fa5233b25bcdf5b02cf5",
     },
     "golden_report_garch.cfg": {
         "report.csv": "c8e0c84f614a98aa5ea0f7b8fd5a0af0"

@@ -1,11 +1,17 @@
-"""The package's import layering.
+"""The package's import layering, and no unreached code.
 
 Every module of ``heavytail`` imports only modules below it in the order
 errors -> randkit -> tailstats -> models -> cluster -> {limits, regen}
 -> cli, with the package itself on top, so no import cycle can form.
 Function-level imports count: they hide a cycle, they do not remove it.
+
+Every function, class and method of the package is reached from the
+package itself, or is one of the few names only the benchmark tracer or
+an acceptance criterion calls.
 """
 import ast
+from collections import Counter
+import importlib.util
 import os
 
 import pytest
@@ -81,3 +87,64 @@ def test_imports_point_down(module):
     ("import numpy\nfrom numpy import linalg\n", set())])
 def test_every_import_form_is_read(source, targets):
     assert _imported(source) == targets
+
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                      "tracer.py")
+
+# names no module of the package calls beyond the tracer's TARGETS, with
+# the check that calls them
+OUTSIDE_CALLERS = {
+    "regen.make_iid_minorization": "Criterion 8",
+    "regen.split_step": "Criterion 8",
+    "tailstats.TailFit.overlaps": "Criterion 8",
+    "cluster.nu_alpha": "Criterion 10",
+    "cluster.LimitMeasureEvaluator": "Criterion 10",
+    "randkit.RngStream.counter": "bench/tracer.py, randkit.philox_blocks",
+}
+
+
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.TARGETS)
+
+
+def _identifiers(node):
+    """Every name and attribute that ``node`` and its children read."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(module, tree):
+    """(qualified name, node) of every module-level function and class
+    of ``tree`` and every method of those classes but the dunders, which
+    Python calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def test_every_public_name_is_reached():
+    trees = {}
+    for module in _modules():
+        if module != "__init__":
+            with open(os.path.join(PACKAGE, module + ".py")) as fh:
+                trees[module] = ast.parse(fh.read())
+    used = sum((_identifiers(t) for t in trees.values()), Counter())
+    defined = {name: node for module, tree in trees.items()
+               for name, node in _definitions(module, tree)}
+    allowed = _tracer_targets() | set(OUTSIDE_CALLERS)
+    assert allowed <= set(defined), sorted(allowed - set(defined))
+    # a name is reached when it is read outside its own definition
+    unreached = sorted(
+        name for name, node in defined.items() if name not in allowed
+        and used[node.name] <= _identifiers(node)[node.name])
+    assert not unreached, f"defined but never called: {unreached}"

@@ -87,16 +87,6 @@ class TestDirectionInvariants:
                            atol=1e-15)
 
 
-class TestHorizonBound:
-    @given(beta=st.floats(0.05, 0.95), tol=st.floats(1e-8, 1e-2))
-    @settings(max_examples=200, deadline=None)
-    def test_minimal_geometric_horizon(self, beta, tol):
-        t = models.horizon_for_tolerance(beta, tol=tol)
-        assert beta ** t / (1.0 - beta) < tol
-        if t > 1:
-            assert beta ** (t - 1) / (1.0 - beta) >= tol * (1 - 1e-9)
-
-
 def _spec_zoo():
     return [
         ("ar_pareto", models.Var1Spec(

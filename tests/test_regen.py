@@ -13,8 +13,8 @@ from scipy import stats
 
 from heavytail import models, randkit, regen
 from heavytail.errors import (InsufficientCyclesError,
-                              MinorizationInvalidError, NoCyclesError,
-                              ParameterError, UnsupportedCaseError)
+                              MinorizationInvalidError, ParameterError,
+                              UnsupportedCaseError)
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.regen import (MinorizationSpec, harvest_blocks, kac_check,
                              make_iid_minorization,
@@ -270,13 +270,3 @@ class TestKac:
                                 derive_stream(64, 4))
         with pytest.raises(ParameterError):
             kac_check(blocks, 0.0)
-
-
-class TestBlockMeasure:
-    def test_block_angular_measure_total(self, ar_gauss, gauss_mino):
-        blocks = harvest_blocks(ar_gauss, gauss_mino, 50_000,
-                                derive_stream(65, 1))
-        meas = regen.block_spectral_measure(blocks, 100)
-        units, weights = meas.as_arrays()
-        assert np.isclose(weights.sum(), 1.0)
-        assert set(np.round(units[:, 0], 12)) <= {-1.0, 1.0}

@@ -1,4 +1,4 @@
-"""Tail statistics: Hill fits and angular measures.
+"""Tail statistics: Hill fits and direction lookups.
 
 Hill oracles use exact Pareto order-statistic identities and iid Pareto
 samples whose index is known by construction.
@@ -11,15 +11,8 @@ import pytest
 from heavytail import randkit, tailstats
 from heavytail.errors import DegenerateSampleError, ParameterError
 from heavytail.randkit import derive_stream
-from heavytail.tailstats import (angular_measure, default_hill_k,
-                                 hill_estimate)
-
-
-def mass_at(measure, direction):
-    # total weight of the atoms within 1e-9 of the direction
-    atoms, weights = measure.as_arrays()
-    near = np.linalg.norm(atoms - np.asarray(direction), axis=1) <= 1e-9
-    return weights[near].sum()
+from heavytail.tailstats import (Direction, default_hill_k, hill_estimate,
+                                 lookup_direction)
 
 
 class TestHill:
@@ -75,32 +68,15 @@ class TestHill:
         assert default_hill_k(10_000) == 100
 
 
-class TestAngularMeasure:
-    def test_scalar_signs_become_two_atoms(self):
-        x = np.array([5.0, -4.0, 3.0, -2.0, 1.0, -0.5])[:, None]
-        meas = angular_measure(x, 4)
-        assert np.isclose(meas.as_arrays()[1].sum(), 1.0)
-        assert np.allclose(mass_at(meas, [1.0]), 0.5)
-        assert np.allclose(mass_at(meas, [-1.0]), 0.5)
+class TestDirectionLookup:
+    TABLE = {Direction([1.0, 0.0]): 2.0, Direction([0.0, -1.0]): 0.5}
 
-    def test_weights_follow_topk_proportions(self):
-        x = np.array([10.0, 9.0, 8.0, -7.0, 1.0])[:, None]
-        meas = angular_measure(x, 4)
-        assert np.allclose(mass_at(meas, [1.0]), 0.75)
-        assert np.allclose(mass_at(meas, [-1.0]), 0.25)
+    def test_near_key_matches(self):
+        assert lookup_direction(self.TABLE, [1.0, 1e-12], "b(theta)") == 2.0
 
-    def test_vector_atoms_are_unit_norm(self):
-        rng = derive_stream(33, 1).rng
-        x = rng.standard_normal((500, 3)) * rng.pareto(2.0, 500)[:, None]
-        meas = angular_measure(x, 50)
-        units, weights = meas.as_arrays()
-        assert np.allclose(np.linalg.norm(units, axis=1), 1.0)
-        assert np.isclose(weights.sum(), 1.0)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateSampleError):
-            angular_measure(np.zeros((10, 2)), 5)
-
-    def test_k_domain(self):
-        with pytest.raises(ParameterError):
-            angular_measure(np.ones((3, 1)), 9)
+    def test_missing_direction_names_itself_and_the_stored_ones(self):
+        with pytest.raises(ParameterError) as err:
+            lookup_direction(self.TABLE, [0.0, 3.0], "b(theta)")
+        assert str(err.value) == (
+            "direction [0.0, 1.0] has no stored b(theta); stored "
+            "directions: [1.0, 0.0], [0.0, -1.0]")
