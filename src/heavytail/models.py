@@ -792,7 +792,8 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     recursion runs along every block at once from a zero start. The true
     block ends follow the same recursion with coefficient a^width, so one
     recursive call finds them, and a^(j+1) times the previous block's end
-    completes offset j."""
+    completes offset j, for a range of about ``_SUM_BLOCK`` floats of
+    blocks at a time."""
     rows, t = z.shape
     width = max(1, round(t ** (1.0 / 3.0)))
     blocks = -(-t // width)
@@ -803,7 +804,11 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
         y[:, :, j] += a * y[:, :, j - 1]
     if blocks > 1:
         ends = _ar1(y[:, :-1, -1], a ** width)
-        y[:, 1:] += ends[:, :, None] * a ** np.arange(1, width + 1)
+        powers = a ** np.arange(1, width + 1)
+        step = max(1, _SUM_BLOCK // max(1, rows * width))
+        for lo in range(0, blocks - 1, step):
+            hi = min(lo + step, blocks - 1)
+            y[:, lo + 1:hi + 1] += ends[:, lo:hi, None] * powers
     return flat[:, :t]
 
 

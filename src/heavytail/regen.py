@@ -256,31 +256,47 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
     regenerates with probability epsilon nu(x_{t+1}) / p(x_t, x_{t+1}).
     The split chain built this way has the law of Nummelin's, so the
     cycles between regenerations are iid. Records the block
-    decomposition of S_n."""
+    decomposition of S_n.
+
+    The path is drawn whole; the marks are found one block of
+    ``models._SUM_BLOCK`` steps at a time, each block drawing its slice
+    of the regeneration uniforms, so the harvest holds the path plus one
+    block."""
     a, law, weight = spec.linear_step()
     if n < 1:
         raise ParameterError("n must be at least 1")
-    x0 = float(minorization.nu_sampler(stream))
-    z = weight * randkit.sample_law(stream, law, n - 1)
-    path = models._ar1(np.concatenate(([x0], z))[None], a)[0]
-    u = stream.rng.random(n - 1)
-    t = np.flatnonzero(np.abs(path[:-1]) <= minorization.m_bound)
+    draws = np.empty((1, n))
+    draws[0, 0] = minorization.nu_sampler(stream)
+    draws[0, 1:] = randkit.sample_law(stream, law, n - 1)
+    draws[0, 1:] *= weight
+    path = models._ar1(draws, a)[0]
+    del draws
     eps = minorization.epsilon
-    if eps == 1.0:
+    starts = [np.zeros(1, dtype=np.int64)]
+    bad, first = 0, None
+    for lo in range(0, n - 1, models._SUM_BLOCK):
+        hi = min(lo + models._SUM_BLOCK, n - 1)
+        u = stream.rng.random(hi - lo)
+        t = lo + np.flatnonzero(np.abs(path[lo:hi]) <= minorization.m_bound)
         ratio = 1.0
-    else:
-        x, y = path[t], path[t + 1]
-        p = minorization.transition_density(x, y)
-        g = eps * minorization.nu_density(y)
-        bad = np.flatnonzero((p <= 0.0) | (g > p * (1.0 + 1e-9)))
-        if bad.size:
-            i = bad[0]
-            raise MinorizationInvalidError(
-                f"minorizing bound exceeds the transition density at "
-                f"{bad.size} small-set step(s), first x={x[i]:.6g} -> "
-                f"y={y[i]:.6g}; epsilon too large for this small set")
-        ratio = g / p
-    starts = np.concatenate(([0], t[u[t] < ratio] + 1))
+        if eps != 1.0:
+            x, y = path[t], path[t + 1]
+            p = minorization.transition_density(x, y)
+            g = eps * minorization.nu_density(y)
+            wrong = np.flatnonzero((p <= 0.0) | (g > p * (1.0 + 1e-9)))
+            if wrong.size and first is None:
+                first = x[wrong[0]], y[wrong[0]]
+            bad += wrong.size
+            if bad:
+                continue
+            ratio = g / p
+        starts.append(t[u[t - lo] < ratio] + 1)
+    if bad:
+        raise MinorizationInvalidError(
+            f"minorizing bound exceeds the transition density at "
+            f"{bad} small-set step(s), first x={first[0]:.6g} -> "
+            f"y={first[1]:.6g}; epsilon too large for this small set")
+    starts = np.concatenate(starts)
     segments = np.add.reduceat(path, starts)
     # S_n as a chronological left fold of head (empty: the chain starts
     # at a regeneration), complete blocks and tail
@@ -325,6 +341,20 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
 
 
 def stationary_small_set_mass(path, m_bound: float) -> float:
-    """Empirical stationary mass of {|x| <= M} from a path."""
-    values = np.atleast_2d(np.asarray(path, dtype=float))
-    return float((np.linalg.norm(values, axis=1) <= m_bound).mean())
+    """Empirical stationary mass of {|x| <= M} from a path: the rows of a
+    2-d path are its states, the entries of a 1-d one scalar states.
+    Counted over blocks of about ``models._SUM_BLOCK`` floats of rows."""
+    values = np.asarray(path, dtype=float)
+    if values.ndim < 2:
+        values = values.reshape(-1, 1)
+    if len(values) == 0:
+        raise ParameterError(
+            f"path must hold at least one state (got shape {values.shape})")
+    if not m_bound > 0:
+        raise ParameterError(f"m_bound must be positive (got {m_bound!r})")
+    rows = max(1, models._SUM_BLOCK // max(1, values.shape[1]))
+    inside = 0
+    for lo in range(0, len(values), rows):
+        norms = np.linalg.norm(values[lo:lo + rows], axis=1)
+        inside += int(np.count_nonzero(norms <= m_bound))
+    return inside / len(values)

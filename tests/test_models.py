@@ -234,6 +234,34 @@ class TestAr1Kernel:
         # simulate_paths_batch accepts zero replicas; paths may be empty
         assert models._ar1(np.zeros(shape), 0.5).shape == shape
 
+    # 500,000 steps are 6,330 blocks of 79, corrected 829 blocks at a
+    # time; 2,512 x 100 are 180 blocks of 14, 46 at a time
+    @pytest.mark.parametrize("a", [0.5, -0.95, 0.999])
+    @pytest.mark.parametrize("steps, rows", [(500_000, 1), (2512, 100)])
+    def test_blocked_end_correction_keeps_the_one_shot_bytes(self, a, steps,
+                                                             rows):
+        law = TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5)
+        z = randkit.sample_law(derive_stream(4, 20), law,
+                               rows * steps).reshape(rows, steps)
+        assert np.array_equal(models._ar1(z, a), one_shot_ar1(z, a))
+
+
+def one_shot_ar1(z, a):
+    """The blocked scan of ``models._ar1`` with every block end corrected
+    by one broadcast product over the whole path."""
+    rows, t = z.shape
+    width = max(1, round(t ** (1.0 / 3.0)))
+    blocks = -(-t // width)
+    y = np.zeros((rows, blocks, width))
+    flat = y.reshape(rows, blocks * width)
+    flat[:, :t] = z
+    for j in range(1, width):
+        y[:, :, j] += a * y[:, :, j - 1]
+    if blocks > 1:
+        ends = one_shot_ar1(y[:, :-1, -1], a ** width)
+        y[:, 1:] += ends[:, :, None] * a ** np.arange(1, width + 1)
+    return flat[:, :t]
+
 
 def one_shot_var1_sums(spec, n, burn_in, replicas, stream):
     """The scalar linear chain's S_n from one draw of every innovation

@@ -5,6 +5,7 @@ Kernel-fidelity oracles compare split-chain transitions against the
 closed-form conditional law of the underlying chain.
 """
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -38,6 +39,46 @@ def bad_mino():
         transition_density=lambda x, y: stats.norm.pdf(y - 0.5 * x),
         nu_density=lambda y: stats.norm.pdf(y) * 5.0,
         m_bound=1.0, heuristic=False)
+
+
+def one_shot_path(spec, minorization, n, stream):
+    """The chain's n states from a nu draw, drawn and filtered whole."""
+    a, law, weight = spec.linear_step()
+    x0 = float(minorization.nu_sampler(stream))
+    z = weight * randkit.sample_law(stream, law, n - 1)
+    return models._ar1(np.concatenate(([x0], z))[None], a)[0]
+
+
+def one_shot_harvest(spec, minorization, n, stream):
+    """The retrospective harvest in one pass over the whole path: one
+    batch of uniforms and one density evaluation for every small-set
+    step. Returns (cycle_starts, block_sums, total, path)."""
+    path = one_shot_path(spec, minorization, n, stream)
+    u = stream.rng.random(n - 1)
+    t = np.flatnonzero(np.abs(path[:-1]) <= minorization.m_bound)
+    eps = minorization.epsilon
+    if eps == 1.0:
+        ratio = 1.0
+    else:
+        x, y = path[t], path[t + 1]
+        p = minorization.transition_density(x, y)
+        g = eps * minorization.nu_density(y)
+        bad = np.flatnonzero((p <= 0.0) | (g > p * (1.0 + 1e-9)))
+        if bad.size:
+            i = bad[0]
+            raise MinorizationInvalidError(
+                f"minorizing bound exceeds the transition density at "
+                f"{bad.size} small-set step(s), first x={x[i]:.6g} -> "
+                f"y={y[i]:.6g}; epsilon too large for this small set")
+        ratio = g / p
+    starts = np.concatenate(([0], t[u[t] < ratio] + 1))
+    segments = np.add.reduceat(path, starts)
+    total = np.add.accumulate(np.concatenate(([0.0], segments)))[-1]
+    return starts, segments[:-1], total, path
+
+
+# three whole step blocks and part of a fourth
+BLOCKS_N = 3 * models._SUM_BLOCK + 1234
 
 
 @pytest.fixture
@@ -202,6 +243,59 @@ class TestHarvest:
             harvest_blocks(kesten_lognormal, gauss_mino, 1000,
                            derive_stream(62, 8))
 
+    @pytest.mark.parametrize("chain", ["gaussian", "pareto", "iid"])
+    def test_step_blocks_keep_the_one_shot_bytes(self, chain, ar_gauss,
+                                                 gauss_mino, pareto_chain):
+        if chain == "gaussian":
+            spec, mino = ar_gauss, gauss_mino
+        elif chain == "pareto":
+            spec = pareto_chain
+            mino = make_var1_minorization(spec, m_bound=4.0)
+        else:
+            law = TailLaw(randkit.GAUSSIAN)
+            spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+            mino = make_iid_minorization(law)
+        blocks = harvest_blocks(spec, mino, BLOCKS_N, derive_stream(62, 9))
+        starts, sums, total, path = one_shot_harvest(
+            spec, mino, BLOCKS_N, derive_stream(62, 9))
+        assert blocks.cycle_starts.tobytes() == starts.tobytes()
+        assert blocks.block_sums[:, 0].tobytes() == sums.tobytes()
+        assert blocks.total.tobytes() == np.array([total]).tobytes()
+        assert blocks.path[:, 0].tobytes() == path.tobytes()
+        # regenerations in every step block
+        assert np.unique(starts // models._SUM_BLOCK).size == 4
+
+    def test_invalid_split_reports_every_step_block(self, ar_gauss,
+                                                    bad_mino):
+        path = one_shot_path(ar_gauss, bad_mino, BLOCKS_N,
+                             derive_stream(62, 10))
+        x, y = path[:-1], path[1:]
+        p = bad_mino.transition_density(x, y)
+        wrong = (np.abs(x) <= bad_mino.m_bound) & (
+            p * (1.0 + 1e-9) < bad_mino.epsilon * bad_mino.nu_density(y))
+        # violations fall in every step block
+        assert np.unique(np.flatnonzero(wrong)
+                         // models._SUM_BLOCK).size == 4
+        with pytest.raises(MinorizationInvalidError) as want:
+            one_shot_harvest(ar_gauss, bad_mino, BLOCKS_N,
+                             derive_stream(62, 10))
+        with pytest.raises(MinorizationInvalidError) as got:
+            harvest_blocks(ar_gauss, bad_mino, BLOCKS_N,
+                           derive_stream(62, 10))
+        assert str(got.value) == str(want.value)
+
+    def test_harvest_holds_the_path_and_one_step_block(self, ar_gauss,
+                                                       gauss_mino):
+        # the one-shot harvest peaks at about 10 path-sized arrays
+        n = 200_000
+        tracemalloc.start()
+        try:
+            harvest_blocks(ar_gauss, gauss_mino, n, derive_stream(62, 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n
+
     def test_determinism(self, ar_gauss, gauss_mino):
         b1 = harvest_blocks(ar_gauss, gauss_mino, 20_000,
                             derive_stream(62, 5))
@@ -257,6 +351,44 @@ class TestKac:
         sd = math.sqrt(4.0 / 3.0)
         expect = 1.0 - 2.0 * stats.norm.sf(gauss_mino.m_bound / sd)
         assert abs(emp - expect) < 0.01
+
+    def test_small_set_mass_counts_over_row_blocks(self, ar_gauss,
+                                                   gauss_mino):
+        # a path-sized norm, comparison and mean would hold three arrays
+        # of the path's size
+        n = 200_000
+        blocks = harvest_blocks(ar_gauss, gauss_mino, n,
+                                derive_stream(64, 5))
+        tracemalloc.start()
+        try:
+            mass = regen.stationary_small_set_mass(blocks.path,
+                                                   gauss_mino.m_bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n
+        norms = np.linalg.norm(blocks.path, axis=1)
+        assert mass == float((norms <= gauss_mino.m_bound).mean())
+
+    def test_small_set_mass_of_scalar_states(self):
+        path = np.array([0.5, 3.0, -1.0])
+        assert regen.stationary_small_set_mass(path, 2.0) == 2.0 / 3.0
+        assert regen.stationary_small_set_mass(path[:, None], 2.0) \
+            == 2.0 / 3.0
+        # the rows of a 2-d path are states: their norms are compared
+        states = np.array([[1.0, 1.0], [2.0, 1.0]])
+        assert regen.stationary_small_set_mass(states, 2.0) == 0.5
+
+    @pytest.mark.parametrize("path", [np.empty(0), np.empty((0, 1))])
+    def test_small_set_mass_rejects_an_empty_path(self, path):
+        with pytest.raises(ParameterError, match="at least one state"):
+            regen.stationary_small_set_mass(path, 2.0)
+
+    @pytest.mark.parametrize("m_bound", [0.0, -1.0, math.nan])
+    def test_small_set_mass_rejects_a_bound_that_is_not_positive(
+            self, m_bound):
+        with pytest.raises(ParameterError, match=f"got {m_bound!r}"):
+            regen.stationary_small_set_mass(np.array([0.5]), m_bound)
 
     def test_insufficient_cycles(self, ar_gauss, gauss_mino):
         blocks = harvest_blocks(ar_gauss, gauss_mino, 60,
