@@ -27,11 +27,14 @@ class ClusterIndexEstimate:
     """Point estimate of a cluster-index functional with Monte Carlo error
     and provenance.
 
-    ``std_error`` is the unbiased (ddof=1) standard error of the mean,
-    which coincides with the delete-one jackknife for a sample mean;
-    ``plug_in_se`` is the ddof=0 variant. A non-finite value or standard
-    error (a tail index too large for double precision) is out of
-    regime.
+    For a plain sample mean, ``std_error`` is the unbiased (ddof=1)
+    standard error, which coincides with the delete-one jackknife for a
+    sample mean. For a control-variate estimate (the tail-process routes
+    of a family that knows its tail moments) it is the regression's
+    residual standard error, sqrt(M2_res / (n-2) / n); the jackknife
+    identity holds for the plain mean only. ``plug_in_se`` is the ddof=0
+    variant of either. A non-finite value or standard error (a tail index
+    too large for double precision) is out of regime.
     """
 
     value: float
@@ -102,29 +105,60 @@ def nu_alpha(evaluator: LimitMeasureEvaluator, theta: Direction,
 # chunked evaluation
 
 
-def _moments(vals: np.ndarray):
-    """(n, mean, M2) of one chunk, M2 the sum of squared deviations."""
+def _moments(vals: np.ndarray, ctrl: np.ndarray = None):
+    """(n, mean, M2) of one chunk, M2 the sum of squared deviations; with
+    a control's values ``ctrl``, followed by (mean_c, M2_c, C_fc), C_fc
+    the sum of products of the two deviations."""
     mean = float(np.mean(vals))
     dev = vals - mean
-    return vals.size, mean, float(np.dot(dev, dev))
+    out = (vals.size, mean, float(np.dot(dev, dev)))
+    if ctrl is None:
+        return out
+    mean_c = float(np.mean(ctrl))
+    dev_c = ctrl - mean_c
+    return out + (mean_c, float(np.dot(dev_c, dev_c)),
+                  float(np.dot(dev, dev_c)))
 
 
 def _merge_moments(parts):
-    """Fold per-chunk (n, mean, M2) in index order by the pairwise update
-    of Chan, Golub & LeVeque (1983), which keeps the digits that
-    sum(x^2) - n mean^2 cancels away when the mean is large."""
-    n, mean, m2 = parts[0]
-    for nb, mb, m2b in parts[1:]:
+    """Fold per-chunk moments (``_moments``) in index order by the
+    pairwise update of Chan, Golub & LeVeque (1983), which keeps the
+    digits that sum(x^2) - n mean^2 cancels away when the mean is large.
+    The co-moment C_fc takes the same update with the product of the two
+    mean shifts."""
+    n, mean, m2, *co = parts[0]
+    for nb, mb, m2b, *cob in parts[1:]:
         total = n + nb
         delta = mb - mean
         mean += delta * nb / total
         m2 += m2b + delta * delta * n * nb / total
+        if co:
+            (mc, m2c, cfc), (mcb, m2cb, cfcb) = co, cob
+            dc = mcb - mc
+            co = [mc + dc * nb / total,
+                  m2c + (m2cb + dc * dc * n * nb / total),
+                  cfc + (cfcb + delta * dc * n * nb / total)]
         n = total
-    return n, mean, m2
+    return (n, mean, m2, *co)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo routes over tail-process draws
+
+
+def _control_power(alpha: float) -> float:
+    """Exponent s of the control sum_{t>=1} |theta'Theta_t|^s. For
+    1 < alpha < 2 the summed functional is about alpha W^(alpha-1), and
+    s = alpha - 1 gives the control a finite variance exactly where the
+    route has one; alpha/4 otherwise."""
+    return alpha - 1.0 if 1.0 < alpha < 2.0 else alpha / 4.0
+
+
+def _control(proj: np.ndarray, s: float) -> np.ndarray:
+    """sum_{t>=1} |theta'Theta_t|^s per path."""
+    c = np.abs(proj[:, 1:])
+    c **= s
+    return c.sum(axis=1)
 
 
 def _mc_functional(spec, functionals, alpha: float, horizon: int,
@@ -136,10 +170,18 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     ``functionals`` lists (theta, reduce_paths, route). Each fixed-size
     chunk is drawn and reduced block by block in ``models``: a block's
     projection on theta goes straight to reduce_paths, and the chunk's
-    per-path values to (n, mean, M2), merged in chunk order. The tail
+    per-path values to their moments, merged in chunk order. The tail
     process does not depend on theta, so every functional reads the same
     draws, and each estimate has the bits it would have alone on the same
-    stream. One estimate per functional, in order."""
+    stream. One estimate per functional, in order.
+
+    When the spec knows E c for the control c = sum_{t>=1}
+    |theta'Theta_t|^s (``tail_moments``), c is one more reducer on the
+    same blocks and the estimate is the regression estimator
+    mean_f - beta (mean_c - E c), beta = C_fc / M2_c, with the residual
+    sum of squares M2_f - C_fc^2 / M2_c over n - 2 in its standard error
+    (Glasserman 2004, section 4.1). Without E c, or when the control has
+    no spread, it is the plain mean."""
     if horizon < least_horizon:
         raise ParameterError(
             f"{horizon_name} must be at least {least_horizon}")
@@ -148,22 +190,39 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     spec_alpha = models.tail_index(spec)
-    reducers = [(theta.vector, functools.partial(reduce_paths, alpha=alpha))
-                for theta, reduce_paths, _ in functionals]
+    s = _control_power(alpha)
+    reducers, controls = [], []
+    for theta, reduce_paths, _ in functionals:
+        tv = theta.vector
+        reducers.append((tv, functools.partial(reduce_paths, alpha=alpha)))
+        ec = spec.tail_moments(tv, s, horizon)
+        if ec is not None and math.isfinite(ec):
+            # reads the functional's own projection
+            reducers.append((tv, functools.partial(_control, s=s)))
+        else:
+            ec = None
+        controls.append(ec)
 
     def one(i):
         take = min(_CHUNK, replicas - i * _CHUNK)
-        vals = models.sample_tail_process_batch(
-            spec, horizon, take, stream.substream(i), spec_alpha, reducers)
-        return [_moments(v) for v in vals]
+        vals = iter(models.sample_tail_process_batch(
+            spec, horizon, take, stream.substream(i), spec_alpha, reducers))
+        return [_moments(next(vals), None if ec is None else next(vals))
+                for ec in controls]
 
     n_chunks = -(-replicas // _CHUNK)
     chunks = randkit._map_chunks(one, n_chunks, threads)
     out = []
-    for j, (_, _, route) in enumerate(functionals):
-        _, mean, m2 = _merge_moments([parts[j] for parts in chunks])
+    for j, ((_, _, route), ec) in enumerate(zip(functionals, controls)):
+        _, mean, m2, *co = _merge_moments([parts[j] for parts in chunks])
+        ddof = 1
+        if co and 0.0 < co[1] < math.inf:
+            mean_c, m2_c, c_fc = co
+            mean -= c_fc / m2_c * (mean_c - ec)
+            m2 = max(m2 - c_fc * c_fc / m2_c, 0.0)
+            ddof = 2
         se_plug = math.sqrt(m2) / replicas
-        se = math.sqrt(m2 / (replicas - 1) / replicas)
+        se = math.sqrt(m2 / (replicas - ddof) / replicas)
         out.append(ClusterIndexEstimate(value=mean, std_error=se,
                                         route=route, horizon=horizon,
                                         replicas=replicas,
@@ -259,8 +318,10 @@ def closed_form_cluster_index(spec, theta: Direction, replicas: int,
     projections u and w are linear in theta and negation is exact, so
     (s u, s w) are the bits of the terms at s * theta.
     """
-    if replicas < 1:
-        raise ParameterError("replicas must be at least 1")
+    if replicas < 2:
+        raise ParameterError(
+            f"replicas must be at least 2 for a standard error (got "
+            f"{replicas})")
     if signs is not None:
         _check_signs(signs)
     u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream,
@@ -278,11 +339,8 @@ def _closed_form_estimate(spec, u: np.ndarray, w: np.ndarray,
     alpha = models.tail_index(spec)
     vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
     mean = float(np.mean(vals))
-    if vals.size > 1:
-        se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-        se_plug = float(np.std(vals, ddof=0) / math.sqrt(vals.size))
-    else:
-        se = se_plug = 0.0
+    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+    se_plug = float(np.std(vals, ddof=0) / math.sqrt(vals.size))
     return ClusterIndexEstimate(value=mean, std_error=se,
                                 route=ROUTE_CLOSED_FORM, horizon=horizon,
                                 replicas=vals.size, plug_in_se=se_plug)

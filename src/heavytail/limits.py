@@ -339,7 +339,7 @@ def gaussian_sigma(blocks) -> GaussianCltReport:
     S_i - mu_hat L_i (mu_hat = sum S / sum L, the regenerative mean) over
     the mean cycle length, cross-checked against non-overlapping batch
     means."""
-    sums = np.atleast_2d(np.asarray(blocks.block_sums, dtype=float))
+    sums = blocks.block_sums
     k = sums.shape[0]
     if k < 30:
         raise InsufficientCyclesError(
@@ -348,9 +348,7 @@ def gaussian_sigma(blocks) -> GaussianCltReport:
     mean_len = float(np.mean(lengths))
     resid = sums - np.outer(lengths, sums.sum(axis=0) / lengths.sum())
     sigma_hat = (resid.T @ resid) / k / mean_len
-    path = np.atleast_2d(np.asarray(blocks.path, dtype=float))
-    if path.shape[0] < path.shape[1]:
-        path = path.T
+    path = blocks.path
     n = path.shape[0]
     ell = max(2, int(math.isqrt(n)))
     nb = n // ell

@@ -110,6 +110,11 @@ class ModelSpec:
             "closed form available for the linear and recurrence models "
             "only")
 
+    def tail_moments(self, tv: np.ndarray, s: float, horizon: int):
+        """E sum_{t=1}^{horizon} |tv'Theta_t|^s, when the family knows it
+        exactly; None otherwise."""
+        return None
+
     def stationary_mean(self):
         """Exact stationary mean vector, when available; None otherwise."""
         return None
@@ -459,6 +464,15 @@ class KestenSpec(ModelSpec):
             theta[:, 1:] *= start[:, None]
             yield [theta[..., None] if tv is None else theta * tv[0]
                    for tv in tvs]
+
+    def tail_moments(self, tv, s, horizon):
+        """|theta|^s sum_{t=1}^T (E A^s)^t: |Theta_t| = A_1 ... A_t, with
+        iid multipliers."""
+        m, term, total = self._a_moment(s), 1.0, 0.0
+        for _ in range(horizon):  # a float product overflows to inf
+            term *= m
+            total += term
+        return abs(float(tv[0])) ** s * total
 
     def closed_form_terms(self, tv, replicas, stream, threads=1):
         """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
@@ -952,7 +966,8 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
     list of (tv, reduce), each block's (m, horizon+1) projection
     tv'Theta_t goes to ``reduce``, which returns the block's (m,)
     per-path values; the result is one (replicas,) value array per item,
-    and no array of the whole batch is held."""
+    and no array of the whole batch is held. Items that share one tv
+    array share its projection, which no ``reduce`` may write to."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
@@ -962,12 +977,15 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
         raise ParameterError("direction dimension mismatch")
     outs = [np.empty((replicas, horizon + 1, spec.tail_dim) if reduce is None
                      else replicas) for _, reduce in items]
+    tvs = list({id(tv): tv for tv, _ in items}.values())  # one per array
+    slot = {id(tv): k for k, tv in enumerate(tvs)}
     lo = 0
     for rows in spec.tail_process(horizon, replicas,
                                   stream.substream(_ANGLE_CHILD), alpha,
-                                  [tv for tv, _ in items]):
+                                  tvs):
         m = len(rows[0])
-        for out, (_, reduce), row in zip(outs, items, rows):
+        for out, (tv, reduce) in zip(outs, items):
+            row = rows[slot[id(tv)]]
             out[lo:lo + m] = row if reduce is None else reduce(row)
         lo += m
         del rows, row  # free this block's projections before the next

@@ -50,6 +50,13 @@ class MinorizationSpec:
             raise ParameterError("epsilon must lie in (0, 1]")
 
 
+def _columns(values) -> np.ndarray:
+    """Float array with one row per step or cycle: a 1-d input is one
+    column, and a 2-d one is taken as it is, never transposed."""
+    arr = np.asarray(values, dtype=float)
+    return arr.reshape(-1, 1) if arr.ndim <= 1 else arr
+
+
 @dataclass
 class RegenBlocks:
     """Split-chain harvest: regeneration times, complete-cycle sums, and
@@ -57,7 +64,9 @@ class RegenBlocks:
 
     ``total`` is S_n accumulated segment-by-segment in chronological
     order; ``reconstruct_total`` refolds the stored pieces in the same
-    order, so the identity is exact at the bit level.
+    order, so the identity is exact at the bit level. ``block_sums`` has
+    one row per complete cycle and ``path`` one row per step (n rows);
+    a 1-d input is one column.
     """
 
     cycle_starts: np.ndarray
@@ -70,16 +79,17 @@ class RegenBlocks:
 
     def __post_init__(self):
         self.cycle_starts = np.asarray(self.cycle_starts, dtype=np.int64)
-        self.block_sums = np.atleast_2d(
-            np.asarray(self.block_sums, dtype=float))
+        self.block_sums = _columns(self.block_sums)
         self.head_sum = np.atleast_1d(np.asarray(self.head_sum,
                                                  dtype=float))
         self.tail_sum = np.atleast_1d(np.asarray(self.tail_sum,
                                                  dtype=float))
         self.total = np.atleast_1d(np.asarray(self.total, dtype=float))
-        self.path = np.atleast_2d(np.asarray(self.path, dtype=float))
-        if self.path.shape[0] < self.path.shape[1]:
-            self.path = self.path.T
+        self.path = _columns(self.path)
+        if self.path.shape[0] != self.n:
+            raise ParameterError(
+                f"path has {self.path.shape[0]} rows for n = {self.n} "
+                "steps")
 
     @property
     def n_cycles(self) -> int:

@@ -6,6 +6,7 @@ which is 2^alpha - 1 at a = 1/2; the sup functional gives 1 - a^alpha.
 Symmetric innovations halve the one-sided values. These targets anchor
 every route.
 """
+import functools
 import math
 
 import numpy as np
@@ -135,6 +136,14 @@ class TestClosedForm:
             assert u[lo:lo + m].tobytes() \
                 == ((aux + 1.0) * theta0 * 1.0).tobytes()
 
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_fewer_than_two_replicas_are_rejected(self, kesten_lognormal,
+                                                  replicas):
+        # one replica has no spread to estimate, so no standard error
+        with pytest.raises(ParameterError, match=f"got {replicas}"):
+            closed_form_cluster_index(kesten_lognormal, Direction([1.0]),
+                                      replicas, derive_stream(41, 11))
+
     def test_volatility_recursion_has_no_closed_form(self,
                                                      garch_benchmark):
         assert not garch_benchmark.has_closed_form
@@ -253,10 +262,10 @@ class TestThreads:
 
     @pytest.mark.parametrize("route", ["tail_process", "closed_form",
                                        "telescoping", "extremal"])
-    def test_routes_identical_on_one_and_two_threads(self,
-                                                     kesten_lognormal,
-                                                     route):
-        spec, th = kesten_lognormal, Direction([1.0])
+    def test_routes_identical_on_one_and_two_threads(self, route):
+        # the bench law (alpha 1.5): at alpha 2 the control makes the
+        # summed routes exact, with no standard error to compare
+        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
         alpha = models.tail_index(spec)
         calls = {
             "tail_process": lambda s, t: cluster_index_tail_process(
@@ -384,10 +393,154 @@ class TestMergedMoments:
         assert m2 / (n - 1) == pytest.approx(np.var(every, ddof=1),
                                              rel=1e-9)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_co_moment_merge_matches_numpy_over_all_values(self, offset):
+        # the control's mean, M2 and co-moment with f take the same
+        # pairwise update; at offset 1e8 both variables sit far from 0
+        rng = np.random.default_rng(4)
+        sizes = [8192, 8192, 1, 500, 3000]
+        fs, cs = [], []
+        for k in sizes:
+            c = rng.standard_normal(k)
+            fs.append(offset + 0.8 * c + 0.6 * rng.standard_normal(k))
+            cs.append(offset + c)
+        n, mean, m2, mean_c, m2_c, c_fc = cluster._merge_moments(
+            [cluster._moments(f, c) for f, c in zip(fs, cs)])
+        f, c = np.concatenate(fs), np.concatenate(cs)
+        assert n == f.size
+        assert mean == pytest.approx(np.mean(f), rel=1e-15)
+        assert mean_c == pytest.approx(np.mean(c), rel=1e-15)
+        assert m2 / (n - 1) == pytest.approx(np.var(f, ddof=1), rel=1e-9)
+        assert m2_c / (n - 1) == pytest.approx(np.var(c, ddof=1), rel=1e-9)
+        assert c_fc / (n - 1) == pytest.approx(np.cov(f, c)[0, 1],
+                                               rel=1e-9)
+
     def test_single_chunk_is_its_own_moments(self):
         vals = np.arange(10.0)
         assert cluster._merge_moments([cluster._moments(vals)]) \
             == (10, 4.5, 82.5)
+
+
+class TestControlVariate:
+    """Kesten routes subtract the regression control
+    c = sum_{t>=1} |theta'Theta_t|^s, whose mean the spec knows exactly;
+    the other families keep the plain mean, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["kesten_lognormal", "bench_lognormal",
+                                      "pareto_multiplier"])
+    def test_control_mean_matches_tail_moments(self, name):
+        spec = _HORIZON_SPECS[name]()
+        alpha, tv = spec.tail_index(), np.array([-1.0])
+        s = cluster._control_power(alpha)
+        ctrl, = models.sample_tail_process_batch(
+            spec, 40, 20_000, derive_stream(47, 1), alpha,
+            [(tv, functools.partial(cluster._control, s=s))])
+        se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
+        assert abs(np.mean(ctrl) - spec.tail_moments(tv, s, 40)) <= 4 * se
+
+    def test_families_without_moments(self, ar_sympareto15,
+                                      garch_benchmark):
+        for spec in (ar_sympareto15, garch_benchmark):
+            tv = np.ones(spec.tail_dim)
+            assert spec.tail_moments(tv, 0.5, 10) is None
+
+    def test_alpha_two_route_is_exact(self, kesten_lognormal):
+        # at alpha 2, (W+1)^2 - W^2 = 2W + 1 is affine in the control
+        # W = sum_{t>=1} Theta_t (s = alpha - 1 = 1), so the regression
+        # recovers 1 + 2 sum_t (E A)^t with no error
+        spec, horizon = kesten_lognormal, 8
+        alpha = models.tail_index(spec)
+        est = cluster_index_tail_process(spec, Direction([1.0]), alpha,
+                                         horizon, 2000, derive_stream(47, 2))
+        mean_a = math.exp(-0.25)
+        exact = 1.0 + 2.0 * sum(mean_a ** t for t in range(1, horizon + 1))
+        assert abs(est.value - exact) < 1e-9
+        assert est.std_error < 1e-9
+
+    def test_control_cuts_the_variance_per_draw(self, monkeypatch):
+        # the bench law on one stream, with and without the control's mean
+        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
+        alpha = models.tail_index(spec)
+        run = functools.partial(cluster_index_tail_process, spec, th, alpha,
+                                40, 20_000, derive_stream(47, 3))
+        controlled = run()
+        monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
+        plain = run()
+        assert (plain.std_error / controlled.std_error) ** 2 > 8.0
+        assert abs(plain.value - controlled.value) \
+            <= 4 * plain.std_error
+
+    def test_z_scores_have_unit_spread(self):
+        # 300 seeds of 2,000 replicas against a 2e6-replica reference on
+        # the bench law: a standard error that is right gives z an SD
+        # near 1 (the reference's own error shifts every z alike)
+        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
+        alpha = models.tail_index(spec)
+        functionals = [
+            (th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
+            (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)]
+
+        def run(replicas, stream, threads=1):
+            return cluster._mc_functional(spec, functionals, alpha, 10,
+                                          replicas, stream, threads)
+
+        ref = run(2_000_000, derive_stream(47, 4), threads=2)
+        z = np.array([[(e.value - r.value) / e.std_error
+                       for e, r in zip(run(2000, derive_stream(48, i)), ref)]
+                      for i in range(300)])
+        for sd in np.std(z, axis=0, ddof=1):
+            assert 0.85 <= sd <= 1.15
+
+
+# value, std_error and plug_in_se of each plain-mean route, from the code
+# before the control: a family without tail moments keeps those bits
+_PLAIN_MEAN_BITS = {
+    ("garch_benchmark", "tail_process"): (
+        "0x1.5e9eb3545f3b5p+12", "0x1.d65e38be7452ap+10",
+        "0x1.d6574b736b18dp+10"),
+    ("garch_benchmark", "telescoping"): (
+        "0x1.709fada6e1186p+10", "0x1.1990c6119f6ebp+9",
+        "0x1.198ca09041726p+9"),
+    ("garch_benchmark", "extremal"): (
+        "0x1.04dfc42157e6ep-2", "0x1.a25f8f9ca5961p-9",
+        "0x1.a2596656f5620p-9"),
+    ("var1_dim2", "tail_process"): (
+        "0x1.0975ace95581bp-1", "0x1.8afa70346840cp-8",
+        "0x1.8af49f21c8387p-8"),
+    ("var1_dim2", "telescoping"): (
+        "0x1.08ff372f90523p-1", "0x1.8a3720f5121d9p-8",
+        "0x1.8a3152c2c3d5ep-8"),
+    ("var1_dim2", "extremal"): (
+        "0x1.afc6ecf2924c7p-3", "0x1.3fc31b6e62dd3p-9",
+        "0x1.3fbe65ec962c9p-9"),
+}
+
+
+@pytest.mark.parametrize("family, route", sorted(_PLAIN_MEAN_BITS))
+def test_plain_mean_routes_keep_their_bits(family, route):
+    if family == "garch_benchmark":
+        spec = models.Garch11Spec(0.05, 0.1, 0.85)
+        th = spec.tail_direction(Direction([1.0]))
+    else:
+        spec = models.Var1Spec(
+            2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+            a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+            weights=np.array([1.0, 2.0]))
+        th = Direction([1.0, 1.0])
+    alpha = models.tail_index(spec)
+    replicas, stream = cluster._CHUNK + 500, derive_stream(46, 1)
+    calls = {
+        "tail_process": lambda: cluster_index_tail_process(
+            spec, th, alpha, 8, replicas, stream, 2),
+        "telescoping": lambda: telescoping_difference(
+            spec, th, alpha, 5, replicas, stream, 2),
+        "extremal": lambda: extremal_index(
+            spec, th, alpha, 8, replicas, stream, 2),
+    }
+    est = calls[route]()
+    got = tuple(float.hex(x)
+                for x in (est.value, est.std_error, est.plug_in_se))
+    assert got == _PLAIN_MEAN_BITS[family, route]
 
 
 class TestTelescoping:

@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "f18bb61d6a589aa941b59b8b34c6de95"
-                       "3bc295b98d862f6bf98733ef7ba51611",
-        "summary.json": "81189bedbc108445b7a3cd7b5f58c016"
-                        "877ab760fa8ef376113ca67bbfee7f75",
+        "cluster.csv": "256911ff7eed6b23e33fa1f15611a35b"
+                       "9dfc83e03fe52a4343657c2daee2066d",
+        "summary.json": "f240d31bd7061464eb586f1a5cfa9644"
+                        "b5d24932fe55e9e419dc3ece41e23104",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"

@@ -741,8 +741,9 @@ class TestBlockedTailProcess:
     @pytest.mark.parametrize("horizon", [0, 1, 64])
     def test_signed_route_matches_whole_chunk_moments(self, family,
                                                       threads, horizon):
-        # three chunks, the last partial: each chunk's (n, mean, M2) from
-        # the whole-chunk values, merged in chunk order
+        # three chunks, the last partial: each chunk's moments from the
+        # whole-chunk values (and, where the family knows the control's
+        # mean, the whole-chunk control), merged in chunk order
         make, whole, tv = BLOCKED_FAMILIES[family]
         spec = make()
         theta = Direction(tv)
@@ -751,16 +752,26 @@ class TestBlockedTailProcess:
         got = cluster.cluster_index_tail_process(
             spec, theta, 1.4, horizon, replicas, derive_stream(6, 21),
             threads=threads, signs=(1, -1))
+        s = cluster._control_power(1.4)
         for est, sign in zip(got, (1, -1)):
+            ec = spec.tail_moments(sign * theta.vector, s, horizon)
             parts = []
             for i, lo in enumerate(range(0, replicas, cluster._CHUNK)):
                 take = min(cluster._CHUNK, replicas - lo)
                 ref = whole(spec, horizon, take, angle_stream(6, 21, i))
+                proj = ref @ (sign * theta.vector)
                 parts.append(cluster._moments(
-                    _sum_values(ref @ (sign * theta.vector))))
-            _, mean, m2 = cluster._merge_moments(parts)
+                    _sum_values(proj),
+                    None if ec is None else cluster._control(proj, s)))
+            _, mean, m2, *co = cluster._merge_moments(parts)
+            ddof = 1
+            if horizon and ec is not None:
+                mean_c, m2_c, c_fc = co
+                mean -= c_fc / m2_c * (mean_c - ec)
+                m2 = max(m2 - c_fc * c_fc / m2_c, 0.0)
+                ddof = 2
             assert (est.value, est.std_error, est.plug_in_se) == (
-                mean, math.sqrt(m2 / (replicas - 1) / replicas),
+                mean, math.sqrt(m2 / (replicas - ddof) / replicas),
                 math.sqrt(m2) / replicas)
         assert alpha > 0
 

@@ -305,6 +305,40 @@ class TestHarvest:
         assert np.array_equal(b1.cycle_starts, b2.cycle_starts)
 
 
+class TestBlocksOrientation:
+    """``RegenBlocks`` reads a 1-d input as one column and takes a 2-d
+    one as it is: a short path of wide states is never transposed."""
+
+    def _blocks(self, **fields):
+        base = dict(cycle_starts=[0, 1, 2, 3], block_sums=[1.0, 2.0, 3.0],
+                    head_sum=[0.0], tail_sum=[0.0], total=[6.0],
+                    path=np.arange(3.0), n=3)
+        return regen.RegenBlocks(**{**base, **fields})
+
+    def test_one_dimensional_inputs_are_one_column(self):
+        blocks = self._blocks()
+        assert blocks.block_sums.shape == (3, 1)
+        assert blocks.path.shape == (3, 1)
+        assert blocks.n_cycles == 3
+        assert blocks.reconstruct_total()[0] == 6.0
+
+    def test_short_path_of_wide_states_keeps_its_shape(self):
+        path = np.arange(6.0).reshape(2, 3)
+        blocks = self._blocks(cycle_starts=[0, 2],
+                              block_sums=np.ones((1, 3)),
+                              head_sum=np.zeros(3), tail_sum=np.zeros(3),
+                              total=np.ones(3), path=path, n=2)
+        assert blocks.path.shape == (2, 3)
+        assert np.array_equal(blocks.path, path)
+        assert blocks.block_sums.shape == (1, 3)
+
+    @pytest.mark.parametrize("path", [np.arange(4.0),
+                                      np.arange(6.0).reshape(3, 2).T])
+    def test_path_must_have_n_rows(self, path):
+        with pytest.raises(ParameterError, match="n = 3"):
+            self._blocks(path=path)
+
+
 class TestIidAtomization:
     def test_every_step_regenerates(self):
         law = TailLaw(randkit.PARETO, alpha=1.5)
