@@ -507,13 +507,12 @@ def _cmd_regen_check(config, spec, writer, threads):
     mino = regen.make_var1_minorization(
         spec, m_bound=config.get("m_bound"), stream=stream)
     blocks = regen.harvest_blocks(spec, mino, config.get("n"), stream)
-    exact = bool(np.array_equal(blocks.reconstruct_total(), blocks.total))
+    exact = blocks.reconstruct_total() == blocks.total
     pi_c = regen.stationary_small_set_mass(blocks.path, mino.m_bound)
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
-    k = blocks.n_cycles
     writer.csv("cycles.csv", ["cycle", "start", "length", "block_sum"],
-               [np.arange(k), blocks.cycle_starts[:k],
-                blocks.cycle_lengths(), blocks.block_sums[:k, 0]])
+               [np.arange(blocks.n_cycles), blocks.cycle_starts[:-1],
+                blocks.cycle_lengths(), blocks.block_sums])
     summary = {"n": config.get("n"), "n_cycles": blocks.n_cycles,
                "epsilon": mino.epsilon, "m_bound": mino.m_bound,
                "m_heuristic": mino.heuristic,
@@ -525,8 +524,8 @@ def _cmd_regen_check(config, spec, writer, threads):
     if spec.innovation.family == randkit.GAUSSIAN:
         rep = limits.gaussian_sigma(blocks)
         summary["gaussian_clt"] = {
-            "sigma_hat": rep.sigma_hat[0, 0],
-            "batch_sigma": rep.batch_sigma[0, 0],
+            "sigma_hat": rep.sigma_hat,
+            "batch_sigma": rep.batch_sigma,
             "rel_gap": rep.rel_gap}
     return summary, {"regen": STREAMS["regen"]}
 

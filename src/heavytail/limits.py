@@ -121,22 +121,13 @@ class LdpScanResult:
 
 @dataclass
 class GaussianCltReport:
-    """Long-run covariance from regenerative blocks vs batch means."""
+    """Long-run variance of the scalar chain from regenerative blocks vs
+    batch means."""
 
-    sigma_hat: np.ndarray
-    batch_sigma: np.ndarray
+    sigma_hat: float
+    batch_sigma: float
     rel_gap: float
-    n_cycles: int = 0
-    mean_cycle_len: float = 0.0
-
-    def __post_init__(self):
-        self.sigma_hat = np.atleast_2d(np.asarray(self.sigma_hat,
-                                                  dtype=float))
-        self.batch_sigma = np.atleast_2d(np.asarray(self.batch_sigma,
-                                                    dtype=float))
-        if not np.allclose(self.sigma_hat, self.sigma_hat.T,
-                           rtol=1e-9, atol=1e-12):
-            raise ParameterError("sigma_hat must be symmetric")
+    n_cycles: int
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +215,7 @@ def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
 
 
 def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
-                 params: StableLawParams = None, burn_in: int = None,
-                 threads: int = 1):
+                 burn_in: int = None, threads: int = 1):
     """Empirical CF of a_n^{-1} theta'S_n against the stable limit CF on
     the fixed grid; one CfComparison per direction."""
     if n < 1 or reps < 1:
@@ -240,12 +230,10 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
         raise ParameterError(
             "limit checks run on the scalar observable; directions "
             "must be +1 or -1")
-    if params is None:
-        pairs = {}
-        for i, th in enumerate(theta_grid):
-            pairs[th] = _b_pair_for(spec, th, alpha,
-                                    stream.substream(0xC0 + i), threads)
-        params = StableLawParams(alpha=alpha, pairs=pairs)
+    pairs = {th: _b_pair_for(spec, th, alpha, stream.substream(0xC0 + i),
+                             threads)
+             for i, th in enumerate(theta_grid)}
+    params = StableLawParams(alpha=alpha, pairs=pairs)
     if alpha == 1.0:
         for th in theta_grid:
             bp, bm = params.pair_at(th)
@@ -271,17 +259,16 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
     return out
 
 
-def ldp_region(alpha: float, n: int, eps: float = 0.1,
-               c_factor: float = 100.0):
-    """Default scan region (b_n, c_n): b_n = n^{1/alpha + eps} below the
-    square-integrable regime, n^{0.5 + eps} above it."""
+def ldp_region(alpha: float, n: int, eps: float = 0.1):
+    """Default scan region (b_n, c_n = 100 b_n): b_n = n^{1/alpha + eps}
+    below the square-integrable regime, n^{0.5 + eps} above it."""
     if not n >= 2:
         raise ParameterError("n must be at least 2")
     if alpha < 2:
         b_n = float(n) ** (1.0 / alpha + eps)
     else:
         b_n = float(n) ** (0.5 + eps)
-    return b_n, c_factor * b_n
+    return b_n, 100.0 * b_n
 
 
 def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
@@ -335,31 +322,28 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
 
 
 def gaussian_sigma(blocks) -> GaussianCltReport:
-    """Long-run covariance: second moment of the centred cycle sums
+    """Long-run variance: second moment of the centred cycle sums
     S_i - mu_hat L_i (mu_hat = sum S / sum L, the regenerative mean) over
     the mean cycle length, cross-checked against non-overlapping batch
     means."""
     sums = blocks.block_sums
-    k = sums.shape[0]
+    k = sums.size
     if k < 30:
         raise InsufficientCyclesError(
             f"{k} complete cycles; need at least 30")
-    lengths = np.diff(np.asarray(blocks.cycle_starts, dtype=float))
+    lengths = blocks.cycle_lengths().astype(float)
     mean_len = float(np.mean(lengths))
-    resid = sums - np.outer(lengths, sums.sum(axis=0) / lengths.sum())
-    sigma_hat = (resid.T @ resid) / k / mean_len
-    path = blocks.path
-    n = path.shape[0]
+    resid = sums - lengths * (sums.sum() / lengths.sum())
+    sigma_hat = float(resid @ resid) / k / mean_len
+    n = blocks.n
     ell = max(2, int(math.isqrt(n)))
     nb = n // ell
     if nb < 2:
         raise InsufficientCyclesError("path too short for batch means")
-    means = path[: nb * ell].reshape(nb, ell, -1).mean(axis=1)
-    centered = means - means.mean(axis=0)
-    batch_sigma = ell * (centered.T @ centered) / (nb - 1)
-    gap = np.linalg.norm(sigma_hat - batch_sigma, 2)
-    denom = np.linalg.norm(batch_sigma, 2)
-    rel_gap = float(gap / denom) if denom > 0 else math.inf
+    means = blocks.path[: nb * ell].reshape(nb, ell).mean(axis=1)
+    centered = means - means.mean()
+    batch_sigma = ell * float(centered @ centered) / (nb - 1)
+    rel_gap = abs(sigma_hat - batch_sigma) / batch_sigma \
+        if batch_sigma > 0 else math.inf
     return GaussianCltReport(sigma_hat=sigma_hat, batch_sigma=batch_sigma,
-                             rel_gap=rel_gap, n_cycles=k,
-                             mean_cycle_len=mean_len)
+                             rel_gap=rel_gap, n_cycles=k)

@@ -301,11 +301,12 @@ class Var1Spec(ModelSpec):
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
         m = np.eye(self.dim) - self.a_matrix
         try:
-            singular = np.linalg.cond(m) > 1e12
+            cond = np.linalg.cond(m)
         except np.linalg.LinAlgError:
-            singular = True
-        if singular:
-            raise SingularDrawError("(I - A) is singular")
+            cond = math.inf
+        if cond > 1e12:
+            raise SingularDrawError(
+                f"(I - A) has condition number {cond:.3g}, above 1e12")
         lead = np.linalg.solve(m.T, tv)
         lag = self.a_matrix.T @ lead
         return angles @ lead, angles @ lag, 0
@@ -856,16 +857,23 @@ def _garch_power_moment(a1: float, b1: float, kappa):
 
 
 def _check_finite(x: np.ndarray, invariant: str) -> None:
+    """Name the first entry of ``x`` that is nan or beyond ``_BLOWUP`` in
+    magnitude: a draw that large, or a recursion that breaks the
+    invariant."""
     if x.size and (not np.all(np.isfinite(x))
                    or np.max(np.abs(x)) > _BLOWUP):
+        at = np.unravel_index(np.argmin(np.abs(x) <= _BLOWUP), x.shape)
         raise DivergenceError(
-            f"simulated recursion diverged; failed invariant: {invariant}")
+            f"simulated value {x[at]:.6g} at index {tuple(map(int, at))} is "
+            f"not within +-{_BLOWUP:g}: a draw that large, or a failed "
+            f"invariant ({invariant})")
 
 
-def _solve_moment_equation(fn, tol: float = 2e-12) -> float:
+def _solve_moment_equation(fn) -> float:
     """Positive root of fn (a moment minus 1, below 0 near 0): double the
-    bracket end from 1 until fn >= 0, then bisect. A diverging moment
-    (+inf) counts as above 1; an undefined one (nan) raises."""
+    bracket end from 1 until fn >= 0, then bisect to a width of 2e-12.
+    A diverging moment (+inf) counts as above 1; an undefined one (nan)
+    raises."""
     lo = 1e-6
     flo = fn(lo)
     if math.isnan(flo):
@@ -888,7 +896,7 @@ def _solve_moment_equation(fn, tol: float = 2e-12) -> float:
     if fhi == 0.0:
         return hi
     for _ in range(256):
-        if hi - lo < tol:
+        if hi - lo < 2e-12:
             break
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
@@ -996,10 +1004,11 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
 # drift diagnostics
 
 
-def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
-                 reps_per_state: int = 2000) -> DriftReport:
+def drift_margin(spec, p: float, m: int, grid,
+                 stream: RngStream) -> DriftReport:
     """Fit E(|next state|^p | state) <= beta |state|^p + b over the grid by
-    conditional Monte Carlo and least squares (intercept clamped at 0)."""
+    conditional Monte Carlo on 2000 draws per state and least squares
+    (intercept clamped at 0)."""
     if not p > 0:
         raise ParameterError("p must be positive")
     if m < 1:
@@ -1010,7 +1019,7 @@ def drift_margin(spec, p: float, m: int, grid, stream: RngStream,
     v_state = np.array([np.linalg.norm(g) ** p for g in grid])
     v_next = np.empty(len(grid))
     for i, y in enumerate(grid):
-        nxt = spec.conditional_states(y, m, reps_per_state, stream)
+        nxt = spec.conditional_states(y, m, 2000, stream)
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(
                 "conditional simulation diverged from grid state "

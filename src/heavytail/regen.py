@@ -50,46 +50,39 @@ class MinorizationSpec:
             raise ParameterError("epsilon must lie in (0, 1]")
 
 
-def _columns(values) -> np.ndarray:
-    """Float array with one row per step or cycle: a 1-d input is one
-    column, and a 2-d one is taken as it is, never transposed."""
-    arr = np.asarray(values, dtype=float)
-    return arr.reshape(-1, 1) if arr.ndim <= 1 else arr
-
-
 @dataclass
 class RegenBlocks:
-    """Split-chain harvest: regeneration times, complete-cycle sums, and
-    the exact decomposition S_n = head + sum of blocks + tail.
+    """Split-chain harvest of the scalar chain: regeneration times,
+    complete-cycle sums, and the exact decomposition S_n = sum of blocks
+    + tail. The harvest starts at a regeneration, so there is no head.
 
     ``total`` is S_n accumulated segment-by-segment in chronological
     order; ``reconstruct_total`` refolds the stored pieces in the same
-    order, so the identity is exact at the bit level. ``block_sums`` has
-    one row per complete cycle and ``path`` one row per step (n rows);
-    a 1-d input is one column.
+    order, so the identity is exact at the bit level. ``block_sums`` is
+    1-d, one sum per complete cycle, and ``path`` 1-d, one state per
+    step; any other shape is rejected.
     """
 
     cycle_starts: np.ndarray
     block_sums: np.ndarray
-    head_sum: np.ndarray
-    tail_sum: np.ndarray
-    total: np.ndarray
+    tail_sum: float
+    total: float
     path: np.ndarray
     n: int
 
     def __post_init__(self):
         self.cycle_starts = np.asarray(self.cycle_starts, dtype=np.int64)
-        self.block_sums = _columns(self.block_sums)
-        self.head_sum = np.atleast_1d(np.asarray(self.head_sum,
-                                                 dtype=float))
-        self.tail_sum = np.atleast_1d(np.asarray(self.tail_sum,
-                                                 dtype=float))
-        self.total = np.atleast_1d(np.asarray(self.total, dtype=float))
-        self.path = _columns(self.path)
-        if self.path.shape[0] != self.n:
+        self.block_sums = np.asarray(self.block_sums, dtype=float)
+        self.tail_sum = float(self.tail_sum)
+        self.total = float(self.total)
+        self.path = np.asarray(self.path, dtype=float)
+        if (self.path.shape != (self.n,)
+                or self.block_sums.shape != (self.n_cycles,)):
             raise ParameterError(
-                f"path has {self.path.shape[0]} rows for n = {self.n} "
-                "steps")
+                f"path must have shape ({self.n},) for n = {self.n} steps "
+                f"and block_sums ({self.n_cycles},) for {self.n_cycles} "
+                f"cycles; got {self.path.shape} and "
+                f"{self.block_sums.shape}")
 
     @property
     def n_cycles(self) -> int:
@@ -98,12 +91,11 @@ class RegenBlocks:
     def cycle_lengths(self) -> np.ndarray:
         return np.diff(self.cycle_starts)
 
-    def reconstruct_total(self) -> np.ndarray:
-        """Refold head + blocks + tail in chronological order (a left
-        fold from zero)."""
-        pieces = np.vstack([np.zeros_like(self.head_sum), self.head_sum,
-                            self.block_sums, self.tail_sum])
-        return np.add.accumulate(pieces, axis=0)[-1]
+    def reconstruct_total(self) -> float:
+        """Refold blocks + tail in chronological order (a left fold from
+        zero)."""
+        pieces = np.concatenate(([0.0], self.block_sums, [self.tail_sum]))
+        return float(np.add.accumulate(pieces)[-1])
 
 
 @dataclass
@@ -138,13 +130,11 @@ def make_var1_minorization(spec, m_bound: float = None,
     """
     a, law, weight = spec.linear_step()
     scale = law.scale * weight
-    if m_bound is None:
+    heuristic = m_bound is None
+    if heuristic:
         seed = 0x511 if stream is None else stream.master_seed
         pilot = models.stationary_pilot(spec, seed)
         m_bound = float(np.quantile(np.abs(pilot[:, 0]), 0.995))
-        heuristic = True
-    else:
-        heuristic = False
     m_bound = float(m_bound)
     if not m_bound > 0:
         raise ParameterError("m_bound must be positive")
@@ -308,14 +298,10 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
             f"y={first[1]:.6g}; epsilon too large for this small set")
     starts = np.concatenate(starts)
     segments = np.add.reduceat(path, starts)
-    # S_n as a chronological left fold of head (empty: the chain starts
-    # at a regeneration), complete blocks and tail
+    # S_n as a chronological left fold of the complete blocks and the tail
     total = np.add.accumulate(np.concatenate(([0.0], segments)))[-1]
-    return RegenBlocks(cycle_starts=starts,
-                       block_sums=segments[:-1].reshape(-1, 1),
-                       head_sum=np.array([0.0]),
-                       tail_sum=segments[-1:], total=np.array([total]),
-                       path=path.reshape(-1, 1), n=n)
+    return RegenBlocks(cycle_starts=starts, block_sums=segments[:-1],
+                       tail_sum=segments[-1], total=total, path=path, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +318,7 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
         raise ParameterError("pi_a_estimate must lie in (0, 1]")
     lengths = blocks.cycle_lengths().astype(float)
     mean_len = float(lengths.mean())
-    k = lengths.size
-    se = float(lengths.std(ddof=1) / math.sqrt(k)) if k > 1 else math.inf
+    se = float(lengths.std(ddof=1) / math.sqrt(lengths.size))
     expected = 1.0 / pi_a_estimate
     z = (mean_len - expected) / se if se > 0 else \
         (0.0 if mean_len == expected else math.inf)
@@ -347,24 +332,21 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
         rate = math.inf
     return KacReport(mean_length=mean_len, expected_length=expected,
                      se=se, z_score=float(z), passed=abs(z) <= 3.0,
-                     geometric_rate=rate, n_cycles=k)
+                     geometric_rate=rate, n_cycles=lengths.size)
 
 
 def stationary_small_set_mass(path, m_bound: float) -> float:
-    """Empirical stationary mass of {|x| <= M} from a path: the rows of a
-    2-d path are its states, the entries of a 1-d one scalar states.
-    Counted over blocks of about ``models._SUM_BLOCK`` floats of rows."""
+    """Empirical stationary mass of {|x| <= M} from a 1-d path of scalar
+    states, counted ``models._SUM_BLOCK`` states at a time."""
     values = np.asarray(path, dtype=float)
-    if values.ndim < 2:
-        values = values.reshape(-1, 1)
-    if len(values) == 0:
+    if values.ndim != 1 or values.size == 0:
         raise ParameterError(
-            f"path must hold at least one state (got shape {values.shape})")
+            "path must be a 1-d array of at least one state (got shape "
+            f"{values.shape})")
     if not m_bound > 0:
         raise ParameterError(f"m_bound must be positive (got {m_bound!r})")
-    rows = max(1, models._SUM_BLOCK // max(1, values.shape[1]))
     inside = 0
-    for lo in range(0, len(values), rows):
-        norms = np.linalg.norm(values[lo:lo + rows], axis=1)
-        inside += int(np.count_nonzero(norms <= m_bound))
-    return inside / len(values)
+    for lo in range(0, values.size, models._SUM_BLOCK):
+        block = values[lo:lo + models._SUM_BLOCK]
+        inside += int(np.count_nonzero(np.abs(block) <= m_bound))
+    return inside / values.size

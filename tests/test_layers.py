@@ -7,7 +7,8 @@ Function-level imports count: they hide a cycle, they do not remove it.
 
 Every function, class and method of the package is reached from the
 package itself, or is one of the few names only the benchmark tracer or
-an acceptance criterion calls.
+an acceptance criterion calls; and every defaulted parameter of a
+function of the package is set by at least one call.
 """
 import ast
 from collections import Counter
@@ -148,3 +149,64 @@ def test_every_public_name_is_reached():
         name for name, node in defined.items() if name not in allowed
         and used[node.name] <= _identifiers(node)[node.name])
     assert not unreached, f"defined but never called: {unreached}"
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _trees(*dirs):
+    """(file name, parsed module) of every Python file under ``dirs``."""
+    for top in dirs:
+        for base, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(base, name)) as fh:
+                        yield name, ast.parse(fh.read())
+
+
+def _defaulted(tree):
+    """(function name, parameter, position or None) of every defaulted
+    parameter of every function in ``tree``. The position counts the
+    arguments a call passes, so a method's ``self`` is left out;
+    keyword-only parameters have none."""
+    methods = {id(item) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and not any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in item.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = args.posonlyargs + args.args
+            skip = 1 if id(node) in methods else 0
+            first = len(params) - len(args.defaults)
+            for i, param in enumerate(params[first:], first):
+                yield node.name, param.arg, i - skip
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, param.arg, None
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # what the calls of each name set: positions, keywords, or "*" for a
+    # call through *args or **kwargs, which may set anything
+    setters = {}
+    for _, tree in _trees(os.path.join("src", "heavytail"), "tests",
+                          "bench"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            got = setters.setdefault(name, set())
+            got.update(range(len(node.args)))
+            got.update(k.arg or "*" for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                got.add("*")
+    unset = sorted(
+        f"{module[:-3]}.{func}({param})"
+        for module, tree in _trees(os.path.join("src", "heavytail"))
+        for func, param, pos in _defaulted(tree)
+        if not setters.get(func, set()) & {"*", param, pos})
+    assert not unset, f"defaulted parameters no call sets: {unset}"

@@ -4,6 +4,7 @@ Tail-index targets come from closed forms (quadratic log-moment roots,
 exact unit moments) or an independent quadrature/Brent root.
 """
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from heavytail import cluster, models, randkit
-from heavytail.errors import (HeavytailError, NoRootError, ParameterError,
+from heavytail.errors import (DivergenceError, HeavytailError, NoRootError,
+                              ParameterError, SingularDrawError,
                               UnsupportedCaseError)
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.tailstats import Direction
@@ -211,6 +213,33 @@ class TestSimulatePath:
                                a_matrix=np.eye(2) * 0.5)
         with pytest.raises(ParameterError):
             models.simulate_paths_batch(spec, 64, 16, 5, derive_stream(4, 5))
+
+    def test_divergence_names_the_first_value_beyond_the_bound(self):
+        # a = 0.5 contracts, but a Pareto(0.01) draw passes 1e280 with
+        # probability 10^-2.8, so 2000 steps almost surely hold one
+        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.01),
+                               a_matrix=np.array([[0.5]]))
+        with np.errstate(over="ignore"):
+            z = randkit.sample_law(derive_stream(4, 8), spec.innovation,
+                                   2000)
+        x = models._ar1(z[None], 0.5)[0]
+        t = int(np.flatnonzero(~(np.abs(x) <= models._BLOWUP))[0])
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError,
+                match=re.escape(f"{x[t]:.6g} at index (0, {t})")):
+            models.simulate_path(spec, 2000, 0, derive_stream(4, 8))
+
+    def test_ill_conditioned_closed_form_names_the_condition_number(self):
+        # A is nilpotent (spectral radius 0), yet (I - A) has condition
+        # number about 1e26
+        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.array([[0.0, 1e13],
+                                                  [0.0, 0.0]]))
+        cond = np.linalg.cond(np.eye(2) - spec.a_matrix)
+        with pytest.raises(SingularDrawError,
+                           match=re.escape(f"condition number {cond:.3g}")):
+            cluster.closed_form_cluster_index(
+                spec, Direction([1.0, 0.0]), 100, derive_stream(4, 9))
 
 
 class TestAr1Kernel:

@@ -5,6 +5,7 @@ Kernel-fidelity oracles compare split-chain transitions against the
 closed-form conditional law of the underlying chain.
 """
 import math
+import re
 import tracemalloc
 import types
 
@@ -176,27 +177,20 @@ class TestHarvest:
     def test_decomposition_is_bit_exact(self, ar_gauss, gauss_mino):
         blocks = harvest_blocks(ar_gauss, gauss_mino, 100_000,
                                 derive_stream(62, 1))
-        assert np.array_equal(blocks.reconstruct_total(), blocks.total)
+        assert blocks.reconstruct_total() == blocks.total
         assert blocks.n == 100_000
-        assert blocks.path.shape == (100_000, 1)
-        # two columns: the refold matches a row-by-row loop bit for bit
-        two = regen.RegenBlocks(
-            cycle_starts=blocks.cycle_starts,
-            block_sums=np.hstack([blocks.block_sums,
-                                  blocks.block_sums ** 2]),
-            head_sum=np.array([0.25, -1.5]),
-            tail_sum=np.array([blocks.tail_sum[0], 3.0]),
-            total=np.zeros(2), path=blocks.path, n=blocks.n)
-        acc = np.zeros(2) + two.head_sum
-        for row in two.block_sums:
-            acc = acc + row
-        assert np.array_equal(two.reconstruct_total(), acc + two.tail_sum)
+        assert blocks.path.shape == (100_000,)
+        # the refold matches a block-by-block loop bit for bit
+        acc = 0.0
+        for value in blocks.block_sums:
+            acc = acc + float(value)
+        assert blocks.reconstruct_total() == acc + blocks.tail_sum
 
     def test_total_equals_path_sum_to_float_tolerance(self, ar_gauss,
                                                       gauss_mino):
         blocks = harvest_blocks(ar_gauss, gauss_mino, 50_000,
                                 derive_stream(62, 2))
-        assert np.allclose(blocks.total, blocks.path.sum(axis=0),
+        assert np.allclose(blocks.total, blocks.path.sum(),
                            rtol=1e-9, atol=1e-9)
 
     def test_cycle_bookkeeping(self, ar_gauss, gauss_mino):
@@ -206,14 +200,14 @@ class TestHarvest:
         assert starts[0] == 0
         assert np.all(np.diff(starts) >= 1)
         assert blocks.n_cycles == starts.size - 1
-        assert blocks.block_sums.shape == (blocks.n_cycles, 1)
+        assert blocks.block_sums.shape == (blocks.n_cycles,)
         assert np.all(blocks.cycle_lengths() >= 1)
 
     def test_pareto_chain_harvest(self, pareto_chain):
         mino = make_var1_minorization(pareto_chain, m_bound=4.0)
         blocks = harvest_blocks(pareto_chain, mino, 100_000,
                                 derive_stream(62, 4))
-        assert np.array_equal(blocks.reconstruct_total(), blocks.total)
+        assert blocks.reconstruct_total() == blocks.total
         assert blocks.n_cycles > 1000
 
     def test_invalid_split_detected(self, ar_gauss, bad_mino):
@@ -226,7 +220,7 @@ class TestHarvest:
         # probability epsilon, whatever the state
         blocks = harvest_blocks(ar_gauss, gauss_mino, 200_000,
                                 derive_stream(62, 7))
-        x = blocks.path[:, 0]
+        x = blocks.path
         regenerated = np.zeros(x.size, dtype=bool)
         regenerated[blocks.cycle_starts] = True
         on_set = np.abs(x[:-1]) <= gauss_mino.m_bound
@@ -259,9 +253,10 @@ class TestHarvest:
         starts, sums, total, path = one_shot_harvest(
             spec, mino, BLOCKS_N, derive_stream(62, 9))
         assert blocks.cycle_starts.tobytes() == starts.tobytes()
-        assert blocks.block_sums[:, 0].tobytes() == sums.tobytes()
-        assert blocks.total.tobytes() == np.array([total]).tobytes()
-        assert blocks.path[:, 0].tobytes() == path.tobytes()
+        assert blocks.block_sums.tobytes() == sums.tobytes()
+        assert float(blocks.total).hex() == float(total).hex()
+        assert blocks.reconstruct_total() == blocks.total
+        assert blocks.path.tobytes() == path.tobytes()
         # regenerations in every step block
         assert np.unique(starts // models._SUM_BLOCK).size == 4
 
@@ -306,31 +301,32 @@ class TestHarvest:
 
 
 class TestBlocksOrientation:
-    """``RegenBlocks`` reads a 1-d input as one column and takes a 2-d
-    one as it is: a short path of wide states is never transposed."""
+    """``RegenBlocks`` holds one float per cycle and one per step: a 1-d
+    input is kept as it is, and a 2-d one, in either orientation, is
+    rejected by its shape, so there is no orientation to guess."""
 
     def _blocks(self, **fields):
         base = dict(cycle_starts=[0, 1, 2, 3], block_sums=[1.0, 2.0, 3.0],
-                    head_sum=[0.0], tail_sum=[0.0], total=[6.0],
-                    path=np.arange(3.0), n=3)
+                    tail_sum=0.0, total=6.0, path=np.arange(3.0), n=3)
         return regen.RegenBlocks(**{**base, **fields})
 
-    def test_one_dimensional_inputs_are_one_column(self):
+    def test_one_dimensional_inputs_are_kept(self):
         blocks = self._blocks()
-        assert blocks.block_sums.shape == (3, 1)
-        assert blocks.path.shape == (3, 1)
+        assert blocks.block_sums.shape == (3,)
+        assert blocks.path.shape == (3,)
         assert blocks.n_cycles == 3
-        assert blocks.reconstruct_total()[0] == 6.0
+        assert blocks.reconstruct_total() == 6.0
 
-    def test_short_path_of_wide_states_keeps_its_shape(self):
-        path = np.arange(6.0).reshape(2, 3)
-        blocks = self._blocks(cycle_starts=[0, 2],
-                              block_sums=np.ones((1, 3)),
-                              head_sum=np.zeros(3), tail_sum=np.zeros(3),
-                              total=np.ones(3), path=path, n=2)
-        assert blocks.path.shape == (2, 3)
-        assert np.array_equal(blocks.path, path)
-        assert blocks.block_sums.shape == (1, 3)
+    @pytest.mark.parametrize("fields", [
+        dict(path=np.arange(3.0)[:, None]),
+        dict(path=np.arange(6.0).reshape(2, 3), n=2, cycle_starts=[0, 2],
+             block_sums=[1.0]),
+        dict(block_sums=np.arange(3.0)[:, None]),
+        dict(block_sums=np.ones((1, 3)))])
+    def test_two_dimensional_inputs_are_rejected(self, fields):
+        shape = np.shape(fields.get("path", fields.get("block_sums")))
+        with pytest.raises(ParameterError, match=re.escape(str(shape))):
+            self._blocks(**fields)
 
     @pytest.mark.parametrize("path", [np.arange(4.0),
                                       np.arange(6.0).reshape(3, 2).T])
@@ -349,8 +345,8 @@ class TestIidAtomization:
         assert float(lengths.mean()) == 1.0
         assert np.all(lengths == 1)
         # each block is one increment of the path
-        assert np.allclose(blocks.block_sums[:, 0],
-                           blocks.path[:-1, 0], rtol=0, atol=0)
+        assert np.allclose(blocks.block_sums, blocks.path[:-1],
+                           rtol=0, atol=0)
 
     def test_kac_is_exact(self):
         law = TailLaw(randkit.GAUSSIAN)
@@ -401,17 +397,20 @@ class TestKac:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n
-        norms = np.linalg.norm(blocks.path, axis=1)
-        assert mass == float((norms <= gauss_mino.m_bound).mean())
+        inside = np.abs(blocks.path) <= gauss_mino.m_bound
+        assert mass == float(inside.mean())
 
     def test_small_set_mass_of_scalar_states(self):
         path = np.array([0.5, 3.0, -1.0])
         assert regen.stationary_small_set_mass(path, 2.0) == 2.0 / 3.0
-        assert regen.stationary_small_set_mass(path[:, None], 2.0) \
-            == 2.0 / 3.0
-        # the rows of a 2-d path are states: their norms are compared
-        states = np.array([[1.0, 1.0], [2.0, 1.0]])
-        assert regen.stationary_small_set_mass(states, 2.0) == 0.5
+        assert regen.stationary_small_set_mass(-path, 2.0) == 2.0 / 3.0
+
+    @pytest.mark.parametrize("path", [np.array([[0.5], [3.0], [-1.0]]),
+                                      np.array([[1.0, 1.0], [2.0, 1.0]])])
+    def test_small_set_mass_rejects_a_two_dimensional_path(self, path):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"got shape {path.shape}")):
+            regen.stationary_small_set_mass(path, 2.0)
 
     @pytest.mark.parametrize("path", [np.empty(0), np.empty((0, 1))])
     def test_small_set_mass_rejects_an_empty_path(self, path):
