@@ -384,7 +384,7 @@ class TestKac:
 
     def test_small_set_mass_counts_over_row_blocks(self, ar_gauss,
                                                    gauss_mino):
-        # a path-sized norm, comparison and mean would hold three arrays
+        # a path-sized |x|, comparison and mean would hold three arrays
         # of the path's size
         n = 200_000
         blocks = harvest_blocks(ar_gauss, gauss_mino, n,
