@@ -423,10 +423,11 @@ def _cmd_cluster_index(config, spec, writer, threads):
         _stream(config, "cluster_tail"), threads)}
     stages = ["cluster_tail"]
     if spec.has_closed_form:
-        ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
+        cf = ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
             spec, theta, replicas, _stream(config, "cluster_closed"),
             threads)
-        stages.append("cluster_closed")
+        if cf.replicas:  # an exact closed form draws nothing
+            stages.append("cluster_closed")
     ests["telescoping"] = cluster.telescoping_difference(
         spec, tail_theta, alpha, config.get("k_trunc"), replicas,
         _stream(config, "cluster_telescoping"), threads)
@@ -552,7 +553,8 @@ def _cmd_report(config, spec, writer, threads):
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
-        stages.append("cluster_closed")
+        if cf.replicas:
+            stages.append("cluster_closed")
     ext = cluster.extremal_index(
         spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "extremal"), threads)

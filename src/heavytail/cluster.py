@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRegimeError, ParameterError
+from .errors import OutOfRegimeError, ParameterError, UnsupportedCaseError
 from . import models, randkit
 from .randkit import RngStream
 from .tailstats import Direction, lookup_direction
@@ -29,12 +29,14 @@ class ClusterIndexEstimate:
 
     For a plain sample mean, ``std_error`` is the unbiased (ddof=1)
     standard error, which coincides with the delete-one jackknife for a
-    sample mean. For a control-variate estimate (the tail-process routes
-    of a family that knows its tail moments) it is the regression's
+    sample mean. For a control-variate estimate (the summed tail-process
+    routes of a family that knows its tail moments) it is the regression's
     residual standard error, sqrt(M2_res / (n-2) / n); the jackknife
     identity holds for the plain mean only. ``plug_in_se`` is the ddof=0
-    variant of either. A non-finite value or standard error (a tail index
-    too large for double precision) is out of regime.
+    variant of either. An estimate that takes no draws (an exact closed
+    form) has 0 replicas, horizon 0 and its error bound in both. A
+    non-finite value or standard error (a tail index too large for double
+    precision) is out of regime.
     """
 
     value: float
@@ -147,7 +149,7 @@ def _merge_moments(parts):
 
 
 def _control_power(alpha: float) -> float:
-    """Exponent s of the control sum_{t>=1} |theta'Theta_t|^s. For
+    """Exponent s of the control sum_{t>=1} (theta'Theta_t)_+^s. For
     1 < alpha < 2 the summed functional is about alpha W^(alpha-1), and
     s = alpha - 1 gives the control a finite variance exactly where the
     route has one; alpha/4 otherwise."""
@@ -155,8 +157,8 @@ def _control_power(alpha: float) -> float:
 
 
 def _control(proj: np.ndarray, s: float) -> np.ndarray:
-    """sum_{t>=1} |theta'Theta_t|^s per path."""
-    c = np.abs(proj[:, 1:])
+    """sum_{t>=1} (theta'Theta_t)_+^s per path."""
+    c = np.maximum(proj[:, 1:], 0.0)
     c **= s
     return c.sum(axis=1)
 
@@ -175,13 +177,15 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     draws, and each estimate has the bits it would have alone on the same
     stream. One estimate per functional, in order.
 
-    When the spec knows E c for the control c = sum_{t>=1}
-    |theta'Theta_t|^s (``tail_moments``), c is one more reducer on the
-    same blocks and the estimate is the regression estimator
+    When the functional is the summed one (``_sum_difference``) and the
+    spec knows E c for the control c = sum_{t>=1} (theta'Theta_t)_+^s
+    (``tail_moments``), c is one more reducer on the same blocks and the
+    estimate is the regression estimator
     mean_f - beta (mean_c - E c), beta = C_fc / M2_c, with the residual
     sum of squares M2_f - C_fc^2 / M2_c over n - 2 in its standard error
-    (Glasserman 2004, section 4.1). Without E c, or when the control has
-    no spread, it is the plain mean."""
+    (Glasserman 2004, section 4.1). Otherwise, or when the control has
+    no spread, it is the plain mean (the sup functional gains too little
+    from c to pay for it)."""
     if horizon < least_horizon:
         raise ParameterError(
             f"{horizon_name} must be at least {least_horizon}")
@@ -195,7 +199,8 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     for theta, reduce_paths, _ in functionals:
         tv = theta.vector
         reducers.append((tv, functools.partial(reduce_paths, alpha=alpha)))
-        ec = spec.tail_moments(tv, s, horizon)
+        ec = spec.tail_moments(tv, s, horizon) \
+            if reduce_paths is _sum_difference else None
         if ec is not None and math.isfinite(ec):
             # reads the functional's own projection
             reducers.append((tv, functools.partial(_control, s=s)))
@@ -303,44 +308,37 @@ def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
 def closed_form_cluster_index(spec, theta: Direction, replicas: int,
                               stream: RngStream, threads: int = 1,
                               signs=None):
-    """Model-specific closed form, Monte Carlo only over Theta_0 (and the
-    recurrence's multipliers).
-
-    Linear model: E[(theta'(I-A)^{-1} Theta_0)_+^alpha
-                    - (theta'A(I-A)^{-1} Theta_0)_+^alpha].
-    Scalar recurrence: E[(theta (W+1) Theta_0)_+^alpha
-                         - (theta W Theta_0)_+^alpha] with W the
-    stationary solution of W_k = (W_{k-1} + 1) A_k, run for the spec's
-    ``aux_horizon`` steps. Other models raise UnsupportedCaseError.
-
-    With ``signs`` (a list of +1 and -1) it returns a list: the estimate
-    at s * theta for each s, from one ``closed_form_terms`` call. Its
-    projections u and w are linear in theta and negation is exact, so
-    (s u, s w) are the bits of the terms at s * theta.
-    """
+    """Model-specific closed form (UnsupportedCaseError for a model
+    without one): the spec's ``exact_cluster_index`` (no draws, its error
+    bound as standard error), else Monte Carlo over Theta_0 of
+    E[u_+^alpha - w_+^alpha] (``closed_form_terms``). No closed form
+    splits its work over ``threads``. With ``signs`` (a list of +1 and -1)
+    it returns the estimate at s * theta for each s, the Monte Carlo ones
+    from one call: u and w are linear in theta and negation is exact, so
+    (s u, s w) are the bits of the terms at s * theta."""
+    if not spec.has_closed_form:
+        raise UnsupportedCaseError(
+            f"no closed-form cluster index for {type(spec).__name__}")
     if replicas < 2:
         raise ParameterError(
             f"replicas must be at least 2 for a standard error (got "
             f"{replicas})")
     if signs is not None:
         _check_signs(signs)
-    u, w, horizon = spec.closed_form_terms(theta.vector, replicas, stream,
-                                           threads)
-    if signs is None:
-        return _closed_form_estimate(spec, u, w, horizon)
-    return [_closed_form_estimate(spec, s * u, s * w, horizon)
-            for s in signs]
-
-
-def _closed_form_estimate(spec, u: np.ndarray, w: np.ndarray,
-                          horizon: int) -> ClusterIndexEstimate:
-    """Mean and standard errors of u_+^alpha - w_+^alpha over the
-    replicas of ``spec.closed_form_terms``."""
-    alpha = models.tail_index(spec)
-    vals = np.maximum(u, 0.0) ** alpha - np.maximum(w, 0.0) ** alpha
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    se_plug = float(np.std(vals, ddof=0) / math.sqrt(vals.size))
-    return ClusterIndexEstimate(value=mean, std_error=se,
-                                route=ROUTE_CLOSED_FORM, horizon=horizon,
-                                replicas=vals.size, plug_in_se=se_plug)
+    tv, sides = theta.vector, signs or (1,)
+    exact = [spec.exact_cluster_index(s * tv) for s in sides]
+    if exact[0] is not None:
+        ests = [ClusterIndexEstimate(v, e, ROUTE_CLOSED_FORM, 0, 0, e)
+                for v, e in exact]
+        return ests[0] if signs is None else ests
+    u, w = spec.closed_form_terms(tv, replicas, stream)
+    alpha, ests = models.tail_index(spec), []
+    for s in sides:
+        vals = np.maximum(s * u, 0.0) ** alpha \
+            - np.maximum(s * w, 0.0) ** alpha
+        root_n = math.sqrt(vals.size)
+        ests.append(ClusterIndexEstimate(
+            value=float(np.mean(vals)), route=ROUTE_CLOSED_FORM, horizon=0,
+            std_error=float(np.std(vals, ddof=1) / root_n),
+            replicas=vals.size, plug_in_se=float(np.std(vals) / root_n)))
+    return ests[0] if signs is None else ests

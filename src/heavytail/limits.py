@@ -82,7 +82,6 @@ class CfComparison:
     theoretical: np.ndarray
     sup_abs_gap: float
     mc_band: float
-    direction: Direction = None
     centering: str = "none"
 
     def __post_init__(self):
@@ -255,7 +254,7 @@ def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
         out.append(CfComparison(grid=CF_GRID.copy(), empirical=emp,
                                 theoretical=theo, sup_abs_gap=gap,
                                 mc_band=3.0 * math.sqrt(2.0 / reps),
-                                direction=th, centering=centering))
+                                centering=centering))
     return out
 
 

@@ -23,15 +23,13 @@ from .randkit import RngStream, TailLaw, derive_stream, sample_law
 # child-stream tags: tail-process angles and the stationary pilot
 _ANGLE_CHILD = 0x7A17
 _PILOT_STREAM_ID = 0x7A19
-# substreams of the closed-form cluster index: Theta_0 draws, auxiliary chain
+# substream of the linear chain's closed-form cluster index: Theta_0 draws
 _CLOSED_ANGLES = 0x0A
-_CLOSED_AUX = 0x0C
 
 _BLOWUP = 1e280
-_AUX_BLOCK = 4096  # auxiliary-chain replicas per block, on their own substream
-# path sums, tail processes and the auxiliary chain draw and reduce in
-# blocks that stay in a core's L2 cache
-_SUM_BLOCK = 1 << 16  # floats of draws per block: linear-chain sums, aux chain
+# path sums and tail processes draw and reduce in blocks that stay in a
+# core's L2 cache
+_SUM_BLOCK = 1 << 16  # floats of draws per block: linear-chain sums
 _RECURSION_BLOCK = 256  # recurrence replicas per block
 _STEP_BLOCK = 64  # volatility-recursion steps drawn per block
 _TAIL_BLOCK = 512  # tail-process replicas per block
@@ -101,18 +99,14 @@ class ModelSpec:
         idx = np.searchsorted(cdf, stream.rng.random(replicas), side="right")
         return atoms[np.minimum(idx, weights.size - 1)]
 
-    def closed_form_terms(self, tv: np.ndarray, replicas: int,
-                          stream: RngStream, threads: int = 1):
-        """(u, w, horizon): per-replica projections whose positive parts
-        give the closed-form cluster index E[u_+^alpha - w_+^alpha];
-        ``threads`` workers share any blocked work, with the same bits."""
-        raise UnsupportedCaseError(
-            "closed form available for the linear and recurrence models "
-            "only")
+    def exact_cluster_index(self, tv: np.ndarray):
+        """(b(theta), error bound) at the direction vector ``tv`` when the
+        family computes it with no draws; None otherwise."""
+        return None
 
     def tail_moments(self, tv: np.ndarray, s: float, horizon: int):
-        """E sum_{t=1}^{horizon} |tv'Theta_t|^s, when the family knows it
-        exactly; None otherwise."""
+        """E sum_{t=1}^{horizon} (tv'Theta_t)_+^s, when the family knows
+        it exactly; None otherwise."""
         return None
 
     def stationary_mean(self):
@@ -293,9 +287,9 @@ class Var1Spec(ModelSpec):
                 theta[:, t] = cur
             yield [theta if tv is None else theta @ tv for tv in tvs]
 
-    def closed_form_terms(self, tv, replicas, stream, threads=1):
-        """u = theta'(I-A)^{-1} Theta_0 and w = theta'A(I-A)^{-1} Theta_0;
-        no auxiliary chain (horizon 0)."""
+    def closed_form_terms(self, tv, replicas, stream):
+        """(u, w) per replica, u = theta'(I-A)^{-1} Theta_0 and
+        w = theta'A(I-A)^{-1} Theta_0: b = E[u_+^alpha - w_+^alpha]."""
         if tv.size != self.dim:
             raise ParameterError("direction dimension mismatch")
         angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
@@ -309,7 +303,7 @@ class Var1Spec(ModelSpec):
                 f"(I - A) has condition number {cond:.3g}, above 1e12")
         lead = np.linalg.solve(m.T, tv)
         lag = self.a_matrix.T @ lead
-        return angles @ lead, angles @ lag, 0
+        return angles @ lead, angles @ lag
 
     def stationary_mean(self):
         try:
@@ -388,18 +382,6 @@ class KestenSpec(ModelSpec):
         return randkit.law_moment(self.a_law, s)
 
     @functools.cached_property
-    def aux_horizon(self) -> int:
-        """Steps of the closed form's auxiliary chain, set on first use:
-        the moment horizon over s in (0, 1] and [alpha - 1, alpha], or
-        s = 1 for alpha > 2 (range empty). There (x+y)^s <= x^s + y^s and
-        g(w) = (w+1)^alpha - w^alpha is s-Hoelder, so a K-step chain moves
-        E g(W) by at most C rho^K E W^s."""
-        alpha = self.tail_index()
-        return _moment_horizon(self._a_moment,
-                               min(max(alpha - 1.0, 0.0), 1.0),
-                               min(alpha, 1.0))
-
-    @functools.cached_property
     def default_burn(self) -> int:
         """Warm-up, set on first use: the moment horizon over s in
         (0, min(1, alpha)], where E|X|^s is finite. A path started at 0
@@ -466,47 +448,53 @@ class KestenSpec(ModelSpec):
             yield [theta[..., None] if tv is None else theta * tv[0]
                    for tv in tvs]
 
+    def _up_mass(self, tv) -> float:
+        """P(theta Theta_0 > 0), the sign of every theta Theta_t."""
+        atoms, weights = self._theta0_atoms
+        return float(np.sum(weights[atoms[:, 0] * tv[0] > 0.0]))
+
     def tail_moments(self, tv, s, horizon):
-        """|theta|^s sum_{t=1}^T (E A^s)^t: |Theta_t| = A_1 ... A_t, with
-        iid multipliers."""
+        """P(theta Theta_0 > 0) |theta|^s sum_{t=1}^T (E A^s)^t, the mean
+        of sum_t (theta Theta_t)_+^s: |Theta_t| = A_1 ... A_t, with iid
+        multipliers."""
         m, term, total = self._a_moment(s), 1.0, 0.0
         for _ in range(horizon):  # a float product overflows to inf
             term *= m
             total += term
-        return abs(float(tv[0])) ** s * total
+        return self._up_mass(tv) * abs(float(tv[0])) ** s * total
 
-    def closed_form_terms(self, tv, replicas, stream, threads=1):
-        """u = theta (W+1) Theta_0 and w = theta W Theta_0, with
-        W = sum_{t>=1} A_1 ... A_t drawn independently per replica by the
-        recursion W_k = (W_{k-1} + 1) A_k run for ``aux_horizon`` steps
-        (the returned horizon)."""
+    @functools.cached_property
+    def _perpetuity(self):
+        """(G, bound), with no draws: G = E[(W+1)^alpha - W^alpha] for the
+        perpetuity W = sum_{t>=1} A_1 ... A_t =_d A (1 + W) (Vervaat
+        1979), Richardson-extrapolated from ``_log_fixed_point`` at steps
+        h <= 0.04 and h/2 (an O(h^2) error), bound |G_h - G_{h/2}| / 3. The
+        centre of log A is a lattice point, so A = 1/2 keeps W = 1; the
+        lattice ends where g times the density of log W, which falls like
+        exp(-(kappa - s) y) with s = max(alpha - 1, 0), is e^-36."""
+        alpha, law = self.tail_index(), self.a_law
+        s = max(alpha - 1.0, 0.0)
+        if s and self._a_moment(s) >= 1.0:
+            raise ParameterError(
+                f"E A^(alpha-1) = {self._a_moment(s):.6g} is not below 1 at "
+                f"alpha = {alpha:g}: E[(W+1)^alpha - W^alpha] diverges")
+        if law.family == randkit.LOGNORMAL:
+            kappa, centre = -2.0 * law.mu / law.sigma ** 2, law.mu
+        else:
+            kappa = _solve_moment_equation(lambda k: self._a_moment(k) - 1.0)
+            centre = math.log(law.scale)
+        h = -centre / math.ceil(-centre / 0.04)  # centre < 0
+        top = math.ceil(36.0 / min(1.0, kappa - s) / h)
+        coarse, push = _log_fixed_point(law, alpha, h, top, None)
+        fine, _ = _log_fixed_point(law, alpha, h / 2.0, 2 * top, push)
+        return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+    def exact_cluster_index(self, tv):
+        """|theta|^alpha P(theta Theta_0 > 0) G, and G's bound alike."""
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
-        angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
-        aux_stream = stream.substream(_CLOSED_AUX)
-        k = self.aux_horizon
-
-        def block(i):
-            # block i of the chain reads substream i alone, so the blocks
-            # run in any order, on any number of threads, with one result;
-            # its (k, m) time-major multipliers are drawn a cache-sized
-            # slab of rows at a time (the law's draws split)
-            m = min(_AUX_BLOCK, replicas - i * _AUX_BLOCK)
-            sub = aux_stream.substream(i)
-            rows = max(1, _SUM_BLOCK // m)
-            chain = np.zeros(m)
-            for t0 in range(0, k, rows):
-                slab = sample_law(sub, self.a_law, min(rows, k - t0) * m)
-                for step in slab.reshape(-1, m):  # step t of every replica
-                    chain += 1.0
-                    chain *= step
-            return chain
-
-        n_blocks = -(-replicas // _AUX_BLOCK)
-        aux = np.concatenate(randkit._map_chunks(block, n_blocks, threads))
-        w = aux * angles[:, 0] * tv[0]
-        u = (aux + 1.0) * angles[:, 0] * tv[0]
-        return u, w, k
+        weight = self._up_mass(tv) * abs(float(tv[0])) ** self.tail_index()
+        return tuple(weight * x for x in self._perpetuity)
 
     def stationary_mean(self):
         ma = randkit.law_moment(self.a_law, 1.0)
@@ -799,6 +787,57 @@ def _moment_horizon(moment, lo: float, hi: float) -> int:
     while rho ** k > 2.0 ** -53:
         k += 1
     return k
+
+
+def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
+                     start):
+    """(E g(W), push) at the fixed point of Y' = log A + softplus(Y),
+    Y = log W, on the cells j h, j <= ``top`` (the top one keeps the mass
+    beyond), from W = 0 or from ``start`` (the push at step 2h), until
+    E g(W) moves by at most 1e-12 of itself. A step splits each cell's
+    mass at softplus(y) over the two cells around it, keeping its mean,
+    and convolves it directly (an FFT loses the far cells' relative
+    accuracy) with log A on the lattice, as far as A^(alpha-1), the weight
+    of g, leaves above e^-40: lognormal cells of width h around mu, or
+    the linear split of the exponential log A - log scale (Pareto)."""
+    s = max(alpha - 1.0, 0.0)
+    if law.family == randkit.LOGNORMAL:
+        sd = law.sigma
+        n = max(1, math.ceil((9.0 + s * sd) * sd / h))
+        z = [(k + 0.5) * h / (sd * math.sqrt(2.0)) for k in range(n + 1)]
+        side = [0.5 * (math.erfc(a) - math.erfc(b)) for a, b in zip(z, z[1:])]
+        q = np.array(side[::-1] + [math.erf(z[0])] + side)
+        lo = round(law.mu / h) - n
+    else:
+        lam = law.alpha * h
+        q = np.exp(-lam * np.arange(math.ceil(42.0 / (lam - s * h)) + 1))
+        q *= 4.0 * math.sinh(lam / 2.0) ** 2 / lam
+        q[0] = 1.0 + math.expm1(-lam) / lam
+        lo = round(math.log(law.scale) / h)
+    # zeros up to cell 0 keep the convolution as long as the lattice
+    q = np.pad(q / q.sum(), (0, max(0, 1 - lo - q.size)))
+    y = np.arange(lo, top + 1) * h
+    pos = np.logaddexp(0.0, y) / h
+    cell = np.floor(pos).astype(np.intp)
+    dest, frac = np.minimum(np.concatenate([cell, cell + 1]), top), pos - cell
+    with np.errstate(over="ignore"):  # (1 + W)^alpha (1 - (W / (1 + W))^alpha)
+        g = -np.exp(alpha * np.logaddexp(0.0, y)) * np.expm1(
+            -alpha * np.logaddexp(0.0, -y))
+    push = np.zeros(top + 1)
+    push[0] = 1.0
+    if start is not None:
+        push[::2] = start
+    prev = math.inf
+    while True:
+        p = np.convolve(push, q)
+        p[y.size - 1] += p[y.size:].sum()
+        p = p[:y.size]
+        value = float(p @ g)
+        if abs(value - prev) <= 1e-12 * abs(value):
+            return value, push
+        prev = value
+        push = np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
+                           minlength=top + 1)
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

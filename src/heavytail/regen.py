@@ -105,11 +105,9 @@ class KacReport:
 
     mean_length: float
     expected_length: float
-    se: float
     z_score: float
     passed: bool
     geometric_rate: float
-    n_cycles: int
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +124,17 @@ def make_var1_minorization(spec, m_bound: float = None,
 
     Pareto innovations (0 <= a < 1, scale s): the bound is
     g(y) = f_Z(y + aM) on {y >= s + aM}, epsilon = ((s + 2aM)/s)^(-alpha),
-    nu sampled by shifting a truncated Pareto draw.
+    nu sampled by shifting a truncated Pareto draw. Without ``m_bound``,
+    M is the 0.995 quantile of |X| on the pilot of ``stream``'s seed.
     """
     a, law, weight = spec.linear_step()
     scale = law.scale * weight
     heuristic = m_bound is None
     if heuristic:
-        seed = 0x511 if stream is None else stream.master_seed
-        pilot = models.stationary_pilot(spec, seed)
+        if stream is None:
+            raise ParameterError("make_var1_minorization needs m_bound "
+                                 "or a stream for its pilot (got neither)")
+        pilot = models.stationary_pilot(spec, stream.master_seed)
         m_bound = float(np.quantile(np.abs(pilot[:, 0]), 0.995))
     m_bound = float(m_bound)
     if not m_bound > 0:
@@ -331,8 +332,8 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
     else:
         rate = math.inf
     return KacReport(mean_length=mean_len, expected_length=expected,
-                     se=se, z_score=float(z), passed=abs(z) <= 3.0,
-                     geometric_rate=rate, n_cycles=lengths.size)
+                     z_score=float(z), passed=abs(z) <= 3.0,
+                     geometric_rate=rate)
 
 
 def stationary_small_set_mass(path, m_bound: float) -> float:

@@ -182,6 +182,19 @@ class TestRun:
             assert json.load(fh)["streams"] == manifest.streams
         assert "manifest.json" not in {f["name"] for f in manifest.files}
 
+    @pytest.mark.parametrize("name, drawn", [
+        ("golden_cluster.cfg", True), ("golden_cluster_kesten.cfg", False)])
+    def test_manifest_lists_the_closed_form_stream_when_drawn(
+            self, tmp_path, name, drawn):
+        # the linear chain's closed form draws Theta_0; the recurrence's
+        # is a fixed point that draws nothing
+        with open(os.path.join(GOLDEN, name)) as fh:
+            manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
+        assert ("cluster_closed" in manifest.streams) == drawn
+        with open(tmp_path / "summary.json") as fh:
+            closed = json.load(fh)["cluster_closed_form"]
+        assert set(closed) == {"value", "std_error"}
+
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg_text = ("command = ldp-scan\nmodel = var1\nseed = 5\n"
                     "a = 0\ninnovation = pareto\nalpha = 0.8\nn = 50\n"

@@ -104,37 +104,11 @@ class TestClosedForm:
 
     def test_recurrence_with_half_multiplier(self):
         # A = 1/2 exactly reproduces the linear-chain target through the
-        # auxiliary-series closed form
+        # perpetuity fixed point: W = 1 sits on the lattice
         spec = near_degenerate_half_spec()
         est = closed_form_cluster_index(spec, Direction([1.0]), 4000,
                                         derive_stream(41, 4))
         assert abs(est.value - B_TARGET) < 1e-8
-
-    def test_auxiliary_block_matches_one_shot_chain_on_its_substream(
-            self, kesten_lognormal):
-        # two full blocks and a half one; block i is the chain of the
-        # spec's horizon drawn at once on substream i of the auxiliary
-        # stream
-        spec = kesten_lognormal
-        k = spec.aux_horizon
-        block = models._AUX_BLOCK
-        replicas = 2 * block + block // 2
-        stream = derive_stream(41, 7)
-        u, w, horizon = spec.closed_form_terms(np.array([1.0]), replicas,
-                                               stream)
-        assert horizon == k
-        angles = spec.theta0(replicas,
-                             stream.substream(models._CLOSED_ANGLES))
-        aux_stream = stream.substream(models._CLOSED_AUX)
-        for i, lo in enumerate(range(0, replicas, block)):
-            m = min(block, replicas - lo)
-            a = randkit.sample_law(aux_stream.substream(i), spec.a_law,
-                                   k * m)
-            aux = _aux_chain(a.reshape(k, m))
-            theta0 = angles[lo:lo + m, 0]
-            assert w[lo:lo + m].tobytes() == (aux * theta0 * 1.0).tobytes()
-            assert u[lo:lo + m].tobytes() \
-                == ((aux + 1.0) * theta0 * 1.0).tobytes()
 
     @pytest.mark.parametrize("replicas", [0, 1])
     def test_fewer_than_two_replicas_are_rejected(self, kesten_lognormal,
@@ -152,16 +126,7 @@ class TestClosedForm:
                                       1000, derive_stream(10, 9))
 
 
-def _aux_chain(a):
-    """W after running W_k = (W_{k-1} + 1) A_k down the rows of a."""
-    w = np.zeros(a.shape[1])
-    for row in a:
-        w += 1.0
-        w *= row
-    return w
-
-
-_HORIZON_SPECS = {
+_KESTEN_SPECS = {
     "bench_lognormal": lambda: models.KestenSpec(
         a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
         b_law=TailLaw(randkit.PARETO, alpha=10.0)),
@@ -175,60 +140,105 @@ _HORIZON_SPECS = {
 }
 
 
-class TestAuxiliaryHorizon:
-    @pytest.mark.parametrize("name, horizon", [
-        # rho = E A^0.75 = exp(-9/32), at the interior minimum s = 3/4
-        ("bench_lognormal", 131),
-        # alpha = 2 leaves s = 1 alone: rho = E A = exp(-1/4)
-        ("kesten_lognormal", 147),
-        # rho = E A = 1/2 at the end s = 1 of [1/2, 1]
-        ("near_degenerate_half", 53),
-        # rho = E A = 2 * 0.2 / (2 - 1) = 0.4
-        ("pareto_multiplier", 41)])
-    def test_horizon_from_contraction_rate(self, name, horizon):
-        spec = _HORIZON_SPECS[name]()
-        assert spec.aux_horizon == horizon
-        *_, got = spec.closed_form_terms(np.array([1.0]), 10,
-                                         derive_stream(41, 8))
-        assert got == horizon
+def _moment_recursion(moment, k):
+    """E[(W+1)^k - W^k] = sum_{j<k} C(k, j) E W^j for the perpetuity
+    W =_d A (1 + W), with E W^j = E A^j sum_{i<j} C(j, i) E W^i
+    / (1 - E A^j) from the binomial expansion; ``moment(j)`` is E A^j."""
+    m = [1.0]
+    for j in range(1, k):
+        m.append(moment(j) * sum(math.comb(j, i) * m[i] for i in range(j))
+                 / (1.0 - moment(j)))
+    return sum(math.comb(k, j) * m[j] for j in range(k))
 
-    def test_tail_index_above_two_takes_s_one(self):
-        # [alpha - 1, alpha] misses (0, 1]: rho = E A = exp(-1/4) again
+
+class TestKestenFixedPoint:
+    """The Kesten closed form is the deterministic fixed point of the law
+    of log W: it takes no draws, and its error bound covers the exact
+    value wherever one is known."""
+
+    @pytest.mark.parametrize("alpha, sigma2", [(2, 0.5), (4, 0.25),
+                                               (9, 0.125)])
+    def test_integer_index_matches_moment_recursion(self, alpha, sigma2):
+        # lognormal A with E A^alpha = 1: mu = -alpha sigma^2 / 2
+        mu = -alpha * sigma2 / 2.0
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(0.5)),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=3.0)
-        assert spec.aux_horizon == 147
+            a_law=TailLaw(randkit.LOGNORMAL, mu=mu, sigma=math.sqrt(sigma2)),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=alpha)
+        exact = _moment_recursion(
+            lambda j: math.exp(j * mu + j * j * sigma2 / 2.0), alpha)
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
+                                        derive_stream(41, 8))
+        assert abs(est.value - exact) <= est.std_error
+        assert est.std_error == est.plug_in_se
+        assert est.std_error <= 0.02 * exact  # a bound, not a blanket
+        assert (est.replicas, est.horizon) == (0, 0)
+
+    @pytest.mark.parametrize("a_alpha, scale, alpha", [(3.0, 0.2, 2),
+                                                       (6.0, 0.3, 4)])
+    def test_pareto_multiplier_matches_moment_recursion(self, a_alpha,
+                                                        scale, alpha):
+        # declared integer index below the moment root; E A^j from the
+        # Pareto law, alpha_A scale^j / (alpha_A - j)
+        law = TailLaw(randkit.PARETO, alpha=a_alpha, scale=scale)
+        spec = models.KestenSpec(a_law=law,
+                                 b_law=TailLaw(randkit.PARETO, alpha=10.0),
+                                 alpha_hint=alpha)
+        exact = _moment_recursion(
+            lambda j: randkit.law_moment(law, float(j)), alpha)
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
+                                        derive_stream(41, 8))
+        assert abs(est.value - exact) <= est.std_error <= 1e-3 * exact
+
+    def test_bench_law_value_and_bound(self):
+        spec = _KESTEN_SPECS["bench_lognormal"]()
+        est = closed_form_cluster_index(spec, Direction([1.0]), 100_000,
+                                        derive_stream(41, 9))
+        assert abs(est.value - 2.408963) <= 2e-5
+        assert 0.0 < est.std_error <= 1e-4
+
+    @pytest.mark.parametrize("name", ["bench_lognormal", "pareto_multiplier"])
+    def test_monte_carlo_routes_agree(self, name):
+        # at the moment root (alpha 1.5 on the bench law, 1.907 for the
+        # Pareto multiplier) the tail-process and telescoping routes sit
+        # within 4 standard errors of the fixed point on every seed
+        spec, th = _KESTEN_SPECS[name](), Direction([1.0])
+        alpha = models.tail_index(spec)
+        exact = closed_form_cluster_index(spec, th, 2, derive_stream(41, 9))
+        for seed in range(4):
+            for route in (cluster_index_tail_process, telescoping_difference):
+                est = route(spec, th, alpha, 40, 20_000,
+                            derive_stream(49, seed))
+                gap = abs(est.value - exact.value)
+                assert gap <= 4.0 * math.hypot(est.std_error,
+                                               exact.std_error)
+
+    def test_signs_split_by_the_additive_law(self):
+        # positive B puts no mass on theta Theta_0 < 0; a symmetric B puts
+        # half of it on each side, with no draws either way
+        a_law = TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0)
+        positive, symmetric = (
+            models.KestenSpec(a_law=a_law, b_law=TailLaw(fam, alpha=10.0))
+            for fam in (randkit.PARETO, randkit.GAUSSIAN))
+        stream = derive_stream(41, 10)
+        up, down = closed_form_cluster_index(positive, Direction([1.0]), 2,
+                                             stream, signs=(1, -1))
+        assert down.value == 0.0 and down.std_error == 0.0
+        assert stream.counter == 0
+        halves = closed_form_cluster_index(symmetric, Direction([1.0]), 2,
+                                           stream, signs=(1, -1))
+        for half in halves:
+            assert half.value == 0.5 * up.value
+            assert half.std_error == 0.5 * up.std_error
 
     def test_no_contraction_on_the_range_is_rejected(self):
-        # moment root 1/2, declared index 1.8: E A^s > 1 on [0.8, 1]
+        # moment root 1/2, declared index 1.8: E A^0.8 > 1, so
+        # E[(W+1)^alpha - W^alpha] diverges
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(2.0)),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.8)
-        with pytest.raises(ParameterError, match="E A"):
+        with pytest.raises(ParameterError, match=r"E A\^\(alpha-1\)"):
             closed_form_cluster_index(spec, Direction([1.0]), 10,
                                       derive_stream(41, 9))
-
-    @pytest.mark.parametrize("name, rel_tol", [
-        ("bench_lognormal", 0.0),
-        ("kesten_lognormal", 0.0),
-        # the multiplier is 1/2 on every step, so the dropped tail is
-        # 2^-53 of W: an ulp or two, not nothing
-        ("near_degenerate_half", 1e-12),
-        ("pareto_multiplier", 1e-12)])
-    def test_cut_chain_matches_long_chain(self, name, rel_tol):
-        # on the same 512-step draws, the chain run on the last K rows
-        # only (the K steps nearest W's first term) against all 512
-        spec = _HORIZON_SPECS[name]()
-        k = spec.aux_horizon
-        stream = derive_stream(41, 10)
-        for i in range(8):
-            a = randkit.sample_law(stream.substream(i), spec.a_law,
-                                   512 * 4096).reshape(512, 4096)
-            full, cut = _aux_chain(a), _aux_chain(a[-k:])
-            if rel_tol == 0.0:
-                assert full.tobytes() == cut.tobytes()
-            else:
-                assert np.max(np.abs(cut - full) / full) <= rel_tol
 
 
 class TestTailProcessRoute:
@@ -265,7 +275,7 @@ class TestThreads:
     def test_routes_identical_on_one_and_two_threads(self, route):
         # the bench law (alpha 1.5): at alpha 2 the control makes the
         # summed routes exact, with no standard error to compare
-        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
+        spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         alpha = models.tail_index(spec)
         calls = {
             "tail_process": lambda s, t: cluster_index_tail_process(
@@ -422,21 +432,65 @@ class TestMergedMoments:
 
 
 class TestControlVariate:
-    """Kesten routes subtract the regression control
-    c = sum_{t>=1} |theta'Theta_t|^s, whose mean the spec knows exactly;
-    the other families keep the plain mean, bit for bit."""
+    """Kesten's summed routes subtract the regression control
+    c = sum_{t>=1} (theta'Theta_t)_+^s, whose mean the spec knows
+    exactly; the sup functional and the other families keep the plain
+    mean, bit for bit."""
 
     @pytest.mark.parametrize("name", ["kesten_lognormal", "bench_lognormal",
                                       "pareto_multiplier"])
     def test_control_mean_matches_tail_moments(self, name):
-        spec = _HORIZON_SPECS[name]()
-        alpha, tv = spec.tail_index(), np.array([-1.0])
+        spec = _KESTEN_SPECS[name]()
+        alpha, tv = spec.tail_index(), np.array([1.0])
         s = cluster._control_power(alpha)
         ctrl, = models.sample_tail_process_batch(
             spec, 40, 20_000, derive_stream(47, 1), alpha,
             [(tv, functools.partial(cluster._control, s=s))])
         se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
         assert abs(np.mean(ctrl) - spec.tail_moments(tv, s, 40)) <= 4 * se
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_control_mean_is_sign_aware(self, sign):
+        # Gaussian B: theta Theta_t > 0 on half the paths, and the mean
+        # of the positive parts is half of sum_t (E A^s)^t
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.GAUSSIAN))
+        alpha, tv = spec.tail_index(), np.array([sign])
+        s = cluster._control_power(alpha)
+        mean = spec.tail_moments(tv, s, 40)
+        m = randkit.law_moment(spec.a_law, s)
+        assert mean == pytest.approx(
+            0.5 * sum(m ** t for t in range(1, 41)), rel=1e-12)
+        ctrl, = models.sample_tail_process_batch(
+            spec, 40, 20_000, derive_stream(47, 5), alpha,
+            [(tv, functools.partial(cluster._control, s=s))])
+        se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
+        assert abs(np.mean(ctrl) - mean) <= 4 * se
+
+    def test_sign_aware_control_cuts_the_variance_on_symmetric_b(
+            self, monkeypatch):
+        # the control moves with the summed functional on the paths where
+        # theta Theta_0 > 0 alone; |theta'Theta_t| would follow both
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.GAUSSIAN))
+        th, alpha = Direction([1.0]), spec.tail_index()
+        run = functools.partial(cluster_index_tail_process, spec, th, alpha,
+                                30, 20_000, derive_stream(47, 6))
+        controlled = run()
+        monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
+        plain = run()
+        assert (plain.std_error / controlled.std_error) ** 2 > 8.0
+
+    def test_sup_functional_takes_no_control(self, monkeypatch):
+        spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
+        alpha = models.tail_index(spec)
+        run = functools.partial(extremal_index, spec, th, alpha, 8, 2000,
+                                derive_stream(47, 7))
+        before = run()
+        monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
+        assert run() == before
 
     def test_families_without_moments(self, ar_sympareto15,
                                       garch_benchmark):
@@ -459,7 +513,7 @@ class TestControlVariate:
 
     def test_control_cuts_the_variance_per_draw(self, monkeypatch):
         # the bench law on one stream, with and without the control's mean
-        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
+        spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         alpha = models.tail_index(spec)
         run = functools.partial(cluster_index_tail_process, spec, th, alpha,
                                 40, 20_000, derive_stream(47, 3))
@@ -474,7 +528,7 @@ class TestControlVariate:
         # 300 seeds of 2,000 replicas against a 2e6-replica reference on
         # the bench law: a standard error that is right gives z an SD
         # near 1 (the reference's own error shifts every z alike)
-        spec, th = _HORIZON_SPECS["bench_lognormal"](), Direction([1.0])
+        spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         alpha = models.tail_index(spec)
         functionals = [
             (th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),

@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "256911ff7eed6b23e33fa1f15611a35b"
-                       "9dfc83e03fe52a4343657c2daee2066d",
-        "summary.json": "f240d31bd7061464eb586f1a5cfa9644"
-                        "b5d24932fe55e9e419dc3ece41e23104",
+        "cluster.csv": "992d36029061285e95ef66cfcc078827"
+                       "0c91cfe6fca2f0cf0615bc5cb2a83d8c",
+        "summary.json": "153d2d5bf41edc8014ecc690a24a1138"
+                        "bfdc3ccf6c1204c85d4afdd44fbbf87d",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"

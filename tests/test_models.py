@@ -6,6 +6,7 @@ exact unit moments) or an independent quadrature/Brent root.
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ class TestSimulatePath:
                 DivergenceError,
                 match=re.escape(f"{x[t]:.6g} at index (0, {t})")):
             models.simulate_path(spec, 2000, 0, derive_stream(4, 8))
+
+    def test_pareto_overflow_raises_no_warning_first(self):
+        # below alpha = 53/1024 a draw can overflow to inf; the sampler
+        # lets it do so quietly, and the path check names it
+        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.01),
+                               a_matrix=np.array([[0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="inf at index"):
+                models.simulate_path(spec, 2000, 0, derive_stream(1, 0))
 
     def test_ill_conditioned_closed_form_names_the_condition_number(self):
         # A is nilpotent (spectral radius 0), yet (I - A) has condition
@@ -552,7 +563,6 @@ class TestWarmUp:
         spec = models.KestenSpec(a_law=a_law,
                                  b_law=TailLaw(randkit.PARETO, alpha=10.0))
         assert spec.default_burn == burn
-        assert spec.aux_horizon == burn
 
     @pytest.mark.parametrize("params, burn", [
         # rho = min_s E A^(s/2) = 0.98229 near s = 0.72 (kappa 1.40)

@@ -131,6 +131,10 @@ class TestMinorizationConstruction:
         with pytest.raises(UnsupportedCaseError):
             make_var1_minorization(garch_benchmark)
 
+    def test_neither_bound_nor_stream_is_rejected(self, ar_gauss):
+        with pytest.raises(ParameterError, match="m_bound or a stream"):
+            make_var1_minorization(ar_gauss)
+
 
 class TestSplitStepFidelity:
     def test_gaussian_transitions_match_conditional_law(self, ar_gauss,
