@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import (DivergenceError, NoRootError, ParameterError,
-                     SingularDrawError, UnsupportedCaseError,
+from .errors import (DivergenceError, NoRootError, OutOfRegimeError,
+                     ParameterError, SingularDrawError, UnsupportedCaseError,
                      UnsupportedLawError)
 from . import randkit, tailstats
 from .randkit import RngStream, TailLaw, derive_stream, sample_law
@@ -27,6 +27,7 @@ _PILOT_STREAM_ID = 0x7A19
 _CLOSED_ANGLES = 0x0A
 
 _BLOWUP = 1e280
+_FIXED_POINT_STEPS = 10_000  # cap on the perpetuity fixed point's steps
 # path sums and tail processes draw and reduce in blocks that stay in a
 # core's L2 cache
 _SUM_BLOCK = 1 << 16  # floats of draws per block: linear-chain sums
@@ -471,7 +472,8 @@ class KestenSpec(ModelSpec):
         h <= 0.04 and h/2 (an O(h^2) error), bound |G_h - G_{h/2}| / 3. The
         centre of log A is a lattice point, so A = 1/2 keeps W = 1; the
         lattice ends where g times the density of log W, which falls like
-        exp(-(kappa - s) y) with s = max(alpha - 1, 0), is e^-36."""
+        exp(-(kappa - s) y) with s = max(alpha - 1, 0), is e^-36; past
+        alpha y = 1400 g spans more than a double's range, out of regime."""
         alpha, law = self.tail_index(), self.a_law
         s = max(alpha - 1.0, 0.0)
         if s and self._a_moment(s) >= 1.0:
@@ -485,6 +487,10 @@ class KestenSpec(ModelSpec):
             centre = math.log(law.scale)
         h = -centre / math.ceil(-centre / 0.04)  # centre < 0
         top = math.ceil(36.0 / min(1.0, kappa - s) / h)
+        if alpha * top * h > 1400.0:
+            raise OutOfRegimeError(
+                f"(1 + W)^{alpha:g} up to log W = {top * h:.4g} spans more "
+                f"than a double's exponent range")
         coarse, push = _log_fixed_point(law, alpha, h, top, None)
         fine, _ = _log_fixed_point(law, alpha, h / 2.0, 2 * top, push)
         return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
@@ -794,12 +800,13 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
     """(E g(W), push) at the fixed point of Y' = log A + softplus(Y),
     Y = log W, on the cells j h, j <= ``top`` (the top one keeps the mass
     beyond), from W = 0 or from ``start`` (the push at step 2h), until
-    E g(W) moves by at most 1e-12 of itself. A step splits each cell's
-    mass at softplus(y) over the two cells around it, keeping its mean,
-    and convolves it directly (an FFT loses the far cells' relative
-    accuracy) with log A on the lattice, as far as A^(alpha-1), the weight
-    of g, leaves above e^-40: lognormal cells of width h around mu, or
-    the linear split of the exponential log A - log scale (Pareto)."""
+    E g(W) moves by at most 1e-12 of itself (OutOfRegimeError after
+    ``_FIXED_POINT_STEPS`` steps). A step splits each cell's mass at
+    softplus(y) over the two cells around it, keeping its mean, and
+    convolves it directly (an FFT loses the far cells' relative accuracy)
+    with log A on the lattice, as far as A^(alpha-1), the weight of g,
+    leaves above e^-40: lognormal cells of width h around mu, or the
+    linear split of the exponential log A - log scale (Pareto)."""
     s = max(alpha - 1.0, 0.0)
     if law.family == randkit.LOGNORMAL:
         sd = law.sigma
@@ -820,24 +827,29 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
     pos = np.logaddexp(0.0, y) / h
     cell = np.floor(pos).astype(np.intp)
     dest, frac = np.minimum(np.concatenate([cell, cell + 1]), top), pos - cell
-    with np.errstate(over="ignore"):  # (1 + W)^alpha (1 - (W / (1 + W))^alpha)
-        g = -np.exp(alpha * np.logaddexp(0.0, y)) * np.expm1(
-            -alpha * np.logaddexp(0.0, -y))
+    # g = (1 + W)^alpha (1 - (W / (1 + W))^alpha), over e^shift: its top
+    # cell stays below e^700 and its bottom one (about 1) above e^-700
+    shift = max(0.0, alpha * pos[-1] * h - 700.0)
+    g = -np.exp(alpha * np.logaddexp(0.0, y) - shift) * np.expm1(
+        -alpha * np.logaddexp(0.0, -y))
     push = np.zeros(top + 1)
     push[0] = 1.0
     if start is not None:
         push[::2] = start
     prev = math.inf
-    while True:
+    for _ in range(_FIXED_POINT_STEPS):
         p = np.convolve(push, q)
         p[y.size - 1] += p[y.size:].sum()
         p = p[:y.size]
         value = float(p @ g)
         if abs(value - prev) <= 1e-12 * abs(value):
-            return value, push
+            return math.exp(shift) * value, push
         prev = value
         push = np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
                            minlength=top + 1)
+    raise OutOfRegimeError(
+        f"E[(W+1)^alpha - W^alpha] still moves after {_FIXED_POINT_STEPS} "
+        f"steps of the perpetuity's fixed point (E A^(alpha-1) near 1)")
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

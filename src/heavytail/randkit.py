@@ -133,18 +133,15 @@ def sample_pareto(stream: RngStream, alpha: float, n: int) -> np.ndarray:
     by zero; survival of each draw equals 1 - U exactly. One buffer: the
     uniforms become the draws in place. ``**=`` keeps numpy's scalar-power
     fast paths, so the bytes are those of ``(1 - U) ** (-1 / alpha)``.
-    A draw is at most 2^(53/alpha), so only below alpha = 53/1024 can it
-    overflow: quietly, to an inf that the path checks name."""
+    A draw past the largest double (alpha below 53/1024) is a quiet inf
+    that the path checks name."""
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     if n < 0:
         raise ParameterError("n must be nonnegative")
     u = stream.rng.random(n)
     np.subtract(1.0, u, out=u)
-    if alpha < 53.0 / 1024.0:
-        with np.errstate(over="ignore"):
-            u **= -1.0 / alpha
-    else:
+    with np.errstate(over="ignore"):
         u **= -1.0 / alpha
     return u
 

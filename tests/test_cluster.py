@@ -240,6 +240,36 @@ class TestKestenFixedPoint:
             closed_form_cluster_index(spec, Direction([1.0]), 10,
                                       derive_stream(41, 9))
 
+    @pytest.mark.parametrize("alpha_hint", [None, 25])
+    def test_large_index_stays_finite(self, alpha_hint):
+        # mu = -0.5, sigma^2 = 0.04: moment root 25, where (1 + W)^alpha
+        # passes the largest double on the lattice's top cells
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.2),
+            b_law=TailLaw(randkit.PARETO, alpha=30.0), alpha_hint=alpha_hint)
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
+                                        derive_stream(41, 11))
+        exact = _moment_recursion(lambda j: math.exp(-0.5 * j + 0.02 * j * j),
+                                  25)
+        assert abs(est.value - exact) <= est.std_error < exact
+
+    def test_lattice_beyond_double_range_is_out_of_regime(self):
+        # bench law declared at kappa + 0.95: kappa - (alpha - 1) = 0.05
+        # puts the lattice top at log W = 720, past e^(1400 / alpha)
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=2.45)
+        with pytest.raises(OutOfRegimeError, match="exponent range"):
+            closed_form_cluster_index(spec, Direction([1.0]), 10,
+                                      derive_stream(41, 12))
+
+    def test_unsettled_fixed_point_is_out_of_regime(self, monkeypatch):
+        monkeypatch.setattr(models, "_FIXED_POINT_STEPS", 3)
+        with pytest.raises(OutOfRegimeError, match="still moves after 3"):
+            closed_form_cluster_index(_KESTEN_SPECS["bench_lognormal"](),
+                                      Direction([1.0]), 10,
+                                      derive_stream(41, 12))
+
 
 class TestTailProcessRoute:
     def test_matches_closed_form(self, ar_pareto15):
