@@ -30,11 +30,11 @@ MODELS = ("var1", "kesten", "garch11")
 _INNOVATIONS = (randkit.PARETO, randkit.SYMMETRIC_PARETO, randkit.STABLE,
                 randkit.GAUSSIAN)
 
-# fixed per-stage stream ids so the manifest can name them
+# fixed per-stage stream ids so the manifest can name them; id 3, the
+# retired Monte Carlo closed form's, is not reused
 STREAMS = {
     "simulate": 1,
     "cluster_tail": 2,
-    "cluster_closed": 3,
     "cluster_telescoping": 4,
     "extremal": 5,
     "ldp": 6,
@@ -421,20 +421,15 @@ def _cmd_cluster_index(config, spec, writer, threads):
     ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
         spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "cluster_tail"), threads)}
-    stages = ["cluster_tail"]
-    if spec.has_closed_form:
-        cf = ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed"),
-            threads)
-        if cf.replicas:  # an exact closed form draws nothing
-            stages.append("cluster_closed")
+    if spec.exact_cluster_index(theta.vector) is not None:
+        ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
+            spec, theta, replicas)
     ests["telescoping"] = cluster.telescoping_difference(
         spec, tail_theta, alpha, config.get("k_trunc"), replicas,
         _stream(config, "cluster_telescoping"), threads)
     ests["extremal_index"] = cluster.extremal_index(
         spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "extremal"), threads)
-    stages += ["cluster_telescoping", "extremal"]
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],
@@ -443,7 +438,8 @@ def _cmd_cluster_index(config, spec, writer, threads):
     summary = {"alpha": alpha, "theta": theta}
     for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
-    return summary, {k: STREAMS[k] for k in stages}
+    return summary, {k: STREAMS[k] for k in (
+        "cluster_tail", "cluster_telescoping", "extremal")}
 
 
 def _cmd_ldp_scan(config, spec, writer, threads):
@@ -545,16 +541,11 @@ def _cmd_report(config, spec, writer, threads):
     summary = {"alpha": alpha, "theta": theta,
                "cluster_index": {"value": est.value,
                                  "std_error": est.std_error}}
-    stages = ["cluster_tail", "extremal"]
-    if spec.has_closed_form:
-        cf = cluster.closed_form_cluster_index(
-            spec, theta, replicas, _stream(config, "cluster_closed"),
-            threads)
+    if spec.exact_cluster_index(theta.vector) is not None:
+        cf = cluster.closed_form_cluster_index(spec, theta, replicas)
         rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
         summary["cluster_index_closed_form"] = {
             "value": cf.value, "std_error": cf.std_error}
-        if cf.replicas:
-            stages.append("cluster_closed")
     ext = cluster.extremal_index(
         spec, tail_theta, alpha, horizon, replicas,
         _stream(config, "extremal"), threads)
@@ -563,7 +554,7 @@ def _cmd_report(config, spec, writer, threads):
                                  "std_error": ext.std_error}
     writer.csv("report.csv", ["quantity", "value", "std_error"],
                list(zip(*rows)))
-    return summary, {k: STREAMS[k] for k in stages}
+    return summary, {k: STREAMS[k] for k in ("cluster_tail", "extremal")}
 
 
 _HANDLERS = {

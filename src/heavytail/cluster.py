@@ -254,12 +254,6 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
-def _check_signs(signs):
-    if not signs or any(s not in (1, -1) for s in signs):
-        raise ParameterError(f"signs must be a nonempty list of +1 and -1 "
-                             f"(got {signs!r})")
-
-
 def cluster_index_tail_process(spec, theta: Direction, alpha: float,
                                horizon: int, replicas: int,
                                stream: RngStream, threads: int = 1,
@@ -274,7 +268,9 @@ def cluster_index_tail_process(spec, theta: Direction, alpha: float,
     if signs is None:
         thetas = [theta]
     else:
-        _check_signs(signs)
+        if not signs or any(s not in (1, -1) for s in signs):
+            raise ParameterError(f"signs must be a nonempty list of +1 and "
+                                 f"-1 (got {signs!r})")
         thetas = [theta if s == 1 else theta.negated() for s in signs]
     ests = _mc_functional(
         spec, [(th, _sum_difference, ROUTE_TAIL_PROCESS) for th in thetas],
@@ -305,40 +301,16 @@ def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
 # closed forms
 
 
-def closed_form_cluster_index(spec, theta: Direction, replicas: int,
-                              stream: RngStream, threads: int = 1,
-                              signs=None):
-    """Model-specific closed form (UnsupportedCaseError for a model
-    without one): the spec's ``exact_cluster_index`` (no draws, its error
-    bound as standard error), else Monte Carlo over Theta_0 of
-    E[u_+^alpha - w_+^alpha] (``closed_form_terms``). No closed form
-    splits its work over ``threads``. With ``signs`` (a list of +1 and -1)
-    it returns the estimate at s * theta for each s, the Monte Carlo ones
-    from one call: u and w are linear in theta and negation is exact, so
-    (s u, s w) are the bits of the terms at s * theta."""
-    if not spec.has_closed_form:
+def closed_form_cluster_index(spec, theta: Direction,
+                              replicas: int) -> ClusterIndexEstimate:
+    """The spec's ``exact_cluster_index`` at ``theta``: no draws, its
+    error bound as standard error, and 0 replicas and horizon 0
+    (UnsupportedCaseError for a family whose hook answers None). No
+    branch reads ``replicas``: the benchmark tracer counts it as the
+    route's budget."""
+    exact = spec.exact_cluster_index(theta.vector)
+    if exact is None:
         raise UnsupportedCaseError(
             f"no closed-form cluster index for {type(spec).__name__}")
-    if replicas < 2:
-        raise ParameterError(
-            f"replicas must be at least 2 for a standard error (got "
-            f"{replicas})")
-    if signs is not None:
-        _check_signs(signs)
-    tv, sides = theta.vector, signs or (1,)
-    exact = [spec.exact_cluster_index(s * tv) for s in sides]
-    if exact[0] is not None:
-        ests = [ClusterIndexEstimate(v, e, ROUTE_CLOSED_FORM, 0, 0, e)
-                for v, e in exact]
-        return ests[0] if signs is None else ests
-    u, w = spec.closed_form_terms(tv, replicas, stream)
-    alpha, ests = models.tail_index(spec), []
-    for s in sides:
-        vals = np.maximum(s * u, 0.0) ** alpha \
-            - np.maximum(s * w, 0.0) ** alpha
-        root_n = math.sqrt(vals.size)
-        ests.append(ClusterIndexEstimate(
-            value=float(np.mean(vals)), route=ROUTE_CLOSED_FORM, horizon=0,
-            std_error=float(np.std(vals, ddof=1) / root_n),
-            replicas=vals.size, plug_in_se=float(np.std(vals) / root_n)))
-    return ests[0] if signs is None else ests
+    value, bound = exact
+    return ClusterIndexEstimate(value, bound, ROUTE_CLOSED_FORM, 0, 0, bound)

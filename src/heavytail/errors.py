@@ -55,7 +55,8 @@ class OutOfRegimeError(HeavytailError):
 
 
 class SingularDrawError(HeavytailError):
-    """Too many singular matrix draws in a closed-form evaluation."""
+    """The linear chain's closed form met an ill-conditioned I - A; the
+    message names its condition number."""
 
 
 class ConfigError(HeavytailError):

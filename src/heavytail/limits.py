@@ -184,13 +184,15 @@ def _b_route(spec, th: Direction, alpha: float, stream: RngStream,
              threads: int = 1, signs=None, replicas: int = 50_000,
              horizon: int = 64):
     """Estimate of b at the tail-process direction ``th`` (a list, one per
-    sign, with ``signs``): the closed form when available, else the
-    tail-process route."""
-    if spec.has_closed_form:
-        return cluster.closed_form_cluster_index(spec, th, replicas, stream,
-                                                 threads, signs=signs)
-    return cluster.cluster_index_tail_process(
-        spec, th, alpha, horizon, replicas, stream, threads, signs=signs)
+    sign, with ``signs``): the closed form, one draw-free call per sign,
+    when the family has one, else the tail-process route."""
+    if spec.exact_cluster_index(th.vector) is None:
+        return cluster.cluster_index_tail_process(
+            spec, th, alpha, horizon, replicas, stream, threads, signs=signs)
+    if signs is None:
+        return cluster.closed_form_cluster_index(spec, th, replicas)
+    return [cluster.closed_form_cluster_index(
+        spec, th if s == 1 else th.negated(), replicas) for s in signs]
 
 
 def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
@@ -201,9 +203,9 @@ def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
 
 def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
                 threads: int = 1):
-    """(b(theta), b(-theta)), each clipped at 0, from one draw on substream
-    0xB0: one tail-process batch reduced along theta and -theta, or one
-    closed-form call whose terms are negated for -theta."""
+    """(b(theta), b(-theta)), each clipped at 0: one closed-form call per
+    sign, which draws nothing, or else one tail-process batch on
+    substream 0xB0 reduced along theta and -theta."""
     ests = _b_route(spec, spec.tail_direction(theta), alpha,
                     stream.substream(0xB0), threads, signs=(1, -1))
     return tuple(max(e.value, 0.0) for e in ests)

@@ -23,8 +23,6 @@ from .randkit import RngStream, TailLaw, derive_stream, sample_law
 # child-stream tags: tail-process angles and the stationary pilot
 _ANGLE_CHILD = 0x7A17
 _PILOT_STREAM_ID = 0x7A19
-# substream of the linear chain's closed-form cluster index: Theta_0 draws
-_CLOSED_ANGLES = 0x0A
 
 _BLOWUP = 1e280
 _FIXED_POINT_STEPS = 10_000  # cap on the perpetuity fixed point's steps
@@ -67,8 +65,6 @@ class ModelSpec:
     angles themselves. No array spans more than one block, apart from
     Theta_0. ``tail_dim`` is d.
     """
-
-    has_closed_form = False
 
     @property
     def tail_dim(self) -> int:
@@ -153,8 +149,6 @@ class Var1Spec(ModelSpec):
     innovation: TailLaw
     a_matrix: np.ndarray | float | None = None
     weights: np.ndarray | None = None
-
-    has_closed_form = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -288,23 +282,26 @@ class Var1Spec(ModelSpec):
                 theta[:, t] = cur
             yield [theta if tv is None else theta @ tv for tv in tvs]
 
-    def closed_form_terms(self, tv, replicas, stream):
-        """(u, w) per replica, u = theta'(I-A)^{-1} Theta_0 and
-        w = theta'A(I-A)^{-1} Theta_0: b = E[u_+^alpha - w_+^alpha]."""
+    def exact_cluster_index(self, tv):
+        """sum_k w_k [(theta'(I-A)^{-1} a_k)_+^alpha
+        - (theta'A(I-A)^{-1} a_k)_+^alpha] over the Theta_0 atoms a_k and
+        their weights w_k: Theta_t = A^t Theta_0 sums to (I-A)^{-1} Theta_0.
+        No draws, so the bound is 0 (SingularDrawError for an
+        ill-conditioned I - A)."""
         if tv.size != self.dim:
             raise ParameterError("direction dimension mismatch")
-        angles = self.theta0(replicas, stream.substream(_CLOSED_ANGLES))
         m = np.eye(self.dim) - self.a_matrix
-        try:
-            cond = np.linalg.cond(m)
-        except np.linalg.LinAlgError:
-            cond = math.inf
+        cond = np.linalg.cond(m)
         if cond > 1e12:
             raise SingularDrawError(
                 f"(I - A) has condition number {cond:.3g}, above 1e12")
         lead = np.linalg.solve(m.T, tv)
-        lag = self.a_matrix.T @ lead
-        return angles @ lead, angles @ lag
+        atoms, weights = self._theta0_atoms
+        alpha = tail_index(self)
+        terms = np.maximum(atoms @ lead, 0.0) ** alpha \
+            - np.maximum(atoms @ (self.a_matrix.T @ lead), 0.0) ** alpha
+        # over the weights' own sum, as ``theta0`` divides its CDF
+        return float(weights @ terms / weights.sum()), 0.0
 
     def stationary_mean(self):
         try:
@@ -356,7 +353,6 @@ class KestenSpec(ModelSpec):
     alpha_hint: float | None = None
 
     dim = 1
-    has_closed_form = True
 
     def __post_init__(self):
         if self.a_law is None or self.b_law is None:
@@ -469,8 +465,9 @@ class KestenSpec(ModelSpec):
         """(G, bound), with no draws: G = E[(W+1)^alpha - W^alpha] for the
         perpetuity W = sum_{t>=1} A_1 ... A_t =_d A (1 + W) (Vervaat
         1979), Richardson-extrapolated from ``_log_fixed_point`` at steps
-        h <= 0.04 and h/2 (an O(h^2) error), bound |G_h - G_{h/2}| / 3. The
-        centre of log A is a lattice point, so A = 1/2 keeps W = 1; the
+        h <= 0.04 and h/2 (an O(h^2) error), bound |G_h - G_{h/2}| / 3 plus
+        what each iteration left when it stopped, in the same combination.
+        The centre of log A is a lattice point, so A = 1/2 keeps W = 1; the
         lattice ends where g times the density of log W, which falls like
         exp(-(kappa - s) y) with s = max(alpha - 1, 0), is e^-36; past
         alpha y = 1400 g spans more than a double's range, out of regime."""
@@ -491,9 +488,10 @@ class KestenSpec(ModelSpec):
             raise OutOfRegimeError(
                 f"(1 + W)^{alpha:g} up to log W = {top * h:.4g} spans more "
                 f"than a double's exponent range")
-        coarse, push = _log_fixed_point(law, alpha, h, top, None)
-        fine, _ = _log_fixed_point(law, alpha, h / 2.0, 2 * top, push)
-        return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+        coarse, push, rest_c = _log_fixed_point(law, alpha, h, top, None)
+        fine, _, rest_f = _log_fixed_point(law, alpha, h / 2.0, 2 * top, push)
+        return ((4.0 * fine - coarse) / 3.0,
+                (abs(fine - coarse) + 4.0 * rest_f + rest_c) / 3.0)
 
     def exact_cluster_index(self, tv):
         """|theta|^alpha P(theta Theta_0 > 0) G, and G's bound alike."""
@@ -797,15 +795,17 @@ def _moment_horizon(moment, lo: float, hi: float) -> int:
 
 def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
                      start):
-    """(E g(W), push) at the fixed point of Y' = log A + softplus(Y),
+    """(E g(W), push, rest) at the fixed point of Y' = log A + softplus(Y),
     Y = log W, on the cells j h, j <= ``top`` (the top one keeps the mass
     beyond), from W = 0 or from ``start`` (the push at step 2h), until
-    E g(W) moves by at most 1e-12 of itself (OutOfRegimeError after
-    ``_FIXED_POINT_STEPS`` steps). A step splits each cell's mass at
-    softplus(y) over the two cells around it, keeping its mean, and
-    convolves it directly (an FFT loses the far cells' relative accuracy)
-    with log A on the lattice, as far as A^(alpha-1), the weight of g,
-    leaves above e^-40: lognormal cells of width h around mu, or the
+    E g(W) moves by at most 1e-12 of itself and by less than the step
+    before (OutOfRegimeError after ``_FIXED_POINT_STEPS`` steps). ``rest``
+    sums the moves still to come as a geometric series: d r / (1 - r), d
+    the last move and r its ratio to the one before. A step splits each
+    cell's mass at softplus(y) over the two cells around it, keeping its
+    mean, and convolves it directly (an FFT loses the far cells' relative
+    accuracy) with log A on the lattice, as far as A^(alpha-1), the weight
+    of g, leaves above e^-40: lognormal cells of width h around mu, or the
     linear split of the exponential log A - log scale (Pareto)."""
     s = max(alpha - 1.0, 0.0)
     if law.family == randkit.LOGNORMAL:
@@ -836,14 +836,16 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
     push[0] = 1.0
     if start is not None:
         push[::2] = start
-    prev = math.inf
+    prev = move = math.inf
     for _ in range(_FIXED_POINT_STEPS):
         p = np.convolve(push, q)
         p[y.size - 1] += p[y.size:].sum()
         p = p[:y.size]
         value = float(p @ g)
-        if abs(value - prev) <= 1e-12 * abs(value):
-            return math.exp(shift) * value, push
+        last, move = move, abs(value - prev)
+        if move <= 1e-12 * abs(value) and move < last < math.inf:
+            rest = move * move / (last - move)  # d r / (1 - r), r = d / last
+            return math.exp(shift) * value, push, math.exp(shift) * rest
         prev = value
         push = np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
                            minlength=top + 1)

@@ -62,8 +62,7 @@ def test_criterion_01_cluster_index_three_routes():
     t0 = time.perf_counter()
     tail = cluster_index_tail_process(spec, PLUS, 1.5, 40, 100_000,
                                       derive_stream(SEED, 101))
-    closed = closed_form_cluster_index(spec, PLUS, 100_000,
-                                       derive_stream(SEED, 102))
+    closed = closed_form_cluster_index(spec, PLUS, 100_000)
     tele = telescoping_difference(spec, PLUS, 1.5, 30, 100_000,
                                   derive_stream(SEED, 103))
     elapsed = time.perf_counter() - t0

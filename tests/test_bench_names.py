@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from heavytail import cli, cluster, models
+from heavytail import cli, cluster, limits, models
 from heavytail.randkit import derive_stream
 from heavytail.tailstats import Direction
 
@@ -69,3 +69,19 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
         assert sorted(s.meta["cells"] for s in batches) == sorted(
             take * (horizon + 1) for take in chunks), name
         assert all(s.parent is top and s.end > s.start for s in batches)
+
+
+def test_traced_b_pair_reads_every_count(kesten_lognormal):
+    # the pair behind stable-check is one closed-form call per sign: each
+    # returns one estimate, whose counts the tracer's hook reads
+    spec = kesten_lognormal
+    t = _load_tracer().Tracer()
+    assert t.install() == []
+    try:
+        pair = limits._b_pair_for(spec, Direction([1.0]),
+                                  models.tail_index(spec),
+                                  derive_stream(3, 5))
+    finally:
+        t.uninstall()
+    assert t.missing == []
+    assert pair[0] > 0.0 and pair[1] == 0.0

@@ -182,15 +182,15 @@ class TestRun:
             assert json.load(fh)["streams"] == manifest.streams
         assert "manifest.json" not in {f["name"] for f in manifest.files}
 
-    @pytest.mark.parametrize("name, drawn", [
-        ("golden_cluster.cfg", True), ("golden_cluster_kesten.cfg", False)])
-    def test_manifest_lists_the_closed_form_stream_when_drawn(
-            self, tmp_path, name, drawn):
-        # the linear chain's closed form draws Theta_0; the recurrence's
-        # is a fixed point that draws nothing
+    @pytest.mark.parametrize("name", ["golden_cluster.cfg",
+                                      "golden_cluster_kesten.cfg"])
+    def test_manifest_lists_no_closed_form_stream(self, tmp_path, name):
+        # every closed form is exact and draws nothing; its retired stream
+        # id 3 is not reused
         with open(os.path.join(GOLDEN, name)) as fh:
             manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
-        assert ("cluster_closed" in manifest.streams) == drawn
+        assert 3 not in manifest.streams.values()
+        assert 3 not in cli.STREAMS.values()
         with open(tmp_path / "summary.json") as fh:
             closed = json.load(fh)["cluster_closed_form"]
         assert set(closed) == {"value", "std_error"}

@@ -51,8 +51,7 @@ class TestDirection:
 
 class TestClosedForm:
     def test_linear_chain_positive_direction(self, ar_pareto15):
-        est = closed_form_cluster_index(ar_pareto15, Direction([1.0]),
-                                        1000, derive_stream(41, 1))
+        est = closed_form_cluster_index(ar_pareto15, Direction([1.0]), 1000)
         assert abs(est.value - B_TARGET) < 1e-12
         assert est.route == cluster.ROUTE_CLOSED_FORM
 
@@ -60,17 +59,16 @@ class TestClosedForm:
         # all innovations positive: the sum never lands in the negative
         # half-line, so b(-1) = 0
         est = closed_form_cluster_index(ar_pareto15, Direction([-1.0]),
-                                        1000, derive_stream(41, 2))
+                                        1000)
         assert est.value == 0.0
 
     def test_symmetric_innovations_split_mass(self, ar_sympareto15):
-        # the sign of Theta_0 stays random here, so the closed form is
-        # averaged over it; check the 50/50 split statistically
+        # Theta_0 = +-1 with mass 1/2 each: the exact sum halves the
+        # one-sided value in both directions
         for sign in (1.0, -1.0):
             est = closed_form_cluster_index(ar_sympareto15,
-                                            Direction([sign]), 200_000,
-                                            derive_stream(41, 3))
-            assert abs(est.value - B_TARGET / 2.0) <= 4.0 * est.std_error
+                                            Direction([sign]), 200_000)
+            assert abs(est.value - B_TARGET / 2.0) < 1e-12
 
     def test_diagonal_linear_chain_matches_exact_index(self):
         # A = diag(a1, a2), Pareto innovations: Theta_0 = e_i with
@@ -82,9 +80,9 @@ class TestClosedForm:
         c1, c2 = 1.0 / (1.0 - a1 ** alpha), 1.0 / (1.0 - a2 ** alpha)
         exact = c1 / (c1 + c2) * ((1.0 - a1) ** -alpha
                                   - (a1 / (1.0 - a1)) ** alpha)
-        est = closed_form_cluster_index(spec, Direction([1.0, 0.0]),
-                                        200_000, derive_stream(7, 3))
-        assert abs(est.value - exact) <= 3.0 * est.std_error
+        est = closed_form_cluster_index(spec, Direction([1.0, 0.0]), 200_000)
+        assert abs(est.value - exact) < 1e-12
+        assert (est.std_error, est.replicas, est.horizon) == (0.0, 0, 0)
 
     @pytest.mark.parametrize("name", ["var1_dim2", "kesten_lognormal"])
     def test_exact_theta0_law_reads_no_pilot(self, request, name):
@@ -97,7 +95,7 @@ class TestClosedForm:
         else:
             spec = request.getfixturevalue(name)
         theta = Direction(np.ones(spec.dim))
-        closed_form_cluster_index(spec, theta, 1000, derive_stream(41, 5))
+        closed_form_cluster_index(spec, theta, 1000)
         cluster_index_tail_process(spec, theta, models.tail_index(spec), 10,
                                    1000, derive_stream(41, 6))
         assert spec._pilot_cache == {}
@@ -106,24 +104,15 @@ class TestClosedForm:
         # A = 1/2 exactly reproduces the linear-chain target through the
         # perpetuity fixed point: W = 1 sits on the lattice
         spec = near_degenerate_half_spec()
-        est = closed_form_cluster_index(spec, Direction([1.0]), 4000,
-                                        derive_stream(41, 4))
+        est = closed_form_cluster_index(spec, Direction([1.0]), 4000)
         assert abs(est.value - B_TARGET) < 1e-8
-
-    @pytest.mark.parametrize("replicas", [0, 1])
-    def test_fewer_than_two_replicas_are_rejected(self, kesten_lognormal,
-                                                  replicas):
-        # one replica has no spread to estimate, so no standard error
-        with pytest.raises(ParameterError, match=f"got {replicas}"):
-            closed_form_cluster_index(kesten_lognormal, Direction([1.0]),
-                                      replicas, derive_stream(41, 11))
 
     def test_volatility_recursion_has_no_closed_form(self,
                                                      garch_benchmark):
-        assert not garch_benchmark.has_closed_form
+        assert garch_benchmark.exact_cluster_index(np.ones(2)) is None
         with pytest.raises(UnsupportedCaseError):
             closed_form_cluster_index(garch_benchmark, Direction([0.0, 1.0]),
-                                      1000, derive_stream(10, 9))
+                                      1000)
 
 
 _KESTEN_SPECS = {
@@ -166,8 +155,7 @@ class TestKestenFixedPoint:
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=alpha)
         exact = _moment_recursion(
             lambda j: math.exp(j * mu + j * j * sigma2 / 2.0), alpha)
-        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
-                                        derive_stream(41, 8))
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2)
         assert abs(est.value - exact) <= est.std_error
         assert est.std_error == est.plug_in_se
         assert est.std_error <= 0.02 * exact  # a bound, not a blanket
@@ -185,14 +173,20 @@ class TestKestenFixedPoint:
                                  alpha_hint=alpha)
         exact = _moment_recursion(
             lambda j: randkit.law_moment(law, float(j)), alpha)
-        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
-                                        derive_stream(41, 8))
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2)
         assert abs(est.value - exact) <= est.std_error <= 1e-3 * exact
+
+    def test_bound_covers_where_the_iteration_stops(self):
+        # A = 1/2 puts W at 1 on the lattice: the grid adds no error, and
+        # what is left is the part of the series the iteration stopped
+        # before
+        est = closed_form_cluster_index(near_degenerate_half_spec(),
+                                        Direction([1.0]), 2)
+        assert 0.0 < abs(est.value - B_TARGET) <= est.std_error < 1e-11
 
     def test_bench_law_value_and_bound(self):
         spec = _KESTEN_SPECS["bench_lognormal"]()
-        est = closed_form_cluster_index(spec, Direction([1.0]), 100_000,
-                                        derive_stream(41, 9))
+        est = closed_form_cluster_index(spec, Direction([1.0]), 100_000)
         assert abs(est.value - 2.408963) <= 2e-5
         assert 0.0 < est.std_error <= 1e-4
 
@@ -203,7 +197,7 @@ class TestKestenFixedPoint:
         # within 4 standard errors of the fixed point on every seed
         spec, th = _KESTEN_SPECS[name](), Direction([1.0])
         alpha = models.tail_index(spec)
-        exact = closed_form_cluster_index(spec, th, 2, derive_stream(41, 9))
+        exact = closed_form_cluster_index(spec, th, 2)
         for seed in range(4):
             for route in (cluster_index_tail_process, telescoping_difference):
                 est = route(spec, th, alpha, 40, 20_000,
@@ -219,14 +213,11 @@ class TestKestenFixedPoint:
         positive, symmetric = (
             models.KestenSpec(a_law=a_law, b_law=TailLaw(fam, alpha=10.0))
             for fam in (randkit.PARETO, randkit.GAUSSIAN))
-        stream = derive_stream(41, 10)
-        up, down = closed_form_cluster_index(positive, Direction([1.0]), 2,
-                                             stream, signs=(1, -1))
+        up, down = (closed_form_cluster_index(positive, Direction([s]), 2)
+                    for s in (1.0, -1.0))
         assert down.value == 0.0 and down.std_error == 0.0
-        assert stream.counter == 0
-        halves = closed_form_cluster_index(symmetric, Direction([1.0]), 2,
-                                           stream, signs=(1, -1))
-        for half in halves:
+        for s in (1.0, -1.0):
+            half = closed_form_cluster_index(symmetric, Direction([s]), 2)
             assert half.value == 0.5 * up.value
             assert half.std_error == 0.5 * up.std_error
 
@@ -237,8 +228,7 @@ class TestKestenFixedPoint:
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(2.0)),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.8)
         with pytest.raises(ParameterError, match=r"E A\^\(alpha-1\)"):
-            closed_form_cluster_index(spec, Direction([1.0]), 10,
-                                      derive_stream(41, 9))
+            closed_form_cluster_index(spec, Direction([1.0]), 10)
 
     @pytest.mark.parametrize("alpha_hint", [None, 25])
     def test_large_index_stays_finite(self, alpha_hint):
@@ -247,8 +237,7 @@ class TestKestenFixedPoint:
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.2),
             b_law=TailLaw(randkit.PARETO, alpha=30.0), alpha_hint=alpha_hint)
-        est = closed_form_cluster_index(spec, Direction([1.0]), 2,
-                                        derive_stream(41, 11))
+        est = closed_form_cluster_index(spec, Direction([1.0]), 2)
         exact = _moment_recursion(lambda j: math.exp(-0.5 * j + 0.02 * j * j),
                                   25)
         assert abs(est.value - exact) <= est.std_error < exact
@@ -260,15 +249,13 @@ class TestKestenFixedPoint:
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=2.45)
         with pytest.raises(OutOfRegimeError, match="exponent range"):
-            closed_form_cluster_index(spec, Direction([1.0]), 10,
-                                      derive_stream(41, 12))
+            closed_form_cluster_index(spec, Direction([1.0]), 10)
 
     def test_unsettled_fixed_point_is_out_of_regime(self, monkeypatch):
         monkeypatch.setattr(models, "_FIXED_POINT_STEPS", 3)
         with pytest.raises(OutOfRegimeError, match="still moves after 3"):
             closed_form_cluster_index(_KESTEN_SPECS["bench_lognormal"](),
-                                      Direction([1.0]), 10,
-                                      derive_stream(41, 12))
+                                      Direction([1.0]), 10)
 
 
 class TestTailProcessRoute:
@@ -300,8 +287,8 @@ class TestThreads:
     # several full chunks and a partial one, for every chunked stage
     REPLICAS = 2 * cluster._CHUNK + 500
 
-    @pytest.mark.parametrize("route", ["tail_process", "closed_form",
-                                       "telescoping", "extremal"])
+    @pytest.mark.parametrize("route", ["tail_process", "telescoping",
+                                       "extremal"])
     def test_routes_identical_on_one_and_two_threads(self, route):
         # the bench law (alpha 1.5): at alpha 2 the control makes the
         # summed routes exact, with no standard error to compare
@@ -310,8 +297,6 @@ class TestThreads:
         calls = {
             "tail_process": lambda s, t: cluster_index_tail_process(
                 spec, th, alpha, 8, self.REPLICAS, s, threads=t),
-            "closed_form": lambda s, t: closed_form_cluster_index(
-                spec, th, self.REPLICAS, s, threads=t),
             "telescoping": lambda s, t: telescoping_difference(
                 spec, th, alpha, 8, self.REPLICAS, s, threads=t),
             "extremal": lambda s, t: extremal_index(
@@ -378,8 +363,8 @@ class TestSharedBatch:
                                          "ar_sympareto15"])
     def test_signed_estimates_are_the_calls_at_each_sign(self, request,
                                                          fixture):
-        # the tail-process route (GARCH) and the closed form (the others)
-        # give b(-theta) from the draws of b(theta)
+        # the tail-process route (GARCH) gives b(-theta) from the draws
+        # of b(theta); the closed form (the others) draws nothing
         spec = request.getfixturevalue(fixture)
         alpha = models.tail_index(spec)
         th = spec.tail_direction(Direction([1.0]))
@@ -397,10 +382,6 @@ class TestSharedBatch:
                 cluster_index_tail_process(
                     kesten_lognormal, Direction([1.0]), 1.5, 8,
                     self.REPLICAS, derive_stream(42, 7), signs=signs)
-            with pytest.raises(ParameterError):
-                closed_form_cluster_index(
-                    kesten_lognormal, Direction([1.0]), 100,
-                    derive_stream(42, 7), signs=signs)
 
     def test_theta0_law_is_built_once_per_spec(self, ar_sympareto15,
                                                monkeypatch):
@@ -412,8 +393,7 @@ class TestSharedBatch:
         # three chunks of tail-process draws, then the closed form
         cluster_index_tail_process(spec, Direction([1.0]), 1.5, 4,
                                    self.REPLICAS, derive_stream(42, 8))
-        closed_form_cluster_index(spec, Direction([1.0]), 500,
-                                  derive_stream(42, 9))
+        closed_form_cluster_index(spec, Direction([1.0]), 500)
         assert len(builds) == 1
 
 
@@ -656,6 +636,31 @@ class TestExtremalIndex:
         est = extremal_index(spec, Direction([1.0]), alpha, 40, 2000,
                              derive_stream(44, int(alpha)))
         assert abs(est.value - (1.0 - 0.5 ** alpha)) < 1e-12
+
+    @pytest.mark.parametrize("innovation, a_matrix, theta, exact", [
+        (randkit.PARETO, [[-0.5]], [1.0], 0.6464466094067262),
+        (randkit.SYMMETRIC_PARETO, [[0.5, 0.2], [-0.1, 0.3]], [1.0, 1.0],
+         0.2073032810342641)])
+    def test_linear_chain_matches_the_orbit_sum(self, innovation, a_matrix,
+                                                theta, exact):
+        # Theta_t = A^t Theta_0 over the atoms a_k of theta0_law: the sup
+        # functional is sum_k w_k [(sup_{t>=0} theta'A^t a_k)_+^alpha
+        # - (sup_{t>=1} theta'A^t a_k)_+^alpha], run along each orbit
+        spec = models.Var1Spec(len(theta), TailLaw(innovation, alpha=1.5),
+                               a_matrix=np.array(a_matrix))
+        th = Direction(theta)
+        atoms, weights = spec.theta0_law()
+        orbit = [atoms @ th.vector]
+        for _ in range(200):
+            atoms = atoms @ spec.a_matrix.T
+            orbit.append(atoms @ th.vector)
+        orbit = np.maximum(np.array(orbit), 0.0)
+        oracle = weights @ (orbit.max(axis=0) ** 1.5
+                            - orbit[1:].max(axis=0) ** 1.5)
+        assert oracle == pytest.approx(exact, rel=1e-12)
+        est = extremal_index(spec, th, 1.5, 40, 100_000,
+                             derive_stream(44, len(theta)))
+        assert abs(est.value - oracle) <= 4.0 * est.std_error
 
     def test_iid_case_is_one(self, iid_pareto08):
         est = extremal_index(iid_pareto08, Direction([1.0]), 0.8, 10, 500,

@@ -22,8 +22,8 @@ SEED = 20260823
 
 RUN_DIGESTS = {
     "golden_cluster.cfg": {
-        "cluster.csv": "ce0807153fbff7ead7df6464df98fc64"
-                       "9c5cec4b166f24083168c1026adaebff",
+        "cluster.csv": "b0f3a83f25c279bd4a368c3258a2c401"
+                       "8e7897c43c5cbeaff4580f9429ac4257",
         "summary.json": "cb4eeae42dcd90f4ff054099a2ffe24b"
                         "8a35783494e85fd2d285265b645fb4af",
     },
@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "992d36029061285e95ef66cfcc078827"
-                       "0c91cfe6fca2f0cf0615bc5cb2a83d8c",
-        "summary.json": "153d2d5bf41edc8014ecc690a24a1138"
-                        "bfdc3ccf6c1204c85d4afdd44fbbf87d",
+        "cluster.csv": "1b4f9152a85097a4d6ca54bf315ad039"
+                       "de5ab0b9c8e40e18c84e4d4aa83aed4f",
+        "summary.json": "ce191c9b1a312fe366e364ca0d5f8204"
+                        "5b669db8186401d9957782c490b20593",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"

@@ -7,8 +7,9 @@ Function-level imports count: they hide a cycle, they do not remove it.
 
 Every function, class and method of the package is reached from the
 package itself, or is one of the few names only the benchmark tracer or
-an acceptance criterion calls; and every defaulted parameter of a
-function of the package is set by at least one call.
+an acceptance criterion calls; every defaulted parameter of a
+function of the package is set by at least one call; and every parameter
+is read by its body, or by a sibling that shares its signature.
 """
 import ast
 from collections import Counter
@@ -210,3 +211,63 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         for func, param, pos in _defaulted(tree)
         if not setters.get(func, set()) & {"*", param, pos})
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+# parameters that no body of the package reads, with what reads them
+UNREAD_PARAMETERS = {
+    "cluster.closed_form_cluster_index(replicas)":
+        "bench/tracer.py, cluster.replicas",
+    "regen.make_iid_minorization.transition_sampler(x)":
+        "the MinorizationSpec protocol, transition_sampler(x, stream)",
+}
+
+
+def _functions(prefix, body):
+    """(qualified name, family, node) of every function in ``body`` and
+    the functions nested in them. A method's family is its name, so a
+    family's override and the base hook it overrides share one."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = f"{prefix}.{node.name}.{item.name}"
+                    yield name, ("method", item.name), item
+                    yield from _functions(name, item.body)
+        elif isinstance(node, ast.FunctionDef):
+            name = f"{prefix}.{node.name}"
+            yield name, name, node
+            yield from _functions(name, node.body)
+
+
+def _handlers(tree):
+    """Names of the functions the ``_HANDLERS`` table maps commands to:
+    they share one signature."""
+    return {value.id for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_HANDLERS"
+                    for t in node.targets)
+            for value in node.value.values}
+
+
+def test_every_parameter_is_read():
+    found, reads = [], {}
+    for module in _modules():
+        with open(os.path.join(PACKAGE, module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        handlers = _handlers(tree)
+        for name, family, node in _functions(module, tree.body):
+            if node.name in handlers:
+                family = ("handler", module)
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a]
+            if isinstance(family, tuple) and family[0] == "method":
+                params = params[1:]  # self
+            loaded = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            reads.setdefault(family, set()).update(loaded)
+            found += [(name, family, p) for p in params]
+    unread = sorted(f"{name}({p})" for name, family, p in found
+                    if p not in reads[family])
+    assert unread == sorted(UNREAD_PARAMETERS), \
+        f"parameters no body reads: {unread}"

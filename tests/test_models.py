@@ -249,8 +249,8 @@ class TestSimulatePath:
         cond = np.linalg.cond(np.eye(2) - spec.a_matrix)
         with pytest.raises(SingularDrawError,
                            match=re.escape(f"condition number {cond:.3g}")):
-            cluster.closed_form_cluster_index(
-                spec, Direction([1.0, 0.0]), 100, derive_stream(4, 9))
+            cluster.closed_form_cluster_index(spec, Direction([1.0, 0.0]),
+                                              100)
 
 
 class TestAr1Kernel:
