@@ -63,7 +63,6 @@ from .regen import (
     RegenBlocks,
     harvest_blocks,
     kac_check,
-    split_step,
 )
 from .cli import ExperimentConfig, RunManifest, __version__, parse_config, run
 
@@ -114,7 +113,6 @@ __all__ = [
     "parse_config",
     "run",
     "simulate_path",
-    "split_step",
     "stable_cf",
     "stable_check",
     "tail_index",

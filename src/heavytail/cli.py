@@ -25,7 +25,7 @@ from .tailstats import Direction
 __version__ = "0.1.0"  # the package version, echoed in every manifest
 
 COMMANDS = ("simulate", "cluster-index", "ldp-scan", "stable-check",
-            "drift-check", "regen-check", "report")
+            "drift-check", "regen-check")
 MODELS = ("var1", "kesten", "garch11")
 _INNOVATIONS = (randkit.PARETO, randkit.SYMMETRIC_PARETO, randkit.STABLE,
                 randkit.GAUSSIAN)
@@ -527,36 +527,6 @@ def _cmd_regen_check(config, spec, writer, threads):
     return summary, {"regen": STREAMS["regen"]}
 
 
-def _cmd_report(config, spec, writer, threads):
-    alpha = models.tail_index(spec)
-    theta = Direction([config.get("theta")])
-    tail_theta = spec.tail_direction(theta)
-    horizon = config.get("horizon")
-    replicas = config.get("replicas")
-    rows = [("tail_index", alpha, 0.0)]
-    est = cluster.cluster_index_tail_process(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"), threads)
-    rows.append(("cluster_index_tail_process", est.value, est.std_error))
-    summary = {"alpha": alpha, "theta": theta,
-               "cluster_index": {"value": est.value,
-                                 "std_error": est.std_error}}
-    if spec.exact_cluster_index(theta.vector) is not None:
-        cf = cluster.closed_form_cluster_index(spec, theta, replicas)
-        rows.append(("cluster_index_closed_form", cf.value, cf.std_error))
-        summary["cluster_index_closed_form"] = {
-            "value": cf.value, "std_error": cf.std_error}
-    ext = cluster.extremal_index(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"), threads)
-    rows.append(("extremal_index", ext.value, ext.std_error))
-    summary["extremal_index"] = {"value": ext.value,
-                                 "std_error": ext.std_error}
-    writer.csv("report.csv", ["quantity", "value", "std_error"],
-               list(zip(*rows)))
-    return summary, {k: STREAMS[k] for k in ("cluster_tail", "extremal")}
-
-
 _HANDLERS = {
     "simulate": _cmd_simulate,
     "cluster-index": _cmd_cluster_index,
@@ -564,7 +534,6 @@ _HANDLERS = {
     "stable-check": _cmd_stable_check,
     "drift-check": _cmd_drift_check,
     "regen-check": _cmd_regen_check,
-    "report": _cmd_report,
 }
 
 
@@ -578,7 +547,7 @@ def run(config: ExperimentConfig, out_dir: str = None,
         raise ParameterError(f"threads must be at least 1, got {threads}")
     spec = build_spec(config)
     writer = _Writer(out)
-    start = time.time()
+    start = time.perf_counter()
     try:
         summary, streams = _HANDLERS[config.command](
             config, spec, writer, threads)
@@ -593,7 +562,7 @@ def run(config: ExperimentConfig, out_dir: str = None,
     pilot = derive_stream(config.seed, models._PILOT_STREAM_ID)
     if pilot.master_seed in spec._pilot_cache:
         streams["pilot"] = pilot.stream_id
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     files = [{"name": os.path.basename(p), "sha256": _digest(p)}
              for p in writer.paths]
     manifest = RunManifest(command=config.command, config=config.echo(threads),

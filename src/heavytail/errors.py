@@ -41,8 +41,9 @@ class InsufficientCyclesError(HeavytailError):
 
 
 class MinorizationInvalidError(HeavytailError):
-    """Residual-kernel rejection exceeded its iteration guard: the split
-    parameters do not minorize this transition kernel."""
+    """The split parameters do not minorize this transition kernel: the
+    bound exceeds the density at small-set steps, or the derived epsilon
+    falls outside (0, 1]."""
 
 
 class WidenRError(HeavytailError):

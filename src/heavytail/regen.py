@@ -13,7 +13,6 @@ from .errors import (InsufficientCyclesError, MinorizationInvalidError,
 from . import models, randkit
 from .randkit import RngStream, TailLaw
 
-_REJECT_GUARD = 1_000_000
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
@@ -26,10 +25,9 @@ def _phibar(t: float) -> float:
 @dataclass
 class MinorizationSpec:
     """Minorization p(x, .) >= epsilon nu(.) for x in the small set
-    {|x| <= m_bound}, together with the model transition itself.
+    {|x| <= m_bound}.
 
-    ``nu_sampler`` draws the regeneration law; ``transition_sampler``
-    draws one step of the chain (used by ``split_step``). The densities
+    ``nu_sampler`` draws the regeneration law. The densities
     ``transition_density(x, y)`` and ``nu_density(y)`` accept arrays;
     the harvest marks regenerations with probability
     epsilon nu(y) / p(x, y), and needs neither when epsilon is 1 (an
@@ -39,7 +37,6 @@ class MinorizationSpec:
 
     epsilon: float
     nu_sampler: object
-    transition_sampler: object = None
     transition_density: object = None
     nu_density: object = None
     m_bound: float = math.inf
@@ -151,10 +148,6 @@ def make_var1_minorization(spec, m_bound: float = None,
             y = -scale * _STD_NORMAL.inv_cdf((1.0 - u) * pb) - c
             return y if stream.rng.random() < 0.5 else -y
 
-        def transition_sampler(x, stream):
-            return a * float(x) + scale * float(
-                stream.rng.standard_normal())
-
         def transition_density(x, y):
             z = (y - a * x) / scale
             return np.exp(-0.5 * z * z) / (scale * math.sqrt(2 * math.pi))
@@ -177,10 +170,6 @@ def make_var1_minorization(spec, m_bound: float = None,
             u = 1.0 - float(stream.rng.random())
             return lo * u ** (-1.0 / alpha) - c
 
-        def transition_sampler(x, stream):
-            u = 1.0 - float(stream.rng.random())
-            return a * float(x) + scale * u ** (-1.0 / alpha)
-
         def transition_density(x, y):
             z = y - a * x
             return np.where(z < scale, 0.0, alpha / scale * (
@@ -198,7 +187,6 @@ def make_var1_minorization(spec, m_bound: float = None,
             f"derived epsilon {eps:.3g} outside (0, 1]")
     return MinorizationSpec(epsilon=eps,
                             nu_sampler=nu_sampler,
-                            transition_sampler=transition_sampler,
                             transition_density=transition_density,
                             nu_density=nu_density, m_bound=m_bound,
                             heuristic=heuristic)
@@ -210,43 +198,11 @@ def make_iid_minorization(law: TailLaw) -> MinorizationSpec:
     def nu_sampler(stream):
         return float(randkit.sample_law(stream, law, 1)[0])
 
-    def transition_sampler(x, stream):
-        return nu_sampler(stream)
-
-    return MinorizationSpec(epsilon=1.0, nu_sampler=nu_sampler,
-                            transition_sampler=transition_sampler)
+    return MinorizationSpec(epsilon=1.0, nu_sampler=nu_sampler)
 
 
 # ---------------------------------------------------------------------------
 # the split chain
-
-
-def split_step(state, minorization: MinorizationSpec, stream: RngStream):
-    """One transition of the split chain: regenerate from nu with
-    probability epsilon on the small set, else draw from the residual
-    kernel by rejection against the minorizing bound."""
-    eps = minorization.epsilon
-    if abs(state) <= minorization.m_bound:
-        if float(stream.rng.random()) < eps:
-            return minorization.nu_sampler(stream), True
-        if minorization.transition_density is None \
-                or minorization.nu_density is None:
-            raise MinorizationInvalidError(
-                "residual sampling needs transition and nu densities")
-        for _ in range(_REJECT_GUARD):
-            y = minorization.transition_sampler(state, stream)
-            p = minorization.transition_density(state, y)
-            g = eps * minorization.nu_density(y)
-            if p <= 0.0 or g > p * (1.0 + 1e-9):
-                raise MinorizationInvalidError(
-                    "minorizing bound exceeds the transition density; "
-                    "epsilon too large for this small set")
-            if float(stream.rng.random()) >= g / p:
-                return y, False
-        raise MinorizationInvalidError(
-            f"residual rejection did not accept within {_REJECT_GUARD} "
-            "proposals")
-    return minorization.transition_sampler(state, stream), False
 
 
 def harvest_blocks(spec, minorization: MinorizationSpec, n: int,

@@ -29,8 +29,7 @@ from heavytail.limits import (StableLawParams, gaussian_sigma, ldp_region,
                               ldp_scan, stable_cf, stable_check)
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.regen import (harvest_blocks, kac_check,
-                             make_iid_minorization, make_var1_minorization,
-                             split_step)
+                             make_iid_minorization, make_var1_minorization)
 from heavytail.tailstats import default_hill_k, hill_estimate
 
 SEED = conftest.MASTER_SEED
@@ -196,10 +195,12 @@ def test_criterion_08_regeneration_suite():
                               derive_stream(SEED, 802))
     exact = (g_blocks.reconstruct_total() == g_blocks.total
              and p_blocks.reconstruct_total() == p_blocks.total)
-    st = derive_stream(SEED, 803)
-    draws = np.array([split_step(1.0, g_mino, st)[0]
-                      for _ in range(10_000)])
-    ks = stats.kstest(draws, stats.norm(loc=0.5, scale=1.0).cdf)
+    # a state at a regeneration time has law nu exactly: density
+    # phi(|y| + c) / eps with c = a M = 1
+    regen_states = g_blocks.path[g_blocks.cycle_starts[1:]]
+    ks = stats.kstest(regen_states, lambda y: 0.5 + np.sign(y) * (
+        stats.norm.sf(1.0) - stats.norm.sf(np.abs(y) + 1.0))
+        / g_mino.epsilon)
     fit_x = hill_estimate(np.abs(p_blocks.path),
                           default_hill_k(p_blocks.n))
     fit_s = hill_estimate(np.abs(p_blocks.block_sums),
@@ -214,8 +215,8 @@ def test_criterion_08_regeneration_suite():
           and kac.mean_length == 1.0 and kac.z_score == 0.0)
     _report(8, ok,
             f"block sums rebuild S_n bit-exactly ({g_blocks.n_cycles} + "
-            f"{p_blocks.n_cycles} cycles); split-kernel KS p = "
-            f"{ks.pvalue:.3f} > 0.01; Hill |X| {fit_x.alpha_hat:.3f} "
+            f"{p_blocks.n_cycles} cycles); regeneration states ~ nu, KS "
+            f"p = {ks.pvalue:.3f} > 0.01; Hill |X| {fit_x.alpha_hat:.3f} "
             f"[{fit_x.ci_low:.3f}, {fit_x.ci_high:.3f}] overlaps |S(1)| "
             f"{fit_s.alpha_hat:.3f} [{fit_s.ci_low:.3f}, "
             f"{fit_s.ci_high:.3f}]; iid atomization gives Kac length "

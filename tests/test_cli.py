@@ -164,6 +164,22 @@ class TestRun:
             run(cfg, out_dir=str(target))
         assert not target.exists() or list(target.iterdir()) == []
 
+    def test_runtime_survives_a_wall_clock_step_back(self, tmp_path,
+                                                     monkeypatch):
+        # the wall clock steps back an hour at every read; the manifest's
+        # runtime is timed on a monotonic clock and stays nonnegative
+        import itertools
+        import time
+        ticks = itertools.count(2e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(ticks))
+        cfg = parse_config(
+            "command = simulate\nmodel = var1\nseed = 5\na = 0.5\n"
+            "innovation = pareto\nalpha = 1.5\nn = 20\n")
+        manifest = run(cfg, out_dir=str(tmp_path / "out"))
+        assert manifest.runtime_s >= 0
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            assert json.load(fh)["runtime_s"] >= 0
+
     @pytest.mark.parametrize("name, extra, seed, pilot", [
         ("golden_regen.cfg", "", None, True),
         ("golden_regen.cfg", "m_bound = 2.0\n", None, False),
@@ -375,16 +391,15 @@ class TestMain:
             assert json.load(fh)["config"]["threads"] == 2
 
 
-class TestReport:
+class TestClusterIndexClosedForm:
     def test_linear_chain_closed_form_row(self, tmp_path):
         # a = 1/2, Pareto(1.5): b(+1) = 2^1.5 - 1, and the closed form
         # is exact (one Theta_0 atom, no auxiliary chain)
-        run(parse_config(BASE.replace("cluster-index", "report")),
-            out_dir=str(tmp_path))
-        rows = (tmp_path / "report.csv").read_text().splitlines()
-        values = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:]}
-        assert values["tail_index"] == 1.5
-        assert abs(values["cluster_index_closed_form"]
+        run(parse_config(BASE), out_dir=str(tmp_path))
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["alpha"] == 1.5
+        assert abs(summary["cluster_closed_form"]["value"]
                    - (2.0 ** 1.5 - 1.0)) < 1e-9
 
 
@@ -420,10 +435,11 @@ configs = [
     "innovation = gaussian\\nn = 5000",
     "command = drift-check\\nmodel = garch11\\nalpha0 = 0.05\\n"
     "alpha1 = 0.1\\nbeta1 = 0.85",
-    "command = report\\nmodel = var1\\na = 0.5\\nreplicas = 500\\n"
-    "horizon = 5",
     "command = simulate\\nmodel = var1\\na = 0.5\\nn = 100",
 ]
+print(sorted({cli.parse_config(t + "\\nseed = 3\\n").command
+              for t in configs}))
+print(len(configs))
 for i, text in enumerate(configs):
     cli.run(cli.parse_config(text + "\\nseed = 3\\n"),
             out_dir=os.path.join(sys.argv[1], str(i)))
@@ -441,5 +457,10 @@ def test_runtime_imports_no_scipy(tmp_path):
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-    assert sorted(os.listdir(tmp_path)) == [str(i) for i in range(8)]
+    commands, runs, modules = done.stdout.strip().splitlines()
+    # every command the CLI offers is run, each config into its own
+    # directory
+    assert commands == str(sorted(cli.COMMANDS))
+    assert modules == "[]"
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        str(i) for i in range(int(runs)))

@@ -63,11 +63,11 @@ RUN_DIGESTS = {
         "summary.json": "999ec625497d1014f67bf32aef1138a1"
                         "10a8c97de782fa5233b25bcdf5b02cf5",
     },
-    "golden_report_garch.cfg": {
-        "report.csv": "c8e0c84f614a98aa5ea0f7b8fd5a0af0"
-                      "535fe14d0ea88c1f2bad51c56f217f23",
-        "summary.json": "195e7adeef8dac24167844ad69716ae6"
-                        "f4a2de93285037232823d60c793ea35e",
+    "golden_cluster_garch.cfg": {
+        "cluster.csv": "24b13f4454967f6f9e18bc20a3d2568c"
+                       "ef97dfa7405706ce6632dd765f0be397",
+        "summary.json": "cd91f497a51af60c9b9c8fb9d78631ff"
+                        "1b1fd2cd2a8bd2d4a6519d04cb783d27",
     },
     "golden_ldp_var1.cfg": {
         "ldp.csv": "d1b4d1c469a3c9a78ab12cade9dddbf3"

@@ -98,7 +98,6 @@ TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
 # the check that calls them
 OUTSIDE_CALLERS = {
     "regen.make_iid_minorization": "Criterion 8",
-    "regen.split_step": "Criterion 8",
     "tailstats.TailFit.overlaps": "Criterion 8",
     "cluster.nu_alpha": "Criterion 10",
     "cluster.LimitMeasureEvaluator": "Criterion 10",
@@ -217,8 +216,6 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 UNREAD_PARAMETERS = {
     "cluster.closed_form_cluster_index(replicas)":
         "bench/tracer.py, cluster.replicas",
-    "regen.make_iid_minorization.transition_sampler(x)":
-        "the MinorizationSpec protocol, transition_sampler(x, stream)",
 }
 
 

@@ -567,7 +567,7 @@ class TestWarmUp:
     @pytest.mark.parametrize("params, burn", [
         # rho = min_s E A^(s/2) = 0.98229 near s = 0.72 (kappa 1.40)
         ((0.05, 0.5, 0.55), 2057),
-        # the report default (kappa 9.07): the least moment on (0, 1]
+        # the golden GARCH law (kappa 9.07): the least moment on (0, 1]
         ((0.05, 0.1, 0.85), 1312)])
     def test_volatility_burn_in(self, params, burn):
         assert models.Garch11Spec(*params).default_burn == burn
@@ -586,7 +586,7 @@ class TestWarmUp:
         assert rho ** k <= 2.0 ** -53 < rho ** (k - 1)
 
     @pytest.mark.parametrize("moment, lo, hi", [
-        # the bench and report GARCH laws, and the Kesten laws over the
+        # the bench and golden GARCH laws, and the Kesten laws over the
         # ranges of their warm-up and of their auxiliary chain
         (lambda s: models._garch_power_moment(0.5, 0.55, s), 0.0, 1.0),
         (lambda s: models._garch_power_moment(0.1, 0.85, s), 0.0, 1.0),

@@ -1,8 +1,8 @@
 """Regeneration: split-chain validity, exact block decomposition, Kac
 occupation identity, and block statistics.
 
-Kernel-fidelity oracles compare split-chain transitions against the
-closed-form conditional law of the underlying chain.
+Fidelity oracles compare the states at regeneration times against the
+closed-form regeneration law nu.
 """
 import math
 import re
@@ -20,7 +20,7 @@ from heavytail.errors import (InsufficientCyclesError,
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.regen import (MinorizationSpec, harvest_blocks, kac_check,
                              make_iid_minorization,
-                             make_var1_minorization, split_step)
+                             make_var1_minorization)
 
 
 @pytest.fixture
@@ -35,8 +35,6 @@ def bad_mino():
     return MinorizationSpec(
         epsilon=0.5,
         nu_sampler=lambda stream: float(stream.rng.normal()),
-        transition_sampler=lambda x, stream: 0.5 * x
-        + float(stream.rng.normal()),
         transition_density=lambda x, y: stats.norm.pdf(y - 0.5 * x),
         nu_density=lambda y: stats.norm.pdf(y) * 5.0,
         m_bound=1.0, heuristic=False)
@@ -136,47 +134,6 @@ class TestMinorizationConstruction:
             make_var1_minorization(ar_gauss)
 
 
-class TestSplitStepFidelity:
-    def test_gaussian_transitions_match_conditional_law(self, ar_gauss,
-                                                        gauss_mino):
-        # one-step law from x0 is N(a x0, 1) regardless of the split
-        st = derive_stream(61, 2)
-        x0 = 1.0
-        draws = np.array([split_step(x0, gauss_mino, st)[0]
-                          for _ in range(10_000)])
-        ks = stats.kstest(draws, stats.norm(loc=0.5 * x0, scale=1.0).cdf)
-        assert ks.pvalue > 0.01
-
-    def test_pareto_transitions_match_conditional_law(self, pareto_chain):
-        mino = make_var1_minorization(pareto_chain, m_bound=4.0)
-        st = derive_stream(61, 3)
-        x0 = 2.0
-        draws = np.array([split_step(x0, mino, st)[0]
-                          for _ in range(10_000)])
-        # next state is a x0 + Z with Z unit-scale Pareto(0.8)
-        z = draws - 0.5 * x0
-        ks = stats.kstest(z, lambda t: 1.0 - np.minimum(1.0, t ** -0.8))
-        assert ks.pvalue > 0.01
-
-    def test_regeneration_flag_frequency(self, ar_gauss, gauss_mino):
-        # started inside the small set, the flag fires with rate epsilon
-        st = derive_stream(61, 4)
-        hits = sum(split_step(0.0, gauss_mino, st)[1]
-                   for _ in range(20_000))
-        p_hat = hits / 20_000.0
-        se = math.sqrt(gauss_mino.epsilon * (1 - gauss_mino.epsilon)
-                       / 20_000.0)
-        assert abs(p_hat - gauss_mino.epsilon) < 4 * se
-
-    def test_invalid_split_detected(self, bad_mino):
-        # epsilon far above the true minorization mass: the residual
-        # density goes negative and the rejection sampler reports it
-        st = derive_stream(61, 5)
-        with pytest.raises(MinorizationInvalidError):
-            for _ in range(200):
-                split_step(0.0, bad_mino, st)
-
-
 class TestHarvest:
     def test_decomposition_is_bit_exact(self, ar_gauss, gauss_mino):
         blocks = harvest_blocks(ar_gauss, gauss_mino, 100_000,
@@ -234,6 +191,29 @@ class TestHarvest:
         assert abs(hits.mean() - eps) < 4 * se
         # regenerations only ever follow a small-set state
         assert not regenerated[1:][~on_set].any()
+
+    @pytest.mark.parametrize("chain", ["gaussian", "pareto"])
+    def test_regeneration_states_follow_nu(self, chain, ar_gauss,
+                                           pareto_chain):
+        # under retrospective marking a state at a regeneration time has
+        # law nu exactly, which is what makes the cycles iid
+        if chain == "gaussian":
+            mino = make_var1_minorization(ar_gauss, m_bound=2.0)
+            blocks = harvest_blocks(ar_gauss, mino, 100_000,
+                                    derive_stream(62, 12))
+            # nu has density phi(|y| + c) / eps, c = a M = 1
+            cdf = lambda y: 0.5 + np.sign(y) * (
+                stats.norm.sf(1.0) - stats.norm.sf(np.abs(y) + 1.0)) \
+                / mino.epsilon
+        else:
+            mino = make_var1_minorization(pareto_chain, m_bound=4.0)
+            blocks = harvest_blocks(pareto_chain, mino, 200_000,
+                                    derive_stream(62, 12))
+            # y + c ~ Pareto(0.8) on scale s + 2c = 5, c = a M = 2
+            cdf = lambda y: 1.0 - (np.maximum(y + 2.0, 5.0) / 5.0) ** -0.8
+        states = blocks.path[blocks.cycle_starts[1:]]
+        assert states.size > 1000
+        assert stats.kstest(states, cdf).pvalue > 0.01
 
     def test_unsupported_spec_rejected(self, kesten_lognormal,
                                        gauss_mino):
