@@ -419,17 +419,17 @@ def _cmd_cluster_index(config, spec, writer, threads):
     horizon = config.get("horizon")
     replicas = config.get("replicas")
     ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "cluster_tail"), threads)}
+        spec, tail_theta, horizon, replicas, _stream(config, "cluster_tail"),
+        threads)}
     if spec.exact_cluster_index(theta.vector) is not None:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
             spec, theta, replicas)
     ests["telescoping"] = cluster.telescoping_difference(
-        spec, tail_theta, alpha, config.get("k_trunc"), replicas,
+        spec, tail_theta, config.get("k_trunc"), replicas,
         _stream(config, "cluster_telescoping"), threads)
     ests["extremal_index"] = cluster.extremal_index(
-        spec, tail_theta, alpha, horizon, replicas,
-        _stream(config, "extremal"), threads)
+        spec, tail_theta, horizon, replicas, _stream(config, "extremal"),
+        threads)
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],
@@ -461,12 +461,10 @@ def _cmd_ldp_scan(config, spec, writer, threads):
 
 def _cmd_stable_check(config, spec, writer, threads):
     theta = Direction([config.get("theta")])
-    cmps = limits.stable_check(spec, [theta], config.get("n"),
-                               config.get("reps", 2000),
-                               _stream(config, "stable"),
-                               burn_in=config.get("burn_in"),
-                               threads=threads)
-    c = cmps[0]
+    c = limits.stable_check(spec, theta, config.get("n"),
+                            config.get("reps", 2000),
+                            _stream(config, "stable"),
+                            burn_in=config.get("burn_in"), threads=threads)
     gap = c.empirical - c.theoretical
     # np.hypot matches the scalar complex abs bit for bit; np.abs does not
     writer.csv("stable_cf.csv",
@@ -488,10 +486,10 @@ def _cmd_drift_check(config, spec, writer, threads):
     except HeavytailError:
         pass
     p, grid = spec.drift_setup(alpha)
-    rep = models.drift_margin(spec, p, 1, grid, _stream(config, "drift"))
+    rep = models.drift_margin(spec, p, grid, _stream(config, "drift"))
     writer.csv("drift.csv", ["v_state", "v_next_mean"],
                [rep.grid_v, rep.response_v])
-    summary = {"p": rep.p, "m": rep.m, "beta_hat": rep.beta_hat,
+    summary = {"p": rep.p, "m": 1, "beta_hat": rep.beta_hat,
                "beta_se": rep.beta_se, "intercept": rep.intercept,
                "passed": rep.passed}
     if rep.passed:

@@ -163,10 +163,8 @@ def _control(proj: np.ndarray, s: float) -> np.ndarray:
     return c.sum(axis=1)
 
 
-def _mc_functional(spec, functionals, alpha: float, horizon: int,
-                   replicas: int, stream: RngStream, threads: int,
-                   horizon_name: str = "horizon",
-                   least_horizon: int = 0) -> list:
+def _mc_functional(spec, functionals, horizon: int, replicas: int,
+                   stream: RngStream, threads: int) -> list:
     """Shared argument checks of the Monte Carlo routes, then per-path
     functionals of one batch of the spec's tail-process draws.
     ``functionals`` lists (theta, reduce_paths, route). Each fixed-size
@@ -175,7 +173,8 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     per-path values to their moments, merged in chunk order. The tail
     process does not depend on theta, so every functional reads the same
     draws, and each estimate has the bits it would have alone on the same
-    stream. One estimate per functional, in order.
+    stream. One estimate per functional, in order. The functional, the
+    control power and the tilt all read the spec's own tail index.
 
     When the functional is the summed one (``_sum_difference``) and the
     spec knows E c for the control c = sum_{t>=1} (theta'Theta_t)_+^s
@@ -186,14 +185,11 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     (Glasserman 2004, section 4.1). Otherwise, or when the control has
     no spread, it is the plain mean (the sup functional gains too little
     from c to pay for it)."""
-    if horizon < least_horizon:
-        raise ParameterError(
-            f"{horizon_name} must be at least {least_horizon}")
+    if horizon < 0:
+        raise ParameterError("horizon must be at least 0")
     if replicas < 100:
         raise ParameterError("replicas must be at least 100")
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    spec_alpha = models.tail_index(spec)
+    alpha = models.tail_index(spec)
     s = _control_power(alpha)
     reducers, controls = [], []
     for theta, reduce_paths, _ in functionals:
@@ -211,7 +207,7 @@ def _mc_functional(spec, functionals, alpha: float, horizon: int,
     def one(i):
         take = min(_CHUNK, replicas - i * _CHUNK)
         vals = iter(models.sample_tail_process_batch(
-            spec, horizon, take, stream.substream(i), spec_alpha, reducers))
+            spec, horizon, take, stream.substream(i), alpha, reducers))
         return [_moments(next(vals), None if ec is None else next(vals))
                 for ec in controls]
 
@@ -254,10 +250,9 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
         - np.maximum(m_tail, 0.0) ** alpha
 
 
-def cluster_index_tail_process(spec, theta: Direction, alpha: float,
-                               horizon: int, replicas: int,
-                               stream: RngStream, threads: int = 1,
-                               signs=None):
+def cluster_index_tail_process(spec, theta: Direction, horizon: int,
+                               replicas: int, stream: RngStream,
+                               threads: int = 1, signs=None):
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha.
 
@@ -274,27 +269,28 @@ def cluster_index_tail_process(spec, theta: Direction, alpha: float,
         thetas = [theta if s == 1 else theta.negated() for s in signs]
     ests = _mc_functional(
         spec, [(th, _sum_difference, ROUTE_TAIL_PROCESS) for th in thetas],
-        alpha, horizon, replicas, stream, threads)
+        horizon, replicas, stream, threads)
     return ests[0] if signs is None else ests
 
 
-def telescoping_difference(spec, theta: Direction, alpha: float, k: int,
-                           replicas: int, stream: RngStream,
+def telescoping_difference(spec, theta: Direction, k: int, replicas: int,
+                           stream: RngStream,
                            threads: int = 1) -> ClusterIndexEstimate:
     """The k-truncated difference (horizon k in the summed functional);
     converges to the cluster index as k grows."""
+    if k < 1:
+        raise ParameterError("k must be at least 1")
     return _mc_functional(spec, [(theta, _sum_difference, ROUTE_TELESCOPING)],
-                          alpha, k, replicas, stream, threads,
-                          horizon_name="k", least_horizon=1)[0]
+                          k, replicas, stream, threads)[0]
 
 
-def extremal_index(spec, theta: Direction, alpha: float, horizon: int,
-                   replicas: int, stream: RngStream,
+def extremal_index(spec, theta: Direction, horizon: int, replicas: int,
+                   stream: RngStream,
                    threads: int = 1) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index
     analogue)."""
     return _mc_functional(spec, [(theta, _sup_difference, ROUTE_TAIL_PROCESS)],
-                          alpha, horizon, replicas, stream, threads)[0]
+                          horizon, replicas, stream, threads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (InsufficientCyclesError, OutOfRegimeError,
                      ParameterError, UnsupportedCaseError, WidenRError)
 from . import cluster, models, randkit, tailstats
-from .tailstats import Direction, lookup_direction
+from .tailstats import Direction
 from .randkit import RngStream
 
 CF_GRID = np.linspace(-3.0, 3.0, 61)
@@ -28,45 +28,39 @@ _PATH_CHUNK_BUDGET = 1 << 22
 
 @dataclass
 class StableLawParams:
-    """Direction-indexed pairs (b(theta), b(-theta)) defining the stable
-    limit's characteristic function, plus the tail constant ``c_alpha``
-    derived from alpha."""
+    """The pair (b_plus, b_minus) = (b(theta), b(-theta)) defining the
+    stable limit's characteristic function along theta, plus the tail
+    constant ``c_alpha`` derived from alpha. For alpha = 1 the pair must
+    be symmetric."""
 
     alpha: float
-    pairs: dict
+    b_plus: float
+    b_minus: float
     c_alpha: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
             raise ParameterError("alpha must lie in (0, 2)")
-        store = {}
-        for direction, pair in self.pairs.items():
-            if not isinstance(direction, Direction):
-                direction = Direction(direction)
-            bp, bm = float(pair[0]), float(pair[1])
-            if bp < 0 or bm < 0:
-                raise ParameterError("b values must be nonnegative")
-            store[direction] = (bp, bm)
-        self.pairs = store
+        self.b_plus, self.b_minus = float(self.b_plus), float(self.b_minus)
+        if self.b_plus < 0 or self.b_minus < 0:
+            raise ParameterError("b values must be nonnegative")
+        if self.alpha == 1.0 and not math.isclose(
+                self.b_plus, self.b_minus, rel_tol=1e-6, abs_tol=1e-9):
+            raise UnsupportedCaseError(
+                "alpha = 1 requires a symmetric pair b(theta) = b(-theta)")
         self.c_alpha = randkit.stable_tail_constant(self.alpha)
 
-    def pair_at(self, theta: Direction):
-        return lookup_direction(self.pairs, theta, "(b(theta), b(-theta))")
 
-
-def stable_cf(params: StableLawParams, theta: Direction, x: float) -> complex:
+def stable_cf(params: StableLawParams, x: float) -> complex:
     """psi(x) = exp{-|x|^alpha C_alpha^{-1} [(b+ + b-)
-    - i sign(x) (b+ - b-) tan(pi alpha / 2)]}; for alpha = 1 the pair must
-    be symmetric and the tangent term vanishes."""
-    bp, bm = params.pair_at(theta)
+    - i sign(x) (b+ - b-) tan(pi alpha / 2)]}; for alpha = 1 the pair is
+    symmetric and the tangent term vanishes."""
+    bp, bm = params.b_plus, params.b_minus
     a = params.alpha
     if x == 0.0:
         return complex(1.0, 0.0)
     inv_c = 1.0 / params.c_alpha
     if a == 1.0:
-        if not math.isclose(bp, bm, rel_tol=1e-9, abs_tol=1e-12):
-            raise UnsupportedCaseError(
-                "alpha = 1 requires a symmetric pair b(theta) = b(-theta)")
         return complex(math.exp(-abs(x) * inv_c * (bp + bm)), 0.0)
     skew = math.copysign(1.0, x) * (bp - bm) * math.tan(math.pi * a / 2.0)
     exponent = -abs(x) ** a * inv_c * complex(bp + bm, -skew)
@@ -82,7 +76,7 @@ class CfComparison:
     theoretical: np.ndarray
     sup_abs_gap: float
     mc_band: float
-    centering: str = "none"
+    centering: str
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -103,11 +97,11 @@ class LdpScanResult:
     ratios: np.ndarray
     target: float
     sup_dev: float
-    counts: np.ndarray = None
-    ratio_ses: np.ndarray = None
-    b_n: float = 0.0
-    c_n: float = 0.0
-    centering: str = "none"
+    counts: np.ndarray
+    ratio_ses: np.ndarray
+    b_n: float
+    c_n: float
+    centering: str
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -180,34 +174,26 @@ def _a_n_for(spec, n: int, stream: RngStream) -> float:
     return scale * (n * c) ** (1.0 / alpha)
 
 
-def _b_route(spec, th: Direction, alpha: float, stream: RngStream,
-             threads: int = 1, signs=None, replicas: int = 50_000,
-             horizon: int = 64):
+def _b_route(spec, th: Direction, stream: RngStream, threads: int = 1,
+             signs=None, replicas: int = 50_000, horizon: int = 64):
     """Estimate of b at the tail-process direction ``th`` (a list, one per
     sign, with ``signs``): the closed form, one draw-free call per sign,
     when the family has one, else the tail-process route."""
     if spec.exact_cluster_index(th.vector) is None:
         return cluster.cluster_index_tail_process(
-            spec, th, alpha, horizon, replicas, stream, threads, signs=signs)
+            spec, th, horizon, replicas, stream, threads, signs=signs)
     if signs is None:
         return cluster.closed_form_cluster_index(spec, th, replicas)
     return [cluster.closed_form_cluster_index(
         spec, th if s == 1 else th.negated(), replicas) for s in signs]
 
 
-def _b_at(spec, th: Direction, alpha: float, stream: RngStream,
-          threads: int = 1) -> float:
-    """b at the tail-process direction ``th``, clipped at 0."""
-    return max(_b_route(spec, th, alpha, stream, threads).value, 0.0)
-
-
-def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
-                threads: int = 1):
+def _b_pair_for(spec, theta: Direction, stream: RngStream, threads: int = 1):
     """(b(theta), b(-theta)), each clipped at 0: one closed-form call per
     sign, which draws nothing, or else one tail-process batch on
     substream 0xB0 reduced along theta and -theta."""
-    ests = _b_route(spec, spec.tail_direction(theta), alpha,
-                    stream.substream(0xB0), threads, signs=(1, -1))
+    ests = _b_route(spec, spec.tail_direction(theta), stream.substream(0xB0),
+                    threads, signs=(1, -1))
     return tuple(max(e.value, 0.0) for e in ests)
 
 
@@ -215,49 +201,38 @@ def _b_pair_for(spec, theta: Direction, alpha: float, stream: RngStream,
 # the three checks
 
 
-def stable_check(spec, theta_grid, n: int, reps: int, stream: RngStream,
-                 burn_in: int = None, threads: int = 1):
+def stable_check(spec, theta: Direction, n: int, reps: int,
+                 stream: RngStream, burn_in: int = None,
+                 threads: int = 1) -> CfComparison:
     """Empirical CF of a_n^{-1} theta'S_n against the stable limit CF on
-    the fixed grid; one CfComparison per direction."""
+    the fixed grid."""
     if n < 1 or reps < 1:
         raise ParameterError("n and reps must be positive")
     alpha = models.tail_index(spec)
     if not 0 < alpha < 2:
         raise OutOfRegimeError(
             f"stable regime needs alpha in (0, 2); got {alpha:.4g}")
-    theta_grid = [t if isinstance(t, Direction) else Direction(t)
-                  for t in theta_grid]
-    if any(t.dim != 1 for t in theta_grid):
+    if not isinstance(theta, Direction):
+        theta = Direction(theta)
+    if theta.dim != 1:
         raise ParameterError(
-            "limit checks run on the scalar observable; directions "
+            "limit checks run on the scalar observable; the direction "
             "must be +1 or -1")
-    pairs = {th: _b_pair_for(spec, th, alpha, stream.substream(0xC0 + i),
-                             threads)
-             for i, th in enumerate(theta_grid)}
-    params = StableLawParams(alpha=alpha, pairs=pairs)
-    if alpha == 1.0:
-        for th in theta_grid:
-            bp, bm = params.pair_at(th)
-            if not math.isclose(bp, bm, rel_tol=1e-6, abs_tol=1e-9):
-                raise UnsupportedCaseError(
-                    "alpha = 1 requires a symmetric model")
+    params = StableLawParams(alpha, *_b_pair_for(
+        spec, theta, stream.substream(0xC0), threads))
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), burn,
                         threads)
     mu, centering = _sum_centering(spec, alpha)
     a_n = _a_n_for(spec, n, stream)
-    y = (sums - n * mu) / a_n
-    out = []
-    for th in theta_grid:
-        proj = th.theta[0] * y
-        emp = np.array([np.exp(1j * (x * proj)).mean() for x in CF_GRID])
-        theo = np.array([stable_cf(params, th, float(x)) for x in CF_GRID])
-        gap = float(np.max(np.abs(emp - theo)))
-        out.append(CfComparison(grid=CF_GRID.copy(), empirical=emp,
-                                theoretical=theo, sup_abs_gap=gap,
-                                mc_band=3.0 * math.sqrt(2.0 / reps),
-                                centering=centering))
-    return out
+    proj = theta.theta[0] * ((sums - n * mu) / a_n)
+    emp = np.array([np.exp(1j * (x * proj)).mean() for x in CF_GRID])
+    theo = np.array([stable_cf(params, float(x)) for x in CF_GRID])
+    return CfComparison(grid=CF_GRID.copy(), empirical=emp,
+                        theoretical=theo,
+                        sup_abs_gap=float(np.max(np.abs(emp - theo))),
+                        mc_band=3.0 * math.sqrt(2.0 / reps),
+                        centering=centering)
 
 
 def ldp_region(alpha: float, n: int, eps: float = 0.1):
@@ -274,8 +249,7 @@ def ldp_region(alpha: float, n: int, eps: float = 0.1):
 
 def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
              region=None, grid_size: int = 12, eps: float = 0.1,
-             target: float = None, burn_in: int = None,
-             threads: int = 1) -> LdpScanResult:
+             burn_in: int = None, threads: int = 1) -> LdpScanResult:
     """Monte Carlo ratios P(theta'S_n > x) / (n P(|X| > x)) over a
     geometric grid in the region, compared against the cluster index."""
     if not isinstance(theta, Direction):
@@ -311,13 +285,12 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     ratios = counts / reps / denom
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
-    if target is None:
-        target = _b_at(spec, spec.tail_direction(theta), alpha,
-                       stream.substream(0xC9).substream(0xB0),
-                       threads=threads)
+    target = max(_b_route(spec, spec.tail_direction(theta),
+                          stream.substream(0xC9).substream(0xB0),
+                          threads).value, 0.0)
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,
-                         target=float(target), sup_dev=sup_dev,
+                         target=target, sup_dev=sup_dev,
                          counts=counts, ratio_ses=ratio_ses, b_n=b_n,
                          c_n=c_n, centering=centering)
 

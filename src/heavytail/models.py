@@ -49,7 +49,7 @@ class ModelSpec:
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
     (replicas,) partial sums S_n of a scalar observable on the same
     draws), ``tail_process(horizon, replicas, stream, alpha, tvs)``,
-    ``conditional_states(y, m, reps, stream)`` for the drift fit, and
+    ``conditional_states(y, reps, stream)`` for the one-step drift fit, and
     ``default_burn``, the warm-up of the pilot and the limit-theorem
     scans, derived from the family's own contraction rate. The defaults
     below cover the common case.
@@ -330,14 +330,11 @@ class Var1Spec(ModelSpec):
         return (float(self.a_matrix[0, 0]), self.innovation,
                 float(self.weights[0]))
 
-    def conditional_states(self, y, m, reps, stream):
+    def conditional_states(self, y, reps, stream):
         d = self.dim
-        cur = np.tile(y, (reps, 1))
-        for _ in range(m):
-            z = sample_law(stream, self.innovation,
-                           reps * d).reshape(reps, d) * self.weights
-            cur = cur @ self.a_matrix.T + z
-        return cur
+        z = sample_law(stream, self.innovation,
+                       reps * d).reshape(reps, d) * self.weights
+        return np.tile(y, (reps, 1)) @ self.a_matrix.T + z
 
 
 @dataclass(eq=False)
@@ -508,13 +505,10 @@ class KestenSpec(ModelSpec):
             return None
         return np.array([mb / (1.0 - ma)]) if ma < 1.0 else None
 
-    def conditional_states(self, y, m, reps, stream):
-        cur = np.full(reps, float(y[0]))
-        for _ in range(m):
-            a = sample_law(stream, self.a_law, reps)
-            b = sample_law(stream, self.b_law, reps)
-            cur = a * cur + b
-        return cur[:, None]
+    def conditional_states(self, y, reps, stream):
+        a = sample_law(stream, self.a_law, reps)
+        b = sample_law(stream, self.b_law, reps)
+        return (a * float(y[0]) + b)[:, None]
 
 
 @dataclass(eq=False)
@@ -686,25 +680,22 @@ class Garch11Spec(ModelSpec):
         p = 0.4 * (alpha or 2.0)
         return p, [np.array([x, x]) for x in np.geomspace(0.5, 32.0, 7)]
 
-    def conditional_states(self, y, m, reps, stream):
+    def conditional_states(self, y, reps, stream):
         # state (X_t, sigma_t); sigma'^2 = alpha0 + alpha1 x^2 + beta1 s^2
         if y.shape != (2,):
             raise ParameterError("recursion state is (x, sigma)")
         x = np.full(reps, float(y[0]))
-        s2 = np.full(reps, float(y[1]) ** 2)
-        for _ in range(m):
-            s2 = self.alpha0 + self.alpha1 * x ** 2 + self.beta1 * s2
-            x = np.sqrt(s2) * stream.rng.standard_normal(reps)
+        s2 = self.alpha0 + self.alpha1 * x ** 2 + self.beta1 * float(y[1]) ** 2
+        x = np.sqrt(s2) * stream.rng.standard_normal(reps)
         return np.column_stack([x, np.sqrt(s2)])
 
 
 @dataclass
 class DriftReport:
-    """Fitted one-step (or m-step) drift inequality
+    """Fitted one-step drift inequality
     E(V(next) | state) <= beta V(state) + b with V = |.|^p."""
 
     p: float
-    m: int
     beta_hat: float
     beta_se: float
     intercept: float
@@ -1057,22 +1048,19 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
 # drift diagnostics
 
 
-def drift_margin(spec, p: float, m: int, grid,
-                 stream: RngStream) -> DriftReport:
+def drift_margin(spec, p: float, grid, stream: RngStream) -> DriftReport:
     """Fit E(|next state|^p | state) <= beta |state|^p + b over the grid by
-    conditional Monte Carlo on 2000 draws per state and least squares
-    (intercept clamped at 0)."""
+    one-step conditional Monte Carlo on 2000 draws per state and least
+    squares (intercept clamped at 0)."""
     if not p > 0:
         raise ParameterError("p must be positive")
-    if m < 1:
-        raise ParameterError("m must be at least 1")
     grid = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grid]
     if not grid:
         raise ParameterError("grid must be non-empty")
     v_state = np.array([np.linalg.norm(g) ** p for g in grid])
     v_next = np.empty(len(grid))
     for i, y in enumerate(grid):
-        nxt = spec.conditional_states(y, m, 2000, stream)
+        nxt = spec.conditional_states(y, 2000, stream)
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(
                 "conditional simulation diverged from grid state "
@@ -1091,6 +1079,6 @@ def drift_margin(spec, p: float, m: int, grid,
     beta_se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx) \
         if sxx > 0 else math.inf
     passed = beta_hat < 1.0 and beta_hat + 1.96 * beta_se < 1.0
-    return DriftReport(p=p, m=m, beta_hat=beta_hat, beta_se=beta_se,
+    return DriftReport(p=p, beta_hat=beta_hat, beta_se=beta_se,
                        intercept=intercept, passed=passed,
                        grid_v=v_state, response_v=v_next)

@@ -59,10 +59,10 @@ def _ar_spec(alpha, family=randkit.PARETO, a=0.5):
 def test_criterion_01_cluster_index_three_routes():
     spec = _ar_spec(1.5)
     t0 = time.perf_counter()
-    tail = cluster_index_tail_process(spec, PLUS, 1.5, 40, 100_000,
+    tail = cluster_index_tail_process(spec, PLUS, 40, 100_000,
                                       derive_stream(SEED, 101))
     closed = closed_form_cluster_index(spec, PLUS, 100_000)
-    tele = telescoping_difference(spec, PLUS, 1.5, 30, 100_000,
+    tele = telescoping_difference(spec, PLUS, 30, 100_000,
                                   derive_stream(SEED, 103))
     elapsed = time.perf_counter() - t0
     errs = [abs(e.value - B_TARGET) for e in (tail, closed, tele)]
@@ -96,9 +96,9 @@ def test_criterion_02_ldp_ratio_every_grid_point():
 
 def test_criterion_03_iid_baseline_all_estimators():
     spec = _ar_spec(0.8, a=0.0)
-    cl = cluster_index_tail_process(spec, PLUS, 0.8, 40, 100_000,
+    cl = cluster_index_tail_process(spec, PLUS, 40, 100_000,
                                     derive_stream(SEED, 301))
-    ex = extremal_index(spec, PLUS, 0.8, 40, 100_000,
+    ex = extremal_index(spec, PLUS, 40, 100_000,
                         derive_stream(SEED, 302))
     b_n = ldp_region(0.8, 2000, 0.1)[0]
     scan = ldp_scan(spec, PLUS, n=2000, reps=300_000,
@@ -155,11 +155,11 @@ def test_criterion_06_stable_clt_two_models():
     iid_stable = models.Var1Spec(
         1, TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
         a_matrix=np.array([[0.0]]))
-    c1 = stable_check(iid_stable, [PLUS], n=1000, reps=2000,
-                      stream=derive_stream(SEED, 601), threads=4)[0]
+    c1 = stable_check(iid_stable, PLUS, n=1000, reps=2000,
+                      stream=derive_stream(SEED, 601), threads=4)
     dep = _ar_spec(1.5, family=randkit.SYMMETRIC_PARETO)
-    c2 = stable_check(dep, [PLUS], n=1000, reps=2000,
-                      stream=derive_stream(SEED, 602), threads=4)[0]
+    c2 = stable_check(dep, PLUS, n=1000, reps=2000,
+                      stream=derive_stream(SEED, 602), threads=4)
     elapsed = time.perf_counter() - t0
     band = 3.0 * math.sqrt(2.0 / 2000.0)
     ok = (c1.sup_abs_gap <= c1.mc_band and c2.sup_abs_gap <= c2.mc_band
@@ -172,9 +172,9 @@ def test_criterion_06_stable_clt_two_models():
 
 
 def test_criterion_07_extremal_index_closed_form():
-    e1 = extremal_index(_ar_spec(1.0), PLUS, 1.0, 40, 100_000,
+    e1 = extremal_index(_ar_spec(1.0), PLUS, 40, 100_000,
                         derive_stream(SEED, 701))
-    e2 = extremal_index(_ar_spec(2.0), PLUS, 2.0, 40, 100_000,
+    e2 = extremal_index(_ar_spec(2.0), PLUS, 40, 100_000,
                         derive_stream(SEED, 702))
     ok = (abs(e1.value - 0.5) <= max(3 * e1.std_error, FLOOR)
           and abs(e2.value - 0.75) <= max(3 * e2.std_error, FLOOR))
@@ -242,12 +242,12 @@ def test_criterion_09_gaussian_clt_cross_check():
 
 def test_criterion_10_invariant_battery(tmp_path):
     checks = {}
-    params = StableLawParams(1.5, {PLUS: (1.7, 0.4)})
+    params = StableLawParams(1.5, 1.7, 0.4)
     pts = [0.3, 1.1, 2.9]
     checks["cf"] = all(
-        stable_cf(params, PLUS, x)
-        == stable_cf(params, PLUS, -x).conjugate()
-        and abs(stable_cf(params, PLUS, x)) <= 1.0 + 1e-12 for x in pts)
+        stable_cf(params, x)
+        == stable_cf(params, -x).conjugate()
+        and abs(stable_cf(params, x)) <= 1.0 + 1e-12 for x in pts)
     ev = LimitMeasureEvaluator(1.3, {PLUS: 2.0})
     checks["homogeneity"] = all(
         np.isclose(nu_alpha(ev, PLUS, t * r),
@@ -258,11 +258,11 @@ def test_criterion_10_invariant_battery(tmp_path):
         hill_estimate(x, 200).alpha_hat,
         hill_estimate(1e6 * x, 200).alpha_hat, rtol=1e-12)
     neg = cluster_index_tail_process(
-        _ar_spec(1.5, family=randkit.SYMMETRIC_PARETO), MINUS, 1.5, 24,
+        _ar_spec(1.5, family=randkit.SYMMETRIC_PARETO), MINUS, 24,
         5000, derive_stream(SEED, 1002))
     checks["nonnegative"] = neg.value >= -3.0 * neg.std_error - 1e-12
     low = _ar_spec(0.8)
-    est = cluster_index_tail_process(low, PLUS, 0.8, 24, 5000,
+    est = cluster_index_tail_process(low, PLUS, 24, 5000,
                                      derive_stream(SEED, 1003))
     ang = low.theta0(5000, derive_stream(SEED, 1004))
     bound = float(np.mean(np.maximum(ang[:, 0], 0.0) ** 0.8))

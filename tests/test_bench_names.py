@@ -42,18 +42,17 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
     # the route's span
     spec = request.getfixturevalue(fixture)
     theta = spec.tail_direction(Direction([1.0]))
-    alpha = models.tail_index(spec)
     replicas, horizon = 2 * cluster._CHUNK + 500, 8
     routes = {
         "tail_process": lambda stream: cluster.cluster_index_tail_process(
-            spec, theta, alpha, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream, threads),
         "signed": lambda stream: cluster.cluster_index_tail_process(
-            spec, theta, alpha, horizon, replicas, stream, threads,
+            spec, theta, horizon, replicas, stream, threads,
             signs=(1, -1)),
         "telescoping": lambda stream: cluster.telescoping_difference(
-            spec, theta, alpha, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream, threads),
         "extremal": lambda stream: cluster.extremal_index(
-            spec, theta, alpha, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream, threads),
     }
     chunks = [cluster._CHUNK, cluster._CHUNK, 500]
     for name, route in routes.items():
@@ -78,9 +77,7 @@ def test_traced_b_pair_reads_every_count(kesten_lognormal):
     t = _load_tracer().Tracer()
     assert t.install() == []
     try:
-        pair = limits._b_pair_for(spec, Direction([1.0]),
-                                  models.tail_index(spec),
-                                  derive_stream(3, 5))
+        pair = limits._b_pair_for(spec, Direction([1.0]), derive_stream(3, 5))
     finally:
         t.uninstall()
     assert t.missing == []

@@ -291,6 +291,18 @@ class TestMain:
         assert main(["stable-check", "--config", cfg]) == 3
         assert "numeric-regime error" in capsys.readouterr().err
 
+    def test_alpha_one_asymmetric_pair_exit_three(self, tmp_path, capsys):
+        # a = 1/2 with Pareto(1) innovations: b(+1) = 1, b(-1) = 0
+        cfg = self._write(
+            tmp_path,
+            "command = stable-check\nmodel = var1\nseed = 5\na = 0.5\n"
+            "alpha = 1.0\nn = 40\nreps = 200\n"
+            f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["stable-check", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "UnsupportedCaseError" in err and "symmetric pair" in err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_tail_index_exit_three_names_route(self, tmp_path,
                                                     capsys):
         # log-variance 0.0009 puts the tail index at 1111: the functional

@@ -96,8 +96,8 @@ class TestClosedForm:
             spec = request.getfixturevalue(name)
         theta = Direction(np.ones(spec.dim))
         closed_form_cluster_index(spec, theta, 1000)
-        cluster_index_tail_process(spec, theta, models.tail_index(spec), 10,
-                                   1000, derive_stream(41, 6))
+        cluster_index_tail_process(spec, theta, 10, 1000,
+                                   derive_stream(41, 6))
         assert spec._pilot_cache == {}
 
     def test_recurrence_with_half_multiplier(self):
@@ -196,12 +196,10 @@ class TestKestenFixedPoint:
         # Pareto multiplier) the tail-process and telescoping routes sit
         # within 4 standard errors of the fixed point on every seed
         spec, th = _KESTEN_SPECS[name](), Direction([1.0])
-        alpha = models.tail_index(spec)
         exact = closed_form_cluster_index(spec, th, 2)
         for seed in range(4):
             for route in (cluster_index_tail_process, telescoping_difference):
-                est = route(spec, th, alpha, 40, 20_000,
-                            derive_stream(49, seed))
+                est = route(spec, th, 40, 20_000, derive_stream(49, seed))
                 gap = abs(est.value - exact.value)
                 assert gap <= 4.0 * math.hypot(est.std_error,
                                                exact.std_error)
@@ -261,7 +259,7 @@ class TestKestenFixedPoint:
 class TestTailProcessRoute:
     def test_matches_closed_form(self, ar_pareto15):
         est = cluster_index_tail_process(ar_pareto15, Direction([1.0]),
-                                         1.5, 40, 100_000,
+                                         40, 100_000,
                                          derive_stream(42, 1))
         assert abs(est.value - B_TARGET) < 1e-8
         assert est.horizon == 40
@@ -269,15 +267,15 @@ class TestTailProcessRoute:
 
     def test_callable_sampler_iid_gives_one(self, iid_pareto08):
         # tail process of an iid sequence: Theta_0 = 1, zero afterwards
-        est = cluster_index_tail_process(iid_pareto08, Direction([1.0]), 0.8,
-                                         10, 1000, derive_stream(42, 2))
+        est = cluster_index_tail_process(iid_pareto08, Direction([1.0]), 10,
+                                         1000, derive_stream(42, 2))
         assert est.value == 1.0
         assert est.std_error == 0.0
 
     def test_replica_floor(self, ar_pareto15):
         with pytest.raises(ParameterError):
-            cluster_index_tail_process(ar_pareto15, Direction([1.0]), 1.5,
-                                       10, 50, derive_stream(42, 3))
+            cluster_index_tail_process(ar_pareto15, Direction([1.0]), 10, 50,
+                                       derive_stream(42, 3))
 
 
 class TestThreads:
@@ -293,14 +291,13 @@ class TestThreads:
         # the bench law (alpha 1.5): at alpha 2 the control makes the
         # summed routes exact, with no standard error to compare
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
-        alpha = models.tail_index(spec)
         calls = {
             "tail_process": lambda s, t: cluster_index_tail_process(
-                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+                spec, th, 8, self.REPLICAS, s, threads=t),
             "telescoping": lambda s, t: telescoping_difference(
-                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+                spec, th, 8, self.REPLICAS, s, threads=t),
             "extremal": lambda s, t: extremal_index(
-                spec, th, alpha, 8, self.REPLICAS, s, threads=t),
+                spec, th, 8, self.REPLICAS, s, threads=t),
         }
         one, two = (calls[route](derive_stream(42, 4), t) for t in (1, 2))
         assert one.std_error > 0
@@ -312,8 +309,7 @@ class TestThreads:
     def test_b_at_identical_on_one_and_two_threads(self, request, fixture):
         spec = request.getfixturevalue(fixture)
         th = spec.tail_direction(Direction([1.0]))
-        alpha = models.tail_index(spec)
-        one, two = (limits._b_route(spec, th, alpha, derive_stream(42, 5),
+        one, two = (limits._b_route(spec, th, derive_stream(42, 5),
                                     t, replicas=self.REPLICAS, horizon=8)
                     for t in (1, 2))
         assert one == two
@@ -324,8 +320,7 @@ class TestThreads:
                                                      fixture):
         spec = request.getfixturevalue(fixture)
         th = spec.tail_direction(Direction([1.0]))
-        alpha = models.tail_index(spec)
-        one, two = (limits._b_route(spec, th, alpha, derive_stream(42, 5),
+        one, two = (limits._b_route(spec, th, derive_stream(42, 5),
                                     t, signs=(1, -1),
                                     replicas=self.REPLICAS, horizon=8)
                     for t in (1, 2))
@@ -348,13 +343,11 @@ class TestSharedBatch:
 
     def test_each_functional_keeps_its_route_bytes(self, kesten_lognormal):
         spec, th = kesten_lognormal, Direction([1.0])
-        alpha = models.tail_index(spec)
         shared = cluster._mc_functional(
             spec, [(th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
                    (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
-            alpha, 8, self.REPLICAS, derive_stream(42, 6), 1)
-        alone = [route(spec, th, alpha, 8, self.REPLICAS,
-                       derive_stream(42, 6))
+            8, self.REPLICAS, derive_stream(42, 6), 1)
+        alone = [route(spec, th, 8, self.REPLICAS, derive_stream(42, 6))
                  for route in (cluster_index_tail_process, extremal_index)]
         assert shared == alone
 
@@ -366,12 +359,11 @@ class TestSharedBatch:
         # the tail-process route (GARCH) gives b(-theta) from the draws
         # of b(theta); the closed form (the others) draws nothing
         spec = request.getfixturevalue(fixture)
-        alpha = models.tail_index(spec)
         th = spec.tail_direction(Direction([1.0]))
         stream = derive_stream(42, 7).substream(0xB0)
-        pair = limits._b_route(spec, th, alpha, stream, signs=(1, -1),
+        pair = limits._b_route(spec, th, stream, signs=(1, -1),
                                replicas=self.REPLICAS, horizon=8)
-        alone = [limits._b_route(spec, d, alpha, stream,
+        alone = [limits._b_route(spec, d, stream,
                                  replicas=self.REPLICAS, horizon=8)
                  for d in (th, th.negated())]
         assert pair == alone
@@ -380,7 +372,7 @@ class TestSharedBatch:
         for signs in ((), (1, 2), (0,)):
             with pytest.raises(ParameterError):
                 cluster_index_tail_process(
-                    kesten_lognormal, Direction([1.0]), 1.5, 8,
+                    kesten_lognormal, Direction([1.0]), 8,
                     self.REPLICAS, derive_stream(42, 7), signs=signs)
 
     def test_theta0_law_is_built_once_per_spec(self, ar_sympareto15,
@@ -391,7 +383,7 @@ class TestSharedBatch:
         monkeypatch.setattr(spec, "theta0_law",
                             lambda: builds.append(1) or law())
         # three chunks of tail-process draws, then the closed form
-        cluster_index_tail_process(spec, Direction([1.0]), 1.5, 4,
+        cluster_index_tail_process(spec, Direction([1.0]), 4,
                                    self.REPLICAS, derive_stream(42, 8))
         closed_form_cluster_index(spec, Direction([1.0]), 500)
         assert len(builds) == 1
@@ -485,8 +477,8 @@ class TestControlVariate:
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
             b_law=TailLaw(randkit.GAUSSIAN))
-        th, alpha = Direction([1.0]), spec.tail_index()
-        run = functools.partial(cluster_index_tail_process, spec, th, alpha,
+        th = Direction([1.0])
+        run = functools.partial(cluster_index_tail_process, spec, th,
                                 30, 20_000, derive_stream(47, 6))
         controlled = run()
         monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
@@ -495,8 +487,7 @@ class TestControlVariate:
 
     def test_sup_functional_takes_no_control(self, monkeypatch):
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
-        alpha = models.tail_index(spec)
-        run = functools.partial(extremal_index, spec, th, alpha, 8, 2000,
+        run = functools.partial(extremal_index, spec, th, 8, 2000,
                                 derive_stream(47, 7))
         before = run()
         monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
@@ -513,9 +504,8 @@ class TestControlVariate:
         # W = sum_{t>=1} Theta_t (s = alpha - 1 = 1), so the regression
         # recovers 1 + 2 sum_t (E A)^t with no error
         spec, horizon = kesten_lognormal, 8
-        alpha = models.tail_index(spec)
-        est = cluster_index_tail_process(spec, Direction([1.0]), alpha,
-                                         horizon, 2000, derive_stream(47, 2))
+        est = cluster_index_tail_process(spec, Direction([1.0]), horizon,
+                                         2000, derive_stream(47, 2))
         mean_a = math.exp(-0.25)
         exact = 1.0 + 2.0 * sum(mean_a ** t for t in range(1, horizon + 1))
         assert abs(est.value - exact) < 1e-9
@@ -524,8 +514,7 @@ class TestControlVariate:
     def test_control_cuts_the_variance_per_draw(self, monkeypatch):
         # the bench law on one stream, with and without the control's mean
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
-        alpha = models.tail_index(spec)
-        run = functools.partial(cluster_index_tail_process, spec, th, alpha,
+        run = functools.partial(cluster_index_tail_process, spec, th,
                                 40, 20_000, derive_stream(47, 3))
         controlled = run()
         monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
@@ -539,13 +528,12 @@ class TestControlVariate:
         # the bench law: a standard error that is right gives z an SD
         # near 1 (the reference's own error shifts every z alike)
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
-        alpha = models.tail_index(spec)
         functionals = [
             (th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
             (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)]
 
         def run(replicas, stream, threads=1):
-            return cluster._mc_functional(spec, functionals, alpha, 10,
+            return cluster._mc_functional(spec, functionals, 10,
                                           replicas, stream, threads)
 
         ref = run(2_000_000, derive_stream(47, 4), threads=2)
@@ -591,15 +579,14 @@ def test_plain_mean_routes_keep_their_bits(family, route):
             a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
             weights=np.array([1.0, 2.0]))
         th = Direction([1.0, 1.0])
-    alpha = models.tail_index(spec)
     replicas, stream = cluster._CHUNK + 500, derive_stream(46, 1)
     calls = {
         "tail_process": lambda: cluster_index_tail_process(
-            spec, th, alpha, 8, replicas, stream, 2),
+            spec, th, 8, replicas, stream, 2),
         "telescoping": lambda: telescoping_difference(
-            spec, th, alpha, 5, replicas, stream, 2),
+            spec, th, 5, replicas, stream, 2),
         "extremal": lambda: extremal_index(
-            spec, th, alpha, 8, replicas, stream, 2),
+            spec, th, 8, replicas, stream, 2),
     }
     est = calls[route]()
     got = tuple(float.hex(x)
@@ -613,14 +600,13 @@ class TestTelescoping:
                                                        k):
         # at truncation k the summed coefficients are 2 - 2^-k and
         # 1 - 2^-k exactly
-        est = telescoping_difference(ar_pareto15, Direction([1.0]), 1.5,
-                                     k, 500, derive_stream(43, k))
+        est = telescoping_difference(ar_pareto15, Direction([1.0]), k, 500,
+                                     derive_stream(43, k))
         target = (2.0 - 2.0 ** -k) ** 1.5 - (1.0 - 2.0 ** -k) ** 1.5
         assert abs(est.value - target) < 1e-10
 
     def test_increasing_k_approaches_limit(self, ar_pareto15):
-        vals = [telescoping_difference(ar_pareto15, Direction([1.0]), 1.5,
-                                       k, 500,
+        vals = [telescoping_difference(ar_pareto15, Direction([1.0]), k, 500,
                                        derive_stream(43, 100 + k)).value
                 for k in (2, 8, 30)]
         gaps = [abs(v - B_TARGET) for v in vals]
@@ -633,7 +619,7 @@ class TestExtremalIndex:
     def test_linear_chain_sup_values(self, alpha, law_alpha):
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=law_alpha),
                                a_matrix=np.array([[0.5]]))
-        est = extremal_index(spec, Direction([1.0]), alpha, 40, 2000,
+        est = extremal_index(spec, Direction([1.0]), 40, 2000,
                              derive_stream(44, int(alpha)))
         assert abs(est.value - (1.0 - 0.5 ** alpha)) < 1e-12
 
@@ -658,12 +644,12 @@ class TestExtremalIndex:
         oracle = weights @ (orbit.max(axis=0) ** 1.5
                             - orbit[1:].max(axis=0) ** 1.5)
         assert oracle == pytest.approx(exact, rel=1e-12)
-        est = extremal_index(spec, th, 1.5, 40, 100_000,
+        est = extremal_index(spec, th, 40, 100_000,
                              derive_stream(44, len(theta)))
         assert abs(est.value - oracle) <= 4.0 * est.std_error
 
     def test_iid_case_is_one(self, iid_pareto08):
-        est = extremal_index(iid_pareto08, Direction([1.0]), 0.8, 10, 500,
+        est = extremal_index(iid_pareto08, Direction([1.0]), 10, 500,
                              derive_stream(44, 9))
         assert est.value == 1.0
 
@@ -725,7 +711,7 @@ class TestUpperBoundProperty:
     def test_alpha_at_most_one_bound(self, iid_pareto08):
         # for alpha <= 1 subadditivity caps b by E (theta' Theta_0)_+^a
         est = cluster_index_tail_process(iid_pareto08, Direction([1.0]),
-                                         0.8, 20, 2000,
+                                         20, 2000,
                                          derive_stream(45, 1))
         angles = iid_pareto08.theta0(2000, derive_stream(45, 2))
         bound = np.maximum(angles[:, 0], 0.0) ** 0.8

@@ -8,8 +8,9 @@ Function-level imports count: they hide a cycle, they do not remove it.
 Every function, class and method of the package is reached from the
 package itself, or is one of the few names only the benchmark tracer or
 an acceptance criterion calls; every defaulted parameter of a
-function of the package is set by at least one call; and every parameter
-is read by its body, or by a sibling that shares its signature.
+function of the package is set by at least one call, and by a call
+outside the tests but for a few listed ones; and every parameter is read
+by its body, or by a sibling that shares its signature.
 """
 import ast
 from collections import Counter
@@ -187,12 +188,13 @@ def _defaulted(tree):
                     yield node.name, param.arg, None
 
 
-def test_every_defaulted_parameter_is_set_by_some_call():
+def _unset_defaults(*callers):
+    """Every defaulted parameter of the package, as module.func(param),
+    that no call in the files under ``callers`` sets."""
     # what the calls of each name set: positions, keywords, or "*" for a
     # call through *args or **kwargs, which may set anything
     setters = {}
-    for _, tree in _trees(os.path.join("src", "heavytail"), "tests",
-                          "bench"):
+    for _, tree in _trees(*callers):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -204,12 +206,34 @@ def test_every_defaulted_parameter_is_set_by_some_call():
             got.update(k.arg or "*" for k in node.keywords)
             if any(isinstance(a, ast.Starred) for a in node.args):
                 got.add("*")
-    unset = sorted(
+    return sorted(
         f"{module[:-3]}.{func}({param})"
         for module, tree in _trees(os.path.join("src", "heavytail"))
         for func, param, pos in _defaulted(tree)
         if not setters.get(func, set()) & {"*", param, pos})
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    unset = _unset_defaults(os.path.join("src", "heavytail"), "tests",
+                            "bench")
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+# defaulted parameters that only tests set, with the test behind each
+TEST_ONLY_DEFAULTS = {
+    "limits._b_route(replicas)": "TestThreads, TestSharedBatch: a small "
+                                 "GARCH route",
+    "limits._b_route(horizon)": "TestThreads, TestSharedBatch: a small "
+                                "GARCH route",
+    "limits.ldp_scan(region)": "Criterion 3",
+}
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    # a setting no command or benchmark ever changes is a constant
+    unset = _unset_defaults(os.path.join("src", "heavytail"), "bench")
+    assert unset == sorted(TEST_ONLY_DEFAULTS), \
+        f"defaulted parameters only tests set: {unset}"
 
 
 # parameters that no body of the package reads, with what reads them

@@ -25,40 +25,39 @@ PLUS = Direction([1.0])
 class TestStableCf:
     def test_one_sided_half_index_closed_form(self):
         # b+ = 1, b- = 0, alpha = 1/2: 1/C_alpha = Gamma(1/2) cos(pi/4)
-        params = StableLawParams(0.5, {PLUS: (1.0, 0.0)})
+        params = StableLawParams(0.5, 1.0, 0.0)
         inv_c = math.gamma(0.5) * math.cos(math.pi / 4.0)
         for x in (0.5, 1.0, 2.5):
             expect = cmath.exp(-x ** 0.5 * inv_c * complex(1.0, -1.0))
-            assert abs(stable_cf(params, PLUS, x) - expect) < 1e-14
+            assert abs(stable_cf(params, x) - expect) < 1e-14
 
     def test_zero_argument_is_exactly_one(self):
-        params = StableLawParams(1.5, {PLUS: (1.0, 0.5)})
-        assert stable_cf(params, PLUS, 0.0) == complex(1.0, 0.0)
+        params = StableLawParams(1.5, 1.0, 0.5)
+        assert stable_cf(params, 0.0) == complex(1.0, 0.0)
 
     def test_conjugate_symmetry(self):
-        params = StableLawParams(1.3, {PLUS: (0.9, 0.2)})
+        params = StableLawParams(1.3, 0.9, 0.2)
         for x in (0.3, 1.1, 2.9):
-            a = stable_cf(params, PLUS, x)
-            b = stable_cf(params, PLUS, -x)
+            a = stable_cf(params, x)
+            b = stable_cf(params, -x)
             assert a == b.conjugate()
 
     def test_modulus_at_most_one(self):
-        params = StableLawParams(0.7, {PLUS: (2.0, 0.1)})
+        params = StableLawParams(0.7, 2.0, 0.1)
         xs = np.linspace(-3, 3, 31)
-        assert all(abs(stable_cf(params, PLUS, float(x))) <= 1.0
+        assert all(abs(stable_cf(params, float(x))) <= 1.0
                    for x in xs)
 
     def test_alpha_one_requires_symmetry(self):
-        params = StableLawParams(1.0, {PLUS: (1.0, 0.2)})
-        with pytest.raises(UnsupportedCaseError):
-            stable_cf(params, PLUS, 1.0)
-        sym = StableLawParams(1.0, {PLUS: (0.7, 0.7)})
-        val = stable_cf(sym, PLUS, 2.0)
+        with pytest.raises(UnsupportedCaseError, match="symmetric pair"):
+            StableLawParams(1.0, 1.0, 0.2)
+        sym = StableLawParams(1.0, 0.7, 0.7)
+        val = stable_cf(sym, 2.0)
         assert val.imag == 0.0
         assert abs(val - math.exp(-2.0 * (math.pi / 2.0) * 1.4)) < 1e-14
 
     def test_c_alpha_is_the_formula(self):
-        auto = StableLawParams(1.5, {PLUS: (1.0, 0.0)})
+        auto = StableLawParams(1.5, 1.0, 0.0)
         assert np.isclose(auto.c_alpha,
                           randkit.stable_tail_constant(1.5), rtol=1e-15)
 
@@ -68,22 +67,38 @@ class TestStableCheck:
         spec = models.Var1Spec(
             1, TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
             a_matrix=np.array([[0.0]]))
-        cmp = stable_check(spec, [PLUS], 1000, 2000,
-                           derive_stream(51, 1))[0]
+        cmp = stable_check(spec, PLUS, 1000, 2000,
+                           derive_stream(51, 1))
         assert cmp.sup_abs_gap <= cmp.mc_band
         assert np.all(np.abs(cmp.empirical) <= 1.0 + 1e-9)
         assert cmp.grid.shape == cmp.empirical.shape
 
     def test_negative_direction_mirrors(self, ar_sympareto15):
-        cmps = stable_check(ar_sympareto15, [PLUS, PLUS.negated()],
-                            400, 800, derive_stream(51, 2))
-        assert len(cmps) == 2
-        assert cmps[0].sup_abs_gap <= cmps[0].mc_band
-        assert cmps[1].sup_abs_gap <= cmps[1].mc_band
+        # one stream: the -theta sums are the +theta ones negated and the
+        # pair is swapped, so both CFs are the exact conjugates
+        plus, minus = (stable_check(ar_sympareto15, th, 400, 800,
+                                    derive_stream(51, 2))
+                       for th in (PLUS, PLUS.negated()))
+        assert np.array_equal(minus.empirical, plus.empirical.conj())
+        assert np.array_equal(minus.theoretical, plus.theoretical.conj())
+        assert minus.sup_abs_gap == plus.sup_abs_gap
+        assert plus.sup_abs_gap <= plus.mc_band
+        assert minus.sup_abs_gap <= minus.mc_band
+
+    def test_alpha_one_asymmetric_pair_draws_no_sum(self, monkeypatch):
+        # a = 1/2 with Pareto(1) innovations: b(+1) = 1, b(-1) = 0
+        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.0),
+                               a_matrix=np.array([[0.5]]))
+        calls = []
+        monkeypatch.setattr(limits, "_scalar_sums",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(UnsupportedCaseError, match="symmetric pair"):
+            stable_check(spec, PLUS, 100, 100, derive_stream(51, 5))
+        assert calls == []
 
     def test_gaussian_innovations_rejected(self, ar_gauss):
         with pytest.raises((OutOfRegimeError, Exception)):
-            stable_check(ar_gauss, [PLUS], 100, 100, derive_stream(51, 3))
+            stable_check(ar_gauss, PLUS, 100, 100, derive_stream(51, 3))
 
     def test_a_n_inverts_the_power_tail(self):
         # on an iid chain a_n solves n P(|X| > a_n) = 1 for the
@@ -108,10 +123,10 @@ class TestStableCheck:
             limits._sum_centering(spec, models.tail_index(spec))
 
     def test_thread_count_does_not_change_values(self, ar_sympareto15):
-        a = stable_check(ar_sympareto15, [PLUS], 300, 600,
-                         derive_stream(51, 4), threads=1)[0]
-        b = stable_check(ar_sympareto15, [PLUS], 300, 600,
-                         derive_stream(51, 4), threads=3)[0]
+        a = stable_check(ar_sympareto15, PLUS, 300, 600,
+                         derive_stream(51, 4), threads=1)
+        b = stable_check(ar_sympareto15, PLUS, 300, 600,
+                         derive_stream(51, 4), threads=3)
         assert np.array_equal(a.empirical, b.empirical)
         assert a.sup_abs_gap == b.sup_abs_gap
 
@@ -126,7 +141,8 @@ class TestLdp:
 
     def test_iid_ratios_concentrate_near_one(self, iid_pareto08):
         res = ldp_scan(iid_pareto08, PLUS, 100, 100_000,
-                       derive_stream(52, 1), target=1.0)
+                       derive_stream(52, 1))
+        assert abs(res.target - 1.0) < 1e-12
         assert res.xs.shape == res.ratios.shape == (12,)
         assert np.all(res.counts >= 50)
         # approach from above: deviation shrinks along the grid
@@ -151,17 +167,15 @@ class TestLdp:
         b_n, _ = ldp_region(0.8, 100)
         res = ldp_scan(iid_pareto08, PLUS, 100, 50_000,
                        derive_stream(52, 3), region=(b_n, 10.0 * b_n),
-                       grid_size=4, target=1.0)
+                       grid_size=4)
         assert res.xs[0] > b_n
         assert np.isclose(res.xs[-1], 10.0 * b_n)
 
     def test_thread_count_does_not_change_values(self, iid_pareto08):
         r1 = ldp_scan(iid_pareto08, PLUS, 100, 30_000,
-                      derive_stream(52, 4), grid_size=6, target=1.0,
-                      threads=1)
+                      derive_stream(52, 4), grid_size=6, threads=1)
         r2 = ldp_scan(iid_pareto08, PLUS, 100, 30_000,
-                      derive_stream(52, 4), grid_size=6, target=1.0,
-                      threads=4)
+                      derive_stream(52, 4), grid_size=6, threads=4)
         assert np.array_equal(r1.ratios, r2.ratios)
         assert np.array_equal(r1.counts, r2.counts)
 

@@ -782,16 +782,17 @@ class TestBlockedTailProcess:
                                                       threads, horizon):
         # three chunks, the last partial: each chunk's moments from the
         # whole-chunk values (and, where the family knows the control's
-        # mean, the whole-chunk control), merged in chunk order
+        # mean, the whole-chunk control) at the spec's own tail index,
+        # merged in chunk order
         make, whole, tv = BLOCKED_FAMILIES[family]
         spec = make()
         theta = Direction(tv)
         alpha = spec.tail_index()
         replicas = 2 * cluster._CHUNK + self.BLOCK + 1
         got = cluster.cluster_index_tail_process(
-            spec, theta, 1.4, horizon, replicas, derive_stream(6, 21),
+            spec, theta, horizon, replicas, derive_stream(6, 21),
             threads=threads, signs=(1, -1))
-        s = cluster._control_power(1.4)
+        s = cluster._control_power(alpha)
         for est, sign in zip(got, (1, -1)):
             ec = spec.tail_moments(sign * theta.vector, s, horizon)
             parts = []
@@ -800,7 +801,7 @@ class TestBlockedTailProcess:
                 ref = whole(spec, horizon, take, angle_stream(6, 21, i))
                 proj = ref @ (sign * theta.vector)
                 parts.append(cluster._moments(
-                    _sum_values(proj),
+                    cluster._sum_difference(proj, alpha),
                     None if ec is None else cluster._control(proj, s)))
             _, mean, m2, *co = cluster._merge_moments(parts)
             ddof = 1
@@ -812,7 +813,6 @@ class TestBlockedTailProcess:
             assert (est.value, est.std_error, est.plug_in_se) == (
                 mean, math.sqrt(m2 / (replicas - ddof) / replicas),
                 math.sqrt(m2) / replicas)
-        assert alpha > 0
 
     def test_garch_route_chunk_holds_blocks(self, garch_benchmark):
         # one 8,192-replica, 64-step route chunk along both signs: the
@@ -917,7 +917,7 @@ class TestExceedanceAngles:
 class TestDrift:
     def test_var1_margin_matches_coefficient(self, ar_pareto15):
         grid = [np.array([x]) for x in np.geomspace(0.5, 32.0, 7)]
-        rep = models.drift_margin(ar_pareto15, 1.0, 1, grid,
+        rep = models.drift_margin(ar_pareto15, 1.0, grid,
                                   derive_stream(8, 1))
         assert rep.passed
         assert abs(rep.beta_hat - 0.5) < 0.05
@@ -927,7 +927,7 @@ class TestDrift:
         # p = 1 and A, B > 0: E|A y + B| = E A y + E B exactly, so the
         # fitted slope is E A = exp(-1/2 + 1/4)
         grid = [np.array([x]) for x in np.geomspace(0.5, 32.0, 7)]
-        rep = models.drift_margin(kesten_lognormal, 1.0, 1, grid,
+        rep = models.drift_margin(kesten_lognormal, 1.0, grid,
                                   derive_stream(8, 2))
         assert abs(rep.beta_hat - math.exp(-0.25)) < 0.05
         assert rep.passed

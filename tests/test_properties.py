@@ -33,17 +33,17 @@ class TestCfInvariants:
     @given(a=alphas, bp=weights, bm=weights, x=grid_x)
     @settings(max_examples=200, deadline=None)
     def test_conjugate_symmetry_and_modulus(self, a, bp, bm, x):
-        params = StableLawParams(a, {PLUS: (bp, bm)})
-        v = stable_cf(params, PLUS, x)
-        w = stable_cf(params, PLUS, -x)
+        params = StableLawParams(a, bp, bm)
+        v = stable_cf(params, x)
+        w = stable_cf(params, -x)
         assert v == w.conjugate()
         assert abs(v) <= 1.0 + 1e-12
 
     @given(a=alphas, bp=weights, bm=weights)
     @settings(max_examples=100, deadline=None)
     def test_zero_is_one(self, a, bp, bm):
-        params = StableLawParams(a, {PLUS: (bp, bm)})
-        assert stable_cf(params, PLUS, 0.0) == complex(1.0, 0.0)
+        params = StableLawParams(a, bp, bm)
+        assert stable_cf(params, 0.0) == complex(1.0, 0.0)
 
 
 class TestHomogeneity:
@@ -91,28 +91,26 @@ def _spec_zoo():
     return [
         ("ar_pareto", models.Var1Spec(
             1, TailLaw(randkit.PARETO, alpha=1.5),
-            a_matrix=np.array([[0.5]])), 1.5),
+            a_matrix=np.array([[0.5]]))),
         ("ar_sympareto", models.Var1Spec(
             1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-            a_matrix=np.array([[0.5]])), 1.5),
+            a_matrix=np.array([[0.5]]))),
         ("ar_negative", models.Var1Spec(
             1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.9),
-            a_matrix=np.array([[-0.6]])), 0.9),
-        ("garch", models.Garch11Spec(0.05, 0.1, 0.85), None),
+            a_matrix=np.array([[-0.6]]))),
+        ("garch", models.Garch11Spec(0.05, 0.1, 0.85)),
     ]
 
 
 class TestClusterIndexSignAndBounds:
-    @pytest.mark.parametrize("name,spec,alpha",
+    @pytest.mark.parametrize("name,spec",
                              _spec_zoo(),
                              ids=[z[0] for z in _spec_zoo()])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_nonnegative_at_monte_carlo_precision(self, name, spec,
-                                                  alpha, sign):
-        a = alpha if alpha is not None else models.tail_index(spec)
+    def test_nonnegative_at_monte_carlo_precision(self, name, spec, sign):
         d = Direction([sign]) if not isinstance(spec, models.Garch11Spec) \
             else Direction([0.0, sign])
-        est = cluster_index_tail_process(spec, d, a, 24, 4000,
+        est = cluster_index_tail_process(spec, d, 24, 4000,
                                          derive_stream(72, hash(name) % 97))
         assert est.value >= -3.0 * est.std_error - 1e-12
 
@@ -120,7 +118,7 @@ class TestClusterIndexSignAndBounds:
     def test_alpha_at_most_one_upper_bound(self, alpha):
         spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=alpha),
                                a_matrix=np.array([[0.5]]))
-        est = cluster_index_tail_process(spec, PLUS, alpha, 24, 4000,
+        est = cluster_index_tail_process(spec, PLUS, 24, 4000,
                                          derive_stream(73, int(10 * alpha)))
         ang = spec.theta0(4000, derive_stream(73, 50))
         bound = np.maximum(ang[:, 0], 0.0) ** alpha
@@ -146,9 +144,9 @@ class TestSeedDeterminism:
         spec = models.Var1Spec(1, TailLaw(randkit.SYMMETRIC_PARETO,
                                           alpha=1.5),
                                a_matrix=np.array([[0.5]]))
-        e1 = cluster_index_tail_process(spec, PLUS, 1.5, 16, 2000,
+        e1 = cluster_index_tail_process(spec, PLUS, 16, 2000,
                                         derive_stream(76, 1))
-        e2 = cluster_index_tail_process(spec, PLUS, 1.5, 16, 2000,
+        e2 = cluster_index_tail_process(spec, PLUS, 16, 2000,
                                         derive_stream(76, 1))
         assert e1.value == e2.value
         assert e1.std_error == e2.std_error
