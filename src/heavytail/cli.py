@@ -344,17 +344,16 @@ class _Writer:
         os.makedirs(out_dir, exist_ok=True)
 
     def csv(self, name, header, columns):
-        """Write equal-length columns a block of rows at a time, so no
-        whole column is ever held as text. A block is one ``%`` call: the
-        row format repeated once per row, over the block's values
-        interleaved row by row."""
-        columns = [np.asarray(c) for c in columns]
+        """Write equal-length columns (anything that slices into arrays,
+        a ``range`` too) a block of rows at a time, so no whole column is
+        held as text. A block is one ``%`` call: the row format repeated
+        once per row, over the block's values interleaved row by row."""
         width = len(columns)
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for lo in range(0, len(columns[0]), _CSV_BLOCK):
-                fmts, cols = zip(*(_cells(c[lo:lo + _CSV_BLOCK])
+                fmts, cols = zip(*(_cells(np.asarray(c[lo:lo + _CSV_BLOCK]))
                                    for c in columns))
                 rows = len(cols[0])
                 flat = [None] * (rows * width)
@@ -406,7 +405,7 @@ def _cmd_simulate(config, spec, writer, threads):
     burn = config.get("burn_in", spec.default_burn)
     path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
     writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(path.shape[1])],
-               [np.arange(n), *path.T])
+               [range(n), *path.T])
     summary = {"n": n, "burn_in": burn, "mean": path.mean(axis=0),
                "sd": path.std(axis=0, ddof=1) if n > 1 else 0.0}
     return summary, {"simulate": STREAMS["simulate"]}
@@ -506,7 +505,7 @@ def _cmd_regen_check(config, spec, writer, threads):
     pi_c = regen.stationary_small_set_mass(blocks.path, mino.m_bound)
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
     writer.csv("cycles.csv", ["cycle", "start", "length", "block_sum"],
-               [np.arange(blocks.n_cycles), blocks.cycle_starts[:-1],
+               [range(blocks.n_cycles), blocks.cycle_starts[:-1],
                 blocks.cycle_lengths(), blocks.block_sums])
     summary = {"n": config.get("n"), "n_cycles": blocks.n_cycles,
                "epsilon": mino.epsilon, "m_bound": mino.m_bound,

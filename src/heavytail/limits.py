@@ -161,7 +161,7 @@ def _power_tail(spec, stream: RngStream):
     analytic = spec.tail_constant()
     if analytic is not None:
         return analytic
-    x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])
+    x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
     k = tailstats.default_hill_k(x.size)
     fit = tailstats.hill_estimate(x, k)
     return k / x.size, fit.alpha_hat, fit.threshold
@@ -305,9 +305,13 @@ def gaussian_sigma(blocks) -> GaussianCltReport:
     if k < 30:
         raise InsufficientCyclesError(
             f"{k} complete cycles; need at least 30")
-    lengths = blocks.cycle_lengths().astype(float)
-    mean_len = float(np.mean(lengths))
-    resid = sums - lengths * (sums.sum() / lengths.sum())
+    starts = blocks.cycle_starts
+    # the lengths are integers, so their sum is exact in any order
+    steps = float(starts[-1] - starts[0])
+    mean_len = steps / k
+    resid = np.subtract(starts[1:], starts[:-1], dtype=float)
+    resid *= sums.sum() / steps
+    np.subtract(sums, resid, out=resid)
     sigma_hat = float(resid @ resid) / k / mean_len
     n = blocks.n
     ell = max(2, int(math.isqrt(n)))

@@ -587,13 +587,13 @@ class Garch11Spec(ModelSpec):
             s2[0] = s2[k]
 
     def paths(self, n, burn_in, replicas, stream):
-        out = np.empty((n, replicas))
+        out = np.empty((replicas, n))  # by replica: a pilot stacks a view
         t = 0
         for x in self._observed(n, burn_in, replicas, stream):
-            out[t:t + len(x)] = x
+            out[:, t:t + len(x)] = x.T
             t += len(x)
         _check_finite(out, "negative log-mean of the volatility multiplier")
-        return out.T[..., None]
+        return out[..., None]
 
     def sums(self, n, burn_in, replicas, stream):
         """S_n accumulated step by step on the draws of ``paths``, with no
@@ -846,29 +846,33 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:
-    """x_t = a x_{t-1} + z_t along the last axis of a 2-d array, from
-    x_{-1} = 0. The T steps are cut into blocks of about T^(1/3): the
-    recursion runs along every block at once from a zero start. The true
+    """x_t = a x_{t-1} + z_t along the last axis of a C-contiguous 2-d
+    array, from x_{-1} = 0, in place: returns ``z``, which then holds the
+    path. The T steps are cut into blocks of about T^(1/3): the recursion
+    runs along every full block at once, through a reshaped view of z,
+    and along the partial last block, each from a zero start. The true
     block ends follow the same recursion with coefficient a^width, so one
-    recursive call finds them, and a^(j+1) times the previous block's end
-    completes offset j, for a range of about ``_SUM_BLOCK`` floats of
-    blocks at a time."""
+    recursive call on a copy of the local ends finds them, and a^(j+1)
+    times the previous block's end completes offset j, for a range of
+    about ``_SUM_BLOCK`` floats of blocks at a time."""
     rows, t = z.shape
     width = max(1, round(t ** (1.0 / 3.0)))
-    blocks = -(-t // width)
-    y = np.zeros((rows, blocks, width))
-    flat = y.reshape(rows, blocks * width)  # a view of y
-    flat[:, :t] = z
+    full, blocks = t // width, -(-t // width)
+    y = z[:, :full * width].reshape(rows, full, width, copy=False)
+    part = z[:, full * width:]
     for j in range(1, width):
         y[:, :, j] += a * y[:, :, j - 1]
+    for j in range(1, part.shape[1]):
+        part[:, j] += a * part[:, j - 1]
     if blocks > 1:
-        ends = _ar1(y[:, :-1, -1], a ** width)
+        ends = _ar1(y[:, :blocks - 1, -1].copy(), a ** width)
         powers = a ** np.arange(1, width + 1)
         step = max(1, _SUM_BLOCK // max(1, rows * width))
-        for lo in range(0, blocks - 1, step):
-            hi = min(lo + step, blocks - 1)
+        for lo in range(0, full - 1, step):
+            hi = min(lo + step, full - 1)
             y[:, lo + 1:hi + 1] += ends[:, lo:hi, None] * powers
-    return flat[:, :t]
+        part += ends[:, -1:] * powers[:part.shape[1]]
+    return z
 
 
 @functools.cache

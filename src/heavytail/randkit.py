@@ -126,8 +126,9 @@ class TailLaw:
             raise ParameterError("lognormal sigma must be positive")
 
 
-def sample_pareto(stream: RngStream, alpha: float, n: int) -> np.ndarray:
-    """n unit-scale Pareto(alpha) draws by exact inversion.
+def sample_pareto(stream: RngStream, alpha: float, n: int,
+                  out: np.ndarray = None) -> np.ndarray:
+    """n unit-scale Pareto(alpha) draws by exact inversion (into ``out``).
 
     Uses the closed uniform 1 - U in (0, 1] so the sampler never divides
     by zero; survival of each draw equals 1 - U exactly. One buffer: the
@@ -139,7 +140,7 @@ def sample_pareto(stream: RngStream, alpha: float, n: int) -> np.ndarray:
         raise ParameterError("alpha must be positive")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    u = stream.rng.random(n)
+    u = stream.rng.random(n, out=out)
     np.subtract(1.0, u, out=u)
     with np.errstate(over="ignore"):
         u **= -1.0 / alpha
@@ -171,28 +172,32 @@ def sample_stable(stream: RngStream, alpha: float, beta: float,
             * (np.cos(phi - alpha * (phi + b0)) / w) ** ((1 - alpha) / alpha))
 
 
-def sample_law(stream: RngStream, law: TailLaw, n: int) -> np.ndarray:
-    """n draws from an innovation law (dispatch over the family)."""
+def sample_law(stream: RngStream, law: TailLaw, n: int,
+               out: np.ndarray = None) -> np.ndarray:
+    """n draws from an innovation law (dispatch over the family). With
+    ``out``, n contiguous floats, the draws fill it with the bytes the
+    call without it returns."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
     rng = stream.rng
     # one buffer per draw: every family but the stable one transforms its
     # variates in place
     if law.family in (PARETO, SYMMETRIC_PARETO):
-        x = sample_pareto(stream, law.alpha, n)
+        x = sample_pareto(stream, law.alpha, n, out)
         x *= law.scale
         if law.family == SYMMETRIC_PARETO:
             np.negative(x, out=x, where=rng.random(n) < 0.5)
         return x
     if law.family == STABLE:
-        return law.scale * sample_stable(stream, law.alpha, law.skew, n)
+        return np.multiply(law.scale, sample_stable(
+            stream, law.alpha, law.skew, n), out=out)
     if law.family == LOGNORMAL:
-        x = rng.standard_normal(n)
+        x = rng.standard_normal(n, out=out)
         x *= law.sigma
         x += law.mu
         return np.exp(x, out=x)
     if law.family == GAUSSIAN:
-        x = rng.standard_normal(n)
+        x = rng.standard_normal(n, out=out)
         x *= law.scale
         return x
     raise UnsupportedLawError(law.family)

@@ -14,6 +14,7 @@ from . import models, randkit
 from .randkit import RngStream, TailLaw
 
 _SQRT2 = math.sqrt(2.0)
+_BLOCK = 1 << 12  # steps marked, or cycle sums folded, at a time
 _STD_NORMAL = NormalDist()
 
 
@@ -91,8 +92,18 @@ class RegenBlocks:
     def reconstruct_total(self) -> float:
         """Refold blocks + tail in chronological order (a left fold from
         zero)."""
-        pieces = np.concatenate(([0.0], self.block_sums, [self.tail_sum]))
-        return float(np.add.accumulate(pieces)[-1])
+        return _left_fold(self.block_sums) + self.tail_sum
+
+
+def _left_fold(values: np.ndarray) -> float:
+    """((0 + v_0) + v_1) + ..., the last entry of ``np.add.accumulate``
+    over [0, values], folded ``_BLOCK`` values at a time."""
+    total = 0.0
+    for lo in range(0, values.size, _BLOCK):
+        chunk = values[lo:lo + _BLOCK].copy()
+        chunk[0] += total
+        total = float(np.add.accumulate(chunk, out=chunk)[-1])
+    return total
 
 
 @dataclass
@@ -215,24 +226,24 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
     cycles between regenerations are iid. Records the block
     decomposition of S_n.
 
-    The path is drawn whole; the marks are found one block of
-    ``models._SUM_BLOCK`` steps at a time, each block drawing its slice
-    of the regeneration uniforms, so the harvest holds the path plus one
-    block."""
+    The innovations are drawn into the path's own buffer and filtered
+    there; the marks are found ``_BLOCK`` steps at a time, each block
+    drawing its slice of the regeneration uniforms (one word per step, so
+    the stream does not depend on the block), so the harvest holds the
+    path, the cycles and one block."""
     a, law, weight = spec.linear_step()
     if n < 1:
         raise ParameterError("n must be at least 1")
     draws = np.empty((1, n))
     draws[0, 0] = minorization.nu_sampler(stream)
-    draws[0, 1:] = randkit.sample_law(stream, law, n - 1)
+    randkit.sample_law(stream, law, n - 1, out=draws[0, 1:])
     draws[0, 1:] *= weight
     path = models._ar1(draws, a)[0]
-    del draws
     eps = minorization.epsilon
     starts = [np.zeros(1, dtype=np.int64)]
     bad, first = 0, None
-    for lo in range(0, n - 1, models._SUM_BLOCK):
-        hi = min(lo + models._SUM_BLOCK, n - 1)
+    for lo in range(0, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)
         u = stream.rng.random(hi - lo)
         t = lo + np.flatnonzero(np.abs(path[lo:hi]) <= minorization.m_bound)
         ratio = 1.0
@@ -256,9 +267,9 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
     starts = np.concatenate(starts)
     segments = np.add.reduceat(path, starts)
     # S_n as a chronological left fold of the complete blocks and the tail
-    total = np.add.accumulate(np.concatenate(([0.0], segments)))[-1]
     return RegenBlocks(cycle_starts=starts, block_sums=segments[:-1],
-                       tail_sum=segments[-1], total=total, path=path, n=n)
+                       tail_sum=segments[-1], total=_left_fold(segments),
+                       path=path, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +284,21 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
             f"{blocks.n_cycles} cycles; need at least 30")
     if not 0.0 < pi_a_estimate <= 1.0:
         raise ParameterError("pi_a_estimate must lie in (0, 1]")
-    lengths = blocks.cycle_lengths().astype(float)
-    mean_len = float(lengths.mean())
-    se = float(lengths.std(ddof=1) / math.sqrt(lengths.size))
+    starts, k = blocks.cycle_starts, blocks.n_cycles
+    # cycles of length at most l, l = 0, ..., max L, in one counting pass
+    counts = np.cumsum(np.bincount(np.diff(starts)))
+    # the lengths are integers, so their sum is exact in any order
+    mean_len = float(starts[-1] - starts[0]) / k
+    # np.std(ddof=1) of the lengths, in one cycle-sized buffer
+    dev = np.subtract(starts[1:], starts[:-1], dtype=float)
+    dev -= mean_len
+    dev *= dev
+    se = math.sqrt(dev.sum() / (k - 1)) / math.sqrt(k)
     expected = 1.0 / pi_a_estimate
     z = (mean_len - expected) / se if se > 0 else \
         (0.0 if mean_len == expected else math.inf)
-    ks = np.arange(1, int(lengths.max()) + 1)
-    surv = np.array([(lengths > kk).mean() for kk in ks])
+    ks = np.arange(1, counts.size)
+    surv = (k - counts[1:]) / k
     keep = surv > 0
     if keep.sum() >= 2:
         slope = np.polyfit(ks[keep], np.log(surv[keep]), 1)[0]

@@ -75,12 +75,20 @@ class TailFit:
 
 def hill_estimate(samples, k: int) -> TailFit:
     """Hill estimator on the top-k order statistics of |samples|, with the
-    asymptotic normal band alpha_hat (1 +/- 1.96/sqrt(k))."""
+    asymptotic normal band alpha_hat (1 +/- 1.96/sqrt(k)). One copy of
+    the samples: |samples| is partitioned in place, and only its top
+    k + 1 are sorted."""
     x = np.abs(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if not (2 <= k < n):
         raise ParameterError(f"k must satisfy 2 <= k < n (got k={k}, n={n})")
-    order = np.sort(x)[::-1]
+    if not math.isfinite(x.max()):
+        bad = ~np.isfinite(x)
+        raise ParameterError(
+            f"samples hold {np.count_nonzero(bad)} non-finite value(s), "
+            f"the first at index {int(np.argmax(bad))}")
+    x.partition(n - k - 1)
+    order = np.sort(x[n - k - 1:])[::-1]
     top = order[:k]
     threshold = order[k]
     if threshold <= 0.0:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from heavytail import cli, models
 from heavytail.cli import build_spec, main, parse_config, run
 from heavytail.errors import ConfigError
+from heavytail.randkit import derive_stream
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data")
 
@@ -126,6 +128,24 @@ class TestRun:
             on_disk = json.load(fh)
         assert on_disk["streams"] == {"simulate": 1}
         assert on_disk["versions"]["heavytail"]
+
+    def test_regen_check_peak_memory(self, tmp_path):
+        # the harvest's path and its cycle starts and sums (0.29 of the
+        # path each), then the length column and one formatted 4,096-row
+        # block of cycles.csv: 2.6 path-sized arrays, where the harvest
+        # once took 3.9
+        n = 200_000
+        cfg = parse_config(
+            "command = regen-check\nmodel = var1\nseed = 31\na = 0.5\n"
+            f"innovation = gaussian\nn = {n}\nm_bound = 2.0\n")
+        derive_stream(31, 0)  # numpy.random is imported on first use
+        tracemalloc.start()
+        try:
+            run(cfg, out_dir=str(tmp_path / "out"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8 * 8 * n
 
     def test_runs_are_deterministic(self, tmp_path):
         cfg_text = ("command = simulate\nmodel = var1\nseed = 5\n"

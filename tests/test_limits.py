@@ -6,6 +6,7 @@ exp(-sqrt(pi/2) |x|^(1/2) (1 - i sign x)).
 """
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestStableCheck:
         a_n = limits._a_n_for(spec, 1000, derive_stream(51, 4))
         c, alpha = randkit.power_tail(law)
         assert abs(1000 * c * a_n ** -alpha - 1.0) < 1e-9
+
+    def test_hill_normalisation_holds_the_pilot_and_one_copy(self):
+        # a fresh pilot, ordered by replica so its stack is a view, and
+        # one |x| that Hill partitions in place: about 2 pilot-sized
+        # arrays, where a reshape copy, a second |x| and a full sort
+        # took 4.0
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        tracemalloc.start()
+        try:
+            limits._power_tail(spec, derive_stream(51, 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 8 * 200_000
 
     def test_infinite_mean_cannot_center(self):
         # alpha 1.5 from the multiplier, but Pareto(0.9) additive terms
@@ -223,6 +238,16 @@ class TestGaussianSigma:
         rep = gaussian_sigma(blocks)
         assert abs(rep.sigma_hat - 4.0) / 4.0 < 0.10
         assert rep.rel_gap < 0.10
+
+    def test_keeps_the_bytes_of_the_cycle_arrays(self, ar_gauss):
+        mino = regen.make_var1_minorization(ar_gauss, m_bound=2.0)
+        blocks = regen.harvest_blocks(ar_gauss, mino, 100_000,
+                                      derive_stream(53, 6))
+        sums = blocks.block_sums
+        lengths = blocks.cycle_lengths().astype(float)
+        resid = sums - lengths * (sums.sum() / lengths.sum())
+        want = float(resid @ resid) / sums.size / float(np.mean(lengths))
+        assert gaussian_sigma(blocks).sigma_hat == want
 
     def test_too_few_cycles_raises(self):
         law = TailLaw(randkit.GAUSSIAN)

@@ -274,21 +274,29 @@ class TestAr1Kernel:
         # simulate_paths_batch accepts zero replicas; paths may be empty
         assert models._ar1(np.zeros(shape), 0.5).shape == shape
 
-    # 500,000 steps are 6,330 blocks of 79, corrected 829 blocks at a
-    # time; 2,512 x 100 are 180 blocks of 14, 46 at a time
-    @pytest.mark.parametrize("a", [0.5, -0.95, 0.999])
-    @pytest.mark.parametrize("steps, rows", [(500_000, 1), (2512, 100)])
+    # 500,000 steps are 6,330 blocks of 79, the last of 9, corrected 829
+    # blocks at a time; 2,512 x 100 are 180 blocks of 14, 46 at a time;
+    # 1 step is one block and 2 steps two, of width 1; 7 steps are four
+    # blocks of 2 and 1,001 steps 101 blocks of 10, the last of 1 each
+    @pytest.mark.parametrize("a", [0.5, -0.7, -0.95, 0.999])
+    @pytest.mark.parametrize("steps, rows", [
+        (500_000, 1), (2512, 100), (1, 5), (2, 3), (7, 4), (1001, 2)])
     def test_blocked_end_correction_keeps_the_one_shot_bytes(self, a, steps,
                                                              rows):
         law = TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5)
         z = randkit.sample_law(derive_stream(4, 20), law,
                                rows * steps).reshape(rows, steps)
-        assert np.array_equal(models._ar1(z, a), one_shot_ar1(z, a))
+        want = one_shot_ar1(z, a)
+        got = models._ar1(z, a)
+        assert got is z
+        assert got.tobytes() == want.tobytes()
 
 
 def one_shot_ar1(z, a):
-    """The blocked scan of ``models._ar1`` with every block end corrected
-    by one broadcast product over the whole path."""
+    """The blocked scan as ``models._ar1`` ran before it worked in place:
+    the draws copied into a zero-padded (rows, blocks, width) buffer and
+    every block scanned at once, the last one over its padding too, then
+    every block end corrected by one broadcast product over the path."""
     rows, t = z.shape
     width = max(1, round(t ** (1.0 / 3.0)))
     blocks = -(-t // width)

@@ -126,6 +126,24 @@ class TestInPlaceSamplers:
         want = _expression_form(derive_stream(6, 1).rng, law, 10_001)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("law", [
+        TailLaw(randkit.PARETO, alpha=1.5, scale=2.5),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.5, scale=7.0),
+        TailLaw(randkit.STABLE, alpha=1.3, skew=0.4, scale=3.0),
+        TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+        TailLaw(randkit.GAUSSIAN, scale=3.0),
+    ], ids=lambda law: law.family)
+    def test_caller_buffer_gets_the_allocating_bytes(self, law):
+        alone = derive_stream(6, 3)
+        want = sample_law(alone, law, 10_001)
+        buf = np.full(10_003, np.nan)
+        stream = derive_stream(6, 3)
+        got = sample_law(stream, law, 10_001, out=buf[1:-1])
+        assert got.base is buf
+        assert buf[1:-1].tobytes() == want.tobytes()
+        assert np.isnan(buf[0]) and np.isnan(buf[-1])
+        assert stream.counter == alone.counter
+
     def test_pareto_peak_memory_is_one_buffer(self):
         n = 1_000_000
         law = TailLaw(randkit.PARETO, alpha=1.5, scale=2.0)

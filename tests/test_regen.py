@@ -76,8 +76,8 @@ def one_shot_harvest(spec, minorization, n, stream):
     return starts, segments[:-1], total, path
 
 
-# three whole step blocks and part of a fourth
-BLOCKS_N = 3 * models._SUM_BLOCK + 1234
+# 48 whole marking blocks and part of a 49th
+BLOCKS_N = 48 * regen._BLOCK + 1234
 
 
 @pytest.fixture
@@ -241,8 +241,8 @@ class TestHarvest:
         assert float(blocks.total).hex() == float(total).hex()
         assert blocks.reconstruct_total() == blocks.total
         assert blocks.path.tobytes() == path.tobytes()
-        # regenerations in every step block
-        assert np.unique(starts // models._SUM_BLOCK).size == 4
+        # regenerations in every marking block
+        assert np.unique(starts // regen._BLOCK).size == 49
 
     def test_invalid_split_reports_every_step_block(self, ar_gauss,
                                                     bad_mino):
@@ -252,9 +252,9 @@ class TestHarvest:
         p = bad_mino.transition_density(x, y)
         wrong = (np.abs(x) <= bad_mino.m_bound) & (
             p * (1.0 + 1e-9) < bad_mino.epsilon * bad_mino.nu_density(y))
-        # violations fall in every step block
+        # violations fall in every marking block
         assert np.unique(np.flatnonzero(wrong)
-                         // models._SUM_BLOCK).size == 4
+                         // regen._BLOCK).size == 49
         with pytest.raises(MinorizationInvalidError) as want:
             one_shot_harvest(ar_gauss, bad_mino, BLOCKS_N,
                              derive_stream(62, 10))
@@ -265,7 +265,10 @@ class TestHarvest:
 
     def test_harvest_holds_the_path_and_one_step_block(self, ar_gauss,
                                                        gauss_mino):
-        # the one-shot harvest peaks at about 10 path-sized arrays
+        # one path-sized buffer, plus the scan's block-end correction or
+        # the cycles and one marking block: 1.43 path-sized arrays here,
+        # where innovations in a buffer of their own and a padded scan
+        # took 4.0
         n = 200_000
         tracemalloc.start()
         try:
@@ -273,7 +276,7 @@ class TestHarvest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * n
+        assert peak <= 2 * 8 * n
 
     def test_determinism(self, ar_gauss, gauss_mino):
         b1 = harvest_blocks(ar_gauss, gauss_mino, 20_000,
@@ -344,7 +347,58 @@ class TestIidAtomization:
         assert report.passed
 
 
+def loop_kac_check(blocks, pi_a_estimate):
+    """``kac_check`` as it counted before: float lengths, ``np.std`` and
+    one comparison over all cycles per length value, 4,096 values at a
+    time (each count, and so each float, is the same at any batch)."""
+    lengths = blocks.cycle_lengths().astype(float)
+    mean_len = float(lengths.mean())
+    se = float(lengths.std(ddof=1) / math.sqrt(lengths.size))
+    expected = 1.0 / pi_a_estimate
+    z = (mean_len - expected) / se
+    ks = np.arange(1, int(lengths.max()) + 1)
+    surv = np.concatenate([
+        (lengths[None, :] > ks[lo:lo + 4096, None]).mean(axis=1)
+        for lo in range(0, ks.size, 4096)])
+    keep = surv > 0
+    rate = float(-np.polyfit(ks[keep], np.log(surv[keep]), 1)[0])
+    return regen.KacReport(mean_length=mean_len, expected_length=expected,
+                           z_score=float(z), passed=abs(z) <= 3.0,
+                           geometric_rate=rate)
+
+
+def blocks_of_lengths(lengths):
+    """Cycles of the given lengths over a zero path."""
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    return regen.RegenBlocks(cycle_starts=starts,
+                             block_sums=np.zeros(lengths.size),
+                             tail_sum=0.0, total=0.0,
+                             path=np.zeros(starts[-1]), n=int(starts[-1]))
+
+
 class TestKac:
+    @pytest.mark.parametrize("law", ["geometric", "pareto"])
+    def test_one_count_per_length_keeps_the_bytes_of_the_loop(self, law):
+        if law == "geometric":
+            # P(L > l) = 0.7^l: 5,000 cycles, the longest of 40 steps
+            u = 1.0 - derive_stream(65, 9).rng.random(5000)
+            lengths = np.floor(np.log(u) / math.log(0.7)).astype(int) + 1
+        else:
+            # 200 ceiled Pareto(0.4) draws, the longest of 219,765 steps
+            lengths = np.ceil(randkit.sample_pareto(
+                derive_stream(65, 1), 0.4, 200)).astype(int)
+        blocks = blocks_of_lengths(lengths)
+        pi = 1.0 / float(np.median(lengths))
+        assert kac_check(blocks, pi) == loop_kac_check(blocks, pi)
+
+    def test_harvest_report_keeps_the_bytes_of_the_loop(self, ar_gauss,
+                                                        gauss_mino):
+        blocks = harvest_blocks(ar_gauss, gauss_mino, 100_000,
+                                derive_stream(64, 6))
+        pi = gauss_mino.epsilon * regen.stationary_small_set_mass(
+            blocks.path, gauss_mino.m_bound)
+        assert kac_check(blocks, pi) == loop_kac_check(blocks, pi)
+
     def test_gaussian_chain_passes(self, ar_gauss, gauss_mino):
         blocks = harvest_blocks(ar_gauss, gauss_mino, 200_000,
                                 derive_stream(64, 1))

@@ -4,13 +4,14 @@ Hill oracles use exact Pareto order-statistic identities and iid Pareto
 samples whose index is known by construction.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
 from heavytail import randkit, tailstats
 from heavytail.errors import DegenerateSampleError, ParameterError
-from heavytail.randkit import derive_stream
+from heavytail.randkit import TailLaw, derive_stream
 from heavytail.tailstats import (Direction, default_hill_k, hill_estimate,
                                  lookup_direction)
 
@@ -66,6 +67,47 @@ class TestHill:
 
     def test_default_k_is_square_root(self):
         assert default_hill_k(10_000) == 100
+
+    @pytest.mark.parametrize("bad, count, first", [
+        (math.nan, 2, 17), (-math.inf, 1, 17)])
+    def test_non_finite_samples_are_named(self, bad, count, first):
+        # a nan used to fail the band check, and an inf gave alpha 0
+        x = randkit.sample_pareto(derive_stream(31, 4), 1.5, 1000)
+        x[first] = bad
+        if count == 2:
+            x[400] = bad
+        with pytest.raises(ParameterError, match=re.escape(
+                f"samples hold {count} non-finite value(s), the first "
+                f"at index {first}")):
+            hill_estimate(x, 30)
+
+    @pytest.mark.parametrize("case", ["pareto", "ties", "k = n - 1"])
+    def test_partial_sort_keeps_the_full_sort_bytes(self, case):
+        x = randkit.sample_law(derive_stream(31, 5), TailLaw(
+            randkit.SYMMETRIC_PARETO, alpha=1.3), 5000)
+        k = 70
+        if case == "ties":
+            # five equal |x|, two above the cut, the threshold and two
+            # below it, of both signs
+            at = np.argsort(np.abs(x))[::-1][k - 2:k + 3]
+            x[at] = abs(x[at[2]]) * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        elif case == "k = n - 1":
+            x, k = x[:300], 299
+        want = full_sort_hill(x, k)
+        got = hill_estimate(x, k)
+        assert got == want
+        assert float(got.alpha_hat).hex() == float(want.alpha_hat).hex()
+
+
+def full_sort_hill(samples, k):
+    """``hill_estimate`` as it ran before its partial sort: every |x|
+    sorted, in descending order."""
+    order = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
+    top, threshold = order[:k], order[k]
+    alpha_hat = 1.0 / float(np.mean(np.log(top / threshold)))
+    half = 1.96 / math.sqrt(k)
+    return tailstats.TailFit(alpha_hat, k, alpha_hat * (1.0 - half),
+                             alpha_hat * (1.0 + half), float(threshold))
 
 
 class TestDirectionLookup:
