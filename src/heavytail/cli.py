@@ -414,21 +414,19 @@ def _cmd_simulate(config, spec, writer, threads):
 def _cmd_cluster_index(config, spec, writer, threads):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
-    tail_theta = spec.tail_direction(theta)
     horizon = config.get("horizon")
     replicas = config.get("replicas")
     ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
-        spec, tail_theta, horizon, replicas, _stream(config, "cluster_tail"),
+        spec, theta, horizon, replicas, _stream(config, "cluster_tail"),
         threads)}
     if spec.exact_cluster_index(theta.vector) is not None:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
             spec, theta, replicas)
     ests["telescoping"] = cluster.telescoping_difference(
-        spec, tail_theta, config.get("k_trunc"), replicas,
+        spec, theta, config.get("k_trunc"), replicas,
         _stream(config, "cluster_telescoping"), threads)
     ests["extremal_index"] = cluster.extremal_index(
-        spec, tail_theta, horizon, replicas, _stream(config, "extremal"),
-        threads)
+        spec, theta, horizon, replicas, _stream(config, "extremal"), threads)
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],

@@ -174,7 +174,7 @@ def _mc_functional(spec, functionals, horizon: int, replicas: int,
     process does not depend on theta, so every functional reads the same
     draws, and each estimate has the bits it would have alone on the same
     stream. One estimate per functional, in order. The functional, the
-    control power and the tilt all read the spec's own tail index.
+    control power and the tail process all read the spec's own tail index.
 
     When the functional is the summed one (``_sum_difference``) and the
     spec knows E c for the control c = sum_{t>=1} (theta'Theta_t)_+^s

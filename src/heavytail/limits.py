@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from .errors import (InsufficientCyclesError, OutOfRegimeError,
-                     ParameterError, UnsupportedCaseError, WidenRError)
+from .errors import (DegenerateSampleError, InsufficientCyclesError,
+                     OutOfRegimeError, ParameterError, UnsupportedCaseError,
+                     WidenRError)
 from . import cluster, models, randkit, tailstats
 from .tailstats import Direction
 from .randkit import RngStream
@@ -20,6 +21,9 @@ CF_GRID = np.linspace(-3.0, 3.0, 61)
 # the chunk -> substream map, and so the digests, rest on it; the sums
 # hold one cache-sized block of a chunk, not the chunk
 _PATH_CHUNK_BUDGET = 1 << 22
+
+# replicas and horizon of every tail-process b(theta)
+_B_REPLICAS, _B_HORIZON = 50_000, 64
 
 
 # ---------------------------------------------------------------------------
@@ -155,45 +159,46 @@ def _sum_centering(spec, alpha: float):
 
 
 def _power_tail(spec, stream: RngStream):
-    """(c, alpha, scale) with P(|X| > x) ~ c (x / scale)^(-alpha) for the
-    stationary law: the analytic power tail when available, else a Hill
-    fit on the stationary pilot (c = k/n above the threshold)."""
+    """(c, scale) with P(|X| > x) ~ c (x / scale)^(-alpha), alpha the tail
+    index: the analytic power tail when available, else the (k+1)-th
+    largest of the N pilot |X| as scale and c = k/N, k = sqrt(N)."""
     analytic = spec.tail_constant()
     if analytic is not None:
         return analytic
-    x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
+    x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])
     k = tailstats.default_hill_k(x.size)
-    fit = tailstats.hill_estimate(x, k)
-    return k / x.size, fit.alpha_hat, fit.threshold
+    x.partition(x.size - k - 1)
+    scale = float(x[x.size - k - 1])
+    if not scale > 0.0:
+        raise DegenerateSampleError(f"pilot tail scale {scale:g} <= 0")
+    return k / x.size, scale
 
 
 def _a_n_for(spec, n: int, stream: RngStream) -> float:
     """Normalizing a_n with n P(|X| > a_n) = 1 for the stationary law,
-    by inverting the (analytic or fitted) power tail."""
-    c, alpha, scale = _power_tail(spec, stream)
-    return scale * (n * c) ** (1.0 / alpha)
+    by inverting the (analytic or pilot) power tail."""
+    c, scale = _power_tail(spec, stream)
+    return scale * (n * c) ** (1.0 / models.tail_index(spec))
 
 
 def _b_route(spec, th: Direction, stream: RngStream, threads: int = 1,
-             signs=None, replicas: int = 50_000, horizon: int = 64):
-    """Estimate of b at the tail-process direction ``th`` (a list, one per
-    sign, with ``signs``): the closed form, one draw-free call per sign,
-    when the family has one, else the tail-process route."""
+             signs=None):
+    """b at ``th`` (a list, one per sign, with ``signs``): the draw-free
+    closed form when the family has one, else the tail-process route."""
     if spec.exact_cluster_index(th.vector) is None:
         return cluster.cluster_index_tail_process(
-            spec, th, horizon, replicas, stream, threads, signs=signs)
+            spec, th, _B_HORIZON, _B_REPLICAS, stream, threads, signs=signs)
     if signs is None:
-        return cluster.closed_form_cluster_index(spec, th, replicas)
+        return cluster.closed_form_cluster_index(spec, th, _B_REPLICAS)
     return [cluster.closed_form_cluster_index(
-        spec, th if s == 1 else th.negated(), replicas) for s in signs]
+        spec, th if s == 1 else th.negated(), _B_REPLICAS) for s in signs]
 
 
 def _b_pair_for(spec, theta: Direction, stream: RngStream, threads: int = 1):
-    """(b(theta), b(-theta)), each clipped at 0: one closed-form call per
-    sign, which draws nothing, or else one tail-process batch on
-    substream 0xB0 reduced along theta and -theta."""
-    ests = _b_route(spec, spec.tail_direction(theta), stream.substream(0xB0),
-                    threads, signs=(1, -1))
+    """(b(theta), b(-theta)), each clipped at 0: a closed-form call per
+    sign, or one tail-process batch on substream 0xB0 reduced along both."""
+    ests = _b_route(spec, theta, stream.substream(0xB0), threads,
+                    signs=(1, -1))
     return tuple(max(e.value, 0.0) for e in ests)
 
 
@@ -266,7 +271,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
-    c, alpha_tail, scale = _power_tail(spec, stream)
+    c, scale = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, alpha)
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,
@@ -281,12 +286,11 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
         raise WidenRError(
             f"fewer than 50 exceedances at {short.size} grid point(s): "
             f"{points}; widen the replica budget")
-    denom = n * (c * (xs / scale) ** (-alpha_tail))
+    denom = n * (c * (xs / scale) ** (-alpha))
     ratios = counts / reps / denom
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
-    target = max(_b_route(spec, spec.tail_direction(theta),
-                          stream.substream(0xC9).substream(0xB0),
+    target = max(_b_route(spec, theta, stream.substream(0xC9).substream(0xB0),
                           threads).value, 0.0)
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,

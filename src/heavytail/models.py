@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DivergenceError, NoRootError, OutOfRegimeError,
                      ParameterError, SingularDrawError, UnsupportedCaseError,
                      UnsupportedLawError)
-from . import randkit, tailstats
+from . import randkit
 from .randkit import RngStream, TailLaw, derive_stream, sample_law
 
 # child-stream tags: tail-process angles and the stationary pilot
@@ -45,7 +45,8 @@ class ModelSpec:
     """What every route needs from a model family.
 
     A family provides ``dim`` (the dimension of the observable X_t) and
-    the methods ``tail_index()``, ``paths(n, burn_in, replicas, stream)``
+    the methods ``tail_index()``, ``theta0_law()`` (the (k, d) unit atoms
+    of Theta_0 and their k masses), ``paths(n, burn_in, replicas, stream)``
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
     (replicas,) partial sums S_n of a scalar observable on the same
     draws), ``tail_process(horizon, replicas, stream, alpha, tvs)``,
@@ -63,20 +64,8 @@ class ModelSpec:
     a direction vector theta, with the bits of the matrix product of the
     block's (m, horizon+1, d) angles with theta, or for None those
     angles themselves. No array spans more than one block, apart from
-    Theta_0. ``tail_dim`` is d.
+    Theta_0. The tail process is that of X itself, so d is ``dim``.
     """
-
-    @property
-    def tail_dim(self) -> int:
-        """Dimension d of the tail process: that of X by default."""
-        return self.dim
-
-    def theta0_law(self):
-        """Law of the exceedance angle Theta_0, a discrete measure on the
-        unit sphere: (atoms, weights), the (k, d) unit atoms and their k
-        masses, which sum to 1."""
-        raise UnsupportedCaseError(
-            f"no Theta_0 law for {type(self).__name__}")
 
     @functools.cached_property
     def _theta0_atoms(self):
@@ -111,8 +100,8 @@ class ModelSpec:
         return None
 
     def tail_constant(self):
-        """(c, alpha, scale) with P(|X| > x) ~ c (x/scale)^(-alpha), when
-        the stationary tail follows analytically; None otherwise."""
+        """(c, scale) with P(|X| > x) ~ c (x/scale)^(-alpha) when the
+        stationary tail follows analytically; None otherwise."""
         return None
 
     def linear_step(self):
@@ -121,11 +110,6 @@ class ModelSpec:
         raise UnsupportedCaseError(
             f"{type(self).__name__} of dimension {self.dim} is not the "
             "scalar linear chain")
-
-    def tail_direction(self, theta):
-        """Tail-process direction that observes the scalar direction
-        ``theta`` of X."""
-        return theta
 
     def drift_setup(self, alpha):
         """(p, grid) for the drift check given the tail index ``alpha``
@@ -181,10 +165,19 @@ class Var1Spec(ModelSpec):
         total = n + burn_in
         if d == 1:
             a = float(self.a_matrix[0, 0])
-            z = sample_law(stream, self.innovation,
-                           replicas * total).reshape(replicas, total)
+            z = sample_law(stream, self.innovation, replicas * total)
             z *= self.weights[0]
-            x = _ar1(z, a)[:, burn_in:]
+            x = z.reshape(replicas, total)
+            # in-place scans of about 8,192 floats keep temporaries small;
+            # each row then moves down over its burn-in: the stack is a view
+            rows = max(1, 8192 // max(total, 1))
+            for lo in range(0, replicas, rows):
+                _ar1(x[lo:lo + rows], a)
+            x = x[:, burn_in:]
+            if replicas > 1 and burn_in:
+                for i in range(replicas):
+                    z[i * n:(i + 1) * n] = x[i]
+                x = z[:replicas * n].reshape(replicas, n)
             _check_finite(x, "spectral radius below 1")
             return x[..., None]
         z = sample_law(stream, self.innovation, replicas * total
@@ -321,7 +314,7 @@ class Var1Spec(ModelSpec):
         except UnsupportedLawError:
             return None
         a = abs(float(self.a_matrix[0, 0]))
-        return (base / (1.0 - a ** alpha), alpha,
+        return (base / (1.0 - a ** alpha),
                 self.innovation.scale * self.weights[0])
 
     def linear_step(self):
@@ -516,9 +509,8 @@ class Garch11Spec(ModelSpec):
     """Volatility recursion sigma_t^2 = alpha0 + sigma_{t-1}^2
     (alpha1 Z_{t-1}^2 + beta1), observable X_t = sigma_t Z_t.
 
-    The innovations Z_t are standard Gaussian. The observable is scalar
-    (``dim`` 1); the tail process lives on the pair (sigma, X) and the
-    drift state is (X, sigma).
+    The innovations Z_t are standard Gaussian. The observable and its
+    tail process are scalar (``dim`` 1); the drift state is (X, sigma).
     """
 
     alpha0: float
@@ -526,7 +518,6 @@ class Garch11Spec(ModelSpec):
     beta1: float
 
     dim = 1
-    tail_dim = 2
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "beta1"):
@@ -535,7 +526,6 @@ class Garch11Spec(ModelSpec):
         if _garch_log_moment(self.alpha1, self.beta1) >= 0.0:
             raise ParameterError(
                 "E log(alpha1 Z^2 + beta1) must be negative (stationarity)")
-        self._tilt_cache = {}
         self._pilot_cache = {}
 
     def tail_index(self) -> float:
@@ -608,73 +598,42 @@ class Garch11Spec(ModelSpec):
         _check_finite(sums, "negative log-mean of the volatility multiplier")
         return sums
 
-    def _tilted_z0(self, alpha: float, replicas: int,
-                   stream: RngStream) -> np.ndarray:
-        """Size-biased time-zero innovations with density proportional to
-        (1 + z^2)^(alpha/2) exp(-z^2/2), by inverse-CDF table lookup."""
-        key = round(alpha, 12)
-        if key not in self._tilt_cache:
-            z = np.linspace(-16.0, 16.0, 2 ** 14 + 1)
-            logw = 0.5 * alpha * np.log1p(z ** 2) - 0.5 * z ** 2
-            w = np.exp(logw - logw.max())
-            cdf = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1])
-                                                   * 0.5 * np.diff(z))])
-            cdf /= cdf[-1]
-            # strictly increasing for interpolation
-            keep = np.concatenate([[True], np.diff(cdf) > 0])
-            self._tilt_cache[key] = (cdf[keep], z[keep])
-        cdf, z = self._tilt_cache[key]
-        u = stream.rng.random(replicas)
-        return np.interp(u, cdf, z)
+    def theta0_law(self):
+        """Theta_0 = sign(Z_0), Z_0 symmetric: +-1 with mass 1/2 each."""
+        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
 
     def tail_process(self, horizon, replicas, stream, alpha, tvs):
-        """(Theta_t) = (sigma_t, X_t) / |(sigma_0, X_0)|: sigma_t^2 /
-        sigma_0^2 is the running product of a1 Z_s^2 + b1 over s < t, and
-        X_t = sigma_t Z_t. Each block builds sigma in place over its
-        multipliers, then X. A direction with no sigma weight (the CLI's
-        theta = (0, +-1)) projects X alone: 0 sigma + X is X exactly, so
-        the (sigma, X) pairs are formed only for other directions."""
-        def project(sigma, x, tv):
-            if tv is not None and tv[0] == 0.0:
-                return x * tv[1]
-            pairs = np.stack([sigma, x], axis=-1)
-            return pairs if tv is None else pairs @ tv
-
-        z0 = self._tilted_z0(alpha, replicas, stream)
-        s0 = np.sqrt(1.0 + z0 ** 2)
+        """Theta_t = X_t / |X_0| as |X_0| -> inf: Z_0 is size-biased by
+        |z|^alpha, so Z_0^2 = 2G with G ~ Gamma((alpha + 1)/2), and
+        Theta_t = Theta_0 prod_{s<t} sqrt(a1 Z_s^2 + b1) Z_t / |Z_0| with
+        Theta_0 = sign(Z_0) (Z_t, t >= 1, is symmetric). Each block runs
+        the product in place over its multipliers in its output rows."""
+        starts = self.theta0(replicas, stream)[:, 0]
+        z0sq = 2.0 * stream.rng.standard_gamma((alpha + 1.0) / 2.0, replicas)
+        lead = starts / np.sqrt(z0sq)
         # one set of buffers that each block overwrites
         rows = min(replicas, _TAIL_BLOCK + 1)
         normals = np.empty((rows, horizon))
-        sigmas = np.empty((rows, horizon + 1))
-        xs = np.empty((rows, horizon + 1))
+        thetas = np.empty((rows, horizon + 1))
         for lo, hi in _block_bounds(replicas):
-            zb, sb = z0[lo:hi], s0[lo:hi]
             m = hi - lo
-            sigma, x = sigmas[:m], xs[:m]
-            sigma[:, 0] = 1.0 / sb
-            x[:, 0] = zb / sb
-            if horizon:
-                z = stream.rng.standard_normal(out=normals[:m])
-                mult = sigma[:, 1:]
-                mult[:, 0] = zb
-                mult[:, 1:] = z[:, :-1]
-                np.square(mult, out=mult)
-                mult *= self.alpha1
-                mult += self.beta1
-                np.cumprod(mult, axis=1, out=mult)
-                np.sqrt(mult, out=mult)
-                mult /= sb[:, None]
-                np.multiply(z, mult, out=x[:, 1:])
-            yield [project(sigma, x, tv) for tv in tvs]
+            theta = thetas[:m]
+            theta[:, 0] = starts[lo:hi]
+            z = stream.rng.standard_normal(out=normals[:m])
+            mult = theta[:, 1:]
+            mult[:, :1] = z0sq[lo:hi, None]  # no column when horizon is 0
+            np.square(z[:, :-1], out=mult[:, 1:])
+            mult *= self.alpha1
+            mult += self.beta1
+            np.cumprod(mult, axis=1, out=mult)
+            np.sqrt(mult, out=mult)
+            mult *= z
+            mult *= lead[lo:hi, None]
+            yield [theta[..., None] if tv is None else theta * tv[0]
+                   for tv in tvs]
 
     def stationary_mean(self):
         return np.zeros(1)
-
-    def tail_direction(self, theta):
-        """X is the second coordinate of the tail process (sigma, X)."""
-        if theta.dim == 1:
-            return tailstats.Direction([0.0, theta.theta[0]])
-        return theta
 
     def drift_setup(self, alpha):
         p = 0.4 * (alpha or 2.0)
@@ -907,9 +866,8 @@ def _garch_power_moment(a1: float, b1: float, kappa):
 def _check_finite(x: np.ndarray, invariant: str) -> None:
     """Name the first entry of ``x`` that is nan or beyond ``_BLOWUP`` in
     magnitude: a draw that large, or a recursion that breaks the
-    invariant."""
-    if x.size and (not np.all(np.isfinite(x))
-                   or np.max(np.abs(x)) > _BLOWUP):
+    invariant. A nan fails both comparisons; neither allocates."""
+    if x.size and not (-_BLOWUP <= x.min() and x.max() <= _BLOWUP):
         at = np.unravel_index(np.argmin(np.abs(x) <= _BLOWUP), x.shape)
         raise DivergenceError(
             f"simulated value {x[at]:.6g} at index {tuple(map(int, at))} is "
@@ -1029,9 +987,9 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     items = [(None, None)] if functionals is None else functionals
-    if any(tv is not None and tv.size != spec.tail_dim for tv, _ in items):
+    if any(tv is not None and tv.size != spec.dim for tv, _ in items):
         raise ParameterError("direction dimension mismatch")
-    outs = [np.empty((replicas, horizon + 1, spec.tail_dim) if reduce is None
+    outs = [np.empty((replicas, horizon + 1, spec.dim) if reduce is None
                      else replicas) for _, reduce in items]
     tvs = list({id(tv): tv for tv, _ in items}.values())  # one per array
     slot = {id(tv): k for k, tv in enumerate(tvs)}

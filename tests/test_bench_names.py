@@ -41,7 +41,7 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
     # makes one per chunk, with the chunk's replicas and horizon, inside
     # the route's span
     spec = request.getfixturevalue(fixture)
-    theta = spec.tail_direction(Direction([1.0]))
+    theta = Direction([1.0])
     replicas, horizon = 2 * cluster._CHUNK + 500, 8
     routes = {
         "tail_process": lambda stream: cluster.cluster_index_tail_process(

@@ -25,6 +25,14 @@ from heavytail.randkit import TailLaw, derive_stream
 B_TARGET = 2.0 ** 1.5 - 1.0
 
 
+@pytest.fixture
+def small_b_route(monkeypatch):
+    """The b(theta) route of ``limits`` on two full chunks and a partial
+    one of a short horizon, in place of its 50,000 x 64 budget."""
+    monkeypatch.setattr(limits, "_B_REPLICAS", 2 * cluster._CHUNK + 500)
+    monkeypatch.setattr(limits, "_B_HORIZON", 8)
+
+
 def near_degenerate_half_spec(alpha_hint=1.5):
     """Scalar recurrence whose multiplier is concentrated at 1/2 (the
     moment equation then has no root, so the index is declared)."""
@@ -306,23 +314,21 @@ class TestThreads:
 
     @pytest.mark.parametrize("fixture", ["kesten_lognormal",
                                          "garch_benchmark"])
-    def test_b_at_identical_on_one_and_two_threads(self, request, fixture):
+    def test_b_at_identical_on_one_and_two_threads(self, request, fixture,
+                                                   small_b_route):
         spec = request.getfixturevalue(fixture)
-        th = spec.tail_direction(Direction([1.0]))
-        one, two = (limits._b_route(spec, th, derive_stream(42, 5),
-                                    t, replicas=self.REPLICAS, horizon=8)
+        one, two = (limits._b_route(spec, Direction([1.0]),
+                                    derive_stream(42, 5), t)
                     for t in (1, 2))
         assert one == two
 
     @pytest.mark.parametrize("fixture", ["kesten_lognormal",
                                          "garch_benchmark"])
     def test_b_pair_identical_on_one_and_two_threads(self, request,
-                                                     fixture):
+                                                     fixture, small_b_route):
         spec = request.getfixturevalue(fixture)
-        th = spec.tail_direction(Direction([1.0]))
-        one, two = (limits._b_route(spec, th, derive_stream(42, 5),
-                                    t, signs=(1, -1),
-                                    replicas=self.REPLICAS, horizon=8)
+        one, two = (limits._b_route(spec, Direction([1.0]),
+                                    derive_stream(42, 5), t, signs=(1, -1))
                     for t in (1, 2))
         assert one == two
 
@@ -355,18 +361,26 @@ class TestSharedBatch:
                                          "kesten_lognormal",
                                          "ar_sympareto15"])
     def test_signed_estimates_are_the_calls_at_each_sign(self, request,
-                                                         fixture):
+                                                         fixture,
+                                                         small_b_route):
         # the tail-process route (GARCH) gives b(-theta) from the draws
         # of b(theta); the closed form (the others) draws nothing
         spec = request.getfixturevalue(fixture)
-        th = spec.tail_direction(Direction([1.0]))
+        th = Direction([1.0])
         stream = derive_stream(42, 7).substream(0xB0)
-        pair = limits._b_route(spec, th, stream, signs=(1, -1),
-                               replicas=self.REPLICAS, horizon=8)
-        alone = [limits._b_route(spec, d, stream,
-                                 replicas=self.REPLICAS, horizon=8)
+        pair = limits._b_route(spec, th, stream, signs=(1, -1))
+        alone = [limits._b_route(spec, d, stream)
                  for d in (th, th.negated())]
         assert pair == alone
+
+    def test_garch_pair_is_symmetric(self):
+        # Z_t is symmetric, so b(+1) = b(-1) on the bench GARCH law: the
+        # two estimates, on one batch, agree within 4 combined SE
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        plus, minus = limits._b_route(spec, Direction([1.0]),
+                                      derive_stream(42, 8), 2, signs=(1, -1))
+        assert abs(plus.value - minus.value) <= 4.0 * math.hypot(
+            plus.std_error, minus.std_error)
 
     def test_signs_must_be_plus_or_minus_one(self, kesten_lognormal):
         for signs in ((), (1, 2), (0,)):
@@ -496,7 +510,7 @@ class TestControlVariate:
     def test_families_without_moments(self, ar_sympareto15,
                                       garch_benchmark):
         for spec in (ar_sympareto15, garch_benchmark):
-            tv = np.ones(spec.tail_dim)
+            tv = np.ones(spec.dim)
             assert spec.tail_moments(tv, 0.5, 10) is None
 
     def test_alpha_two_route_is_exact(self, kesten_lognormal):
@@ -545,17 +559,18 @@ class TestControlVariate:
 
 
 # value, std_error and plug_in_se of each plain-mean route, from the code
-# before the control: a family without tail moments keeps those bits
+# before the control: a family without tail moments keeps those bits (the
+# GARCH entries are those of its tail process on X's own norm)
 _PLAIN_MEAN_BITS = {
     ("garch_benchmark", "tail_process"): (
-        "0x1.5e9eb3545f3b5p+12", "0x1.d65e38be7452ap+10",
-        "0x1.d6574b736b18dp+10"),
+        "0x1.239f2c2673d0bp+12", "0x1.cd402001a9b04p+10",
+        "0x1.cd39551632d9ep+10"),
     ("garch_benchmark", "telescoping"): (
-        "0x1.709fada6e1186p+10", "0x1.1990c6119f6ebp+9",
-        "0x1.198ca09041726p+9"),
+        "0x1.6aea200132a02p+10", "0x1.37466125e9d4cp+9",
+        "0x1.3741cba352a12p+9"),
     ("garch_benchmark", "extremal"): (
-        "0x1.04dfc42157e6ep-2", "0x1.a25f8f9ca5961p-9",
-        "0x1.a2596656f5620p-9"),
+        "0x1.bd02423cc72ebp-2", "0x1.5194790c5c5a7p-8",
+        "0x1.518f805e28a20p-8"),
     ("var1_dim2", "tail_process"): (
         "0x1.0975ace95581bp-1", "0x1.8afa70346840cp-8",
         "0x1.8af49f21c8387p-8"),
@@ -571,8 +586,7 @@ _PLAIN_MEAN_BITS = {
 @pytest.mark.parametrize("family, route", sorted(_PLAIN_MEAN_BITS))
 def test_plain_mean_routes_keep_their_bits(family, route):
     if family == "garch_benchmark":
-        spec = models.Garch11Spec(0.05, 0.1, 0.85)
-        th = spec.tail_direction(Direction([1.0]))
+        spec, th = models.Garch11Spec(0.05, 0.1, 0.85), Direction([1.0])
     else:
         spec = models.Var1Spec(
             2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),

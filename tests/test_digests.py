@@ -46,10 +46,10 @@ RUN_DIGESTS = {
                         "5b669db8186401d9957782c490b20593",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "a0f623a3e98176ae1087fd600b13cced"
-                         "8af27566704e67168dbe9b5b08e86da1",
-        "summary.json": "4eca78646fc0815035e12d22c8cb3e70"
-                        "7f4127b6aec2a670869972a8d2cab976",
+        "stable_cf.csv": "37c1e41e8627c9938fc0d822f394e957"
+                         "75b54c4edf8499f21025a957d43b0871",
+        "summary.json": "84e2cd7271c51668c9428b02f6572d70"
+                        "0b61c7fd27b4c69188e217b6c4958a33",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"
@@ -64,10 +64,10 @@ RUN_DIGESTS = {
                         "10a8c97de782fa5233b25bcdf5b02cf5",
     },
     "golden_cluster_garch.cfg": {
-        "cluster.csv": "24b13f4454967f6f9e18bc20a3d2568c"
-                       "ef97dfa7405706ce6632dd765f0be397",
-        "summary.json": "cd91f497a51af60c9b9c8fb9d78631ff"
-                        "1b1fd2cd2a8bd2d4a6519d04cb783d27",
+        "cluster.csv": "26059301abc593408ebb10d9280941b0"
+                       "e280a0737a749aad386173f8e06384ed",
+        "summary.json": "d2df1d86cef4fc60b65b06efa631c967"
+                        "0c487b56294e16c935ac16ae3a12105c",
     },
     "golden_ldp_var1.cfg": {
         "ldp.csv": "d1b4d1c469a3c9a78ab12cade9dddbf3"

@@ -221,10 +221,6 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 # defaulted parameters that only tests set, with the test behind each
 TEST_ONLY_DEFAULTS = {
-    "limits._b_route(replicas)": "TestThreads, TestSharedBatch: a small "
-                                 "GARCH route",
-    "limits._b_route(horizon)": "TestThreads, TestSharedBatch: a small "
-                                "GARCH route",
     "limits.ldp_scan(region)": "Criterion 3",
 }
 

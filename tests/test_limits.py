@@ -116,7 +116,7 @@ class TestStableCheck:
 
     def test_hill_normalisation_holds_the_pilot_and_one_copy(self):
         # a fresh pilot, ordered by replica so its stack is a view, and
-        # one |x| that Hill partitions in place: about 2 pilot-sized
+        # one |x| partitioned in place for the scale: about 2 pilot-sized
         # arrays, where a reshape copy, a second |x| and a full sort
         # took 4.0
         spec = models.Garch11Spec(0.05, 0.5, 0.55)

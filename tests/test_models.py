@@ -16,8 +16,7 @@ from scipy.signal import lfilter
 
 from heavytail import cluster, models, randkit
 from heavytail.errors import (DivergenceError, HeavytailError, NoRootError,
-                              ParameterError, SingularDrawError,
-                              UnsupportedCaseError)
+                              ParameterError, SingularDrawError)
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.tailstats import Direction
 
@@ -209,6 +208,20 @@ class TestSimulatePath:
         ar_pareto15.paths = no_resimulation
         assert models.stationary_pilot(ar_pareto15, 11) is first
 
+    def test_linear_pilot_holds_one_array(self, ar_gauss):
+        # the rows are scanned in small blocks, then move down over their
+        # burn-in in the draws' own buffer, so the stack is a view: about
+        # 1.12 pilot-sized arrays, where a reshape copy of the strided
+        # rows took 2.07 (numpy's lazy imports are done before tracing)
+        derive_stream(12, 0).rng.standard_normal(1)
+        tracemalloc.start()
+        try:
+            models.stationary_pilot(ar_gauss, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * 200_000
+
     def test_scalar_only_kernels_reject_two_dimensional_chain(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)
@@ -340,21 +353,24 @@ def stepwise_garch_paths(spec, n, burn_in, replicas, stream):
     return out
 
 
+def garch_z0_squared(spec, replicas, stream, alpha):
+    """(Theta_0, Z_0^2) as a GARCH(1,1) tail-process batch draws them:
+    the signs, then Z_0^2 = 2G with G ~ Gamma((alpha + 1)/2)."""
+    theta0 = spec.theta0(replicas, stream)[:, 0]
+    return theta0, 2.0 * stream.rng.standard_gamma((alpha + 1.0) / 2.0,
+                                                   replicas)
+
+
 def expression_garch_tail_process(spec, horizon, replicas, stream, alpha):
     """GARCH(1,1) tail-process batch from whole-array expressions, with
     the running product of the volatility multipliers as its own array."""
-    z0 = spec._tilted_z0(alpha, replicas, stream)
-    z_rest = stream.rng.standard_normal((replicas, horizon))
-    z_all = np.concatenate([z0[:, None], z_rest], axis=1)
-    mults = spec.alpha1 * z_all[:, :horizon] ** 2 + spec.beta1
-    pi = np.cumprod(mults, axis=1)
-    s0 = np.sqrt(1.0 + z0 ** 2)
-    theta = np.empty((replicas, horizon + 1, 2))
-    theta[:, 0, 0] = 1.0 / s0
-    theta[:, 0, 1] = z0 / s0
-    root = np.sqrt(pi) / s0[:, None]
-    theta[:, 1:, 0] = root
-    theta[:, 1:, 1] = root * z_all[:, 1:]
+    theta0, z0sq = garch_z0_squared(spec, replicas, stream, alpha)
+    z = stream.rng.standard_normal((replicas, horizon))
+    squares = np.concatenate([z0sq[:, None], z[:, :-1] ** 2], axis=1)
+    pi = np.cumprod(spec.alpha1 * squares[:, :horizon] + spec.beta1, axis=1)
+    theta = np.empty((replicas, horizon + 1, 1))
+    theta[:, 0, 0] = theta0
+    theta[:, 1:, 0] = np.sqrt(pi) * z * (theta0 / np.sqrt(z0sq))[:, None]
     return theta
 
 
@@ -656,28 +672,58 @@ class TestTailProcess:
         theta = models.sample_tail_process_batch(
             garch_benchmark, 8, 2000, derive_stream(6, 3),
             models.tail_index(garch_benchmark))
-        norms = np.linalg.norm(theta[:, 0, :], axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-9
-        assert theta.shape == (2000, 9, 2)
-        assert (theta[:, 0, 0] > 0).all()
+        assert theta.shape == (2000, 9, 1)
+        assert set(np.unique(theta[:, 0, 0])) == {-1.0, 1.0}
 
-    def test_garch_tilted_angle_moment(self, garch_benchmark):
-        # E h(Theta_0) under the size-biased angle law, h = second
-        # coordinate squared, against direct quadrature of the tilted
-        # density (1+z^2)^(a/2) phi(z) normalized
-        alpha = models.tail_index(garch_benchmark)
-        num = quad(lambda z: z * z / (1 + z * z)
-                   * (1 + z * z) ** (alpha / 2)
-                   * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
-                   -16, 16, limit=200)[0]
-        den = quad(lambda z: (1 + z * z) ** (alpha / 2)
-                   * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
-                   -16, 16, limit=200)[0]
-        target = num / den
+    def test_garch_tilted_angle_moment(self):
+        # E|Theta_1| = E|Z| E sqrt(a1 Z_0^2 + b1) / |Z_0| under the
+        # size-biased density |z|^alpha phi(z) / E|Z|^alpha of Z_0, by
+        # direct quadrature; |Theta_1| has a finite variance for alpha > 1
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        alpha = spec.tail_index()
+
+        def tilted(f):
+            return 2.0 * quad(lambda z: f(z) * z ** alpha
+                              * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
+                              0.0, 40.0, limit=200)[0]
+
+        target = math.sqrt(2.0 / math.pi) * tilted(
+            lambda z: math.sqrt(spec.alpha1 * z * z + spec.beta1) / z) \
+            / tilted(lambda z: 1.0)
         theta = models.sample_tail_process_batch(
-            garch_benchmark, 0, 200_000, derive_stream(6, 5), alpha)
-        emp = (theta[:, 0, 1] ** 2).mean()
-        assert abs(emp - target) < 0.005
+            spec, 1, 400_000, derive_stream(6, 5), alpha)
+        size = np.abs(theta[:, 1, 0])
+        assert abs(size.mean() - target) <= 4.0 * size.std() / math.sqrt(
+            size.size)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_garch_size_biased_innovation_moment(self, p):
+        # |Z_0| = sqrt(2G), G ~ Gamma((alpha + 1)/2), has the density
+        # |z|^alpha phi(z) / E|Z|^alpha on both signs together, so
+        # E|Z_0|^p = 2^(p/2) Gamma((alpha + p + 1)/2) / Gamma((alpha + 1)/2)
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        alpha = spec.tail_index()
+        _, z0sq = garch_z0_squared(spec, 400_000, derive_stream(6, 4),
+                                   alpha)
+        exact = 2.0 ** (p / 2.0) * math.exp(
+            math.lgamma((alpha + p + 1.0) / 2.0)
+            - math.lgamma((alpha + 1.0) / 2.0))
+        moment = z0sq ** (p / 2.0)
+        assert abs(moment.mean() - exact) <= 4.0 * moment.std() / math.sqrt(
+            moment.size)
+
+    def test_garch_time_change_formula(self):
+        # Basrak & Segers (2009): E|Theta_t|^alpha = 1 for every t >= 0 when
+        # P(|Theta_{-t}| = 0) = 0, as here; alpha 0.687 < 1 keeps the
+        # variance of |Theta_t|^alpha finite
+        spec = models.Garch11Spec(0.05, 1.5, 0.1)
+        alpha = spec.tail_index()
+        theta = models.sample_tail_process_batch(
+            spec, 8, 400_000, derive_stream(6, 9), alpha)
+        powers = np.abs(theta[:, :, 0]) ** alpha
+        assert np.all(powers[:, 0] == 1.0)
+        se = powers[:, 1:].std(axis=0) / math.sqrt(len(powers))
+        assert np.all(np.abs(powers[:, 1:].mean(axis=0) - 1.0) <= 4.0 * se)
 
     @pytest.mark.parametrize("horizon", [0, 1, 64])
     def test_garch_batch_matches_expression_form(self, horizon):
@@ -690,9 +736,9 @@ class TestTailProcess:
         assert got.tobytes() == want.tobytes()
 
     def test_garch_batch_is_built_in_its_output(self, garch_benchmark):
-        # the 8,192 x 65 x 2 output is 8.5 MB; the tilted-angle table's
-        # build and one 512-replica block (normals, sigma, X and their
-        # pairs) add about 2.2 MB
+        # the 8,192 x 65 output is 4.3 MB; the time-zero draws and one
+        # 512-replica block (normals, angles and the cumulative product's
+        # copy of its operand) add about 1.6 MB
         tracemalloc.start()
         try:
             models.sample_tail_process_batch(garch_benchmark, 64, 8192,
@@ -700,7 +746,7 @@ class TestTailProcess:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 7e6
 
     @pytest.mark.parametrize("b_law", [
         TailLaw(randkit.PARETO, alpha=10.0),
@@ -747,12 +793,14 @@ BLOCKED_FAMILIES = {
               lambda spec, horizon, replicas, stream:
               expression_garch_tail_process(spec, horizon, replicas, stream,
                                             spec.tail_index()),
-              [0.0, 1.0]),
+              [1.0]),
+    # the law of persistent sigma (beta1 = 0.85) and tail index 9.07: the
+    # gamma shape of Z_0 and the power of the functional move with it
     "garch_sigma": (lambda: models.Garch11Spec(0.05, 0.1, 0.85),
                     lambda spec, horizon, replicas, stream:
                     expression_garch_tail_process(
                         spec, horizon, replicas, stream, spec.tail_index()),
-                    [0.6, 0.8]),
+                    [-1.0]),
 }
 
 
@@ -826,8 +874,7 @@ class TestBlockedTailProcess:
         # one 8,192-replica, 64-step route chunk along both signs: the
         # whole batch would be 8.5 MB and its projections 4.3 MB each
         alpha = garch_benchmark.tail_index()
-        garch_benchmark._tilted_z0(alpha, 1, derive_stream(6, 22))
-        tv = np.array([0.0, 1.0])
+        tv = np.array([1.0])
         tracemalloc.start()
         try:
             models.sample_tail_process_batch(
@@ -843,7 +890,7 @@ class TestBlockedTailProcess:
         with pytest.raises(ParameterError, match="dimension"):
             models.sample_tail_process_batch(
                 garch_benchmark, 4, 100, derive_stream(6, 23), 2.0,
-                [(np.array([1.0]), _sum_values)])
+                [(np.array([0.0, 1.0]), _sum_values)])
 
 
 class TestExceedanceAngles:
@@ -917,9 +964,10 @@ class TestExceedanceAngles:
         u = derive_stream(7, 3).rng.random(5000)
         assert np.array_equal(ang[:, 0], np.where(u < p_up, 1.0, -1.0))
 
-    def test_volatility_recursion_has_no_theta0_law(self, garch_benchmark):
-        with pytest.raises(UnsupportedCaseError):
-            garch_benchmark.theta0(10, derive_stream(7, 4))
+    def test_volatility_recursion_sign_law(self, garch_benchmark):
+        # Theta_0 = sign(Z_0) for the symmetric Gaussian Z_0
+        law = garch_benchmark.theta0_law()
+        assert mass_at(law, [1.0]) == mass_at(law, [-1.0]) == 0.5
 
 
 class TestDrift:
@@ -943,8 +991,7 @@ class TestDrift:
 
 class TestStationaryTail:
     def test_linear_chain_tail_constant(self, ar_pareto15):
-        c, alpha, scale = ar_pareto15.tail_constant()
-        assert alpha == 1.5
+        c, scale = ar_pareto15.tail_constant()
         assert scale == 1.0
         assert abs(c - 1.0 / (1.0 - 0.5 ** 1.5)) < 1e-14
 
@@ -953,7 +1000,7 @@ class TestStationaryTail:
         # the iid binomial rate, so the band is generous; a wrong
         # constant (e.g. dropping the geometric factor, a 55% shift)
         # still fails it decisively
-        c, alpha, scale = ar_pareto15.tail_constant()
+        (c, scale), alpha = ar_pareto15.tail_constant(), 1.5
         path = models.simulate_path(ar_pareto15, 1_000_000, 1000,
                                     derive_stream(8, 2))
         x = np.abs(path[:, 0])
