@@ -384,6 +384,17 @@ class _Writer:
             pass
 
 
+@dataclass
+class _Diffs:
+    """np.diff of ``values`` by row blocks: rows lo:hi are the diff of
+    values[lo:hi + 1], so no whole column of differences is built."""
+
+    values: np.ndarray
+
+    def __getitem__(self, rows):
+        return np.diff(self.values[rows.start:rows.stop + 1])
+
+
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -435,8 +446,10 @@ def _cmd_cluster_index(config, spec, writer, threads):
     summary = {"alpha": alpha, "theta": theta}
     for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
-    return summary, {k: STREAMS[k] for k in (
-        "cluster_tail", "cluster_telescoping", "extremal")}
+    streams = {k: STREAMS[k] for k in ("cluster_tail", "cluster_telescoping")}
+    if ests["extremal_index"].replicas:  # an exact sup draws nothing
+        streams["extremal"] = STREAMS["extremal"]
+    return summary, streams
 
 
 def _cmd_ldp_scan(config, spec, writer, threads):
@@ -504,7 +517,7 @@ def _cmd_regen_check(config, spec, writer, threads):
     kac = regen.kac_check(blocks, mino.epsilon * pi_c)
     writer.csv("cycles.csv", ["cycle", "start", "length", "block_sum"],
                [range(blocks.n_cycles), blocks.cycle_starts[:-1],
-                blocks.cycle_lengths(), blocks.block_sums])
+                _Diffs(blocks.cycle_starts), blocks.block_sums])
     summary = {"n": config.get("n"), "n_cycles": blocks.n_cycles,
                "epsilon": mino.epsilon, "m_bound": mino.m_bound,
                "m_heuristic": mino.heuristic,

@@ -241,11 +241,11 @@ def _sum_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
 
 def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
     """((sup_{t>=0})_+)^alpha - ((sup_{t>=1})_+)^alpha per path."""
-    m_all = proj.max(axis=1)
     if proj.shape[1] > 1:
         m_tail = proj[:, 1:].max(axis=1)
+        m_all = np.maximum(proj[:, 0], m_tail)
     else:
-        m_tail = np.zeros(proj.shape[0])
+        m_all, m_tail = proj.max(axis=1), np.zeros(proj.shape[0])
     return np.maximum(m_all, 0.0) ** alpha \
         - np.maximum(m_tail, 0.0) ** alpha
 
@@ -287,8 +287,11 @@ def telescoping_difference(spec, theta: Direction, k: int, replicas: int,
 def extremal_index(spec, theta: Direction, horizon: int, replicas: int,
                    stream: RngStream,
                    threads: int = 1) -> ClusterIndexEstimate:
-    """Sup-version of the cluster functional (the extremal-index
-    analogue)."""
+    """Sup-version of the cluster functional (the extremal-index analogue):
+    a closed form when ``exact_extremal_index`` answers, else Monte Carlo."""
+    exact = spec.exact_extremal_index(theta.vector)
+    if exact is not None:
+        return ClusterIndexEstimate(*exact, ROUTE_CLOSED_FORM, 0, 0, exact[1])
     return _mc_functional(spec, [(theta, _sup_difference, ROUTE_TAIL_PROCESS)],
                           horizon, replicas, stream, threads)[0]
 

@@ -90,6 +90,10 @@ class ModelSpec:
         family computes it with no draws; None otherwise."""
         return None
 
+    def exact_extremal_index(self, tv: np.ndarray):
+        """The sup functional at ``tv`` as ``exact_cluster_index`` gives b."""
+        return None
+
     def tail_moments(self, tv: np.ndarray, s: float, horizon: int):
         """E sum_{t=1}^{horizon} (tv'Theta_t)_+^s, when the family knows
         it exactly; None otherwise."""
@@ -452,43 +456,53 @@ class KestenSpec(ModelSpec):
 
     @functools.cached_property
     def _perpetuity(self):
-        """(G, bound), with no draws: G = E[(W+1)^alpha - W^alpha] for the
-        perpetuity W = sum_{t>=1} A_1 ... A_t =_d A (1 + W) (Vervaat
-        1979), Richardson-extrapolated from ``_log_fixed_point`` at steps
-        h <= 0.04 and h/2 (an O(h^2) error), bound |G_h - G_{h/2}| / 3 plus
-        what each iteration left when it stopped, in the same combination.
-        The centre of log A is a lattice point, so A = 1/2 keeps W = 1; the
-        lattice ends where g times the density of log W, which falls like
-        exp(-(kappa - s) y) with s = max(alpha - 1, 0), is e^-36; past
-        alpha y = 1400 g spans more than a double's range, out of regime."""
-        alpha, law = self.tail_index(), self.a_law
+        """``_log_lattice``'s G = E[(W+1)^alpha - W^alpha] for the
+        perpetuity W = sum_{t>=1} A_1 ... A_t =_d A (1 + W) (Vervaat 1979):
+        Y = log W, f = softplus, g grows like W^s. A = 1/2 keeps W = 1 on
+        the lattice; past alpha y = 1400 g spans more than a double's
+        range, out of regime."""
+        alpha = self.tail_index()
         s = max(alpha - 1.0, 0.0)
         if s and self._a_moment(s) >= 1.0:
             raise ParameterError(
                 f"E A^(alpha-1) = {self._a_moment(s):.6g} is not below 1 at "
                 f"alpha = {alpha:g}: E[(W+1)^alpha - W^alpha] diverges")
-        if law.family == randkit.LOGNORMAL:
-            kappa, centre = -2.0 * law.mu / law.sigma ** 2, law.mu
-        else:
-            kappa = _solve_moment_equation(lambda k: self._a_moment(k) - 1.0)
-            centre = math.log(law.scale)
-        h = -centre / math.ceil(-centre / 0.04)  # centre < 0
-        top = math.ceil(36.0 / min(1.0, kappa - s) / h)
-        if alpha * top * h > 1400.0:
-            raise OutOfRegimeError(
-                f"(1 + W)^{alpha:g} up to log W = {top * h:.4g} spans more "
-                f"than a double's exponent range")
-        coarse, push, rest_c = _log_fixed_point(law, alpha, h, top, None)
-        fine, _, rest_f = _log_fixed_point(law, alpha, h / 2.0, 2 * top, push)
-        return ((4.0 * fine - coarse) / 3.0,
-                (abs(fine - coarse) + 4.0 * rest_f + rest_c) / 3.0)
 
-    def exact_cluster_index(self, tv):
-        """|theta|^alpha P(theta Theta_0 > 0) G, and G's bound alike."""
+        def cells(j, h):
+            if alpha * j[-1] * h > 1400.0:
+                raise OutOfRegimeError(
+                    f"(1 + W)^{alpha:g} up to log W = {j[-1] * h:.4g} spans "
+                    f"more than a double's exponent range")
+            y = j * h
+            pos = np.logaddexp(0.0, y) / h
+            # g = (1 + W)^alpha (1 - (W / (1 + W))^alpha) over e^shift:
+            # its top cell below e^700, its bottom one (about 1) above e^-700
+            shift = max(0.0, alpha * pos[-1] * h - 700.0)
+            return pos, -np.exp(alpha * np.logaddexp(0.0, y) - shift) \
+                * np.expm1(-alpha * np.logaddexp(0.0, -y)), shift
+        return _log_lattice(self.a_law, s, cells)
+
+    @functools.cached_property
+    def _lindley(self):
+        """``_log_lattice``'s E[(1 - e^(alpha M))_+] for the Lindley
+        equation M = sup_{t>=1} log(A_1 ... A_t) =_d log A + max(0, M')
+        (de Haan, Resnick, Rootzen & de Vries 1989); g <= 1, so s = 0."""
+        alpha = self.tail_index()
+        return _log_lattice(self.a_law, 0.0, lambda j, h: (
+            np.maximum(j, 0), -np.expm1(alpha * np.minimum(j * h, 0.0)), 0.0))
+
+    def _signed(self, tv, pair):
+        """(value, bound) times |theta|^alpha P(theta Theta_0 > 0)."""
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
         weight = self._up_mass(tv) * abs(float(tv[0])) ** self.tail_index()
-        return tuple(weight * x for x in self._perpetuity)
+        return tuple(weight * x for x in pair)
+
+    def exact_cluster_index(self, tv):
+        return self._signed(tv, self._perpetuity)
+
+    def exact_extremal_index(self, tv):
+        return self._signed(tv, self._lindley)
 
     def stationary_mean(self):
         ma = randkit.law_moment(self.a_law, 1.0)
@@ -743,21 +757,43 @@ def _moment_horizon(moment, lo: float, hi: float) -> int:
     return k
 
 
-def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
-                     start):
-    """(E g(W), push, rest) at the fixed point of Y' = log A + softplus(Y),
-    Y = log W, on the cells j h, j <= ``top`` (the top one keeps the mass
-    beyond), from W = 0 or from ``start`` (the push at step 2h), until
-    E g(W) moves by at most 1e-12 of itself and by less than the step
-    before (OutOfRegimeError after ``_FIXED_POINT_STEPS`` steps). ``rest``
-    sums the moves still to come as a geometric series: d r / (1 - r), d
-    the last move and r its ratio to the one before. A step splits each
-    cell's mass at softplus(y) over the two cells around it, keeping its
-    mean, and convolves it directly (an FFT loses the far cells' relative
-    accuracy) with log A on the lattice, as far as A^(alpha-1), the weight
-    of g, leaves above e^-40: lognormal cells of width h around mu, or the
-    linear split of the exponential log A - log scale (Pareto)."""
-    s = max(alpha - 1.0, 0.0)
+def _log_lattice(law: TailLaw, s: float, cells):
+    """(E g(Y), bound) at the fixed point of Y' = log A + f(Y), with no
+    draws: ``_log_fixed_point`` at steps h <= 0.04, the centre of log A a
+    cell, and h/2 (from the last push at h), up to where g times the
+    density of Y, about exp(-(kappa - s) y) with E A^kappa = 1, is e^-36,
+    Richardson-extrapolated (an O(h^2) error). The bound is
+    |v_h - v_{h/2}| / 3 plus what each run left when it stopped, in the
+    same combination."""
+    if law.family == randkit.LOGNORMAL:
+        kappa, centre = -2.0 * law.mu / law.sigma ** 2, law.mu
+    else:
+        kappa = _solve_moment_equation(
+            lambda k: randkit.law_moment(law, k) - 1.0)
+        centre = math.log(law.scale)
+    h = -centre / math.ceil(-centre / 0.04)  # centre < 0
+    top = math.ceil(36.0 / min(1.0, kappa - s) / h)
+    coarse, push, rest_c = _log_fixed_point(law, s, h, top, None, cells)
+    fine, _, rest_f = _log_fixed_point(law, s, h / 2.0, 2 * top, push, cells)
+    return ((4.0 * fine - coarse) / 3.0,
+            (abs(fine - coarse) + 4.0 * rest_f + rest_c) / 3.0)
+
+
+def _log_fixed_point(law: TailLaw, s: float, h: float, top: int, start,
+                     cells):
+    """(E g(Y'), push, rest) at the fixed point of Y' = log A + f(Y),
+    f >= 0, on the cells j h, j <= ``top`` (the top one keeps the mass
+    beyond), from f(Y) = 0 or from ``start`` (the push at step 2h), with
+    (f(j h) / h, g(j h) / e^shift, shift) = ``cells(j, h)`` on the cells
+    j of Y', until E g moves by at most 1e-12 of itself and by less than
+    the step before, or not at all (OutOfRegimeError after
+    ``_FIXED_POINT_STEPS`` steps). ``rest`` sums the moves still to come
+    as a geometric series: d r / (1 - r), d the last move and r its ratio
+    to the one before. A step splits each cell's mass at f over the two
+    cells around it, keeping its mean, and convolves it directly (an FFT
+    loses the far cells' relative accuracy) with log A on the lattice, as
+    far as A^s leaves above e^-40: lognormal cells of width h around mu,
+    or the linear split of the exponential log A - log scale (Pareto)."""
     if law.family == randkit.LOGNORMAL:
         sd = law.sigma
         n = max(1, math.ceil((9.0 + s * sd) * sd / h))
@@ -773,15 +809,10 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
         lo = round(math.log(law.scale) / h)
     # zeros up to cell 0 keep the convolution as long as the lattice
     q = np.pad(q / q.sum(), (0, max(0, 1 - lo - q.size)))
-    y = np.arange(lo, top + 1) * h
-    pos = np.logaddexp(0.0, y) / h
+    size = top + 1 - lo
+    pos, g, shift = cells(np.arange(lo, top + 1), h)
     cell = np.floor(pos).astype(np.intp)
     dest, frac = np.minimum(np.concatenate([cell, cell + 1]), top), pos - cell
-    # g = (1 + W)^alpha (1 - (W / (1 + W))^alpha), over e^shift: its top
-    # cell stays below e^700 and its bottom one (about 1) above e^-700
-    shift = max(0.0, alpha * pos[-1] * h - 700.0)
-    g = -np.exp(alpha * np.logaddexp(0.0, y) - shift) * np.expm1(
-        -alpha * np.logaddexp(0.0, -y))
     push = np.zeros(top + 1)
     push[0] = 1.0
     if start is not None:
@@ -789,19 +820,19 @@ def _log_fixed_point(law: TailLaw, alpha: float, h: float, top: int,
     prev = move = math.inf
     for _ in range(_FIXED_POINT_STEPS):
         p = np.convolve(push, q)
-        p[y.size - 1] += p[y.size:].sum()
-        p = p[:y.size]
+        p[size - 1] += p[size:].sum()
+        p = p[:size]
         value = float(p @ g)
         last, move = move, abs(value - prev)
-        if move <= 1e-12 * abs(value) and move < last < math.inf:
-            rest = move * move / (last - move)  # d r / (1 - r), r = d / last
+        if not move or move <= 1e-12 * abs(value) and move < last < math.inf:
+            rest = move * move / (last - move) if move else 0.0
             return math.exp(shift) * value, push, math.exp(shift) * rest
         prev = value
         push = np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
                            minlength=top + 1)
     raise OutOfRegimeError(
-        f"E[(W+1)^alpha - W^alpha] still moves after {_FIXED_POINT_STEPS} "
-        f"steps of the perpetuity's fixed point (E A^(alpha-1) near 1)")
+        f"the lattice fixed point still moves after {_FIXED_POINT_STEPS} "
+        f"steps (a contraction near 1)")
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

@@ -86,9 +86,6 @@ class RegenBlocks:
     def n_cycles(self) -> int:
         return max(self.cycle_starts.size - 1, 0)
 
-    def cycle_lengths(self) -> np.ndarray:
-        return np.diff(self.cycle_starts)
-
     def reconstruct_total(self) -> float:
         """Refold blocks + tail in chronological order (a left fold from
         zero)."""

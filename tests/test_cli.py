@@ -131,9 +131,9 @@ class TestRun:
 
     def test_regen_check_peak_memory(self, tmp_path):
         # the harvest's path and its cycle starts and sums (0.29 of the
-        # path each), then the length column and one formatted 4,096-row
-        # block of cycles.csv: 2.6 path-sized arrays, where the harvest
-        # once took 3.9
+        # path each), then one formatted 4,096-row block of cycles.csv,
+        # its lengths cut from the block's starts: 2.31 path-sized arrays,
+        # where a whole length column took 2.6 and the harvest once 3.9
         n = 200_000
         cfg = parse_config(
             "command = regen-check\nmodel = var1\nseed = 31\na = 0.5\n"
@@ -145,7 +145,7 @@ class TestRun:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.8 * 8 * n
+        assert peak <= 2.45 * 8 * n
 
     def test_runs_are_deterministic(self, tmp_path):
         cfg_text = ("command = simulate\nmodel = var1\nseed = 5\n"
@@ -230,6 +230,23 @@ class TestRun:
         with open(tmp_path / "summary.json") as fh:
             closed = json.load(fh)["cluster_closed_form"]
         assert set(closed) == {"value", "std_error"}
+
+    @pytest.mark.parametrize("name, drawn", [
+        ("golden_cluster_kesten.cfg", False),
+        ("golden_cluster_garch.cfg", True)])
+    def test_manifest_lists_the_extremal_stream_when_drawn(self, tmp_path,
+                                                           name, drawn):
+        # the recurrence's sup functional is exact (no draws); GARCH's is
+        # the Monte Carlo sup on stream 5
+        with open(os.path.join(GOLDEN, name)) as fh:
+            manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
+        assert ("extremal" in manifest.streams) == drawn
+        assert {"cluster_tail", "cluster_telescoping"} <= set(
+            manifest.streams)
+        with open(tmp_path / "cluster.csv") as fh:
+            row = [r for r in fh if r.startswith("extremal_index,")]
+        route = "tail_process" if drawn else "closed_form"
+        assert row[0].split(",")[1] == route
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg_text = ("command = ldp-scan\nmodel = var1\nseed = 5\n"

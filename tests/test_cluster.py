@@ -33,6 +33,14 @@ def small_b_route(monkeypatch):
     monkeypatch.setattr(limits, "_B_HORIZON", 8)
 
 
+def _mc_sup(spec, th, horizon, replicas, stream, threads=1):
+    """The Monte Carlo sup functional, which ``extremal_index`` skips for
+    a family with an exact one: a one-element list."""
+    return cluster._mc_functional(
+        spec, [(th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
+        horizon, replicas, stream, threads)
+
+
 def near_degenerate_half_spec(alpha_hint=1.5):
     """Scalar recurrence whose multiplier is concentrated at 1/2 (the
     moment equation then has no root, so the index is declared)."""
@@ -304,8 +312,8 @@ class TestThreads:
                 spec, th, 8, self.REPLICAS, s, threads=t),
             "telescoping": lambda s, t: telescoping_difference(
                 spec, th, 8, self.REPLICAS, s, threads=t),
-            "extremal": lambda s, t: extremal_index(
-                spec, th, 8, self.REPLICAS, s, threads=t),
+            "extremal": lambda s, t: _mc_sup(spec, th, 8, self.REPLICAS, s,
+                                             t)[0],
         }
         one, two = (calls[route](derive_stream(42, 4), t) for t in (1, 2))
         assert one.std_error > 0
@@ -353,8 +361,11 @@ class TestSharedBatch:
             spec, [(th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
                    (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
             8, self.REPLICAS, derive_stream(42, 6), 1)
-        alone = [route(spec, th, 8, self.REPLICAS, derive_stream(42, 6))
-                 for route in (cluster_index_tail_process, extremal_index)]
+        # the recurrence's extremal_index is exact: the sup functional
+        # alone is the Monte Carlo route it keeps for other families
+        alone = [cluster_index_tail_process(spec, th, 8, self.REPLICAS,
+                                            derive_stream(42, 6)),
+                 *_mc_sup(spec, th, 8, self.REPLICAS, derive_stream(42, 6))]
         assert shared == alone
 
     @pytest.mark.parametrize("fixture", ["garch_benchmark",
@@ -501,7 +512,7 @@ class TestControlVariate:
 
     def test_sup_functional_takes_no_control(self, monkeypatch):
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
-        run = functools.partial(extremal_index, spec, th, 8, 2000,
+        run = functools.partial(_mc_sup, spec, th, 8, 2000,
                                 derive_stream(47, 7))
         before = run()
         monkeypatch.setattr(spec, "tail_moments", lambda *args: None)
@@ -666,6 +677,78 @@ class TestExtremalIndex:
         est = extremal_index(iid_pareto08, Direction([1.0]), 10, 500,
                              derive_stream(44, 9))
         assert est.value == 1.0
+
+
+class TestKestenLindley:
+    """The recurrence's extremal index is |theta|^alpha P(theta Theta_0
+    > 0) E[(1 - e^(alpha M))_+] for the Lindley fixed point M =_d log A +
+    max(0, M'), on the perpetuity's lattice: no draws, and a bound that
+    the Monte Carlo sup functional agrees with."""
+
+    @pytest.mark.parametrize("name", ["bench_lognormal", "kesten_lognormal",
+                                      "pareto_multiplier"])
+    def test_monte_carlo_sup_agrees(self, name):
+        spec, th = _KESTEN_SPECS[name](), Direction([1.0])
+        exact = extremal_index(spec, th, 200, 400_000, derive_stream(50, 1))
+        assert exact.route == cluster.ROUTE_CLOSED_FORM
+        assert (exact.replicas, exact.horizon) == (0, 0)
+        assert 0.0 < exact.std_error == exact.plug_in_se <= 1e-4
+        (mc,) = _mc_sup(spec, th, 200, 400_000, derive_stream(50, 1), 2)
+        assert abs(mc.value - exact.value) <= 4.0 * math.hypot(
+            mc.std_error, exact.std_error)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 4.0])
+    def test_half_multiplier_gives_the_linear_chain(self, alpha):
+        # A = 1/2 puts M at log(1/2), a cell: sup_{t>=1} Theta_t = 1/2
+        est = extremal_index(near_degenerate_half_spec(alpha),
+                             Direction([1.0]), 40, 2000,
+                             derive_stream(50, 2))
+        assert abs(est.value - (1.0 - 0.5 ** alpha)) <= 1e-12
+        assert est.std_error <= 1e-12
+
+    def test_gaussian_b_halves_positive_b(self):
+        a_law = TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0)
+        positive, symmetric = (
+            models.KestenSpec(a_law=a_law, b_law=TailLaw(fam, alpha=10.0))
+            for fam in (randkit.PARETO, randkit.GAUSSIAN))
+        up, down = (positive.exact_extremal_index(np.array([s]))
+                    for s in (1.0, -1.0))
+        assert down == (0.0, 0.0)
+        for s in (1.0, -1.0):
+            half = symmetric.exact_extremal_index(np.array([s]))
+            assert half == (0.5 * up[0], 0.5 * up[1])
+
+    @pytest.mark.parametrize("name", ["bench_lognormal",
+                                      "pareto_multiplier"])
+    def test_lattice_error_is_second_order(self, monkeypatch, name):
+        # the runs at steps h and h/2 behind the Richardson value, then one
+        # more at h/4 with the same cells: each halving cuts the gap 4x
+        # (3.9999 and 4.0007 here)
+        runs, run = [], models._log_fixed_point
+
+        def spy(law, s, h, top, start, cells):
+            runs.append((h, top, cells))
+            return run(law, s, h, top, start, cells)
+
+        monkeypatch.setattr(models, "_log_fixed_point", spy)
+        spec = _KESTEN_SPECS[name]()
+        spec.exact_extremal_index(np.array([1.0]))
+        (h, top, cells), _ = runs
+        law = spec.a_law
+        v = [run(law, 0.0, h / k, k * top, None, cells)[0] for k in (1, 2, 4)]
+        assert 3.9 <= (v[0] - v[1]) / (v[1] - v[2]) <= 4.1
+
+    def test_perpetuity_keeps_its_bits(self):
+        # the shared lattice builds the perpetuity's G as it did alone
+        pins = {"bench_lognormal": ("0x1.3458e63c5618fp+1",
+                                    "0x1.97078c058f507p-14"),
+                "pareto_multiplier": ("0x1.144bab9ce0a1bp+1",
+                                      "0x1.da085c3348e53p-14"),
+                "near_degenerate_half": ("0x1.d413cccfe77acp+0",
+                                         "0x1.a7c61977850a1p-40")}
+        for name, pin in pins.items():
+            got = _KESTEN_SPECS[name]()._perpetuity
+            assert tuple(float.hex(x) for x in got) == pin, name
 
 
 class TestEstimateContainer:

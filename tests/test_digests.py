@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "74988f407e7c4539afc4c5d15389ec5c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "1b4f9152a85097a4d6ca54bf315ad039"
-                       "de5ab0b9c8e40e18c84e4d4aa83aed4f",
-        "summary.json": "ce191c9b1a312fe366e364ca0d5f8204"
-                        "5b669db8186401d9957782c490b20593",
+        "cluster.csv": "0406deb22d7713cc3f87067b154c8b29"
+                       "b1e1032b02abb037dbd070b3e610ea56",
+        "summary.json": "6eb60fc9a00ccce91f063891ff72bc64"
+                        "de70daf74d7bf7ee4384dc47d58cd4ac",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "37c1e41e8627c9938fc0d822f394e957"

@@ -244,7 +244,7 @@ class TestGaussianSigma:
         blocks = regen.harvest_blocks(ar_gauss, mino, 100_000,
                                       derive_stream(53, 6))
         sums = blocks.block_sums
-        lengths = blocks.cycle_lengths().astype(float)
+        lengths = np.diff(blocks.cycle_starts).astype(float)
         resid = sums - lengths * (sums.sum() / lengths.sum())
         want = float(resid @ resid) / sums.size / float(np.mean(lengths))
         assert gaussian_sigma(blocks).sigma_hat == want
