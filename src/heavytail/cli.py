@@ -411,6 +411,14 @@ def _stream(config, stage):
     return derive_stream(config.seed, STREAMS[stage])
 
 
+def _listed(stage, pilot):
+    """``stage``'s manifest stream, and the pilot's if ``pilot`` is true."""
+    streams = {stage: STREAMS[stage]}
+    if pilot:
+        streams["pilot"] = models._PILOT_STREAM_ID
+    return streams
+
+
 def _cmd_simulate(config, spec, writer, threads):
     n = config.get("n")
     burn = config.get("burn_in", spec.default_burn)
@@ -466,7 +474,7 @@ def _cmd_ldp_scan(config, spec, writer, threads):
     summary = {"n": res.n, "theta": res.theta, "target": res.target,
                "sup_dev": res.sup_dev, "b_n": res.b_n, "c_n": res.c_n,
                "centering": res.centering}
-    return summary, {"ldp": STREAMS["ldp"]}
+    return summary, _listed("ldp", limits.draws_pilot(spec))
 
 
 def _cmd_stable_check(config, spec, writer, threads):
@@ -486,7 +494,7 @@ def _cmd_stable_check(config, spec, writer, threads):
     summary = {"sup_abs_gap": c.sup_abs_gap, "mc_band": c.mc_band,
                "passed": c.sup_abs_gap <= c.mc_band,
                "centering": c.centering, "theta": theta}
-    return summary, {"stable": STREAMS["stable"]}
+    return summary, _listed("stable", limits.draws_pilot(spec))
 
 
 def _cmd_drift_check(config, spec, writer, threads):
@@ -532,7 +540,7 @@ def _cmd_regen_check(config, spec, writer, threads):
             "sigma_hat": rep.sigma_hat,
             "batch_sigma": rep.batch_sigma,
             "rel_gap": rep.rel_gap}
-    return summary, {"regen": STREAMS["regen"]}
+    return summary, _listed("regen", mino.heuristic)
 
 
 _HANDLERS = {
@@ -566,10 +574,6 @@ def run(config: ExperimentConfig, out_dir: str = None,
     except Exception:
         writer.rollback()
         raise
-    # the spec caches its stationary pilot under the masked master seed
-    pilot = derive_stream(config.seed, models._PILOT_STREAM_ID)
-    if pilot.master_seed in spec._pilot_cache:
-        streams["pilot"] = pilot.stream_id
     runtime = time.perf_counter() - start
     files = [{"name": os.path.basename(p), "sha256": _digest(p)}
              for p in writer.paths]
@@ -631,10 +635,6 @@ def main(argv=None) -> int:
         return 2
     try:
         manifest = run(config, out_dir=args.out, threads=threads)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -158,14 +158,19 @@ def _sum_centering(spec, alpha: float):
     return float(np.asarray(mean).ravel()[0]), "analytic"
 
 
+def draws_pilot(spec) -> bool:
+    """Whether a scan draws the pilot: iff no analytic power tail."""
+    return spec.tail_constant() is None
+
+
 def _power_tail(spec, stream: RngStream):
     """(c, scale) with P(|X| > x) ~ c (x / scale)^(-alpha), alpha the tail
     index: the analytic power tail when available, else the (k+1)-th
     largest of the N pilot |X| as scale and c = k/N, k = sqrt(N)."""
-    analytic = spec.tail_constant()
-    if analytic is not None:
-        return analytic
-    x = np.abs(models.stationary_pilot(spec, stream.master_seed)[:, 0])
+    if not draws_pilot(spec):
+        return spec.tail_constant()
+    x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
+    np.abs(x, out=x)
     k = tailstats.default_hill_k(x.size)
     x.partition(x.size - k - 1)
     scale = float(x[x.size - k - 1])
@@ -174,32 +179,18 @@ def _power_tail(spec, stream: RngStream):
     return k / x.size, scale
 
 
-def _a_n_for(spec, n: int, stream: RngStream) -> float:
-    """Normalizing a_n with n P(|X| > a_n) = 1 for the stationary law,
-    by inverting the (analytic or pilot) power tail."""
-    c, scale = _power_tail(spec, stream)
-    return scale * (n * c) ** (1.0 / models.tail_index(spec))
-
-
-def _b_route(spec, th: Direction, stream: RngStream, threads: int = 1,
-             signs=None):
-    """b at ``th`` (a list, one per sign, with ``signs``): the draw-free
-    closed form when the family has one, else the tail-process route."""
-    if spec.exact_cluster_index(th.vector) is None:
-        return cluster.cluster_index_tail_process(
-            spec, th, _B_HORIZON, _B_REPLICAS, stream, threads, signs=signs)
-    if signs is None:
-        return cluster.closed_form_cluster_index(spec, th, _B_REPLICAS)
-    return [cluster.closed_form_cluster_index(
-        spec, th if s == 1 else th.negated(), _B_REPLICAS) for s in signs]
-
-
-def _b_pair_for(spec, theta: Direction, stream: RngStream, threads: int = 1):
-    """(b(theta), b(-theta)), each clipped at 0: a closed-form call per
-    sign, or one tail-process batch on substream 0xB0 reduced along both."""
-    ests = _b_route(spec, theta, stream.substream(0xB0), threads,
-                    signs=(1, -1))
-    return tuple(max(e.value, 0.0) for e in ests)
+def _b_values(spec, theta: Direction, stream: RngStream, threads, signs):
+    """[max(b(s theta), 0) for s in signs]: the draw-free closed form at
+    each sign when the family has one, else one tail-process batch on
+    ``stream`` reduced along every sign."""
+    if spec.exact_cluster_index(theta.vector) is None:
+        ests = cluster.cluster_index_tail_process(
+            spec, theta, _B_HORIZON, _B_REPLICAS, stream, threads, signs)
+    else:
+        ests = [cluster.closed_form_cluster_index(
+            spec, theta if s == 1 else theta.negated(), _B_REPLICAS)
+            for s in signs]
+    return [max(e.value, 0.0) for e in ests]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +214,15 @@ def stable_check(spec, theta: Direction, n: int, reps: int,
         raise ParameterError(
             "limit checks run on the scalar observable; the direction "
             "must be +1 or -1")
-    params = StableLawParams(alpha, *_b_pair_for(
-        spec, theta, stream.substream(0xC0), threads))
+    params = StableLawParams(alpha, *_b_values(
+        spec, theta, stream.substream(0xC0).substream(0xB0), threads,
+        (1, -1)))
     burn = spec.default_burn if burn_in is None else burn_in
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), burn,
                         threads)
     mu, centering = _sum_centering(spec, alpha)
-    a_n = _a_n_for(spec, n, stream)
+    c, scale = _power_tail(spec, stream)
+    a_n = scale * (n * c) ** (1.0 / alpha)  # n P(|X| > a_n) = 1
     proj = theta.theta[0] * ((sums - n * mu) / a_n)
     emp = np.array([np.exp(1j * (x * proj)).mean() for x in CF_GRID])
     theo = np.array([stable_cf(params, float(x)) for x in CF_GRID])
@@ -290,8 +283,8 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     ratios = counts / reps / denom
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
-    target = max(_b_route(spec, theta, stream.substream(0xC9).substream(0xB0),
-                          threads).value, 0.0)
+    target = _b_values(spec, theta, stream.substream(0xC9).substream(0xB0),
+                       threads, (1,))[0]
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,
                          target=target, sup_dev=sup_dev,

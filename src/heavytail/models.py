@@ -159,7 +159,6 @@ class Var1Spec(ModelSpec):
                 raise ParameterError("weights must have length dim")
             if np.any(self.weights <= 0):
                 raise ParameterError("weights must be positive")
-        self._pilot_cache = {}
 
     def tail_index(self) -> float:
         return randkit.power_tail(self.innovation)[1]
@@ -171,13 +170,8 @@ class Var1Spec(ModelSpec):
             a = float(self.a_matrix[0, 0])
             z = sample_law(stream, self.innovation, replicas * total)
             z *= self.weights[0]
-            x = z.reshape(replicas, total)
-            # in-place scans of about 8,192 floats keep temporaries small;
-            # each row then moves down over its burn-in: the stack is a view
-            rows = max(1, 8192 // max(total, 1))
-            for lo in range(0, replicas, rows):
-                _ar1(x[lo:lo + rows], a)
-            x = x[:, burn_in:]
+            # one in-place scan; rows then move down over their burn-in
+            x = _ar1(z.reshape(replicas, total), a)[:, burn_in:]
             if replicas > 1 and burn_in:
                 for i in range(replicas):
                     z[i * n:(i + 1) * n] = x[i]
@@ -361,7 +355,6 @@ class KestenSpec(ModelSpec):
             raise ParameterError(
                 "multiplier law must have negative log-mean "
                 "(contraction on average)")
-        self._pilot_cache = {}
 
     def tail_index(self) -> float:
         if self.alpha_hint is not None:
@@ -540,7 +533,6 @@ class Garch11Spec(ModelSpec):
         if _garch_log_moment(self.alpha1, self.beta1) >= 0.0:
             raise ParameterError(
                 "E log(alpha1 Z^2 + beta1) must be negative (stationarity)")
-        self._pilot_cache = {}
 
     def tail_index(self) -> float:
         return _solve_moment_equation(
@@ -844,7 +836,9 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     block ends follow the same recursion with coefficient a^width, so one
     recursive call on a copy of the local ends finds them, and a^(j+1)
     times the previous block's end completes offset j, for a range of
-    about ``_SUM_BLOCK`` floats of blocks at a time."""
+    blocks at a time. A range's product, and numpy's copy of a strided
+    range of several rows, stay within ``_SUM_BLOCK`` floats, an eighth
+    of z and two of its rows."""
     rows, t = z.shape
     width = max(1, round(t ** (1.0 / 3.0)))
     full, blocks = t // width, -(-t // width)
@@ -857,7 +851,8 @@ def _ar1(z: np.ndarray, a: float) -> np.ndarray:
     if blocks > 1:
         ends = _ar1(y[:, :blocks - 1, -1].copy(), a ** width)
         powers = a ** np.arange(1, width + 1)
-        step = max(1, _SUM_BLOCK // max(1, rows * width))
+        budget = min(_SUM_BLOCK, z.size // 8, 2 * t)
+        step = max(1, budget // max(1, rows * width))
         for lo in range(0, full - 1, step):
             hi = min(lo + step, full - 1)
             y[:, lo + 1:hi + 1] += ends[:, lo:hi, None] * powers
@@ -953,16 +948,12 @@ def _solve_moment_equation(fn) -> float:
 
 
 def stationary_pilot(spec, master_seed: int) -> np.ndarray:
-    """Read-only (200_000, dim) stationary sample behind every pilot
-    estimate: 100 independent paths of 2,000 steps after the spec's
-    default burn-in, stacked, cached once per spec and master seed."""
+    """(200_000, dim) stationary sample behind every pilot estimate: 100
+    independent paths of 2,000 steps after the spec's default burn-in,
+    stacked. Each call draws it afresh into an array the caller owns."""
     stream = derive_stream(master_seed, _PILOT_STREAM_ID)
-    cache = spec._pilot_cache
-    if stream.master_seed not in cache:
-        paths = spec.paths(2_000, spec.default_burn, 100, stream)
-        cache[stream.master_seed] = paths.reshape(-1, spec.dim)
-        cache[stream.master_seed].flags.writeable = False
-    return cache[stream.master_seed]
+    return spec.paths(2_000, spec.default_burn, 100, stream).reshape(
+        -1, spec.dim)
 
 
 def simulate_path(spec, n: int, burn_in: int,
@@ -975,8 +966,9 @@ def simulate_path(spec, n: int, burn_in: int,
 
 def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
                          stream: RngStream) -> np.ndarray:
-    """(replicas, n) observable paths for scalar models; used by the
-    limit-theorem scans. Rows are independent paths."""
+    """(replicas, n) observable paths for scalar models; rows are
+    independent paths. No route of the package calls it: it is the name
+    the benchmark tracer wraps to count the path steps of a batch."""
     if replicas < 0:
         raise ParameterError("replicas must be nonnegative")
     if spec.dim != 1:

@@ -139,8 +139,8 @@ def make_var1_minorization(spec, m_bound: float = None,
         if stream is None:
             raise ParameterError("make_var1_minorization needs m_bound "
                                  "or a stream for its pilot (got neither)")
-        pilot = models.stationary_pilot(spec, stream.master_seed)
-        m_bound = float(np.quantile(np.abs(pilot[:, 0]), 0.995))
+        x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
+        m_bound = np.quantile(np.abs(x, out=x), 0.995, overwrite_input=True)
     m_bound = float(m_bound)
     if not m_bound > 0:
         raise ParameterError("m_bound must be positive")

@@ -80,7 +80,9 @@ def test_traced_b_pair_reads_every_count(kesten_lognormal):
     t = _load_tracer().Tracer()
     assert t.install() == []
     try:
-        pair = limits._b_pair_for(spec, Direction([1.0]), derive_stream(3, 5))
+        pair = limits._b_values(spec, Direction([1.0]),
+                                derive_stream(3, 5).substream(0xB0), 1,
+                                (1, -1))
     finally:
         t.uninstall()
     assert t.missing == []

@@ -101,7 +101,8 @@ class TestClosedForm:
         assert (est.std_error, est.replicas, est.horizon) == (0.0, 0, 0)
 
     @pytest.mark.parametrize("name", ["var1_dim2", "kesten_lognormal"])
-    def test_exact_theta0_law_reads_no_pilot(self, request, name):
+    def test_exact_theta0_law_reads_no_pilot(self, request, monkeypatch,
+                                             name):
         # the 2-d linear chain and the scalar recurrence: both Theta_0
         # laws are exact, so neither cluster route draws the pilot
         if name == "var1_dim2":
@@ -111,10 +112,14 @@ class TestClosedForm:
         else:
             spec = request.getfixturevalue(name)
         theta = Direction(np.ones(spec.dim))
+
+        def no_pilot(*args):
+            raise AssertionError("a cluster route drew the pilot")
+
+        monkeypatch.setattr(models, "stationary_pilot", no_pilot)
         closed_form_cluster_index(spec, theta, 1000)
         cluster_index_tail_process(spec, theta, 10, 1000,
                                    derive_stream(41, 6))
-        assert spec._pilot_cache == {}
 
     def test_recurrence_with_half_multiplier(self):
         # A = 1/2 exactly reproduces the linear-chain target through the
@@ -325,8 +330,8 @@ class TestThreads:
     def test_b_at_identical_on_one_and_two_threads(self, request, fixture,
                                                    small_b_route):
         spec = request.getfixturevalue(fixture)
-        one, two = (limits._b_route(spec, Direction([1.0]),
-                                    derive_stream(42, 5), t)
+        one, two = (limits._b_values(spec, Direction([1.0]),
+                                     derive_stream(42, 5), t, (1,))
                     for t in (1, 2))
         assert one == two
 
@@ -335,8 +340,8 @@ class TestThreads:
     def test_b_pair_identical_on_one_and_two_threads(self, request,
                                                      fixture, small_b_route):
         spec = request.getfixturevalue(fixture)
-        one, two = (limits._b_route(spec, Direction([1.0]),
-                                    derive_stream(42, 5), t, signs=(1, -1))
+        one, two = (limits._b_values(spec, Direction([1.0]),
+                                     derive_stream(42, 5), t, (1, -1))
                     for t in (1, 2))
         assert one == two
 
@@ -375,21 +380,33 @@ class TestSharedBatch:
                                                          fixture,
                                                          small_b_route):
         # the tail-process route (GARCH) gives b(-theta) from the draws
-        # of b(theta); the closed form (the others) draws nothing
+        # of b(theta); the closed form (the others) draws nothing. The
+        # signed batch keeps each estimate's bits, standard error included
         spec = request.getfixturevalue(fixture)
         th = Direction([1.0])
         stream = derive_stream(42, 7).substream(0xB0)
-        pair = limits._b_route(spec, th, stream, signs=(1, -1))
-        alone = [limits._b_route(spec, d, stream)
-                 for d in (th, th.negated())]
+        pair = limits._b_values(spec, th, stream, 1, (1, -1))
+        alone = [b for d in (th, th.negated())
+                 for b in limits._b_values(spec, d, stream, 1, (1,))]
         assert pair == alone
+        batch = cluster_index_tail_process(
+            spec, th, limits._B_HORIZON, limits._B_REPLICAS, stream,
+            signs=(1, -1))
+        assert batch == [cluster_index_tail_process(
+            spec, d, limits._B_HORIZON, limits._B_REPLICAS, stream)
+            for d in (th, th.negated())]
 
     def test_garch_pair_is_symmetric(self):
         # Z_t is symmetric, so b(+1) = b(-1) on the bench GARCH law: the
-        # two estimates, on one batch, agree within 4 combined SE
-        spec = models.Garch11Spec(0.05, 0.5, 0.55)
-        plus, minus = limits._b_route(spec, Direction([1.0]),
-                                      derive_stream(42, 8), 2, signs=(1, -1))
+        # two estimates, on the one batch of the stable-check pair, agree
+        # within 4 combined SE
+        spec, th = models.Garch11Spec(0.05, 0.5, 0.55), Direction([1.0])
+        plus, minus = cluster_index_tail_process(
+            spec, th, limits._B_HORIZON, limits._B_REPLICAS,
+            derive_stream(42, 8), 2, signs=(1, -1))
+        assert limits._b_values(spec, th, derive_stream(42, 8), 2,
+                                (1, -1)) == [max(plus.value, 0.0),
+                                             max(minus.value, 0.0)]
         assert abs(plus.value - minus.value) <= 4.0 * math.hypot(
             plus.std_error, minus.std_error)
 

@@ -288,3 +288,48 @@ def test_every_parameter_is_read():
                     if p not in reads[family])
     assert unread == sorted(UNREAD_PARAMETERS), \
         f"parameters no body reads: {unread}"
+
+
+# private names that one package module reads off another, with the
+# reader that shares each; nothing else may cross a module boundary
+SHARED_PRIVATE_NAMES = {
+    "randkit._map_chunks": "the chunk pool of cluster and limits",
+    "models._ar1": "the AR(1) scan of regen.harvest_blocks",
+    "models._SUM_BLOCK": "the block of regen.stationary_small_set_mass",
+    "models._PILOT_STREAM_ID": "the pilot stream cli lists in a manifest",
+}
+
+
+def _private_reads(tree, module):
+    """Every ``_private`` name that ``tree`` reads off an object other
+    than ``self`` or ``cls``, as ``owner._name``, and every one it
+    imports, as ``module._name``; dunders are Python's own."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name, owner = node.attr, node.value
+            if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+                continue
+            found.add(f"{ast.unparse(owner)}.{name}")
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1] or module
+            found.update(f"{source}.{a.name}" for a in node.names)
+    return {name for name in found if name.split(".")[-1].startswith("_")
+            and not name.split(".")[-1].startswith("__")}
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = set()
+    for module in _modules():
+        with open(os.path.join(PACKAGE, module + ".py")) as fh:
+            found |= _private_reads(ast.parse(fh.read()), module)
+    assert found == set(SHARED_PRIVATE_NAMES), \
+        f"private names read across modules: {sorted(found)}"
+
+
+@pytest.mark.parametrize("source, names", [
+    ("spec._pilot_cache[1] = 2\n", {"spec._pilot_cache"}),
+    ("from .models import _ar1, tail_index\n", {"models._ar1"}),
+    ("x = self._a + cls._b + type(s).__name__\n", set())])
+def test_every_private_read_is_seen(source, names):
+    assert _private_reads(ast.parse(source), "cli") == names

@@ -101,32 +101,44 @@ class TestStableCheck:
         with pytest.raises((OutOfRegimeError, Exception)):
             stable_check(ar_gauss, PLUS, 100, 100, derive_stream(51, 3))
 
-    def test_a_n_inverts_the_power_tail(self):
+    def test_a_n_inverts_the_power_tail(self, monkeypatch):
         # on an iid chain a_n solves n P(|X| > a_n) = 1 for the
-        # innovation law itself: exactly for Pareto, to rounding for stable
+        # innovation law itself: exactly for Pareto, to rounding for
+        # stable. With every centred sum S_n - n mu at 1, the empirical
+        # CF of stable_check at x = 3 is exp(3i / a_n)
+        def a_n(spec, n):
+            mu, _ = limits._sum_centering(spec, models.tail_index(spec))
+            monkeypatch.setattr(limits, "_scalar_sums",
+                                lambda *args: np.array([n * mu + 1.0]))
+            cf = stable_check(spec, PLUS, n, 1, derive_stream(51, 4))
+            assert cf.grid[-1] == 3.0
+            return 3.0 / cmath.phase(cf.empirical[-1])
+
         iid = np.array([[0.0]])
-        pareto = TailLaw(randkit.PARETO, alpha=2.0, scale=3.0)
+        pareto = TailLaw(randkit.PARETO, alpha=1.5, scale=3.0)
         spec = models.Var1Spec(1, pareto, a_matrix=iid)
-        assert limits._a_n_for(spec, 100, derive_stream(51, 4)) == 30.0
+        assert abs(a_n(spec, 1000) / 300.0 - 1.0) < 1e-12
         law = TailLaw(randkit.STABLE, alpha=1.5)
         spec = models.Var1Spec(1, law, a_matrix=iid)
-        a_n = limits._a_n_for(spec, 1000, derive_stream(51, 4))
         c, alpha = randkit.power_tail(law)
-        assert abs(1000 * c * a_n ** -alpha - 1.0) < 1e-9
+        assert abs(1000 * c * a_n(spec, 1000) ** -alpha - 1.0) < 1e-9
 
-    def test_hill_normalisation_holds_the_pilot_and_one_copy(self):
-        # a fresh pilot, ordered by replica so its stack is a view, and
-        # one |x| partitioned in place for the scale: about 2 pilot-sized
-        # arrays, where a reshape copy, a second |x| and a full sort
-        # took 4.0
+    def test_hill_normalisation_holds_the_pilot_alone(self):
+        # a fresh pilot, ordered by replica so its stack is a view, whose
+        # |x| is taken and partitioned in place for the scale: about 1.1
+        # pilot-sized arrays, where a copy of |x| off a read-only pilot
+        # took 2.0 (the spec's burn-in and numpy's lazy imports are done
+        # before tracing)
         spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        assert spec.default_burn > 0
+        derive_stream(51, 0).rng.standard_normal(1)
         tracemalloc.start()
         try:
             limits._power_tail(spec, derive_stream(51, 6))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * 8 * 200_000
+        assert peak <= 1.3 * 8 * 200_000
 
     def test_infinite_mean_cannot_center(self):
         # alpha 1.5 from the multiplier, but Pareto(0.9) additive terms

@@ -197,16 +197,14 @@ class TestSimulatePath:
         assert rows.shape == (3, 300, 2)
         assert np.array_equal(rows[0], single)
 
-    def test_stationary_pilot_is_cached(self, ar_pareto15):
+    def test_stationary_pilot_is_drawn_afresh(self, ar_pareto15):
+        # each call draws the same bytes into an array its caller owns
         first = models.stationary_pilot(ar_pareto15, 11)
+        second = models.stationary_pilot(ar_pareto15, 11)
         assert first.shape == (200_000, 1)
-        assert not first.flags.writeable
-
-        def no_resimulation(*args):
-            raise AssertionError("pilot simulated twice")
-
-        ar_pareto15.paths = no_resimulation
-        assert models.stationary_pilot(ar_pareto15, 11) is first
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
 
     def test_linear_pilot_holds_one_array(self, ar_gauss):
         # the rows are scanned in small blocks, then move down over their

@@ -106,6 +106,21 @@ class TestMinorizationConstruction:
         assert mino.m_bound > 0
         assert 0 < mino.epsilon < 1
 
+    def test_pilot_bound_holds_the_pilot_alone(self, ar_gauss):
+        # the pilot's |x| is taken and its quantile found in place: about
+        # 1.2 pilot-sized arrays, where a copy of |x| off a read-only
+        # pilot and the quantile's own copy took 3.0 (numpy's lazy
+        # imports are done before tracing)
+        derive_stream(61, 0).rng.standard_normal(1)
+        np.quantile(np.ones(3), 0.5)
+        tracemalloc.start()
+        try:
+            make_var1_minorization(ar_gauss, stream=derive_stream(61, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * 200_000
+
     def test_gaussian_nu_draw_is_finite_at_a_zero_uniform(self, ar_gauss):
         # rng.random() can return exactly 0.0; the nu quantile must stay
         # finite there (it is the edge |y| = 0 of nu's support)
