@@ -17,7 +17,9 @@ from .tailstats import Direction, lookup_direction
 ROUTE_TAIL_PROCESS = "tail_process"
 ROUTE_CLOSED_FORM = "closed_form"
 ROUTE_TELESCOPING = "telescoping"
-_ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING)
+ROUTE_FIRST_STEP = "first_step"
+_ROUTES = (ROUTE_TAIL_PROCESS, ROUTE_CLOSED_FORM, ROUTE_TELESCOPING,
+           ROUTE_FIRST_STEP)
 
 _CHUNK = 8192  # tail-process replicas per chunk, whatever the thread count
 
@@ -252,25 +254,39 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
 
 def cluster_index_tail_process(spec, theta: Direction, horizon: int,
                                replicas: int, stream: RngStream,
-                               threads: int = 1, signs=None):
+                               threads: int = 1) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
-    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha.
+    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
+    return _mc_functional(
+        spec, [(theta, _sum_difference, ROUTE_TAIL_PROCESS)], horizon,
+        replicas, stream, threads)[0]
 
-    With ``signs`` (a list of +1 and -1) it returns a list: the estimate
-    at s * theta for each s, all reduced from one batch of draws. The tail
-    process does not depend on the direction, so each has the bits of the
-    call at s * theta alone on the same stream."""
-    if signs is None:
-        thetas = [theta]
-    else:
-        if not signs or any(s not in (1, -1) for s in signs):
-            raise ParameterError(f"signs must be a nonempty list of +1 and "
-                                 f"-1 (got {signs!r})")
-        thetas = [theta if s == 1 else theta.negated() for s in signs]
-    ests = _mc_functional(
-        spec, [(th, _sum_difference, ROUTE_TAIL_PROCESS) for th in thetas],
-        horizon, replicas, stream, threads)
-    return ests[0] if signs is None else ests
+
+def first_step_cluster_index(spec, horizon: int, replicas: int,
+                             stream: RngStream,
+                             threads: int) -> ClusterIndexEstimate:
+    """b(1) = b(-1) of a scalar observable from the spec's first-step
+    identity: the mean of ``spec.first_step_values`` over ``replicas``
+    draws of the rest of the path to ``horizon``, in ``_CHUNK``-replica
+    chunks on disjoint substreams, their moments merged in chunk order,
+    so the bits do not depend on ``threads``."""
+    if horizon < 1:
+        raise ParameterError("horizon must be at least 1")
+    if replicas < 100:
+        raise ParameterError("replicas must be at least 100")
+    alpha = models.tail_index(spec)
+
+    def one(i):
+        take = min(_CHUNK, replicas - i * _CHUNK)
+        return _moments(spec.first_step_values(horizon, take,
+                                               stream.substream(i), alpha))
+
+    chunks = randkit._map_chunks(one, -(-replicas // _CHUNK), threads)
+    _, mean, m2 = _merge_moments(chunks)
+    return ClusterIndexEstimate(
+        value=mean, std_error=math.sqrt(m2 / (replicas - 1) / replicas),
+        route=ROUTE_FIRST_STEP, horizon=horizon, replicas=replicas,
+        plug_in_se=math.sqrt(m2) / replicas)
 
 
 def telescoping_difference(spec, theta: Direction, k: int, replicas: int,

@@ -99,6 +99,12 @@ class ModelSpec:
         it exactly; None otherwise."""
         return None
 
+    def first_step_values(self, horizon, replicas, stream, alpha):
+        """(replicas,) per-path values whose mean is b(1) = b(-1) of a
+        scalar observable with no closed form, from its first step."""
+        raise UnsupportedCaseError(
+            f"no first-step cluster index for {type(self).__name__}")
+
     def stationary_mean(self):
         """Exact stationary mean vector, when available; None otherwise."""
         return None
@@ -564,15 +570,18 @@ class Garch11Spec(ModelSpec):
         # s2[j] is sigma^2 at step j of the block, s2[rows] the carry
         s2 = np.empty((rows + 1, replicas))
         s2[0] = a0 / (1.0 - a1 - b1) if a1 + b1 < 1.0 else a0
+        # row views built once: a step indexes two lists, not two arrays
+        s2_rows, mult_rows = list(s2), list(mult)
         for t0 in range(0, n + burn_in, rows):
             k = min(rows, n + burn_in - t0)
             stream.rng.standard_normal(out=z[:k])
             np.square(z[:k], out=mult[:k])
             mult[:k] *= a1
             mult[:k] += b1
-            for j in range(k):
-                np.multiply(s2[j], mult[j], out=s2[j + 1])
-                s2[j + 1] += a0
+            for prev, m, nxt in zip(s2_rows[:k], mult_rows[:k],
+                                    s2_rows[1:k + 1]):
+                np.multiply(prev, m, out=nxt)
+                np.add(nxt, a0, out=nxt)
             skip = max(0, burn_in - t0)
             if skip < k:
                 # the multipliers are spent: their rows take X_t
@@ -637,6 +646,54 @@ class Garch11Spec(ModelSpec):
             mult *= lead[lo:hi, None]
             yield [theta[..., None] if tv is None else theta * tv[0]
                    for tv in tvs]
+
+    def first_step_values(self, horizon, replicas, stream, alpha):
+        """(replicas,) per-path values f(U) whose mean is b(1) = b(-1)
+        along X. On X's own norm Z_0 enters the tail process only through
+        its |z|^alpha size bias, which cancels the 1/|Z_0|^alpha factor,
+        so for Z ~ N(0, 1) and A = a1 Z^2 + b1
+        f(u) = E_Z[|Z + sqrt(A) u|^alpha - |sqrt(A) u|^alpha] / (2 E|Z|^alpha)
+        (half the sum over both signs, equal by the symmetry of Z), with
+        U = sum_{t=1}^{horizon} Z_t prod_{1<=s<t} sqrt(A_s) the rest of
+        the path. U is drawn on the stream's angle child in the blocks
+        of ``_block_bounds``, its product running in place as in
+        ``tail_process``, and each block goes to ``_first_step``."""
+        rng = stream.substream(_ANGLE_CHILD).rng
+        rows = min(replicas, _TAIL_BLOCK + 1)
+        normals = np.empty((rows, horizon))
+        mults = np.empty((rows, horizon))
+        out = np.empty(replicas)
+        for lo, hi in _block_bounds(replicas):
+            z = rng.standard_normal(out=normals[:hi - lo])
+            mult = mults[:hi - lo]
+            mult[:, 0] = 1.0
+            np.square(z[:, :-1], out=mult[:, 1:])
+            mult[:, 1:] *= self.alpha1
+            mult[:, 1:] += self.beta1
+            np.cumprod(mult, axis=1, out=mult)
+            np.sqrt(mult, out=mult)
+            mult *= z
+            out[lo:hi] = self._first_step(mult.sum(axis=1), alpha)
+        return out
+
+    def _first_step(self, u, alpha):
+        """f(u) of ``first_step_values`` at each entry of ``u`` (which it
+        overwrites), Z integrated by the 128-node Gauss-Hermite rule. The
+        second term is the rule's own E A^(alpha/2), 1 at the tail index,
+        times |u|^alpha."""
+        z, w = _gh_nodes()
+        g = np.multiply.outer(u, np.sqrt(self.alpha1 * z ** 2 + self.beta1))
+        g += z
+        np.abs(g, out=g)
+        g **= alpha
+        vals = g @ w
+        np.abs(u, out=u)
+        u **= alpha
+        u *= _garch_power_moment(self.alpha1, self.beta1, alpha)
+        vals -= u
+        vals /= 2.0 ** (alpha / 2.0 + 1.0) * math.gamma(
+            (alpha + 1.0) / 2.0) / math.sqrt(math.pi)
+        return vals
 
     def stationary_mean(self):
         return np.zeros(1)

@@ -47,9 +47,6 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
     routes = {
         "tail_process": lambda stream: cluster.cluster_index_tail_process(
             spec, theta, horizon, replicas, stream, threads),
-        "signed": lambda stream: cluster.cluster_index_tail_process(
-            spec, theta, horizon, replicas, stream, threads,
-            signs=(1, -1)),
         "telescoping": lambda stream: cluster.telescoping_difference(
             spec, theta, horizon, replicas, stream, threads),
         "extremal": lambda stream: cluster.extremal_index(

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from heavytail import cluster, limits, models, randkit
 from heavytail.cluster import (ClusterIndexEstimate, Direction,
@@ -28,7 +29,7 @@ B_TARGET = 2.0 ** 1.5 - 1.0
 @pytest.fixture
 def small_b_route(monkeypatch):
     """The b(theta) route of ``limits`` on two full chunks and a partial
-    one of a short horizon, in place of its 50,000 x 64 budget."""
+    one of a short horizon, in place of its one 2,048 x 256 chunk."""
     monkeypatch.setattr(limits, "_B_REPLICAS", 2 * cluster._CHUNK + 500)
     monkeypatch.setattr(limits, "_B_HORIZON", 8)
 
@@ -299,6 +300,120 @@ class TestTailProcessRoute:
                                        derive_stream(42, 3))
 
 
+def _first_step_quad(spec, alpha, u):
+    """f(u) of ``Garch11Spec.first_step_values`` by adaptive quadrature
+    over Z, split where z + sqrt(a1 z^2 + b1) u changes sign."""
+    a1, b1 = spec.alpha1, spec.beta1
+
+    def integrand(z):
+        root = math.sqrt(a1 * z * z + b1)
+        return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi) * (
+            abs(z + root * u) ** alpha - abs(root * u) ** alpha)
+
+    kinks = []
+    if a1 * u * u < 1.0:
+        kink = abs(u) * math.sqrt(b1 / (1.0 - a1 * u * u))
+        kinks = [-kink, kink]
+    value = integrate.quad(integrand, -40.0, 40.0, points=kinks, limit=200,
+                           epsabs=1e-10, epsrel=1e-10)[0]
+    moment = 2.0 ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0) \
+        / math.sqrt(math.pi)
+    return value / (2.0 * moment)
+
+
+def _rest_of_path(spec, paths, horizon, seed):
+    """U = sum_{t=1}^T Z_t prod_{1<=s<t} sqrt(a1 Z_s^2 + b1) by its
+    definition, on a generator of its own."""
+    z = np.random.default_rng(seed).standard_normal((paths, horizon))
+    mult = np.ones_like(z)
+    mult[:, 1:] = spec.alpha1 * z[:, :-1] ** 2 + spec.beta1
+    return (np.sqrt(np.cumprod(mult, axis=1)) * z).sum(axis=1)
+
+
+class TestFirstStepRoute:
+    """The GARCH b(1) = b(-1) of ``limits`` from the first-step identity,
+    against adaptive quadrature and the tail-process route."""
+
+    @pytest.fixture
+    def bench_garch(self):
+        return models.Garch11Spec(0.05, 0.5, 0.55)
+
+    def test_quadrature_matches_adaptive_quadrature(self, bench_garch):
+        # a1 u^2 = 1 at |u| = sqrt(2): both sides and both signs, and the
+        # kink near z = 0 for small |u|
+        spec = bench_garch
+        alpha = spec.tail_index()
+        us = np.array([-50.0, -3.0, -1.5, -1.2, -0.5, -0.25, -0.1, 0.0,
+                       0.05, 0.187, 0.25, 1.0, 2.0, 10.0, 300.0])
+        got = spec._first_step(us.copy(), alpha)
+        want = [_first_step_quad(spec, alpha, u) for u in us]
+        assert np.all(np.abs(got - want) < 1e-3)
+
+    def test_quadrature_mean_over_sampled_rest(self, bench_garch):
+        # per-path errors of up to 7e-4 near the kink cancel in the mean
+        spec = bench_garch
+        alpha = spec.tail_index()
+        us = _rest_of_path(spec, 2000, 256, 5)
+        got = spec._first_step(us.copy(), alpha)
+        want = [_first_step_quad(spec, alpha, u) for u in us]
+        assert abs(np.mean(got - want)) < 1e-5
+
+    def test_estimate_merges_the_chunk_values(self, bench_garch):
+        spec = bench_garch
+        alpha = spec.tail_index()
+        replicas = 2 * cluster._CHUNK + 500
+        est = cluster.first_step_cluster_index(spec, 4, replicas,
+                                               derive_stream(42, 30), 2)
+        stream = derive_stream(42, 30)
+        parts = [cluster._moments(spec.first_step_values(
+            4, min(cluster._CHUNK, replicas - lo), stream.substream(i),
+            alpha)) for i, lo in enumerate(range(0, replicas,
+                                                 cluster._CHUNK))]
+        _, mean, m2 = cluster._merge_moments(parts)
+        assert (est.value, est.std_error, est.plug_in_se) == (
+            mean, math.sqrt(m2 / (replicas - 1) / replicas),
+            math.sqrt(m2) / replicas)
+        assert (est.route, est.horizon, est.replicas) == (
+            cluster.ROUTE_FIRST_STEP, 4, replicas)
+
+    def test_identical_on_one_and_two_threads(self, bench_garch):
+        one, two = (cluster.first_step_cluster_index(
+            bench_garch, 8, 2 * cluster._CHUNK + 500, derive_stream(42, 31),
+            t) for t in (1, 2))
+        assert one.std_error > 0
+        assert one == two
+
+    @pytest.mark.parametrize("params", [(0.05, 0.5, 0.55),
+                                        (0.05, 0.8, 0.3)])
+    def test_agrees_with_the_tail_process_route(self, params):
+        # alpha 1.40 (the bench law) and 1.49, both cut at 64 steps
+        spec = models.Garch11Spec(*params)
+        first = cluster.first_step_cluster_index(spec, 64, 8192,
+                                                 derive_stream(42, 32), 2)
+        tail = cluster_index_tail_process(spec, Direction([1.0]), 64,
+                                          40_000, derive_stream(42, 33), 2)
+        assert abs(first.value - tail.value) <= 4.0 * math.hypot(
+            first.std_error, tail.std_error)
+
+    def test_horizon_and_twice_agree(self, bench_garch):
+        h = limits._B_HORIZON
+        short, long = (cluster.first_step_cluster_index(
+            bench_garch, k, 16_384, derive_stream(42, 34 + k // h), 2)
+            for k in (h, 2 * h))
+        assert abs(short.value - long.value) <= 4.0 * math.hypot(
+            short.std_error, long.std_error)
+
+    def test_sizes_and_family_are_checked(self, bench_garch,
+                                          kesten_lognormal):
+        for horizon, replicas in ((0, 1000), (4, 99)):
+            with pytest.raises(ParameterError):
+                cluster.first_step_cluster_index(
+                    bench_garch, horizon, replicas, derive_stream(42, 35), 1)
+        with pytest.raises(UnsupportedCaseError, match="first-step"):
+            cluster.first_step_cluster_index(
+                kesten_lognormal, 4, 1000, derive_stream(42, 35), 1)
+
+
 class TestThreads:
     """Every route reduces fixed-size chunks in index order, so its
     estimate has the same bits on any number of threads."""
@@ -379,9 +494,9 @@ class TestSharedBatch:
     def test_signed_estimates_are_the_calls_at_each_sign(self, request,
                                                          fixture,
                                                          small_b_route):
-        # the tail-process route (GARCH) gives b(-theta) from the draws
-        # of b(theta); the closed form (the others) draws nothing. The
-        # signed batch keeps each estimate's bits, standard error included
+        # the pair keeps the bits of the call at each sign alone: the
+        # first-step estimate (GARCH) on the same stream, the closed form
+        # (the others) with no draws
         spec = request.getfixturevalue(fixture)
         th = Direction([1.0])
         stream = derive_stream(42, 7).substream(0xB0)
@@ -389,33 +504,17 @@ class TestSharedBatch:
         alone = [b for d in (th, th.negated())
                  for b in limits._b_values(spec, d, stream, 1, (1,))]
         assert pair == alone
-        batch = cluster_index_tail_process(
-            spec, th, limits._B_HORIZON, limits._B_REPLICAS, stream,
-            signs=(1, -1))
-        assert batch == [cluster_index_tail_process(
-            spec, d, limits._B_HORIZON, limits._B_REPLICAS, stream)
-            for d in (th, th.negated())]
 
     def test_garch_pair_is_symmetric(self):
         # Z_t is symmetric, so b(+1) = b(-1) on the bench GARCH law: the
-        # two estimates, on the one batch of the stable-check pair, agree
-        # within 4 combined SE
+        # pair is the one first-step estimate at both signs
         spec, th = models.Garch11Spec(0.05, 0.5, 0.55), Direction([1.0])
-        plus, minus = cluster_index_tail_process(
-            spec, th, limits._B_HORIZON, limits._B_REPLICAS,
-            derive_stream(42, 8), 2, signs=(1, -1))
-        assert limits._b_values(spec, th, derive_stream(42, 8), 2,
-                                (1, -1)) == [max(plus.value, 0.0),
-                                             max(minus.value, 0.0)]
-        assert abs(plus.value - minus.value) <= 4.0 * math.hypot(
-            plus.std_error, minus.std_error)
-
-    def test_signs_must_be_plus_or_minus_one(self, kesten_lognormal):
-        for signs in ((), (1, 2), (0,)):
-            with pytest.raises(ParameterError):
-                cluster_index_tail_process(
-                    kesten_lognormal, Direction([1.0]), 8,
-                    self.REPLICAS, derive_stream(42, 7), signs=signs)
+        plus, minus = limits._b_values(spec, th, derive_stream(42, 8), 2,
+                                       (1, -1))
+        assert plus == minus > 0.0
+        assert plus == cluster.first_step_cluster_index(
+            spec, limits._B_HORIZON, limits._B_REPLICAS,
+            derive_stream(42, 8), 1).value
 
     def test_theta0_law_is_built_once_per_spec(self, ar_sympareto15,
                                                monkeypatch):

@@ -46,10 +46,10 @@ RUN_DIGESTS = {
                         "de70daf74d7bf7ee4384dc47d58cd4ac",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "37c1e41e8627c9938fc0d822f394e957"
-                         "75b54c4edf8499f21025a957d43b0871",
-        "summary.json": "84e2cd7271c51668c9428b02f6572d70"
-                        "0b61c7fd27b4c69188e217b6c4958a33",
+        "stable_cf.csv": "1edfe8e6e72b5cd2001494831ccea84e"
+                         "16a8616d11e0e31b3cde903b5c92bdf0",
+        "summary.json": "21f70e5b5983b01b44648862133a43dd"
+                        "a2f74d68b10fadc51c7c7a06b8505c1f",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heavytail import limits, models, randkit, regen
+from heavytail import cluster, limits, models, randkit, regen
 from heavytail.cluster import Direction
 from heavytail.errors import (InsufficientCyclesError, OutOfRegimeError,
                               ParameterError, UnsupportedCaseError,
@@ -210,6 +210,36 @@ class TestLdp:
         with pytest.raises(ParameterError):
             ldp_scan(iid_pareto08, Direction([1.0, 0.0]), 100, 1000,
                      derive_stream(52, 5))
+
+
+class TestGarchBStreams:
+    """On GARCH both checks read b from the first-step route, each on its
+    own substream of the run's stream: 0xC0 -> 0xB0 for the stable pair,
+    0xC9 -> 0xB0 for the ratio target. No golden GARCH ratio scan pins
+    the latter: the default outer point needs far more replicas there."""
+
+    SPEC = (0.05, 0.5, 0.55)
+
+    def _b(self, spec, stream):
+        return max(cluster.first_step_cluster_index(
+            spec, limits._B_HORIZON, limits._B_REPLICAS, stream, 1).value,
+            0.0)
+
+    def test_ldp_target_is_the_first_step_estimate_on_its_stream(self):
+        spec = models.Garch11Spec(*self.SPEC)
+        res = ldp_scan(spec, PLUS, 50, 2000, derive_stream(53, 1),
+                       region=(1.0, 15.0))
+        assert res.target == self._b(
+            spec, derive_stream(53, 1).substream(0xC9).substream(0xB0))
+
+    def test_stable_pair_is_the_first_step_estimate_on_its_stream(self):
+        spec = models.Garch11Spec(*self.SPEC)
+        cf = stable_check(spec, PLUS, 50, 200, derive_stream(53, 2))
+        b = self._b(spec, derive_stream(53, 2).substream(0xC0).substream(
+            0xB0))
+        params = StableLawParams(models.tail_index(spec), b, b)
+        want = [stable_cf(params, float(x)) for x in limits.CF_GRID]
+        assert cf.theoretical.tobytes() == np.array(want).tobytes()
 
 
 class TestGaussianSigma:

@@ -834,8 +834,8 @@ class TestBlockedTailProcess:
     @pytest.mark.parametrize("horizon", [0, 1, 64])
     def test_signed_route_matches_whole_chunk_moments(self, family,
                                                       threads, horizon):
-        # three chunks, the last partial: each chunk's moments from the
-        # whole-chunk values (and, where the family knows the control's
+        # the route at each sign, on three chunks, the last partial: each
+        # chunk's moments from the whole-chunk values (and, where the family knows the control's
         # mean, the whole-chunk control) at the spec's own tail index,
         # merged in chunk order
         make, whole, tv = BLOCKED_FAMILIES[family]
@@ -843,11 +843,11 @@ class TestBlockedTailProcess:
         theta = Direction(tv)
         alpha = spec.tail_index()
         replicas = 2 * cluster._CHUNK + self.BLOCK + 1
-        got = cluster.cluster_index_tail_process(
-            spec, theta, horizon, replicas, derive_stream(6, 21),
-            threads=threads, signs=(1, -1))
         s = cluster._control_power(alpha)
-        for est, sign in zip(got, (1, -1)):
+        for sign in (1, -1):
+            est = cluster.cluster_index_tail_process(
+                spec, theta if sign == 1 else theta.negated(), horizon,
+                replicas, derive_stream(6, 21), threads=threads)
             ec = spec.tail_moments(sign * theta.vector, s, horizon)
             parts = []
             for i, lo in enumerate(range(0, replicas, cluster._CHUNK)):
@@ -869,8 +869,10 @@ class TestBlockedTailProcess:
                 math.sqrt(m2) / replicas)
 
     def test_garch_route_chunk_holds_blocks(self, garch_benchmark):
-        # one 8,192-replica, 64-step route chunk along both signs: the
-        # whole batch would be 8.5 MB and its projections 4.3 MB each
+        # one 8,192-replica, 64-step tail-process chunk reduced along both
+        # signs, as a shared batch of ``cluster._mc_functional`` reduces
+        # it: the whole batch would be 8.5 MB and its projections 4.3 MB
+        # each
         alpha = garch_benchmark.tail_index()
         tv = np.array([1.0])
         tracemalloc.start()
@@ -882,6 +884,20 @@ class TestBlockedTailProcess:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_garch_first_step_chunk_holds_blocks(self, garch_benchmark):
+        # one 8,192-path, 256-step first-step chunk: its normals and
+        # products would be 16.8 MB each if drawn whole, its quadrature
+        # grid 8.4 MB
+        alpha = garch_benchmark.tail_index()
+        tracemalloc.start()
+        try:
+            garch_benchmark.first_step_values(256, 8192,
+                                              derive_stream(6, 24), alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
     def test_direction_of_the_wrong_dimension_is_rejected(
             self, garch_benchmark):
