@@ -206,31 +206,34 @@ def _mc_functional(spec, functionals, horizon: int, replicas: int,
             ec = None
         controls.append(ec)
 
-    def one(i):
-        take = min(_CHUNK, replicas - i * _CHUNK)
+    def one(take, sub):
         vals = iter(models.sample_tail_process_batch(
-            spec, horizon, take, stream.substream(i), alpha, reducers))
+            spec, horizon, take, sub, alpha, reducers))
         return [_moments(next(vals), None if ec is None else next(vals))
                 for ec in controls]
 
-    n_chunks = -(-replicas // _CHUNK)
-    chunks = randkit._map_chunks(one, n_chunks, threads)
-    out = []
-    for j, ((_, _, route), ec) in enumerate(zip(functionals, controls)):
-        _, mean, m2, *co = _merge_moments([parts[j] for parts in chunks])
-        ddof = 1
-        if co and 0.0 < co[1] < math.inf:
-            mean_c, m2_c, c_fc = co
-            mean -= c_fc / m2_c * (mean_c - ec)
-            m2 = max(m2 - c_fc * c_fc / m2_c, 0.0)
-            ddof = 2
-        se_plug = math.sqrt(m2) / replicas
-        se = math.sqrt(m2 / (replicas - ddof) / replicas)
-        out.append(ClusterIndexEstimate(value=mean, std_error=se,
-                                        route=route, horizon=horizon,
-                                        replicas=replicas,
-                                        plug_in_se=se_plug))
-    return out
+    chunks = randkit.map_chunks(one, replicas, _CHUNK, stream, threads)
+    return [_estimate(parts, ec, route, horizon, replicas)
+            for parts, (*_, route), ec in zip(zip(*chunks), functionals,
+                                               controls)]
+
+
+def _estimate(parts, ec, route: str, horizon: int,
+              replicas: int) -> ClusterIndexEstimate:
+    """The estimate from one functional's chunk moments, merged in chunk
+    order: ``_mc_functional``'s regression estimator when they carry a
+    control (of mean ``ec``) that spreads, else the plain mean."""
+    _, mean, m2, *co = _merge_moments(parts)
+    ddof = 1
+    if co and 0.0 < co[1] < math.inf:
+        mean_c, m2_c, c_fc = co
+        mean -= c_fc / m2_c * (mean_c - ec)
+        m2 = max(m2 - c_fc * c_fc / m2_c, 0.0)
+        ddof = 2
+    return ClusterIndexEstimate(
+        value=mean, std_error=math.sqrt(m2 / (replicas - ddof) / replicas),
+        route=route, horizon=horizon, replicas=replicas,
+        plug_in_se=math.sqrt(m2) / replicas)
 
 
 def _sum_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
@@ -268,25 +271,20 @@ def first_step_cluster_index(spec, horizon: int, replicas: int,
     """b(1) = b(-1) of a scalar observable from the spec's first-step
     identity: the mean of ``spec.first_step_values`` over ``replicas``
     draws of the rest of the path to ``horizon``, in ``_CHUNK``-replica
-    chunks on disjoint substreams, their moments merged in chunk order,
-    so the bits do not depend on ``threads``."""
+    chunks."""
     if horizon < 1:
         raise ParameterError("horizon must be at least 1")
     if replicas < 100:
         raise ParameterError("replicas must be at least 100")
     alpha = models.tail_index(spec)
-
-    def one(i):
-        take = min(_CHUNK, replicas - i * _CHUNK)
-        return _moments(spec.first_step_values(horizon, take,
-                                               stream.substream(i), alpha))
-
-    chunks = randkit._map_chunks(one, -(-replicas // _CHUNK), threads)
-    _, mean, m2 = _merge_moments(chunks)
-    return ClusterIndexEstimate(
-        value=mean, std_error=math.sqrt(m2 / (replicas - 1) / replicas),
-        route=ROUTE_FIRST_STEP, horizon=horizon, replicas=replicas,
-        plug_in_se=math.sqrt(m2) / replicas)
+    if alpha >= 2.0:  # f(U) ~ |U|^(alpha-1) has an infinite variance
+        raise OutOfRegimeError(f"the first-step b needs alpha < 2, not "
+                               f"alpha = {alpha:.4g}")
+    chunks = randkit.map_chunks(
+        lambda take, sub: _moments(spec.first_step_values(horizon, take, sub,
+                                                          alpha)),
+        replicas, _CHUNK, stream, threads)
+    return _estimate(chunks, None, ROUTE_FIRST_STEP, horizon, replicas)
 
 
 def telescoping_difference(spec, theta: Direction, k: int, replicas: int,

@@ -138,13 +138,9 @@ def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
     """(reps,) draws of S_n for a scalar-observable model, from
     ``spec.sums`` in fixed-size chunks on disjoint substreams."""
     chunk = max(1, _PATH_CHUNK_BUDGET // max(n + burn, 1))
-    n_chunks = (reps + chunk - 1) // chunk
-    sizes = [min(chunk, reps - i * chunk) for i in range(n_chunks)]
-
-    def one(i):
-        return spec.sums(n, burn, sizes[i], stream.substream(i))
-
-    return np.concatenate(randkit._map_chunks(one, n_chunks, threads))
+    return np.concatenate(randkit.map_chunks(
+        lambda take, sub: spec.sums(n, burn, take, sub), reps, chunk, stream,
+        threads))
 
 
 def _sum_centering(spec, alpha: float):
@@ -264,6 +260,9 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
         (float(region[0]), float(region[1]))
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
+    # the target first: a family with no b at this alpha draws no sums
+    target = _b_values(spec, theta, stream.substream(0xC9).substream(0xB0),
+                       threads, (1,))[0]
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
     c, scale = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, alpha)
@@ -284,8 +283,6 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     ratios = counts / reps / denom
     p_hat = counts / reps
     ratio_ses = np.sqrt(p_hat * (1.0 - p_hat) / reps) / denom
-    target = _b_values(spec, theta, stream.substream(0xC9).substream(0xB0),
-                       threads, (1,))[0]
     sup_dev = float(np.max(np.abs(ratios - target)))
     return LdpScanResult(n=n, theta=theta, xs=xs, ratios=ratios,
                          target=target, sup_dev=sup_dev,

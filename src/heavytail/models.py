@@ -201,12 +201,12 @@ class Var1Spec(ModelSpec):
         draws of ``paths``. Z_s enters every observed X_t with t >= s as
         a^(t-s) Z_s, so its weight is a geometric sum: a^(burn-s)
         (1-a^n)/(1-a) for a burn-in step, (1-a^(n+burn-s))/(1-a) for an
-        observed one. The innovations are drawn and reduced one
-        cache-sized block of about ``_SUM_BLOCK`` floats at a time, so the
-        sums never hold the draws of the whole batch. ``einsum`` keeps each
-        row's bits independent of the shape of a batch of two rows or more
-        (a BLAS matrix-vector product does not), so a block holds two rows
-        at least (see ``_row_blocks``)."""
+        observed one. Each ``_block_bounds`` block of about ``_SUM_BLOCK``
+        floats of innovations is one ``sample_law`` call, with the bytes
+        of one draw over the batch, reduced at once: the sums hold one
+        cache-sized block. ``einsum`` keeps each row's bits independent of
+        a batch of two rows or more (a BLAS matrix-vector product does
+        not), so a block holds two rows at least."""
         if self.dim != 1:
             raise ParameterError("path sums are scalar-only")
         a = float(self.a_matrix[0, 0])
@@ -216,9 +216,10 @@ class Var1Spec(ModelSpec):
         w = np.concatenate([head, tail]) * (self.weights[0] / (1.0 - a))
         sums = np.empty(replicas)
         rows = max(2, _SUM_BLOCK // max(total, 1))
-        for lo, z in _row_blocks(stream, self.innovation, replicas, total,
-                                 rows):
-            np.einsum("ij,j->i", z, w, out=sums[lo:lo + len(z)])
+        for lo, hi in _block_bounds(replicas, rows):
+            z = sample_law(stream, self.innovation, (hi - lo) * total)
+            np.einsum("ij,j->i", z.reshape(hi - lo, total), w,
+                      out=sums[lo:hi])
         # a finite sum of finite weights proves every term finite
         _check_finite(sums, "spectral radius below 1")
         return sums
@@ -363,10 +364,19 @@ class KestenSpec(ModelSpec):
                 "(contraction on average)")
 
     def tail_index(self) -> float:
-        if self.alpha_hint is not None:
-            return float(self.alpha_hint)
-        return _solve_moment_equation(
-            lambda k: randkit.law_moment(self.a_law, k) - 1.0)
+        """The declared ``alpha_hint``, else the moment-equation root. An
+        additive law with a power tail of index at or below it would set
+        X's index (Grey 1994): ParameterError, naming both."""
+        alpha = float(self.alpha_hint) if self.alpha_hint is not None \
+            else _solve_moment_equation(lambda k: self._a_moment(k) - 1.0)
+        try:
+            b_alpha = randkit.power_tail(self.b_law)[1]
+        except UnsupportedLawError:
+            return alpha
+        if b_alpha <= alpha:
+            raise ParameterError(f"additive tail index {b_alpha:g} is at or "
+                                 f"below the chain's index {alpha:g}")
+        return alpha
 
     def _a_moment(self, s):
         return randkit.law_moment(self.a_law, s)
@@ -622,28 +632,18 @@ class Garch11Spec(ModelSpec):
         |z|^alpha, so Z_0^2 = 2G with G ~ Gamma((alpha + 1)/2), and
         Theta_t = Theta_0 prod_{s<t} sqrt(a1 Z_s^2 + b1) Z_t / |Z_0| with
         Theta_0 = sign(Z_0) (Z_t, t >= 1, is symmetric). Each block runs
-        the product in place over its multipliers in its output rows."""
+        the product in place in its output rows (``_walks``)."""
         starts = self.theta0(replicas, stream)[:, 0]
         z0sq = 2.0 * stream.rng.standard_gamma((alpha + 1.0) / 2.0, replicas)
         lead = starts / np.sqrt(z0sq)
-        # one set of buffers that each block overwrites
-        rows = min(replicas, _TAIL_BLOCK + 1)
-        normals = np.empty((rows, horizon))
-        thetas = np.empty((rows, horizon + 1))
-        for lo, hi in _block_bounds(replicas):
-            m = hi - lo
-            theta = thetas[:m]
+        z0sq *= self.alpha1  # the walk's head, a1 Z_0^2 + b1
+        z0sq += self.beta1
+        # one buffer that each block overwrites
+        thetas = np.empty((min(replicas, _TAIL_BLOCK + 1), horizon + 1))
+        for lo, hi, walk in self._walks(stream.rng, z0sq, thetas[:, 1:]):
+            theta = thetas[:hi - lo]
             theta[:, 0] = starts[lo:hi]
-            z = stream.rng.standard_normal(out=normals[:m])
-            mult = theta[:, 1:]
-            mult[:, :1] = z0sq[lo:hi, None]  # no column when horizon is 0
-            np.square(z[:, :-1], out=mult[:, 1:])
-            mult *= self.alpha1
-            mult += self.beta1
-            np.cumprod(mult, axis=1, out=mult)
-            np.sqrt(mult, out=mult)
-            mult *= z
-            mult *= lead[lo:hi, None]
+            walk *= lead[lo:hi, None]
             yield [theta[..., None] if tv is None else theta * tv[0]
                    for tv in tvs]
 
@@ -655,26 +655,31 @@ class Garch11Spec(ModelSpec):
         f(u) = E_Z[|Z + sqrt(A) u|^alpha - |sqrt(A) u|^alpha] / (2 E|Z|^alpha)
         (half the sum over both signs, equal by the symmetry of Z), with
         U = sum_{t=1}^{horizon} Z_t prod_{1<=s<t} sqrt(A_s) the rest of
-        the path. U is drawn on the stream's angle child in the blocks
-        of ``_block_bounds``, its product running in place as in
-        ``tail_process``, and each block goes to ``_first_step``."""
-        rng = stream.substream(_ANGLE_CHILD).rng
-        rows = min(replicas, _TAIL_BLOCK + 1)
-        normals = np.empty((rows, horizon))
-        mults = np.empty((rows, horizon))
+        the path: the tail process's walk with head 1, on the stream's
+        angle child, each block going to ``_first_step``."""
+        walks = np.empty((min(replicas, _TAIL_BLOCK + 1), horizon))
         out = np.empty(replicas)
-        for lo, hi in _block_bounds(replicas):
-            z = rng.standard_normal(out=normals[:hi - lo])
-            mult = mults[:hi - lo]
-            mult[:, 0] = 1.0
-            np.square(z[:, :-1], out=mult[:, 1:])
-            mult[:, 1:] *= self.alpha1
-            mult[:, 1:] += self.beta1
-            np.cumprod(mult, axis=1, out=mult)
-            np.sqrt(mult, out=mult)
-            mult *= z
-            out[lo:hi] = self._first_step(mult.sum(axis=1), alpha)
+        for lo, hi, walk in self._walks(stream.substream(_ANGLE_CHILD).rng,
+                                        np.ones(replicas), walks):
+            out[lo:hi] = self._first_step(walk.sum(axis=1), alpha)
         return out
+
+    def _walks(self, rng, head, out):
+        """(lo, hi, w) for each ``_block_bounds`` block of ``head``'s
+        replicas: w, rows of ``out``, is sqrt(cumprod(m)) z in place over
+        normals z from ``rng``, m_0 = head, m_t = a1 z_{t-1}^2 + b1."""
+        normals = np.empty(out.shape)
+        for lo, hi in _block_bounds(head.size):
+            z = rng.standard_normal(out=normals[:hi - lo])
+            w = out[:hi - lo]
+            w[:, :1] = head[lo:hi, None]  # no column when the horizon is 0
+            np.square(z[:, :-1], out=w[:, 1:])
+            w[:, 1:] *= self.alpha1
+            w[:, 1:] += self.beta1
+            np.cumprod(w, axis=1, out=w)
+            np.sqrt(w, out=w)
+            w *= z
+            yield lo, hi, w
 
     def _first_step(self, u, alpha):
         """f(u) of ``first_step_values`` at each entry of ``u`` (which it
@@ -739,25 +744,6 @@ def _block_bounds(replicas: int, rows: int = _TAIL_BLOCK):
     if len(bounds) > 1 and replicas - bounds[-1] == 1:
         bounds.pop()
     return list(zip(bounds, bounds[1:] + [replicas]))
-
-
-def _row_blocks(stream: RngStream, law: TailLaw, replicas: int, total: int,
-                rows: int):
-    """Yield (lo, z): z holds the (m, total) draws of replicas lo .. lo+m-1,
-    in the blocks of ``_block_bounds``, with the bytes of one
-    ``sample_law(stream, law, replicas * total)`` call. A law whose draws
-    split (``randkit.draws_split``) is drawn block by block; any other is
-    drawn whole and sliced."""
-    whole = None
-    if not randkit.draws_split(law):
-        whole = sample_law(stream, law, replicas * total).reshape(
-            replicas, total)
-    for lo, hi in _block_bounds(replicas, rows):
-        if whole is None:
-            yield lo, sample_law(stream, law, (hi - lo) * total).reshape(
-                hi - lo, total)
-        else:
-            yield lo, whole[lo:hi]
 
 
 def _recurse(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 import contextvars
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -77,18 +78,19 @@ def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     return RngStream(key[0], key[1], np.random.Generator(bg))
 
 
-def _map_chunks(fn, n_chunks: int, threads: int):
-    """Evaluate fn(0..n_chunks-1), possibly in a thread pool; results are
-    returned in index order so reductions are schedule-independent (chunk
-    i draws on its own substream i). Each call runs in a copy of the
-    caller's context, which carries its numpy floating-point error
-    state."""
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
+def map_chunks(fn, total: int, size: int, stream: RngStream, threads: int):
+    """fn(take, stream.substream(i)) for each chunk i of ``total`` units
+    cut into ``size``-unit chunks (the last takes the rest), in index
+    order on any number of threads: a reduction over the results does
+    not depend on ``threads``. Each call runs in a copy of the caller's
+    context, which carries its numpy floating-point error state."""
+    calls = [functools.partial(fn, min(size, total - lo), stream.substream(i))
+             for i, lo in enumerate(range(0, total, size))]
+    if threads <= 1 or len(calls) <= 1:
+        return [call() for call in calls]
     ctx = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: ctx.copy().run(fn, i),
-                             range(n_chunks)))
+        return list(pool.map(lambda call: ctx.copy().run(call), calls))
 
 
 @dataclass(frozen=True)
@@ -150,16 +152,18 @@ def sample_pareto(stream: RngStream, alpha: float, n: int,
 def sample_stable(stream: RngStream, alpha: float, beta: float,
                   n: int) -> np.ndarray:
     """n standard alpha-stable draws (1-parameterization) via the
-    Chambers-Mallows-Stuck transform of (uniform angle, exponential)."""
+    Chambers-Mallows-Stuck transform of (uniform angle, exponential):
+    each draw reads a pair of uniforms (U, V), the angle (U - 1/2) pi and
+    the exponential -log(1 - V), so k then n - k draws give n's bytes."""
     if not 0 < alpha <= 2:
         raise ParameterError("stable sampling requires 0 < alpha <= 2")
     if not -1.0 <= beta <= 1.0:
         raise ParameterError("skew must lie in [-1, 1]")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    rng = stream.rng
-    phi = (rng.random(n) - 0.5) * np.pi
-    w = rng.exponential(1.0, n)
+    u = stream.rng.random((n, 2))
+    phi = (u[:, 0] - 0.5) * np.pi
+    w = -np.log(1.0 - u[:, 1])
     if alpha == 1.0:
         half = np.pi / 2
         return (2 / np.pi) * ((half + beta * phi) * np.tan(phi)
@@ -168,26 +172,47 @@ def sample_stable(stream: RngStream, alpha: float, beta: float,
     t = beta * math.tan(math.pi * alpha / 2)
     b0 = math.atan(t) / alpha
     s0 = (1 + t * t) ** (1 / (2 * alpha))
-    return (s0 * np.sin(alpha * (phi + b0)) / np.cos(phi) ** (1 / alpha)
-            * (np.cos(phi - alpha * (phi + b0)) / w) ** ((1 - alpha) / alpha))
+    # s0 sin(c) / cos(phi)^(1/a) (cos(phi - c) / w)^((1-a)/a), c = a (phi + b0)
+    c = phi + b0
+    c *= alpha
+    x = np.sin(c)
+    np.subtract(phi, c, out=c)
+    np.cos(c, out=c)
+    c /= w
+    c **= (1 - alpha) / alpha
+    np.cos(phi, out=phi)
+    phi **= 1 / alpha
+    x *= s0
+    x /= phi
+    x *= c
+    return x
 
 
 def sample_law(stream: RngStream, law: TailLaw, n: int,
                out: np.ndarray = None) -> np.ndarray:
     """n draws from an innovation law (dispatch over the family). With
     ``out``, n contiguous floats, the draws fill it with the bytes the
-    call without it returns."""
+    call without it returns. Every family reads the stream one variate
+    at a time: k then n - k draws on one stream give n draws' bytes."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
     rng = stream.rng
-    # one buffer per draw: every family but the stable one transforms its
-    # variates in place
-    if law.family in (PARETO, SYMMETRIC_PARETO):
+    # every family but the stable one transforms its variates in place
+    if law.family == PARETO:
         x = sample_pareto(stream, law.alpha, n, out)
         x *= law.scale
-        if law.family == SYMMETRIC_PARETO:
-            np.negative(x, out=x, where=rng.random(n) < 0.5)
         return x
+    if law.family == SYMMETRIC_PARETO:
+        # sign of U - 1/2, survival 1 - frac(2U) in (0, 1]: exact, finite
+        u = rng.random(n, out=out)
+        sign = u - 0.5
+        u *= 2.0
+        u -= np.floor(u)
+        np.subtract(1.0, u, out=u)
+        with np.errstate(over="ignore"):
+            u **= -1.0 / law.alpha
+        u *= law.scale
+        return np.copysign(u, sign, out=u)
     if law.family == STABLE:
         return np.multiply(law.scale, sample_stable(
             stream, law.alpha, law.skew, n), out=out)
@@ -201,14 +226,6 @@ def sample_law(stream: RngStream, law: TailLaw, n: int,
         x *= law.scale
         return x
     raise UnsupportedLawError(law.family)
-
-
-def draws_split(law: TailLaw) -> bool:
-    """True when n draws of ``law`` read the stream one variate at a time,
-    so k then n - k draws on one stream give the bytes of n draws. The
-    symmetric Pareto law reads its signs after all its magnitudes and the
-    stable law its exponentials after all its angles, so they do not."""
-    return law.family in (PARETO, LOGNORMAL, GAUSSIAN)
 
 
 def stable_tail_constant(alpha: float) -> float:

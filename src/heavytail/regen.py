@@ -14,7 +14,7 @@ from . import models, randkit
 from .randkit import RngStream, TailLaw
 
 _SQRT2 = math.sqrt(2.0)
-_BLOCK = 1 << 12  # steps marked, or cycle sums folded, at a time
+_BLOCK = 1 << 12  # steps marked, states counted, cycle sums folded
 _STD_NORMAL = NormalDist()
 
 
@@ -309,7 +309,8 @@ def kac_check(blocks: RegenBlocks, pi_a_estimate: float) -> KacReport:
 
 def stationary_small_set_mass(path, m_bound: float) -> float:
     """Empirical stationary mass of {|x| <= M} from a 1-d path of scalar
-    states, counted ``models._SUM_BLOCK`` states at a time."""
+    states, counted ``_BLOCK`` states at a time (an integer count is exact
+    in any block size)."""
     values = np.asarray(path, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ParameterError(
@@ -318,7 +319,7 @@ def stationary_small_set_mass(path, m_bound: float) -> float:
     if not m_bound > 0:
         raise ParameterError(f"m_bound must be positive (got {m_bound!r})")
     inside = 0
-    for lo in range(0, values.size, models._SUM_BLOCK):
-        block = values[lo:lo + models._SUM_BLOCK]
+    for lo in range(0, values.size, _BLOCK):
+        block = values[lo:lo + _BLOCK]
         inside += int(np.count_nonzero(np.abs(block) <= m_bound))
     return inside / values.size

@@ -342,12 +342,14 @@ class TestMain:
 
     def test_huge_tail_index_exit_three_names_route(self, tmp_path,
                                                     capsys):
-        # log-variance 0.0009 puts the tail index at 1111: the functional
+        # log-variance 0.0009 puts the tail index at 1111 (Gaussian
+        # additive terms: a power tail would cap it): the functional
         # overflows a double and the first route reports it
         cfg = self._write(
             tmp_path,
             "command = cluster-index\nmodel = kesten\nseed = 5\n"
-            "a_mu = -0.5\na_sigma2 = 0.0009\nreplicas = 1000\n"
+            "a_mu = -0.5\na_sigma2 = 0.0009\nb_family = gaussian\n"
+            "replicas = 1000\n"
             f"horizon = 10\nout_dir = {tmp_path / 'out'}\n")
         with np.errstate(all="ignore"):
             assert main(["cluster-index", "--config", cfg]) == 3

@@ -34,6 +34,13 @@ def small_b_route(monkeypatch):
     monkeypatch.setattr(limits, "_B_HORIZON", 8)
 
 
+@pytest.fixture
+def bench_garch():
+    """The bench GARCH law, alpha 1.40: the first-step b has a finite
+    variance below alpha 2."""
+    return models.Garch11Spec(0.05, 0.5, 0.55)
+
+
 def _mc_sup(spec, th, horizon, replicas, stream, threads=1):
     """The Monte Carlo sup functional, which ``extremal_index`` skips for
     a family with an exact one: a one-element list."""
@@ -334,10 +341,6 @@ class TestFirstStepRoute:
     """The GARCH b(1) = b(-1) of ``limits`` from the first-step identity,
     against adaptive quadrature and the tail-process route."""
 
-    @pytest.fixture
-    def bench_garch(self):
-        return models.Garch11Spec(0.05, 0.5, 0.55)
-
     def test_quadrature_matches_adaptive_quadrature(self, bench_garch):
         # a1 u^2 = 1 at |u| = sqrt(2): both sides and both signs, and the
         # kink near z = 0 for small |u|
@@ -414,6 +417,13 @@ class TestFirstStepRoute:
                 kesten_lognormal, 4, 1000, derive_stream(42, 35), 1)
 
 
+    def test_no_estimate_at_alpha_two_or_more(self, garch_benchmark):
+        # alpha 9.07: f(U) ~ |U|^(alpha - 1) has no finite variance
+        with pytest.raises(OutOfRegimeError, match=r"alpha = 9\.0"):
+            cluster.first_step_cluster_index(
+                garch_benchmark, 4, 1000, derive_stream(42, 36), 1)
+
+
 class TestThreads:
     """Every route reduces fixed-size chunks in index order, so its
     estimate has the same bits on any number of threads."""
@@ -441,7 +451,7 @@ class TestThreads:
             assert getattr(one, name) == getattr(two, name)
 
     @pytest.mark.parametrize("fixture", ["kesten_lognormal",
-                                         "garch_benchmark"])
+                                         "bench_garch"])
     def test_b_at_identical_on_one_and_two_threads(self, request, fixture,
                                                    small_b_route):
         spec = request.getfixturevalue(fixture)
@@ -451,7 +461,7 @@ class TestThreads:
         assert one == two
 
     @pytest.mark.parametrize("fixture", ["kesten_lognormal",
-                                         "garch_benchmark"])
+                                         "bench_garch"])
     def test_b_pair_identical_on_one_and_two_threads(self, request,
                                                      fixture, small_b_route):
         spec = request.getfixturevalue(fixture)
@@ -461,12 +471,12 @@ class TestThreads:
         assert one == two
 
     def test_workers_keep_the_callers_error_state(self):
-        def overflow(i):
+        def overflow(take, stream):
             return np.float64(1e308) * 10.0
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                randkit._map_chunks(overflow, 2, 2)
+                randkit.map_chunks(overflow, 2, 1, derive_stream(42, 9), 2)
 
 
 class TestSharedBatch:
@@ -488,7 +498,7 @@ class TestSharedBatch:
                  *_mc_sup(spec, th, 8, self.REPLICAS, derive_stream(42, 6))]
         assert shared == alone
 
-    @pytest.mark.parametrize("fixture", ["garch_benchmark",
+    @pytest.mark.parametrize("fixture", ["bench_garch",
                                          "kesten_lognormal",
                                          "ar_sympareto15"])
     def test_signed_estimates_are_the_calls_at_each_sign(self, request,

@@ -79,8 +79,8 @@ RUN_DIGESTS = {
 
 KERNEL_DIGESTS = {
     "var1_dim2": {
-        "path": "d7d4f3e0f965959069d56f95fdd0c0ba"
-                "a258ec7760a1ce73966a8ceec8690f1b",
+        "path": "64fe9977ae7d3d3fe3d07f1134532d44"
+                "8a2688da95f78288fe38a97c752605c6",
         "tail_process": "acefd60056a96214aa995da967c21c25"
                         "590c27dd2be7327543bf902133b4c1eb",
     },
@@ -139,7 +139,7 @@ def test_golden_run_digests(tmp_path_factory, name):
 
 
 def test_every_stream_reaches_a_golden_manifest(tmp_path_factory):
-    # the golden configs cover all seven commands: a stage id that no
+    # the golden configs cover all six commands: a stage id that no
     # golden run names is a stream nothing draws from
     named = set()
     for name in sorted(RUN_DIGESTS):

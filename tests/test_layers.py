@@ -293,9 +293,7 @@ def test_every_parameter_is_read():
 # private names that one package module reads off another, with the
 # reader that shares each; nothing else may cross a module boundary
 SHARED_PRIVATE_NAMES = {
-    "randkit._map_chunks": "the chunk pool of cluster and limits",
     "models._ar1": "the AR(1) scan of regen.harvest_blocks",
-    "models._SUM_BLOCK": "the block of regen.stationary_small_set_mass",
     "models._PILOT_STREAM_ID": "the pilot stream cli lists in a manifest",
 }
 

@@ -123,6 +123,23 @@ class TestStableCheck:
         c, alpha = randkit.power_tail(law)
         assert abs(1000 * c * a_n(spec, 1000) ** -alpha - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("law", [
+        TailLaw(randkit.STABLE, alpha=1.5),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5)],
+        ids=lambda law: law.family)
+    def test_scan_sums_hold_one_block(self, law):
+        # 20,000 sums of 1,000 steps: six 3,983-replica chunks of 33.5 MB
+        # of innovations each, drawn and reduced in 62-row blocks
+        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.5]]))
+        tracemalloc.start()
+        try:
+            limits._scalar_sums(spec, 1000, 20_000, derive_stream(51, 7),
+                                spec.default_burn, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_hill_normalisation_holds_the_pilot_alone(self):
         # a fresh pilot, ordered by replica so its stack is a view, whose
         # |x| is taken and partitioned in place for the scale: about 1.1
@@ -141,11 +158,11 @@ class TestStableCheck:
         assert peak <= 1.3 * 8 * 200_000
 
     def test_infinite_mean_cannot_center(self):
-        # alpha 1.5 from the multiplier, but Pareto(0.9) additive terms
-        # have no mean: S_n has no centring
+        # a declared alpha of 1.2, but E A = e^0.4 >= 1: X has no finite
+        # mean, so S_n has no centring
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
-            b_law=TailLaw(randkit.PARETO, alpha=0.9))
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.1, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.2)
         with pytest.raises(OutOfRegimeError, match="mean is infinite"):
             limits._sum_centering(spec, models.tail_index(spec))
 
@@ -231,6 +248,13 @@ class TestGarchBStreams:
                        region=(1.0, 15.0))
         assert res.target == self._b(
             spec, derive_stream(53, 1).substream(0xC9).substream(0xB0))
+
+    def test_ldp_scan_has_no_target_at_alpha_two_or_more(
+            self, garch_benchmark):
+        # alpha 9.07: the scan refuses before it draws its sums
+        with pytest.raises(OutOfRegimeError, match=r"alpha = 9\.0"):
+            ldp_scan(garch_benchmark, PLUS, 50, 2000, derive_stream(53, 3),
+                     region=(1.0, 15.0))
 
     def test_stable_pair_is_the_first_step_estimate_on_its_stream(self):
         spec = models.Garch11Spec(*self.SPEC)

@@ -16,7 +16,8 @@ from scipy.signal import lfilter
 
 from heavytail import cluster, models, randkit
 from heavytail.errors import (DivergenceError, HeavytailError, NoRootError,
-                              ParameterError, SingularDrawError)
+                              ParameterError, SingularDrawError,
+                              UnsupportedLawError)
 from heavytail.randkit import TailLaw, derive_stream
 from heavytail.tailstats import Direction
 
@@ -72,9 +73,10 @@ class TestTailIndex:
     def test_overflowing_lognormal_moment_counts_as_above_one(self):
         # log-variance 0.0009: the bracket reaches kappa = 2048, where
         # E A^kappa = exp(863) overflows a double; the root is 1/0.0009
+        # (Gaussian additive terms: a power tail would cap the index)
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.03),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+            b_law=TailLaw(randkit.GAUSSIAN))
         assert abs(models.tail_index(spec) - lognormal_root(-0.5, 0.0009)) \
             < 1e-6
 
@@ -93,6 +95,21 @@ class TestTailIndex:
                           sigma=1e-9),
             b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.5)
         assert models.tail_index(spec) == 1.5
+
+    @pytest.mark.parametrize("b_law, hint", [
+        # the bench multiplier (root 1.5), declared or not
+        (TailLaw(randkit.PARETO, alpha=0.8), None),
+        (TailLaw(randkit.STABLE, alpha=1.4), None),
+        (TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.2), 1.2)])
+    def test_kesten_rejects_a_heavier_additive_law(self, b_law, hint):
+        # X's index would be the additive law's (Grey 1994)
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=b_law, alpha_hint=hint)
+        chain = "1.2" if hint else "1.5"
+        with pytest.raises(ParameterError, match=(
+                rf"additive tail index {b_law.alpha:g} .* index {chain}")):
+            models.tail_index(spec)
 
     def test_var1_tail_index_is_innovation_index(self, ar_pareto15):
         assert models.tail_index(ar_pareto15) == 1.5
@@ -454,9 +471,9 @@ class TestPathFreeSums:
         assert peak < 4e6
 
     def test_recurrence_keeps_the_path_sum(self, kesten_lognormal):
-        # additive terms drawn by block (Pareto) and whole (symmetric
-        # Pareto); 256 replicas per block, so 513 ends on a lone replica
-        # and 600 crosses two block edges
+        # positive (Pareto) and signed (symmetric Pareto) additive terms;
+        # 256 replicas per block, so 513 ends on a lone replica and 600
+        # crosses two block edges
         signed = models.KestenSpec(
             a_law=kesten_lognormal.a_law,
             b_law=TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0))
@@ -968,6 +985,19 @@ class TestExceedanceAngles:
         law = spec.theta0_law()
         assert mass_at(law, [1.0]) == p_up
         assert mass_at(law, [-1.0]) == 1.0 - p_up
+
+    def test_scalar_recurrence_stable_sign_law(self):
+        # a symmetric stable B splits Theta_0 evenly; a skewed one has no
+        # exact angle law here
+        a_law = TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0)
+        spec = models.KestenSpec(a_law=a_law,
+                                 b_law=TailLaw(randkit.STABLE, alpha=1.8))
+        law = spec.theta0_law()
+        assert mass_at(law, [1.0]) == mass_at(law, [-1.0]) == 0.5
+        skewed = models.KestenSpec(
+            a_law=a_law, b_law=TailLaw(randkit.STABLE, alpha=1.8, skew=0.5))
+        with pytest.raises(UnsupportedLawError, match="additive family"):
+            skewed.theta0_law()
 
     def test_scalar_draws_keep_u_below_p_up(self):
         # the CDF inversion keeps the draws u < P(Theta_0 = +1)

@@ -104,13 +104,16 @@ class TestPareto:
 
 
 def _expression_form(rng, law, n):
-    """The samplers as one expression each, with a temporary per step."""
+    """The samplers as one expression each, with a temporary per step. A
+    symmetric Pareto draw takes its sign from U - 1/2 and its survival
+    1 - frac(2U) from the same uniform U."""
     if law.family == randkit.GAUSSIAN:
         return law.scale * rng.standard_normal(n)
-    mag = law.scale * (1.0 - rng.random(n)) ** (-1.0 / law.alpha)
+    u = rng.random(n)
     if law.family == randkit.PARETO:
-        return mag
-    return np.where(rng.random(n) < 0.5, -1.0, 1.0) * mag
+        return law.scale * (1.0 - u) ** (-1.0 / law.alpha)
+    return np.copysign(law.scale * (1.0 - 2.0 * u % 1.0) ** (-1.0 / law.alpha),
+                       u - 0.5)
 
 
 class TestInPlaceSamplers:
@@ -143,6 +146,30 @@ class TestInPlaceSamplers:
         assert buf[1:-1].tobytes() == want.tobytes()
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
         assert stream.counter == alone.counter
+
+    @pytest.mark.parametrize("law", [
+        TailLaw(randkit.PARETO, alpha=1.5, scale=2.5),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.5, scale=7.0),
+        TailLaw(randkit.STABLE, alpha=1.3, skew=0.4, scale=3.0),
+        TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+        TailLaw(randkit.GAUSSIAN, scale=3.0),
+    ], ids=lambda law: law.family)
+    @pytest.mark.parametrize("k", ["0", "1", "half", "n"])
+    def test_draws_split(self, law, k):
+        # k then n - k draws on one stream give the bytes of n draws; the
+        # uniform families read one word a draw, the stable law two (the
+        # normals' ziggurat reads a varying number)
+        n = 10_001
+        k = {"0": 0, "1": 1, "half": n // 2, "n": n}[k]
+        whole = sample_law(derive_stream(6, 4), law, n)
+        stream = derive_stream(6, 4)
+        head = sample_law(stream, law, k)
+        rest = sample_law(stream, law, n - k)
+        assert np.concatenate([head, rest]).tobytes() == whole.tobytes()
+        words = {randkit.PARETO: 1, randkit.SYMMETRIC_PARETO: 1,
+                 randkit.STABLE: 2}.get(law.family)
+        if words is not None:
+            assert stream.counter == words * n
 
     def test_pareto_peak_memory_is_one_buffer(self):
         n = 1_000_000
