@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cluster, limits, models, randkit, regen
-from .errors import (ConfigError, HeavytailError, ParameterError)
+from .errors import (ConfigError, HeavytailError, NoRootError,
+                     ParameterError, UnsupportedLawError)
 from .randkit import TailLaw, derive_stream
 from .tailstats import Direction
 
@@ -51,7 +52,6 @@ _GLOBAL_KEYS = {
     "out_dir": ("str", "output directory"),
     "threads": ("posint", "worker threads"),
     "n": ("posint", "path length"),
-    "burn_in": ("nonnegint", "discarded warm-up steps"),
     "horizon": ("posint", "tail-process horizon T"),
     "replicas": ("posint", "Monte Carlo replicas N"),
     "reps": ("posint", "simulated paths R"),
@@ -76,7 +76,6 @@ _MODEL_KEYS = {
         "b_family": ("choice:pareto,gaussian", "additive-term family"),
         "b_alpha": ("posfloat", "additive Pareto tail index"),
         "b_scale": ("posfloat", "additive scale"),
-        "alpha_hint": ("posfloat", "declared tail index override"),
     },
     "garch11": {
         "alpha0": ("posfloat", "volatility constant"),
@@ -159,7 +158,7 @@ def _parse_value(kind, key, raw, line, problems):
             return None
         return raw
     try:
-        if kind in ("int", "posint", "nonnegint"):
+        if kind in ("int", "posint"):
             value = int(raw)
         else:
             value = float(raw)
@@ -171,9 +170,6 @@ def _parse_value(kind, key, raw, line, problems):
         return None
     if kind == "posint" and value < 1:
         problems.append(f"line {line}: {key} must be a positive integer")
-        return None
-    if kind == "nonnegint" and value < 0:
-        problems.append(f"line {line}: {key} must be nonnegative")
         return None
     if kind == "posfloat" and not value > 0:
         problems.append(f"line {line}: {key} must be positive")
@@ -294,8 +290,7 @@ def build_spec(config: ExperimentConfig):
                             scale=config.get("b_scale"))
         else:
             b_law = TailLaw(randkit.GAUSSIAN, scale=config.get("b_scale"))
-        return models.KestenSpec(a_law=a_law, b_law=b_law,
-                                 alpha_hint=config.get("alpha_hint"))
+        return models.KestenSpec(a_law=a_law, b_law=b_law)
     return models.Garch11Spec(config.get("alpha0"), config.get("alpha1"),
                               config.get("beta1"))
 
@@ -421,7 +416,7 @@ def _listed(stage, pilot):
 
 def _cmd_simulate(config, spec, writer, threads):
     n = config.get("n")
-    burn = config.get("burn_in", spec.default_burn)
+    burn = spec.default_burn
     path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
     writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(path.shape[1])],
                [range(n), *path.T])
@@ -466,9 +461,7 @@ def _cmd_ldp_scan(config, spec, writer, threads):
                           config.get("reps", 100_000),
                           _stream(config, "ldp"),
                           grid_size=config.get("grid_size"),
-                          eps=config.get("region_eps"),
-                          burn_in=config.get("burn_in"),
-                          threads=threads)
+                          eps=config.get("region_eps"), threads=threads)
     writer.csv("ldp.csv", ["x", "ratio", "ratio_se", "exceedances"],
                [res.xs, res.ratios, res.ratio_ses, res.counts.astype(int)])
     summary = {"n": res.n, "theta": res.theta, "target": res.target,
@@ -481,8 +474,7 @@ def _cmd_stable_check(config, spec, writer, threads):
     theta = Direction([config.get("theta")])
     c = limits.stable_check(spec, theta, config.get("n"),
                             config.get("reps", 2000),
-                            _stream(config, "stable"),
-                            burn_in=config.get("burn_in"), threads=threads)
+                            _stream(config, "stable"), threads=threads)
     gap = c.empirical - c.theoretical
     # np.hypot matches the scalar complex abs bit for bit; np.abs does not
     writer.csv("stable_cf.csv",
@@ -498,11 +490,10 @@ def _cmd_stable_check(config, spec, writer, threads):
 
 
 def _cmd_drift_check(config, spec, writer, threads):
-    alpha = None
     try:
         alpha = models.tail_index(spec)
-    except HeavytailError:
-        pass
+    except (UnsupportedLawError, NoRootError):  # no power tail, or none found
+        alpha = None
     p, grid = spec.drift_setup(alpha)
     rep = models.drift_margin(spec, p, grid, _stream(config, "drift"))
     writer.csv("drift.csv", ["v_state", "v_next_mean"],

@@ -165,18 +165,18 @@ def _control(proj: np.ndarray, s: float) -> np.ndarray:
     return c.sum(axis=1)
 
 
-def _mc_functional(spec, functionals, horizon: int, replicas: int,
-                   stream: RngStream, threads: int) -> list:
+def _mc_functional(spec, theta: Direction, functionals, horizon: int,
+                   replicas: int, stream: RngStream, threads: int) -> list:
     """Shared argument checks of the Monte Carlo routes, then per-path
-    functionals of one batch of the spec's tail-process draws.
-    ``functionals`` lists (theta, reduce_paths, route). Each fixed-size
-    chunk is drawn and reduced block by block in ``models``: a block's
-    projection on theta goes straight to reduce_paths, and the chunk's
-    per-path values to their moments, merged in chunk order. The tail
-    process does not depend on theta, so every functional reads the same
-    draws, and each estimate has the bits it would have alone on the same
-    stream. One estimate per functional, in order. The functional, the
-    control power and the tail process all read the spec's own tail index.
+    functionals of one batch of the spec's tail-process draws along
+    ``theta``. ``functionals`` lists (reduce_paths, route). Each
+    fixed-size chunk is drawn and reduced block by block in ``models``: a
+    block's projection on theta goes straight to every reduce_paths, and
+    the chunk's per-path values to their moments, merged in chunk order.
+    Every functional reads the same draws, and each estimate has the bits
+    it would have alone on the same stream. One estimate per functional,
+    in order. The functional, the control power and the tail process all
+    read the spec's own tail index.
 
     When the functional is the summed one (``_sum_difference``) and the
     spec knows E c for the control c = sum_{t>=1} (theta'Theta_t)_+^s
@@ -193,29 +193,28 @@ def _mc_functional(spec, functionals, horizon: int, replicas: int,
         raise ParameterError("replicas must be at least 100")
     alpha = models.tail_index(spec)
     s = _control_power(alpha)
+    tv = theta.vector
     reducers, controls = [], []
-    for theta, reduce_paths, _ in functionals:
-        tv = theta.vector
-        reducers.append((tv, functools.partial(reduce_paths, alpha=alpha)))
+    for reduce_paths, _ in functionals:
+        reducers.append(functools.partial(reduce_paths, alpha=alpha))
         ec = spec.tail_moments(tv, s, horizon) \
             if reduce_paths is _sum_difference else None
         if ec is not None and math.isfinite(ec):
-            # reads the functional's own projection
-            reducers.append((tv, functools.partial(_control, s=s)))
+            reducers.append(functools.partial(_control, s=s))
         else:
             ec = None
         controls.append(ec)
 
     def one(take, sub):
         vals = iter(models.sample_tail_process_batch(
-            spec, horizon, take, sub, alpha, reducers))
+            spec, horizon, take, sub, alpha, tv, reducers))
         return [_moments(next(vals), None if ec is None else next(vals))
                 for ec in controls]
 
     chunks = randkit.map_chunks(one, replicas, _CHUNK, stream, threads)
     return [_estimate(parts, ec, route, horizon, replicas)
-            for parts, (*_, route), ec in zip(zip(*chunks), functionals,
-                                               controls)]
+            for parts, (_, route), ec in zip(zip(*chunks), functionals,
+                                              controls)]
 
 
 def _estimate(parts, ec, route: str, horizon: int,
@@ -260,9 +259,8 @@ def cluster_index_tail_process(spec, theta: Direction, horizon: int,
                                threads: int = 1) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
     ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_functional(
-        spec, [(theta, _sum_difference, ROUTE_TAIL_PROCESS)], horizon,
-        replicas, stream, threads)[0]
+    return _mc_functional(spec, theta, [(_sum_difference, ROUTE_TAIL_PROCESS)],
+                          horizon, replicas, stream, threads)[0]
 
 
 def first_step_cluster_index(spec, horizon: int, replicas: int,
@@ -294,7 +292,7 @@ def telescoping_difference(spec, theta: Direction, k: int, replicas: int,
     converges to the cluster index as k grows."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    return _mc_functional(spec, [(theta, _sum_difference, ROUTE_TELESCOPING)],
+    return _mc_functional(spec, theta, [(_sum_difference, ROUTE_TELESCOPING)],
                           k, replicas, stream, threads)[0]
 
 
@@ -306,7 +304,7 @@ def extremal_index(spec, theta: Direction, horizon: int, replicas: int,
     exact = spec.exact_extremal_index(theta.vector)
     if exact is not None:
         return ClusterIndexEstimate(*exact, ROUTE_CLOSED_FORM, 0, 0, exact[1])
-    return _mc_functional(spec, [(theta, _sup_difference, ROUTE_TAIL_PROCESS)],
+    return _mc_functional(spec, theta, [(_sup_difference, ROUTE_TAIL_PROCESS)],
                           horizon, replicas, stream, threads)[0]
 
 

@@ -133,10 +133,12 @@ class GaussianCltReport:
 # shared simulation plumbing
 
 
-def _scalar_sums(spec, n: int, reps: int, stream: RngStream, burn: int,
+def _scalar_sums(spec, n: int, reps: int, stream: RngStream,
                  threads: int) -> np.ndarray:
-    """(reps,) draws of S_n for a scalar-observable model, from
-    ``spec.sums`` in fixed-size chunks on disjoint substreams."""
+    """(reps,) draws of S_n for a scalar-observable model after its
+    ``default_burn`` warm-up, from ``spec.sums`` in fixed-size chunks on
+    disjoint substreams."""
+    burn = spec.default_burn
     chunk = max(1, _PATH_CHUNK_BUDGET // max(n + burn, 1))
     return np.concatenate(randkit.map_chunks(
         lambda take, sub: spec.sums(n, burn, take, sub), reps, chunk, stream,
@@ -195,8 +197,7 @@ def _b_values(spec, theta: Direction, stream: RngStream, threads, signs):
 
 
 def stable_check(spec, theta: Direction, n: int, reps: int,
-                 stream: RngStream, burn_in: int = None,
-                 threads: int = 1) -> CfComparison:
+                 stream: RngStream, threads: int = 1) -> CfComparison:
     """Empirical CF of a_n^{-1} theta'S_n against the stable limit CF on
     the fixed grid."""
     if n < 1 or reps < 1:
@@ -214,9 +215,7 @@ def stable_check(spec, theta: Direction, n: int, reps: int,
     params = StableLawParams(alpha, *_b_values(
         spec, theta, stream.substream(0xC0).substream(0xB0), threads,
         (1, -1)))
-    burn = spec.default_burn if burn_in is None else burn_in
-    sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), burn,
-                        threads)
+    sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), threads)
     mu, centering = _sum_centering(spec, alpha)
     c, scale = _power_tail(spec, stream)
     a_n = scale * (n * c) ** (1.0 / alpha)  # n P(|X| > a_n) = 1
@@ -244,7 +243,7 @@ def ldp_region(alpha: float, n: int, eps: float = 0.1):
 
 def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
              region=None, grid_size: int = 12, eps: float = 0.1,
-             burn_in: int = None, threads: int = 1) -> LdpScanResult:
+             threads: int = 1) -> LdpScanResult:
     """Monte Carlo ratios P(theta'S_n > x) / (n P(|X| > x)) over a
     geometric grid in the region, compared against the cluster index."""
     if not isinstance(theta, Direction):
@@ -266,9 +265,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
     c, scale = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, alpha)
-    burn = spec.default_burn if burn_in is None else burn_in
-    sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), burn,
-                        threads)
+    sums = _scalar_sums(spec, n, reps, stream.substream(0xD1), threads)
     sign = theta.theta[0]
     proj = sign * (sums - n * mu)
     counts = (proj[:, None] > xs[None, :]).sum(axis=0).astype(float)

@@ -49,7 +49,7 @@ class ModelSpec:
     of Theta_0 and their k masses), ``paths(n, burn_in, replicas, stream)``
     returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
     (replicas,) partial sums S_n of a scalar observable on the same
-    draws), ``tail_process(horizon, replicas, stream, alpha, tvs)``,
+    draws), ``tail_process(horizon, replicas, stream, alpha, tv)``,
     ``conditional_states(y, reps, stream)`` for the one-step drift fit, and
     ``default_burn``, the warm-up of the pilot and the limit-theorem
     scans, derived from the family's own contraction rate. The defaults
@@ -59,12 +59,12 @@ class ModelSpec:
     Theta_T) of ``replicas`` paths in blocks of at most ``_TAIL_BLOCK``
     consecutive replicas, in replica order. It draws Theta_0 for all
     replicas first and the rest block by block, with the bytes of one
-    draw over all of them. For a block of m replicas it yields one array
-    per entry of ``tvs``: the (m, horizon+1) projection theta'Theta_t of
-    a direction vector theta, with the bits of the matrix product of the
-    block's (m, horizon+1, d) angles with theta, or for None those
-    angles themselves. No array spans more than one block, apart from
-    Theta_0. The tail process is that of X itself, so d is ``dim``.
+    draw over all of them. For a block of m replicas it yields one array:
+    the (m, horizon+1) projection theta'Theta_t on the direction vector
+    ``tv``, with the bits of the matrix product of the block's
+    (m, horizon+1, d) angles with theta, or for None those angles
+    themselves. No array spans more than one block, apart from Theta_0.
+    The tail process is that of X itself, so d is ``dim``.
     """
 
     @functools.cached_property
@@ -266,7 +266,7 @@ class Var1Spec(ModelSpec):
         mass = np.array([w for _, w in merged.values()])
         return atoms, mass / np.sum(weights)
 
-    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+    def tail_process(self, horizon, replicas, stream, alpha, tv):
         """Theta_t = A^t Theta_0, one matrix product a step on each
         block's rows. A product of two rows or more has the bits of the
         whole chunk's (a lone row is never a block of its own)."""
@@ -278,7 +278,7 @@ class Var1Spec(ModelSpec):
             for t in range(1, horizon + 1):
                 cur = cur @ self.a_matrix.T
                 theta[:, t] = cur
-            yield [theta if tv is None else theta @ tv for tv in tvs]
+            yield theta if tv is None else theta @ tv
 
     def exact_cluster_index(self, tv):
         """sum_k w_k [(theta'(I-A)^{-1} a_k)_+^alpha
@@ -339,13 +339,10 @@ class Var1Spec(ModelSpec):
 class KestenSpec(ModelSpec):
     """Scalar stochastic recurrence X_t = A_t X_{t-1} + B_t with iid
     multipliers from ``a_law`` (Pareto or lognormal, so the moment
-    equation E A^kappa = 1 is exact) and additive terms from ``b_law``.
-    A positive ``alpha_hint`` is the declared tail index and replaces the
-    moment-equation root."""
+    equation E A^kappa = 1 is exact) and additive terms from ``b_law``."""
 
     a_law: TailLaw | None = None
     b_law: TailLaw | None = None
-    alpha_hint: float | None = None
 
     dim = 1
 
@@ -356,19 +353,16 @@ class KestenSpec(ModelSpec):
             raise ParameterError(
                 f"multiplier law must be pareto or lognormal, got "
                 f"{self.a_law.family}")
-        if self.alpha_hint is not None and not self.alpha_hint > 0:
-            raise ParameterError("alpha_hint must be positive")
         if randkit.law_log_mean(self.a_law) >= 0.0:
             raise ParameterError(
                 "multiplier law must have negative log-mean "
                 "(contraction on average)")
 
     def tail_index(self) -> float:
-        """The declared ``alpha_hint``, else the moment-equation root. An
-        additive law with a power tail of index at or below it would set
-        X's index (Grey 1994): ParameterError, naming both."""
-        alpha = float(self.alpha_hint) if self.alpha_hint is not None \
-            else _solve_moment_equation(lambda k: self._a_moment(k) - 1.0)
+        """The moment-equation root. An additive law with a power tail of
+        index at or below it would set X's index (Grey 1994):
+        ParameterError, naming both."""
+        alpha = _solve_moment_equation(lambda k: self._a_moment(k) - 1.0)
         try:
             b_alpha = randkit.power_tail(self.b_law)[1]
         except UnsupportedLawError:
@@ -431,7 +425,7 @@ class KestenSpec(ModelSpec):
         raise UnsupportedLawError(
             "no exact exceedance-angle law for this additive family")
 
-    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+    def tail_process(self, horizon, replicas, stream, alpha, tv):
         """Theta_t = A_1 ... A_t Theta_0: each block's multipliers (a law
         whose draws split) run their cumulative product in the block's
         output. A projection is one product with theta, the bits of the
@@ -445,8 +439,7 @@ class KestenSpec(ModelSpec):
             mults = sample_law(stream, self.a_law, m * horizon)
             np.cumprod(mults.reshape(m, horizon), axis=1, out=theta[:, 1:])
             theta[:, 1:] *= start[:, None]
-            yield [theta[..., None] if tv is None else theta * tv[0]
-                   for tv in tvs]
+            yield theta[..., None] if tv is None else theta * tv[0]
 
     def _up_mass(self, tv) -> float:
         """P(theta Theta_0 > 0), the sign of every theta Theta_t."""
@@ -467,15 +460,12 @@ class KestenSpec(ModelSpec):
     def _perpetuity(self):
         """``_log_lattice``'s G = E[(W+1)^alpha - W^alpha] for the
         perpetuity W = sum_{t>=1} A_1 ... A_t =_d A (1 + W) (Vervaat 1979):
-        Y = log W, f = softplus, g grows like W^s. A = 1/2 keeps W = 1 on
-        the lattice; past alpha y = 1400 g spans more than a double's
-        range, out of regime."""
+        Y = log W, f = softplus, g grows like W^s, where E A^s < 1 by
+        convexity (E A^0 = E A^alpha = 1). A = 1/2 keeps W = 1 on the
+        lattice; past alpha y = 1400 g spans more than a double's range,
+        out of regime."""
         alpha = self.tail_index()
         s = max(alpha - 1.0, 0.0)
-        if s and self._a_moment(s) >= 1.0:
-            raise ParameterError(
-                f"E A^(alpha-1) = {self._a_moment(s):.6g} is not below 1 at "
-                f"alpha = {alpha:g}: E[(W+1)^alpha - W^alpha] diverges")
 
         def cells(j, h):
             if alpha * j[-1] * h > 1400.0:
@@ -627,7 +617,7 @@ class Garch11Spec(ModelSpec):
         """Theta_0 = sign(Z_0), Z_0 symmetric: +-1 with mass 1/2 each."""
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
 
-    def tail_process(self, horizon, replicas, stream, alpha, tvs):
+    def tail_process(self, horizon, replicas, stream, alpha, tv):
         """Theta_t = X_t / |X_0| as |X_0| -> inf: Z_0 is size-biased by
         |z|^alpha, so Z_0^2 = 2G with G ~ Gamma((alpha + 1)/2), and
         Theta_t = Theta_0 prod_{s<t} sqrt(a1 Z_s^2 + b1) Z_t / |Z_0| with
@@ -644,8 +634,7 @@ class Garch11Spec(ModelSpec):
             theta = thetas[:hi - lo]
             theta[:, 0] = starts[lo:hi]
             walk *= lead[lo:hi, None]
-            yield [theta[..., None] if tv is None else theta * tv[0]
-                   for tv in tvs]
+            yield theta[..., None] if tv is None else theta * tv[0]
 
     def first_step_values(self, horizon, replicas, stream, alpha):
         """(replicas,) per-path values f(U) whose mean is b(1) = b(-1)
@@ -1026,50 +1015,45 @@ def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
 def tail_index(spec) -> float:
     """Tail index of the stationary law.
 
-    Linear model: inherited from the innovation law. Scalar recurrence:
-    the declared ``alpha_hint`` when set, else (as for GARCH) the unique
-    positive root of the multiplier moment equation, found by bracketing
-    bisection (absolute tolerance well below 1e-8).
+    Linear model: inherited from the innovation law. Scalar recurrence
+    (as for GARCH): the unique positive root of the multiplier moment
+    equation, found by bracketing bisection (absolute tolerance well below
+    1e-8).
     """
     return spec.tail_index()
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream, alpha: float,
-                              functionals=None):
+                              stream: RngStream, alpha: float, tv=None,
+                              reducers=None):
     """Spectral-tail-process angles (Theta_0, ..., Theta_T) of
     ``replicas`` paths, drawn on the stream's angle child in blocks of
     ``_TAIL_BLOCK`` replicas (``ModelSpec``); ``alpha`` is the spec's tail
     index, solved once by the caller.
 
-    Without ``functionals``, the (replicas, horizon+1, d) angles. With a
-    list of (tv, reduce), each block's (m, horizon+1) projection
-    tv'Theta_t goes to ``reduce``, which returns the block's (m,)
-    per-path values; the result is one (replicas,) value array per item,
-    and no array of the whole batch is held. Items that share one tv
-    array share its projection, which no ``reduce`` may write to."""
+    Each block yields its (m, horizon+1) projection tv'Theta_t, or for no
+    ``tv`` its (m, horizon+1, d) angles. Without ``reducers``, these
+    blocks stacked: the whole batch. With a list of reducers, each block
+    goes to every one, which returns the block's (m,) per-path values
+    and may not write to it; the result is one (replicas,) value array
+    per reducer, and no array of the whole batch is held."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    items = [(None, None)] if functionals is None else functionals
-    if any(tv is not None and tv.size != spec.dim for tv, _ in items):
+    if tv is not None and tv.size != spec.dim:
         raise ParameterError("direction dimension mismatch")
-    outs = [np.empty((replicas, horizon + 1, spec.dim) if reduce is None
-                     else replicas) for _, reduce in items]
-    tvs = list({id(tv): tv for tv, _ in items}.values())  # one per array
-    slot = {id(tv): k for k, tv in enumerate(tvs)}
-    lo = 0
+    outs, lo = None, 0
     for rows in spec.tail_process(horizon, replicas,
-                                  stream.substream(_ANGLE_CHILD), alpha,
-                                  tvs):
-        m = len(rows[0])
-        for out, (tv, reduce) in zip(outs, items):
-            row = rows[slot[id(tv)]]
-            out[lo:lo + m] = row if reduce is None else reduce(row)
-        lo += m
-        del rows, row  # free this block's projections before the next
-    return outs[0] if functionals is None else outs
+                                  stream.substream(_ANGLE_CHILD), alpha, tv):
+        vals = [rows] if reducers is None else [r(rows) for r in reducers]
+        if outs is None:  # shapes from the first block
+            outs = [np.empty((replicas, *v.shape[1:])) for v in vals]
+        for out, v in zip(outs, vals):
+            out[lo:lo + len(v)] = v
+        lo += len(rows)
+        del rows, vals  # free this block's projection before the next
+    return outs[0] if reducers is None else outs
 
 
 # ---------------------------------------------------------------------------

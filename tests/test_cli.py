@@ -65,6 +65,23 @@ class TestParseConfig:
         assert "seed" in problems
         assert "|a| < 1" in problems
 
+    @pytest.mark.parametrize("model, key", [("var1\na = 0.5", "burn_in"),
+                                            ("kesten", "alpha_hint")],
+                             ids=["burn_in", "alpha_hint"])
+    def test_chain_derived_values_are_not_keys(self, model, key):
+        # the warm-up is the spec's default burn-in, the Kesten index its
+        # moment root
+        problems = problems_of(f"command = simulate\nmodel = {model}\n"
+                               f"seed = 1\nn = 10\n{key} = 2\n")
+        assert len(problems) == 1
+        assert problems[0].endswith(f"unknown key {key!r}")
+
+    def test_stable_innovations_need_alpha_at_most_two(self):
+        problems = problems_of("command = simulate\nmodel = var1\nseed = 1\n"
+                               "a = 0.5\ninnovation = stable\nalpha = 2.5\n"
+                               "n = 10\n")
+        assert problems == ["stable innovations need alpha <= 2"]
+
     def test_duplicate_reports_both_lines(self):
         text = "command = simulate\nmodel = var1\nseed = 1\na = 0.5\n" \
                "n = 10\nn = 20\n"
@@ -115,7 +132,7 @@ class TestRun:
     def test_simulate_outputs_and_manifest(self, tmp_path):
         cfg = parse_config(
             "command = simulate\nmodel = var1\nseed = 5\na = 0.5\n"
-            "innovation = pareto\nalpha = 1.5\nn = 50\nburn_in = 10\n")
+            "innovation = pareto\nalpha = 1.5\nn = 50\n")
         manifest = run(cfg, out_dir=str(tmp_path / "out"))
         names = {f["name"] for f in manifest.files}
         assert names == {"path.csv", "summary.json"}
@@ -404,6 +421,46 @@ class TestMain:
             summary = json.load(fh)
         assert summary["beta_hat"] < 0 and summary["passed"]
         assert summary["suggested_burn_in"] == 1
+
+    def test_drift_check_on_heavier_additive_law_exit_two(self, tmp_path,
+                                                           capsys):
+        # the bench multiplier (root 1.5) with Pareto(0.8) additive terms:
+        # X's index is 0.8, so no drift power below 1 is known to work
+        cfg = self._write(
+            tmp_path,
+            "command = drift-check\nmodel = kesten\nseed = 7\n"
+            "a_mu = -0.75\na_sigma2 = 1\nb_alpha = 0.8\n"
+            f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["drift-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "additive tail index 0.8" in err and "index 1.5" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_drift_check_with_no_power_tail_fits_p_one(self, tmp_path):
+        # Gaussian innovations have no tail index: p falls back to 1
+        out = tmp_path / "out"
+        cfg = self._write(
+            tmp_path,
+            "command = drift-check\nmodel = var1\nseed = 4\na = 0.5\n"
+            f"innovation = gaussian\nout_dir = {out}\n")
+        assert main(["drift-check", "--config", cfg]) == 0
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["p"] == 1.0
+
+    @pytest.mark.parametrize("body, message", [
+        ("a = 0.5\ninnovation = stable\n", "no split construction for "
+         "stable"),
+        ("a = -0.5\ninnovation = pareto\n", "nonnegative coefficient")])
+    def test_regen_check_without_a_split_exit_three(self, tmp_path, capsys,
+                                                    body, message):
+        cfg = self._write(
+            tmp_path,
+            f"command = regen-check\nmodel = var1\nseed = 5\n{body}"
+            f"n = 1000\nm_bound = 2.0\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["regen-check", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "UnsupportedCaseError" in err and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
         missing = str(tmp_path / "no-such-file.cfg")

@@ -45,16 +45,24 @@ def _mc_sup(spec, th, horizon, replicas, stream, threads=1):
     """The Monte Carlo sup functional, which ``extremal_index`` skips for
     a family with an exact one: a one-element list."""
     return cluster._mc_functional(
-        spec, [(th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
+        spec, th, [(cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
         horizon, replicas, stream, threads)
 
 
-def near_degenerate_half_spec(alpha_hint=1.5):
+def with_index(spec, alpha):
+    """``spec`` with its tail index set to ``alpha`` on the instance, a
+    stand-in for a law whose moment root is ``alpha``."""
+    spec.tail_index = lambda: alpha
+    return spec
+
+
+def near_degenerate_half_spec(alpha=1.5):
     """Scalar recurrence whose multiplier is concentrated at 1/2 (the
-    moment equation then has no root, so the index is declared)."""
-    return models.KestenSpec(
+    moment equation then has no root, so the index is set on the
+    instance)."""
+    return with_index(models.KestenSpec(
         a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5), sigma=1e-9),
-        b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=alpha_hint)
+        b_law=TailLaw(randkit.PARETO, alpha=10.0)), alpha)
 
 
 class TestDirection:
@@ -181,7 +189,7 @@ class TestKestenFixedPoint:
         mu = -alpha * sigma2 / 2.0
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=mu, sigma=math.sqrt(sigma2)),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=alpha)
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
         exact = _moment_recursion(
             lambda j: math.exp(j * mu + j * j * sigma2 / 2.0), alpha)
         est = closed_form_cluster_index(spec, Direction([1.0]), 2)
@@ -194,12 +202,11 @@ class TestKestenFixedPoint:
                                                        (6.0, 0.3, 4)])
     def test_pareto_multiplier_matches_moment_recursion(self, a_alpha,
                                                         scale, alpha):
-        # declared integer index below the moment root; E A^j from the
-        # Pareto law, alpha_A scale^j / (alpha_A - j)
+        # an integer index below the moment root, set on the instance;
+        # E A^j from the Pareto law, alpha_A scale^j / (alpha_A - j)
         law = TailLaw(randkit.PARETO, alpha=a_alpha, scale=scale)
-        spec = models.KestenSpec(a_law=law,
-                                 b_law=TailLaw(randkit.PARETO, alpha=10.0),
-                                 alpha_hint=alpha)
+        spec = with_index(models.KestenSpec(
+            a_law=law, b_law=TailLaw(randkit.PARETO, alpha=10.0)), alpha)
         exact = _moment_recursion(
             lambda j: randkit.law_moment(law, float(j)), alpha)
         est = closed_form_cluster_index(spec, Direction([1.0]), 2)
@@ -248,33 +255,26 @@ class TestKestenFixedPoint:
             assert half.value == 0.5 * up.value
             assert half.std_error == 0.5 * up.std_error
 
-    def test_no_contraction_on_the_range_is_rejected(self):
-        # moment root 1/2, declared index 1.8: E A^0.8 > 1, so
-        # E[(W+1)^alpha - W^alpha] diverges
+    @pytest.mark.parametrize("root", [25])
+    def test_large_index_stays_finite(self, root):
+        # mu = -0.5, sigma^2 = 1 / root: moment root 25, where
+        # (1 + W)^alpha passes the largest double on the lattice's top
+        # cells
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=math.sqrt(2.0)),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.8)
-        with pytest.raises(ParameterError, match=r"E A\^\(alpha-1\)"):
-            closed_form_cluster_index(spec, Direction([1.0]), 10)
-
-    @pytest.mark.parametrize("alpha_hint", [None, 25])
-    def test_large_index_stays_finite(self, alpha_hint):
-        # mu = -0.5, sigma^2 = 0.04: moment root 25, where (1 + W)^alpha
-        # passes the largest double on the lattice's top cells
-        spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.2),
-            b_law=TailLaw(randkit.PARETO, alpha=30.0), alpha_hint=alpha_hint)
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
+                          sigma=math.sqrt(1.0 / root)),
+            b_law=TailLaw(randkit.PARETO, alpha=30.0))
         est = closed_form_cluster_index(spec, Direction([1.0]), 2)
-        exact = _moment_recursion(lambda j: math.exp(-0.5 * j + 0.02 * j * j),
-                                  25)
+        exact = _moment_recursion(
+            lambda j: math.exp(-0.5 * j + j * j / (2.0 * root)), root)
         assert abs(est.value - exact) <= est.std_error < exact
 
     def test_lattice_beyond_double_range_is_out_of_regime(self):
-        # bench law declared at kappa + 0.95: kappa - (alpha - 1) = 0.05
+        # bench law at index kappa + 0.95: kappa - (alpha - 1) = 0.05
         # puts the lattice top at log W = 720, past e^(1400 / alpha)
-        spec = models.KestenSpec(
+        spec = with_index(models.KestenSpec(
             a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=2.45)
+            b_law=TailLaw(randkit.PARETO, alpha=10.0)), 2.45)
         with pytest.raises(OutOfRegimeError, match="exponent range"):
             closed_form_cluster_index(spec, Direction([1.0]), 10)
 
@@ -488,8 +488,8 @@ class TestSharedBatch:
     def test_each_functional_keeps_its_route_bytes(self, kesten_lognormal):
         spec, th = kesten_lognormal, Direction([1.0])
         shared = cluster._mc_functional(
-            spec, [(th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
-                   (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
+            spec, th, [(cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
+                       (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
             8, self.REPLICAS, derive_stream(42, 6), 1)
         # the recurrence's extremal_index is exact: the sup functional
         # alone is the Monte Carlo route it keeps for other families
@@ -597,8 +597,8 @@ class TestControlVariate:
         alpha, tv = spec.tail_index(), np.array([1.0])
         s = cluster._control_power(alpha)
         ctrl, = models.sample_tail_process_batch(
-            spec, 40, 20_000, derive_stream(47, 1), alpha,
-            [(tv, functools.partial(cluster._control, s=s))])
+            spec, 40, 20_000, derive_stream(47, 1), alpha, tv,
+            [functools.partial(cluster._control, s=s)])
         se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
         assert abs(np.mean(ctrl) - spec.tail_moments(tv, s, 40)) <= 4 * se
 
@@ -616,8 +616,8 @@ class TestControlVariate:
         assert mean == pytest.approx(
             0.5 * sum(m ** t for t in range(1, 41)), rel=1e-12)
         ctrl, = models.sample_tail_process_batch(
-            spec, 40, 20_000, derive_stream(47, 5), alpha,
-            [(tv, functools.partial(cluster._control, s=s))])
+            spec, 40, 20_000, derive_stream(47, 5), alpha, tv,
+            [functools.partial(cluster._control, s=s)])
         se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
         assert abs(np.mean(ctrl) - mean) <= 4 * se
 
@@ -680,11 +680,11 @@ class TestControlVariate:
         # near 1 (the reference's own error shifts every z alike)
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         functionals = [
-            (th, cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
-            (th, cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)]
+            (cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
+            (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)]
 
         def run(replicas, stream, threads=1):
-            return cluster._mc_functional(spec, functionals, 10,
+            return cluster._mc_functional(spec, th, functionals, 10,
                                           replicas, stream, threads)
 
         ref = run(2_000_000, derive_stream(47, 4), threads=2)

@@ -34,10 +34,10 @@ RUN_DIGESTS = {
                         "b982122cac3a9bde26440b783364b8b0",
     },
     "golden_simulate.cfg": {
-        "path.csv": "99ea6c924d6c22ee49db436a6fabab03"
-                    "8c776b354ae196f52a7dd90cf32fb6d7",
-        "summary.json": "ad29ea3dd43aa0cc62d3157b73a997ed"
-                        "74988f407e7c4539afc4c5d15389ec5c",
+        "path.csv": "db370d0142ae9a22df97d28a5a00e267"
+                    "59ac1bbba7c8843b614b3f6a66db1dfb",
+        "summary.json": "5ffbd2a74e4d3ff0428ccf8a7ec4817e"
+                        "9ed4b7dadc95ae5bc8315293e68ac10c",
     },
     "golden_cluster_kesten.cfg": {
         "cluster.csv": "0406deb22d7713cc3f87067b154c8b29"

@@ -13,7 +13,8 @@ import pytest
 
 from heavytail import cluster, limits, models, randkit, regen
 from heavytail.cluster import Direction
-from heavytail.errors import (InsufficientCyclesError, OutOfRegimeError,
+from heavytail.errors import (DegenerateSampleError,
+                              InsufficientCyclesError, OutOfRegimeError,
                               ParameterError, UnsupportedCaseError,
                               WidenRError)
 from heavytail.limits import (StableLawParams, gaussian_sigma, ldp_region,
@@ -133,8 +134,7 @@ class TestStableCheck:
         spec = models.Var1Spec(1, law, a_matrix=np.array([[0.5]]))
         tracemalloc.start()
         try:
-            limits._scalar_sums(spec, 1000, 20_000, derive_stream(51, 7),
-                                spec.default_burn, 1)
+            limits._scalar_sums(spec, 1000, 20_000, derive_stream(51, 7), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -157,14 +157,36 @@ class TestStableCheck:
             tracemalloc.stop()
         assert peak <= 1.3 * 8 * 200_000
 
-    def test_infinite_mean_cannot_center(self):
-        # a declared alpha of 1.2, but E A = e^0.4 >= 1: X has no finite
-        # mean, so S_n has no centring
+    def test_infinite_mean_cannot_center(self, monkeypatch):
+        # alpha 1.5 > 1 on the bench recurrence, whose stationary-mean
+        # hook answers None: S_n has no centring
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.1, sigma=1.0),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.2)
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        monkeypatch.setattr(spec, "stationary_mean", lambda: None)
         with pytest.raises(OutOfRegimeError, match="mean is infinite"):
             limits._sum_centering(spec, models.tail_index(spec))
+
+    def test_index_outside_the_stable_regime_is_rejected(self,
+                                                         garch_benchmark):
+        # alpha 9.07: S_n has a Gaussian limit, not a stable one
+        with pytest.raises(OutOfRegimeError, match=r"\(0, 2\); got 9\.0"):
+            stable_check(garch_benchmark, PLUS, 50, 100,
+                         derive_stream(51, 8))
+
+    def test_vector_direction_rejected(self, ar_sympareto15):
+        with pytest.raises(ParameterError, match=r"must be \+1 or -1"):
+            stable_check(ar_sympareto15, Direction([1.0, 0.0]), 50, 100,
+                         derive_stream(51, 9))
+
+    def test_all_zero_pilot_has_no_scale(self, monkeypatch):
+        # GARCH has no analytic power tail, so the scale is a pilot
+        # order statistic, here 0
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        monkeypatch.setattr(models, "stationary_pilot",
+                            lambda spec, seed: np.zeros((1000, 1)))
+        with pytest.raises(DegenerateSampleError, match="scale 0 <= 0"):
+            limits._power_tail(spec, derive_stream(51, 10))
 
     def test_thread_count_does_not_change_values(self, ar_sympareto15):
         a = stable_check(ar_sympareto15, PLUS, 300, 600,
@@ -227,6 +249,16 @@ class TestLdp:
         with pytest.raises(ParameterError):
             ldp_scan(iid_pareto08, Direction([1.0, 0.0]), 100, 1000,
                      derive_stream(52, 5))
+
+    def test_empty_grid_rejected(self, iid_pareto08):
+        with pytest.raises(ParameterError, match="grid_size"):
+            ldp_scan(iid_pareto08, PLUS, 100, 1000, derive_stream(52, 6),
+                     grid_size=0)
+
+    def test_reversed_region_rejected(self, iid_pareto08):
+        with pytest.raises(ParameterError, match="0 < b_n < c_n"):
+            ldp_scan(iid_pareto08, PLUS, 100, 1000, derive_stream(52, 7),
+                     region=(10.0, 1.0))
 
 
 class TestGarchBStreams:

@@ -89,26 +89,31 @@ class TestTailIndex:
         with pytest.raises(NoRootError):
             models.tail_index(spec)
 
-    def test_tail_index_honors_hint(self):
-        spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=math.log(0.5),
-                          sigma=1e-9),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=1.5)
-        assert models.tail_index(spec) == 1.5
-
-    @pytest.mark.parametrize("b_law, hint", [
-        # the bench multiplier (root 1.5), declared or not
+    @pytest.mark.parametrize("b_law, root", [
+        # lognormal A with sigma 1 and mu = -root / 2, whose moment root
+        # is ``root``: the bench multiplier (root 1.5) for None
         (TailLaw(randkit.PARETO, alpha=0.8), None),
         (TailLaw(randkit.STABLE, alpha=1.4), None),
-        (TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.2), 1.2)])
-    def test_kesten_rejects_a_heavier_additive_law(self, b_law, hint):
+        (TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.1), 1.2)])
+    def test_kesten_rejects_a_heavier_additive_law(self, b_law, root):
         # X's index would be the additive law's (Grey 1994)
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
-            b_law=b_law, alpha_hint=hint)
-        chain = "1.2" if hint else "1.5"
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-(root or 1.5) / 2.0,
+                          sigma=1.0),
+            b_law=b_law)
         with pytest.raises(ParameterError, match=(
-                rf"additive tail index {b_law.alpha:g} .* index {chain}")):
+                rf"additive tail index {b_law.alpha:g} .* "
+                rf"index {root or 1.5:g}")):
+            models.tail_index(spec)
+
+    def test_kesten_rejects_an_additive_law_at_its_index(self):
+        # the bench multiplier's root is 1.5 to the last bit: bisection
+        # from [1, 2] meets E A^1.5 = 1 at its first midpoint
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5))
+        with pytest.raises(ParameterError,
+                           match=r"additive tail index 1.5 .* index 1.5"):
             models.tail_index(spec)
 
     def test_var1_tail_index_is_innovation_index(self, ar_pareto15):
@@ -145,12 +150,6 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="pareto or lognormal"):
             models.KestenSpec(a_law=a_law,
                               b_law=TailLaw(randkit.PARETO, alpha=10.0))
-
-    def test_kesten_rejects_nonpositive_hint(self):
-        with pytest.raises(ParameterError, match="alpha_hint"):
-            models.KestenSpec(
-                a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.5),
-                b_law=TailLaw(randkit.PARETO, alpha=10.0), alpha_hint=0.0)
 
     def test_kesten_requires_negative_lyapunov(self):
         with pytest.raises(HeavytailError):
@@ -836,12 +835,12 @@ class TestBlockedTailProcess:
         spec, tv = make(), np.array(tv)
         alpha = spec.tail_index()
         ref = whole(spec, horizon, replicas, angle_stream(6, 20))
-        got = models.sample_tail_process_batch(
-            spec, horizon, replicas, derive_stream(6, 20), alpha,
-            [(tv, _sum_values), (-tv, _sum_values), (tv, _sup_values)])
-        want = [_sum_values(ref @ tv), _sum_values(ref @ -tv),
-                _sup_values(ref @ tv)]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        for d in (tv, -tv):  # one batch per direction
+            got = models.sample_tail_process_batch(
+                spec, horizon, replicas, derive_stream(6, 20), alpha, d,
+                [_sum_values, _sup_values])
+            want = [_sum_values(ref @ d), _sup_values(ref @ d)]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         angles = models.sample_tail_process_batch(
             spec, horizon, replicas, derive_stream(6, 20), alpha)
         assert angles.tobytes() == ref.tobytes()
@@ -886,17 +885,16 @@ class TestBlockedTailProcess:
                 math.sqrt(m2) / replicas)
 
     def test_garch_route_chunk_holds_blocks(self, garch_benchmark):
-        # one 8,192-replica, 64-step tail-process chunk reduced along both
-        # signs, as a shared batch of ``cluster._mc_functional`` reduces
-        # it: the whole batch would be 8.5 MB and its projections 4.3 MB
-        # each
+        # one 8,192-replica, 64-step tail-process chunk reduced by two
+        # functionals, as a shared batch of ``cluster._mc_functional``
+        # reduces it: the whole batch would be 8.5 MB and its projection
+        # 4.3 MB
         alpha = garch_benchmark.tail_index()
-        tv = np.array([1.0])
         tracemalloc.start()
         try:
             models.sample_tail_process_batch(
                 garch_benchmark, 64, 8192, derive_stream(6, 22), alpha,
-                [(tv, _sum_values), (-tv, _sum_values)])
+                np.array([1.0]), [_sum_values, _sup_values])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -921,7 +919,7 @@ class TestBlockedTailProcess:
         with pytest.raises(ParameterError, match="dimension"):
             models.sample_tail_process_batch(
                 garch_benchmark, 4, 100, derive_stream(6, 23), 2.0,
-                [(np.array([0.0, 1.0]), _sum_values)])
+                np.array([0.0, 1.0]), [_sum_values])
 
 
 class TestExceedanceAngles:
