@@ -255,18 +255,19 @@ class TestKestenFixedPoint:
             assert half.value == 0.5 * up.value
             assert half.std_error == 0.5 * up.std_error
 
-    @pytest.mark.parametrize("root", [25])
-    def test_large_index_stays_finite(self, root):
-        # mu = -0.5, sigma^2 = 1 / root: moment root 25, where
-        # (1 + W)^alpha passes the largest double on the lattice's top
-        # cells
+    @pytest.mark.parametrize("index", [None, 25])
+    def test_large_index_stays_finite(self, index):
+        # mu = -0.5, sigma^2 = 0.04: moment root 25, where (1 + W)^alpha
+        # passes the largest double on the lattice's top cells; None
+        # runs at the solved root, 25 at the exact index on the instance
         spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
-                          sigma=math.sqrt(1.0 / root)),
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5, sigma=0.2),
             b_law=TailLaw(randkit.PARETO, alpha=30.0))
+        if index is not None:
+            spec = with_index(spec, float(index))
         est = closed_form_cluster_index(spec, Direction([1.0]), 2)
-        exact = _moment_recursion(
-            lambda j: math.exp(-0.5 * j + j * j / (2.0 * root)), root)
+        exact = _moment_recursion(lambda j: math.exp(-0.5 * j + 0.02 * j * j),
+                                  25)
         assert abs(est.value - exact) <= est.std_error < exact
 
     def test_lattice_beyond_double_range_is_out_of_regime(self):
