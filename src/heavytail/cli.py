@@ -31,13 +31,12 @@ MODELS = ("var1", "kesten", "garch11")
 _INNOVATIONS = (randkit.PARETO, randkit.SYMMETRIC_PARETO, randkit.STABLE,
                 randkit.GAUSSIAN)
 
-# fixed per-stage stream ids so the manifest can name them; id 3, the
-# retired Monte Carlo closed form's, is not reused
+# fixed per-stage stream ids so the manifest can name them; ids 3 (the
+# Monte Carlo closed form), 4 (telescoping) and 5 (the Monte Carlo sup)
+# are retired, not reused
 STREAMS = {
     "simulate": 1,
     "cluster_tail": 2,
-    "cluster_telescoping": 4,
-    "extremal": 5,
     "ldp": 6,
     "stable": 7,
     "drift": 8,
@@ -430,17 +429,14 @@ def _cmd_cluster_index(config, spec, writer, threads):
     theta = Direction([config.get("theta")])
     horizon = config.get("horizon")
     replicas = config.get("replicas")
-    ests = {"cluster_tail_process": cluster.cluster_index_tail_process(
-        spec, theta, horizon, replicas, _stream(config, "cluster_tail"),
-        threads)}
+    tail, tele, sup = cluster.tail_process_routes(
+        spec, theta, horizon, config.get("k_trunc"), replicas,
+        _stream(config, "cluster_tail"), threads)
+    ests = {"cluster_tail_process": tail}
     if spec.exact_cluster_index(theta.vector) is not None:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
             spec, theta, replicas)
-    ests["telescoping"] = cluster.telescoping_difference(
-        spec, theta, config.get("k_trunc"), replicas,
-        _stream(config, "cluster_telescoping"), threads)
-    ests["extremal_index"] = cluster.extremal_index(
-        spec, theta, horizon, replicas, _stream(config, "extremal"), threads)
+    ests["telescoping"], ests["extremal_index"] = tele, sup
     fields = ("route", "value", "std_error", "plug_in_se", "horizon",
               "replicas")
     writer.csv("cluster.csv", ["quantity", *fields],
@@ -449,10 +445,7 @@ def _cmd_cluster_index(config, spec, writer, threads):
     summary = {"alpha": alpha, "theta": theta}
     for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
-    streams = {k: STREAMS[k] for k in ("cluster_tail", "cluster_telescoping")}
-    if ests["extremal_index"].replicas:  # an exact sup draws nothing
-        streams["extremal"] = STREAMS["extremal"]
-    return summary, streams
+    return summary, {"cluster_tail": STREAMS["cluster_tail"]}
 
 
 def _cmd_ldp_scan(config, spec, writer, threads):

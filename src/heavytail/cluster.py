@@ -4,7 +4,6 @@ differences, and the half-space limit measure they determine."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
@@ -165,21 +164,18 @@ def _control(proj: np.ndarray, s: float) -> np.ndarray:
     return c.sum(axis=1)
 
 
-def _mc_functional(spec, theta: Direction, functionals, horizon: int,
-                   replicas: int, stream: RngStream, threads: int) -> list:
-    """Shared argument checks of the Monte Carlo routes, then per-path
-    functionals of one batch of the spec's tail-process draws along
-    ``theta``. ``functionals`` lists (reduce_paths, route). Each
-    fixed-size chunk is drawn and reduced block by block in ``models``: a
-    block's projection on theta goes straight to every reduce_paths, and
-    the chunk's per-path values to their moments, merged in chunk order.
-    Every functional reads the same draws, and each estimate has the bits
-    it would have alone on the same stream. One estimate per functional,
-    in order. The functional, the control power and the tail process all
-    read the spec's own tail index.
+def _mc_functional(spec, theta: Direction, functionals, replicas: int,
+                   stream: RngStream, threads: int) -> list:
+    """Shared argument checks of the Monte Carlo routes, then one estimate
+    per (reduce_paths, route, lag) of ``functionals``, in order, with its
+    lag as horizon, from one batch of tail-process draws at the largest
+    lag: each reduces the first lag + 1 columns of every block's
+    projection on ``theta``, its chunk moments merged in chunk order, and
+    at the largest lag has the bits it would have alone on the stream.
+    All read the spec's own tail index.
 
     When the functional is the summed one (``_sum_difference``) and the
-    spec knows E c for the control c = sum_{t>=1} (theta'Theta_t)_+^s
+    spec knows E c for the control c = sum_{t=1}^{lag} (theta'Theta_t)_+^s
     (``tail_moments``), c is one more reducer on the same blocks and the
     estimate is the regression estimator
     mean_f - beta (mean_c - E c), beta = C_fc / M2_c, with the residual
@@ -187,7 +183,8 @@ def _mc_functional(spec, theta: Direction, functionals, horizon: int,
     (Glasserman 2004, section 4.1). Otherwise, or when the control has
     no spread, it is the plain mean (the sup functional gains too little
     from c to pay for it)."""
-    if horizon < 0:
+    horizon = max(lag for *_, lag in functionals)
+    if min(lag for *_, lag in functionals) < 0:
         raise ParameterError("horizon must be at least 0")
     if replicas < 100:
         raise ParameterError("replicas must be at least 100")
@@ -195,12 +192,11 @@ def _mc_functional(spec, theta: Direction, functionals, horizon: int,
     s = _control_power(alpha)
     tv = theta.vector
     reducers, controls = [], []
-    for reduce_paths, _ in functionals:
-        reducers.append(functools.partial(reduce_paths, alpha=alpha))
-        ec = spec.tail_moments(tv, s, horizon) \
-            if reduce_paths is _sum_difference else None
+    for f, _, lag in functionals:  # each reads its lag's prefix
+        reducers.append(lambda p, f=f, n=lag + 1: f(p[:, :n], alpha))
+        ec = spec.tail_moments(tv, s, lag) if f is _sum_difference else None
         if ec is not None and math.isfinite(ec):
-            reducers.append(functools.partial(_control, s=s))
+            reducers.append(lambda p, n=lag + 1: _control(p[:, :n], s))
         else:
             ec = None
         controls.append(ec)
@@ -212,9 +208,9 @@ def _mc_functional(spec, theta: Direction, functionals, horizon: int,
                 for ec in controls]
 
     chunks = randkit.map_chunks(one, replicas, _CHUNK, stream, threads)
-    return [_estimate(parts, ec, route, horizon, replicas)
-            for parts, (_, route), ec in zip(zip(*chunks), functionals,
-                                              controls)]
+    return [_estimate(parts, ec, route, lag, replicas)
+            for parts, (_, route, lag), ec in zip(zip(*chunks), functionals,
+                                                   controls)]
 
 
 def _estimate(parts, ec, route: str, horizon: int,
@@ -255,12 +251,14 @@ def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def cluster_index_tail_process(spec, theta: Direction, horizon: int,
-                               replicas: int, stream: RngStream,
-                               threads: int = 1) -> ClusterIndexEstimate:
+                               replicas: int,
+                               stream: RngStream) -> ClusterIndexEstimate:
     """Monte Carlo cluster index: mean over tail-process draws of
-    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha."""
-    return _mc_functional(spec, theta, [(_sum_difference, ROUTE_TAIL_PROCESS)],
-                          horizon, replicas, stream, threads)[0]
+    ((theta' sum_{t<=T})_+)^alpha - ((theta' sum_{1<=t<=T})_+)^alpha, on
+    one thread (``tail_process_routes`` is the threaded batch)."""
+    return _mc_functional(spec, theta,
+                          [(_sum_difference, ROUTE_TAIL_PROCESS, horizon)],
+                          replicas, stream, 1)[0]
 
 
 def first_step_cluster_index(spec, horizon: int, replicas: int,
@@ -286,26 +284,49 @@ def first_step_cluster_index(spec, horizon: int, replicas: int,
 
 
 def telescoping_difference(spec, theta: Direction, k: int, replicas: int,
-                           stream: RngStream,
-                           threads: int = 1) -> ClusterIndexEstimate:
-    """The k-truncated difference (horizon k in the summed functional);
-    converges to the cluster index as k grows."""
+                           stream: RngStream) -> ClusterIndexEstimate:
+    """The k-truncated difference (horizon k in the summed functional),
+    on one thread; converges to the cluster index as k grows."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    return _mc_functional(spec, theta, [(_sum_difference, ROUTE_TELESCOPING)],
-                          k, replicas, stream, threads)[0]
+    return _mc_functional(spec, theta,
+                          [(_sum_difference, ROUTE_TELESCOPING, k)],
+                          replicas, stream, 1)[0]
+
+
+def _exact(pair):
+    """A draw-free (value, error bound) as a closed-form estimate (0
+    replicas, horizon 0, the bound as both standard errors), or None."""
+    return None if pair is None else ClusterIndexEstimate(
+        *pair, ROUTE_CLOSED_FORM, 0, 0, pair[1])
 
 
 def extremal_index(spec, theta: Direction, horizon: int, replicas: int,
-                   stream: RngStream,
-                   threads: int = 1) -> ClusterIndexEstimate:
+                   stream: RngStream) -> ClusterIndexEstimate:
     """Sup-version of the cluster functional (the extremal-index analogue):
-    a closed form when ``exact_extremal_index`` answers, else Monte Carlo."""
-    exact = spec.exact_extremal_index(theta.vector)
-    if exact is not None:
-        return ClusterIndexEstimate(*exact, ROUTE_CLOSED_FORM, 0, 0, exact[1])
-    return _mc_functional(spec, theta, [(_sup_difference, ROUTE_TAIL_PROCESS)],
-                          horizon, replicas, stream, threads)[0]
+    a closed form when ``exact_extremal_index`` answers, else Monte Carlo
+    on one thread."""
+    return _exact(spec.exact_extremal_index(theta.vector)) or _mc_functional(
+        spec, theta, [(_sup_difference, ROUTE_TAIL_PROCESS, horizon)],
+        replicas, stream, 1)[0]
+
+
+def tail_process_routes(spec, theta: Direction, horizon: int, k_trunc: int,
+                        replicas: int, stream: RngStream, threads: int):
+    """[summed route at ``horizon``, telescoping at ``k_trunc``, extremal
+    index] from one tail-process batch at the larger lag, each reading
+    its prefix of every path (so at k_trunc <= horizon the summed route
+    has the bits of ``cluster_index_tail_process``); the extremal index
+    is exact when ``exact_extremal_index`` answers, else the sup."""
+    if k_trunc < 1:
+        raise ParameterError("k must be at least 1")
+    exact = _exact(spec.exact_extremal_index(theta.vector))
+    functionals = [(_sum_difference, ROUTE_TAIL_PROCESS, horizon),
+                   (_sum_difference, ROUTE_TELESCOPING, k_trunc),
+                   (_sup_difference, ROUTE_TAIL_PROCESS, horizon)]
+    ests = _mc_functional(spec, theta, functionals[:2 if exact else 3],
+                          replicas, stream, threads)
+    return ests + [exact] if exact else ests
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +340,8 @@ def closed_form_cluster_index(spec, theta: Direction,
     (UnsupportedCaseError for a family whose hook answers None). No
     branch reads ``replicas``: the benchmark tracer counts it as the
     route's budget."""
-    exact = spec.exact_cluster_index(theta.vector)
-    if exact is None:
+    est = _exact(spec.exact_cluster_index(theta.vector))
+    if est is None:
         raise UnsupportedCaseError(
             f"no closed-form cluster index for {type(spec).__name__}")
-    value, bound = exact
-    return ClusterIndexEstimate(value, bound, ROUTE_CLOSED_FORM, 0, 0, bound)
+    return est

@@ -439,7 +439,8 @@ class KestenSpec(ModelSpec):
             mults = sample_law(stream, self.a_law, m * horizon)
             np.cumprod(mults.reshape(m, horizon), axis=1, out=theta[:, 1:])
             theta[:, 1:] *= start[:, None]
-            yield theta[..., None] if tv is None else theta * tv[0]
+            yield theta[..., None] if tv is None else np.multiply(
+                theta, tv[0], out=theta)
 
     def _up_mass(self, tv) -> float:
         """P(theta Theta_0 > 0), the sign of every theta Theta_t."""
@@ -634,7 +635,8 @@ class Garch11Spec(ModelSpec):
             theta = thetas[:hi - lo]
             theta[:, 0] = starts[lo:hi]
             walk *= lead[lo:hi, None]
-            yield theta[..., None] if tv is None else theta * tv[0]
+            yield theta[..., None] if tv is None else np.multiply(
+                theta, tv[0], out=theta)
 
     def first_step_values(self, horizon, replicas, stream, alpha):
         """(replicas,) per-path values f(U) whose mean is b(1) = b(-1)

@@ -40,17 +40,21 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
     # calls of sample_tail_process_batch: every Monte Carlo cluster route
     # makes one per chunk, with the chunk's replicas and horizon, inside
     # the route's span. The recurrence's extremal call is its exact sup
-    # functional (``exact_extremal_index``) and draws no batch
+    # functional (``exact_extremal_index``) and draws no batch. The shared
+    # batch of ``cluster-index`` runs on ``threads`` under no traced
+    # route, so each of its batches is a top span of its own
     spec = request.getfixturevalue(fixture)
     theta = Direction([1.0])
     replicas, horizon = 2 * cluster._CHUNK + 500, 8
     routes = {
         "tail_process": lambda stream: cluster.cluster_index_tail_process(
-            spec, theta, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream),
         "telescoping": lambda stream: cluster.telescoping_difference(
-            spec, theta, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream),
         "extremal": lambda stream: cluster.extremal_index(
-            spec, theta, horizon, replicas, stream, threads),
+            spec, theta, horizon, replicas, stream),
+        "shared": lambda stream: cluster.tail_process_routes(
+            spec, theta, horizon, horizon - 2, replicas, stream, threads),
     }
     chunks = [cluster._CHUNK, cluster._CHUNK, 500]
     for name, route in routes.items():
@@ -60,13 +64,15 @@ def test_every_cluster_route_traces_one_batch_per_chunk(request, fixture,
             route(derive_stream(3, 4))
         finally:
             t.uninstall()
-        (top,) = [s for s in t.spans if s.parent is None]
         batches = [s for s in t.spans
                    if s.name == "models.sample_tail_process_batch"]
         drawn = [] if (fixture, name) == ("kesten_lognormal", "extremal") \
             else chunks
         assert sorted(s.meta["cells"] for s in batches) == sorted(
             take * (horizon + 1) for take in drawn), name
+        top = None
+        if name != "shared":
+            (top,) = [s for s in t.spans if s.parent is None]
         assert all(s.parent is top and s.end > s.start for s in batches)
 
 

@@ -248,22 +248,21 @@ class TestRun:
             closed = json.load(fh)["cluster_closed_form"]
         assert set(closed) == {"value", "std_error"}
 
-    @pytest.mark.parametrize("name, drawn", [
-        ("golden_cluster_kesten.cfg", False),
-        ("golden_cluster_garch.cfg", True)])
-    def test_manifest_lists_the_extremal_stream_when_drawn(self, tmp_path,
-                                                           name, drawn):
-        # the recurrence's sup functional is exact (no draws); GARCH's is
-        # the Monte Carlo sup on stream 5
+    @pytest.mark.parametrize("name, sup_route", [
+        ("golden_cluster.cfg", "tail_process"),
+        ("golden_cluster_kesten.cfg", "closed_form"),
+        ("golden_cluster_garch.cfg", "tail_process")])
+    def test_cluster_index_lists_only_the_tail_stream(self, tmp_path, name,
+                                                      sup_route):
+        # every Monte Carlo route reads the one batch on stream 2; the
+        # telescoping (4) and Monte Carlo sup (5) streams are retired
         with open(os.path.join(GOLDEN, name)) as fh:
             manifest = run(parse_config(fh.read()), out_dir=str(tmp_path))
-        assert ("extremal" in manifest.streams) == drawn
-        assert {"cluster_tail", "cluster_telescoping"} <= set(
-            manifest.streams)
+        assert manifest.streams == {"cluster_tail": 2}
+        assert not {4, 5} & set(cli.STREAMS.values())
         with open(tmp_path / "cluster.csv") as fh:
             row = [r for r in fh if r.startswith("extremal_index,")]
-        route = "tail_process" if drawn else "closed_form"
-        assert row[0].split(",")[1] == route
+        assert row[0].split(",")[1] == sup_route
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg_text = ("command = ldp-scan\nmodel = var1\nseed = 5\n"

@@ -45,8 +45,9 @@ def _mc_sup(spec, th, horizon, replicas, stream, threads=1):
     """The Monte Carlo sup functional, which ``extremal_index`` skips for
     a family with an exact one: a one-element list."""
     return cluster._mc_functional(
-        spec, th, [(cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
-        horizon, replicas, stream, threads)
+        spec, th,
+        [(cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS, horizon)],
+        replicas, stream, threads)
 
 
 def with_index(spec, alpha):
@@ -395,7 +396,7 @@ class TestFirstStepRoute:
         first = cluster.first_step_cluster_index(spec, 64, 8192,
                                                  derive_stream(42, 32), 2)
         tail = cluster_index_tail_process(spec, Direction([1.0]), 64,
-                                          40_000, derive_stream(42, 33), 2)
+                                          40_000, derive_stream(42, 33))
         assert abs(first.value - tail.value) <= 4.0 * math.hypot(
             first.std_error, tail.std_error)
 
@@ -437,12 +438,13 @@ class TestThreads:
     def test_routes_identical_on_one_and_two_threads(self, route):
         # the bench law (alpha 1.5): at alpha 2 the control makes the
         # summed routes exact, with no standard error to compare
+        # the summed routes run threaded only as the shared batch
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         calls = {
-            "tail_process": lambda s, t: cluster_index_tail_process(
-                spec, th, 8, self.REPLICAS, s, threads=t),
-            "telescoping": lambda s, t: telescoping_difference(
-                spec, th, 8, self.REPLICAS, s, threads=t),
+            "tail_process": lambda s, t: cluster.tail_process_routes(
+                spec, th, 8, 6, self.REPLICAS, s, t)[0],
+            "telescoping": lambda s, t: cluster.tail_process_routes(
+                spec, th, 8, 6, self.REPLICAS, s, t)[1],
             "extremal": lambda s, t: _mc_sup(spec, th, 8, self.REPLICAS, s,
                                              t)[0],
         }
@@ -489,9 +491,10 @@ class TestSharedBatch:
     def test_each_functional_keeps_its_route_bytes(self, kesten_lognormal):
         spec, th = kesten_lognormal, Direction([1.0])
         shared = cluster._mc_functional(
-            spec, th, [(cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
-                       (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)],
-            8, self.REPLICAS, derive_stream(42, 6), 1)
+            spec, th,
+            [(cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS, 8),
+             (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS, 8)],
+            self.REPLICAS, derive_stream(42, 6), 1)
         # the recurrence's extremal_index is exact: the sup functional
         # alone is the Monte Carlo route it keeps for other families
         alone = [cluster_index_tail_process(spec, th, 8, self.REPLICAS,
@@ -539,6 +542,105 @@ class TestSharedBatch:
                                    self.REPLICAS, derive_stream(42, 8))
         closed_form_cluster_index(spec, Direction([1.0]), 500)
         assert len(builds) == 1
+
+
+# the shared batch's families: (spec, direction vector); the two Kesten
+# laws know their control's mean, GARCH and Var1 keep the plain mean
+_SHARED_SPECS = {
+    "kesten_lognormal": (_KESTEN_SPECS["kesten_lognormal"], [1.0]),
+    "pareto_multiplier": (_KESTEN_SPECS["pareto_multiplier"], [1.0]),
+    "garch": (lambda: models.Garch11Spec(0.05, 0.5, 0.55), [1.0]),
+    "var1_dim2": (lambda: models.Var1Spec(
+        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
+        weights=np.array([1.0, 2.0])), [1.0, 1.0]),
+}
+
+
+def _prefix_estimate(spec, th, drawn, lag, replicas, stream):
+    """(value, std_error) of the summed functional at ``lag`` over the
+    first lag + 1 columns of one chunk of ``replicas`` paths drawn to
+    ``drawn`` steps: the regression mean on the control when the spec
+    knows its mean, else the plain mean."""
+    alpha = models.tail_index(spec)
+    s = cluster._control_power(alpha)
+    proj = models.sample_tail_process_batch(
+        spec, drawn, replicas, stream.substream(0), alpha,
+        th.vector)[:, :lag + 1]
+    f = cluster._sum_difference(proj, alpha)
+    mean = float(np.mean(f))
+    dev = f - mean
+    m2, ddof = float(dev @ dev), 1
+    ec = spec.tail_moments(th.vector, s, lag)
+    if ec is not None and math.isfinite(ec):
+        c = cluster._control(proj, s)
+        mean_c = float(np.mean(c))
+        dev_c = c - mean_c
+        m2_c, c_fc = float(dev_c @ dev_c), float(dev @ dev_c)
+        mean -= c_fc / m2_c * (mean_c - ec)
+        m2 = max(m2 - c_fc * c_fc / m2_c, 0.0)
+        ddof = 2
+    return mean, math.sqrt(m2 / (replicas - ddof) / replicas)
+
+
+@pytest.mark.parametrize("family", sorted(_SHARED_SPECS))
+class TestTailProcessRoutes:
+    """``cluster-index``'s one batch: the summed route, telescoping and
+    the Monte Carlo sup read prefixes of the same tail-process draws."""
+
+    REPLICAS = 2 * cluster._CHUNK + 500
+    ONE_CHUNK = cluster._CHUNK - 100
+
+    @staticmethod
+    def _spec(family):
+        make, tv = _SHARED_SPECS[family]
+        return make(), Direction(tv)
+
+    def test_tail_and_sup_are_the_routes_alone(self, family):
+        spec, th = self._spec(family)
+        tail, tele, sup = cluster.tail_process_routes(
+            spec, th, 8, 5, self.REPLICAS, derive_stream(48, 1), 1)
+        assert tail == cluster_index_tail_process(
+            spec, th, 8, self.REPLICAS, derive_stream(48, 1))
+        assert (tele.route, tele.horizon) == (cluster.ROUTE_TELESCOPING, 5)
+        # the recurrence's sup is exact; the others' is the Monte Carlo sup
+        # on the same draws
+        assert sup == extremal_index(spec, th, 8, self.REPLICAS,
+                                     derive_stream(48, 1))
+
+    def test_telescoping_reads_the_prefix_of_the_batch(self, family):
+        spec, th = self._spec(family)
+        _, tele, _ = cluster.tail_process_routes(
+            spec, th, 8, 5, self.ONE_CHUNK, derive_stream(48, 2), 1)
+        assert (tele.value, tele.std_error) == _prefix_estimate(
+            spec, th, 8, 5, self.ONE_CHUNK, derive_stream(48, 2))
+
+    def test_telescoping_at_the_horizon_is_the_tail_estimate(self, family):
+        spec, th = self._spec(family)
+        tail, tele, _ = cluster.tail_process_routes(
+            spec, th, 8, 8, self.REPLICAS, derive_stream(48, 3), 1)
+        fields = ("value", "std_error", "plug_in_se", "horizon", "replicas")
+        assert [getattr(tele, f) for f in fields] == [
+            getattr(tail, f) for f in fields]
+
+    def test_identical_on_one_and_two_threads(self, family):
+        spec, th = self._spec(family)
+        one, two = (cluster.tail_process_routes(
+            spec, th, 8, 5, self.REPLICAS, derive_stream(48, 4), t)
+            for t in (1, 2))
+        assert one == two
+
+    def test_tail_estimate_reads_the_horizon_prefix(self, family):
+        # k_trunc > horizon draws the batch to k_trunc: telescoping is then
+        # the route alone, and the summed route reads the horizon's prefix
+        spec, th = self._spec(family)
+        tail, tele, _ = cluster.tail_process_routes(
+            spec, th, 8, 12, self.ONE_CHUNK, derive_stream(48, 5), 1)
+        assert (tail.value, tail.std_error) == _prefix_estimate(
+            spec, th, 12, 8, self.ONE_CHUNK, derive_stream(48, 5))
+        assert tail.horizon == 8
+        assert tele == telescoping_difference(spec, th, 12, self.ONE_CHUNK,
+                                              derive_stream(48, 5))
 
 
 class TestMergedMoments:
@@ -681,12 +783,12 @@ class TestControlVariate:
         # near 1 (the reference's own error shifts every z alike)
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         functionals = [
-            (cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS),
-            (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS)]
+            (cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS, 10),
+            (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS, 10)]
 
         def run(replicas, stream, threads=1):
-            return cluster._mc_functional(spec, th, functionals, 10,
-                                          replicas, stream, threads)
+            return cluster._mc_functional(spec, th, functionals, replicas,
+                                          stream, threads)
 
         ref = run(2_000_000, derive_stream(47, 4), threads=2)
         z = np.array([[(e.value - r.value) / e.std_error
@@ -734,11 +836,10 @@ def test_plain_mean_routes_keep_their_bits(family, route):
     replicas, stream = cluster._CHUNK + 500, derive_stream(46, 1)
     calls = {
         "tail_process": lambda: cluster_index_tail_process(
-            spec, th, 8, replicas, stream, 2),
+            spec, th, 8, replicas, stream),
         "telescoping": lambda: telescoping_difference(
-            spec, th, 5, replicas, stream, 2),
-        "extremal": lambda: extremal_index(
-            spec, th, 8, replicas, stream, 2),
+            spec, th, 5, replicas, stream),
+        "extremal": lambda: extremal_index(spec, th, 8, replicas, stream),
     }
     est = calls[route]()
     got = tuple(float.hex(x)

@@ -845,6 +845,22 @@ class TestBlockedTailProcess:
             spec, horizon, replicas, derive_stream(6, 20), alpha)
         assert angles.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("family", ["kesten", "garch", "garch_sigma"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_projection_in_place_is_the_product(self, family, sign):
+        # the scalar families scale each block's own buffer by theta: the
+        # bits of a separate product theta * Theta_t, on blocks that the
+        # next one overwrites (GARCH) or that are fresh (Kesten)
+        make, _, _ = BLOCKED_FAMILIES[family]
+        spec = make()
+        alpha, replicas = spec.tail_index(), 2 * self.BLOCK + 7
+        angles = models.sample_tail_process_batch(
+            spec, 16, replicas, derive_stream(6, 23), alpha)
+        proj = models.sample_tail_process_batch(
+            spec, 16, replicas, derive_stream(6, 23), alpha,
+            np.array([sign]))
+        assert np.array_equal(proj, angles[..., 0] * sign)
+
     @pytest.mark.parametrize("family", sorted(BLOCKED_FAMILIES))
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("horizon", [0, 1, 64])
@@ -861,9 +877,10 @@ class TestBlockedTailProcess:
         replicas = 2 * cluster._CHUNK + self.BLOCK + 1
         s = cluster._control_power(alpha)
         for sign in (1, -1):
-            est = cluster.cluster_index_tail_process(
-                spec, theta if sign == 1 else theta.negated(), horizon,
-                replicas, derive_stream(6, 21), threads=threads)
+            (est,) = cluster._mc_functional(
+                spec, theta if sign == 1 else theta.negated(),
+                [(cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS,
+                  horizon)], replicas, derive_stream(6, 21), threads)
             ec = spec.tail_moments(sign * theta.vector, s, horizon)
             parts = []
             for i, lo in enumerate(range(0, replicas, cluster._CHUNK)):
