@@ -437,8 +437,8 @@ class TestThreads:
                                        "extremal"])
     def test_routes_identical_on_one_and_two_threads(self, route):
         # the bench law (alpha 1.5): at alpha 2 the control makes the
-        # summed routes exact, with no standard error to compare
-        # the summed routes run threaded only as the shared batch
+        # summed routes exact, with no standard error to compare. The
+        # summed routes run threaded only as the shared batch
         spec, th = _KESTEN_SPECS["bench_lognormal"](), Direction([1.0])
         calls = {
             "tail_process": lambda s, t: cluster.tail_process_routes(
