@@ -311,22 +311,12 @@ def _cells(column: np.ndarray):
     return "%s", column.tolist()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+def _json_default(obj):
+    """What ``json`` cannot write itself: a Direction as its components,
+    a numpy scalar or array as its list (a float64 is a float already)."""
     if isinstance(obj, Direction):
         return list(obj.theta)
-    return obj
+    return obj.tolist()
 
 
 class _Writer:
@@ -360,7 +350,8 @@ class _Writer:
     def json(self, name, payload):
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True,
+                      default=_json_default)
             fh.write("\n")
         self.paths.append(path)
         return path
@@ -401,37 +392,25 @@ def _digest(path) -> str:
 # command implementations
 
 
-def _stream(config, stage):
-    return derive_stream(config.seed, STREAMS[stage])
-
-
-def _listed(stage, pilot):
-    """``stage``'s manifest stream, and the pilot's if ``pilot`` is true."""
-    streams = {stage: STREAMS[stage]}
-    if pilot:
-        streams["pilot"] = models._PILOT_STREAM_ID
-    return streams
-
-
-def _cmd_simulate(config, spec, writer, threads):
+def _cmd_simulate(config, spec, writer, threads, stream):
     n = config.get("n")
     burn = spec.default_burn
-    path = models.simulate_path(spec, n, burn, _stream(config, "simulate"))
+    path = models.simulate_path(spec, n, burn, stream)
     writer.csv("path.csv", ["t"] + [f"x{i}" for i in range(path.shape[1])],
                [range(n), *path.T])
     summary = {"n": n, "burn_in": burn, "mean": path.mean(axis=0),
                "sd": path.std(axis=0, ddof=1) if n > 1 else 0.0}
-    return summary, {"simulate": STREAMS["simulate"]}
+    return summary
 
 
-def _cmd_cluster_index(config, spec, writer, threads):
+def _cmd_cluster_index(config, spec, writer, threads, stream):
     alpha = models.tail_index(spec)
     theta = Direction([config.get("theta")])
     horizon = config.get("horizon")
     replicas = config.get("replicas")
     tail, tele, sup = cluster.tail_process_routes(
-        spec, theta, horizon, config.get("k_trunc"), replicas,
-        _stream(config, "cluster_tail"), threads)
+        spec, theta, horizon, config.get("k_trunc"), replicas, stream,
+        threads)
     ests = {"cluster_tail_process": tail}
     if spec.exact_cluster_index(theta.vector) is not None:
         ests["cluster_closed_form"] = cluster.closed_form_cluster_index(
@@ -445,14 +424,13 @@ def _cmd_cluster_index(config, spec, writer, threads):
     summary = {"alpha": alpha, "theta": theta}
     for lab, e in ests.items():
         summary[lab] = {"value": e.value, "std_error": e.std_error}
-    return summary, {"cluster_tail": STREAMS["cluster_tail"]}
+    return summary
 
 
-def _cmd_ldp_scan(config, spec, writer, threads):
+def _cmd_ldp_scan(config, spec, writer, threads, stream):
     theta = Direction([config.get("theta")])
     res = limits.ldp_scan(spec, theta, config.get("n"),
-                          config.get("reps", 100_000),
-                          _stream(config, "ldp"),
+                          config.get("reps", 100_000), stream,
                           grid_size=config.get("grid_size"),
                           eps=config.get("region_eps"), threads=threads)
     writer.csv("ldp.csv", ["x", "ratio", "ratio_se", "exceedances"],
@@ -460,14 +438,14 @@ def _cmd_ldp_scan(config, spec, writer, threads):
     summary = {"n": res.n, "theta": res.theta, "target": res.target,
                "sup_dev": res.sup_dev, "b_n": res.b_n, "c_n": res.c_n,
                "centering": res.centering}
-    return summary, _listed("ldp", limits.draws_pilot(spec))
+    return summary
 
 
-def _cmd_stable_check(config, spec, writer, threads):
+def _cmd_stable_check(config, spec, writer, threads, stream):
     theta = Direction([config.get("theta")])
     c = limits.stable_check(spec, theta, config.get("n"),
-                            config.get("reps", 2000),
-                            _stream(config, "stable"), threads=threads)
+                            config.get("reps", 2000), stream,
+                            threads=threads)
     gap = c.empirical - c.theoretical
     # np.hypot matches the scalar complex abs bit for bit; np.abs does not
     writer.csv("stable_cf.csv",
@@ -479,16 +457,16 @@ def _cmd_stable_check(config, spec, writer, threads):
     summary = {"sup_abs_gap": c.sup_abs_gap, "mc_band": c.mc_band,
                "passed": c.sup_abs_gap <= c.mc_band,
                "centering": c.centering, "theta": theta}
-    return summary, _listed("stable", limits.draws_pilot(spec))
+    return summary
 
 
-def _cmd_drift_check(config, spec, writer, threads):
+def _cmd_drift_check(config, spec, writer, threads, stream):
     try:
         alpha = models.tail_index(spec)
     except (UnsupportedLawError, NoRootError):  # no power tail, or none found
         alpha = None
     p, grid = spec.drift_setup(alpha)
-    rep = models.drift_margin(spec, p, grid, _stream(config, "drift"))
+    rep = models.drift_margin(spec, p, grid, stream)
     writer.csv("drift.csv", ["v_state", "v_next_mean"],
                [rep.grid_v, rep.response_v])
     summary = {"p": rep.p, "m": 1, "beta_hat": rep.beta_hat,
@@ -496,11 +474,10 @@ def _cmd_drift_check(config, spec, writer, threads):
                "passed": rep.passed}
     if rep.passed:
         summary["suggested_burn_in"] = spec.default_burn
-    return summary, {"drift": STREAMS["drift"]}
+    return summary
 
 
-def _cmd_regen_check(config, spec, writer, threads):
-    stream = _stream(config, "regen")
+def _cmd_regen_check(config, spec, writer, threads, stream):
     mino = regen.make_var1_minorization(
         spec, m_bound=config.get("m_bound"), stream=stream)
     blocks = regen.harvest_blocks(spec, mino, config.get("n"), stream)
@@ -524,16 +501,17 @@ def _cmd_regen_check(config, spec, writer, threads):
             "sigma_hat": rep.sigma_hat,
             "batch_sigma": rep.batch_sigma,
             "rel_gap": rep.rel_gap}
-    return summary, _listed("regen", mino.heuristic)
+    return summary
 
 
+# command -> (handler, stage): a handler draws on its stage's stream alone
 _HANDLERS = {
-    "simulate": _cmd_simulate,
-    "cluster-index": _cmd_cluster_index,
-    "ldp-scan": _cmd_ldp_scan,
-    "stable-check": _cmd_stable_check,
-    "drift-check": _cmd_drift_check,
-    "regen-check": _cmd_regen_check,
+    "simulate": (_cmd_simulate, "simulate"),
+    "cluster-index": (_cmd_cluster_index, "cluster_tail"),
+    "ldp-scan": (_cmd_ldp_scan, "ldp"),
+    "stable-check": (_cmd_stable_check, "stable"),
+    "drift-check": (_cmd_drift_check, "drift"),
+    "regen-check": (_cmd_regen_check, "regen"),
 }
 
 
@@ -546,11 +524,12 @@ def run(config: ExperimentConfig, out_dir: str = None,
     if threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
     spec = build_spec(config)
+    handler, stage = _HANDLERS[config.command]
     writer = _Writer(out)
     start = time.perf_counter()
     try:
-        summary, streams = _HANDLERS[config.command](
-            config, spec, writer, threads)
+        summary = handler(config, spec, writer, threads,
+                          derive_stream(config.seed, STREAMS[stage]))
         summary["command"] = config.command
         summary["model"] = config.model
         summary["seed"] = config.seed
@@ -566,7 +545,8 @@ def run(config: ExperimentConfig, out_dir: str = None,
                            versions={"heavytail": __version__,
                                      "numpy": np.__version__,
                                      "python": sys.version.split()[0]},
-                           runtime_s=runtime, streams=streams,
+                           runtime_s=runtime,
+                           streams={stage: STREAMS[stage]},
                            out_dir=out)
     writer.json("manifest.json", vars(manifest))
     return manifest

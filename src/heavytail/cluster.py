@@ -241,11 +241,8 @@ def _sum_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
 
 def _sup_difference(proj: np.ndarray, alpha: float) -> np.ndarray:
     """((sup_{t>=0})_+)^alpha - ((sup_{t>=1})_+)^alpha per path."""
-    if proj.shape[1] > 1:
-        m_tail = proj[:, 1:].max(axis=1)
-        m_all = np.maximum(proj[:, 0], m_tail)
-    else:
-        m_all, m_tail = proj.max(axis=1), np.zeros(proj.shape[0])
+    m_tail = proj[:, 1:].max(axis=1, initial=-np.inf)
+    m_all = np.maximum(proj[:, 0], m_tail)
     return np.maximum(m_all, 0.0) ** alpha \
         - np.maximum(m_tail, 0.0) ** alpha
 

@@ -158,18 +158,15 @@ def _sum_centering(spec, alpha: float):
     return float(np.asarray(mean).ravel()[0]), "analytic"
 
 
-def draws_pilot(spec) -> bool:
-    """Whether a scan draws the pilot: iff no analytic power tail."""
-    return spec.tail_constant() is None
-
-
 def _power_tail(spec, stream: RngStream):
     """(c, scale) with P(|X| > x) ~ c (x / scale)^(-alpha), alpha the tail
     index: the analytic power tail when available, else the (k+1)-th
-    largest of the N pilot |X| as scale and c = k/N, k = sqrt(N)."""
-    if not draws_pilot(spec):
-        return spec.tail_constant()
-    x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
+    largest of the N |X| of the pilot drawn on ``stream`` as scale and
+    c = k/N, k = sqrt(N)."""
+    tail = spec.tail_constant()
+    if tail is not None:
+        return tail
+    x = models.stationary_pilot(spec, stream)[:, 0]
     np.abs(x, out=x)
     k = tailstats.default_hill_k(x.size)
     x.partition(x.size - k - 1)
@@ -192,6 +189,20 @@ def _b_values(spec, theta: Direction, stream: RngStream, threads, signs):
         for s in signs]
 
 
+def _scalar_direction(theta, n: int, reps: int) -> Direction:
+    """``theta`` as a scalar Direction, once n and reps are checked."""
+    if n < 1 or reps < 1:
+        raise ParameterError(
+            f"n and reps must be positive; got n = {n}, reps = {reps}")
+    if not isinstance(theta, Direction):
+        theta = Direction(theta)
+    if theta.dim != 1:
+        raise ParameterError(
+            "limit checks run on the scalar observable; the direction "
+            "must be +1 or -1")
+    return theta
+
+
 # ---------------------------------------------------------------------------
 # the three checks
 
@@ -200,21 +211,13 @@ def stable_check(spec, theta: Direction, n: int, reps: int,
                  stream: RngStream, threads: int = 1) -> CfComparison:
     """Empirical CF of a_n^{-1} theta'S_n against the stable limit CF on
     the fixed grid."""
-    if n < 1 or reps < 1:
-        raise ParameterError("n and reps must be positive")
+    theta = _scalar_direction(theta, n, reps)
     alpha = models.tail_index(spec)
     if not 0 < alpha < 2:
         raise OutOfRegimeError(
             f"stable regime needs alpha in (0, 2); got {alpha:.4g}")
-    if not isinstance(theta, Direction):
-        theta = Direction(theta)
-    if theta.dim != 1:
-        raise ParameterError(
-            "limit checks run on the scalar observable; the direction "
-            "must be +1 or -1")
     params = StableLawParams(alpha, *_b_values(
-        spec, theta, stream.substream(0xC0).substream(0xB0), threads,
-        (1, -1)))
+        spec, theta, stream.substream(0xB0), threads, (1, -1)))
     sums = _scalar_sums(spec, n, reps, stream.substream(0xD0), threads)
     mu, centering = _sum_centering(spec, alpha)
     c, scale = _power_tail(spec, stream)
@@ -246,12 +249,7 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
              threads: int = 1) -> LdpScanResult:
     """Monte Carlo ratios P(theta'S_n > x) / (n P(|X| > x)) over a
     geometric grid in the region, compared against the cluster index."""
-    if not isinstance(theta, Direction):
-        theta = Direction(theta)
-    if theta.dim != 1:
-        raise ParameterError(
-            "the ratio scan runs on the scalar observable; the direction "
-            "must be +1 or -1")
+    theta = _scalar_direction(theta, n, reps)
     if grid_size < 1:
         raise ParameterError("grid_size must be at least 1")
     alpha = models.tail_index(spec)
@@ -260,8 +258,8 @@ def ldp_scan(spec, theta: Direction, n: int, reps: int, stream: RngStream,
     if not 0 < b_n < c_n:
         raise ParameterError("region must satisfy 0 < b_n < c_n")
     # the target first: a family with no b at this alpha draws no sums
-    target = _b_values(spec, theta, stream.substream(0xC9).substream(0xB0),
-                       threads, (1,))[0]
+    target = _b_values(spec, theta, stream.substream(0xB0), threads,
+                       (1,))[0]
     xs = np.geomspace(b_n, c_n, grid_size + 1)[1:]
     c, scale = _power_tail(spec, stream)
     mu, centering = _sum_centering(spec, alpha)

@@ -18,11 +18,11 @@ from .errors import (DivergenceError, NoRootError, OutOfRegimeError,
                      ParameterError, SingularDrawError, UnsupportedCaseError,
                      UnsupportedLawError)
 from . import randkit
-from .randkit import RngStream, TailLaw, derive_stream, sample_law
+from .randkit import RngStream, TailLaw, sample_law
 
 # child-stream tags: tail-process angles and the stationary pilot
 _ANGLE_CHILD = 0x7A17
-_PILOT_STREAM_ID = 0x7A19
+_PILOT_CHILD = 0x7A19
 
 _BLOWUP = 1e280
 _FIXED_POINT_STEPS = 10_000  # cap on the perpetuity fixed point's steps
@@ -981,13 +981,13 @@ def _solve_moment_equation(fn) -> float:
 # path simulation
 
 
-def stationary_pilot(spec, master_seed: int) -> np.ndarray:
+def stationary_pilot(spec, stream: RngStream) -> np.ndarray:
     """(200_000, dim) stationary sample behind every pilot estimate: 100
     independent paths of 2,000 steps after the spec's default burn-in,
-    stacked. Each call draws it afresh into an array the caller owns."""
-    stream = derive_stream(master_seed, _PILOT_STREAM_ID)
-    return spec.paths(2_000, spec.default_burn, 100, stream).reshape(
-        -1, spec.dim)
+    stacked, drawn on ``stream``'s pilot child. Each call draws it afresh
+    into an array the caller owns."""
+    return spec.paths(2_000, spec.default_burn, 100,
+                      stream.substream(_PILOT_CHILD)).reshape(-1, spec.dim)
 
 
 def simulate_path(spec, n: int, burn_in: int,

@@ -130,7 +130,7 @@ def make_var1_minorization(spec, m_bound: float = None,
     Pareto innovations (0 <= a < 1, scale s): the bound is
     g(y) = f_Z(y + aM) on {y >= s + aM}, epsilon = ((s + 2aM)/s)^(-alpha),
     nu sampled by shifting a truncated Pareto draw. Without ``m_bound``,
-    M is the 0.995 quantile of |X| on the pilot of ``stream``'s seed.
+    M is the 0.995 quantile of |X| on the pilot drawn on ``stream``.
     """
     a, law, weight = spec.linear_step()
     scale = law.scale * weight
@@ -139,7 +139,7 @@ def make_var1_minorization(spec, m_bound: float = None,
         if stream is None:
             raise ParameterError("make_var1_minorization needs m_bound "
                                  "or a stream for its pilot (got neither)")
-        x = models.stationary_pilot(spec, stream.master_seed)[:, 0]
+        x = models.stationary_pilot(spec, stream)[:, 0]
         m_bound = np.quantile(np.abs(x, out=x), 0.995, overwrite_input=True)
     m_bound = float(m_bound)
     if not m_bound > 0:

@@ -223,14 +223,24 @@ class TestRun:
         ("golden_stable_garch.cfg", "", -20260823, True),
         ("golden_ldp_var1.cfg", "", None, False),
     ])
-    def test_manifest_names_the_pilot(self, tmp_path, name, extra, seed,
-                                      pilot):
+    def test_manifest_names_the_pilot(self, tmp_path, monkeypatch, name,
+                                      extra, seed, pilot):
+        # a pilot draws on a child of its stage's stream, so the manifest
+        # names it by listing that stage alone
+        drawn, draw = [], models.stationary_pilot
+
+        def recorded(spec, stream):
+            drawn.append(stream.stream_id)
+            return draw(spec, stream)
+
+        monkeypatch.setattr(models, "stationary_pilot", recorded)
         with open(os.path.join(GOLDEN, name)) as fh:
             cfg = parse_config(fh.read() + extra, seed_override=seed)
         manifest = run(cfg, out_dir=str(tmp_path))
-        assert ("pilot" in manifest.streams) == pilot
-        if pilot:
-            assert manifest.streams["pilot"] == models._PILOT_STREAM_ID
+        stage = {"regen-check": "regen", "stable-check": "stable",
+                 "ldp-scan": "ldp"}[cfg.command]
+        assert manifest.streams == {stage: cli.STREAMS[stage]}
+        assert drawn == [cli.STREAMS[stage]] * pilot
         with open(tmp_path / "manifest.json") as fh:
             assert json.load(fh)["streams"] == manifest.streams
         assert "manifest.json" not in {f["name"] for f in manifest.files}

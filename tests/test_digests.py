@@ -28,10 +28,10 @@ RUN_DIGESTS = {
                         "8a35783494e85fd2d285265b645fb4af",
     },
     "golden_regen.cfg": {
-        "cycles.csv": "66ffeace1faac254dca618fc6b3dd7bb"
-                      "b25034bf450f58e682ec9534b58f0518",
-        "summary.json": "b473d521ba8b85ba55e0a9af58db6d1e"
-                        "b982122cac3a9bde26440b783364b8b0",
+        "cycles.csv": "088498f6228c1f57cab0fff9c7809846"
+                      "a8e1cfaed536ed73a7478bb360570985",
+        "summary.json": "bbff28d230034678262b7096eafc0bce"
+                        "918b8109b45e3e6716786c2b7bd0a73a",
     },
     "golden_simulate.cfg": {
         "path.csv": "db370d0142ae9a22df97d28a5a00e267"
@@ -46,10 +46,16 @@ RUN_DIGESTS = {
                         "8855ae2f76d421b468f6f404da9a5524",
     },
     "golden_stable_garch.cfg": {
-        "stable_cf.csv": "1edfe8e6e72b5cd2001494831ccea84e"
-                         "16a8616d11e0e31b3cde903b5c92bdf0",
-        "summary.json": "21f70e5b5983b01b44648862133a43dd"
-                        "a2f74d68b10fadc51c7c7a06b8505c1f",
+        "stable_cf.csv": "ee13bf414aea536a6277b72a2a860ed1"
+                         "bce16c5b1db4d8462d8123c5735c7604",
+        "summary.json": "1044e3010898b5bd2307c65a6d3decaf"
+                        "0cd3876e831cc1d75941b6874592e72a",
+    },
+    "golden_stable_kesten.cfg": {
+        "stable_cf.csv": "8c2aa29cd9ec3b910d1cb9819a7ad63f"
+                         "bf1a122e9bd2a192778cff27892ed646",
+        "summary.json": "22552fa7adaff78a705e41ebadc31859"
+                        "eb02da21e11222d91cbc82f3f31bc7ad",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"
@@ -141,16 +147,26 @@ def test_golden_run_digests(tmp_path_factory, name):
 def test_every_stream_reaches_a_golden_manifest(tmp_path_factory):
     # the golden configs cover all six commands: a stage id that no
     # golden run names is a stream nothing draws from, and a golden run
-    # names no stream outside the table but the pilot's (the retired ids
-    # 3, 4 and 5 among them)
+    # names no stream outside the table (the retired ids 3, 4 and 5
+    # among them)
     named = set()
     for name in sorted(RUN_DIGESTS):
         named.update(_manifest(name, tmp_path_factory)["streams"].items())
-    missing = set(cli.STREAMS.items()) - named
-    assert not missing, f"stream ids no golden run names: {missing}"
-    assert named - set(cli.STREAMS.items()) == {
-        ("pilot", models._PILOT_STREAM_ID)}
+    assert named == set(cli.STREAMS.items())
     assert not {3, 4, 5} & set(cli.STREAMS.values())
+
+
+# the stage each command draws on, pilot and b route included
+STAGES = {"simulate": "simulate", "cluster-index": "cluster_tail",
+          "ldp-scan": "ldp", "stable-check": "stable", "drift-check": "drift",
+          "regen-check": "regen"}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_golden_manifest_lists_its_stage_alone(tmp_path_factory, name):
+    manifest = _manifest(name, tmp_path_factory)
+    stage = STAGES[manifest["command"]]
+    assert manifest["streams"] == {stage: cli.STREAMS[stage]}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))

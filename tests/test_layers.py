@@ -257,9 +257,11 @@ def _functions(prefix, body):
 
 
 def _handlers(tree):
-    """Names of the functions the ``_HANDLERS`` table maps commands to:
-    they share one signature."""
-    return {value.id for node in tree.body if isinstance(node, ast.Assign)
+    """Names of the functions the ``_HANDLERS`` table maps commands to,
+    each the first of its ``(handler, stage)`` pair: they share one
+    signature."""
+    return {value.elts[0].id for node in tree.body
+            if isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "_HANDLERS"
                     for t in node.targets)
             for value in node.value.values}
@@ -294,7 +296,6 @@ def test_every_parameter_is_read():
 # reader that shares each; nothing else may cross a module boundary
 SHARED_PRIVATE_NAMES = {
     "models._ar1": "the AR(1) scan of regen.harvest_blocks",
-    "models._PILOT_STREAM_ID": "the pilot stream cli lists in a manifest",
 }
 
 
@@ -331,3 +332,41 @@ def test_no_module_reads_another_modules_private_names():
     ("x = self._a + cls._b + type(s).__name__\n", set())])
 def test_every_private_read_is_seen(source, names):
     assert _private_reads(ast.parse(source), "cli") == names
+
+
+# the modules that key a stream by the master seed: every other module
+# draws on the stream it is handed and on that stream's substreams
+SEED_READERS = {"cli", "randkit"}
+
+
+def _seed_reads(tree):
+    """``derive_stream`` for every call of it, bare or off a module, and
+    ``master_seed`` for every read of that attribute, in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "derive_stream":
+                found.add(name)
+        elif isinstance(node, ast.Attribute) and node.attr == "master_seed":
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(_modules()) - SEED_READERS))
+def test_only_the_runner_keys_a_stream_by_the_seed(module):
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        found = _seed_reads(ast.parse(fh.read()))
+    assert not found, f"{module} keys a stream by the master seed: {found}"
+
+
+@pytest.mark.parametrize("source, names", [
+    ("s = derive_stream(seed, 7)\n", {"derive_stream"}),
+    ("s = randkit.derive_stream(seed, 7)\n", {"derive_stream"}),
+    ("x = pilot(spec, stream.master_seed)\n", {"master_seed"}),
+    ("from .randkit import derive_stream\nx = stream.substream(3)\n",
+     set())])
+def test_every_seed_read_is_seen(source, names):
+    assert _seed_reads(ast.parse(source)) == names

@@ -157,6 +157,18 @@ class TestStableCheck:
             tracemalloc.stop()
         assert peak <= 1.3 * 8 * 200_000
 
+    def test_pilot_scale_is_drawn_on_the_stage_stream(self):
+        # the recurrence has no analytic power tail, so its scale is read
+        # off a pilot drawn on the stream it is handed: two stage streams
+        # of one seed give two scales, and one stream gives one
+        spec = models.KestenSpec(
+            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
+            b_law=TailLaw(randkit.PARETO, alpha=10.0))
+        ldp = limits._power_tail(spec, derive_stream(51, 6))
+        stable = limits._power_tail(spec, derive_stream(51, 7))
+        assert ldp[1] != stable[1]
+        assert limits._power_tail(spec, derive_stream(51, 6)) == ldp
+
     def test_infinite_mean_cannot_center(self, monkeypatch):
         # alpha 1.5 > 1 on the bench recurrence, whose stationary-mean
         # hook answers None: S_n has no centring
@@ -184,7 +196,7 @@ class TestStableCheck:
         # order statistic, here 0
         spec = models.Garch11Spec(0.05, 0.5, 0.55)
         monkeypatch.setattr(models, "stationary_pilot",
-                            lambda spec, seed: np.zeros((1000, 1)))
+                            lambda spec, stream: np.zeros((1000, 1)))
         with pytest.raises(DegenerateSampleError, match="scale 0 <= 0"):
             limits._power_tail(spec, derive_stream(51, 10))
 
@@ -255,6 +267,15 @@ class TestLdp:
             ldp_scan(iid_pareto08, PLUS, 100, 1000, derive_stream(52, 6),
                      grid_size=0)
 
+    @pytest.mark.parametrize("n, reps, bad", [(1000, 0, "reps = 0"),
+                                              (0, 1000, "n = 0")])
+    def test_empty_sum_budget_rejected(self, ar_pareto15, n, reps, bad):
+        # no replicas left numpy to concatenate nothing, and no steps
+        # read as a scan short of exceedances at every point
+        with pytest.raises(ParameterError, match=bad):
+            ldp_scan(ar_pareto15, PLUS, n, reps, derive_stream(52, 8),
+                     region=(10.0, 1000.0))
+
     def test_reversed_region_rejected(self, iid_pareto08):
         with pytest.raises(ParameterError, match="0 < b_n < c_n"):
             ldp_scan(iid_pareto08, PLUS, 100, 1000, derive_stream(52, 7),
@@ -262,10 +283,10 @@ class TestLdp:
 
 
 class TestGarchBStreams:
-    """On GARCH both checks read b from the first-step route, each on its
-    own substream of the run's stream: 0xC0 -> 0xB0 for the stable pair,
-    0xC9 -> 0xB0 for the ratio target. No golden GARCH ratio scan pins
-    the latter: the default outer point needs far more replicas there."""
+    """On GARCH both checks read b from the first-step route on the b
+    substream 0xB0 of the run's stream. No golden GARCH ratio scan pins
+    the ratio target: the default outer point needs far more replicas
+    there."""
 
     SPEC = (0.05, 0.5, 0.55)
 
@@ -279,7 +300,7 @@ class TestGarchBStreams:
         res = ldp_scan(spec, PLUS, 50, 2000, derive_stream(53, 1),
                        region=(1.0, 15.0))
         assert res.target == self._b(
-            spec, derive_stream(53, 1).substream(0xC9).substream(0xB0))
+            spec, derive_stream(53, 1).substream(0xB0))
 
     def test_ldp_scan_has_no_target_at_alpha_two_or_more(
             self, garch_benchmark):
@@ -291,8 +312,7 @@ class TestGarchBStreams:
     def test_stable_pair_is_the_first_step_estimate_on_its_stream(self):
         spec = models.Garch11Spec(*self.SPEC)
         cf = stable_check(spec, PLUS, 50, 200, derive_stream(53, 2))
-        b = self._b(spec, derive_stream(53, 2).substream(0xC0).substream(
-            0xB0))
+        b = self._b(spec, derive_stream(53, 2).substream(0xB0))
         params = StableLawParams(models.tail_index(spec), b, b)
         want = [stable_cf(params, float(x)) for x in limits.CF_GRID]
         assert cf.theoretical.tobytes() == np.array(want).tobytes()

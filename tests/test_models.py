@@ -214,9 +214,12 @@ class TestSimulatePath:
         assert np.array_equal(rows[0], single)
 
     def test_stationary_pilot_is_drawn_afresh(self, ar_pareto15):
-        # each call draws the same bytes into an array its caller owns
-        first = models.stationary_pilot(ar_pareto15, 11)
-        second = models.stationary_pilot(ar_pareto15, 11)
+        # each call draws the same bytes into an array its caller owns,
+        # on the stream's pilot child: the stream itself draws no word
+        stream = derive_stream(11, 6)
+        first = models.stationary_pilot(ar_pareto15, stream)
+        second = models.stationary_pilot(ar_pareto15, stream)
+        assert stream.counter == 0
         assert first.shape == (200_000, 1)
         assert first.tobytes() == second.tobytes()
         assert not np.shares_memory(first, second)
@@ -228,13 +231,15 @@ class TestSimulatePath:
         # 1.12 pilot-sized arrays, where a reshape copy of the strided
         # rows took 2.07 (numpy's lazy imports are done before tracing)
         derive_stream(12, 0).rng.standard_normal(1)
+        stream = derive_stream(12, 6)
         tracemalloc.start()
         try:
-            models.stationary_pilot(ar_gauss, 12)
+            models.stationary_pilot(ar_gauss, stream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * 8 * 200_000
+        assert stream.counter == 0
 
     def test_scalar_only_kernels_reject_two_dimensional_chain(self):
         spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
@@ -652,17 +657,21 @@ class TestWarmUp:
         spec = models.KestenSpec(
             a_law=TailLaw(randkit.PARETO, alpha=2.0, scale=0.2),
             b_law=TailLaw(randkit.PARETO, alpha=10.0))
-        streams = []
+        children = []
+        substream = randkit.RngStream.substream
 
-        def recorded(master_seed, stream_id):
-            streams.append(derive_stream(master_seed, stream_id))
-            return streams[-1]
+        def recorded(stream, child_id):
+            children.append(substream(stream, child_id))
+            return children[-1]
 
-        monkeypatch.setattr(models, "derive_stream", recorded)
-        pilot = models.stationary_pilot(spec, 5)
+        monkeypatch.setattr(randkit.RngStream, "substream", recorded)
+        stream = derive_stream(5, 6)
+        pilot = models.stationary_pilot(spec, stream)
         assert pilot.shape == (200_000, 1)
         assert spec.default_burn == 41
-        assert streams[0].counter == 2 * 100 * (2000 + spec.default_burn)
+        assert stream.counter == 0
+        assert [child.counter for child in children] == [
+            2 * 100 * (2000 + spec.default_burn)]
 
 
 class TestTailProcess:
