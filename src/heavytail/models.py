@@ -25,7 +25,8 @@ _ANGLE_CHILD = 0x7A17
 _PILOT_CHILD = 0x7A19
 
 _BLOWUP = 1e280
-_FIXED_POINT_STEPS = 10_000  # cap on the perpetuity fixed point's steps
+_RESTART = 60  # Krylov vectors of the lattice solve: 0.9 MB on the bench law
+_SOLVE_TOL = 1e-10  # the lattice solve's first stop, relative to E g
 # path sums and tail processes draw and reduce in blocks that stay in a
 # core's L2 cache
 _SUM_BLOCK = 1 << 16  # floats of draws per block: linear-chain sums
@@ -786,11 +787,11 @@ def _moment_horizon(moment, lo: float, hi: float) -> int:
 def _log_lattice(law: TailLaw, s: float, cells):
     """(E g(Y), bound) at the fixed point of Y' = log A + f(Y), with no
     draws: ``_log_fixed_point`` at steps h <= 0.04, the centre of log A a
-    cell, and h/2 (from the last push at h), up to where g times the
-    density of Y, about exp(-(kappa - s) y) with E A^kappa = 1, is e^-36,
-    Richardson-extrapolated (an O(h^2) error). The bound is
-    |v_h - v_{h/2}| / 3 plus what each run left when it stopped, in the
-    same combination."""
+    cell, and h/2 (started from the solution at h), up to where g times
+    the density of Y, about exp(-(kappa - s) y) with E A^kappa = 1, is
+    e^-36, Richardson-extrapolated (an O(h^2) error). The bound is
+    |v_h - v_{h/2}| / 3 plus each solve's own bound, in the same
+    combination."""
     if law.family == randkit.LOGNORMAL:
         kappa, centre = -2.0 * law.mu / law.sigma ** 2, law.mu
     else:
@@ -799,34 +800,38 @@ def _log_lattice(law: TailLaw, s: float, cells):
         centre = math.log(law.scale)
     h = -centre / math.ceil(-centre / 0.04)  # centre < 0
     top = math.ceil(36.0 / min(1.0, kappa - s) / h)
-    coarse, push, rest_c = _log_fixed_point(law, s, h, top, None, cells)
-    fine, _, rest_f = _log_fixed_point(law, s, h / 2.0, 2 * top, push, cells)
+    coarse, x, err_c = _log_fixed_point(law, kappa, s, h, top, None, cells)
+    fine, _, err_f = _log_fixed_point(law, kappa, s, h / 2.0, 2 * top, x,
+                                      cells)
     return ((4.0 * fine - coarse) / 3.0,
-            (abs(fine - coarse) + 4.0 * rest_f + rest_c) / 3.0)
+            (abs(fine - coarse) + 4.0 * err_f + err_c) / 3.0)
 
 
-def _log_fixed_point(law: TailLaw, s: float, h: float, top: int, start,
-                     cells):
-    """(E g(Y'), push, rest) at the fixed point of Y' = log A + f(Y),
+def _log_fixed_point(law: TailLaw, kappa: float, s: float, h: float,
+                     top: int, start, cells):
+    """(E g(Y'), x, error) at the fixed point of Y' = log A + f(Y),
     f >= 0, on the cells j h, j <= ``top`` (the top one keeps the mass
-    beyond), from f(Y) = 0 or from ``start`` (the push at step 2h), with
-    (f(j h) / h, g(j h) / e^shift, shift) = ``cells(j, h)`` on the cells
-    j of Y', until E g moves by at most 1e-12 of itself and by less than
-    the step before, or not at all (OutOfRegimeError after
-    ``_FIXED_POINT_STEPS`` steps). ``rest`` sums the moves still to come
-    as a geometric series: d r / (1 - r), d the last move and r its ratio
-    to the one before. A step splits each cell's mass at f over the two
-    cells around it, keeping its mean, and convolves it directly (an FFT
-    loses the far cells' relative accuracy) with log A on the lattice, as
-    far as A^s leaves above e^-40: lognormal cells of width h around mu,
-    or the linear split of the exponential log A - log scale (Pareto)."""
+    beyond), with (f(j h) / h, g(j h) / e^shift, shift) = ``cells(j, h)``
+    on the cells j of Y', and log A on the lattice as far as A^s leaves
+    above e^-40 (lognormal cells of width h around mu, or the linear
+    split of the exponential log A - log scale, Pareto). The law x of
+    f(Y) solves x = Tx (``_lattice_step``), mass 1, by restarted GMRES
+    (``_gmres``; Saad & Schultz 1986, Stewart 1994 ch. 4) from f(Y) = 0
+    or ``start`` (the x at step 2h), in residuals weighted by
+    w = max(G, G_0), where E g = G'x: unweighted, the far cells' errors
+    (g grows like e^(s y)) would move E g unseen. The value's error is
+    linear in the residual: the solve stops at ||w (Tx - x)||_2 <=
+    ``_SOLVE_TOL`` E g and again at 100 times less, and the move between
+    the two, the first value's error, bounds the second's; ``error``
+    adds n u E g for the sum. Past n = top + 1 applications of T, where
+    exact GMRES has ended, OutOfRegimeError."""
     if law.family == randkit.LOGNORMAL:
         sd = law.sigma
-        n = max(1, math.ceil((9.0 + s * sd) * sd / h))
-        z = [(k + 0.5) * h / (sd * math.sqrt(2.0)) for k in range(n + 1)]
+        wing = max(1, math.ceil((9.0 + s * sd) * sd / h))
+        z = [(k + 0.5) * h / (sd * math.sqrt(2.0)) for k in range(wing + 1)]
         side = [0.5 * (math.erfc(a) - math.erfc(b)) for a, b in zip(z, z[1:])]
         q = np.array(side[::-1] + [math.erf(z[0])] + side)
-        lo = round(law.mu / h) - n
+        lo = round(law.mu / h) - wing
     else:
         lam = law.alpha * h
         q = np.exp(-lam * np.arange(math.ceil(42.0 / (lam - s * h)) + 1))
@@ -835,30 +840,85 @@ def _log_fixed_point(law: TailLaw, s: float, h: float, top: int, start,
         lo = round(math.log(law.scale) / h)
     # zeros up to cell 0 keep the convolution as long as the lattice
     q = np.pad(q / q.sum(), (0, max(0, 1 - lo - q.size)))
-    size = top + 1 - lo
-    pos, g, shift = cells(np.arange(lo, top + 1), h)
+    n = top + 1
+    pos, g, shift = cells(np.arange(lo, n), h)
     cell = np.floor(pos).astype(np.intp)
     dest, frac = np.minimum(np.concatenate([cell, cell + 1]), top), pos - cell
-    push = np.zeros(top + 1)
-    push[0] = 1.0
+    # G is T's convolution transposed on g, the top cell standing for beyond
+    worth = np.correlate(np.pad(g, (0, q.size - 1 + lo), mode="edge"), q)
+    w = np.maximum(worth, worth[0])
+    x = np.zeros(n)
+    x[0] = 1.0
     if start is not None:
-        push[::2] = start
-    prev = move = math.inf
-    for _ in range(_FIXED_POINT_STEPS):
-        p = np.convolve(push, q)
-        p[size - 1] += p[size:].sum()
-        p = p[:size]
-        value = float(p @ g)
-        last, move = move, abs(value - prev)
-        if not move or move <= 1e-12 * abs(value) and move < last < math.inf:
-            rest = move * move / (last - move) if move else 0.0
-            return math.exp(shift) * value, push, math.exp(shift) * rest
-        prev = value
-        push = np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
-                           minlength=top + 1)
-    raise OutOfRegimeError(
-        f"the lattice fixed point still moves after {_FIXED_POINT_STEPS} "
-        f"steps (a contraction near 1)")
+        x[::2] = start
+    basis, used, values = np.empty((min(_RESTART, n) + 1, n)), 1, []
+    tx = _lattice_step(x, q, dest, frac)
+    for tol in (_SOLVE_TOL, _SOLVE_TOL / 100.0):
+        while True:
+            r, value = (tx - x) * w, float(np.einsum("i,i", worth, x))
+            if math.sqrt(np.einsum("i,i", r, r)) <= tol * value:
+                break
+            if n - used < 2:
+                raise OutOfRegimeError(
+                    f"the lattice fixed point (kappa = {kappa:.4g}, s = "
+                    f"{s:.4g}, h = {h:.4g}, {n} cells) has not settled "
+                    f"within {n} map applications, one per cell")
+            d, steps = _gmres(
+                lambda v: v - w * _lattice_step(v / w, q, dest, frac),
+                r, tol * value, basis[:n - used])
+            x = x + d / w
+            x /= x.sum()
+            tx, used = _lattice_step(x, q, dest, frac), used + steps + 1
+        values.append(value)
+    return (math.exp(shift) * value, x, math.exp(shift) * (
+        abs(value - values[0]) + n * 2.0 ** -53 * value))
+
+
+def _lattice_step(x, q, dest, frac):
+    """T: convolve the law x of f(Y) directly with the cells q of log A
+    (an FFT loses the far cells' relative accuracy), fold the mass beyond
+    into the top cell, and split each cell's mass at f over ``dest``
+    (``frac`` going up, which keeps its mean): the law of f(Y')."""
+    p = np.convolve(x, q)
+    p[frac.size - 1] += p[frac.size:].sum()
+    p = p[:frac.size]
+    return np.bincount(dest, np.concatenate([p * (1.0 - frac), p * frac]),
+                       minlength=x.size)
+
+
+def _gmres(apply, r: np.ndarray, bound: float, basis: np.ndarray):
+    """(d, steps): the d in the Krylov space of ``apply`` on r that
+    minimises ||r - apply(d)||_2, over at most len(basis) - 1 Arnoldi
+    steps (Gram-Schmidt twice), stopping once that norm, which Givens
+    rotations track, is at most ``bound``; back substitution gives d.
+    Inner products are ``einsum``, so no bit depends on BLAS threads."""
+    rhs, turns, cols = [math.sqrt(np.einsum("i,i", r, r))], [], []
+    basis[0] = r / rhs[0]
+    for k in range(len(basis) - 1):
+        u, col = apply(basis[k]), np.zeros(k + 1)
+        for _ in range(2):
+            c = np.einsum("ij,j->i", basis[:k + 1], u)
+            u -= np.einsum("ij,i->j", basis[:k + 1], c)
+            col += c
+        col = col.tolist() + [math.sqrt(np.einsum("i,i", u, u))]
+        for i, (c, sn) in enumerate(turns):
+            col[i:i + 2] = (c * col[i] + sn * col[i + 1],
+                            c * col[i + 1] - sn * col[i])
+        rad = math.hypot(col[k], col[k + 1])
+        if not rad:
+            break
+        c, sn = col[k] / rad, col[k + 1] / rad
+        turns.append((c, sn))
+        rhs[k:] = c * rhs[k], -sn * rhs[k]
+        cols.append(col[:k] + [rad])
+        if abs(rhs[k + 1]) <= bound or not col[k + 1]:
+            break
+        basis[k + 1] = u / col[k + 1]
+    y = []
+    for i in reversed(range(len(cols))):
+        y.insert(0, (rhs[i] - sum(cols[i + 1 + j][i] * v
+                                  for j, v in enumerate(y))) / cols[i][i])
+    return np.einsum("ij,i->j", basis[:len(y)], np.array(y)), len(y)
 
 
 def _ar1(z: np.ndarray, a: float) -> np.ndarray:

@@ -215,8 +215,8 @@ class TestKestenFixedPoint:
 
     def test_bound_covers_where_the_iteration_stops(self):
         # A = 1/2 puts W at 1 on the lattice: the grid adds no error, and
-        # what is left is the part of the series the iteration stopped
-        # before
+        # what is left is the solve's own error: its move between the two
+        # stops and the rounding of the sum E g
         est = closed_form_cluster_index(near_degenerate_half_spec(),
                                         Direction([1.0]), 2)
         assert 0.0 < abs(est.value - B_TARGET) <= est.std_error < 1e-11
@@ -281,8 +281,12 @@ class TestKestenFixedPoint:
             closed_form_cluster_index(spec, Direction([1.0]), 10)
 
     def test_unsettled_fixed_point_is_out_of_regime(self, monkeypatch):
-        monkeypatch.setattr(models, "_FIXED_POINT_STEPS", 3)
-        with pytest.raises(OutOfRegimeError, match="still moves after 3"):
+        # a residual no solve reaches runs the coarse lattice into its cap,
+        # one map application per cell, and the error names the lattice
+        monkeypatch.setattr(models, "_SOLVE_TOL", 0.0)
+        with pytest.raises(OutOfRegimeError, match=(
+                r"\(kappa = 1\.5, s = 0\.5, h = 0\.03947, 913 cells\) has "
+                r"not settled within 913 map applications")):
             closed_form_cluster_index(_KESTEN_SPECS["bench_lognormal"](),
                                       Direction([1.0]), 10)
 
@@ -954,29 +958,111 @@ class TestKestenLindley:
         # (3.9999 and 4.0007 here)
         runs, run = [], models._log_fixed_point
 
-        def spy(law, s, h, top, start, cells):
-            runs.append((h, top, cells))
-            return run(law, s, h, top, start, cells)
+        def spy(law, kappa, s, h, top, start, cells):
+            runs.append((kappa, h, top, cells))
+            return run(law, kappa, s, h, top, start, cells)
 
         monkeypatch.setattr(models, "_log_fixed_point", spy)
         spec = _KESTEN_SPECS[name]()
         spec.exact_extremal_index(np.array([1.0]))
-        (h, top, cells), _ = runs
+        (kappa, h, top, cells), _ = runs
         law = spec.a_law
-        v = [run(law, 0.0, h / k, k * top, None, cells)[0] for k in (1, 2, 4)]
+        v = [run(law, kappa, 0.0, h / k, k * top, None, cells)[0]
+             for k in (1, 2, 4)]
         assert 3.9 <= (v[0] - v[1]) / (v[1] - v[2]) <= 4.1
 
     def test_perpetuity_keeps_its_bits(self):
         # the shared lattice builds the perpetuity's G as it did alone
-        pins = {"bench_lognormal": ("0x1.3458e63c5618fp+1",
-                                    "0x1.97078c058f507p-14"),
-                "pareto_multiplier": ("0x1.144bab9ce0a1bp+1",
-                                      "0x1.da085c3348e53p-14"),
-                "near_degenerate_half": ("0x1.d413cccfe77acp+0",
-                                         "0x1.a7c61977850a1p-40")}
+        pins = {"bench_lognormal": ("0x1.3458e63c9af46p+1",
+                                    "0x1.970f93f7e3eadp-14"),
+                "pareto_multiplier": ("0x1.144bab9ce223fp+1",
+                                      "0x1.da0a6b18a15ecp-14"),
+                "near_degenerate_half": ("0x1.d413cccfe7797p+0",
+                                         "0x1.40bc914220872p-41")}
         for name, pin in pins.items():
             got = _KESTEN_SPECS[name]()._perpetuity
             assert tuple(float.hex(x) for x in got) == pin, name
+
+
+def _small_root_spec(kappa):
+    """Lognormal A with sigma = 1 and moment root ``kappa`` (mu =
+    -kappa / 2), Pareto(10) B: the lattice's spectral gap shrinks with
+    kappa."""
+    return models.KestenSpec(
+        a_law=TailLaw(randkit.LOGNORMAL, mu=-kappa / 2.0, sigma=1.0),
+        b_law=TailLaw(randkit.PARETO, alpha=10.0))
+
+
+class TestLatticeSolve:
+    """Both Kesten closed forms solve one lattice map's fixed point by
+    restarted GMRES, in few applications of the map, with bits that no
+    BLAS thread count moves, and down to small moment roots."""
+
+    def test_each_fixed_point_takes_few_map_applications(self, monkeypatch):
+        # both lattices of one fixed point on the bench law; the power
+        # iteration took 141 (perpetuity) and 117 (Lindley) steps
+        calls, step = [], models._lattice_step
+
+        def spy(x, *args):
+            calls.append(x.size)
+            return step(x, *args)
+
+        monkeypatch.setattr(models, "_lattice_step", spy)
+        spec = _KESTEN_SPECS["bench_lognormal"]()
+        for name in ("_perpetuity", "_lindley"):
+            calls.clear()
+            getattr(spec, name)
+            assert 0 < len(calls) <= 60, name
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+
+        code = ("from heavytail import models, randkit\n"
+                "from heavytail.randkit import TailLaw\n"
+                "spec = models.KestenSpec(\n"
+                "    a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),\n"
+                "    b_law=TailLaw(randkit.PARETO, alpha=10.0))\n"
+                "print([float.hex(v) for v in spec._perpetuity"
+                " + spec._lindley])\n")
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src,
+                         OPENBLAS_NUM_THREADS=threads), timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+
+    def test_root_two_tenths_keeps_its_values(self):
+        # the power iteration's values (9.5 s for the two): each lies
+        # within the solve's bound of them
+        spec, tv = _small_root_spec(0.2), np.array([1.0])
+        for (value, bound), old in ((spec.exact_cluster_index(tv),
+                                     0.0250053082838),
+                                    (spec.exact_extremal_index(tv),
+                                     0.017800748043)):
+            assert abs(value - old) <= bound <= 1e-4 * value
+
+    def test_root_one_tenth_matches_monte_carlo(self):
+        # the power iteration gave up here; both closed forms agree with
+        # the summed and sup tail-process functionals of one batch, long
+        # enough (log Theta_t drifts by -0.05 a step) to leave no bias
+        spec, th = _small_root_spec(0.1), Direction([1.0])
+        exact = (closed_form_cluster_index(spec, th, 2),
+                 extremal_index(spec, th, 2, 2, derive_stream(51, 0)))
+        assert all(e.route == cluster.ROUTE_CLOSED_FORM for e in exact)
+        mc = cluster._mc_functional(
+            spec, th,
+            [(cluster._sum_difference, cluster.ROUTE_TAIL_PROCESS, 2000),
+             (cluster._sup_difference, cluster.ROUTE_TAIL_PROCESS, 2000)],
+            20_000, derive_stream(51, 1), 1)
+        for e, m in zip(exact, mc):
+            assert abs(m.value - e.value) <= 4.0 * math.hypot(
+                m.std_error, e.std_error)
 
 
 class TestEstimateContainer:

@@ -40,10 +40,10 @@ RUN_DIGESTS = {
                         "9ed4b7dadc95ae5bc8315293e68ac10c",
     },
     "golden_cluster_kesten.cfg": {
-        "cluster.csv": "2002c4f4b09f721c2174c059eeb20b11"
-                       "4927ef49e1d43968151fcc99528309aa",
-        "summary.json": "40020966d80909216fab61c4d432e6a8"
-                        "8855ae2f76d421b468f6f404da9a5524",
+        "cluster.csv": "c0aa630e49e3d80b031de893b48d9da1"
+                       "d39a12d46b7bebfa08f82ebc342f4d8f",
+        "summary.json": "c97b4734a087e0d61bfe79824c089dc9"
+                        "1a06a1cff07d157f8e06ae8767a316bd",
     },
     "golden_stable_garch.cfg": {
         "stable_cf.csv": "ee13bf414aea536a6277b72a2a860ed1"
@@ -52,10 +52,10 @@ RUN_DIGESTS = {
                         "0cd3876e831cc1d75941b6874592e72a",
     },
     "golden_stable_kesten.cfg": {
-        "stable_cf.csv": "8c2aa29cd9ec3b910d1cb9819a7ad63f"
-                         "bf1a122e9bd2a192778cff27892ed646",
-        "summary.json": "22552fa7adaff78a705e41ebadc31859"
-                        "eb02da21e11222d91cbc82f3f31bc7ad",
+        "stable_cf.csv": "a03eb431efacee49dfd1d8b19cb8d873"
+                         "2b117507fb1568c4634cb527677c2b12",
+        "summary.json": "f6f6ce300b1914123aa233d67d88d6cf"
+                        "07b2f5a03648528a43d470d93ecaa8aa",
     },
     "golden_drift_garch.cfg": {
         "drift.csv": "229d8cbbe16ef974161cd5678615bd3d"
