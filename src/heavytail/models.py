@@ -302,6 +302,30 @@ class Var1Spec(ModelSpec):
         # over the weights' own sum, as ``theta0`` divides its CDF
         return float(weights @ terms / weights.sum()), 0.0
 
+    def exact_extremal_index(self, tv):
+        """``exact_cluster_index``'s sum with the sups over t >= 0 and
+        t >= 1 of theta'A^t a_k for its two sums, run along each orbit
+        until no later term can move: once ||A^t||_2 <= 1, every later
+        |theta'A^u a_k| <= ||A^t||_2 max_{v<=t} ||A^v||_2, and an orbit is
+        done when theta'a_k is at most its running sup (or 0) or that
+        bound is at most the running sup or 2^(-53/alpha) theta'a_k."""
+        if tv.size != self.dim:
+            raise ParameterError("direction dimension mismatch")
+        (atoms, weights), alpha = self._theta0_atoms, tail_index(self)
+        head, power, most = atoms @ tv, np.eye(self.dim), 1.0
+        sup = np.full(head.shape, -np.inf)
+        floor = np.maximum(head, 0.0) * 2.0 ** (-53.0 / alpha)
+        while True:
+            atoms, power = atoms @ self.a_matrix.T, self.a_matrix @ power
+            sup, norm = np.maximum(sup, atoms @ tv), np.linalg.norm(power, 2)
+            most = max(most, norm)
+            if norm <= 1.0 and np.all((head <= np.maximum(sup, 0.0)) | (
+                    norm * most <= np.maximum(sup, floor))):
+                break
+        terms = np.maximum(head, sup).clip(0.0) ** alpha \
+            - sup.clip(0.0) ** alpha
+        return float(weights @ terms / weights.sum()), 0.0
+
     def stationary_mean(self):
         try:
             mz = randkit.law_mean(self.innovation)

@@ -259,7 +259,7 @@ class TestRun:
         assert set(closed) == {"value", "std_error"}
 
     @pytest.mark.parametrize("name, sup_route", [
-        ("golden_cluster.cfg", "tail_process"),
+        ("golden_cluster.cfg", "closed_form"),
         ("golden_cluster_kesten.cfg", "closed_form"),
         ("golden_cluster_garch.cfg", "tail_process")])
     def test_cluster_index_lists_only_the_tail_stream(self, tmp_path, name,

@@ -607,8 +607,8 @@ class TestTailProcessRoutes:
         assert tail == cluster_index_tail_process(
             spec, th, 8, self.REPLICAS, derive_stream(48, 1))
         assert (tele.route, tele.horizon) == (cluster.ROUTE_TELESCOPING, 5)
-        # the recurrence's sup is exact; the others' is the Monte Carlo sup
-        # on the same draws
+        # the recurrence's and the linear chain's sup are exact; GARCH's
+        # is the Monte Carlo sup on the same draws
         assert sup == extremal_index(spec, th, 8, self.REPLICAS,
                                      derive_stream(48, 1))
 
@@ -804,7 +804,8 @@ class TestControlVariate:
 
 # value, std_error and plug_in_se of each plain-mean route, from the code
 # before the control: a family without tail moments keeps those bits (the
-# GARCH entries are those of its tail process on X's own norm)
+# GARCH entries are those of its tail process on X's own norm; "extremal"
+# is the Monte Carlo sup, which ``extremal_index`` runs only for GARCH)
 _PLAIN_MEAN_BITS = {
     ("garch_benchmark", "tail_process"): (
         "0x1.239f2c2673d0bp+12", "0x1.cd402001a9b04p+10",
@@ -843,7 +844,7 @@ def test_plain_mean_routes_keep_their_bits(family, route):
             spec, th, 8, replicas, stream),
         "telescoping": lambda: telescoping_difference(
             spec, th, 5, replicas, stream),
-        "extremal": lambda: extremal_index(spec, th, 8, replicas, stream),
+        "extremal": lambda: _mc_sup(spec, th, 8, replicas, stream)[0],
     }
     est = calls[route]()
     got = tuple(float.hex(x)
@@ -883,12 +884,16 @@ class TestExtremalIndex:
     @pytest.mark.parametrize("innovation, a_matrix, theta, exact", [
         (randkit.PARETO, [[-0.5]], [1.0], 0.6464466094067262),
         (randkit.SYMMETRIC_PARETO, [[0.5, 0.2], [-0.1, 0.3]], [1.0, 1.0],
-         0.2073032810342641)])
+         0.2073032810342641),
+        (randkit.PARETO, [[0.5, 2.0], [0.0, 0.5]], [-1.0, 1.0],
+         0.049054557372266175)])
     def test_linear_chain_matches_the_orbit_sum(self, innovation, a_matrix,
                                                 theta, exact):
         # Theta_t = A^t Theta_0 over the atoms a_k of theta0_law: the sup
         # functional is sum_k w_k [(sup_{t>=0} theta'A^t a_k)_+^alpha
-        # - (sup_{t>=1} theta'A^t a_k)_+^alpha], run along each orbit
+        # - (sup_{t>=1} theta'A^t a_k)_+^alpha], run along each orbit;
+        # ``exact_extremal_index`` stops each orbit early (the last A has
+        # ||A||_2 = 2.1 > 1, so its norms rise before they fall)
         spec = models.Var1Spec(len(theta), TailLaw(innovation, alpha=1.5),
                                a_matrix=np.array(a_matrix))
         th = Direction(theta)
@@ -903,7 +908,10 @@ class TestExtremalIndex:
         assert oracle == pytest.approx(exact, rel=1e-12)
         est = extremal_index(spec, th, 40, 100_000,
                              derive_stream(44, len(theta)))
-        assert abs(est.value - oracle) <= 4.0 * est.std_error
+        assert est.route == cluster.ROUTE_CLOSED_FORM
+        assert est.value == pytest.approx(oracle, rel=1e-12)
+        (mc,) = _mc_sup(spec, th, 40, 100_000, derive_stream(44, len(theta)))
+        assert abs(mc.value - oracle) <= 4.0 * mc.std_error
 
     def test_iid_case_is_one(self, iid_pareto08):
         est = extremal_index(iid_pareto08, Direction([1.0]), 10, 500,

@@ -22,10 +22,10 @@ SEED = 20260823
 
 RUN_DIGESTS = {
     "golden_cluster.cfg": {
-        "cluster.csv": "b0f3a83f25c279bd4a368c3258a2c401"
-                       "8e7897c43c5cbeaff4580f9429ac4257",
-        "summary.json": "cb4eeae42dcd90f4ff054099a2ffe24b"
-                        "8a35783494e85fd2d285265b645fb4af",
+        "cluster.csv": "10c02991e9dcfa4cf5a83eef55c822d0"
+                       "6f1496f4ab9e0e5f0aa79d03f86586b8",
+        "summary.json": "40298e4dc3214ecd3a1f20d0e12e1816"
+                        "dc9570e47bfd59c2672e0a22a002f2dc",
     },
     "golden_regen.cfg": {
         "cycles.csv": "088498f6228c1f57cab0fff9c7809846"
