@@ -279,8 +279,7 @@ def build_spec(config: ExperimentConfig):
                       alpha=config.get("alpha"),
                       scale=config.get("scale"),
                       skew=config.get("skew"))
-        return models.Var1Spec(1, law,
-                               a_matrix=np.array([[config.get("a")]]))
+        return models.Var1Spec(law, np.array([[config.get("a")]]))
     if config.model == "kesten":
         a_law = TailLaw(randkit.LOGNORMAL, mu=config.get("a_mu"),
                         sigma=math.sqrt(config.get("a_sigma2")))
@@ -568,8 +567,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="override the output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: HEAVYTAIL_THREADS "
-                             "or 1)")
+                        help="worker threads (default: the config's "
+                             "threads key, or 1)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -580,16 +579,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("HEAVYTAIL_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                print("error: HEAVYTAIL_THREADS must be an integer, "
-                      f"got {env!r}", file=sys.stderr)
-                return 2
     try:
         config = parse_config(text, command_override=args.command,
                               seed_override=args.seed)
@@ -598,7 +587,7 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     try:
-        manifest = run(config, out_dir=args.out, threads=threads)
+        manifest = run(config, out_dir=args.out, threads=args.threads)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,7 +70,7 @@ class LimitMeasureEvaluator:
 
     alpha: float
     b_values: dict
-    flagged_directions: list = field(default_factory=list)
+    flagged_directions: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -83,14 +83,12 @@ class LimitMeasureEvaluator:
                 raise ParameterError("b values must be nonnegative")
             store[direction] = float(value)
         self.b_values = store
-        self.flagged_directions = list(self.flagged_directions)
         if float(self.alpha).is_integer():
             for direction, value in store.items():
                 opposite = store.get(direction.negated())
                 if opposite is not None and not math.isclose(
                         value, opposite, rel_tol=1e-6, abs_tol=1e-9):
-                    if direction not in self.flagged_directions:
-                        self.flagged_directions.append(direction)
+                    self.flagged_directions.append(direction)
 
     def b_at(self, theta: Direction) -> float:
         return lookup_direction(self.b_values, theta, "b(theta)")
@@ -172,7 +170,8 @@ def _mc_functional(spec, theta: Direction, functionals, replicas: int,
     lag: each reduces the first lag + 1 columns of every block's
     projection on ``theta``, its chunk moments merged in chunk order, and
     at the largest lag has the bits it would have alone on the stream.
-    All read the spec's own tail index.
+    All read the spec's own tail index, solved here before the chunks
+    fan out, so each chunk reads it from the spec's cache.
 
     When the functional is the summed one (``_sum_difference``) and the
     spec knows E c for the control c = sum_{t=1}^{lag} (theta'Theta_t)_+^s
@@ -203,7 +202,7 @@ def _mc_functional(spec, theta: Direction, functionals, replicas: int,
 
     def one(take, sub):
         vals = iter(models.sample_tail_process_batch(
-            spec, horizon, take, sub, alpha, tv, reducers))
+            spec, horizon, take, sub, tv, reducers))
         return [_moments(next(vals), None if ec is None else next(vals))
                 for ec in controls]
 
@@ -264,7 +263,7 @@ def first_step_cluster_index(spec, horizon: int, replicas: int,
     """b(1) = b(-1) of a scalar observable from the spec's first-step
     identity: the mean of ``spec.first_step_values`` over ``replicas``
     draws of the rest of the path to ``horizon``, in ``_CHUNK``-replica
-    chunks."""
+    chunks, the tail index solved before they fan out."""
     if horizon < 1:
         raise ParameterError("horizon must be at least 1")
     if replicas < 100:
@@ -274,8 +273,7 @@ def first_step_cluster_index(spec, horizon: int, replicas: int,
         raise OutOfRegimeError(f"the first-step b needs alpha < 2, not "
                                f"alpha = {alpha:.4g}")
     chunks = randkit.map_chunks(
-        lambda take, sub: _moments(spec.first_step_values(horizon, take, sub,
-                                                          alpha)),
+        lambda take, sub: _moments(spec.first_step_values(horizon, take, sub)),
         replicas, _CHUNK, stream, threads)
     return _estimate(chunks, None, ROUTE_FIRST_STEP, horizon, replicas)
 

@@ -46,11 +46,13 @@ class ModelSpec:
     """What every route needs from a model family.
 
     A family provides ``dim`` (the dimension of the observable X_t) and
-    the methods ``tail_index()``, ``theta0_law()`` (the (k, d) unit atoms
-    of Theta_0 and their k masses), ``paths(n, burn_in, replicas, stream)``
-    returning (replicas, n, dim) stationary-regime paths, ``sums`` (the
-    (replicas,) partial sums S_n of a scalar observable on the same
-    draws), ``tail_process(horizon, replicas, stream, alpha, tv)``,
+    the methods ``tail_index()`` (solved once a spec, into ``alpha``),
+    ``theta0_law()`` (the (k, d) unit atoms of Theta_0 and their k
+    masses), ``paths(n, burn_in, replicas, stream)`` returning
+    (replicas, n, dim) stationary-regime paths, ``sums`` (the (replicas,)
+    partial sums S_n of a scalar observable on the same draws),
+    ``tail_process(horizon, replicas, stream, tv)``, ``stationary_mean()``
+    (the exact mean vector, asked only at alpha > 1),
     ``conditional_states(y, reps, stream)`` for the one-step drift fit, and
     ``default_burn``, the warm-up of the pilot and the limit-theorem
     scans, derived from the family's own contraction rate. The defaults
@@ -67,6 +69,12 @@ class ModelSpec:
     themselves. No array spans more than one block, apart from Theta_0.
     The tail process is that of X itself, so d is ``dim``.
     """
+
+    @functools.cached_property
+    def alpha(self) -> float:
+        """The chain's tail index, ``tail_index()`` solved on first use:
+        every route and hook reads it here."""
+        return self.tail_index()
 
     @functools.cached_property
     def _theta0_atoms(self):
@@ -100,15 +108,11 @@ class ModelSpec:
         it exactly; None otherwise."""
         return None
 
-    def first_step_values(self, horizon, replicas, stream, alpha):
+    def first_step_values(self, horizon, replicas, stream):
         """(replicas,) per-path values whose mean is b(1) = b(-1) of a
         scalar observable with no closed form, from its first step."""
         raise UnsupportedCaseError(
             f"no first-step cluster index for {type(self).__name__}")
-
-    def stationary_mean(self):
-        """Exact stationary mean vector, when available; None otherwise."""
-        return None
 
     def tail_constant(self):
         """(c, scale) with P(|X| > x) ~ c (x/scale)^(-alpha) when the
@@ -116,8 +120,8 @@ class ModelSpec:
         return None
 
     def linear_step(self):
-        """(a, innovation, weight) of the scalar linear chain
-        X_t = a X_{t-1} + weight Z_t with Z_t from ``innovation``."""
+        """(a, innovation) of the scalar linear chain X_t = a X_{t-1} + Z_t
+        with Z_t from ``innovation``."""
         raise UnsupportedCaseError(
             f"{type(self).__name__} of dimension {self.dim} is not the "
             "scalar linear chain")
@@ -132,40 +136,28 @@ class ModelSpec:
 
 @dataclass(eq=False)
 class Var1Spec(ModelSpec):
-    """Linear recursion X_t = A X_{t-1} + Z_t with a fixed coefficient
-    matrix A.
+    """Linear recursion X_t = A X_{t-1} + Z_t with a fixed d x d
+    coefficient matrix A, which sets ``dim`` = d.
 
-    ``innovation`` applies per coordinate, scaled by ``weights``. The
-    default burn-in is the smallest b with ||A^b||_2 <= 2^-53: a path
-    started at zero has then forgotten its start to double precision.
+    ``innovation`` applies per coordinate. The default burn-in is the
+    smallest b with ||A^b||_2 <= 2^-53: a path started at zero has then
+    forgotten its start to double precision.
     """
 
-    dim: int
     innovation: TailLaw
-    a_matrix: np.ndarray | float | None = None
-    weights: np.ndarray | None = None
+    a_matrix: np.ndarray | float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("dim must be at least 1")
-        if self.a_matrix is None:
-            raise ParameterError("a_matrix is required")
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
-        if a.shape != (self.dim, self.dim):
-            raise ParameterError(f"a_matrix must be {self.dim}x{self.dim}")
-        self.a_matrix = a
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ParameterError(
+                f"a_matrix must be a non-empty square matrix, got shape "
+                f"{a.shape}")
+        self.a_matrix, self.dim = a, len(a)
         if _spectral_radius(a) >= 1.0:
             raise ParameterError(
                 "spectral radius of a_matrix must be below 1")
         self.default_burn = _contraction_burn(a)
-        if self.weights is None:
-            self.weights = np.ones(self.dim)
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (self.dim,):
-                raise ParameterError("weights must have length dim")
-            if np.any(self.weights <= 0):
-                raise ParameterError("weights must be positive")
 
     def tail_index(self) -> float:
         return randkit.power_tail(self.innovation)[1]
@@ -176,7 +168,6 @@ class Var1Spec(ModelSpec):
         if d == 1:
             a = float(self.a_matrix[0, 0])
             z = sample_law(stream, self.innovation, replicas * total)
-            z *= self.weights[0]
             # one in-place scan; rows then move down over their burn-in
             x = _ar1(z.reshape(replicas, total), a)[:, burn_in:]
             if replicas > 1 and burn_in:
@@ -185,8 +176,8 @@ class Var1Spec(ModelSpec):
                 x = z[:replicas * n].reshape(replicas, n)
             _check_finite(x, "spectral radius below 1")
             return x[..., None]
-        z = sample_law(stream, self.innovation, replicas * total
-                       * d).reshape(replicas, total, d) * self.weights
+        z = sample_law(stream, self.innovation,
+                       replicas * total * d).reshape(replicas, total, d)
         out = np.empty((replicas, n, d))
         x = np.zeros((replicas, d, 1))
         for t in range(total):
@@ -214,7 +205,7 @@ class Var1Spec(ModelSpec):
         total = n + burn_in
         head = a ** np.arange(burn_in, 0, -1) * (1.0 - a ** n)
         tail = 1.0 - a ** np.arange(n, 0, -1)
-        w = np.concatenate([head, tail]) * (self.weights[0] / (1.0 - a))
+        w = np.concatenate([head, tail]) * (1.0 / (1.0 - a))
         sums = np.empty(replicas)
         rows = max(2, _SUM_BLOCK // max(total, 1))
         for lo, hi in _block_bounds(replicas, rows):
@@ -227,7 +218,7 @@ class Var1Spec(ModelSpec):
 
     def theta0_law(self):
         """Exact: one big innovation at lag j in coordinate i puts Theta_0
-        at +-A^j w_i e_i / |A^j w_i e_i| with weight p+- |A^j w_i e_i|^alpha
+        at +-A^j e_i / |A^j e_i| with weight p+- |A^j e_i|^alpha
         (Davis & Resnick 1985). Terms below 1e-17 of the largest weight are
         dropped. The series stops before the first lag J with
         ||A^J||_2^alpha <= 1e-17: a lag j >= J weighs at most
@@ -235,14 +226,14 @@ class Var1Spec(ModelSpec):
         when ||A^k||_2 <= 1 for every k. Below alpha = 0.055 that bound
         underflows, and the least subnormal takes its place: past it A^j
         is zero to double precision."""
-        alpha = tail_index(self)
+        alpha = self.alpha
         p_up, p_dn = randkit.tail_balance(self.innovation)
         cut = _contraction_burn(self.a_matrix,
                                 max(10.0 ** (-17.0 / alpha), 5e-324))
-        powers = [np.diag(self.weights)]
+        powers = [np.eye(self.dim)]
         for _ in range(1, cut):
             powers.append(self.a_matrix @ powers[-1])
-        # rows in (j, i, sign) order: A^j w_i e_i is column i of A^j W
+        # rows in (j, i, sign) order: A^j e_i is column i of A^j
         cols = np.stack(powers).transpose(0, 2, 1).reshape(-1, self.dim)
         vecs = np.stack([cols, -cols], axis=1).reshape(-1, self.dim)
         balance = np.tile([p_up, p_dn], cols.shape[0])
@@ -267,7 +258,7 @@ class Var1Spec(ModelSpec):
         mass = np.array([w for _, w in merged.values()])
         return atoms, mass / np.sum(weights)
 
-    def tail_process(self, horizon, replicas, stream, alpha, tv):
+    def tail_process(self, horizon, replicas, stream, tv):
         """Theta_t = A^t Theta_0, one matrix product a step on each
         block's rows. A product of two rows or more has the bits of the
         whole chunk's (a lone row is never a block of its own)."""
@@ -295,8 +286,7 @@ class Var1Spec(ModelSpec):
             raise SingularDrawError(
                 f"(I - A) has condition number {cond:.3g}, above 1e12")
         lead = np.linalg.solve(m.T, tv)
-        atoms, weights = self._theta0_atoms
-        alpha = tail_index(self)
+        (atoms, weights), alpha = self._theta0_atoms, self.alpha
         terms = np.maximum(atoms @ lead, 0.0) ** alpha \
             - np.maximum(atoms @ (self.a_matrix.T @ lead), 0.0) ** alpha
         # over the weights' own sum, as ``theta0`` divides its CDF
@@ -311,7 +301,7 @@ class Var1Spec(ModelSpec):
         bound is at most the running sup or 2^(-53/alpha) theta'a_k."""
         if tv.size != self.dim:
             raise ParameterError("direction dimension mismatch")
-        (atoms, weights), alpha = self._theta0_atoms, tail_index(self)
+        (atoms, weights), alpha = self._theta0_atoms, self.alpha
         head, power, most = atoms @ tv, np.eye(self.dim), 1.0
         sup = np.full(head.shape, -np.inf)
         floor = np.maximum(head, 0.0) * 2.0 ** (-53.0 / alpha)
@@ -327,14 +317,10 @@ class Var1Spec(ModelSpec):
         return float(weights @ terms / weights.sum()), 0.0
 
     def stationary_mean(self):
-        try:
-            mz = randkit.law_mean(self.innovation)
-        except (ParameterError, UnsupportedLawError):
-            return None
-        if not math.isfinite(mz):
-            return None
-        rhs = mz * self.weights
-        return np.linalg.solve(np.eye(self.dim) - self.a_matrix, rhs)
+        """(I - A)^{-1} E Z, asked only at alpha > 1: the innovation's
+        power tail then has a finite mean."""
+        return np.linalg.solve(np.eye(self.dim) - self.a_matrix, np.full(
+            self.dim, randkit.law_mean(self.innovation)))
 
     def tail_constant(self):
         if self.dim != 1:
@@ -344,19 +330,16 @@ class Var1Spec(ModelSpec):
         except UnsupportedLawError:
             return None
         a = abs(float(self.a_matrix[0, 0]))
-        return (base / (1.0 - a ** alpha),
-                self.innovation.scale * self.weights[0])
+        return base / (1.0 - a ** alpha), self.innovation.scale
 
     def linear_step(self):
         if self.dim != 1:
             return super().linear_step()
-        return (float(self.a_matrix[0, 0]), self.innovation,
-                float(self.weights[0]))
+        return float(self.a_matrix[0, 0]), self.innovation
 
     def conditional_states(self, y, reps, stream):
         d = self.dim
-        z = sample_law(stream, self.innovation,
-                       reps * d).reshape(reps, d) * self.weights
+        z = sample_law(stream, self.innovation, reps * d).reshape(reps, d)
         return np.tile(y, (reps, 1)) @ self.a_matrix.T + z
 
 
@@ -366,14 +349,12 @@ class KestenSpec(ModelSpec):
     multipliers from ``a_law`` (Pareto or lognormal, so the moment
     equation E A^kappa = 1 is exact) and additive terms from ``b_law``."""
 
-    a_law: TailLaw | None = None
-    b_law: TailLaw | None = None
+    a_law: TailLaw
+    b_law: TailLaw
 
     dim = 1
 
     def __post_init__(self):
-        if self.a_law is None or self.b_law is None:
-            raise ParameterError("the recursion needs a_law and b_law")
         if self.a_law.family not in _POSITIVE_FAMILIES:
             raise ParameterError(
                 f"multiplier law must be pareto or lognormal, got "
@@ -406,8 +387,7 @@ class KestenSpec(ModelSpec):
         (0, min(1, alpha)], where E|X|^s is finite. A path started at 0
         differs from the stationary one on the same draws by
         A_1 ... A_T X_0, whose s-th moment is (E A^s)^T E|X_0|^s."""
-        return _moment_horizon(self._a_moment, 0.0,
-                               min(self.tail_index(), 1.0))
+        return _moment_horizon(self._a_moment, 0.0, min(self.alpha, 1.0))
 
     def _blocks(self, n, burn_in, replicas, stream):
         """Yield (lo, x): the (m, n) observed steps of replicas lo .. lo+m-1,
@@ -450,7 +430,7 @@ class KestenSpec(ModelSpec):
         raise UnsupportedLawError(
             "no exact exceedance-angle law for this additive family")
 
-    def tail_process(self, horizon, replicas, stream, alpha, tv):
+    def tail_process(self, horizon, replicas, stream, tv):
         """Theta_t = A_1 ... A_t Theta_0: each block's multipliers (a law
         whose draws split) run their cumulative product in the block's
         output. A projection is one product with theta, the bits of the
@@ -490,7 +470,7 @@ class KestenSpec(ModelSpec):
         convexity (E A^0 = E A^alpha = 1). A = 1/2 keeps W = 1 on the
         lattice; past alpha y = 1400 g spans more than a double's range,
         out of regime."""
-        alpha = self.tail_index()
+        alpha = self.alpha
         s = max(alpha - 1.0, 0.0)
 
         def cells(j, h):
@@ -512,7 +492,7 @@ class KestenSpec(ModelSpec):
         """``_log_lattice``'s E[(1 - e^(alpha M))_+] for the Lindley
         equation M = sup_{t>=1} log(A_1 ... A_t) =_d log A + max(0, M')
         (de Haan, Resnick, Rootzen & de Vries 1989); g <= 1, so s = 0."""
-        alpha = self.tail_index()
+        alpha = self.alpha
         return _log_lattice(self.a_law, 0.0, lambda j, h: (
             np.maximum(j, 0), -np.expm1(alpha * np.minimum(j * h, 0.0)), 0.0))
 
@@ -520,7 +500,7 @@ class KestenSpec(ModelSpec):
         """(value, bound) times |theta|^alpha P(theta Theta_0 > 0)."""
         if tv.size != 1:
             raise ParameterError("direction dimension mismatch")
-        weight = self._up_mass(tv) * abs(float(tv[0])) ** self.tail_index()
+        weight = self._up_mass(tv) * abs(float(tv[0])) ** self.alpha
         return tuple(weight * x for x in pair)
 
     def exact_cluster_index(self, tv):
@@ -530,12 +510,11 @@ class KestenSpec(ModelSpec):
         return self._signed(tv, self._lindley)
 
     def stationary_mean(self):
-        ma = randkit.law_moment(self.a_law, 1.0)
-        try:
-            mb = randkit.law_mean(self.b_law)
-        except (ParameterError, UnsupportedLawError):
-            return None
-        return np.array([mb / (1.0 - ma)]) if ma < 1.0 else None
+        """E B / (1 - E A), asked only at alpha > 1: there E A < 1, as
+        s -> E A^s is convex and 1 at s = 0 and at alpha, and B's tail
+        index, above alpha, leaves E B finite."""
+        return np.array([randkit.law_mean(self.b_law)
+                         / (1.0 - randkit.law_moment(self.a_law, 1.0))])
 
     def conditional_states(self, y, reps, stream):
         a = sample_law(stream, self.a_law, reps)
@@ -578,7 +557,7 @@ class Garch11Spec(ModelSpec):
         E|X|^s is finite."""
         return _moment_horizon(
             lambda s: _garch_power_moment(self.alpha1, self.beta1, s),
-            0.0, min(self.tail_index(), 1.0))
+            0.0, min(self.alpha, 1.0))
 
     def _observed(self, n, burn_in, replicas, stream):
         """Yield the observables X_t of the n steps after ``burn_in`` as
@@ -643,14 +622,15 @@ class Garch11Spec(ModelSpec):
         """Theta_0 = sign(Z_0), Z_0 symmetric: +-1 with mass 1/2 each."""
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
 
-    def tail_process(self, horizon, replicas, stream, alpha, tv):
+    def tail_process(self, horizon, replicas, stream, tv):
         """Theta_t = X_t / |X_0| as |X_0| -> inf: Z_0 is size-biased by
         |z|^alpha, so Z_0^2 = 2G with G ~ Gamma((alpha + 1)/2), and
         Theta_t = Theta_0 prod_{s<t} sqrt(a1 Z_s^2 + b1) Z_t / |Z_0| with
         Theta_0 = sign(Z_0) (Z_t, t >= 1, is symmetric). Each block runs
         the product in place in its output rows (``_walks``)."""
         starts = self.theta0(replicas, stream)[:, 0]
-        z0sq = 2.0 * stream.rng.standard_gamma((alpha + 1.0) / 2.0, replicas)
+        z0sq = 2.0 * stream.rng.standard_gamma((self.alpha + 1.0) / 2.0,
+                                               replicas)
         lead = starts / np.sqrt(z0sq)
         z0sq *= self.alpha1  # the walk's head, a1 Z_0^2 + b1
         z0sq += self.beta1
@@ -663,7 +643,7 @@ class Garch11Spec(ModelSpec):
             yield theta[..., None] if tv is None else np.multiply(
                 theta, tv[0], out=theta)
 
-    def first_step_values(self, horizon, replicas, stream, alpha):
+    def first_step_values(self, horizon, replicas, stream):
         """(replicas,) per-path values f(U) whose mean is b(1) = b(-1)
         along X. On X's own norm Z_0 enters the tail process only through
         its |z|^alpha size bias, which cancels the 1/|Z_0|^alpha factor,
@@ -677,7 +657,7 @@ class Garch11Spec(ModelSpec):
         out = np.empty(replicas)
         for lo, hi, walk in self._walks(stream.substream(_ANGLE_CHILD).rng,
                                         np.ones(replicas), walks):
-            out[lo:hi] = self._first_step(walk.sum(axis=1), alpha)
+            out[lo:hi] = self._first_step(walk.sum(axis=1))
         return out
 
     def _walks(self, rng, head, out):
@@ -697,12 +677,13 @@ class Garch11Spec(ModelSpec):
             w *= z
             yield lo, hi, w
 
-    def _first_step(self, u, alpha):
+    def _first_step(self, u):
         """f(u) of ``first_step_values`` at each entry of ``u`` (which it
         overwrites), Z integrated by the 128-node Gauss-Hermite rule. The
         second term is the rule's own E A^(alpha/2), 1 at the tail index,
         times |u|^alpha."""
         z, w = _gh_nodes()
+        alpha = self.alpha
         g = np.multiply.outer(u, np.sqrt(self.alpha1 * z ** 2 + self.beta1))
         g += z
         np.abs(g, out=g)
@@ -1099,23 +1080,21 @@ def simulate_paths_batch(spec, n: int, burn_in: int, replicas: int,
 
 
 def tail_index(spec) -> float:
-    """Tail index of the stationary law.
+    """Tail index of the stationary law: the spec's ``alpha``.
 
     Linear model: inherited from the innovation law. Scalar recurrence
     (as for GARCH): the unique positive root of the multiplier moment
     equation, found by bracketing bisection (absolute tolerance well below
     1e-8).
     """
-    return spec.tail_index()
+    return spec.alpha
 
 
 def sample_tail_process_batch(spec, horizon: int, replicas: int,
-                              stream: RngStream, alpha: float, tv=None,
-                              reducers=None):
+                              stream: RngStream, tv=None, reducers=None):
     """Spectral-tail-process angles (Theta_0, ..., Theta_T) of
     ``replicas`` paths, drawn on the stream's angle child in blocks of
-    ``_TAIL_BLOCK`` replicas (``ModelSpec``); ``alpha`` is the spec's tail
-    index, solved once by the caller.
+    ``_TAIL_BLOCK`` replicas (``ModelSpec``).
 
     Each block yields its (m, horizon+1) projection tv'Theta_t, or for no
     ``tv`` its (m, horizon+1, d) angles. Without ``reducers``, these
@@ -1131,7 +1110,7 @@ def sample_tail_process_batch(spec, horizon: int, replicas: int,
         raise ParameterError("direction dimension mismatch")
     outs, lo = None, 0
     for rows in spec.tail_process(horizon, replicas,
-                                  stream.substream(_ANGLE_CHILD), alpha, tv):
+                                  stream.substream(_ANGLE_CHILD), tv):
         vals = [rows] if reducers is None else [r(rows) for r in reducers]
         if outs is None:  # shapes from the first block
             outs = [np.empty((replicas, *v.shape[1:])) for v in vals]

@@ -132,8 +132,8 @@ def make_var1_minorization(spec, m_bound: float = None,
     nu sampled by shifting a truncated Pareto draw. Without ``m_bound``,
     M is the 0.995 quantile of |X| on the pilot drawn on ``stream``.
     """
-    a, law, weight = spec.linear_step()
-    scale = law.scale * weight
+    a, law = spec.linear_step()
+    scale = law.scale
     heuristic = m_bound is None
     if heuristic:
         if stream is None:
@@ -228,13 +228,12 @@ def harvest_blocks(spec, minorization: MinorizationSpec, n: int,
     drawing its slice of the regeneration uniforms (one word per step, so
     the stream does not depend on the block), so the harvest holds the
     path, the cycles and one block."""
-    a, law, weight = spec.linear_step()
+    a, law = spec.linear_step()
     if n < 1:
         raise ParameterError("n must be at least 1")
     draws = np.empty((1, n))
     draws[0, 0] = minorization.nu_sampler(stream)
     randkit.sample_law(stream, law, n - 1, out=draws[0, 1:])
-    draws[0, 1:] *= weight
     path = models._ar1(draws, a)[0]
     eps = minorization.epsilon
     starts = [np.zeros(1, dtype=np.int64)]

@@ -26,26 +26,26 @@ def stream():
 @pytest.fixture
 def ar_pareto15():
     """Scalar linear chain, a = 0.5, positive Pareto(1.5) innovations."""
-    return models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+    return models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                            a_matrix=np.array([[0.5]]))
 
 
 @pytest.fixture
 def ar_sympareto15():
-    return models.Var1Spec(1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+    return models.Var1Spec(TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
                            a_matrix=np.array([[0.5]]))
 
 
 @pytest.fixture
 def iid_pareto08():
     """Degenerate linear chain (a = 0): iid positive Pareto(0.8)."""
-    return models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.8),
+    return models.Var1Spec(TailLaw(randkit.PARETO, alpha=0.8),
                            a_matrix=np.array([[0.0]]))
 
 
 @pytest.fixture
 def ar_gauss():
-    return models.Var1Spec(1, TailLaw(randkit.GAUSSIAN),
+    return models.Var1Spec(TailLaw(randkit.GAUSSIAN),
                            a_matrix=np.array([[0.5]]))
 
 

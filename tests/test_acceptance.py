@@ -52,7 +52,7 @@ def _report(num, ok, detail):
 
 
 def _ar_spec(alpha, family=randkit.PARETO, a=0.5):
-    return models.Var1Spec(1, TailLaw(family, alpha=alpha),
+    return models.Var1Spec(TailLaw(family, alpha=alpha),
                            a_matrix=np.array([[a]]))
 
 
@@ -153,7 +153,7 @@ def test_criterion_05_kesten_tail_index():
 def test_criterion_06_stable_clt_two_models():
     t0 = time.perf_counter()
     iid_stable = models.Var1Spec(
-        1, TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
+        TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
         a_matrix=np.array([[0.0]]))
     c1 = stable_check(iid_stable, PLUS, n=1000, reps=2000,
                       stream=derive_stream(SEED, 601), threads=4)

@@ -482,16 +482,6 @@ class TestMain:
     _SIMULATE = ("command = simulate\nmodel = var1\nseed = 5\na = 0.5\n"
                  "innovation = pareto\nalpha = 1.5\nn = 30\n")
 
-    @pytest.mark.parametrize("value", ["many", "0", "-7"])
-    def test_env_threads_must_be_integer(self, tmp_path, capsys,
-                                         monkeypatch, value):
-        cfg = self._write(tmp_path, self._SIMULATE
-                          + f"out_dir = {tmp_path / 'out'}\n")
-        monkeypatch.setenv("HEAVYTAIL_THREADS", value)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert value in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_threads_flag_must_be_positive(self, tmp_path, capsys):
         cfg = self._write(tmp_path, self._SIMULATE
                           + f"out_dir = {tmp_path / 'out'}\n")

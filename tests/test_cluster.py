@@ -52,8 +52,9 @@ def _mc_sup(spec, th, horizon, replicas, stream, threads=1):
 
 def with_index(spec, alpha):
     """``spec`` with its tail index set to ``alpha`` on the instance, a
-    stand-in for a law whose moment root is ``alpha``."""
-    spec.tail_index = lambda: alpha
+    stand-in for a law whose moment root is ``alpha``: every reader of
+    the index reads the spec's cached ``alpha``."""
+    spec.alpha = alpha
     return spec
 
 
@@ -108,7 +109,7 @@ class TestClosedForm:
         # probability c_i / (c1 + c2), c_i = 1 / (1 - a_i^alpha), and
         # only e1 contributes along e1
         alpha, a1, a2 = 1.5, 0.5, 0.3
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=alpha),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=alpha),
                                a_matrix=np.diag([a1, a2]))
         c1, c2 = 1.0 / (1.0 - a1 ** alpha), 1.0 / (1.0 - a2 ** alpha)
         exact = c1 / (c1 + c2) * ((1.0 - a1) ** -alpha
@@ -124,7 +125,7 @@ class TestClosedForm:
         # laws are exact, so neither cluster route draws the pilot
         if name == "var1_dim2":
             spec = models.Var1Spec(
-                2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+                TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
                 a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
         else:
             spec = request.getfixturevalue(name)
@@ -351,33 +352,31 @@ class TestFirstStepRoute:
         # a1 u^2 = 1 at |u| = sqrt(2): both sides and both signs, and the
         # kink near z = 0 for small |u|
         spec = bench_garch
-        alpha = spec.tail_index()
+        alpha = spec.alpha
         us = np.array([-50.0, -3.0, -1.5, -1.2, -0.5, -0.25, -0.1, 0.0,
                        0.05, 0.187, 0.25, 1.0, 2.0, 10.0, 300.0])
-        got = spec._first_step(us.copy(), alpha)
+        got = spec._first_step(us.copy())
         want = [_first_step_quad(spec, alpha, u) for u in us]
         assert np.all(np.abs(got - want) < 1e-3)
 
     def test_quadrature_mean_over_sampled_rest(self, bench_garch):
         # per-path errors of up to 7e-4 near the kink cancel in the mean
         spec = bench_garch
-        alpha = spec.tail_index()
+        alpha = spec.alpha
         us = _rest_of_path(spec, 2000, 256, 5)
-        got = spec._first_step(us.copy(), alpha)
+        got = spec._first_step(us.copy())
         want = [_first_step_quad(spec, alpha, u) for u in us]
         assert abs(np.mean(got - want)) < 1e-5
 
     def test_estimate_merges_the_chunk_values(self, bench_garch):
         spec = bench_garch
-        alpha = spec.tail_index()
         replicas = 2 * cluster._CHUNK + 500
         est = cluster.first_step_cluster_index(spec, 4, replicas,
                                                derive_stream(42, 30), 2)
         stream = derive_stream(42, 30)
         parts = [cluster._moments(spec.first_step_values(
-            4, min(cluster._CHUNK, replicas - lo), stream.substream(i),
-            alpha)) for i, lo in enumerate(range(0, replicas,
-                                                 cluster._CHUNK))]
+            4, min(cluster._CHUNK, replicas - lo), stream.substream(i)))
+            for i, lo in enumerate(range(0, replicas, cluster._CHUNK))]
         _, mean, m2 = cluster._merge_moments(parts)
         assert (est.value, est.std_error, est.plug_in_se) == (
             mean, math.sqrt(m2 / (replicas - 1) / replicas),
@@ -477,6 +476,20 @@ class TestThreads:
                     for t in (1, 2))
         assert one == two
 
+    def test_threaded_routes_solve_the_index_once(self, monkeypatch,
+                                                  bench_garch):
+        # the index is read into the spec's cache before the chunks fan
+        # out: the shared batch and the first-step route on two threads
+        # solve the moment equation once between them
+        calls, solve = [], models.Garch11Spec.tail_index
+        monkeypatch.setattr(models.Garch11Spec, "tail_index",
+                            lambda spec: calls.append(spec) or solve(spec))
+        cluster.tail_process_routes(bench_garch, Direction([1.0]), 8, 6,
+                                    self.REPLICAS, derive_stream(42, 6), 2)
+        cluster.first_step_cluster_index(bench_garch, 8, self.REPLICAS,
+                                         derive_stream(42, 7), 2)
+        assert calls == [bench_garch]
+
     def test_workers_keep_the_callers_error_state(self):
         def overflow(take, stream):
             return np.float64(1e308) * 10.0
@@ -555,9 +568,8 @@ _SHARED_SPECS = {
     "pareto_multiplier": (_KESTEN_SPECS["pareto_multiplier"], [1.0]),
     "garch": (lambda: models.Garch11Spec(0.05, 0.5, 0.55), [1.0]),
     "var1_dim2": (lambda: models.Var1Spec(
-        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-        weights=np.array([1.0, 2.0])), [1.0, 1.0]),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]])), [1.0, 1.0]),
 }
 
 
@@ -569,8 +581,7 @@ def _prefix_estimate(spec, th, drawn, lag, replicas, stream):
     alpha = models.tail_index(spec)
     s = cluster._control_power(alpha)
     proj = models.sample_tail_process_batch(
-        spec, drawn, replicas, stream.substream(0), alpha,
-        th.vector)[:, :lag + 1]
+        spec, drawn, replicas, stream.substream(0), th.vector)[:, :lag + 1]
     f = cluster._sum_difference(proj, alpha)
     mean = float(np.mean(f))
     dev = f - mean
@@ -704,7 +715,7 @@ class TestControlVariate:
         alpha, tv = spec.tail_index(), np.array([1.0])
         s = cluster._control_power(alpha)
         ctrl, = models.sample_tail_process_batch(
-            spec, 40, 20_000, derive_stream(47, 1), alpha, tv,
+            spec, 40, 20_000, derive_stream(47, 1), tv,
             [functools.partial(cluster._control, s=s)])
         se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
         assert abs(np.mean(ctrl) - spec.tail_moments(tv, s, 40)) <= 4 * se
@@ -723,7 +734,7 @@ class TestControlVariate:
         assert mean == pytest.approx(
             0.5 * sum(m ** t for t in range(1, 41)), rel=1e-12)
         ctrl, = models.sample_tail_process_batch(
-            spec, 40, 20_000, derive_stream(47, 5), alpha, tv,
+            spec, 40, 20_000, derive_stream(47, 5), tv,
             [functools.partial(cluster._control, s=s)])
         se = np.std(ctrl, ddof=1) / math.sqrt(ctrl.size)
         assert abs(np.mean(ctrl) - mean) <= 4 * se
@@ -817,14 +828,14 @@ _PLAIN_MEAN_BITS = {
         "0x1.bd02423cc72ebp-2", "0x1.5194790c5c5a7p-8",
         "0x1.518f805e28a20p-8"),
     ("var1_dim2", "tail_process"): (
-        "0x1.0975ace95581bp-1", "0x1.8afa70346840cp-8",
-        "0x1.8af49f21c8387p-8"),
+        "0x1.ec40bbeda905cp-2", "0x1.6ef1a98f6970cp-8",
+        "0x1.6eec422d51170p-8"),
     ("var1_dim2", "telescoping"): (
-        "0x1.08ff372f90523p-1", "0x1.8a3720f5121d9p-8",
-        "0x1.8a3152c2c3d5ep-8"),
+        "0x1.ebb564c2fe534p-2", "0x1.6e622220d0c93p-8",
+        "0x1.6e5cbcdbd39b8p-8"),
     ("var1_dim2", "extremal"): (
-        "0x1.afc6ecf2924c7p-3", "0x1.3fc31b6e62dd3p-9",
-        "0x1.3fbe65ec962c9p-9"),
+        "0x1.a75a6c145c91ep-3", "0x1.34fc495eb1c54p-9",
+        "0x1.34f7bc7dae4d7p-9"),
 }
 
 
@@ -834,9 +845,8 @@ def test_plain_mean_routes_keep_their_bits(family, route):
         spec, th = models.Garch11Spec(0.05, 0.1, 0.85), Direction([1.0])
     else:
         spec = models.Var1Spec(
-            2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-            a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-            weights=np.array([1.0, 2.0]))
+            TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+            a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
         th = Direction([1.0, 1.0])
     replicas, stream = cluster._CHUNK + 500, derive_stream(46, 1)
     calls = {
@@ -875,7 +885,7 @@ class TestTelescoping:
 class TestExtremalIndex:
     @pytest.mark.parametrize("alpha,law_alpha", [(1.0, 1.0), (2.0, 2.0)])
     def test_linear_chain_sup_values(self, alpha, law_alpha):
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=law_alpha),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=law_alpha),
                                a_matrix=np.array([[0.5]]))
         est = extremal_index(spec, Direction([1.0]), 40, 2000,
                              derive_stream(44, int(alpha)))
@@ -894,7 +904,7 @@ class TestExtremalIndex:
         # - (sup_{t>=1} theta'A^t a_k)_+^alpha], run along each orbit;
         # ``exact_extremal_index`` stops each orbit early (the last A has
         # ||A||_2 = 2.1 > 1, so its norms rise before they fall)
-        spec = models.Var1Spec(len(theta), TailLaw(innovation, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(innovation, alpha=1.5),
                                a_matrix=np.array(a_matrix))
         th = Direction(theta)
         atoms, weights = spec.theta0_law()

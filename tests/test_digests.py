@@ -85,10 +85,10 @@ RUN_DIGESTS = {
 
 KERNEL_DIGESTS = {
     "var1_dim2": {
-        "path": "64fe9977ae7d3d3fe3d07f1134532d44"
-                "8a2688da95f78288fe38a97c752605c6",
-        "tail_process": "acefd60056a96214aa995da967c21c25"
-                        "590c27dd2be7327543bf902133b4c1eb",
+        "path": "59b160883a79acc7fa28fc216bc7c701"
+                "9a4c6e05cea52b40995909127317528a",
+        "tail_process": "2e555041cdfb6f64df874d893d246c92"
+                        "08b660f68dda8cd0714388865e5e82f1",
     },
 }
 
@@ -99,9 +99,8 @@ STREAM_DIGEST = ("9c58d8f1a2e084b731b98b45681aed96"
 
 _KERNEL_SPECS = {
     "var1_dim2": lambda: models.Var1Spec(
-        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-        weights=np.array([1.0, 2.0])),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]])),
 }
 
 
@@ -174,7 +173,7 @@ def test_two_dimensional_kernel_digests(name):
     spec = _KERNEL_SPECS[name]()
     path = models.simulate_path(spec, 300, 50, derive_stream(SEED, 11))
     theta = models.sample_tail_process_batch(
-        spec, 8, 200, derive_stream(SEED, 12), models.tail_index(spec))
+        spec, 8, 200, derive_stream(SEED, 12))
     assert path.shape == (300, 2)
     assert theta.shape == (200, 9, 2)
     want = KERNEL_DIGESTS[name]

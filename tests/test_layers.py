@@ -8,9 +8,11 @@ Function-level imports count: they hide a cycle, they do not remove it.
 Every function, class and method of the package is reached from the
 package itself, or is one of the few names only the benchmark tracer or
 an acceptance criterion calls; every defaulted parameter of a
-function of the package is set by at least one call, and by a call
-outside the tests but for a few listed ones; and every parameter is read
-by its body, or by a sibling that shares its signature.
+function of the package, and every defaulted constructor field of its
+dataclasses, is set by at least one call, and by a call outside the
+tests but for a few listed ones; every parameter is read by its body,
+or by a sibling that shares its signature; and no module reads the
+environment.
 """
 import ast
 from collections import Counter
@@ -165,17 +167,52 @@ def _trees(*dirs):
                         yield name, ast.parse(fh.read())
 
 
+def _name(node):
+    """The name a decorator or callee ends in: ``f`` of ``f`` or
+    ``module.f``."""
+    return node.id if isinstance(node, ast.Name) else \
+        getattr(node, "attr", None)
+
+
+def _init_fields(node):
+    """The constructor fields of ``node`` when it is a ``@dataclass``
+    class (none otherwise), in order: each annotated class attribute but
+    a ``field(init=False, ...)``. No dataclass of the package extends
+    another, so the order is that of the constructor's arguments."""
+    if not any(_name(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in node.decorator_list):
+        return []
+    fields = []
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign):
+            continue
+        value = item.value
+        call = isinstance(value, ast.Call) and _name(value.func) == "field"
+        if call and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords):
+            continue
+        fields.append((item.target.id, value is not None and (
+            not call or any(k.arg in ("default", "default_factory")
+                            for k in value.keywords))))
+    return fields
+
+
 def _defaulted(tree):
     """(function name, parameter, position or None) of every defaulted
-    parameter of every function in ``tree``. The position counts the
-    arguments a call passes, so a method's ``self`` is left out;
-    keyword-only parameters have none."""
+    parameter of every function in ``tree``, and of every defaulted
+    constructor field of its dataclasses under the class's name. The
+    position counts the arguments a call passes, so a method's ``self``
+    is left out; keyword-only parameters have none."""
     methods = {id(item) for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) for item in node.body
                if isinstance(item, ast.FunctionDef) and not any(
                    isinstance(d, ast.Name) and d.id == "staticmethod"
                    for d in item.decorator_list)}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for i, (name, defaulted) in enumerate(_init_fields(node)):
+                if defaulted:
+                    yield node.name, name, i
         if isinstance(node, ast.FunctionDef):
             args = node.args
             params = args.posonlyargs + args.args
@@ -198,10 +235,7 @@ def _unset_defaults(*callers):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                getattr(func, "attr", None)
-            got = setters.setdefault(name, set())
+            got = setters.setdefault(_name(node.func), set())
             got.update(range(len(node.args)))
             got.update(k.arg or "*" for k in node.keywords)
             if any(isinstance(a, ast.Starred) for a in node.args):
@@ -211,6 +245,22 @@ def _unset_defaults(*callers):
         for module, tree in _trees(os.path.join("src", "heavytail"))
         for func, param, pos in _defaulted(tree)
         if not setters.get(func, set()) & {"*", param, pos})
+
+
+@pytest.mark.parametrize("source, defaulted", [
+    ("def f(a, b=1, *, c=2, d):\n    pass\n",
+     [("f", "b", 1), ("f", "c", None)]),
+    ("@dataclass(eq=False)\nclass S:\n    a: int\n    b: int = 0\n"
+     "    c: list = field(default_factory=list)\n"
+     "    d: int = field(init=False, default=0)\n    e: int = field()\n"
+     "    k = 1\n",
+     [("S", "b", 1), ("S", "c", 2)]),
+    ("@dataclasses.dataclass\nclass T:\n    a: int = 1\n"
+     "    def m(self, x=None):\n        pass\n",
+     [("T", "a", 0), ("m", "x", 0)]),
+    ("class U:\n    a: int = 1\n", [])])
+def test_every_default_is_seen(source, defaulted):
+    assert list(_defaulted(ast.parse(source))) == defaulted
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -230,6 +280,39 @@ def test_every_defaulted_parameter_is_set_outside_tests():
     unset = _unset_defaults(os.path.join("src", "heavytail"), "bench")
     assert unset == sorted(TEST_ONLY_DEFAULTS), \
         f"defaulted parameters only tests set: {unset}"
+
+
+def _environment_reads(tree):
+    """``os.environ`` and ``os.getenv``, however imported, for every read
+    of them in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in (
+                "environ", "getenv"):
+            found.add(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(f"os.{a.name}" for a in node.names
+                         if a.name in ("environ", "getenv"))
+    return found
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_module_reads_the_environment(module):
+    # a setting the environment gives reaches a run unseen: every
+    # setting of a run is a config key, a command-line option or an
+    # argument, and the manifest echoes it
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        found = _environment_reads(ast.parse(fh.read()))
+    assert not found, f"{module} reads the environment: {sorted(found)}"
+
+
+@pytest.mark.parametrize("source, names", [
+    ("n = os.environ.get('N')\n", {"os.environ"}),
+    ("n = os.getenv('N', '1')\n", {"os.getenv"}),
+    ("from os import environ, path\n", {"os.environ"}),
+    ("p = os.path.join(a, b)\n", set())])
+def test_every_environment_read_is_seen(source, names):
+    assert _environment_reads(ast.parse(source)) == names
 
 
 # parameters that no body of the package reads, with what reads them
@@ -345,11 +428,8 @@ def _seed_reads(tree):
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name == "derive_stream":
-                found.add(name)
+            if _name(node.func) == "derive_stream":
+                found.add("derive_stream")
         elif isinstance(node, ast.Attribute) and node.attr == "master_seed":
             found.add(node.attr)
     return found

@@ -67,7 +67,7 @@ class TestStableCf:
 class TestStableCheck:
     def test_iid_stable_sums_match_their_own_law(self):
         spec = models.Var1Spec(
-            1, TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
+            TailLaw(randkit.STABLE, alpha=1.5, skew=0.0),
             a_matrix=np.array([[0.0]]))
         cmp = stable_check(spec, PLUS, 1000, 2000,
                            derive_stream(51, 1))
@@ -89,7 +89,7 @@ class TestStableCheck:
 
     def test_alpha_one_asymmetric_pair_draws_no_sum(self, monkeypatch):
         # a = 1/2 with Pareto(1) innovations: b(+1) = 1, b(-1) = 0
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.0),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.0),
                                a_matrix=np.array([[0.5]]))
         calls = []
         monkeypatch.setattr(limits, "_scalar_sums",
@@ -117,10 +117,10 @@ class TestStableCheck:
 
         iid = np.array([[0.0]])
         pareto = TailLaw(randkit.PARETO, alpha=1.5, scale=3.0)
-        spec = models.Var1Spec(1, pareto, a_matrix=iid)
+        spec = models.Var1Spec(pareto, a_matrix=iid)
         assert abs(a_n(spec, 1000) / 300.0 - 1.0) < 1e-12
         law = TailLaw(randkit.STABLE, alpha=1.5)
-        spec = models.Var1Spec(1, law, a_matrix=iid)
+        spec = models.Var1Spec(law, a_matrix=iid)
         c, alpha = randkit.power_tail(law)
         assert abs(1000 * c * a_n(spec, 1000) ** -alpha - 1.0) < 1e-9
 
@@ -131,7 +131,7 @@ class TestStableCheck:
     def test_scan_sums_hold_one_block(self, law):
         # 20,000 sums of 1,000 steps: six 3,983-replica chunks of 33.5 MB
         # of innovations each, drawn and reduced in 62-row blocks
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.5]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.5]]))
         tracemalloc.start()
         try:
             limits._scalar_sums(spec, 1000, 20_000, derive_stream(51, 7), 1)
@@ -168,16 +168,6 @@ class TestStableCheck:
         stable = limits._power_tail(spec, derive_stream(51, 7))
         assert ldp[1] != stable[1]
         assert limits._power_tail(spec, derive_stream(51, 6)) == ldp
-
-    def test_infinite_mean_cannot_center(self, monkeypatch):
-        # alpha 1.5 > 1 on the bench recurrence, whose stationary-mean
-        # hook answers None: S_n has no centring
-        spec = models.KestenSpec(
-            a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
-            b_law=TailLaw(randkit.PARETO, alpha=10.0))
-        monkeypatch.setattr(spec, "stationary_mean", lambda: None)
-        with pytest.raises(OutOfRegimeError, match="mean is infinite"):
-            limits._sum_centering(spec, models.tail_index(spec))
 
     def test_index_outside_the_stable_regime_is_rejected(self,
                                                          garch_benchmark):
@@ -323,7 +313,7 @@ class TestGaussianSigma:
         # cycle length 1 everywhere: the long-run variance is the plain
         # variance of the innovations
         law = TailLaw(randkit.GAUSSIAN)
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
         mino = regen.make_iid_minorization(law)
         blocks = regen.harvest_blocks(spec, mino, 50_000,
                                       derive_stream(53, 1))
@@ -340,7 +330,7 @@ class TestGaussianSigma:
         # Pareto(5) has mean 5/4 and variance 5/48; uncentred cycle sums
         # would give the second moment 5/3 instead
         law = TailLaw(randkit.PARETO, alpha=5.0)
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
         blocks = regen.harvest_blocks(spec, regen.make_iid_minorization(law),
                                       200_000, derive_stream(53, 5))
         rep = gaussian_sigma(blocks)
@@ -369,7 +359,7 @@ class TestGaussianSigma:
 
     def test_too_few_cycles_raises(self):
         law = TailLaw(randkit.GAUSSIAN)
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
         mino = regen.make_iid_minorization(law)
         blocks = regen.harvest_blocks(spec, mino, 20, derive_stream(53, 4))
         with pytest.raises(InsufficientCyclesError):

@@ -3,6 +3,7 @@
 Tail-index targets come from closed forms (quadratic log-moment roots,
 exact unit moments) or an independent quadrature/Brent root.
 """
+import hashlib
 import math
 import re
 import tracemalloc
@@ -123,12 +124,29 @@ class TestTailIndex:
 class TestSpecValidation:
     def test_var1_requires_contraction(self):
         with pytest.raises(ParameterError):
-            models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+            models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                             a_matrix=np.array([[1.01]]))
 
     def test_var1_requires_a_matrix(self):
-        with pytest.raises(ParameterError):
-            models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5))
+        with pytest.raises(TypeError, match="a_matrix"):
+            models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5))
+
+    @pytest.mark.parametrize("a_matrix, shape", [
+        (np.zeros((2, 3)), "(2, 3)"), (np.zeros((0, 0)), "(0, 0)"),
+        (np.zeros((2, 2, 2)), "(2, 2, 2)")])
+    def test_var1_a_matrix_must_be_square(self, a_matrix, shape):
+        # the matrix alone sets the dimension, so a shape that is not
+        # d x d for some d >= 1 is named as it was given
+        with pytest.raises(ParameterError, match=re.escape(
+                f"non-empty square matrix, got shape {shape}")):
+            models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5), a_matrix)
+
+    def test_var1_dimension_is_the_matrix_order(self):
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5), 0.5)
+        assert (spec.dim, spec.a_matrix.shape) == (1, (1, 1))
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
+                               np.eye(3) * 0.5)
+        assert spec.dim == 3
 
     def test_garch_requires_negative_log_moment(self):
         with pytest.raises(HeavytailError):
@@ -139,7 +157,7 @@ class TestSpecValidation:
             models.Garch11Spec(0.0, 0.1, 0.8)
 
     def test_kesten_requires_both_laws(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError, match="b_law"):
             models.KestenSpec(a_law=TailLaw(randkit.LOGNORMAL, mu=-0.5,
                                             sigma=0.5))
 
@@ -205,9 +223,8 @@ class TestSimulatePath:
     def test_replica_rows_match_single_paths(self):
         # Pareto innovations take one uniform per draw, so row 0 of a
         # 3-replica batch consumes exactly the draws of a single path
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
-                               a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-                               weights=np.array([1.0, 2.0]))
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
+                               a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]))
         rows = spec.paths(300, 50, 3, derive_stream(4, 7))
         single = models.simulate_path(spec, 300, 50, derive_stream(4, 7))
         assert rows.shape == (3, 300, 2)
@@ -242,7 +259,7 @@ class TestSimulatePath:
         assert stream.counter == 0
 
     def test_scalar_only_kernels_reject_two_dimensional_chain(self):
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)
         with pytest.raises(ParameterError):
             models.simulate_paths_batch(spec, 64, 16, 5, derive_stream(4, 5))
@@ -250,7 +267,7 @@ class TestSimulatePath:
     def test_divergence_names_the_first_value_beyond_the_bound(self):
         # a = 0.5 contracts, but a Pareto(0.01) draw passes 1e280 with
         # probability 10^-2.8, so 2000 steps almost surely hold one
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.01),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=0.01),
                                a_matrix=np.array([[0.5]]))
         with np.errstate(over="ignore"):
             z = randkit.sample_law(derive_stream(4, 8), spec.innovation,
@@ -265,7 +282,7 @@ class TestSimulatePath:
     def test_pareto_overflow_raises_no_warning_first(self):
         # below alpha = 53/1024 a draw can overflow to inf; the sampler
         # lets it do so quietly, and the path check names it
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.01),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=0.01),
                                a_matrix=np.array([[0.5]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -275,7 +292,7 @@ class TestSimulatePath:
     def test_ill_conditioned_closed_form_names_the_condition_number(self):
         # A is nilpotent (spectral radius 0), yet (I - A) has condition
         # number about 1e26
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[0.0, 1e13],
                                                   [0.0, 0.0]]))
         cond = np.linalg.cond(np.eye(2) - spec.a_matrix)
@@ -352,7 +369,7 @@ def one_shot_var1_sums(spec, n, burn_in, replicas, stream):
                            replicas * total).reshape(replicas, total)
     head = a ** np.arange(burn_in, 0, -1) * (1.0 - a ** n)
     tail = 1.0 - a ** np.arange(n, 0, -1)
-    w = np.concatenate([head, tail]) * (spec.weights[0] / (1.0 - a))
+    w = np.concatenate([head, tail]) * (1.0 / (1.0 - a))
     return np.einsum("ij,j->i", z, w)
 
 
@@ -431,9 +448,8 @@ class TestPathFreeSums:
         (0.5, randkit.PARETO), (0.0, randkit.PARETO),
         (-0.9, randkit.SYMMETRIC_PARETO), (0.999, randkit.PARETO)])
     def test_weighted_sum_matches_path_sum(self, a, family):
-        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
-                               a_matrix=np.array([[a]]),
-                               weights=np.array([2.0]))
+        spec = models.Var1Spec(TailLaw(family, alpha=1.5, scale=2.0),
+                               a_matrix=np.array([[a]]))
         got = spec.sums(400, 60, 50, derive_stream(4, 9))
         paths = spec.paths(400, 60, 50, derive_stream(4, 9))[..., 0]
         # relative to the sum of |X_t|, the scale of the rounding of either
@@ -457,7 +473,7 @@ class TestPathFreeSums:
         (9000, 8)])
     def test_blocked_sums_keep_the_one_shot_bytes(self, family, n,
                                                   replicas):
-        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(family, alpha=1.5),
                                a_matrix=np.array([[0.5]]))
         got = spec.sums(n, 53, replicas, derive_stream(4, 14))
         want = one_shot_var1_sums(spec, n, 53, replicas,
@@ -561,7 +577,7 @@ class TestPathFreeSums:
         assert peak < 3e6
 
     def test_sums_are_scalar_only(self):
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.eye(2) * 0.5)
         with pytest.raises(ParameterError):
             spec.sums(64, 16, 5, derive_stream(4, 12))
@@ -574,8 +590,7 @@ class TestPathFreeSums:
         ([[0.9, 1.0], [0.0, 0.9]], 407)])
     def test_default_burn_from_the_contraction_rate(self, a_matrix, burn):
         a = np.array(a_matrix)
-        spec = models.Var1Spec(a.shape[0],
-                               TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=a)
         assert spec.default_burn == burn
         norm = np.linalg.norm(np.linalg.matrix_power(a, burn), 2)
@@ -677,24 +692,21 @@ class TestWarmUp:
 class TestTailProcess:
     def test_var1_rows_are_exact_powers(self, ar_pareto15):
         theta = models.sample_tail_process_batch(
-            ar_pareto15, 12, 256, derive_stream(6, 1),
-            models.tail_index(ar_pareto15))
+            ar_pareto15, 12, 256, derive_stream(6, 1))
         expect = 0.5 ** np.arange(13)
         for row in theta[:, :, 0]:
             assert np.array_equal(row, expect)
 
     def test_symmetric_innovation_mixes_signs(self, ar_sympareto15):
         theta = models.sample_tail_process_batch(
-            ar_sympareto15, 4, 4000, derive_stream(6, 2),
-            models.tail_index(ar_sympareto15))
+            ar_sympareto15, 4, 4000, derive_stream(6, 2))
         first = theta[:, 0, 0]
         assert set(np.unique(first)) == {-1.0, 1.0}
         assert abs(first.mean()) < 0.06
 
     def test_unit_modulus_at_time_zero(self, garch_benchmark):
         theta = models.sample_tail_process_batch(
-            garch_benchmark, 8, 2000, derive_stream(6, 3),
-            models.tail_index(garch_benchmark))
+            garch_benchmark, 8, 2000, derive_stream(6, 3))
         assert theta.shape == (2000, 9, 1)
         assert set(np.unique(theta[:, 0, 0])) == {-1.0, 1.0}
 
@@ -714,7 +726,7 @@ class TestTailProcess:
             lambda z: math.sqrt(spec.alpha1 * z * z + spec.beta1) / z) \
             / tilted(lambda z: 1.0)
         theta = models.sample_tail_process_batch(
-            spec, 1, 400_000, derive_stream(6, 5), alpha)
+            spec, 1, 400_000, derive_stream(6, 5))
         size = np.abs(theta[:, 1, 0])
         assert abs(size.mean() - target) <= 4.0 * size.std() / math.sqrt(
             size.size)
@@ -742,7 +754,7 @@ class TestTailProcess:
         spec = models.Garch11Spec(0.05, 1.5, 0.1)
         alpha = spec.tail_index()
         theta = models.sample_tail_process_batch(
-            spec, 8, 400_000, derive_stream(6, 9), alpha)
+            spec, 8, 400_000, derive_stream(6, 9))
         powers = np.abs(theta[:, :, 0]) ** alpha
         assert np.all(powers[:, 0] == 1.0)
         se = powers[:, 1:].std(axis=0) / math.sqrt(len(powers))
@@ -753,10 +765,29 @@ class TestTailProcess:
         spec = models.Garch11Spec(0.05, 0.5, 0.55)
         alpha = spec.tail_index()
         got = models.sample_tail_process_batch(spec, horizon, 3000,
-                                               derive_stream(6, 7), alpha)
+                                               derive_stream(6, 7))
         want = expression_garch_tail_process(spec, horizon, 3000,
                                              angle_stream(6, 7), alpha)
         assert got.tobytes() == want.tobytes()
+
+    def test_index_set_on_the_instance_drives_every_reader(self):
+        # index 2.0 in place of the law's 1.40: the size bias of Z_0 and
+        # the first-step values both read it. At alpha 2 the first-step
+        # identity is 1/2 for every u, and the values keep the bytes of
+        # an explicit alpha = 2.0 (the pin)
+        spec = models.Garch11Spec(0.05, 0.5, 0.55)
+        spec.alpha = 2.0
+        assert models.tail_index(spec) == 2.0
+        got = models.sample_tail_process_batch(spec, 16, 1000,
+                                               derive_stream(6, 30))
+        want = expression_garch_tail_process(spec, 16, 1000,
+                                             angle_stream(6, 30), 2.0)
+        assert got.tobytes() == want.tobytes()
+        vals = spec.first_step_values(16, 1000, derive_stream(6, 30))
+        assert np.all(np.abs(vals - 0.5) < 1e-12)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+            "b2131fc8e07bb5d6c39122ede39540ac"
+            "698e4aa907a1eb501959ab674700c57f")
 
     def test_garch_batch_is_built_in_its_output(self, garch_benchmark):
         # the 8,192 x 65 output is 4.3 MB; the time-zero draws and one
@@ -765,7 +796,7 @@ class TestTailProcess:
         tracemalloc.start()
         try:
             models.sample_tail_process_batch(garch_benchmark, 64, 8192,
-                                             derive_stream(6, 8), 2.0)
+                                             derive_stream(6, 8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -783,8 +814,7 @@ class TestTailProcess:
             b_law=b_law)
         replicas = 3000
         got = models.sample_tail_process_batch(spec, horizon, replicas,
-                                               derive_stream(6, 6),
-                                               spec.tail_index())
+                                               derive_stream(6, 6))
         want = cumprod_kesten_tail_process(spec, horizon, replicas,
                                            angle_stream(6, 6))
         assert got.tobytes() == want.tobytes()
@@ -801,13 +831,12 @@ def _sup_values(proj, alpha=1.4):
 # each family with its whole-batch reference and a direction
 BLOCKED_FAMILIES = {
     "var1_1d": (lambda: models.Var1Spec(
-        1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
         a_matrix=np.array([[-0.7]])), matmul_var1_tail_process, [1.0]),
     "var1_2d": (lambda: models.Var1Spec(
-        2, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
-        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]]),
-        weights=np.array([1.0, 2.0])), matmul_var1_tail_process,
-        [0.6, -0.8]),
+        TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+        a_matrix=np.array([[0.5, 0.2], [-0.1, 0.3]])),
+        matmul_var1_tail_process, [0.6, -0.8]),
     "kesten": (lambda: models.KestenSpec(
         a_law=TailLaw(randkit.LOGNORMAL, mu=-0.75, sigma=1.0),
         b_law=TailLaw(randkit.SYMMETRIC_PARETO, alpha=10.0)),
@@ -842,16 +871,15 @@ class TestBlockedTailProcess:
                                                      replicas):
         make, whole, tv = BLOCKED_FAMILIES[family]
         spec, tv = make(), np.array(tv)
-        alpha = spec.tail_index()
         ref = whole(spec, horizon, replicas, angle_stream(6, 20))
         for d in (tv, -tv):  # one batch per direction
             got = models.sample_tail_process_batch(
-                spec, horizon, replicas, derive_stream(6, 20), alpha, d,
+                spec, horizon, replicas, derive_stream(6, 20), d,
                 [_sum_values, _sup_values])
             want = [_sum_values(ref @ d), _sup_values(ref @ d)]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         angles = models.sample_tail_process_batch(
-            spec, horizon, replicas, derive_stream(6, 20), alpha)
+            spec, horizon, replicas, derive_stream(6, 20))
         assert angles.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("family", ["kesten", "garch", "garch_sigma"])
@@ -862,12 +890,11 @@ class TestBlockedTailProcess:
         # next one overwrites (GARCH) or that are fresh (Kesten)
         make, _, _ = BLOCKED_FAMILIES[family]
         spec = make()
-        alpha, replicas = spec.tail_index(), 2 * self.BLOCK + 7
+        replicas = 2 * self.BLOCK + 7
         angles = models.sample_tail_process_batch(
-            spec, 16, replicas, derive_stream(6, 23), alpha)
+            spec, 16, replicas, derive_stream(6, 23))
         proj = models.sample_tail_process_batch(
-            spec, 16, replicas, derive_stream(6, 23), alpha,
-            np.array([sign]))
+            spec, 16, replicas, derive_stream(6, 23), np.array([sign]))
         assert np.array_equal(proj, angles[..., 0] * sign)
 
     @pytest.mark.parametrize("family", sorted(BLOCKED_FAMILIES))
@@ -915,11 +942,10 @@ class TestBlockedTailProcess:
         # functionals, as a shared batch of ``cluster._mc_functional``
         # reduces it: the whole batch would be 8.5 MB and its projection
         # 4.3 MB
-        alpha = garch_benchmark.tail_index()
         tracemalloc.start()
         try:
             models.sample_tail_process_batch(
-                garch_benchmark, 64, 8192, derive_stream(6, 22), alpha,
+                garch_benchmark, 64, 8192, derive_stream(6, 22),
                 np.array([1.0]), [_sum_values, _sup_values])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -930,11 +956,10 @@ class TestBlockedTailProcess:
         # one 8,192-path, 256-step first-step chunk: its normals and
         # products would be 16.8 MB each if drawn whole, its quadrature
         # grid 8.4 MB
-        alpha = garch_benchmark.tail_index()
         tracemalloc.start()
         try:
             garch_benchmark.first_step_values(256, 8192,
-                                              derive_stream(6, 24), alpha)
+                                              derive_stream(6, 24))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -944,7 +969,7 @@ class TestBlockedTailProcess:
             self, garch_benchmark):
         with pytest.raises(ParameterError, match="dimension"):
             models.sample_tail_process_batch(
-                garch_benchmark, 4, 100, derive_stream(6, 23), 2.0,
+                garch_benchmark, 4, 100, derive_stream(6, 23),
                 np.array([0.0, 1.0]), [_sum_values])
 
 
@@ -964,7 +989,7 @@ class TestExceedanceAngles:
     def test_scalar_linear_chain_two_point_law(self, a, family):
         # one big innovation at lag j lands on sign(a^j) times its own
         # sign, with weight |a|^(j alpha)
-        spec = models.Var1Spec(1, TailLaw(family, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(family, alpha=1.5),
                                a_matrix=np.array([[a]]))
         p_pos = 1.0 if family == randkit.PARETO else 0.5
         r = abs(a) ** 1.5
@@ -977,8 +1002,7 @@ class TestExceedanceAngles:
         # alpha = 0.1 keeps terms with |a^j| near 1e-160, whose squares
         # underflow
         for a in (np.array([[0.1]]), np.diag([0.5, 0.1])):
-            spec = models.Var1Spec(a.shape[0],
-                                   TailLaw(randkit.PARETO, alpha=0.1),
+            spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=0.1),
                                    a_matrix=a)
             vecs, weights = spec.theta0_law()
             assert np.array_equal(vecs, np.eye(a.shape[0]))
@@ -993,7 +1017,7 @@ class TestExceedanceAngles:
     def test_diagonal_chain_keeps_the_whole_series(self, diag, alpha):
         # diagonal A: coordinate i carries S_i = sum_j a_i^(j alpha)
         # = 1 / (1 - a_i^alpha)
-        spec = models.Var1Spec(2, TailLaw(randkit.PARETO, alpha=alpha),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=alpha),
                                a_matrix=np.diag(diag))
         s1, s2 = (1.0 / (1.0 - a ** alpha) for a in diag)
         law = spec.theta0_law()
@@ -1025,7 +1049,7 @@ class TestExceedanceAngles:
 
     def test_scalar_draws_keep_u_below_p_up(self):
         # the CDF inversion keeps the draws u < P(Theta_0 = +1)
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[-0.5]]))
         p_up = mass_at(spec.theta0_law(), [1.0])
         ang = spec.theta0(5000, derive_stream(7, 3))

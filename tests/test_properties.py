@@ -90,13 +90,13 @@ class TestDirectionInvariants:
 def _spec_zoo():
     return [
         ("ar_pareto", models.Var1Spec(
-            1, TailLaw(randkit.PARETO, alpha=1.5),
+            TailLaw(randkit.PARETO, alpha=1.5),
             a_matrix=np.array([[0.5]]))),
         ("ar_sympareto", models.Var1Spec(
-            1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
+            TailLaw(randkit.SYMMETRIC_PARETO, alpha=1.5),
             a_matrix=np.array([[0.5]]))),
         ("ar_negative", models.Var1Spec(
-            1, TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.9),
+            TailLaw(randkit.SYMMETRIC_PARETO, alpha=0.9),
             a_matrix=np.array([[-0.6]]))),
         ("garch", models.Garch11Spec(0.05, 0.1, 0.85)),
     ]
@@ -114,7 +114,7 @@ class TestClusterIndexSignAndBounds:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
     def test_alpha_at_most_one_upper_bound(self, alpha):
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=alpha),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=alpha),
                                a_matrix=np.array([[0.5]]))
         est = cluster_index_tail_process(spec, PLUS, 24, 4000,
                                          derive_stream(73, int(10 * alpha)))
@@ -125,21 +125,21 @@ class TestClusterIndexSignAndBounds:
 
 class TestSeedDeterminism:
     def test_same_key_same_path(self):
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[0.5]]))
         p1 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
         p2 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
         assert np.array_equal(p1, p2)
 
     def test_different_master_seed_differs(self):
-        spec = models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=1.5),
+        spec = models.Var1Spec(TailLaw(randkit.PARETO, alpha=1.5),
                                a_matrix=np.array([[0.5]]))
         p1 = models.simulate_path(spec, 200, 50, derive_stream(74, 1))
         p2 = models.simulate_path(spec, 200, 50, derive_stream(75, 1))
         assert not np.array_equal(p1, p2)
 
     def test_estimator_determinism_across_repeat_calls(self):
-        spec = models.Var1Spec(1, TailLaw(randkit.SYMMETRIC_PARETO,
+        spec = models.Var1Spec(TailLaw(randkit.SYMMETRIC_PARETO,
                                           alpha=1.5),
                                a_matrix=np.array([[0.5]]))
         e1 = cluster_index_tail_process(spec, PLUS, 16, 2000,

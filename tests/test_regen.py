@@ -42,9 +42,9 @@ def bad_mino():
 
 def one_shot_path(spec, minorization, n, stream):
     """The chain's n states from a nu draw, drawn and filtered whole."""
-    a, law, weight = spec.linear_step()
+    a, law = spec.linear_step()
     x0 = float(minorization.nu_sampler(stream))
-    z = weight * randkit.sample_law(stream, law, n - 1)
+    z = randkit.sample_law(stream, law, n - 1)
     return models._ar1(np.concatenate(([x0], z))[None], a)[0]
 
 
@@ -82,7 +82,7 @@ BLOCKS_N = 48 * regen._BLOCK + 1234
 
 @pytest.fixture
 def pareto_chain():
-    return models.Var1Spec(1, TailLaw(randkit.PARETO, alpha=0.8),
+    return models.Var1Spec(TailLaw(randkit.PARETO, alpha=0.8),
                            a_matrix=np.array([[0.5]]))
 
 
@@ -246,7 +246,7 @@ class TestHarvest:
             mino = make_var1_minorization(spec, m_bound=4.0)
         else:
             law = TailLaw(randkit.GAUSSIAN)
-            spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+            spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
             mino = make_iid_minorization(law)
         blocks = harvest_blocks(spec, mino, BLOCKS_N, derive_stream(62, 9))
         starts, sums, total, path = one_shot_harvest(
@@ -340,7 +340,7 @@ class TestBlocksOrientation:
 class TestIidAtomization:
     def test_every_step_regenerates(self):
         law = TailLaw(randkit.PARETO, alpha=1.5)
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
         blocks = harvest_blocks(spec, make_iid_minorization(law), 5000,
                                 derive_stream(63, 1))
         lengths = np.diff(blocks.cycle_starts)
@@ -352,7 +352,7 @@ class TestIidAtomization:
 
     def test_kac_is_exact(self):
         law = TailLaw(randkit.GAUSSIAN)
-        spec = models.Var1Spec(1, law, a_matrix=np.array([[0.0]]))
+        spec = models.Var1Spec(law, a_matrix=np.array([[0.0]]))
         blocks = harvest_blocks(spec, make_iid_minorization(law), 2000,
                                 derive_stream(63, 2))
         report = kac_check(blocks, 1.0)
